@@ -10,7 +10,7 @@
 //! loops.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use sprout_baselines::VideoApp;
@@ -354,9 +354,11 @@ impl ExperimentConfig {
         }
     }
 
-    fn tsv(&self, name: &str) -> std::io::Result<fs::File> {
+    /// A buffered writer on `<out_dir>/<name>`. Renderers end with
+    /// `flush()?` so a failed write is reported, not lost in the drop.
+    fn tsv(&self, name: &str) -> std::io::Result<BufWriter<fs::File>> {
         fs::create_dir_all(&self.out_dir)?;
-        fs::File::create(self.out_dir.join(name))
+        Ok(BufWriter::new(fs::File::create(self.out_dir.join(name))?))
     }
 
     /// Run `matrix` on the shared engine and record its canonical JSON
@@ -439,6 +441,7 @@ pub fn fig1(cfg: &ExperimentConfig) -> std::io::Result<Fig1Result> {
             row.0, row.1, row.2, row.3, delay_rows[i].1, delay_rows[i].2
         )?;
     }
+    f.flush()?;
     Ok(Fig1Result {
         throughput_rows,
         delay_rows,
@@ -483,6 +486,7 @@ pub fn fig2(cfg: &ExperimentConfig) -> std::io::Result<Fig2Result> {
     for &(lo, hi, pct) in &ia.rows {
         writeln!(f, "{lo:.3}\t{hi:.3}\t{pct:.6}")?;
     }
+    f.flush()?;
     Ok(Fig2Result {
         fraction_within_20ms: ia.fraction_within_20ms,
         tail_slope: ia.tail_slope,
@@ -568,6 +572,7 @@ pub fn fig7(cfg: &ExperimentConfig) -> std::io::Result<Fig7Results> {
             .expect("fig7 sweeps synthetic links");
         cells.push((link, scheme, m));
     }
+    f.flush()?;
     Ok(Fig7Results { cells })
 }
 
@@ -633,6 +638,7 @@ pub fn write_summary(
             r.avg_delay_s
         )?;
     }
+    f.flush()?;
     Ok(())
 }
 
@@ -675,6 +681,7 @@ pub fn fig8(cfg: &ExperimentConfig, results: &Fig7Results) -> std::io::Result<Ve
             r.avg_delay_ms
         )?;
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -721,6 +728,7 @@ pub fn fig9(cfg: &ExperimentConfig) -> std::io::Result<Vec<Fig9Row>> {
             result: m,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -773,6 +781,7 @@ pub fn loss_table(cfg: &ExperimentConfig) -> std::io::Result<Vec<LossRow>> {
             result: m,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -840,6 +849,7 @@ pub fn tunnel_comparison(cfg: &ExperimentConfig) -> std::io::Result<TunnelCompar
         "skype_p95_delay_s\t{:.2}\t{:.2}",
         result.skype_direct_delay_s, result.skype_tunnel_delay_s
     )?;
+    f.flush()?;
     Ok(result)
 }
 
@@ -948,6 +958,7 @@ pub fn contention(cfg: &ExperimentConfig) -> std::io::Result<Vec<ContentionRow>>
             flows,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -1032,6 +1043,7 @@ pub fn soak(cfg: &ExperimentConfig) -> std::io::Result<Vec<SoakRow>> {
             app.map(|fl| fl.p95_delay_ms).unwrap_or(f64::NAN),
         )?;
     }
+    f.flush()?;
 
     // Aggregate per workload, in matrix declaration order. The
     // self-inflicted mean averages the *finite* samples only — a cell
@@ -1182,6 +1194,7 @@ pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<ImpairRow>> {
             result: m,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -1269,6 +1282,7 @@ pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<ServeRow>> {
             fairness,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -1342,6 +1356,7 @@ pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<ReplayRow>> {
             result: m,
         });
     }
+    f.flush()?;
     Ok(rows)
 }
 
@@ -1367,6 +1382,7 @@ pub fn write_cell_series(
         for &(t_s, delay_ms) in &series.delays {
             writeln!(f, "{t_s:.6}\t{delay_ms:.3}")?;
         }
+        f.flush()?;
 
         let mut f = cfg.tsv(&format!("{stem}_series.tsv"))?;
         writeln!(f, "# {}", r.scenario.label)?;
@@ -1378,6 +1394,7 @@ pub fn write_cell_series(
                 b.t_s, b.capacity_kbps, b.throughput_kbps, b.queue_depth
             )?;
         }
+        f.flush()?;
         written += 1;
     }
     Ok(written)

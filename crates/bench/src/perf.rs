@@ -135,6 +135,21 @@ pub fn run_micro_benches() -> Vec<MicroBench> {
             .cumulative_units
             .len()
     });
+    // The same call in situ: one forecast after every tick of a link
+    // whose rate wanders, so the posterior moves between calls, last
+    // call's answers are only predictions and the search has to look.
+    // (`forecast_ns` above forecasts one frozen posterior: its predictions
+    // are always exact.) The posteriors are prepared up front so only
+    // `forecast_into` is timed.
+    let moving = moving_posteriors(&cfg, 200);
+    let mut next = moving.iter().cycle();
+    let forecast_moving_ns = time_ns(5, moving.len(), || {
+        let posterior = next.next().expect("cycle over a non-empty list");
+        tables
+            .forecast_into(posterior, 5.0, &mut scratch)
+            .cumulative_units
+            .len()
+    });
     let model_tick_ns = time_ns(5, 200, || {
         model.evolve();
         model.observe(std::hint::black_box(8.0));
@@ -152,6 +167,10 @@ pub fn run_micro_benches() -> Vec<MicroBench> {
             ns_per_iter: forecast_ns,
         },
         MicroBench {
+            key: "forecast_moving_ns",
+            ns_per_iter: forecast_moving_ns,
+        },
+        MicroBench {
             key: "model_tick_ns",
             ns_per_iter: model_tick_ns,
         },
@@ -164,6 +183,30 @@ pub fn run_micro_benches() -> Vec<MicroBench> {
             ns_per_iter: table_build_ns,
         },
     ]
+}
+
+/// The posterior after each of `ticks` ticks of a link whose delivery
+/// rate swings between ~1 and ~15 packets a tick over a 2 s period, with
+/// per-tick jitter and a silent tick now and then (fixed sequence, no
+/// seed: this feeds a timing probe, not a result).
+fn moving_posteriors(cfg: &SproutConfig, ticks: usize) -> Vec<Vec<f64>> {
+    let mut model = RateModel::new(cfg.clone());
+    let mut lcg = 0x2013_0401u32;
+    (0..ticks)
+        .map(|t| {
+            lcg = lcg.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let swing = 8.0 + 7.0 * (t as f64 * std::f64::consts::TAU / 100.0).sin();
+            let jitter = (lcg >> 16) as f64 / 65_536.0 * 4.0 - 2.0;
+            let packets = if lcg.is_multiple_of(17) {
+                0.0
+            } else {
+                (swing + jitter).max(0.0).round()
+            };
+            model.evolve();
+            model.observe(packets);
+            model.distribution().to_vec()
+        })
+        .collect()
 }
 
 /// Sessions the serve capacity probe drives: large enough that shared

@@ -1,7 +1,9 @@
 //! Scalar-vs-chunked kernel equivalence: the vectorized/blocked hot
 //! loops of the evolve walk and the forecast-table DP must be
 //! **bit-for-bit** equal to their pre-vectorization scalar references,
-//! across random configurations and inputs — not merely close. The
+//! across random configurations and inputs — not merely close; likewise
+//! the windowed percentile search against the one-count bisection and
+//! the memoised likelihood update against the uncached one. The
 //! restructured loops preserve the floating-point accumulation order
 //! (ascending source bins per output cell), which is why the canonical
 //! artifacts stay byte-identical and [`sprout_bench::ENGINE_VERSION`]
@@ -10,7 +12,10 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use sprout_core::{ForecastTables, SproutConfig, TransitionKernel};
+use sprout_core::{
+    likelihood_memo_occupancy, ForecastScratch, ForecastTables, RateModel, SproutConfig,
+    TransitionKernel, LIKELIHOOD_MEMO_MAX_BYTES,
+};
 
 /// A validated config with the given geometry; `lookahead_ticks` is
 /// pinned to 1 so any `horizon_ticks >= 1` is admissible.
@@ -76,6 +81,287 @@ proptest! {
         let reference = ForecastTables::build_reference(&cfg, &kernel);
         prop_assert_eq!(fast.to_bytes(), reference.to_bytes());
     }
+}
+
+/// `raw` scaled to sum to `total`.
+fn scaled(raw: &[f64], total: f64) -> Vec<f64> {
+    let sum: f64 = raw.iter().sum();
+    raw.iter().map(|&p| p * total / sum).collect()
+}
+
+/// Forecast `posterior` through both searches, each with its own
+/// long-lived scratch, and compare.
+fn assert_searches_agree(
+    tables: &ForecastTables,
+    posterior: &[f64],
+    pct: f64,
+    windowed: &mut ForecastScratch,
+    reference: &mut ForecastScratch,
+) -> Result<(), String> {
+    let fast = tables.forecast_into(posterior, pct, windowed).clone();
+    let slow = tables.forecast_into_reference(posterior, pct, reference);
+    prop_assert_eq!(&fast, slow);
+    Ok(())
+}
+
+fn bits(dist: &[f64]) -> Vec<u64> {
+    dist.iter().map(|p| p.to_bits()).collect()
+}
+
+proptest! {
+    #[test]
+    fn windowed_forecast_search_matches_reference_search(
+        bins_sel in 0usize..3,
+        cm_sel in 0usize..4,
+        horizon_ticks in 1usize..7,
+        sigma in 40.0f64..300.0,
+        max_rate_pps in 100.0f64..600.0,
+        raw in collection::vec(0.001f64..1.0, 64..65),
+        observations in collection::vec(0u32..12, 8..9),
+    ) {
+        let num_bins = [9, 33, 64][bins_sel];
+        // 96 is whole count blocks; the others end in a partial block,
+        // and 43 is less than one fast tick's volume, so the count axis
+        // saturates mid-horizon.
+        let count_max = [43, 65, 96, 203][cm_sel];
+        let cfg = cfg_with(num_bins, sigma, max_rate_pps, horizon_ticks, count_max);
+        let tables = ForecastTables::build(&cfg, &TransitionKernel::new(&cfg));
+        let raw = &raw[..num_bins];
+
+        let mut posteriors: Vec<Vec<f64>> = Vec::new();
+        // A session's worth of slowly moving posteriors (contiguous live
+        // bins, predictions mostly right)...
+        let mut model = RateModel::new(cfg.clone());
+        for &obs in &observations {
+            model.evolve();
+            model.observe(obs as f64 * 0.5);
+            posteriors.push(model.distribution().to_vec());
+        }
+        // ...a jump to an unrelated dense one (predictions wrong)...
+        posteriors.push(scaled(raw, 1.0));
+        // ...combs, whose live bins are not contiguous: the windowed pass
+        // weighs the gaps 0.0 where the reference skips them...
+        let sparse: Vec<f64> = raw.iter().map(|&p| if p < 0.3 { 0.0 } else { p }).collect();
+        posteriors.push(scaled(&sparse, 1.0));
+        let comb: Vec<f64> = (0..num_bins).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
+        posteriors.push(scaled(&comb, 1.0));
+        // ...no live bin at all...
+        posteriors.push(vec![0.0; num_bins]);
+        // ...point masses at both ends of the grid...
+        for at in [0, num_bins - 1] {
+            let mut pm = vec![0.0; num_bins];
+            pm[at] = 1.0;
+            posteriors.push(pm);
+        }
+        // ...and the degenerate mixture whose total mass is below the
+        // higher percentiles: the guess hits the cap, nothing reaches
+        // `want`, every tick answers the end of the count axis.
+        posteriors.push(scaled(raw, 0.3));
+
+        // One scratch per search across the whole case: consecutive calls
+        // feed each other's predictions, including across the percentile
+        // switches.
+        let mut windowed = ForecastScratch::default();
+        let mut reference = ForecastScratch::default();
+        for pct in [5.0, 25.0, 50.0, 75.0, 95.0] {
+            for posterior in &posteriors {
+                assert_searches_agree(&tables, posterior, pct, &mut windowed, &mut reference)?;
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_search_matches_reference_on_arbitrary_monotone_tables(
+        num_bins in 2usize..6,
+        horizon_ticks in 1usize..5,
+        count_max in 8usize..70,
+        raw in collection::vec(0.0f64..1.0, 1400..1401),
+        weights in collection::vec(0.01f64..1.0, 5..6),
+        total in 0.2f64..1.2,
+    ) {
+        // Tables no DP would produce, decoded from a hand-made payload:
+        // per (tick, bin) a step-like CDF that is non-decreasing in the
+        // count — all the search relies on — but unrelated from one tick
+        // to the next and free to stop short of 1. Answers land below
+        // the warm start, on block boundaries, several blocks from the
+        // prediction and in the last block's padding.
+        let mut payload = sprout_cache::ByteWriter::new();
+        payload
+            .u64(num_bins as u64)
+            .u64(horizon_ticks as u64)
+            .u64(count_max as u64);
+        let mut draws = raw.iter().cycle();
+        let mut cdfs = vec![vec![0.0f32; count_max]; horizon_ticks * num_bins];
+        for cdf in &mut cdfs {
+            let ceiling = *draws.next().unwrap();
+            let steps: Vec<f64> = (0..count_max).map(|_| draws.next().unwrap().powi(8)).collect();
+            let sum: f64 = steps.iter().sum::<f64>().max(1e-9);
+            let mut acc = 0.0;
+            for (slot, step) in cdf.iter_mut().zip(steps.iter()) {
+                acc += step;
+                *slot = (acc / sum * ceiling).min(1.0) as f32;
+            }
+        }
+        for tick_cdfs in cdfs.chunks(num_bins) {
+            for c in 0..count_max {
+                for cdf in tick_cdfs {
+                    payload.f32(cdf[c]);
+                }
+            }
+        }
+        let tables = ForecastTables::from_bytes(&payload.finish()).expect("well-formed payload");
+        let posterior = scaled(&weights[..num_bins], total);
+        let mut windowed = ForecastScratch::default();
+        let mut reference = ForecastScratch::default();
+        for pct in [5.0, 50.0, 95.0, 25.0, 75.0] {
+            assert_searches_agree(&tables, &posterior, pct, &mut windowed, &mut reference)?;
+        }
+    }
+
+    #[test]
+    fn memoised_observe_matches_uncached(
+        num_bins in 8usize..97,
+        max_rate_pps in 100.0f64..1000.0,
+        observations in collection::vec((0u32..40, 0usize..4), 20..60),
+    ) {
+        let cfg = cfg_with(num_bins, 200.0, max_rate_pps, 8, 256);
+        let tick = cfg.tick_secs();
+        let mut memoised = RateModel::new(cfg.clone());
+        let mut uncached = RateModel::new(cfg);
+        // Quarter-packet observations from silence to well past the
+        // grid's top rate, over full and censored exposures; the small
+        // domain makes most of them repeats (memo hits).
+        for &(quarters, exposure_sel) in &observations {
+            let packets = quarters as f64 * 0.25;
+            let exposure = [tick, tick, 0.013, 0.020_3][exposure_sel];
+            memoised.evolve();
+            uncached.evolve();
+            memoised.observe_exposed(packets, exposure);
+            uncached.observe_exposed_reference(packets, exposure);
+            prop_assert_eq!(bits(memoised.distribution()), bits(uncached.distribution()));
+        }
+        let (_, bytes) = likelihood_memo_occupancy();
+        prop_assert!(bytes <= LIKELIHOOD_MEMO_MAX_BYTES);
+    }
+}
+
+#[test]
+fn windowed_search_tracks_reference_over_a_long_session() {
+    // 600 ticks of one endpoint's life on the unit-test geometry: ramps,
+    // a plateau, an outage and the recovery, forecasting after every tick
+    // with one scratch per search as the protocol does.
+    let cfg = SproutConfig::test_small();
+    let tables = ForecastTables::get(&cfg);
+    let mut model = RateModel::new(cfg);
+    let mut windowed = ForecastScratch::default();
+    let mut reference = ForecastScratch::default();
+    for t in 0..600u32 {
+        let packets = match t {
+            0..=199 => (t / 40) as f64,
+            200..=349 => 4.0 + (t % 3) as f64 * 0.5,
+            350..=449 => 0.0,
+            _ => 3.0,
+        };
+        model.evolve();
+        model.observe(packets);
+        assert_searches_agree(
+            &tables,
+            model.distribution(),
+            5.0,
+            &mut windowed,
+            &mut reference,
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn windowed_search_masks_sub_epsilon_bins_like_the_reference() {
+    // Three bins, one tick: bins 0 and 1 deliver by count 3, bin 2 by
+    // count 6. Bin 1 holds mass below the mask, and counting it would
+    // lift the CDF at count 3 from just under the median to just over.
+    let (num_bins, count_max) = (3usize, 10usize);
+    let mut payload = sprout_cache::ByteWriter::new();
+    payload.u64(num_bins as u64).u64(1).u64(count_max as u64);
+    for c in 0..count_max {
+        for reached_at in [3, 3, 6] {
+            payload.f32(if c >= reached_at { 1.0 } else { 0.0 });
+        }
+    }
+    let tables = ForecastTables::from_bytes(&payload.finish()).expect("well-formed payload");
+    let posterior = [0.5 - 0.5e-12, 0.9e-12, 0.5];
+    assert!(posterior[0] + posterior[1] >= 0.5 && posterior[0] < 0.5);
+    let fast = tables
+        .forecast_into(&posterior, 50.0, &mut ForecastScratch::default())
+        .clone();
+    let slow = tables
+        .forecast_into_reference(&posterior, 50.0, &mut ForecastScratch::default())
+        .clone();
+    assert_eq!(fast.cumulative_units, vec![6]);
+    assert_eq!(fast, slow);
+}
+
+#[test]
+fn likelihood_memo_shares_hits_memoises_skips_and_evicts_at_the_cap() {
+    // The memo is per thread: a thread of this test's own starts empty.
+    std::thread::spawn(|| {
+        let cfg = SproutConfig::test_small();
+        let tick = cfg.tick_secs();
+        let mut a = RateModel::new(cfg.clone());
+        let mut b = RateModel::new(cfg.clone());
+        let mut uncached = RateModel::new(cfg);
+        assert_eq!(likelihood_memo_occupancy(), (0, 0));
+
+        // Two models on one thread share one entry per observation.
+        for model in [&mut a, &mut b] {
+            model.evolve();
+            model.observe_exposed(2.0, tick);
+            model.observe_exposed(2.0, tick);
+        }
+        assert_eq!(likelihood_memo_occupancy().0, 1);
+        uncached.evolve();
+        uncached.observe_exposed_reference(2.0, tick);
+        uncached.observe_exposed_reference(2.0, tick);
+        assert_eq!(bits(a.distribution()), bits(uncached.distribution()));
+        assert_eq!(bits(b.distribution()), bits(uncached.distribution()));
+
+        // A packet count so large that every bin's log-likelihood
+        // overflows is impossible under all of them: the update is
+        // skipped, and the memo remembers that outcome too.
+        let before = bits(a.distribution());
+        a.observe_exposed(1e308, tick);
+        a.observe_exposed(1e308, tick);
+        uncached.observe_exposed_reference(1e308, tick);
+        assert_eq!(bits(a.distribution()), before);
+        assert_eq!(bits(uncached.distribution()), before);
+        assert_eq!(likelihood_memo_occupancy().0, 2);
+
+        // Enough distinct observations to overflow the budget: the memo
+        // never exceeds it, starts over instead, and results stay exact
+        // on both sides of the eviction.
+        let mut evicted = false;
+        let mut entries = 2;
+        for k in 0..4_000u32 {
+            let packets = k as f64 * 0.001;
+            let exposure = if k % 2 == 0 { tick } else { 0.013 };
+            a.evolve();
+            uncached.evolve();
+            a.observe_exposed(packets, exposure);
+            uncached.observe_exposed_reference(packets, exposure);
+            assert_eq!(bits(a.distribution()), bits(uncached.distribution()));
+            let (now, bytes) = likelihood_memo_occupancy();
+            assert!(bytes <= LIKELIHOOD_MEMO_MAX_BYTES, "{bytes} bytes");
+            evicted |= now < entries;
+            entries = now;
+        }
+        assert!(evicted, "4000 entries fit a 1 MB budget?");
+        // The first observation is a miss again, and still exact.
+        a.observe_exposed(2.0, tick);
+        uncached.observe_exposed_reference(2.0, tick);
+        assert_eq!(bits(a.distribution()), bits(uncached.distribution()));
+    })
+    .join()
+    .expect("memo test thread");
 }
 
 #[test]

@@ -40,6 +40,7 @@ use sprout_cache::{ArtifactKind, ByteReader, ByteWriter, CacheCounters};
 use crate::config::{SproutConfig, TableKey};
 use crate::lru::LruCache;
 use crate::model::{ScatterMatrix, TransitionKernel};
+use crate::simd::{mixture_lanes, CDF_LANES};
 
 /// On-disk persistence of built tables. Version covers both the byte
 /// layout of [`ForecastTables::to_bytes`] and the DP semantics — bump it
@@ -90,10 +91,15 @@ static TABLE_CACHE_LEN: AtomicU64 = AtomicU64::new(0);
 /// daemon cycling through arbitrary geometries stays bounded.
 pub const FORECAST_TABLE_CACHE_CAP: usize = 8;
 
+/// Everything immutable that one table geometry needs at runtime: the
+/// CDF tables and the transition kernel they were built from (the same
+/// [`TableKey`] determines both).
+type SharedModel = (Arc<ForecastTables>, Arc<TransitionKernel>);
+
 /// A per-key build slot: the first caller of a key initializes the
 /// `OnceLock` (building the table) while others wait on it, without
 /// holding the whole-cache lock.
-type TableSlot = Arc<OnceLock<Arc<ForecastTables>>>;
+type TableSlot = Arc<OnceLock<SharedModel>>;
 
 /// Occupancy of the in-memory forecast-table cache: `(live_entries,
 /// evictions_total)`. `live_entries` never exceeds
@@ -114,6 +120,47 @@ pub fn table_memory_counters() -> MemCounters {
     MemCounters {
         built: TABLES_BUILT.load(Ordering::Relaxed),
         reused: TABLES_REUSED.load(Ordering::Relaxed),
+    }
+}
+
+/// Unit tests of this crate run as threads of one process and share the
+/// table cache and the counters above. Every [`ForecastTables::get`]
+/// holds this gate shared, so a test that asserts exact counter deltas,
+/// or that an entry it just fetched is still cached, holds it exclusively
+/// and sees its own fetches only.
+#[cfg(test)]
+pub(crate) mod fetch_gate {
+    use std::cell::Cell;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static GATE: RwLock<()> = RwLock::new(());
+
+    thread_local! {
+        /// Whether this thread holds the gate exclusively (its own fetches
+        /// must then not queue behind itself).
+        static EXCLUSIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) struct Exclusive(#[allow(dead_code)] RwLockWriteGuard<'static, ()>);
+
+    impl Drop for Exclusive {
+        fn drop(&mut self) {
+            EXCLUSIVE.set(false);
+        }
+    }
+
+    /// Wait out every fetch in flight and hold all later ones of other
+    /// threads back until the guard drops.
+    pub(crate) fn exclusive() -> Exclusive {
+        let guard = GATE.write().unwrap_or_else(PoisonError::into_inner);
+        EXCLUSIVE.set(true);
+        Exclusive(guard)
+    }
+
+    /// Held across one fetch; `None` on the thread holding the gate
+    /// exclusively.
+    pub(crate) fn shared() -> Option<RwLockReadGuard<'static, ()>> {
+        (!EXCLUSIVE.get()).then(|| GATE.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -159,8 +206,15 @@ pub struct ForecastTables {
     /// raw [`Self::from_bytes`] fall back to the unbounded `count_max`
     /// (identical results, more probes per search).
     max_step: usize,
-    /// Layout: `cdf[(t * count_max + c) * num_bins + i]`, f32 to halve the
-    /// footprint (≈4 MB at paper scale).
+    /// `count_max` rounded up to whole [`CDF_LANES`]-wide count blocks.
+    count_blocks: usize,
+    /// Tiled layout `[tick][count block][bin][CDF_LANES]` (see
+    /// [`Self::cell`]): the [`CDF_LANES`] consecutive counts of one block
+    /// sit side by side per bin, so a single pass over the live bins
+    /// yields the mixture CDF at all of them. f32 to halve the footprint
+    /// (≈6 MB at paper scale). Lanes past `count_max` in the last block
+    /// hold 1.0. The on-disk payload ([`Self::to_bytes`]) stays row-major
+    /// `(t, c, i)`; the tiling exists in memory only.
     cdf: Vec<f32>,
 }
 
@@ -172,6 +226,15 @@ impl ForecastTables {
     /// paper scale): a daemon sweeping many disjoint geometries recycles
     /// slots instead of growing without bound.
     pub fn get(cfg: &SproutConfig) -> Arc<ForecastTables> {
+        Self::get_with_kernel(cfg).0
+    }
+
+    /// [`Self::get`] plus the one [`TransitionKernel`] the cache keeps per
+    /// geometry, so every model on that geometry evolves through a single
+    /// shared allocation instead of a private copy.
+    pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
+        #[cfg(test)]
+        let _gate = fetch_gate::shared();
         // Per-key OnceLock slots: the first caller of a key builds while
         // holding only that key's slot, so concurrent sweep workers neither
         // duplicate a build (it costs seconds at paper scale) nor block
@@ -192,16 +255,21 @@ impl ForecastTables {
             slot
         };
         let mut built_now = false;
-        let tables = Arc::clone(slot.get_or_init(|| {
-            built_now = true;
-            Arc::new(ForecastTables::load_or_build(cfg))
-        }));
+        let shared = slot
+            .get_or_init(|| {
+                built_now = true;
+                (
+                    Arc::new(ForecastTables::load_or_build(cfg)),
+                    Arc::new(TransitionKernel::new(cfg)),
+                )
+            })
+            .clone();
         if built_now {
             TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
         } else {
             TABLES_REUSED.fetch_add(1, Ordering::Relaxed);
         }
-        tables
+        shared
     }
 
     /// Fetch the tables for `cfg` from the on-disk artifact cache, or
@@ -231,16 +299,45 @@ impl ForecastTables {
         tables
     }
 
+    /// An all-ones table of the given dimensions (1.0 is what the lanes
+    /// past `count_max` must hold; every real cell gets overwritten).
+    fn filled(num_bins: usize, horizon: usize, count_max: usize, max_step: usize) -> Self {
+        let count_blocks = count_max.div_ceil(CDF_LANES);
+        ForecastTables {
+            num_bins,
+            horizon,
+            count_max,
+            max_step,
+            count_blocks,
+            cdf: vec![1.0f32; horizon * count_blocks * num_bins * CDF_LANES],
+        }
+    }
+
+    /// Index of `P(C_{tick+1} ≤ count | λ₀ = bin)` in the tiled `cdf`.
+    /// Consecutive bins of one `(tick, count)` are [`CDF_LANES`] apart.
+    #[inline]
+    fn cell(&self, tick: usize, count: usize, bin: usize) -> usize {
+        ((tick * self.count_blocks + count / CDF_LANES) * self.num_bins + bin) * CDF_LANES
+            + count % CDF_LANES
+    }
+
     /// Serialize to the on-disk payload: three dimensions then the raw
-    /// f32 bit patterns of the CDF strip. Bit-exact round trip, so cached
-    /// and freshly built tables produce identical forecasts.
+    /// f32 bit patterns of the CDF in row-major `(tick, count, bin)` order
+    /// — independent of the in-memory tiling. Bit-exact round trip, so
+    /// cached and freshly built tables produce identical forecasts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(24 + 4 * self.cdf.len());
+        let cells = self.horizon * self.count_max * self.num_bins;
+        let mut w = ByteWriter::with_capacity(24 + 4 * cells);
         w.u64(self.num_bins as u64)
             .u64(self.horizon as u64)
             .u64(self.count_max as u64);
-        for &v in &self.cdf {
-            w.f32(v);
+        for t in 0..self.horizon {
+            for c in 0..self.count_max {
+                let row = self.cell(t, c, 0);
+                for i in 0..self.num_bins {
+                    w.f32(self.cdf[row + i * CDF_LANES]);
+                }
+            }
         }
         w.finish()
     }
@@ -253,20 +350,32 @@ impl ForecastTables {
         let horizon = r.u64()? as usize;
         let count_max = r.u64()? as usize;
         let cells = num_bins.checked_mul(horizon)?.checked_mul(count_max)?;
-        if r.remaining() != 4 * cells {
+        // An empty axis describes no table (and with every axis non-empty
+        // the tiled size below is at most `CDF_LANES` × `cells`).
+        if cells == 0 || r.remaining() != 4 * cells {
             return None;
         }
-        let mut cdf = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            cdf.push(r.f32()?);
+        let mut tables = ForecastTables::filled(num_bins, horizon, count_max, count_max);
+        // Re-tile a count block at a time: its payload rows (one per
+        // count, `num_bins` values each) interleave into one tile that
+        // stays cache-resident while they do.
+        let payload = &bytes[bytes.len() - 4 * cells..];
+        let tile_len = num_bins * CDF_LANES;
+        let rows_of_tick = payload.chunks_exact(4 * num_bins * count_max);
+        let tiles_of_tick = tables.cdf.chunks_exact_mut(tables.count_blocks * tile_len);
+        for (rows, tiles) in rows_of_tick.zip(tiles_of_tick) {
+            let blocks = rows
+                .chunks(4 * tile_len)
+                .zip(tiles.chunks_exact_mut(tile_len));
+            for (block_rows, tile) in blocks {
+                for (lane, row) in block_rows.chunks_exact(4 * num_bins).enumerate() {
+                    for (cell, v) in tile.chunks_exact_mut(CDF_LANES).zip(row.chunks_exact(4)) {
+                        cell[lane] = f32::from_le_bytes(v.try_into().unwrap());
+                    }
+                }
+            }
         }
-        Some(ForecastTables {
-            num_bins,
-            horizon,
-            count_max,
-            max_step: count_max,
-            cdf,
-        })
+        Some(tables)
     }
 
     /// Build the tables by per-start-bin dynamic programming.
@@ -351,42 +460,37 @@ impl ForecastTables {
             }
         });
 
-        // Merge the per-start CDF strips into the runtime layout
-        // `cdf[(t*cm + c)*n + start]` (contiguous in start for the
-        // mixture's inner loop).
-        let mut cdf = vec![0.0f32; horizon * cm * n];
+        let max_step = shifts.iter().map(|&(lo, _)| lo + 1).max().unwrap_or(cm);
+        debug_assert_eq!(max_step, max_unit_step(cfg));
+
+        // Merge the per-start CDF strips into the tiled runtime layout.
+        let mut tables = ForecastTables::filled(n, horizon, cm, max_step);
         for (start, strip) in per_start.iter().enumerate() {
             debug_assert_eq!(strip.len(), horizon * cm);
             for t in 0..horizon {
                 for c in 0..cm {
-                    cdf[(t * cm + c) * n + start] = strip[t * cm + c];
+                    let at = tables.cell(t, c, start);
+                    tables.cdf[at] = strip[t * cm + c];
                 }
             }
         }
-
-        let max_step = shifts.iter().map(|&(lo, _)| lo + 1).max().unwrap_or(cm);
-        debug_assert_eq!(max_step, max_unit_step(cfg));
-        ForecastTables {
-            num_bins: n,
-            horizon,
-            count_max: cm,
-            max_step,
-            cdf,
-        }
+        tables
     }
 
     /// Conditional CDF `P(C_{t+1} ≤ c | λ₀ = bin)` (test/diagnostic hook).
     pub fn conditional_cdf(&self, tick: usize, count: usize, bin: usize) -> f64 {
-        self.cdf[(tick * self.count_max + count) * self.num_bins + bin] as f64
+        assert!(count < self.count_max && bin < self.num_bins);
+        self.cdf[self.cell(tick, count, bin)] as f64
     }
 
     /// The mixture CDF `P(C_{t+1} ≤ c)` under `posterior`.
     pub fn mixture_cdf(&self, posterior: &[f64], tick: usize, count: usize) -> f64 {
         assert_eq!(posterior.len(), self.num_bins);
-        let row = &self.cdf[(tick * self.count_max + count) * self.num_bins..][..self.num_bins];
+        assert!(count < self.count_max);
+        let row = &self.cdf[self.cell(tick, count, 0)..];
         posterior
             .iter()
-            .zip(row.iter())
+            .zip(row.iter().step_by(CDF_LANES))
             .map(|(&p, &f)| p * f as f64)
             .sum()
     }
@@ -403,7 +507,7 @@ impl ForecastTables {
     /// The allocation-free forecast hot path: every per-tick working set
     /// lives in `scratch`, which the caller keeps between ticks.
     ///
-    /// Two structural properties make this fast:
+    /// Three structural properties make this fast:
     ///
     /// * **Live-bin masking.** Converged posteriors concentrate their
     ///   mass in a narrow band of rate bins; the rest sit at or near the
@@ -412,74 +516,110 @@ impl ForecastTables {
     ///   value is below `num_bins × MASS_EPSILON ≈ 3e-10`, orders of
     ///   magnitude under any percentile of interest — so every probe of
     ///   the search sums only the live bins.
-    /// * **Warm-started bounded search.** `C_t` is non-decreasing in
-    ///   `t`, so `P(C_{t+1} ≤ c) ≤ P(C_t ≤ c)` holds per start bin and
-    ///   therefore for (masked) mixtures; the percentile index can only
-    ///   grow from one tick to the next — and by at most `max_step`
-    ///   units, because no rate bin advances the volume axis faster than
-    ///   the top bin. Each tick's search therefore binary-searches only
-    ///   `(prev, prev + max_step]` — ~7 probes at paper scale instead of
-    ///   a `log2(count_max)` search (or an unbounded gallop) from
-    ///   scratch. The stored CDF is non-decreasing in the count, so the
-    ///   bounded search provably returns the same index the gallop did.
+    /// * **Warm-started search.** `C_t` is non-decreasing in `t`, so
+    ///   `P(C_{t+1} ≤ c) ≤ P(C_t ≤ c)` holds per start bin and therefore
+    ///   for (masked) mixtures: the percentile index can only grow from
+    ///   one tick to the next, and the previous call's answers predict
+    ///   this call's to within a unit or two.
+    /// * **Windowed probes.** One mixture-CDF value is a serial add chain
+    ///   over the live bins — latency-bound, and a bisection is a chain of
+    ///   such chains. The tiled table instead yields the CDF at the
+    ///   eight consecutive counts around the prediction in one pass of
+    ///   independent lanes (`simd::mixture_lanes`), which usually
+    ///   brackets the answer outright; a neighbouring block is evaluated
+    ///   only on a miss. Each lane is the same ascending-bin chain the
+    ///   one-count probe computes, and the mixture CDF is non-decreasing
+    ///   in the count (the stored per-bin CDFs are, no weight is
+    ///   negative, and rounding is monotone), so the smallest satisfying
+    ///   index is the one [`Self::forecast_into_reference`] bisects to.
+    ///
+    /// The windowed pass walks the span from the first to the last live
+    /// bin as one slice; a masked bin inside the span weighs `0.0`, and
+    /// `acc + 0.0 × f` leaves every lane's accumulator bit-identical to
+    /// skipping the bin.
     pub fn forecast_into<'a>(
         &self,
         posterior: &[f64],
         percentile: f64,
         scratch: &'a mut ForecastScratch,
     ) -> &'a Forecast {
-        assert!(percentile > 0.0 && percentile < 100.0);
         assert_eq!(posterior.len(), self.num_bins);
-        let want = percentile / 100.0;
+        let ForecastScratch {
+            live_w: w,
+            out,
+            prev_units,
+            ..
+        } = scratch;
+        let live = |p: f64| p > MASS_EPSILON;
+        let first = posterior.iter().position(|&p| live(p)).unwrap_or(0);
+        let end = posterior
+            .iter()
+            .rposition(|&p| live(p))
+            .map_or(0, |l| l + 1);
+        w.clear();
+        w.extend(
+            posterior[first..end]
+                .iter()
+                .map(|&p| if live(p) { p } else { 0.0 }),
+        );
+        self.search_horizon(percentile, prev_units, out, |t, want, prev, guess| {
+            self.percentile_index_windowed(t, want, prev, guess, first, w)
+        });
+        out
+    }
 
-        scratch.live_idx.clear();
-        scratch.live_w.clear();
+    /// [`Self::forecast_into`] by one-count probes: a bracketed bisection
+    /// of `(prev, prev + max_step]` per tick, ~7 serial mixture sums at
+    /// paper scale. Kept as the reference the windowed search must equal
+    /// (`kernel_equivalence` suite); only tests call it.
+    pub fn forecast_into_reference<'a>(
+        &self,
+        posterior: &[f64],
+        percentile: f64,
+        scratch: &'a mut ForecastScratch,
+    ) -> &'a Forecast {
+        assert_eq!(posterior.len(), self.num_bins);
+        let ForecastScratch {
+            live_idx: idx,
+            live_w: w,
+            out,
+            prev_units,
+        } = scratch;
+        idx.clear();
+        w.clear();
         for (i, &p) in posterior.iter().enumerate() {
             if p > MASS_EPSILON {
-                scratch.live_idx.push(i as u32);
-                scratch.live_w.push(p);
+                idx.push(i as u32);
+                w.push(p);
             }
         }
+        self.search_horizon(percentile, prev_units, out, |t, want, prev, guess| {
+            self.percentile_index(t, want, prev, guess, idx, w)
+        });
+        out
+    }
+
+    /// The per-tick loop both searches share: `search(tick, want, start,
+    /// guess)` returns the percentile index of one horizon tick, warm
+    /// started at the previous tick's answer. `prev_units` and `out` are
+    /// the scratch's.
+    fn search_horizon(
+        &self,
+        percentile: f64,
+        prev_units: &mut Vec<u32>,
+        out: &mut Forecast,
+        search: impl Fn(usize, f64, usize, usize) -> usize,
+    ) {
+        assert!(percentile > 0.0 && percentile < 100.0);
+        let want = percentile / 100.0;
 
         // Last call's answers become this call's predictions: consecutive
         // forecasts from a slowly-evolving posterior land within a unit or
         // two of each other, so "previous answer (tick 0) / previous
-        // increment (later ticks)" is usually exact and the search
-        // verifies it in 2–3 probes.
-        std::mem::swap(&mut scratch.prev_units, &mut scratch.out.cumulative_units);
-        let prev_units = &scratch.prev_units;
+        // increment (later ticks)" usually names the right block.
+        std::mem::swap(prev_units, &mut out.cumulative_units);
 
-        // Prefetch the rows the warm-started search probes first: when the
-        // per-tick predictions hold (the common case), tick `t` touches
-        // exactly rows `(t, g_t)` and `(t, g_t − 1)`, both known up front
-        // from the previous call's answers. The 6 MB table does not stay
-        // cache-resident between protocol ticks, so issuing these loads
-        // early overlaps their DRAM latency with earlier ticks' compute.
-        // Prefetching cannot affect results.
-        #[cfg(target_arch = "x86_64")]
-        if let (Some(&first), Some(&last)) = (scratch.live_idx.first(), scratch.live_idx.last()) {
-            for (t, &g) in prev_units.iter().take(self.horizon).enumerate() {
-                let g = (g as usize).min(self.count_max - 1);
-                for row in [g.saturating_sub(1), g] {
-                    let base = (t * self.count_max + row) * self.num_bins;
-                    let mut p = base + first as usize;
-                    let end = base + last as usize;
-                    while p <= end {
-                        // SAFETY: `p` indexes within `cdf`; prefetch reads
-                        // nothing architecturally and has no side effects.
-                        unsafe {
-                            std::arch::x86_64::_mm_prefetch(
-                                self.cdf.as_ptr().add(p) as *const i8,
-                                std::arch::x86_64::_MM_HINT_T0,
-                            );
-                        }
-                        p += 16; // one 64-byte line of f32s
-                    }
-                }
-            }
-        }
-
-        let cum = &mut scratch.out.cumulative_units;
+        let cum = &mut out.cumulative_units;
         cum.clear();
         cum.reserve(self.horizon);
         let mut prev = 0usize;
@@ -489,33 +629,64 @@ impl ForecastTables {
                 (_, Some(&gt), Some(&gp)) => prev + (gt - gp) as usize,
                 _ => prev,
             };
-            let c = self.percentile_index(t, want, prev, guess, &scratch.live_idx, &scratch.live_w);
+            let c = search(t, want, prev, guess);
             cum.push(c as u32);
             prev = c;
         }
-        &scratch.out
     }
 
-    /// Mixture CDF over the pre-masked live bins only. Converged
-    /// posteriors keep their live bins in one contiguous span; walking
-    /// the CDF row as a slice then skips the per-element index load.
-    /// Either path adds the same operands in the same ascending-bin
-    /// order into one accumulator, so the sums are bit-identical.
+    /// Mixture CDF at one count over the pre-masked live bins, summed in
+    /// ascending bin order into one accumulator.
     fn live_mixture_cdf(&self, tick: usize, count: usize, idx: &[u32], w: &[f64]) -> f64 {
-        let row = &self.cdf[(tick * self.count_max + count) * self.num_bins..][..self.num_bins];
-        match (idx.first(), idx.last()) {
-            (Some(&first), Some(&last)) if (last - first) as usize + 1 == idx.len() => row
-                [first as usize..=last as usize]
-                .iter()
-                .zip(w.iter())
-                .map(|(&f, &p)| p * f as f64)
-                .sum(),
-            _ => idx
-                .iter()
-                .zip(w.iter())
-                .map(|(&i, &p)| p * row[i as usize] as f64)
-                .sum(),
+        let row = &self.cdf[self.cell(tick, count, 0)..];
+        idx.iter()
+            .zip(w.iter())
+            .map(|(&i, &p)| p * row[i as usize * CDF_LANES] as f64)
+            .sum()
+    }
+
+    /// Smallest `c ≥ start` with masked mixture CDF ≥ `want` at `tick`
+    /// (the last count if there is none), found by evaluating whole count
+    /// blocks over the bins `first..first + w.len()` (masked ones weigh
+    /// `0.0`). `guess` only picks the first block evaluated.
+    fn percentile_index_windowed(
+        &self,
+        tick: usize,
+        want: f64,
+        start: usize,
+        guess: usize,
+        first: usize,
+        w: &[f64],
+    ) -> usize {
+        let last = self.count_max - 1;
+        if start >= last {
+            return last;
         }
+        // First count of `block` whose mixture CDF reaches `want`.
+        let first_reaching = |block: usize| {
+            let base = ((tick * self.count_blocks + block) * self.num_bins + first) * CDF_LANES;
+            let tile = &self.cdf[base..base + w.len() * CDF_LANES];
+            let lane = mixture_lanes(tile, w).iter().position(|&f| f >= want)?;
+            Some(block * CDF_LANES + lane)
+        };
+        let cap = start.saturating_add(self.max_step).min(last);
+        let mut block = guess.clamp(start + 1, cap) / CDF_LANES;
+        let Some(mut c) = first_reaching(block) else {
+            // Every count of the block falls short: the answer lies above.
+            return (block + 1..self.count_blocks)
+                .find_map(first_reaching)
+                .map_or(last, |c| c.min(last));
+        };
+        // The block's first count already reaches `want`: the answer may
+        // lie below, down to `start`.
+        while c == block * CDF_LANES && c > start {
+            block -= 1;
+            match first_reaching(block) {
+                Some(lower) => c = lower,
+                None => break,
+            }
+        }
+        c.clamp(start, last)
     }
 
     /// Smallest `c ≥ start` with masked mixture CDF ≥ `want` at `tick`
@@ -535,6 +706,9 @@ impl ForecastTables {
         w: &[f64],
     ) -> usize {
         let last = self.count_max - 1;
+        if start >= last {
+            return last; // the count axis is exhausted
+        }
         // One tick advances every start bin's cumulative volume by at
         // most `max_step` units, so `F_{t+1}(c + max_step) ≥ F_t(c)`
         // holds per start bin and hence for any fixed nonnegative
@@ -543,11 +717,9 @@ impl ForecastTables {
         // max_step]`. The CDF is non-decreasing in the count, so a
         // bracketed search over that range returns exactly the smallest
         // satisfying index — the same index an unbounded gallop-and-
-        // bisect finds. Each CDF probe streams a whole table row through
-        // the cache, so the probe order starts at the predicted answer:
+        // bisect finds. The probe order starts at the predicted answer:
         // `cdf(g) ≥ want` and `cdf(g−1) < want` prove `g` is the smallest
-        // satisfying index using two (adjacent-row) probes, no start
-        // probe needed.
+        // satisfying index using two probes, no start probe needed.
         let cap = start.saturating_add(self.max_step).min(last);
         let g = guess.clamp(start + 1, cap);
         let (mut lo, mut hi);
@@ -600,7 +772,10 @@ pub const MASS_EPSILON: f64 = 1e-12;
 /// live-bin mask and the output forecast, kept allocated between ticks.
 #[derive(Debug, Default)]
 pub struct ForecastScratch {
+    /// Indices of the live bins (the reference search only).
     live_idx: Vec<u32>,
+    /// Weights: one per bin of the live span (windowed search) or one per
+    /// `live_idx` entry (reference search).
     live_w: Vec<f64>,
     out: Forecast,
     /// The previous call's answers, recycled as this call's search
@@ -1192,6 +1367,9 @@ mod tests {
 
     #[test]
     fn cache_returns_shared_instance() {
+        // Alone, or the tests cycling geometries through the bounded cache
+        // can evict the entry between the two fetches.
+        let _alone = fetch_gate::exclusive();
         let cfg = small_cfg();
         let a = ForecastTables::get(&cfg);
         let b = ForecastTables::get(&cfg);

@@ -65,10 +65,13 @@ pub struct BayesianForecaster {
 
 impl BayesianForecaster {
     /// Build (or fetch from the global cache) the forecaster for `cfg`.
+    /// The forecast tables and the model's transition kernel both come
+    /// from the per-geometry cache, so forecasters on one link
+    /// configuration share one allocation of each.
     pub fn new(cfg: SproutConfig) -> Self {
         cfg.validate();
-        let tables = ForecastTables::get(&cfg);
-        let model = RateModel::new(cfg.clone());
+        let (tables, kernel) = ForecastTables::get_with_kernel(&cfg);
+        let model = RateModel::with_kernel(cfg.clone(), kernel);
         BayesianForecaster {
             cfg,
             model,

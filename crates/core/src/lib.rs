@@ -60,7 +60,10 @@ pub use forecast::{
 };
 pub use forecaster::{BayesianForecaster, EwmaForecaster, Forecaster};
 pub use lru::LruCache;
-pub use model::{RateModel, ScatterMatrix, TransitionKernel};
+pub use model::{
+    likelihood_memo_occupancy, RateModel, ScatterMatrix, TransitionKernel,
+    LIKELIHOOD_MEMO_MAX_BYTES,
+};
 pub use receiver::{IntervalSet, SproutReceiver};
 pub use sender::SproutSender;
 pub use session::{SessionPool, SessionRef};

@@ -9,6 +9,8 @@
 //! evolve (Brownian blur + outage bias), observe (Poisson likelihood of
 //! the bytes that arrived), normalize.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::config::SproutConfig;
@@ -307,6 +309,68 @@ fn reflect_positive(j: i64, n: i64) -> usize {
     j.clamp(1, n - 1) as usize
 }
 
+/// Byte budget of the per-thread likelihood memo behind
+/// [`RateModel::observe_exposed`] (vectors plus an allowance for the map's
+/// own slots). At paper scale that is ~480 `(packets, exposure)` pairs — a
+/// 60 s cell observes a few hundred distinct ones, a 96-session serve cell
+/// under a hundred.
+pub const LIKELIHOOD_MEMO_MAX_BYTES: usize = 1 << 20;
+
+/// Everything a likelihood vector depends on: the observation and the
+/// rate grid it is evaluated over, by bit pattern.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct LikelihoodKey {
+    packets_bits: u64,
+    exposure_bits: u64,
+    num_bins: usize,
+    max_rate_bits: u64,
+    floor_bits: u64,
+}
+
+/// Finished likelihood vectors by observation (`None` = the impossible
+/// observation whose update is skipped). When an insert would exceed the
+/// budget the memo starts over: the handful of hot pairs refill within a
+/// few ticks, and no recency bookkeeping rides on the hit path.
+#[derive(Default)]
+struct LikelihoodMemo {
+    map: HashMap<LikelihoodKey, Option<Box<[f64]>>>,
+    bytes: usize,
+}
+
+impl LikelihoodMemo {
+    /// Accounted cost of one entry beyond its vector: the map slot (key,
+    /// value, control byte, at the table's worst load factor) and the
+    /// allocator's header.
+    const ENTRY_OVERHEAD: usize = 128;
+
+    fn insert(&mut self, key: LikelihoodKey, like: Option<Box<[f64]>>) {
+        let cost = Self::ENTRY_OVERHEAD + like.as_deref().map_or(0, std::mem::size_of_val);
+        if cost > LIKELIHOOD_MEMO_MAX_BYTES {
+            return; // a grid too wide to memoise at all
+        }
+        if self.bytes + cost > LIKELIHOOD_MEMO_MAX_BYTES {
+            self.map.clear();
+            self.bytes = 0;
+        }
+        self.bytes += cost;
+        self.map.insert(key, like);
+    }
+}
+
+thread_local! {
+    static LIKELIHOOD_MEMO: RefCell<LikelihoodMemo> = RefCell::default();
+}
+
+/// Occupancy of the calling thread's likelihood memo: `(entries,
+/// accounted_bytes)`. `accounted_bytes` never exceeds
+/// [`LIKELIHOOD_MEMO_MAX_BYTES`].
+pub fn likelihood_memo_occupancy() -> (usize, usize) {
+    LIKELIHOOD_MEMO.with(|memo| {
+        let memo = memo.borrow();
+        (memo.map.len(), memo.bytes)
+    })
+}
+
 /// The evolving posterior over the link rate.
 #[derive(Clone, Debug)]
 pub struct RateModel {
@@ -335,8 +399,13 @@ impl RateModel {
         Self::with_kernel(cfg, kernel)
     }
 
-    /// New model sharing an existing kernel (the endpoint shares it with
-    /// the forecast tables).
+    /// New model sharing an existing kernel. [`BayesianForecaster::new`]
+    /// passes the one kernel [`ForecastTables::get`] keeps per table
+    /// geometry, so every endpoint on one link configuration evolves
+    /// through a single allocation.
+    ///
+    /// [`BayesianForecaster::new`]: crate::forecaster::BayesianForecaster::new
+    /// [`ForecastTables::get`]: crate::forecast::ForecastTables::get
     pub fn with_kernel(cfg: SproutConfig, kernel: Arc<TransitionKernel>) -> Self {
         cfg.validate();
         let n = cfg.num_bins;
@@ -392,10 +461,51 @@ impl RateModel {
     /// from the Poisson exposure). Likelihoods are floored (relative to
     /// the maximum) to keep a surprising observation from annihilating
     /// the posterior.
+    ///
+    /// The per-bin likelihood vector depends only on `(packets,
+    /// exposure_secs)` and the rate grid, and an endpoint sees the same
+    /// few hundred pairs over and over, so finished vectors are kept in a
+    /// bounded per-thread memo ([`LIKELIHOOD_MEMO_MAX_BYTES`]) shared by
+    /// every model on the thread: a hit costs one multiply per bin and
+    /// the normalize. A hit applies the very `f64`s a miss computed, so
+    /// the posterior is bit-identical to
+    /// [`Self::observe_exposed_reference`] either way.
     pub fn observe_exposed(&mut self, packets: f64, exposure_secs: f64) {
         assert!(packets >= 0.0 && packets.is_finite());
         assert!(exposure_secs > 0.0 && exposure_secs.is_finite());
-        let tau = exposure_secs;
+        let key = LikelihoodKey {
+            packets_bits: packets.to_bits(),
+            exposure_bits: exposure_secs.to_bits(),
+            num_bins: self.cfg.num_bins,
+            max_rate_bits: self.cfg.max_rate_pps.to_bits(),
+            floor_bits: self.cfg.likelihood_floor.to_bits(),
+        };
+        LIKELIHOOD_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if let Some(like) = memo.map.get(&key) {
+                self.apply_likelihood(like.as_deref());
+            } else {
+                let like = self.likelihood(packets, exposure_secs);
+                self.apply_likelihood(like.as_deref());
+                memo.insert(key, like);
+            }
+        });
+    }
+
+    /// [`Self::observe_exposed`] without the likelihood memo: always
+    /// computes the likelihood vector. Kept as the bit-exactness reference
+    /// for the memoised path (`kernel_equivalence` suite).
+    pub fn observe_exposed_reference(&mut self, packets: f64, exposure_secs: f64) {
+        assert!(packets >= 0.0 && packets.is_finite());
+        assert!(exposure_secs > 0.0 && exposure_secs.is_finite());
+        let like = self.likelihood(packets, exposure_secs);
+        self.apply_likelihood(like.as_deref());
+    }
+
+    /// The floored, max-normalized Poisson likelihood of the observation
+    /// under every rate bin, or `None` when the observation is impossible
+    /// under all of them (the update is then skipped).
+    fn likelihood(&mut self, packets: f64, tau: f64) -> Option<Box<[f64]>> {
         let n = self.dist.len();
         // ln Γ(packets + 1) depends only on the observation, not the bin:
         // hoist the Lanczos evaluation out of the loop. Combined with the
@@ -424,9 +534,9 @@ impl RateModel {
             }
         }
         if !max_ll.is_finite() {
-            // Impossible observation under every bin (cannot happen with a
-            // positive grid, but stay defensive): skip the update.
-            return;
+            // Impossible observation under every bin (an overflowing
+            // packet count; cannot happen with real arrivals).
+            return None;
         }
         let floor = self.cfg.likelihood_floor;
         // `exp` is the costliest op left in this loop, and for a peaked
@@ -435,14 +545,27 @@ impl RateModel {
         // relative error, so `exp(x) ≤ floor·e^{−1e-9}·(1+ε) < floor` and
         // `max` would have produced precisely `floor`.
         let skip_below = floor.ln() - 1e-9;
-        for i in 0..n {
-            let x = self.scratch[i] - max_ll;
-            let like = if x < skip_below {
-                floor
-            } else {
-                x.exp().max(floor)
-            };
-            self.dist[i] *= like;
+        Some(
+            self.scratch
+                .iter()
+                .map(|&ll| {
+                    let x = ll - max_ll;
+                    if x < skip_below {
+                        floor
+                    } else {
+                        x.exp().max(floor)
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Multiply a likelihood vector into the posterior and renormalize;
+    /// `None` (impossible observation) leaves the posterior untouched.
+    fn apply_likelihood(&mut self, like: Option<&[f64]>) {
+        let Some(like) = like else { return };
+        for (p, &l) in self.dist.iter_mut().zip(like.iter()) {
+            *p *= l;
         }
         self.normalize();
     }

@@ -5,12 +5,16 @@
 //! forecast-table dynamic program is shared behind one
 //! [`Arc<ForecastTables>`] by every session on the same link
 //! configuration (the [`table_memory_counters`] amortization counters
-//! prove the sharing — one `built`, N−1 `reused` per link group), while
-//! each session owns only what actually differs per user: its
-//! [`SproutEndpoint`] state machine (whose forecaster carries its own
-//! `ForecastScratch`), its RNG sub-stream seed derived from
-//! `(cell_seed, session_id)` via [`sprout_trace::session_seed`], and its
-//! [`EndpointStats`].
+//! prove the sharing — one `built`, N−1 `reused` per link group), and so
+//! is the [`TransitionKernel`] every session's model evolves through
+//! (182 KB at paper scale; one copy per session would be streamed through
+//! the cache every tick). The Poisson likelihood vectors are memoised per
+//! thread (see [`RateModel::observe_exposed`]), so sessions observing the
+//! same arrivals share those too. Each session owns only what actually
+//! differs per user: its [`SproutEndpoint`] state machine (whose
+//! forecaster carries its own posterior and `ForecastScratch`), its RNG
+//! sub-stream seed derived from `(cell_seed, session_id)` via
+//! [`sprout_trace::session_seed`], and its [`EndpointStats`].
 //!
 //! The pool is laid out struct-of-arrays: parallel `ids` / `seeds` /
 //! `endpoints` columns indexed by a dense session index, so the server's
@@ -18,6 +22,7 @@
 //! cold protocol state.
 //!
 //! [`table_memory_counters`]: crate::forecast::table_memory_counters
+//! [`RateModel::observe_exposed`]: crate::model::RateModel::observe_exposed
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,6 +31,7 @@ use crate::config::SproutConfig;
 use crate::endpoint::{EndpointStats, SproutEndpoint};
 use crate::forecast::ForecastTables;
 use crate::forecaster::BayesianForecaster;
+use crate::model::TransitionKernel;
 use sprout_sim::FlowId;
 use sprout_trace::session_seed;
 
@@ -52,10 +58,10 @@ pub struct SessionRef<'a> {
 pub struct SessionPool {
     cfg: SproutConfig,
     cell_seed: u64,
-    /// The shared immutable forecast tables, captured from the first
-    /// session's forecaster; every later session must share this exact
-    /// allocation (asserted in `add_session`).
-    tables: Option<Arc<ForecastTables>>,
+    /// The shared immutable forecast tables and transition kernel,
+    /// captured from the first session's forecaster; every later session
+    /// must share these exact allocations (asserted in `add_session`).
+    shared: Option<(Arc<ForecastTables>, Arc<TransitionKernel>)>,
     /// SoA column: wire-visible session ids, by dense index.
     ids: Vec<u32>,
     /// SoA column: per-session RNG sub-stream seeds, by dense index.
@@ -74,7 +80,7 @@ impl SessionPool {
         SessionPool {
             cfg,
             cell_seed,
-            tables: None,
+            shared: None,
             ids: Vec::new(),
             seeds: Vec::new(),
             endpoints: Vec::new(),
@@ -100,12 +106,19 @@ impl SessionPool {
             self.cell_seed
         );
         let forecaster = BayesianForecaster::new(self.cfg.clone());
-        match &self.tables {
-            None => self.tables = Some(Arc::clone(forecaster.tables())),
-            Some(shared) => assert!(
-                Arc::ptr_eq(shared, forecaster.tables()),
-                "session {session_id} built a second forecast table for one link group"
-            ),
+        let kernel = forecaster.model().kernel();
+        match &self.shared {
+            None => self.shared = Some((Arc::clone(forecaster.tables()), Arc::clone(kernel))),
+            Some((tables, shared_kernel)) => {
+                assert!(
+                    Arc::ptr_eq(tables, forecaster.tables()),
+                    "session {session_id} built a second forecast table for one link group"
+                );
+                assert!(
+                    Arc::ptr_eq(shared_kernel, kernel),
+                    "session {session_id} built a second transition kernel for one link group"
+                );
+            }
         }
         let mut endpoint = SproutEndpoint::with_forecaster(self.cfg.clone(), Box::new(forecaster));
         endpoint.set_flow(FlowId(session_id));
@@ -132,7 +145,13 @@ impl SessionPool {
 
     /// The shared table handle (`None` until the first session is added).
     pub fn tables(&self) -> Option<&Arc<ForecastTables>> {
-        self.tables.as_ref()
+        self.shared.as_ref().map(|(tables, _)| tables)
+    }
+
+    /// The shared transition kernel (`None` until the first session is
+    /// added).
+    pub fn kernel(&self) -> Option<&Arc<TransitionKernel>> {
+        self.shared.as_ref().map(|(_, kernel)| kernel)
     }
 
     /// Dense index of `session_id`, if present.
@@ -169,12 +188,14 @@ impl SessionPool {
         self.endpoints[idx].stats()
     }
 
-    /// Estimated resident bytes of *per-session* state: the endpoint
-    /// struct (sender, receiver, forecaster posterior and scratch all
-    /// live inline or in small owned buffers) plus this pool's SoA slots.
-    /// Shared state — the table DP, the config — is deliberately
-    /// excluded: it does not scale with N, which is the point. Reported
-    /// as `serve.per_session_bytes` in the bench trajectory.
+    /// Size of the *per-session* structs: the endpoint and forecaster
+    /// structs plus this pool's SoA slots. The heap buffers those structs
+    /// own (posterior, model scratch, forecast scratch — a few KB at
+    /// paper scale) are not counted. Shared state — per geometry the
+    /// forecast tables and the transition kernel, per thread the
+    /// likelihood memo — is deliberately excluded: it does not scale with
+    /// N, which is the point. Reported as `serve.per_session_bytes` in
+    /// the bench trajectory.
     pub fn approx_session_bytes(&self) -> usize {
         std::mem::size_of::<SproutEndpoint>()
             + std::mem::size_of::<BayesianForecaster>()
@@ -201,6 +222,10 @@ mod tests {
 
     #[test]
     fn sessions_share_one_table_build() {
+        // The counters are process-wide and the other tests of this binary
+        // fetch tables on their own threads: hold those fetches back so
+        // the deltas below are this pool's alone.
+        let _alone = crate::forecast::fetch_gate::exclusive();
         let before = table_memory_counters();
         let mut pool = SessionPool::new(unique_cfg(), 42);
         for sid in 0..8 {
@@ -210,7 +235,23 @@ mod tests {
         assert_eq!(d.built, 1, "one build per link group");
         assert_eq!(d.reused, 7, "N-1 reuses per link group");
         assert_eq!(pool.len(), 8);
-        assert!(pool.tables().is_some());
+        // One allocation, held by the pool, its 8 forecasters and the cache.
+        assert_eq!(Arc::strong_count(pool.tables().expect("has sessions")), 10);
+    }
+
+    #[test]
+    fn sessions_share_one_kernel_allocation() {
+        // Exclusive, so no concurrent test's geometries can evict this
+        // one's cache entry (and its handle) between the adds and the count.
+        let _alone = crate::forecast::fetch_gate::exclusive();
+        let mut cfg = SproutConfig::test_small();
+        cfg.max_rate_pps = 207.0; // a geometry of this test's own
+        let mut pool = SessionPool::new(cfg, 42);
+        for sid in 0..8 {
+            pool.add_session(sid);
+        }
+        // Held by the pool, the 8 sessions' models and the cache.
+        assert_eq!(Arc::strong_count(pool.kernel().expect("has sessions")), 10);
     }
 
     #[test]
