@@ -19,7 +19,7 @@
 //! time is a property of one execution, not of the cell, and the
 //! canonical sweep JSON excludes it for the same reason. Cached loads
 //! report `wall_ms = 0.0`, which also makes "served from cache" visible
-//! in `BENCH_sweep.json` trajectories.
+//! to anything that times cells (`benchmark/`).
 
 use sprout_cache::{ArtifactKind, ByteReader, ByteWriter, CacheCounters};
 
@@ -82,11 +82,6 @@ pub const ENGINE_VERSION: u32 = 6;
 /// served a whole cell without simulating it).
 pub fn cell_cache_counters() -> CacheCounters {
     CELL_ARTIFACT.counters()
-}
-
-/// Reset the cell cache counters (bench/test harnesses).
-pub fn reset_cell_cache_counters() {
-    CELL_ARTIFACT.reset_counters()
 }
 
 /// Disk-cache traffic counters for per-cell time-series artifacts.

@@ -69,8 +69,6 @@ pub const CONTROL_RESERVED_FLAGS: &[&str] = &[
     "--cache-dir",
     "--no-cache",
     "--json",
-    "--bench",
-    "--bench-baseline",
     "--controlled",
 ];
 
@@ -524,6 +522,13 @@ mod tests {
                 "{flag} must be rejected as a worker flag"
             );
         }
+        // The retired `--bench` is no longer reserved, only unknown: a
+        // `sprout-control submit … -- --bench` is still refused at
+        // submit time.
+        assert!(!CONTROL_RESERVED_FLAGS.contains(&"--bench"));
+        assert_eq!(worker_flag_arity("--bench"), None);
+        let err = apply("soak", &["--bench"]).unwrap_err();
+        assert!(err.contains("unknown worker flag"), "{err}");
     }
 
     #[test]

@@ -14,10 +14,10 @@ use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use sprout_baselines::VideoApp;
-use sprout_trace::{Duration, Impairment, NetProfile, Trace, IMPAIRMENT_PRESETS};
+use sprout_trace::{Duration, Impairment, NetProfile, IMPAIRMENT_PRESETS};
 
 use crate::scenario::{FlowSpec, LinkSpec, QueueSpec, ScenarioMatrix, Workload};
-use crate::schemes::{RunConfig, Scheme, SchemeResult};
+use crate::schemes::{Scheme, SchemeResult};
 use crate::sweep::{self, CellCachePolicy, FlowSummary, ShardSpec, SweepEngine, SweepResult};
 
 pub use crate::scenario::{paired, paired_profile};
@@ -292,15 +292,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for smoke tests and criterion benches.
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            run_secs: 90,
-            warmup_secs: 20,
-            ..Default::default()
-        }
-    }
-
     fn duration(&self) -> Duration {
         Duration::from_secs(self.run_secs)
     }
@@ -332,25 +323,6 @@ impl ExperimentConfig {
             b.cell_series(CELL_SERIES_BIN)
         } else {
             b
-        }
-    }
-
-    /// The synthetic stand-in for one measured link (deterministic in the
-    /// master seed).
-    pub fn trace_for(&self, profile: NetProfile) -> Trace {
-        profile.generate(self.duration(), self.seed)
-    }
-
-    /// Data/feedback trace pair for a link under test: the feedback path
-    /// is the same network's other direction. (Standalone-cell helper for
-    /// benches and tests; sweeps derive this internally.)
-    pub fn run_config(&self, profile: NetProfile) -> RunConfig {
-        let data = self.trace_for(profile);
-        let feedback = self.trace_for(crate::scenario::paired_profile(profile));
-        RunConfig {
-            duration: self.duration(),
-            warmup: self.warmup(),
-            ..RunConfig::new(data, feedback)
         }
     }
 
@@ -1202,8 +1174,8 @@ pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<ImpairRow>> {
 
 /// One `serve` cell's deterministic summary, flattened for display.
 /// (The wall-clock capacity numbers — sessions/sec, per-session heap,
-/// p99 tick latency — are *not* here: they belong to the perf harness,
-/// which re-times a serve cell on the bench host. This row is the
+/// p99 tick latency — are *not* here: `benchmark/`'s `serve-pool`
+/// workload measures them on its own host. This row is the
 /// virtual-time side: bytes delivered and fairness, bit-identical
 /// across thread counts.)
 pub struct ServeRow {

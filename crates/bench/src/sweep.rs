@@ -15,7 +15,7 @@
 //!
 //! Consequently a sweep is bit-identical for any thread count or
 //! execution order, and [`write_json`] emits a canonical, diffable record
-//! of the whole matrix (the `BENCH_*.json` trajectory format).
+//! of the whole matrix (the `<matrix>_sweep.json` artifacts).
 //!
 //! **Sharding and resumption.** Because every cell is a pure function of
 //! `(engine version, matrix, scenario, master_seed)`, the engine can
@@ -128,9 +128,9 @@ pub struct InterarrivalSummary {
 
 /// Deterministic summary of one multi-session serve cell. Wall-clock
 /// capacity numbers (sessions/sec, per-session heap, tick latency) are
-/// deliberately *not* here — they live in the `BENCH_sweep.json`
-/// trajectory (`crate::perf`) — so this payload stays bit-identical
-/// across machines, thread counts, and batch modes.
+/// deliberately *not* here — `benchmark/`'s `serve-pool` workload
+/// measures them — so this payload stays bit-identical across machines,
+/// thread counts, and batch modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeStats {
     /// Number of concurrent sessions the cell served.
@@ -185,7 +185,7 @@ pub struct SweepResult {
     /// Wall-clock execution time of this cell, milliseconds. Measured,
     /// not simulated — deliberately **excluded** from the canonical
     /// sweep JSON (which must stay bit-identical across machines and
-    /// thread counts); the `BENCH_sweep.json` trajectory records it.
+    /// thread counts); `benchmark/` reads it for per-cell attribution.
     pub wall_ms: f64,
 }
 
@@ -952,7 +952,7 @@ fn measured_trace(fingerprint: u64, duration: Duration) -> Trace {
     full.truncated(Timestamp::ZERO + duration)
 }
 
-/// Execute one cell. Public so single-cell callers (benches, `run_scheme`)
+/// Execute one cell. Public so single-cell callers (`benchmark/`)
 /// share the exact code path of full sweeps.
 pub fn execute_scenario(matrix: &str, scenario: &Scenario, master_seed: u64) -> SweepResult {
     let memo = TraceMemo::new(master_seed);
@@ -1041,15 +1041,6 @@ fn execute_with_memo(
         scenario.cell_series_bin,
         scratch,
     );
-    // Diagnostic knob for perf work: per-cell wall times on stderr
-    // (canonical stdout/JSON are untouched).
-    if std::env::var_os("SPROUT_CELL_TIMES").is_some() {
-        eprintln!(
-            "CELLTIME {} {:.1}",
-            scenario.label,
-            started.elapsed().as_secs_f64() * 1e3
-        );
-    }
     SweepResult {
         scenario: scenario.clone(),
         matrix: matrix.to_string(),
@@ -1270,6 +1261,17 @@ fn collect_cell_series(
     }
 }
 
+/// One side of a single-session SproutTunnel (§4.3) carried by `over`
+/// (Sprout or Sprout-EWMA), before any client is attached.
+fn tunnel_host(over: Scheme, rc: &RunConfig) -> TunnelHost {
+    let sprout = if over == Scheme::SproutEwma {
+        SproutEndpoint::new_ewma(rc.sprout.clone())
+    } else {
+        SproutEndpoint::new(rc.sprout.clone())
+    };
+    TunnelHost::new(TunnelEndpoint::new(sprout))
+}
+
 /// Build the (sender-side, receiver-side) endpoints of one contention
 /// flow. Scheme flows reuse the standard scheme zoo pair; app flows ride
 /// their own single-client SproutTunnel session (§4.3), so the shared
@@ -1278,28 +1280,45 @@ fn contention_children(spec: &FlowSpec, rc: &RunConfig) -> (Box<dyn Endpoint>, B
     match spec {
         FlowSpec::Scheme(s) => build_endpoints(*s, rc),
         FlowSpec::App { app, over } => {
-            let tunnel = || {
-                let sprout = if *over == Scheme::SproutEwma {
-                    SproutEndpoint::new_ewma(rc.sprout.clone())
-                } else {
-                    SproutEndpoint::new(rc.sprout.clone())
-                };
-                TunnelHost::new(TunnelEndpoint::new(sprout))
-            };
-            let mut host_a = tunnel();
+            let mut host_a = tunnel_host(*over, rc);
             host_a.add_client(
                 INTERACTIVE_FLOW,
                 Box::new(VideoAppSender::new(app.profile())),
             );
-            let mut host_b = tunnel();
+            let mut host_b = tunnel_host(*over, rc);
             host_b.add_client(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
             (Box::new(host_a), Box::new(host_b))
         }
     }
 }
 
+/// The spine every two-endpoint workload shares: build the simulation
+/// from the arena's recycled buffers, run it to `end`, take the data
+/// direction's standard metrics, let `reduce` add the workload's extras
+/// (series, per-flow rows, fairness), and hand the buffers back.
+fn run_pair<A: Endpoint, B: Endpoint>(
+    a: A,
+    b: B,
+    (ab, ba): (PathConfig, PathConfig),
+    scratch: &mut CellScratch,
+    from: Timestamp,
+    end: Timestamp,
+    reduce: impl FnOnce(&Simulation<A, B>, &mut CellOutcome),
+) -> CellOutcome {
+    let mut sim = Simulation::with_scratch(a, b, ab, ba, std::mem::take(&mut scratch.packets));
+    sim.run_until(end);
+    let stats = direction_stats(sim.ab_path(), from, end);
+    let mut outcome = CellOutcome {
+        metrics: Some(SchemeResult::from_stats(&stats)),
+        ..CellOutcome::default()
+    };
+    reduce(&sim, &mut outcome);
+    scratch.packets = sim.into_scratch();
+    outcome
+}
+
 /// Run one workload over prepared traces. This is the single execution
-/// path shared by the sweep engine, `run_scheme`, and the benches.
+/// path shared by the sweep engine and `run_scheme`.
 pub fn run_cell(
     workload: &Workload,
     rc: &RunConfig,
@@ -1330,22 +1349,8 @@ pub fn run_cell_scratch(
 ) -> CellOutcome {
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
-    let (data_path, feedback_path) = path_configs(rc, queue);
-
-    // Every workload arm builds its simulation from the arena's recycled
-    // buffers and returns them on the way out.
-    fn new_sim<A: Endpoint, B: Endpoint>(
-        a: A,
-        b: B,
-        ab: PathConfig,
-        ba: PathConfig,
-        scratch: &mut CellScratch,
-    ) -> Simulation<A, B> {
-        Simulation::with_scratch(a, b, ab, ba, std::mem::take(&mut scratch.packets))
-    }
-    fn reclaim<A: Endpoint, B: Endpoint>(sim: Simulation<A, B>, scratch: &mut CellScratch) {
-        scratch.packets = sim.into_scratch();
-    }
+    let paths = path_configs(rc, queue);
+    const MUX_FLOWS: [FlowId; 2] = [BULK_FLOW, INTERACTIVE_FLOW];
 
     match workload {
         Workload::InterarrivalProbe => {
@@ -1353,22 +1358,14 @@ pub fn run_cell_scratch(
         }
         Workload::Scheme(scheme) => {
             let (a, b) = build_endpoints(*scheme, rc);
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
-            sim.run_until(end);
-            let stats = direction_stats(sim.ab_path(), from, end);
-            let series = series_bin
-                .map(|bin| collect_series(sim.ab_metrics(), &rc.data_trace, bin, from, end))
-                .unwrap_or_default();
-            let cell_series = cell_series_bin
-                .map(|bin| collect_cell_series(sim.ab_metrics(), &rc.data_trace, bin, from, end));
-            let outcome = CellOutcome {
-                metrics: Some(SchemeResult::from_stats(&stats)),
-                series,
-                cell_series,
-                ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                let m = sim.ab_metrics();
+                if let Some(bin) = series_bin {
+                    out.series = collect_series(m, &rc.data_trace, bin, from, end);
+                }
+                out.cell_series = cell_series_bin
+                    .map(|bin| collect_cell_series(m, &rc.data_trace, bin, from, end));
+            })
         }
         Workload::App { app, over } => {
             assert!(
@@ -1380,31 +1377,16 @@ pub fn run_cell_scratch(
                 // Over Sprout the app rides inside a SproutTunnel
                 // session (§4.3): the path carries Sprout wire packets,
                 // the far host decapsulates the app's flow.
-                let tunnel = |rc: &RunConfig| {
-                    let sprout = if *over == Scheme::SproutEwma {
-                        SproutEndpoint::new_ewma(rc.sprout.clone())
-                    } else {
-                        SproutEndpoint::new(rc.sprout.clone())
-                    };
-                    TunnelHost::new(TunnelEndpoint::new(sprout))
-                };
-                let mut host_a = tunnel(rc);
+                let mut host_a = tunnel_host(*over, rc);
                 host_a.add_client(
                     INTERACTIVE_FLOW,
                     Box::new(VideoAppSender::new(app.profile())),
                 );
-                let mut host_b = tunnel(rc);
+                let mut host_b = tunnel_host(*over, rc);
                 host_b.add_client(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                let mut sim = new_sim(host_a, host_b, data_path, feedback_path, scratch);
-                sim.run_until(end);
-                let stats = direction_stats(sim.ab_path(), from, end);
-                let outcome = CellOutcome {
-                    metrics: Some(SchemeResult::from_stats(&stats)),
-                    flows: flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end),
-                    ..CellOutcome::default()
-                };
-                reclaim(sim, scratch);
-                outcome
+                run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
+                    out.flows = flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end);
+                })
             } else {
                 // Over any other transport the app's open-loop flow
                 // shares the carrier queue with a bulk flow of that
@@ -1419,21 +1401,9 @@ pub fn run_cell_scratch(
                 let mut b = MuxEndpoint::new();
                 b.add(BULK_FLOW, bulk_b);
                 b.add(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
-                sim.run_until(end);
-                let stats = direction_stats(sim.ab_path(), from, end);
-                let outcome = CellOutcome {
-                    metrics: Some(SchemeResult::from_stats(&stats)),
-                    flows: flow_summaries(
-                        &[BULK_FLOW, INTERACTIVE_FLOW],
-                        sim.ab_metrics(),
-                        from,
-                        end,
-                    ),
-                    ..CellOutcome::default()
-                };
-                reclaim(sim, scratch);
-                outcome
+                run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                    out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
+                })
             }
         }
         Workload::Contention { flows } => {
@@ -1452,19 +1422,11 @@ pub fn run_cell_scratch(
                 b.add(flow, child_b);
                 ids.push(flow);
             }
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
-            sim.run_until(end);
-            let stats = direction_stats(sim.ab_path(), from, end);
-            let flow_rows = flow_summaries(&ids, sim.ab_metrics(), from, end);
-            let throughputs: Vec<f64> = flow_rows.iter().map(|f| f.throughput_kbps).collect();
-            let outcome = CellOutcome {
-                metrics: Some(SchemeResult::from_stats(&stats)),
-                fairness: jain_fairness_index(&throughputs),
-                flows: flow_rows,
-                ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&ids, sim.ab_metrics(), from, end);
+                let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput_kbps).collect();
+                out.fairness = jain_fairness_index(&throughputs);
+            })
         }
         Workload::Serve { sessions } => {
             // N independent Sprout sessions, each with its own path pair
@@ -1538,46 +1500,25 @@ pub fn run_cell_scratch(
             for (flow, ep) in mux_clients_b() {
                 b.add(flow, ep);
             }
-            let mut sim = new_sim(a, b, data_path, feedback_path, scratch);
-            sim.run_until(end);
-            let stats = direction_stats(sim.ab_path(), from, end);
-            let outcome = CellOutcome {
-                metrics: Some(SchemeResult::from_stats(&stats)),
-                flows: flow_summaries(&[BULK_FLOW, INTERACTIVE_FLOW], sim.ab_metrics(), from, end),
-                ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
+            })
         }
         Workload::MuxTunneled => {
-            let mut host_a =
-                TunnelHost::new(TunnelEndpoint::new(SproutEndpoint::new(rc.sprout.clone())));
+            let mut host_a = tunnel_host(Scheme::Sprout, rc);
             for (flow, ep) in mux_clients_a() {
                 host_a.add_client(flow, ep);
             }
-            let mut host_b =
-                TunnelHost::new(TunnelEndpoint::new(SproutEndpoint::new(rc.sprout.clone())));
+            let mut host_b = tunnel_host(Scheme::Sprout, rc);
             for (flow, ep) in mux_clients_b() {
                 host_b.add_client(flow, ep);
             }
-            let mut sim = new_sim(host_a, host_b, data_path, feedback_path, scratch);
-            sim.run_until(end);
-            let stats = direction_stats(sim.ab_path(), from, end);
             // Flow metrics come from the far host's post-decapsulation
             // delivery log: the tunnel's own wire packets are what the
             // path sees, the clients' packets are what it delivers.
-            let outcome = CellOutcome {
-                metrics: Some(SchemeResult::from_stats(&stats)),
-                flows: flow_summaries(
-                    &[BULK_FLOW, INTERACTIVE_FLOW],
-                    sim.b.deliveries(),
-                    from,
-                    end,
-                ),
-                ..CellOutcome::default()
-            };
-            reclaim(sim, scratch);
-            outcome
+            run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&MUX_FLOWS, sim.b.deliveries(), from, end);
+            })
         }
     }
 }

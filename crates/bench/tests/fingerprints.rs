@@ -17,10 +17,21 @@
 //! 2. regenerate this snapshot:
 //!    `UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints`,
 //! 3. say so in the PR: every warm cache in the world just went cold.
+//!
+//! A second snapshot, `golden_results.tsv`, pins what a cell *computes*:
+//! the fingerprint of the canonical JSON of the five Figure-9 Sprout
+//! cells on `tmo-3g-up` plus one short cell of every other workload
+//! kind. The determinism suites prove a run equals the next run; only
+//! this file proves a run equals the previous commit's. If it fails,
+//! execution semantics changed: bump `ENGINE_VERSION` and regenerate
+//! (same `UPDATE_GOLDEN=1` command) in that same commit.
 
 use std::fmt::Write as _;
 
-use sprout_bench::figures::{self, ExperimentConfig};
+use sprout_bench::figures::{self, ExperimentConfig, FIG9_CONFIDENCES};
+use sprout_bench::sweep::result_to_json;
+use sprout_bench::{FlowSpec, ScenarioMatrix, Scheme, SweepEngine, VideoApp, Workload};
+use sprout_trace::{Impairment, NetProfile};
 
 /// Every distinct experiment matrix (fig8 shares fig7's sweep and is
 /// listed to document that identity).
@@ -40,6 +51,7 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fingerprints.tsv");
+const GOLDEN_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_results.tsv");
 
 fn snapshot() -> String {
     let cfg = ExperimentConfig::default();
@@ -68,20 +80,89 @@ fn snapshot() -> String {
     out
 }
 
-#[test]
-fn matrix_fingerprints_match_the_committed_snapshot() {
-    let current = snapshot();
+/// Compare `current` with a committed snapshot — or, under
+/// `UPDATE_GOLDEN=1`, rewrite the snapshot at `path` instead.
+fn check_golden(path: &str, committed: &str, current: &str, what_changed: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &current).expect("rewrite golden snapshot");
-        eprintln!("golden fingerprint snapshot rewritten: {GOLDEN_PATH}");
+        std::fs::write(path, current).expect("rewrite golden snapshot");
+        eprintln!("golden snapshot rewritten: {path}");
         return;
     }
-    let committed = include_str!("golden_fingerprints.tsv");
     assert_eq!(
         current, committed,
-        "scenario cache identity changed: every cached cell is now cold (or colliding). \
-         If intentional, bump ENGINE_VERSION as needed and regenerate with \
+        "{what_changed}. If intentional, bump ENGINE_VERSION as needed and regenerate with \
          UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints"
+    );
+}
+
+#[test]
+fn matrix_fingerprints_match_the_committed_snapshot() {
+    check_golden(
+        GOLDEN_PATH,
+        include_str!("golden_fingerprints.tsv"),
+        &snapshot(),
+        "scenario cache identity changed: every cached cell is now cold (or colliding)",
+    );
+}
+
+/// The pinned cells: short (20 virtual seconds) and all on the slow
+/// T-Mobile 3G uplink, so the whole set costs seconds in a debug build.
+fn pinned_matrices() -> Vec<ScenarioMatrix> {
+    let cfg = ExperimentConfig {
+        run_secs: 20,
+        warmup_secs: 4,
+        ..ExperimentConfig::default()
+    };
+    let link = [NetProfile::TmobileUmtsUp];
+    vec![
+        cfg.matrix("pin-sprout")
+            .schemes([Scheme::Sprout])
+            .links(link)
+            .confidences_pct(FIG9_CONFIDENCES)
+            .build(),
+        cfg.matrix("pin-kinds")
+            .schemes([Scheme::Cubic, Scheme::CubicCodel])
+            .apps([VideoApp::Skype], [Scheme::Sprout, Scheme::Cubic])
+            .contention([vec![
+                FlowSpec::Scheme(Scheme::Sprout),
+                FlowSpec::Scheme(Scheme::Cubic),
+            ]])
+            .workloads([Workload::MuxDirect, Workload::MuxTunneled])
+            .serve([4])
+            .workloads([Workload::InterarrivalProbe])
+            .links(link)
+            .build(),
+        cfg.matrix("pin-storm")
+            .schemes([Scheme::Sprout])
+            .links(link)
+            .impairments([Impairment::preset("storm").expect("built-in preset")])
+            .build(),
+    ]
+}
+
+fn results_snapshot() -> String {
+    let engine = SweepEngine::new(ExperimentConfig::default().seed);
+    let mut out = String::from(
+        "# label\tfingerprint64(result_to_json(cell))\n\
+         # Regenerate deliberately (with an ENGINE_VERSION bump) with: UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints\n",
+    );
+    for matrix in pinned_matrices() {
+        for r in engine.run(&matrix) {
+            let fp = sprout_cache::fingerprint64(result_to_json(&r).as_bytes());
+            let _ = writeln!(out, "{}\t{fp:016x}", r.scenario.label);
+        }
+    }
+    out
+}
+
+#[test]
+fn cell_results_match_the_committed_snapshot() {
+    check_golden(
+        GOLDEN_RESULTS_PATH,
+        include_str!("golden_results.tsv"),
+        &results_snapshot(),
+        "a pinned cell computes different bytes than the committed snapshot: execution \
+         semantics changed",
     );
 }
 

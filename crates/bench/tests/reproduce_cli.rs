@@ -80,11 +80,6 @@ fn incompatible_flag_combinations_are_rejected() {
         vec!["fig9", "--merge", "--no-cache"],
         vec!["fig9", "--resume", "--no-cache"],
         vec!["fig9", "--shard", "0/2", "--json"],
-        vec!["--bench", "--resume"],
-        vec!["--bench", "--merge"],
-        vec!["--bench", "--shard", "0/2"],
-        vec!["--bench", "fig9"],
-        vec!["fig9", "--bench-baseline", "x.json"],
     ] {
         assert_eq!(exit_code(&combo), 2, "{combo:?} must be a usage error");
     }
@@ -95,6 +90,14 @@ fn unknown_experiments_and_flags_are_rejected() {
     assert_eq!(exit_code(&["fig99"]), 2);
     assert_eq!(exit_code(&["fig9", "--frobnicate"]), 2);
     assert_eq!(exit_code(&["fig9", "--secs", "abc"]), 2);
+    // The retired perf-trajectory mode is a plain unknown flag now.
+    for retired in [vec!["--bench"], vec!["--bench-baseline", "x"]] {
+        let out = reproduce(&retired);
+        assert_eq!(out.status.code(), Some(2), "{retired:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+        assert!(stderr.contains("usage: reproduce"), "{stderr}");
+    }
 }
 
 #[test]
@@ -138,7 +141,6 @@ fn soak_axis_flags_require_the_soak_experiment() {
         vec!["fig7", "--prop-delays", "20"],
         vec!["fig9", "--queues", "auto"],
         vec!["loss", "--links", "vz-lte-down"],
-        vec!["--bench", "--queues", "auto"],
         vec!["--prop-delays", "20"], // defaults to `all`, which has no axes
         // --links is shared between soak and contention, but nothing else.
         vec!["contention", "--prop-delays", "20"],
@@ -189,7 +191,6 @@ fn contention_flags_require_the_contention_experiment() {
         vec!["fig7", "--flows", "3"],
         vec!["soak", "--flows", "3"],
         vec!["fig9", "--contend", "sprout,cubic"],
-        vec!["--bench", "--flows", "3"],
         vec!["--contend", "sprout,cubic"], // defaults to `all`
         // --flows sizes the default set, --contend replaces it: pick one.
         vec!["contention", "--flows", "3", "--contend", "sprout,cubic"],

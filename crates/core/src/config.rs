@@ -44,12 +44,6 @@ pub struct SproutConfig {
     pub reorder_window: Duration,
     /// Idle-sender heartbeat interval (§3.2; one per tick).
     pub heartbeat_interval: Duration,
-    /// Enable §3.2 time-to-next gating of observations. Disabling it
-    /// exists only for the ablation benches
-    /// (`crates/bench/benches/ablations.rs`): the receiver then
-    /// treats every tick as fully exposed, mistaking sender idleness for
-    /// outages.
-    pub ttn_gating: bool,
 }
 
 impl Default for SproutConfig {
@@ -68,7 +62,6 @@ impl Default for SproutConfig {
             mtu_bytes: MTU_BYTES,
             reorder_window: Duration::from_millis(10),
             heartbeat_interval: TICK,
-            ttn_gating: true,
         }
     }
 }

@@ -53,11 +53,6 @@ pub fn table_cache_counters() -> CacheCounters {
     TABLE_ARTIFACT.counters()
 }
 
-/// Reset the forecast-table cache counters (bench/test harnesses).
-pub fn reset_table_cache_counters() {
-    TABLE_ARTIFACT.reset_counters()
-}
-
 /// In-memory amortization counters: how many times a shared resource was
 /// materialized in this process versus served from a live in-memory
 /// handle. Distinct from [`CacheCounters`], which tracks the *disk*

@@ -139,7 +139,7 @@ pub struct EwmaForecaster {
 
 impl EwmaForecaster {
     /// Default upward smoothing gain. The paper does not publish
-    /// Sprout-EWMA's gain; ablated in `benches/ablations.rs`.
+    /// Sprout-EWMA's gain.
     pub const DEFAULT_ALPHA: f64 = 0.25;
 
     /// Default downward gain (≈ halving in 9 ticks / 180 ms).

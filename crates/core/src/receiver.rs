@@ -247,12 +247,7 @@ impl SproutReceiver {
             // excluded from the Poisson exposure; a tick with (almost) no
             // exposed time is skipped outright ("skips the observation
             // process until this timer expires").
-            let idle = if self.cfg.ttn_gating {
-                self.idle_time_in_tick(tick_start, tick_end)
-            } else {
-                // Ablation: ignore the §3.2 mechanism entirely.
-                Duration::ZERO
-            };
+            let idle = self.idle_time_in_tick(tick_start, tick_end);
             let exposure = self.cfg.tick - idle;
             let exposure_secs = exposure.as_secs_f64();
             // "Even one tiny packet does much to dispel this ambiguity"
@@ -262,9 +257,7 @@ impl SproutReceiver {
             // jitter by up to one link service time, which on slow links
             // exceeds the time-to-next margin; without this rule such
             // ticks would feed spurious outage evidence.)
-            let heartbeat_only = self.cfg.ttn_gating
-                && self.bytes_this_tick == 0
-                && self.heartbeat_bytes_this_tick > 0;
+            let heartbeat_only = self.bytes_this_tick == 0 && self.heartbeat_bytes_this_tick > 0;
             if exposure < Self::MIN_EXPOSURE || heartbeat_only {
                 self.gated_ticks += 1;
                 self.forecaster.tick(None);

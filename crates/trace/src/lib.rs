@@ -37,8 +37,6 @@ pub use impair::{
 };
 pub use registry::{lookup_trace, register_trace_bytes, register_trace_file};
 pub use seed::{derive_labeled_seed, derive_seed, session_seed};
-pub use synth::{
-    reset_trace_cache_counters, trace_cache_counters, LinkModelParams, LinkSimulator, NetProfile,
-};
+pub use synth::{trace_cache_counters, LinkModelParams, LinkSimulator, NetProfile};
 pub use time::{Duration, Timestamp, MTU_BYTES, TICK};
 pub use trace::{Trace, TraceCursor};

@@ -53,7 +53,9 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
 
     sprout_cache::set_dir(&dir);
     let cold = run_tiny_sweep(31);
-    let warm = run_tiny_sweep(31);
+    let m = tiny_matrix();
+    let (results, stats) = SweepEngine::new(31).with_threads(2).run_with_stats(&m);
+    let warm = sweep_to_json(m.name(), 31, &results);
     sprout_cache::disable();
     let disabled = run_tiny_sweep(31);
     sprout_cache::reset_override();
@@ -64,6 +66,13 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
     assert!(
         std::fs::read_dir(&dir).unwrap().count() > 0,
         "cold run stored nothing"
+    );
+    // ...and the warm run found every one of them.
+    assert!(stats.trace_cache.hits > 0, "{stats:?}");
+    assert_eq!(
+        (stats.table_cache.misses, stats.trace_cache.misses),
+        (0, 0),
+        "warm run missed a table or trace artifact: {stats:?}"
     );
 }
 
