@@ -14,7 +14,7 @@
 //! the qualitative placements in Figure 7. This is a deliberate,
 //! documented substitution for the unavailable closed-source binaries.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
@@ -144,21 +144,24 @@ const FRAME_HEADER: usize = 17;
 /// Report: magic(1) max_delay_us(8) received(8).
 const REPORT_LEN: usize = 17;
 
-fn encode_frame_chunk(seq: u64, sent_at: Timestamp, size: u32) -> Bytes {
-    let mut b = BytesMut::with_capacity(size as usize);
-    b.put_u8(MAGIC_FRAME);
-    b.put_u64_le(seq);
-    b.put_u64_le(sent_at.as_micros());
-    b.resize(size as usize, 0);
-    b.freeze()
+/// The 17 header bytes of a frame chunk; the media bytes behind it are
+/// filler the packet carries as [`Packet::padding`].
+fn encode_frame_chunk(seq: u64, sent_at: Timestamp) -> Bytes {
+    let mut hdr = [0u8; FRAME_HEADER];
+    let mut w = &mut hdr[..];
+    w.put_u8(MAGIC_FRAME);
+    w.put_u64_le(seq);
+    w.put_u64_le(sent_at.as_micros());
+    Bytes::copy_from_slice(&hdr)
 }
 
 fn encode_report(max_delay: Duration, received: u64) -> Bytes {
-    let mut b = BytesMut::with_capacity(REPORT_LEN);
-    b.put_u8(MAGIC_REPORT);
-    b.put_u64_le(max_delay.as_micros());
-    b.put_u64_le(received);
-    b.freeze()
+    let mut report = [0u8; REPORT_LEN];
+    let mut w = &mut report[..];
+    w.put_u8(MAGIC_REPORT);
+    w.put_u64_le(max_delay.as_micros());
+    w.put_u64_le(received);
+    Bytes::copy_from_slice(&report)
 }
 
 enum AppDecoded {
@@ -278,7 +281,8 @@ impl Endpoint for VideoAppSender {
                     seq: self.seq,
                     sent_at: Timestamp::ZERO,
                     size,
-                    payload: encode_frame_chunk(self.seq, now, size),
+                    padding: chunk as u32,
+                    payload: encode_frame_chunk(self.seq, now),
                 });
                 self.seq += 1;
             }
@@ -352,6 +356,7 @@ impl Endpoint for VideoAppReceiver {
                 seq: self.received,
                 sent_at: Timestamp::ZERO,
                 size: REPORT_LEN as u32 + 23, // + L3/L4 overhead ≈ 40 B
+                padding: 0,
                 payload: encode_report(self.worst_delay, self.received),
             });
             self.worst_delay = Duration::ZERO;
@@ -374,11 +379,12 @@ mod tests {
 
     fn report(delay_ms: u64) -> Packet {
         Packet {
-            flow: FlowId::PRIMARY,
-            seq: 0,
-            sent_at: Timestamp::ZERO,
             size: 40,
-            payload: encode_report(Duration::from_millis(delay_ms), 0),
+            ..Packet::from_payload(
+                FlowId::PRIMARY,
+                0,
+                encode_report(Duration::from_millis(delay_ms), 0),
+            )
         }
     }
 
@@ -452,11 +458,9 @@ mod tests {
     fn receiver_reports_worst_interval_delay() {
         let mut r = VideoAppReceiver::new();
         let frame = |sent_ms: u64, size: u32| Packet {
-            flow: FlowId::PRIMARY,
-            seq: 0,
-            sent_at: Timestamp::ZERO,
             size,
-            payload: encode_frame_chunk(0, t(sent_ms), size),
+            padding: size - FRAME_HEADER as u32,
+            ..Packet::from_payload(FlowId::PRIMARY, 0, encode_frame_chunk(0, t(sent_ms)))
         };
         r.on_packet(frame(0, 500), t(100)); // 100 ms delay
         r.on_packet(frame(200, 500), t(220)); // 20 ms delay

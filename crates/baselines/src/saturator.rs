@@ -7,7 +7,7 @@
 //! starves, so the receiver-side arrival times *are* the link's delivery
 //! opportunities — the ground-truth trace Cellsim later replays.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, Trace, MTU_BYTES};
@@ -19,23 +19,18 @@ pub const RTT_CEILING: Duration = Duration::from_millis(3_000);
 
 const MAGIC_PROBE: u8 = 0xB0;
 const MAGIC_PROBE_ACK: u8 = 0xB1;
-const PROBE_ACK_LEN: usize = 17;
+/// Probe and probe ACK alike: magic(1) seq(8) timestamp(8).
+const PROBE_HEADER: usize = 17;
 
-fn encode_probe(seq: u64, sent_at: Timestamp) -> Bytes {
-    let mut b = BytesMut::with_capacity(MTU_BYTES as usize);
-    b.put_u8(MAGIC_PROBE);
-    b.put_u64_le(seq);
-    b.put_u64_le(sent_at.as_micros());
-    b.resize(MTU_BYTES as usize, 0);
-    b.freeze()
-}
-
-fn encode_probe_ack(seq: u64, echo: Timestamp) -> Bytes {
-    let mut b = BytesMut::with_capacity(PROBE_ACK_LEN);
-    b.put_u8(MAGIC_PROBE_ACK);
-    b.put_u64_le(seq);
-    b.put_u64_le(echo.as_micros());
-    b.freeze()
+/// A probe's (or probe ACK's) 17 bytes; a probe fills the rest of its
+/// MTU with [`Packet::padding`].
+fn encode_probe(magic: u8, seq: u64, stamp: Timestamp) -> Bytes {
+    let mut hdr = [0u8; PROBE_HEADER];
+    let mut w = &mut hdr[..];
+    w.put_u8(magic);
+    w.put_u64_le(seq);
+    w.put_u64_le(stamp.as_micros());
+    Bytes::copy_from_slice(&hdr)
 }
 
 /// The window-adjusting sender half.
@@ -80,7 +75,7 @@ impl Default for SaturatorSender {
 impl Endpoint for SaturatorSender {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
         let mut buf = &packet.payload[..];
-        if buf.is_empty() || buf.get_u8() != MAGIC_PROBE_ACK || buf.len() < PROBE_ACK_LEN - 1 {
+        if buf.is_empty() || buf.get_u8() != MAGIC_PROBE_ACK || buf.len() < PROBE_HEADER - 1 {
             return;
         }
         let seq = buf.get_u64_le();
@@ -104,7 +99,8 @@ impl Endpoint for SaturatorSender {
                 seq: self.next_seq,
                 sent_at: Timestamp::ZERO,
                 size: MTU_BYTES,
-                payload: encode_probe(self.next_seq, now),
+                padding: MTU_BYTES - PROBE_HEADER as u32,
+                payload: encode_probe(MAGIC_PROBE, self.next_seq, now),
             });
             self.next_seq += 1;
         }
@@ -159,7 +155,8 @@ impl Endpoint for SaturatorReceiver {
             seq,
             sent_at: Timestamp::ZERO,
             size: 40,
-            payload: encode_probe_ack(seq, echo),
+            padding: 0,
+            payload: encode_probe(MAGIC_PROBE_ACK, seq, echo),
         });
     }
 

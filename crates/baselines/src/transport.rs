@@ -9,9 +9,9 @@
 //! queueing dynamics the paper studies (window growth → standing queue →
 //! delay), without reimplementing byte-stream reassembly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, VecDeque};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
@@ -118,22 +118,25 @@ const DATA_HEADER: usize = 17;
 /// ACK: magic(1) cum_ack(8) echo_sent_at(8) recv_at(8).
 const ACK_LEN: usize = 25;
 
-fn encode_data(seq: u64, sent_at: Timestamp, size: u32) -> Bytes {
-    let mut b = BytesMut::with_capacity(size as usize);
-    b.put_u8(MAGIC_DATA);
-    b.put_u64_le(seq);
-    b.put_u64_le(sent_at.as_micros());
-    b.resize(size as usize, 0);
-    b.freeze()
+/// The 17 header bytes of a data segment; the rest of the MTU is filler
+/// the packet carries as [`Packet::padding`], never as bytes.
+fn encode_data(seq: u64, sent_at: Timestamp) -> Bytes {
+    let mut hdr = [0u8; DATA_HEADER];
+    let mut w = &mut hdr[..];
+    w.put_u8(MAGIC_DATA);
+    w.put_u64_le(seq);
+    w.put_u64_le(sent_at.as_micros());
+    Bytes::copy_from_slice(&hdr)
 }
 
 fn encode_ack(cum_ack: u64, echo_sent_at: Timestamp, recv_at: Timestamp) -> Bytes {
-    let mut b = BytesMut::with_capacity(ACK_LEN);
-    b.put_u8(MAGIC_ACK);
-    b.put_u64_le(cum_ack);
-    b.put_u64_le(echo_sent_at.as_micros());
-    b.put_u64_le(recv_at.as_micros());
-    b.freeze()
+    let mut ack = [0u8; ACK_LEN];
+    let mut w = &mut ack[..];
+    w.put_u8(MAGIC_ACK);
+    w.put_u64_le(cum_ack);
+    w.put_u64_le(echo_sent_at.as_micros());
+    w.put_u64_le(recv_at.as_micros());
+    Bytes::copy_from_slice(&ack)
 }
 
 enum Decoded {
@@ -179,8 +182,10 @@ pub struct TcpSender {
     next_seq: u64,
     /// Highest cumulatively ACKed sequence (all below delivered).
     cum_ack: u64,
-    /// Outstanding segments: seq → (last transmit time, transmit count).
-    outstanding: BTreeMap<u64, (Timestamp, u32)>,
+    /// Outstanding segments as a ring: entry `i` is sequence
+    /// `cum_ack + i`, holding (last transmit time, transmit count). The
+    /// ring always covers exactly `[cum_ack, next_seq)`.
+    outstanding: VecDeque<(Timestamp, u32)>,
     dup_acks: u32,
     /// In fast-recovery until cum_ack passes this point.
     recover_until: Option<u64>,
@@ -189,7 +194,7 @@ pub struct TcpSender {
     /// Segments presumed lost (after an RTO all unacked segments are
     /// go-back-N candidates); they no longer count as in flight and are
     /// retransmitted ahead of new data as the window allows.
-    lost: std::collections::BTreeSet<u64>,
+    lost: BTreeSet<u64>,
     /// Fast-retransmit packets generated inside `on_packet`, drained by
     /// the next `poll`.
     pending_retx: Vec<Packet>,
@@ -211,11 +216,11 @@ impl TcpSender {
             flow: FlowId::PRIMARY,
             next_seq: 0,
             cum_ack: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: VecDeque::new(),
             dup_acks: 0,
             recover_until: None,
             rto_deadline: None,
-            lost: std::collections::BTreeSet::new(),
+            lost: BTreeSet::new(),
             pending_retx: Vec::new(),
             segments_sent: 0,
             retransmits: 0,
@@ -251,24 +256,29 @@ impl TcpSender {
         self.outstanding.len() - self.lost.len()
     }
 
-    fn transmit(&mut self, seq: u64, now: Timestamp, out: &mut Vec<Packet>) {
-        let entry = self.outstanding.entry(seq).or_insert((now, 0));
-        entry.0 = now;
-        entry.1 += 1;
-        if entry.1 > 1 {
+    /// Account one transmission of `seq` — the next new sequence, or any
+    /// outstanding one again — and build its MTU segment: the header as
+    /// payload, the rest of the MTU as padding.
+    fn transmit(&mut self, seq: u64, now: Timestamp) -> Packet {
+        let idx = (seq - self.cum_ack) as usize;
+        if idx == self.outstanding.len() {
+            self.outstanding.push_back((now, 1));
+        } else {
+            let entry = &mut self.outstanding[idx];
+            *entry = (now, entry.1 + 1);
             self.retransmits += 1;
         }
         self.segments_sent += 1;
-        let payload = encode_data(seq, now, MTU_BYTES);
-        out.push(Packet {
+        if self.rto_deadline.is_none() {
+            self.rto_deadline = Some(now + self.rtt.rto());
+        }
+        Packet {
             flow: self.flow,
             seq,
             sent_at: Timestamp::ZERO,
             size: MTU_BYTES,
-            payload,
-        });
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now + self.rtt.rto());
+            padding: MTU_BYTES - DATA_HEADER as u32,
+            payload: encode_data(seq, now),
         }
     }
 }
@@ -283,6 +293,9 @@ impl Endpoint for TcpSender {
         else {
             return;
         };
+        if cum_ack > self.next_seq {
+            return; // acknowledges data never sent (RFC 793: ignore)
+        }
         // One-way delay of the acked data packet (sender clock → receiver
         // clock; the virtual clock is shared, and delay-based algorithms
         // only use differences so a fixed offset would cancel anyway).
@@ -292,11 +305,10 @@ impl Endpoint for TcpSender {
         }
         if cum_ack > self.cum_ack {
             let newly = cum_ack - self.cum_ack;
+            // Drop everything acked from the front of the ring.
+            self.outstanding.drain(..newly as usize);
             self.cum_ack = cum_ack;
             self.dup_acks = 0;
-            // Drop everything acked from the outstanding map.
-            let keep = self.outstanding.split_off(&cum_ack);
-            self.outstanding = keep;
             self.lost = self.lost.split_off(&cum_ack);
             // Karn's rule: only time un-retransmitted segments. We use
             // the echoed transmit timestamp, which already excludes
@@ -318,12 +330,17 @@ impl Endpoint for TcpSender {
             // per hole (crucial after a mass-loss burst, e.g. CoDel during
             // an outage drain).
             let cutoff = self.rtt.rto();
-            for (&seq, &(sent_at, _)) in self.outstanding.iter() {
-                if now.saturating_since(sent_at) > cutoff {
-                    self.lost.insert(seq);
-                } else {
-                    break; // BTreeMap is seq-ordered ≈ send-ordered
-                }
+            let stale = self
+                .outstanding
+                .iter() // the ring is seq-ordered ≈ send-ordered
+                .take_while(|&&(sent_at, _)| now.saturating_since(sent_at) > cutoff)
+                .count();
+            // While the window keeps them from being retransmitted, the
+            // same stale front is seen again on every ACK: insert only
+            // when some of it is not yet marked lost.
+            let front = cum_ack..cum_ack + stale as u64;
+            if self.lost.range(front.clone()).count() < stale {
+                self.lost.extend(front);
             }
             self.rto_deadline = if self.outstanding.is_empty() {
                 None
@@ -337,12 +354,11 @@ impl Endpoint for TcpSender {
             if self.dup_acks == 3 && self.recover_until.is_none() {
                 self.recover_until = Some(self.next_seq);
                 self.cc.on_loss(now);
-                // Retransmission of the missing segment happens in poll.
-                if let Some((&seq, _)) = self.outstanding.iter().next() {
-                    let mut out = Vec::new();
-                    self.transmit(seq, now, &mut out);
-                    // Stash for poll? Emit immediately via pending queue:
-                    self.pending_retx.extend(out);
+                // Retransmit the missing segment now; the next `poll`
+                // drains it ahead of everything else.
+                if !self.outstanding.is_empty() {
+                    let retx = self.transmit(self.cum_ack, now);
+                    self.pending_retx.push(retx);
                 }
             }
         }
@@ -360,7 +376,7 @@ impl Endpoint for TcpSender {
                 // Go-back-N: everything unacked is presumed lost and will
                 // be retransmitted under the (collapsed) window, oldest
                 // first.
-                self.lost = self.outstanding.keys().copied().collect();
+                self.lost = (self.cum_ack..self.next_seq).collect();
                 self.rto_deadline = Some(now + self.rtt.rto());
             }
         }
@@ -369,13 +385,12 @@ impl Endpoint for TcpSender {
         let cwnd = self.cc.window().max(1.0) as usize;
         let cwnd = cwnd.min(MAX_WINDOW_SEGMENTS);
         while self.in_flight() < cwnd {
-            if let Some(&seq) = self.lost.iter().next() {
-                self.lost.remove(&seq);
-                self.transmit(seq, now, out);
+            if let Some(seq) = self.lost.pop_first() {
+                out.push(self.transmit(seq, now));
             } else if self.next_seq < self.cum_ack + MAX_WINDOW_SEGMENTS as u64 {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.transmit(seq, now, out);
+                out.push(self.transmit(seq, now));
             } else {
                 break; // receive-window limited
             }
@@ -394,7 +409,7 @@ pub struct TcpReceiver {
     /// Next in-order sequence expected.
     expected: u64,
     /// Out-of-order segments already received.
-    ooo: std::collections::BTreeSet<u64>,
+    ooo: BTreeSet<u64>,
     pending_acks: Vec<Packet>,
     segments_received: u64,
 }
@@ -405,7 +420,7 @@ impl TcpReceiver {
         TcpReceiver {
             flow: FlowId::PRIMARY,
             expected: 0,
-            ooo: std::collections::BTreeSet::new(),
+            ooo: BTreeSet::new(),
             pending_acks: Vec::new(),
             segments_received: 0,
         }
@@ -442,13 +457,13 @@ impl Endpoint for TcpReceiver {
         } else if seq > self.expected {
             self.ooo.insert(seq);
         }
-        let ack = encode_ack(self.expected, sent_at, now);
         self.pending_acks.push(Packet {
             flow: self.flow,
             seq: self.expected,
             sent_at: Timestamp::ZERO,
             size: ACK_LEN as u32 + 15, // ACK + L3/L4 overhead ≈ 40 B
-            payload: ack,
+            padding: 0,
+            payload: encode_ack(self.expected, sent_at, now),
         });
     }
 
@@ -483,6 +498,18 @@ mod tests {
         Timestamp::from_millis(ms)
     }
 
+    /// A 40-byte ACK packet as [`TcpReceiver`] builds it.
+    fn ack(cum_ack: u64, echo_sent_at: Timestamp, recv_at: Timestamp) -> Packet {
+        Packet {
+            size: ACK_LEN as u32 + 15,
+            ..Packet::from_payload(
+                FlowId::PRIMARY,
+                cum_ack,
+                encode_ack(cum_ack, echo_sent_at, recv_at),
+            )
+        }
+    }
+
     #[test]
     fn rtt_estimator_converges_and_bounds_rto() {
         let mut e = RttEstimator::default();
@@ -513,14 +540,7 @@ mod tests {
         let first = s.poll(t(0));
         assert_eq!(first.len(), 4);
         // Receiver acks segment 0 → expected becomes 1.
-        let ack = Packet {
-            flow: FlowId::PRIMARY,
-            seq: 1,
-            sent_at: t(0),
-            size: 40,
-            payload: encode_ack(1, t(0), t(20)),
-        };
-        s.on_packet(ack, t(40));
+        s.on_packet(ack(1, t(0), t(20)), t(40));
         let next = s.poll(t(40));
         assert_eq!(next.len(), 1, "one acked → one new");
         assert!(s.rtt().srtt().is_some());
@@ -547,14 +567,7 @@ mod tests {
         let _ = s.poll(t(0)); // 10 segments out
                               // Segment 0 lost: acks echo later segments but cum stays 0.
         for i in 1..=4u64 {
-            let ack = Packet {
-                flow: FlowId::PRIMARY,
-                seq: 0,
-                sent_at: t(0),
-                size: 40,
-                payload: encode_ack(0, t(0), t(20 + i)),
-            };
-            s.on_packet(ack, t(20 + i));
+            s.on_packet(ack(0, t(0), t(20 + i)), t(20 + i));
         }
         assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 1);
         let out = s.poll(t(30));
@@ -594,11 +607,9 @@ mod tests {
     fn receiver_acks_cumulatively_and_handles_reorder() {
         let mut r = TcpReceiver::new();
         let data = |seq: u64| Packet {
-            flow: FlowId::PRIMARY,
-            seq,
-            sent_at: t(0),
+            padding: MTU_BYTES - DATA_HEADER as u32,
             size: MTU_BYTES,
-            payload: encode_data(seq, t(0), MTU_BYTES),
+            ..Packet::from_payload(FlowId::PRIMARY, seq, encode_data(seq, t(0)))
         };
         r.on_packet(data(0), t(1));
         r.on_packet(data(2), t(2)); // gap at 1
@@ -624,5 +635,261 @@ mod tests {
         s.on_packet(junk.clone(), t(0));
         r.on_packet(junk, t(0));
         assert_eq!(r.segments_received(), 0);
+    }
+
+    /// The sender this one replaced, kept as the ring's oracle: retransmit
+    /// state in a `BTreeMap` rebuilt by `split_off` on every ACK, and data
+    /// segments whose filler is 1483 real zero bytes.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        /// What the old `encode_data` built: header, then real zeros up to
+        /// `size`.
+        pub fn encode_data_padded(seq: u64, sent_at: Timestamp, size: u32) -> Bytes {
+            let mut wire = vec![0u8; size as usize];
+            let mut w = &mut wire[..];
+            w.put_u8(MAGIC_DATA);
+            w.put_u64_le(seq);
+            w.put_u64_le(sent_at.as_micros());
+            Bytes::from(wire)
+        }
+
+        pub struct BTreeSender {
+            cc: Box<dyn CongestionControl>,
+            rtt: RttEstimator,
+            pub next_seq: u64,
+            pub cum_ack: u64,
+            outstanding: BTreeMap<u64, (Timestamp, u32)>,
+            dup_acks: u32,
+            recover_until: Option<u64>,
+            rto_deadline: Option<Timestamp>,
+            pub lost: BTreeSet<u64>,
+            pending_retx: Vec<Packet>,
+            pub segments_sent: u64,
+            pub retransmits: u64,
+        }
+
+        impl BTreeSender {
+            pub fn new(cc: Box<dyn CongestionControl>) -> Self {
+                BTreeSender {
+                    cc,
+                    rtt: RttEstimator::default(),
+                    next_seq: 0,
+                    cum_ack: 0,
+                    outstanding: BTreeMap::new(),
+                    dup_acks: 0,
+                    recover_until: None,
+                    rto_deadline: None,
+                    lost: BTreeSet::new(),
+                    pending_retx: Vec::new(),
+                    segments_sent: 0,
+                    retransmits: 0,
+                }
+            }
+
+            pub fn in_flight(&self) -> usize {
+                self.outstanding.len() - self.lost.len()
+            }
+
+            fn transmit(&mut self, seq: u64, now: Timestamp, out: &mut Vec<Packet>) {
+                let entry = self.outstanding.entry(seq).or_insert((now, 0));
+                entry.0 = now;
+                entry.1 += 1;
+                if entry.1 > 1 {
+                    self.retransmits += 1;
+                }
+                self.segments_sent += 1;
+                out.push(Packet {
+                    size: MTU_BYTES,
+                    ..Packet::from_payload(
+                        FlowId::PRIMARY,
+                        seq,
+                        encode_data_padded(seq, now, MTU_BYTES),
+                    )
+                });
+                if self.rto_deadline.is_none() {
+                    self.rto_deadline = Some(now + self.rtt.rto());
+                }
+            }
+        }
+
+        impl Endpoint for BTreeSender {
+            fn on_packet(&mut self, packet: Packet, now: Timestamp) {
+                let Decoded::Ack {
+                    cum_ack,
+                    echo_sent_at,
+                    recv_at,
+                } = decode(&packet.payload)
+                else {
+                    return;
+                };
+                let one_way = recv_at.saturating_since(echo_sent_at);
+                if one_way > Duration::ZERO {
+                    self.cc.on_one_way_delay(one_way);
+                }
+                if cum_ack > self.cum_ack {
+                    let newly = cum_ack - self.cum_ack;
+                    self.cum_ack = cum_ack;
+                    self.dup_acks = 0;
+                    let keep = self.outstanding.split_off(&cum_ack);
+                    self.outstanding = keep;
+                    self.lost = self.lost.split_off(&cum_ack);
+                    let sample = now.saturating_since(echo_sent_at);
+                    if sample > Duration::ZERO {
+                        self.rtt.update(sample);
+                    }
+                    if let Some(rec) = self.recover_until {
+                        if cum_ack >= rec {
+                            self.recover_until = None;
+                        }
+                    }
+                    self.cc
+                        .on_ack(newly, now.saturating_since(echo_sent_at), now);
+                    let cutoff = self.rtt.rto();
+                    for (&seq, &(sent_at, _)) in self.outstanding.iter() {
+                        if now.saturating_since(sent_at) > cutoff {
+                            self.lost.insert(seq);
+                        } else {
+                            break;
+                        }
+                    }
+                    self.rto_deadline = if self.outstanding.is_empty() {
+                        None
+                    } else {
+                        Some(now + self.rtt.rto())
+                    };
+                } else {
+                    self.dup_acks += 1;
+                    if self.dup_acks == 3 && self.recover_until.is_none() {
+                        self.recover_until = Some(self.next_seq);
+                        self.cc.on_loss(now);
+                        if let Some((&seq, _)) = self.outstanding.iter().next() {
+                            let mut out = Vec::new();
+                            self.transmit(seq, now, &mut out);
+                            self.pending_retx.extend(out);
+                        }
+                    }
+                }
+            }
+
+            fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
+                out.append(&mut self.pending_retx);
+                if let Some(deadline) = self.rto_deadline {
+                    if now >= deadline && !self.outstanding.is_empty() {
+                        self.cc.on_timeout(now);
+                        self.rtt.backoff();
+                        self.dup_acks = 0;
+                        self.recover_until = None;
+                        self.lost = self.outstanding.keys().copied().collect();
+                        self.rto_deadline = Some(now + self.rtt.rto());
+                    }
+                }
+                let cwnd = self.cc.window().max(1.0) as usize;
+                let cwnd = cwnd.min(MAX_WINDOW_SEGMENTS);
+                while self.in_flight() < cwnd {
+                    if let Some(&seq) = self.lost.iter().next() {
+                        self.lost.remove(&seq);
+                        self.transmit(seq, now, out);
+                    } else if self.next_seq < self.cum_ack + MAX_WINDOW_SEGMENTS as u64 {
+                        let seq = self.next_seq;
+                        self.next_seq += 1;
+                        self.transmit(seq, now, out);
+                    } else {
+                        break;
+                    }
+                }
+            }
+
+            fn next_wakeup(&self) -> Option<Timestamp> {
+                self.rto_deadline
+            }
+        }
+    }
+
+    /// Drive the ring sender and the B-tree reference with one script
+    /// and compare everything observable after every step. A script step
+    /// is `(kind, a, b)`; `a` and `b` parameterise the step.
+    fn ring_matches_reference(
+        cc: impl Fn() -> Box<dyn CongestionControl>,
+        script: &[(u32, u64, u64)],
+    ) -> Result<(), String> {
+        use proptest::prop_assert_eq;
+        let mut ring = TcpSender::new(cc());
+        let mut tree = reference::BTreeSender::new(cc());
+        let mut now = Timestamp::ZERO;
+        let (mut ring_out, mut tree_out) = (Vec::new(), Vec::new());
+        for &(kind, a, b) in script {
+            let outstanding = tree.next_seq - tree.cum_ack;
+            // What arrives before the poll: `count` ACKs up to `cum_ack`.
+            let (cum_ack, count) = match kind % 8 {
+                // Time passes (up to 100 ms); nothing arrives.
+                0 | 1 => {
+                    now += Duration::from_micros(a % 100_000);
+                    (0, 0)
+                }
+                // A cumulative ACK for up to 40 more segments.
+                2 | 3 if outstanding > 0 => (tree.cum_ack + 1 + a % outstanding.min(40), 1),
+                // One duplicate ACK, or three at once.
+                4 => (tree.cum_ack, 1 + 2 * (a % 2)),
+                // A stale ACK from below the cumulative point.
+                5 => (tree.cum_ack.saturating_sub(1 + a % 5), 1),
+                // The RTO expires.
+                6 => {
+                    if let Some(deadline) = tree.next_wakeup() {
+                        now = now.max(deadline + Duration::from_micros(a % 1_000));
+                    }
+                    (0, 0)
+                }
+                // Mass loss (CoDel draining after an outage): silence for
+                // longer than an RTO, then an ACK that passes the first
+                // hole arrives *before* the next poll, so hole repair
+                // rather than the timer finds the stale front.
+                7 if outstanding > 0 => {
+                    now += Duration::from_millis(200 + a % 2_000);
+                    (tree.cum_ack + 1 + b % outstanding.min(8), 1)
+                }
+                _ => (0, 0),
+            };
+            for _ in 0..count {
+                // The echoed segment left up to 400 ms ago.
+                let echo = Timestamp::from_micros(now.as_micros().saturating_sub(b % 400_000));
+                let p = ack(cum_ack, echo, echo + Duration::from_millis(a % 50));
+                ring.on_packet(p.clone(), now);
+                tree.on_packet(p, now);
+            }
+            ring.poll_into(now, &mut ring_out);
+            tree.poll_into(now, &mut tree_out);
+            prop_assert_eq!(ring_out.len(), tree_out.len());
+            for (r, t) in ring_out.drain(..).zip(tree_out.drain(..)) {
+                prop_assert_eq!((r.seq, r.size, r.flow), (t.seq, t.size, t.flow));
+                prop_assert_eq!(&r.payload[..], &t.payload[..DATA_HEADER]);
+                prop_assert_eq!(r.wire_payload(), t.payload);
+            }
+            prop_assert_eq!(ring.next_wakeup(), tree.next_wakeup());
+            prop_assert_eq!(ring.segments_sent(), tree.segments_sent);
+            prop_assert_eq!(ring.retransmits(), tree.retransmits);
+            prop_assert_eq!((ring.cum_ack, ring.next_seq), (tree.cum_ack, tree.next_seq));
+            prop_assert_eq!(ring.in_flight(), tree.in_flight());
+            prop_assert_eq!(&ring.lost, &tree.lost);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ring_sender_matches_the_btree_reference_under_a_fixed_window(
+            window in 1u64..64,
+            script in proptest::collection::vec((0u32..8, 0u64..1 << 40, 0u64..1 << 40), 1..400),
+        ) {
+            ring_matches_reference(|| Box::new(FixedWindow(window as f64)), &script)?;
+        }
+
+        #[test]
+        fn ring_sender_matches_the_btree_reference_under_cubic(
+            script in proptest::collection::vec((0u32..8, 0u64..1 << 40, 0u64..1 << 40), 1..400),
+        ) {
+            ring_matches_reference(|| Box::new(crate::cubic::Cubic::new()), &script)?;
+        }
     }
 }

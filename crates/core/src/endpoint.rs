@@ -228,9 +228,9 @@ impl SproutEndpoint {
             forecast,
             payload_len,
         };
-        let payload: Bytes = match &body {
-            PacketBody::Padding(_) => header.encode_with_padding(),
-            PacketBody::Datagram(d) => header.encode_with_payload(d),
+        let (payload, padding) = match &body {
+            PacketBody::Padding(n) => (header.encode_header(), *n as u32),
+            PacketBody::Datagram(d) => (header.encode_with_payload(d), 0),
         };
         self.packet_counter += 1;
         Packet {
@@ -238,6 +238,7 @@ impl SproutEndpoint {
             seq: self.packet_counter,
             sent_at: Timestamp::ZERO, // stamped by the driver
             size: wire_len,
+            padding,
             payload,
         }
     }
@@ -427,7 +428,7 @@ mod tests {
             tick: 1,
             cumulative_units: [16, 32, 48, 64, 80, 96, 112, 128],
         };
-        let mut packet_with_fb = SproutHeader {
+        let packet_with_fb = SproutHeader {
             seq: 0,
             throwaway: 0,
             time_to_next: Duration::ZERO,
@@ -438,15 +439,10 @@ mod tests {
             payload_len: 0,
         }
         .encode_with_padding();
-        let _ = &mut packet_with_fb;
-        let pkt = Packet {
-            flow: FlowId::PRIMARY,
-            seq: 0,
-            sent_at: t(0),
-            size: packet_with_fb.len() as u32,
-            payload: packet_with_fb,
-        };
-        e.on_packet(pkt, t(25));
+        e.on_packet(
+            Packet::from_payload(FlowId::PRIMARY, 0, packet_with_fb),
+            t(25),
+        );
         let pkts = e.poll(t(25));
         // Window: 5 ticks × 4 pkts × 1500 B = 30 kB minus queue estimate;
         // expect a burst of MTU-sized data packets.
@@ -500,16 +496,7 @@ mod tests {
             payload_len: 0,
         }
         .encode_with_padding();
-        e.on_packet(
-            Packet {
-                flow: FlowId::PRIMARY,
-                seq: 0,
-                sent_at: t(0),
-                size: payload.len() as u32,
-                payload,
-            },
-            t(5),
-        );
+        e.on_packet(Packet::from_payload(FlowId::PRIMARY, 0, payload), t(5));
         let pkts = e.poll(t(5));
         let sent: u64 = pkts
             .iter()
@@ -587,16 +574,7 @@ mod tests {
             payload_len: 0,
         }
         .encode_with_padding();
-        e.on_packet(
-            Packet {
-                flow: FlowId::PRIMARY,
-                seq: 0,
-                sent_at: t(0),
-                size: payload.len() as u32,
-                payload,
-            },
-            t(5),
-        );
+        e.on_packet(Packet::from_payload(FlowId::PRIMARY, 0, payload), t(5));
         // Whole life of the forecast: 32 packets × 1500 = 48 kB.
         assert_eq!(e.forecast_life_bytes(t(5)), 48_000);
         // Two ticks later, two ticks' worth (8 packets) have aged out.

@@ -96,9 +96,18 @@ impl SproutHeader {
         }
     }
 
-    /// Encode the header followed by a zero-filled payload of
-    /// `payload_len` bytes (experiment payloads are opaque filler; a real
-    /// application would append its own bytes).
+    /// Encode the header alone. Experiment payloads are opaque filler, so
+    /// a packet built from this carries its `payload_len` bytes as
+    /// `sprout_sim::Packet::padding` — counted, never stored.
+    pub fn encode_header(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// The full wire image of a filler packet: the header followed by
+    /// `payload_len` zero bytes — what [`SproutHeader::encode_header`]
+    /// plus its padding materialises to on a real wire.
     pub fn encode_with_padding(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len() + self.payload_len as usize);
         self.encode_into(&mut buf);

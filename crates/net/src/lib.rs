@@ -105,13 +105,8 @@ impl<E: Endpoint> UdpDriver<E> {
                     }
                     if Some(from) == self.peer {
                         let payload = Bytes::copy_from_slice(&self.recv_buf[..len]);
-                        let packet = Packet {
-                            flow: FlowId::PRIMARY,
-                            seq: self.stats.received,
-                            sent_at: Timestamp::ZERO,
-                            size: len as u32,
-                            payload,
-                        };
+                        let packet =
+                            Packet::from_payload(FlowId::PRIMARY, self.stats.received, payload);
                         self.stats.received += 1;
                         self.stats.bytes_received += len as u64;
                         self.endpoint.on_packet(packet, self.now());
@@ -135,9 +130,11 @@ impl<E: Endpoint> UdpDriver<E> {
 
         if let Some(peer) = self.peer {
             for packet in self.endpoint.poll(self.now()) {
-                self.socket.send_to(&packet.payload, peer)?;
+                // A real wire carries the filler the emulator only counts.
+                let datagram = packet.wire_payload();
+                self.socket.send_to(&datagram, peer)?;
                 self.stats.sent += 1;
-                self.stats.bytes_sent += packet.payload.len() as u64;
+                self.stats.bytes_sent += datagram.len() as u64;
                 moved += 1;
             }
         }

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::link::{LinkConfig, TraceLink};
+use crate::link::{LinkConfig, LinkDelivery, TraceLink};
 use crate::metrics::{DeliveryRecord, MetricsCollector};
 use crate::packet::Packet;
 use sprout_trace::{Duration, Timestamp, Trace};
@@ -42,6 +42,8 @@ pub struct DirectedPath {
     /// Packets on the wire, with the time they reach the bottleneck queue.
     in_flight: VecDeque<(Timestamp, Packet)>,
     link: TraceLink,
+    /// Recycled buffer the link fills on each service call.
+    crossed: Vec<LinkDelivery>,
     metrics: MetricsCollector,
 }
 
@@ -52,12 +54,20 @@ impl DirectedPath {
             prop_delay: cfg.link.prop_delay,
             in_flight: VecDeque::new(),
             link: TraceLink::new(cfg.link),
+            crossed: Vec::new(),
             metrics: MetricsCollector::new(),
         }
     }
 
     /// Hand a packet to this direction at `now` (stamps `sent_at`).
     pub fn send(&mut self, mut packet: Packet, now: Timestamp) {
+        debug_assert!(
+            packet.payload.len() as u64 + packet.padding as u64 <= packet.size as u64,
+            "packet carries {} + {} wire bytes but is accounted as {}",
+            packet.payload.len(),
+            packet.padding,
+            packet.size
+        );
         packet.sent_at = now;
         self.in_flight.push_back((now + self.prop_delay, packet));
     }
@@ -98,7 +108,7 @@ impl DirectedPath {
             let op_due = next_op.map(|t| t <= now).unwrap_or(false);
             match (arrival_due, op_due) {
                 (false, false) => break,
-                (true, false) => self.ingress_one(now),
+                (true, false) => self.ingress_one(),
                 (false, true) => self.service_due(next_op.unwrap(), delivered),
                 (true, true) => {
                     // Arrivals strictly before the opportunity must be
@@ -106,7 +116,7 @@ impl DirectedPath {
                     // can use this very opportunity (it reached the queue
                     // by then).
                     if next_arrival.unwrap() <= next_op.unwrap() {
-                        self.ingress_one(now);
+                        self.ingress_one();
                     } else {
                         self.service_due(next_op.unwrap(), delivered);
                     }
@@ -115,14 +125,15 @@ impl DirectedPath {
         }
     }
 
-    fn ingress_one(&mut self, _now: Timestamp) {
+    fn ingress_one(&mut self) {
         if let Some((arrive_at, packet)) = self.in_flight.pop_front() {
             self.link.ingress(packet, arrive_at);
         }
     }
 
     fn service_due(&mut self, op_time: Timestamp, delivered: &mut Vec<Packet>) {
-        for d in self.link.service(op_time) {
+        self.link.service_into(op_time, &mut self.crossed);
+        for d in self.crossed.drain(..) {
             self.metrics.record(DeliveryRecord {
                 sent_at: d.packet.sent_at,
                 delivered_at: d.at,

@@ -262,12 +262,20 @@ impl TraceLink {
         }
     }
 
-    /// Fire all delivery opportunities due at or before `now` and release
-    /// any buffered (jittered/held) deliveries that have come due,
-    /// returning the packets whose final byte crossed the link, in
-    /// non-decreasing delivery-time order.
+    /// Allocating convenience form of [`TraceLink::service_into`] (tests,
+    /// probes, drivers outside the hot loop).
     pub fn service(&mut self, now: Timestamp) -> Vec<LinkDelivery> {
         let mut out = Vec::new();
+        self.service_into(now, &mut out);
+        out
+    }
+
+    /// Fire all delivery opportunities due at or before `now` and release
+    /// any buffered (jittered/held) deliveries that have come due,
+    /// appending the packets whose final byte crossed the link to `out`
+    /// (not cleared; the path reuses one buffer across opportunities), in
+    /// non-decreasing delivery-time order.
+    pub fn service_into(&mut self, now: Timestamp, out: &mut Vec<LinkDelivery>) {
         while let Some(op_time) = self.cursor.pop_due(now) {
             if self.outages.is_out(op_time) {
                 // The link is dark: the opportunity is lost outright.
@@ -289,7 +297,7 @@ impl TraceLink {
                 let need = packet.size - served;
                 if need <= budget {
                     budget -= need;
-                    self.emit(packet, op_time, &mut out);
+                    self.emit(packet, op_time, out);
                 } else {
                     self.in_service = Some((packet, served + budget));
                     budget = 0;
@@ -301,8 +309,7 @@ impl TraceLink {
                 self.wasted_opportunities += 1;
             }
         }
-        self.release_due(now, &mut out);
-        out
+        self.release_due(now, out);
     }
 
     /// Route one crossed packet to the output: directly (unimpaired), or

@@ -33,13 +33,24 @@ use sprout_trace::Timestamp;
 /// sent_at(8) size(4).
 const ENCAP_LEN: usize = 24;
 
+/// The datagram a client packet travels in: the encapsulation header,
+/// then the packet's full wire payload with its counted padding
+/// materialised as zeros (one of the two places that do, see
+/// [`Packet::padding`]).
+///
+/// Known inconsistency, changing it is an ENGINE_VERSION bump: the
+/// datagram is `ENCAP_LEN + payload.len() + padding` bytes, not
+/// `ENCAP_LEN + size` as `fill_window` charges — a 40-byte TCP ACK
+/// ships 24 + 25 bytes, an app report 24 + 17.
 fn encapsulate(packet: &Packet) -> Bytes {
-    let mut b = BytesMut::with_capacity(ENCAP_LEN + packet.payload.len());
+    let wire_len = ENCAP_LEN + packet.payload.len() + packet.padding as usize;
+    let mut b = BytesMut::with_capacity(wire_len);
     b.put_u32_le(packet.flow.0);
     b.put_u64_le(packet.seq);
     b.put_u64_le(packet.sent_at.as_micros());
     b.put_u32_le(packet.size);
     b.extend_from_slice(&packet.payload);
+    b.resize(wire_len, 0);
     b.freeze()
 }
 
@@ -56,6 +67,7 @@ fn decapsulate(mut datagram: Bytes) -> Option<Packet> {
         seq,
         sent_at,
         size,
+        padding: 0, // already materialised by `encapsulate`
         payload: datagram,
     })
 }
@@ -181,6 +193,10 @@ impl TunnelEndpoint {
                     continue;
                 };
                 // Overhead: Sprout full header + encapsulation header.
+                // Known inconsistency, changing it is an ENGINE_VERSION
+                // bump: the window is charged for the client packet's
+                // `size`, while `encapsulate` ships only its payload and
+                // padding (15 bytes fewer for a TCP ACK).
                 let wire = front_size + (sprout_core::wire::FULL_HEADER_LEN + ENCAP_LEN) as u64;
                 if window < wire {
                     return;
@@ -365,6 +381,97 @@ mod tests {
         assert_eq!(back.sent_at, Timestamp::from_millis(123));
     }
 
+    /// One data segment as today's `TcpSender` emits it (17 header bytes
+    /// plus counted padding) and the ACK a `TcpReceiver` answers it with.
+    fn tcp_segment_and_ack() -> (Packet, Packet) {
+        use sprout_baselines::{Cubic, TcpReceiver, TcpSender};
+        let now = Timestamp::from_millis(7);
+        let mut segment = TcpSender::new(Box::new(Cubic::new())).poll(now).remove(0);
+        segment.flow = FlowId(2);
+        segment.sent_at = now;
+        let mut receiver = TcpReceiver::new();
+        receiver.on_packet(segment.clone(), now);
+        let ack = receiver.poll(now).remove(0);
+        (segment, ack)
+    }
+
+    #[test]
+    fn header_only_segment_encapsulates_like_the_fully_padded_one() {
+        let (segment, _) = tcp_segment_and_ack();
+        assert_eq!((segment.payload.len(), segment.padding), (17, 1_483));
+        // The oracle: the segment as the previous encoder built it, its
+        // filler 1483 real zero bytes (`encode_data` before `padding`).
+        let mut padded = BytesMut::with_capacity(segment.size as usize);
+        padded.extend_from_slice(&segment.payload);
+        padded.resize(segment.size as usize, 0);
+        let oracle = Packet {
+            padding: 0,
+            payload: padded.freeze(),
+            ..segment.clone()
+        };
+        let datagram = encapsulate(&segment);
+        assert_eq!(datagram.len(), ENCAP_LEN + 1_500);
+        assert_eq!(datagram, encapsulate(&oracle));
+        // And the far end still understands it.
+        let delivered = decapsulate(datagram).unwrap();
+        assert_eq!((delivered.size, delivered.padding), (1_500, 0));
+        assert_eq!(delivered.payload.len(), 1_500);
+        let mut receiver = sprout_baselines::TcpReceiver::new();
+        receiver.on_packet(delivered, Timestamp::from_millis(50));
+        assert_eq!(receiver.segments_received(), 1);
+        assert_eq!(receiver.poll(Timestamp::from_millis(50)).len(), 1);
+    }
+
+    /// Pins a known inconsistency (changing it is an ENGINE_VERSION
+    /// bump): a 40-byte TCP ACK costs the window `40 + FULL_HEADER_LEN +
+    /// ENCAP_LEN`, but the Sprout packet carrying it is only
+    /// `FULL_HEADER_LEN + ENCAP_LEN + 25` long — the ACK's 25 serialized
+    /// bytes, not its 40 accounted ones.
+    #[test]
+    fn tunnelled_ack_is_charged_for_its_size_but_ships_its_payload() {
+        use sprout_core::wire::FULL_HEADER_LEN;
+        let (_, ack) = tcp_segment_and_ack();
+        assert_eq!((ack.size, ack.payload.len(), ack.padding), (40, 25, 0));
+
+        let mut t = TunnelEndpoint::new(SproutEndpoint::new_ewma(SproutConfig::test_small()));
+        let feedback = sprout_core::SproutHeader {
+            seq: 0,
+            throwaway: 0,
+            time_to_next: Duration::ZERO,
+            sent_at: Timestamp::ZERO,
+            heartbeat: false,
+            datagram: false,
+            forecast: Some(sprout_core::WireForecast {
+                recv_or_lost_bytes: 0,
+                tick: 1,
+                cumulative_units: [16, 32, 48, 64, 80, 96, 112, 128],
+            }),
+            payload_len: 0,
+        }
+        .encode_with_padding();
+        let now = Timestamp::from_millis(5);
+        let _ = t.on_wire_packet(Packet::from_payload(FlowId::PRIMARY, 0, feedback), now);
+        let window = t.sprout.window_bytes(now);
+        let charged = (40 + FULL_HEADER_LEN + ENCAP_LEN) as u64;
+        let shipped = (FULL_HEADER_LEN + ENCAP_LEN + 25) as u64;
+        assert!(window / charged < window / shipped, "window {window}");
+
+        // More ACKs than the window admits, fewer than the §4.3 cap sheds.
+        let offered = window / shipped + 10;
+        assert!(offered * 40 < t.sprout.forecast_life_bytes(now));
+        for _ in 0..offered {
+            t.inject_local(ack.clone(), now);
+        }
+        let wire = t.poll_wire(now);
+        assert_eq!(t.stats().dropped, 0);
+        assert_eq!(t.stats().forwarded, window / charged);
+        assert_eq!(wire.len() as u64, window / charged);
+        for p in &wire {
+            assert_eq!(p.size as u64, shipped);
+            assert_eq!((p.payload.len() as u64, p.padding), (shipped, 0));
+        }
+    }
+
     #[test]
     fn decapsulate_rejects_short_datagrams() {
         assert!(decapsulate(Bytes::from_static(b"tiny")).is_none());
@@ -481,13 +588,7 @@ mod tests {
             payload_len: 0,
         }
         .encode_with_padding();
-        let wire = Packet {
-            flow: FlowId::PRIMARY,
-            seq: 0,
-            sent_at: Timestamp::ZERO,
-            size: payload.len() as u32,
-            payload,
-        };
+        let wire = Packet::from_payload(FlowId::PRIMARY, 0, payload);
         let _ = t.on_wire_packet(wire, Timestamp::ZERO);
         // Flow 1: a deep backlog far over the cap; flow 2: two packets.
         for seq in 0..40 {
