@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR]
-//!                        [--threads N] [--batch on|off] [--quick] [--json]
+//!                        [--threads N] [--quick] [--json]
 //!                        [--cache-dir DIR] [--no-cache] [--cell-timeout SECS]
 //!                        [--shard I/N] [--merge] [--resume] [--controlled]
 //!
@@ -49,11 +49,6 @@
 //!   --seed N     master seed; all randomness derives from it (default 20130401)
 //!   --out DIR    artifact directory (default results/)
 //!   --threads N  sweep worker threads (default: one per core)
-//!   --batch on|off  batched cell execution (default on): group cells
-//!                sharing a link/duration stripe onto one worker so
-//!                traces, forecast tables, and scratch arenas stay warm;
-//!                off restores the per-cell schedule. Results are
-//!                bit-identical either way
 //!   --quick      shorthand for --secs 90 --warmup 20 (explicit --secs /
 //!                --warmup flags win regardless of order)
 //!   --json       after running, print the sweep JSON artifact(s) to stdout
@@ -124,7 +119,7 @@ use sprout_bench::cli;
 use sprout_bench::figures::{self, ExperimentConfig};
 use sprout_bench::{summary_table, CellCachePolicy, Scheme, ShardSpec};
 
-const USAGE: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--batch on|off] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]
+const USAGE: &str = "usage: reproduce <experiment> [--secs N] [--warmup N] [--seed N] [--out DIR] [--threads N] [--quick] [--json] [--cache-dir DIR] [--no-cache] [--cell-timeout SECS] [--shard I/N] [--merge] [--resume] [--controlled] [--links LIST] [--prop-delays LIST] [--queues LIST] [--flows N] [--contend LIST] [--impairments LIST] [--sessions LIST] [--trace FILE]... [--schemes LIST] [--timeseries]
 experiments: fig1 fig2 fig7 fig8 fig9 loss tunnel contention soak impair serve replay all (contention, soak, impair, serve, and replay are not part of all)
 axis flags: --links vz-lte-down,... (soak+contention+impair+serve) | --prop-delays 10,25,... (one-way ms, soak) | --queues auto|droptail|codel|bytes:N,... (soak) | --flows N (contention) | --contend sprout,cubic,... (contention) | --impairments none,burst,storm,... (impair) | --sessions 1,64,1024,... (serve) | --trace capture.trace, once per capture (replay) | --schemes sprout,cubic,... (replay) | --timeseries (replay+impair+soak)";
 
@@ -596,6 +591,7 @@ fn run() -> std::io::Result<()> {
                 t0.elapsed()
             );
             for r in rows {
+                let m = r.metrics.expect("scheme cells produce metrics");
                 let fmt_or_na = |v: f64, unit: &str| {
                     if v.is_finite() {
                         format!("{v:.0}{unit}")
@@ -605,13 +601,13 @@ fn run() -> std::io::Result<()> {
                 };
                 println!(
                     "  {:44} {:>7.0} kbps  p95 {:>7.0} ms  outages {:>2}  recovery {:>8}  degraded-delivery {:>5}",
-                    r.label,
-                    r.result.throughput_kbps,
-                    r.result.p95_delay_ms,
-                    r.result.outages,
-                    fmt_or_na(r.result.recovery_ms, " ms"),
-                    if r.result.degraded_delivery.is_finite() {
-                        format!("{:.2}", r.result.degraded_delivery)
+                    r.scenario.label,
+                    m.throughput_kbps,
+                    m.p95_delay_ms,
+                    m.outages,
+                    fmt_or_na(m.recovery_ms, " ms"),
+                    if m.degraded_delivery.is_finite() {
+                        format!("{:.2}", m.degraded_delivery)
                     } else {
                         "n/a".to_string()
                     }
@@ -628,14 +624,15 @@ fn run() -> std::io::Result<()> {
                 t0.elapsed()
             );
             for r in rows {
+                let s = r.serve.expect("serve cells produce serve stats");
                 println!(
                     "  {:28} {:>5} sessions  {:>12} bytes delivered  per-session {:>9}..{:>9}  Jain {:.4}",
-                    r.label,
-                    r.sessions,
-                    r.delivered_bytes,
-                    r.min_session_bytes,
-                    r.max_session_bytes,
-                    r.fairness
+                    r.scenario.label,
+                    s.sessions,
+                    s.delivered_bytes,
+                    s.min_session_bytes,
+                    s.max_session_bytes,
+                    r.fairness.expect("serve cells report fairness")
                 );
             }
         }
@@ -649,7 +646,8 @@ fn run() -> std::io::Result<()> {
                 t0.elapsed()
             );
             for r in rows {
-                println!("  {}", figures::fmt_result(&r.label, &r.result));
+                let m = r.metrics.expect("scheme cells produce metrics");
+                println!("  {}", figures::fmt_result(&r.scenario.label, &m));
             }
             if cfg.timeseries {
                 println!("per-cell time-series TSVs written next to replay_sweep.json");

@@ -78,8 +78,8 @@ pub const CONTROL_RESERVED_FLAGS: &[&str] = &[
 pub fn worker_flag_arity(flag: &str) -> Option<usize> {
     match flag {
         "--quick" | "--timeseries" => Some(0),
-        "--secs" | "--warmup" | "--seed" | "--threads" | "--batch" | "--cell-timeout"
-        | "--links" | "--prop-delays" | "--queues" | "--flows" | "--contend" | "--impairments"
+        "--secs" | "--warmup" | "--seed" | "--threads" | "--cell-timeout" | "--links"
+        | "--prop-delays" | "--queues" | "--flows" | "--contend" | "--impairments"
         | "--sessions" | "--trace" | "--schemes" => Some(1),
         _ => None,
     }
@@ -251,11 +251,6 @@ pub fn apply_worker_args(
             }
             "--seed" => cfg.seed = numeric(&mut iter, "--seed")?,
             "--threads" => cfg.threads = numeric(&mut iter, "--threads")? as usize,
-            "--batch" => match value(&mut iter, arg)? {
-                "on" => cfg.batch = true,
-                "off" => cfg.batch = false,
-                _ => return Err("--batch expects on or off".to_string()),
-            },
             "--quick" => quick = true,
             "--cell-timeout" => {
                 let secs = numeric(&mut iter, "--cell-timeout")?;

@@ -1,0 +1,687 @@
+//! The cell executor: one scenario in, one [`SweepResult`] out.
+//!
+//! [`execute_scenario`] resolves a cell's link traces (through the
+//! sweep's trace memo, so every cell of a link shares one synthesis),
+//! derives its seeds, builds the workload's endpoints and paths, runs the
+//! simulation, and reduces the delivery logs into the record's
+//! [`Measured`] part. [`run_cell`] is the same path for callers that
+//! bring their own [`RunConfig`]. Nothing here knows about threads,
+//! shards, or the result cache — that is `crate::sweep`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+
+use sprout_baselines::{
+    AppProfile, Cubic, TcpReceiver, TcpSender, VideoApp, VideoAppReceiver, VideoAppSender,
+};
+use sprout_core::{SproutConfig, SproutEndpoint};
+use sprout_sim::{
+    direction_stats, jain_fairness_index, CoDelConfig, Endpoint, FlowId, LinkImpairment,
+    MetricsCollector, MuxEndpoint, PathConfig, QueueConfig, ServeSim, Simulation, DEEP_QUEUE_BYTES,
+};
+use sprout_trace::{
+    derive_labeled_seed, session_seed, Duration, InterarrivalHistogram, OutageSchedule, Timestamp,
+    Trace,
+};
+use sprout_tunnel::{SproutServer, TunnelEndpoint, TunnelHost};
+
+use crate::record::{
+    CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary, Measured, SchemeResult, SeriesRow,
+    ServeStats, SweepResult,
+};
+use crate::scenario::{paired, FlowSpec, LinkSpec, ResolvedQueue, Scenario, Workload};
+use crate::schemes::{build_endpoints, RunConfig, Scheme};
+
+static TRACES_BUILT: AtomicU64 = AtomicU64::new(0);
+static TRACES_REUSED: AtomicU64 = AtomicU64::new(0);
+static TRACES_EVICTED: AtomicU64 = AtomicU64::new(0);
+static TRACE_MEMO_LEN: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide in-memory trace amortization counters: `built` counts
+/// link-trace syntheses actually performed, `reused` counts requests
+/// served by an already-synthesized in-memory trace (the sweep memo).
+pub fn trace_memory_counters() -> sprout_core::MemCounters {
+    sprout_core::MemCounters {
+        built: TRACES_BUILT.load(Ordering::Relaxed),
+        reused: TRACES_REUSED.load(Ordering::Relaxed),
+    }
+}
+
+/// Occupancy of the most recent sweep's trace memo: `(live_entries,
+/// evictions_total)`. Live entries never exceed the memo's LRU cap, so a
+/// daemon sweeping many disjoint `(link, duration)` geometries holds a
+/// bounded number of synthesized traces in memory at once.
+pub fn trace_memo_occupancy() -> (usize, u64) {
+    (
+        TRACE_MEMO_LEN.load(Ordering::Relaxed) as usize,
+        TRACES_EVICTED.load(Ordering::Relaxed),
+    )
+}
+
+/// The bulk flow of the §5.7 mux/tunnel cells.
+pub const BULK_FLOW: FlowId = FlowId(1);
+/// The interactive flow of the §5.7 mux/tunnel cells.
+pub const INTERACTIVE_FLOW: FlowId = FlowId(2);
+
+/// Per-worker arena recycled across the cells a worker runs: buffers
+/// whose capacity is worth keeping warm between simulations. Contents never
+/// carry over — each cell clears before use — so recycling is invisible
+/// to results.
+#[derive(Default)]
+pub struct CellScratch {
+    /// The event-loop packet buffer ([`Simulation::into_scratch`]).
+    packets: Vec<sprout_sim::Packet>,
+}
+
+/// How many synthesized traces one sweep's memo keeps live at once.
+/// Covers the widest matrix the experiments declare (8 link profiles ×
+/// 2 directions at one duration) so in practice nothing evicts; a
+/// daemon-submitted matrix crossing many `(link, duration)` geometries
+/// recycles slots instead of holding every trace to the end of the
+/// sweep.
+const TRACE_MEMO_CAP: usize = 16;
+
+/// Lazily resolved link traces shared by every cell of one sweep,
+/// bounded by an LRU over `(link, duration)` keys. Values are
+/// byte-identical to what a cell would build locally: synthetic links
+/// depend only on `(master_seed, profile, duration)`, measured links
+/// only on `(capture bytes, duration)` — so neither memoization nor
+/// eviction can change results. Synthesis happens inside the requesting
+/// cell's thread (under its watchdog), first-come: concurrent
+/// requesters of one key share a per-key `OnceLock` build slot and
+/// block only on that key.
+pub(crate) struct TraceMemo {
+    master_seed: u64,
+    slots: Mutex<sprout_core::LruCache<(LinkSpec, Duration), TraceSlot>>,
+}
+
+/// A per-key build slot (see [`TraceMemo`]).
+type TraceSlot = std::sync::Arc<OnceLock<Trace>>;
+
+impl TraceMemo {
+    pub(crate) fn new(master_seed: u64) -> Self {
+        TraceMemo {
+            master_seed,
+            slots: Mutex::new(sprout_core::LruCache::new(TRACE_MEMO_CAP)),
+        }
+    }
+
+    /// The trace for `(link, duration)`, resolving on first use:
+    /// synthetic links generate, measured links come from the registry
+    /// truncated to the cell duration.
+    fn get_or_build(&self, link: LinkSpec, duration: Duration) -> Trace {
+        let slot = {
+            let mut slots = self
+                .slots
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (slot, _) = slots.get_or_insert_with(&(link, duration), TraceSlot::default);
+            let slot = std::sync::Arc::clone(slot);
+            TRACES_EVICTED.store(slots.evictions(), Ordering::Relaxed);
+            TRACE_MEMO_LEN.store(slots.len() as u64, Ordering::Relaxed);
+            slot
+        };
+        let mut built_now = false;
+        let trace = slot
+            .get_or_init(|| {
+                built_now = true;
+                match link {
+                    LinkSpec::Profile(profile) => profile.generate(duration, self.master_seed),
+                    LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, duration),
+                }
+            })
+            .clone();
+        if built_now {
+            TRACES_BUILT.fetch_add(1, Ordering::Relaxed);
+        } else {
+            TRACES_REUSED.fetch_add(1, Ordering::Relaxed);
+        }
+        trace
+    }
+}
+
+/// Resolve a measured link for one cell: the capture must already be
+/// registered in this process (`--trace FILE` re-registers it in every
+/// shard worker), and the replay is truncated to the cell's duration so
+/// the trace key stays `(link, duration)`.
+fn measured_trace(fingerprint: u64, duration: Duration) -> Trace {
+    let full = sprout_trace::lookup_trace(fingerprint).unwrap_or_else(|| {
+        panic!(
+            "measured trace m{fingerprint:016x} is not registered in this \
+             process — pass its capture file via --trace FILE"
+        )
+    });
+    full.truncated(Timestamp::ZERO + duration)
+}
+
+/// Execute one cell. Public so single-cell callers (`benchmark/`)
+/// share the exact code path of full sweeps.
+pub fn execute_scenario(matrix: &str, scenario: &Scenario, master_seed: u64) -> SweepResult {
+    let memo = TraceMemo::new(master_seed);
+    execute_with_memo(
+        matrix,
+        scenario,
+        master_seed,
+        &memo,
+        &mut CellScratch::default(),
+    )
+}
+
+pub(crate) fn execute_with_memo(
+    matrix: &str,
+    scenario: &Scenario,
+    master_seed: u64,
+    memo: &TraceMemo,
+    scratch: &mut CellScratch,
+) -> SweepResult {
+    let started = std::time::Instant::now();
+    let mut result = SweepResult::unmeasured(matrix, scenario, master_seed);
+    result.measured = if scenario.workload == Workload::InterarrivalProbe {
+        interarrival_probe(scenario, master_seed)
+    } else {
+        // Link traces derive from the master seed and link spec only:
+        // every cell on this link sees the same conditions (the
+        // controlled variable). Measured links resolve from the
+        // process-global registry.
+        let synth = |link: LinkSpec| memo.get_or_build(link, scenario.duration);
+        let cell_seed = result.cell_seed;
+        let rc = RunConfig {
+            duration: scenario.duration,
+            warmup: scenario.warmup,
+            prop_delay: scenario.prop_delay,
+            loss_rate: scenario.loss_rate,
+            sprout: match scenario.confidence_pct {
+                Some(pct) => SproutConfig::with_confidence_percent(pct),
+                None => SproutConfig::paper(),
+            },
+            loss_seed_data: derive_labeled_seed(cell_seed, "loss-data", 0),
+            loss_seed_feedback: derive_labeled_seed(cell_seed, "loss-feedback", 0),
+            impairment: scenario.impairment,
+            impair_seed_data: derive_labeled_seed(cell_seed, "impair-data", 0),
+            impair_seed_feedback: derive_labeled_seed(cell_seed, "impair-feedback", 0),
+            outage_seed: derive_labeled_seed(cell_seed, "impair-outage", 0),
+            serve_seed: cell_seed,
+            ..RunConfig::new(synth(scenario.link), synth(paired(scenario.link)))
+        };
+        run_cell_scratch(
+            &scenario.workload,
+            &rc,
+            result.queue,
+            scenario.series_bin,
+            scenario.cell_series_bin,
+            scratch,
+        )
+    };
+    result.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    result
+}
+
+/// The probe workload has no endpoints: it analyses the saturated
+/// link's own delivery process.
+fn interarrival_probe(scenario: &Scenario, master_seed: u64) -> Measured {
+    let trace = match scenario.link {
+        LinkSpec::Profile(profile) => {
+            let trace_seed = derive_labeled_seed(master_seed, "interarrival-probe", 0);
+            profile.generate(scenario.duration, trace_seed)
+        }
+        LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, scenario.duration),
+    };
+    let hist = InterarrivalHistogram::from_trace(&trace, 10, 10_000.0);
+    Measured {
+        interarrival: Some(InterarrivalSummary {
+            fraction_within_20ms: hist.fraction_within_ms(20.0),
+            tail_slope: hist.tail_power_law_slope(20.0, 5_000.0),
+            samples: hist.total(),
+            rows: hist.rows().filter(|&(_, _, pct)| pct > 0.0).collect(),
+        }),
+        ..Measured::default()
+    }
+}
+
+fn path_configs(rc: &RunConfig, queue: ResolvedQueue) -> (PathConfig, PathConfig) {
+    let mut data = PathConfig::standard(rc.data_trace.clone()).with_prop_delay(rc.prop_delay);
+    let mut feedback =
+        PathConfig::standard(rc.feedback_trace.clone()).with_prop_delay(rc.prop_delay);
+    // Both directions run the resolved discipline: the paper's carriers
+    // keep one (deep) per-user queue in each direction, and the queue
+    // axis models that per-user buffer depth symmetrically.
+    let queue_config = || match queue {
+        ResolvedQueue::DropTail => QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
+        ResolvedQueue::DropTailBytes(cap) => QueueConfig::DropTailBytes(cap),
+        ResolvedQueue::CoDel => QueueConfig::CoDel(CoDelConfig::default()),
+    };
+    data.link.queue = queue_config();
+    feedback.link.queue = queue_config();
+    if rc.loss_rate > 0.0 {
+        data.link.loss_rate = rc.loss_rate;
+        data.link.loss_seed = rc.loss_seed_data;
+        feedback.link.loss_rate = rc.loss_rate;
+        feedback.link.loss_seed = rc.loss_seed_feedback;
+    }
+    if !rc.impairment.is_none() {
+        // One outage schedule per cell, shared by both directions: the
+        // radio link goes dark as one. Burst loss, jitter and reordering
+        // are per-direction processes with their own seeds.
+        let outages = rc
+            .impairment
+            .outage
+            .map(|spec| OutageSchedule::generate(&spec, rc.outage_seed, rc.duration))
+            .unwrap_or_default();
+        data.link.impair =
+            LinkImpairment::from_spec(&rc.impairment, rc.impair_seed_data, outages.clone());
+        feedback.link.impair =
+            LinkImpairment::from_spec(&rc.impairment, rc.impair_seed_feedback, outages);
+    }
+    (data, feedback)
+}
+
+fn mux_clients_a() -> Vec<(FlowId, Box<dyn Endpoint>)> {
+    vec![
+        (
+            BULK_FLOW,
+            Box::new(TcpSender::new(Box::new(Cubic::new()))) as Box<dyn Endpoint>,
+        ),
+        (
+            INTERACTIVE_FLOW,
+            Box::new(VideoAppSender::new(AppProfile::skype())) as Box<dyn Endpoint>,
+        ),
+    ]
+}
+
+fn mux_clients_b() -> Vec<(FlowId, Box<dyn Endpoint>)> {
+    vec![
+        (BULK_FLOW, Box::new(TcpReceiver::new()) as Box<dyn Endpoint>),
+        (
+            INTERACTIVE_FLOW,
+            Box::new(VideoAppReceiver::new()) as Box<dyn Endpoint>,
+        ),
+    ]
+}
+
+fn flow_summaries(
+    flows: &[FlowId],
+    m: &MetricsCollector,
+    from: Timestamp,
+    to: Timestamp,
+) -> Vec<FlowSummary> {
+    flows
+        .iter()
+        .copied()
+        .map(|flow| FlowSummary {
+            flow: flow.0,
+            throughput_kbps: m.flow_throughput_kbps(flow, from, to),
+            p95_delay_ms: m
+                .flow_p95_delay(flow, from, to)
+                .map(|d| d.as_micros() as f64 / 1e3)
+                .unwrap_or(f64::NAN),
+        })
+        .collect()
+}
+
+fn collect_series(
+    m: &MetricsCollector,
+    trace: &Trace,
+    bin: Duration,
+    from: Timestamp,
+    to: Timestamp,
+) -> Vec<SeriesRow> {
+    let tput = m.throughput_series_kbps(bin, from, to);
+    let mut capacity = trace.window(from, to).capacity_series_kbps(bin);
+    // The throughput series covers every bin of [from, to); the capacity
+    // series ends at the window's last delivery opportunity and so can
+    // fall short. Reconcile to the full measurement window — trailing
+    // opportunity-free bins carry zero capacity — so no bin (and no
+    // worst-delay sample landing in one) is silently dropped.
+    let n = tput.len();
+    debug_assert!(
+        capacity.len() <= n,
+        "capacity series ({} bins) outran the measurement window ({} bins)",
+        capacity.len(),
+        n
+    );
+    capacity.truncate(n);
+    capacity.resize(n, 0.0);
+    // Worst per-arrival delay per bin.
+    let mut worst: Vec<f64> = vec![0.0; n];
+    for (at, d) in m.delay_series() {
+        if at < from || at >= to {
+            continue;
+        }
+        let key = ((at.as_micros() - from.as_micros()) / bin.as_micros()) as usize;
+        if key < worst.len() {
+            worst[key] = worst[key].max(d.as_micros() as f64 / 1e3);
+        }
+    }
+    let bin_s = bin.as_secs_f64();
+    (0..n)
+        .map(|i| SeriesRow {
+            t_s: i as f64 * bin_s,
+            capacity_kbps: capacity[i],
+            throughput_kbps: tput[i].1,
+            worst_delay_ms: worst[i],
+        })
+        .collect()
+}
+
+/// Collect the per-cell time series: every per-arrival delay sample in
+/// the measurement window plus per-bin capacity/throughput/queue-depth
+/// rows. Queue depth is reconstructed from the delivery log alone —
+/// each delivered packet was in flight from `delivered_at − delay` to
+/// `delivered_at` — so cache hits can replay the artifact without the
+/// trace or the simulation.
+fn collect_cell_series(
+    m: &MetricsCollector,
+    trace: &Trace,
+    bin: Duration,
+    from: Timestamp,
+    to: Timestamp,
+) -> CellSeries {
+    let tput = m.throughput_series_kbps(bin, from, to);
+    let n = tput.len();
+    let mut capacity = trace.window(from, to).capacity_series_kbps(bin);
+    capacity.truncate(n);
+    capacity.resize(n, 0.0);
+
+    let mut delays: Vec<(f64, f64)> = Vec::new();
+    // Flight events in absolute microseconds: +1 when a packet enters
+    // the link, −1 when it is delivered.
+    let mut events: Vec<(u64, i64)> = Vec::new();
+    for (at, d) in m.delay_series() {
+        if at < from || at >= to {
+            continue;
+        }
+        let rel_us = at.as_micros() - from.as_micros();
+        delays.push((rel_us as f64 / 1e6, d.as_micros() as f64 / 1e3));
+        events.push((at.as_micros().saturating_sub(d.as_micros()), 1));
+        events.push((at.as_micros(), -1));
+    }
+    events.sort_unstable();
+
+    let bin_s = bin.as_secs_f64();
+    let mut depth: i64 = 0;
+    let mut next_event = 0;
+    let bins = (0..n)
+        .map(|i| {
+            // Sample in-flight depth at the bin start: a packet counts
+            // while `sent <= t < delivered`.
+            let t = from.as_micros() + i as u64 * bin.as_micros();
+            while next_event < events.len() && events[next_event].0 <= t {
+                depth += events[next_event].1;
+                next_event += 1;
+            }
+            CellSeriesBin {
+                t_s: i as f64 * bin_s,
+                capacity_kbps: capacity[i],
+                throughput_kbps: tput[i].1,
+                queue_depth: depth.max(0) as u64,
+            }
+        })
+        .collect();
+    CellSeries {
+        bin_us: bin.as_micros(),
+        delays,
+        bins,
+    }
+}
+
+/// One side of a single-session SproutTunnel (§4.3) carried by `over`
+/// (Sprout or Sprout-EWMA), before any client is attached.
+fn tunnel_host(over: Scheme, rc: &RunConfig) -> TunnelHost {
+    let sprout = if over == Scheme::SproutEwma {
+        SproutEndpoint::new_ewma(rc.sprout.clone())
+    } else {
+        SproutEndpoint::new(rc.sprout.clone())
+    };
+    TunnelHost::new(TunnelEndpoint::new(sprout))
+}
+
+/// The two hosts of a single-client SproutTunnel session (§4.3) carrying
+/// `app` over `over`: the path between them carries Sprout wire packets,
+/// the far host decapsulates the app's flow.
+fn app_tunnel(app: VideoApp, over: Scheme, rc: &RunConfig) -> (TunnelHost, TunnelHost) {
+    let mut host_a = tunnel_host(over, rc);
+    host_a.add_client(
+        INTERACTIVE_FLOW,
+        Box::new(VideoAppSender::new(app.profile())),
+    );
+    let mut host_b = tunnel_host(over, rc);
+    host_b.add_client(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
+    (host_a, host_b)
+}
+
+/// Build the (sender-side, receiver-side) endpoints of one contention
+/// flow. Scheme flows reuse the standard scheme zoo pair; app flows ride
+/// their own tunnel session, so the shared queue carries that flow's
+/// Sprout wire packets.
+fn contention_children(spec: &FlowSpec, rc: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    match spec {
+        FlowSpec::Scheme(s) => build_endpoints(*s, rc),
+        FlowSpec::App { app, over } => {
+            let (host_a, host_b) = app_tunnel(*app, *over, rc);
+            (Box::new(host_a), Box::new(host_b))
+        }
+    }
+}
+
+/// The spine every two-endpoint workload shares: build the simulation
+/// from the arena's recycled buffers, run it to `end`, take the data
+/// direction's standard metrics, let `reduce` add the workload's extras
+/// (series, per-flow rows, fairness), and hand the buffers back.
+fn run_pair<A: Endpoint, B: Endpoint>(
+    a: A,
+    b: B,
+    (ab, ba): (PathConfig, PathConfig),
+    scratch: &mut CellScratch,
+    from: Timestamp,
+    end: Timestamp,
+    reduce: impl FnOnce(&Simulation<A, B>, &mut Measured),
+) -> Measured {
+    let mut sim = Simulation::with_scratch(a, b, ab, ba, std::mem::take(&mut scratch.packets));
+    sim.run_until(end);
+    let stats = direction_stats(sim.ab_path(), from, end);
+    let mut measured = Measured {
+        metrics: Some(SchemeResult::from_stats(&stats)),
+        ..Measured::default()
+    };
+    reduce(&sim, &mut measured);
+    scratch.packets = sim.into_scratch();
+    measured
+}
+
+/// Run one workload over prepared traces. This is the single execution
+/// path shared by the sweep engine and `run_scheme`.
+pub fn run_cell(
+    workload: &Workload,
+    rc: &RunConfig,
+    queue: ResolvedQueue,
+    series_bin: Option<Duration>,
+    cell_series_bin: Option<Duration>,
+) -> Measured {
+    run_cell_scratch(
+        workload,
+        rc,
+        queue,
+        series_bin,
+        cell_series_bin,
+        &mut CellScratch::default(),
+    )
+}
+
+/// [`run_cell`] with a caller-provided scratch arena: the simulation's
+/// recycled buffers are taken from (and returned to) `scratch`, so cells
+/// run back-to-back reuse one set of allocations.
+fn run_cell_scratch(
+    workload: &Workload,
+    rc: &RunConfig,
+    queue: ResolvedQueue,
+    series_bin: Option<Duration>,
+    cell_series_bin: Option<Duration>,
+    scratch: &mut CellScratch,
+) -> Measured {
+    let from = Timestamp::ZERO + rc.warmup;
+    let end = Timestamp::ZERO + rc.duration;
+    let paths = path_configs(rc, queue);
+    const MUX_FLOWS: [FlowId; 2] = [BULK_FLOW, INTERACTIVE_FLOW];
+
+    match workload {
+        Workload::InterarrivalProbe => {
+            unreachable!("probe cells are handled by execute_scenario")
+        }
+        Workload::Scheme(scheme) => {
+            let (a, b) = build_endpoints(*scheme, rc);
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                let m = sim.ab_metrics();
+                if let Some(bin) = series_bin {
+                    out.series = collect_series(m, &rc.data_trace, bin, from, end);
+                }
+                out.cell_series = cell_series_bin
+                    .map(|bin| collect_cell_series(m, &rc.data_trace, bin, from, end));
+            })
+        }
+        Workload::App { app, over } => {
+            assert!(
+                over.is_transport(),
+                "app carrier must be a transport scheme, got {}",
+                over.name()
+            );
+            if over.tunnels_apps() {
+                // Over Sprout the app rides inside a SproutTunnel session.
+                let (host_a, host_b) = app_tunnel(*app, *over, rc);
+                run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
+                    out.flows = flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end);
+                })
+            } else {
+                // Over any other transport the app's open-loop flow
+                // shares the carrier queue with a bulk flow of that
+                // scheme (§5.7 "direct", generalized from Cubic+Skype).
+                let (bulk_a, bulk_b) = build_endpoints(*over, rc);
+                let mut a = MuxEndpoint::new();
+                a.add(BULK_FLOW, bulk_a);
+                a.add(
+                    INTERACTIVE_FLOW,
+                    Box::new(VideoAppSender::new(app.profile())),
+                );
+                let mut b = MuxEndpoint::new();
+                b.add(BULK_FLOW, bulk_b);
+                b.add(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
+                run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                    out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
+                })
+            }
+        }
+        Workload::Contention { flows } => {
+            // N independent endpoint pairs multiplexed over one shared
+            // bottleneck path: the per-user buffer regime where N flows
+            // contend for one queue. Flow i runs as FlowId(i + 1); the
+            // path's delivery log attributes every packet to its flow,
+            // so per-flow metrics come straight from the shared link.
+            let mut a = MuxEndpoint::new();
+            let mut b = MuxEndpoint::new();
+            let mut ids = Vec::with_capacity(flows.len());
+            for (i, spec) in flows.iter().enumerate() {
+                let flow = FlowId(i as u32 + 1);
+                let (child_a, child_b) = contention_children(spec, rc);
+                a.add(flow, child_a);
+                b.add(flow, child_b);
+                ids.push(flow);
+            }
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&ids, sim.ab_metrics(), from, end);
+                let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput_kbps).collect();
+                out.fairness = jain_fairness_index(&throughputs);
+            })
+        }
+        Workload::Serve { sessions } => {
+            // N independent Sprout sessions, each with its own path pair
+            // over the *same* link conditions (the controlled variable),
+            // served by one shared-event-loop SproutServer. Clients are
+            // the saturating data senders (EWMA forecaster — no table
+            // fetch), server halves are the Bayesian receivers, so the
+            // pool performs exactly N table lookups: 1 build + N−1
+            // reuses per link group. Session i runs as FlowId(i + 1),
+            // with per-session loss/impairment streams derived from
+            // session_seed(cell_seed, i + 1).
+            let n = *sessions;
+            let mut server = SproutServer::new(rc.sprout.clone(), rc.serve_seed);
+            for i in 0..n {
+                server.add_session(i + 1);
+            }
+            let mut sim = ServeSim::with_scratch(server, std::mem::take(&mut scratch.packets));
+            for i in 0..n {
+                let sid = i + 1;
+                let s_seed = session_seed(rc.serve_seed, sid);
+                let mut src = rc.clone();
+                src.loss_seed_data = derive_labeled_seed(s_seed, "loss-data", 0);
+                src.loss_seed_feedback = derive_labeled_seed(s_seed, "loss-feedback", 0);
+                src.impair_seed_data = derive_labeled_seed(s_seed, "impair-data", 0);
+                src.impair_seed_feedback = derive_labeled_seed(s_seed, "impair-feedback", 0);
+                src.outage_seed = derive_labeled_seed(s_seed, "impair-outage", 0);
+                let (up, down) = path_configs(&src, queue);
+                let mut client = SproutEndpoint::new_ewma(rc.sprout.clone());
+                client.set_saturating();
+                client.set_flow(FlowId(sid));
+                sim.add_session(FlowId(sid), client, up, down);
+            }
+            sim.run_until(end);
+
+            let mut window_bytes = Vec::with_capacity(n as usize);
+            let mut throughputs = Vec::with_capacity(n as usize);
+            let mut full_run_sum: u64 = 0;
+            for i in 0..n as usize {
+                let m = sim.up_path(i).metrics();
+                window_bytes.push(m.delivered_bytes(from, end, None));
+                throughputs.push(m.throughput_kbps(from, end));
+                full_run_sum += m.delivered_bytes(Timestamp::ZERO, Timestamp::FAR_FUTURE, None);
+            }
+            assert_eq!(
+                full_run_sum,
+                sim.delivered_to_server_bytes(),
+                "conservation: per-session delivered bytes must sum to the \
+                 link-level bytes the event loop handed to the server"
+            );
+            let serve = ServeStats {
+                sessions: n,
+                delivered_bytes: window_bytes.iter().sum(),
+                min_session_bytes: window_bytes.iter().copied().min().unwrap_or(0),
+                max_session_bytes: window_bytes.iter().copied().max().unwrap_or(0),
+                wire_delivered_bytes: sim.delivered_to_server_bytes(),
+            };
+            let measured = Measured {
+                fairness: jain_fairness_index(&throughputs),
+                serve: Some(serve),
+                ..Measured::default()
+            };
+            scratch.packets = sim.into_scratch();
+            measured
+        }
+        Workload::MuxDirect => {
+            let mut a = MuxEndpoint::new();
+            for (flow, ep) in mux_clients_a() {
+                a.add(flow, ep);
+            }
+            let mut b = MuxEndpoint::new();
+            for (flow, ep) in mux_clients_b() {
+                b.add(flow, ep);
+            }
+            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
+            })
+        }
+        Workload::MuxTunneled => {
+            let mut host_a = tunnel_host(Scheme::Sprout, rc);
+            for (flow, ep) in mux_clients_a() {
+                host_a.add_client(flow, ep);
+            }
+            let mut host_b = tunnel_host(Scheme::Sprout, rc);
+            for (flow, ep) in mux_clients_b() {
+                host_b.add_client(flow, ep);
+            }
+            // Flow metrics come from the far host's post-decapsulation
+            // delivery log: the tunnel's own wire packets are what the
+            // path sees, the clients' packets are what it delivers.
+            run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
+                out.flows = flow_summaries(&MUX_FLOWS, sim.b.deliveries(), from, end);
+            })
+        }
+    }
+}

@@ -244,8 +244,6 @@ pub struct ExperimentConfig {
     pub shard: ShardSpec,
     /// Cell-result cache policy (`--resume` / `--merge`).
     pub cell_policy: CellCachePolicy,
-    /// Batched cell execution (`--batch on|off`, default on).
-    pub batch: bool,
     /// Per-cell watchdog budget in seconds (`--cell-timeout SECS`).
     pub cell_timeout_secs: u64,
     /// Output directory for TSV/JSON artifacts.
@@ -278,7 +276,6 @@ impl Default for ExperimentConfig {
             threads: 0,
             shard: ShardSpec::FULL,
             cell_policy: CellCachePolicy::Execute,
-            batch: true,
             cell_timeout_secs: crate::sweep::DEFAULT_CELL_TIMEOUT.as_secs(),
             out_dir: PathBuf::from("results"),
             soak: SoakAxes::default(),
@@ -306,7 +303,6 @@ impl ExperimentConfig {
             .with_threads(self.threads)
             .with_shard(self.shard)
             .with_policy(self.cell_policy)
-            .with_batch(self.batch)
             .with_cell_timeout(std::time::Duration::from_secs(self.cell_timeout_secs))
     }
 
@@ -349,8 +345,10 @@ impl ExperimentConfig {
             .try_run(matrix)
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         fs::create_dir_all(&self.out_dir)?;
-        let mut f = fs::File::create(self.sweep_json_path(matrix.name()))?;
-        sweep::write_json(&mut f, matrix.name(), self.seed, &results)?;
+        fs::write(
+            self.sweep_json_path(matrix.name()),
+            sweep::sweep_to_json(matrix.name(), self.seed, &results),
+        )?;
         Ok(results)
     }
 
@@ -1001,16 +999,13 @@ pub fn soak(cfg: &ExperimentConfig) -> std::io::Result<Vec<SoakRow>> {
             .find(|fl| fl.flow == sweep::INTERACTIVE_FLOW.0);
         writeln!(
             f,
-            "{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{:.4}\t{:.1}\t{:.1}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}",
             r.scenario.label,
             r.scenario.workload.canonical_detail(),
             r.scenario.link.id(),
             r.queue.id(),
             r.scenario.prop_delay.as_micros() / 1_000,
-            m.throughput_kbps,
-            m.p95_delay_ms,
-            m.self_inflicted_ms,
-            m.utilization,
+            metric_columns(&m),
             app.map(|fl| fl.throughput_kbps).unwrap_or(f64::NAN),
             app.map(|fl| fl.p95_delay_ms).unwrap_or(f64::NAN),
         )?;
@@ -1095,26 +1090,11 @@ pub fn impair_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     .build()
 }
 
-/// One `impair` cell's summary, flattened for display.
-pub struct ImpairRow {
-    /// The cell label.
-    pub label: String,
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// Link under test.
-    pub link: NetProfile,
-    /// The impairment preset name (`none`, `burst`, ...), or the raw
-    /// impairment id when the cell's spec matches no configured preset.
-    pub impairment: String,
-    /// The cell's metrics, including the degradation columns.
-    pub result: SchemeResult,
-}
-
 /// Run the fault-injection matrix and render `impair_degradation.tsv`:
 /// one row per cell with the degradation metrics (outage count, worst
 /// post-outage recovery time, delivered fraction while degraded)
 /// alongside the standard throughput/delay columns.
-pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<ImpairRow>> {
+pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
     let matrix = impair_matrix(cfg);
     let results = cfg.run_matrix(&matrix)?;
     write_cell_series(cfg, &results)?;
@@ -1134,70 +1114,27 @@ pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<ImpairRow>> {
         f,
         "label\tlink\tscheme\timpairment\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tutilization\toutages\trecovery_ms\tdegraded_delivery"
     )?;
-    let mut rows = Vec::with_capacity(results.len());
     for r in &results {
         let scheme = r.scenario.workload.scheme().expect("scheme matrix");
         let m = r.metrics.expect("scheme cells produce metrics");
-        let impairment = preset_name(&r.scenario.impairment);
         writeln!(
             f,
-            "{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{:.4}\t{}\t{:.1}\t{:.4}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.4}",
             r.scenario.label,
             r.scenario.link.id(),
             scheme.name(),
-            impairment,
-            m.throughput_kbps,
-            m.p95_delay_ms,
-            m.self_inflicted_ms,
-            m.utilization,
+            preset_name(&r.scenario.impairment),
+            metric_columns(&m),
             m.outages,
             m.recovery_ms,
             m.degraded_delivery,
         )?;
-        rows.push(ImpairRow {
-            label: r.scenario.label.clone(),
-            scheme,
-            link: r
-                .scenario
-                .link
-                .profile()
-                .expect("impair sweeps synthetic links"),
-            impairment,
-            result: m,
-        });
     }
     f.flush()?;
-    Ok(rows)
+    Ok(results)
 }
 
 // ---------------------------------------------------------------- serve
-
-/// One `serve` cell's deterministic summary, flattened for display.
-/// (The wall-clock capacity numbers — sessions/sec, per-session heap,
-/// p99 tick latency — are *not* here: `benchmark/`'s `serve-pool`
-/// workload measures them on its own host. This row is the
-/// virtual-time side: bytes delivered and fairness, bit-identical
-/// across thread counts.)
-pub struct ServeRow {
-    /// The cell label.
-    pub label: String,
-    /// Link under test.
-    pub link: NetProfile,
-    /// Sessions in the cell.
-    pub sessions: u32,
-    /// Sum of per-session uplink bytes delivered inside the
-    /// measurement window.
-    pub delivered_bytes: u64,
-    /// Smallest per-session window byte count (fairness floor).
-    pub min_session_bytes: u64,
-    /// Largest per-session window byte count (fairness ceiling).
-    pub max_session_bytes: u64,
-    /// Full-run wire bytes the server accepted — equals the sum of the
-    /// per-path full-run deliveries (the conservation property).
-    pub wire_delivered_bytes: u64,
-    /// Jain's fairness index over per-session throughputs.
-    pub fairness: f64,
-}
 
 /// The `serve` matrix: the multi-session server across the configured
 /// session counts and links. Timing follows its own short default
@@ -1213,8 +1150,10 @@ pub fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
 }
 
 /// Run the serve capacity matrix and render `serve_capacity.tsv` (one
-/// row per cell).
-pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<ServeRow>> {
+/// row per cell): the virtual-time side of serving — bytes delivered and
+/// fairness, bit-identical across thread counts. (The wall-clock
+/// capacity numbers are `benchmark/`'s `serve-pool` workload's.)
+pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
     let matrix = serve_matrix(cfg);
     let results = cfg.run_matrix(&matrix)?;
 
@@ -1223,10 +1162,8 @@ pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<ServeRow>> {
         f,
         "label\tlink\tsessions\tdelivered_bytes\tmin_session_bytes\tmax_session_bytes\twire_delivered_bytes\tjain_fairness"
     )?;
-    let mut rows = Vec::with_capacity(results.len());
     for r in &results {
         let s = r.serve.expect("serve cells produce serve stats");
-        let fairness = r.fairness.expect("serve cells report fairness");
         writeln!(
             f,
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}",
@@ -1237,40 +1174,14 @@ pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<ServeRow>> {
             s.min_session_bytes,
             s.max_session_bytes,
             s.wire_delivered_bytes,
-            fairness,
+            r.fairness.expect("serve cells report fairness"),
         )?;
-        rows.push(ServeRow {
-            label: r.scenario.label.clone(),
-            link: r
-                .scenario
-                .link
-                .profile()
-                .expect("serve sweeps synthetic links"),
-            sessions: s.sessions,
-            delivered_bytes: s.delivered_bytes,
-            min_session_bytes: s.min_session_bytes,
-            max_session_bytes: s.max_session_bytes,
-            wire_delivered_bytes: s.wire_delivered_bytes,
-            fairness,
-        });
     }
     f.flush()?;
-    Ok(rows)
+    Ok(results)
 }
 
 // --------------------------------------------------------------- replay
-
-/// One `replay` cell's summary, flattened for display.
-pub struct ReplayRow {
-    /// The cell label.
-    pub label: String,
-    /// The measured capture's id (`m<fingerprint:016x>`).
-    pub trace: String,
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// The cell's metrics.
-    pub result: SchemeResult,
-}
 
 /// The `replay` matrix: the configured scheme roster over each measured
 /// capture (`LinkSpec::Measured`, identified by content fingerprint).
@@ -1296,7 +1207,7 @@ pub fn replay_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
 /// Run the measured-trace replay matrix and render
 /// `replay_comparative.tsv` (one row per cell), plus the per-cell
 /// time-series TSVs when `--timeseries` is set.
-pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<ReplayRow>> {
+pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
     let matrix = replay_matrix(cfg);
     let results = cfg.run_matrix(&matrix)?;
     write_cell_series(cfg, &results)?;
@@ -1306,30 +1217,20 @@ pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<ReplayRow>> {
         f,
         "label\ttrace\tscheme\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tutilization"
     )?;
-    let mut rows = Vec::with_capacity(results.len());
     for r in &results {
         let scheme = r.scenario.workload.scheme().expect("scheme matrix");
         let m = r.metrics.expect("scheme cells produce metrics");
         writeln!(
             f,
-            "{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{:.4}",
+            "{}\t{}\t{}\t{}",
             r.scenario.label,
             r.scenario.link.id(),
             scheme.name(),
-            m.throughput_kbps,
-            m.p95_delay_ms,
-            m.self_inflicted_ms,
-            m.utilization,
+            metric_columns(&m),
         )?;
-        rows.push(ReplayRow {
-            label: r.scenario.label.clone(),
-            trace: r.scenario.link.id(),
-            scheme,
-            result: m,
-        });
     }
     f.flush()?;
-    Ok(rows)
+    Ok(results)
 }
 
 /// Write the per-cell time-series artifacts for every result that
@@ -1405,6 +1306,16 @@ pub fn matrices_for(cfg: &ExperimentConfig, experiment: &str) -> Vec<ScenarioMat
         ],
         other => panic!("unknown experiment {other:?}"),
     }
+}
+
+/// The four metric columns the per-cell TSVs share
+/// (`throughput_kbps`, `p95_delay_ms`, `self_inflicted_ms`,
+/// `utilization`), in their one format.
+fn metric_columns(m: &SchemeResult) -> String {
+    format!(
+        "{:.1}\t{:.1}\t{:.1}\t{:.4}",
+        m.throughput_kbps, m.p95_delay_ms, m.self_inflicted_ms, m.utilization
+    )
 }
 
 /// Render a `SchemeResult` row for console output.

@@ -9,6 +9,8 @@ use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{Endpoint, SinkEndpoint};
 use sprout_trace::{Duration, Impairment, Trace};
 
+pub use crate::record::SchemeResult;
+
 /// Every transport/application evaluated in the paper, plus Reno.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
@@ -189,51 +191,6 @@ impl RunConfig {
             outage_seed: 5_555,
             serve_seed: 6_666,
             sprout: SproutConfig::paper(),
-        }
-    }
-}
-
-/// Outcome of one experiment cell (the quantities of Figure 7/8 and the
-/// intro tables).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SchemeResult {
-    /// Average throughput in the measurement window, kbps.
-    pub throughput_kbps: f64,
-    /// 95% end-to-end delay, ms.
-    pub p95_delay_ms: f64,
-    /// Self-inflicted delay (p95 − omniscient p95), ms.
-    pub self_inflicted_ms: f64,
-    /// The omniscient floor, ms.
-    pub omniscient_ms: f64,
-    /// Fraction of link capacity used.
-    pub utilization: f64,
-    /// Injected link outages intersecting the measurement window.
-    pub outages: u32,
-    /// Worst post-outage recovery time, ms: how long after an outage
-    /// ended before delay re-entered the cell's own 95th-percentile
-    /// envelope (NaN when the window saw no completed outage).
-    pub recovery_ms: f64,
-    /// Fraction of available link capacity actually delivered while
-    /// degraded (outage + recovery intervals; NaN when never degraded).
-    pub degraded_delivery: f64,
-}
-
-impl SchemeResult {
-    /// Convert a direction's raw stats into the paper's reporting units.
-    pub fn from_stats(stats: &sprout_sim::DirectionStats) -> Self {
-        let ms = |d: Option<Duration>| d.map(|d| d.as_micros() as f64 / 1e3).unwrap_or(f64::NAN);
-        SchemeResult {
-            throughput_kbps: stats.throughput_kbps,
-            p95_delay_ms: ms(stats.p95_delay),
-            self_inflicted_ms: ms(stats.self_inflicted),
-            omniscient_ms: ms(stats.omniscient_p95),
-            utilization: stats.utilization,
-            outages: stats.degradation.outage_count,
-            recovery_ms: ms(stats.degradation.recovery),
-            degraded_delivery: stats
-                .degradation
-                .degraded_delivered_fraction
-                .unwrap_or(f64::NAN),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Sweep-level guarantees of measured-trace replay and the per-cell
 //! time-series artifacts: a replay matrix must stay bit-identical across
-//! thread counts, batching modes, and shard + merge — including the
+//! thread counts and shard + merge — including the
 //! cell-series TSV renderings, which must survive a cache round trip
 //! byte for byte; cell identity must key on a capture's content
 //! fingerprint (two paths to the same bytes are one set of cells, an
@@ -106,12 +106,9 @@ fn measured_sweep_and_its_series_tsvs_are_bit_identical_everywhere() {
         );
     }
 
-    // Unbatched single-threaded reference, fresh cache directory.
+    // Single-threaded reference, fresh cache directory.
     sprout_cache::set_dir(temp_dir("ref"));
-    let reference = SweepEngine::new(31)
-        .with_threads(1)
-        .with_batch(false)
-        .run(&m);
+    let reference = SweepEngine::new(31).with_threads(1).run(&m);
     let want = sweep_to_json(m.name(), 31, &reference);
     let want_series = rendered_series(&reference, "ref-series");
     // The measured links genuinely carried traffic, and the series see
@@ -134,24 +131,21 @@ fn measured_sweep_and_its_series_tsvs_are_bit_identical_everywhere() {
         assert_eq!(r.scenario.link.id(), format!("m{fp:016x}"));
     }
 
-    // Any thread count, batched or not, must reproduce both the sweep
-    // JSON and the series TSVs byte for byte (fresh cache directory
-    // each, so every cell truly re-executes).
-    for (threads, batch) in [(4, true), (1, true), (4, false)] {
+    // Any thread count must reproduce both the sweep JSON and the
+    // series TSVs byte for byte (fresh cache directory each, so every
+    // cell truly re-executes).
+    for threads in [2, 4] {
         sprout_cache::set_dir(temp_dir("variant"));
-        let got = SweepEngine::new(31)
-            .with_threads(threads)
-            .with_batch(batch)
-            .run(&m);
+        let got = SweepEngine::new(31).with_threads(threads).run(&m);
         assert_eq!(
             sweep_to_json(m.name(), 31, &got),
             want,
-            "threads={threads} batch={batch} diverged from the reference"
+            "threads={threads} diverged from the reference"
         );
         assert_eq!(
             rendered_series(&got, "variant-series"),
             want_series,
-            "threads={threads} batch={batch}: series TSVs diverged"
+            "threads={threads}: series TSVs diverged"
         );
     }
 
@@ -268,7 +262,6 @@ fn unregistered_fingerprint_fails_loudly_naming_the_capture() {
     let m = replay_matrix(&[0xdead_beef_0bad_cafe]);
     let err = SweepEngine::new(3)
         .with_threads(2)
-        .with_batch(false)
         .try_run(&m)
         .expect_err("no capture with this fingerprint is registered");
     match &err {

@@ -83,29 +83,30 @@ fn two_shards_plus_merge_match_single_shot_with_zero_executions() {
 }
 
 #[test]
-fn batched_shards_merge_identical_to_unbatched_single_shot() {
+fn shards_of_one_link_share_its_traces_and_merge_identical_to_single_shot() {
     let _g = LOCK.lock().unwrap();
     let m = tiny_matrix();
 
-    // Unbatched single-shot reference in its own cache directory.
+    // Single-shot reference in its own cache directory.
     sprout_cache::set_dir(temp_cache_dir("batch-ref"));
-    let single = SweepEngine::new(13)
-        .with_threads(1)
-        .with_batch(false)
-        .run(&m);
+    let single = SweepEngine::new(13).with_threads(1).run(&m);
     let want = sweep_to_json(m.name(), 13, &single);
 
-    // Two batched shards into one shared directory. All four cells share
-    // one (link, duration) trace key, so the batched executor must
-    // synthesize each shard's traces once — the link plus its paired
-    // feedback profile — and serve every cell from memory.
+    // Two shards into one shared directory. All four cells share one
+    // (link, duration) trace key, so each shard must synthesize its
+    // traces once — the link plus its paired feedback profile — and
+    // serve every cell from memory, however many workers run them: the
+    // worker count follows the cells (2 here), not the one group.
     sprout_cache::set_dir(temp_cache_dir("batch-shared"));
     let (_, stats) = SweepEngine::new(13)
-        .with_threads(1)
+        .with_threads(2)
         .with_shard(ShardSpec::new(0, 2))
         .run_with_stats(&m);
-    assert!(stats.batch.enabled, "batching defaults on");
-    assert_eq!(stats.batch.batches, 1, "one trace key => one batch");
+    assert_eq!(
+        (stats.batch.workers, stats.batch.batches),
+        (2, 1),
+        "two cells on two workers; one trace key => one batch"
+    );
     assert_eq!(
         stats.batch.traces.built, 2,
         "one synthesis for the link, one for its paired feedback profile"
@@ -120,14 +121,14 @@ fn batched_shards_merge_identical_to_unbatched_single_shot() {
         .with_shard(ShardSpec::new(1, 2))
         .run(&m);
 
-    // Merge must reassemble the unbatched single-shot sweep byte for byte.
+    // Merge must reassemble the single-shot sweep byte for byte.
     let merged = SweepEngine::new(13)
         .with_policy(CellCachePolicy::Merge)
         .run(&m);
     assert_eq!(
         sweep_to_json(m.name(), 13, &merged),
         want,
-        "batched 2-shard + merge must equal the unbatched single-shot sweep"
+        "2-shard + merge must equal the single-shot sweep"
     );
 
     sprout_cache::reset_override();

@@ -63,34 +63,6 @@ fn thread_count_does_not_change_results() {
 }
 
 #[test]
-fn batch_mode_does_not_change_results() {
-    // The batched executor regroups cells by shared trace/table key and
-    // recycles per-worker scratch arenas; none of that may leak into the
-    // canonical output. Batched and unbatched runs must agree byte for
-    // byte at every thread count.
-    let m = mixed_matrix();
-    let reference = SweepEngine::new(7)
-        .with_threads(1)
-        .with_batch(false)
-        .run(&m);
-    let want = sweep_to_json(m.name(), 7, &reference);
-    for threads in [1, 4] {
-        for batch in [true, false] {
-            let r = SweepEngine::new(7)
-                .with_threads(threads)
-                .with_batch(batch)
-                .run(&m);
-            assert_eq!(
-                sweep_to_json(m.name(), 7, &r),
-                want,
-                "--threads {threads} --batch {} diverged from the unbatched single-thread run",
-                if batch { "on" } else { "off" }
-            );
-        }
-    }
-}
-
-#[test]
 fn shards_partition_the_matrix_and_reassemble_bit_identically() {
     let m = mixed_matrix();
     let full = SweepEngine::new(7).with_threads(1).run(&m);

@@ -400,6 +400,52 @@ impl ArtifactKind {
     }
 }
 
+/// The JSON text writers every crate shares: string literals and
+/// numbers appended to a `String`, byte-stable for identical input (the
+/// `*_sweep.json` artifacts are compared with `cmp`).
+pub mod json {
+    use std::fmt::Write as _;
+
+    /// Append `s` as a JSON string literal, quotes included. Control
+    /// characters are written in the one `\u00XX` form.
+    pub fn string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// `s` as a JSON string literal (see [`string`]).
+    pub fn quoted(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        string(&mut out, s);
+        out
+    }
+
+    /// Append a float: Rust's shortest-round-trip `Display` (deterministic,
+    /// so identical results give identical bytes), `null` when not finite.
+    pub fn number(out: &mut String, v: f64) {
+        if v.is_finite() {
+            let _ = write!(out, "{v}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    /// Append an unsigned integer.
+    pub fn integer(out: &mut String, v: u64) {
+        let _ = write!(out, "{v}");
+    }
+}
+
 /// A little-endian byte encoder for building cache keys and payloads
 /// with explicit, stable layouts.
 #[derive(Debug, Default)]
@@ -517,6 +563,16 @@ impl<'a> ByteReader<'a> {
             1 => Some(true),
             _ => None,
         }
+    }
+
+    /// Read a `u64` element count, rejecting one the rest of the buffer
+    /// cannot hold at `min_elem_bytes` (≥ 1) per element — so a decoder
+    /// may allocate for the count it was given: a damaged count that
+    /// slipped past the file checksum is a decode error, not a
+    /// 137 GB `Vec::with_capacity`.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n <= self.remaining() / min_elem_bytes).then_some(n)
     }
 }
 
@@ -719,6 +775,39 @@ mod tests {
         // Garbage bool bytes are decode errors, not values.
         let mut bad = ByteReader::new(&[7u8]);
         assert_eq!(bad.bool(), None);
+    }
+
+    #[test]
+    fn counts_the_buffer_cannot_hold_are_decode_errors() {
+        let mut w = ByteWriter::new();
+        w.u64(3).u32(1).u32(2).u32(3);
+        let bytes = w.finish();
+        assert_eq!(ByteReader::new(&bytes).count(4), Some(3));
+        assert_eq!(ByteReader::new(&bytes).count(5), None, "3 x 5 > 12 left");
+        let mut huge = ByteWriter::new();
+        huge.u64(u64::from(u32::MAX)).u64(u64::MAX);
+        let huge = huge.finish();
+        let mut r = ByteReader::new(&huge);
+        assert_eq!(r.count(1), None);
+        assert_eq!(r.count(1), None);
+        assert_eq!(ByteReader::new(&[0; 7]).count(1), None, "underrun");
+    }
+
+    #[test]
+    fn json_writers_escape_and_null_out_non_finite_numbers() {
+        assert_eq!(
+            json::quoted("a\"b\\c\nd\u{1}"),
+            "\"a\\\"b\\\\c\\u000ad\\u0001\""
+        );
+        let mut out = String::new();
+        json::number(&mut out, 0.1 + 0.2);
+        out.push(',');
+        json::number(&mut out, f64::NAN);
+        out.push(',');
+        json::number(&mut out, f64::NEG_INFINITY);
+        out.push(',');
+        json::integer(&mut out, u64::MAX);
+        assert_eq!(out, "0.30000000000000004,null,null,18446744073709551615");
     }
 
     #[test]

@@ -36,8 +36,9 @@ use std::time::{Duration, Instant};
 
 use sprout_bench::figures::{self, ExperimentConfig};
 use sprout_bench::{cellcache, cli};
+use sprout_cache::json;
 
-use crate::httpd::{self, json_escape, Request, Response};
+use crate::httpd::{self, Request, Response};
 use crate::state::{Queue, SweepState};
 
 /// Everything the daemon needs to run; see `sprout-control serve`.
@@ -607,19 +608,15 @@ fn backoff(base: Duration, retries: u32) -> Duration {
 }
 
 fn sweep_json(spec: &crate::state::SweepSpec) -> String {
-    let args: Vec<String> = spec
-        .args
-        .iter()
-        .map(|a| format!("\"{}\"", json_escape(a)))
-        .collect();
+    let args: Vec<String> = spec.args.iter().map(|a| json::quoted(a)).collect();
     format!(
-        "{{\"id\":{},\"experiment\":\"{}\",\"workers\":{},\"state\":\"{}\",\"retries\":{},\"error\":\"{}\",\"args\":[{}]}}",
+        "{{\"id\":{},\"experiment\":{},\"workers\":{},\"state\":\"{}\",\"retries\":{},\"error\":{},\"args\":[{}]}}",
         spec.id,
-        json_escape(&spec.experiment),
+        json::quoted(&spec.experiment),
         spec.workers,
         spec.state.as_str(),
         spec.retries,
-        json_escape(&spec.error),
+        json::quoted(&spec.error),
         args.join(",")
     )
 }
@@ -745,9 +742,9 @@ fn cells(shared: &Arc<Shared>, id: u64) -> Response {
             let cached = cellcache::load_cell(matrix.name(), fingerprint, cell, cfg.seed).is_some();
             cached_count += usize::from(cached);
             rows.push(format!(
-                "{{\"matrix\":\"{}\",\"label\":\"{}\",\"cached\":{}}}",
-                json_escape(matrix.name()),
-                json_escape(&cell.label),
+                "{{\"matrix\":{},\"label\":{},\"cached\":{}}}",
+                json::quoted(matrix.name()),
+                json::quoted(&cell.label),
                 cached
             ));
         }

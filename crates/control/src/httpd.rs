@@ -51,25 +51,11 @@ impl Response {
 
     /// A `{"error": msg}` response with the given status.
     pub fn error(status: u16, msg: &str) -> Response {
-        Response::json(status, format!("{{\"error\":\"{}\"}}", json_escape(msg)))
+        Response::json(
+            status,
+            format!("{{\"error\":{}}}", sprout_cache::json::quoted(msg)),
+        )
     }
-}
-
-/// Escape `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Decode `%XX` escapes and `+` (space) in a URL component.
@@ -230,8 +216,11 @@ mod tests {
 
     #[test]
     fn json_escape_covers_the_control_plane() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // Error bodies go through the workspace's one JSON string writer.
+        assert_eq!(
+            Response::error(400, "a\"b\\c\nd\u{1}").body,
+            "{\"error\":\"a\\\"b\\\\c\\u000ad\\u0001\"}"
+        );
     }
 
     #[test]
@@ -245,10 +234,10 @@ mod tests {
                 Response::json(
                     200,
                     format!(
-                        "{{\"method\":\"{}\",\"path\":\"{}\",\"body\":\"{}\"}}",
+                        "{{\"method\":\"{}\",\"path\":\"{}\",\"body\":{}}}",
                         req.method,
                         req.path,
-                        json_escape(&req.body)
+                        sprout_cache::json::quoted(&req.body)
                     ),
                 )
             })

@@ -9,6 +9,52 @@ use crate::metrics::{
 };
 use sprout_trace::{Duration, Timestamp};
 
+/// What the shared driver needs of an event loop: its clock, how to
+/// process the current instant, and when something is next due. The two
+/// loops differ only in [`EventLoop::step`] (O(N) over two endpoints here,
+/// O(due) over timer wheels in [`crate::ServeSim`]); the driver —
+/// [`EventLoop::drive_until`] — exists once.
+pub(crate) trait EventLoop {
+    /// The loop's virtual clock.
+    fn clock(&mut self) -> &mut Timestamp;
+
+    /// Process everything due at the current instant (idempotent: a
+    /// second call at the same instant finds nothing left).
+    fn step(&mut self);
+
+    /// The earliest pending event over every source, or
+    /// [`Timestamp::FAR_FUTURE`] when nothing is pending.
+    fn next_event(&mut self) -> Timestamp;
+
+    /// Run until virtual time `end`: step, advance to the next pending
+    /// event (clamped to `end`), repeat; then step once more for events
+    /// falling exactly at `end`.
+    #[inline]
+    fn drive_until(&mut self, end: Timestamp) {
+        let mut steps = 0u32;
+        while *self.clock() < end {
+            // Honor watchdog cancellation between steps: a timed-out
+            // sweep cell must release its thread instead of simulating
+            // the remaining virtual hours at wall speed. ~1k steps keeps
+            // the check off the per-event hot path.
+            steps = steps.wrapping_add(1);
+            if steps.is_multiple_of(1024) {
+                sprout_trace::cancel::checkpoint();
+            }
+            self.step();
+            let now = *self.clock();
+            let mut next = self.next_event();
+            // Guard against endpoints that request an immediate wakeup in
+            // a loop: force minimal progress.
+            if next <= now {
+                next = now + Duration::from_micros(1);
+            }
+            *self.clock() = next.min(end);
+        }
+        self.step();
+    }
+}
+
 /// A full experiment: endpoint `a`, endpoint `b`, and the two directed
 /// paths between them (`ab` carries a→b traffic, `ba` the reverse).
 pub struct Simulation<A: Endpoint, B: Endpoint> {
@@ -88,38 +134,25 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
 
     /// Run the event loop until virtual time `end`.
     pub fn run_until(&mut self, end: Timestamp) {
-        let mut steps = 0u32;
-        while self.now < end {
-            // Honor watchdog cancellation between steps: a timed-out
-            // sweep cell must release its thread instead of simulating
-            // the remaining virtual hours at wall speed. ~1k steps keeps
-            // the check off the per-event hot path.
-            steps = steps.wrapping_add(1);
-            if steps.is_multiple_of(1024) {
-                sprout_trace::cancel::checkpoint();
-            }
-            self.step();
-            let mut next = Timestamp::FAR_FUTURE;
-            for cand in [
-                self.a.next_wakeup(),
-                self.b.next_wakeup(),
-                self.ab.next_event(),
-                self.ba.next_event(),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                next = next.min(cand);
-            }
-            // Guard against endpoints that request an immediate wakeup in
-            // a loop: force minimal progress.
-            if next <= self.now {
-                next = self.now + Duration::from_micros(1);
-            }
-            self.now = next.min(end);
-        }
-        // Process events falling exactly at `end`.
-        self.step();
+        self.drive_until(end);
+    }
+}
+
+impl<A: Endpoint, B: Endpoint> EventLoop for Simulation<A, B> {
+    fn clock(&mut self) -> &mut Timestamp {
+        &mut self.now
+    }
+
+    fn next_event(&mut self) -> Timestamp {
+        [
+            self.a.next_wakeup(),
+            self.b.next_wakeup(),
+            self.ab.next_event(),
+            self.ba.next_event(),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(Timestamp::FAR_FUTURE, Timestamp::min)
     }
 
     /// Process all events due at the current instant: deliveries first,
@@ -325,6 +358,54 @@ mod tests {
         let (p95, omni) = (stats.p95_delay.unwrap(), stats.omniscient_p95.unwrap());
         assert!(p95 >= omni, "protocol can't beat omniscient");
         assert_eq!(stats.self_inflicted.unwrap(), p95.saturating_sub(omni));
+    }
+
+    /// Asks to be polled at every instant: its wakeup is never in the
+    /// future.
+    #[derive(Default)]
+    struct Nagger {
+        polls: u64,
+    }
+
+    impl Endpoint for Nagger {
+        fn on_packet(&mut self, _p: Packet, _now: Timestamp) {}
+        fn poll_into(&mut self, _now: Timestamp, _out: &mut Vec<Packet>) {
+            self.polls += 1;
+        }
+        fn next_wakeup(&self) -> Option<Timestamp> {
+            Some(Timestamp::ZERO)
+        }
+    }
+
+    #[test]
+    fn both_loops_force_progress_and_step_exactly_at_end() {
+        let idle = || PathConfig::standard(Trace::from_millis([0]));
+
+        // Forced progress: a wakeup that is never in the future advances
+        // the clock 1 µs a step — 50 steps to reach 50 µs, plus the step
+        // at `end` — under either loop.
+        let end = Timestamp::from_micros(50);
+        let mut pair = Simulation::new(Nagger::default(), SinkEndpoint::new(), idle(), idle());
+        pair.run_until(end);
+        assert_eq!((pair.now(), pair.a.polls), (end, 51));
+        let mut pool: crate::ServeSim<Blaster, Nagger> = crate::ServeSim::new(Nagger::default());
+        pool.run_until(end);
+        assert_eq!((pool.now(), pool.server().polls), (end, 51));
+
+        // Exactly at `end`: a sender due at 0, 10, 20 and 30 ms has sent
+        // four packets when the run stops at 30 ms, and running to the
+        // same `end` again sends nothing more.
+        let every_10ms = || Blaster::new(Duration::from_millis(10));
+        let mut pair = Simulation::new(every_10ms(), SinkEndpoint::new(), idle(), idle());
+        let mut pool: crate::ServeSim<Blaster, SinkEndpoint> =
+            crate::ServeSim::new(SinkEndpoint::new());
+        pool.add_session(FlowId(1), every_10ms(), idle(), idle());
+        for _ in 0..2 {
+            pair.run_until(t(30));
+            pool.run_until(t(30));
+            assert_eq!((pair.now(), pair.a.seq), (t(30), 4));
+            assert_eq!((pool.now(), pool.client(0).seq), (t(30), 4));
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! downlink (`server → client[i]`) [`DirectedPath`], while the server is
 //! a single shared [`Endpoint`] that demultiplexes by [`FlowId`].
 //!
-//! The loop semantics mirror `Simulation` exactly — deliveries before
-//! polls within an instant, time advanced to the minimum pending event,
-//! 1 µs forced progress, an idempotent final step at `end` — but the
+//! Both loops run under the one driver (`run::EventLoop::drive_until`:
+//! time advanced to the minimum pending event, 1 µs forced progress, an
+//! idempotent final step at `end`) and keep the same phase order within
+//! an instant — deliveries before polls — but here the
 //! per-step cost is O(due), not O(N): per-session paths and client
 //! wakeups live in [`TimerWheel`]s, so a step touches only the sessions
 //! with a delivery or deadline at the current instant. This requires
@@ -21,8 +22,9 @@ use std::collections::HashMap;
 use crate::cellsim::{DirectedPath, PathConfig};
 use crate::endpoint::Endpoint;
 use crate::packet::{FlowId, Packet};
+use crate::run::EventLoop;
 use crate::wheel::TimerWheel;
-use sprout_trace::{Duration, Timestamp};
+use sprout_trace::Timestamp;
 
 /// N independent client/server sessions over per-session paths, driven
 /// by one event loop around a shared server endpoint.
@@ -154,34 +156,32 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
 
     /// Run the event loop until virtual time `end`.
     pub fn run_until(&mut self, end: Timestamp) {
-        let mut steps = 0u32;
-        while self.now < end {
-            // Same cancellation checkpoint as `Simulation::run_until`.
-            steps = steps.wrapping_add(1);
-            if steps.is_multiple_of(1024) {
-                sprout_trace::cancel::checkpoint();
-            }
-            self.step();
-            let mut next = Timestamp::FAR_FUTURE;
-            for cand in [
-                self.up_wheel.next_deadline(),
-                self.down_wheel.next_deadline(),
-                self.client_wheel.next_deadline(),
-                self.server.next_wakeup(),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                next = next.min(cand);
-            }
-            // Same forced-progress guard as `Simulation::run_until`.
-            if next <= self.now {
-                next = self.now + Duration::from_micros(1);
-            }
-            self.now = next.min(end);
+        self.drive_until(end);
+    }
+
+    fn mark_pending(&mut self, idx: usize) {
+        if !self.pending[idx] {
+            self.pending[idx] = true;
+            self.pending_queue.push(idx);
         }
-        // Process events falling exactly at `end`.
-        self.step();
+    }
+}
+
+impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
+    fn clock(&mut self) -> &mut Timestamp {
+        &mut self.now
+    }
+
+    fn next_event(&mut self) -> Timestamp {
+        [
+            self.up_wheel.next_deadline(),
+            self.down_wheel.next_deadline(),
+            self.client_wheel.next_deadline(),
+            self.server.next_wakeup(),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(Timestamp::FAR_FUTURE, Timestamp::min)
     }
 
     /// Process everything due at the current instant, mirroring
@@ -249,20 +249,13 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
             }
         }
     }
-
-    fn mark_pending(&mut self, idx: usize) {
-        if !self.pending[idx] {
-            self.pending[idx] = true;
-            self.pending_queue.push(idx);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::direction_stats;
-    use sprout_trace::Trace;
+    use sprout_trace::{Duration, Trace};
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)

@@ -67,7 +67,8 @@ fn encode_trace(trace: &Trace) -> Option<Vec<u8>> {
 /// Decode an [`encode_trace`] payload; `None` on any shape mismatch.
 fn decode_trace(bytes: &[u8]) -> Option<Trace> {
     let mut r = ByteReader::new(bytes);
-    let count = r.u64()? as usize;
+    // Every opportunity takes at least its 4-byte delta.
+    let count = r.count(4)?;
     let mut ops = Vec::with_capacity(count);
     if count > 0 {
         let mut at = r.u64()?;
@@ -411,6 +412,37 @@ mod tests {
         }
         // Truncated payloads degrade into misses, not panics.
         assert!(decode_trace(&encoded[..encoded.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn huge_stored_count_falls_back_to_synthesis() {
+        // A payload that passes the file checksum but claims more
+        // opportunities than its bytes could hold must decode to `None`
+        // (no `capacity overflow` panic, no multi-GB allocation), and
+        // `generate` must then synthesize as if it had missed. (No other
+        // test here depends on where the cache points: synthesis gives
+        // the same trace cold, warm, or disabled.)
+        let dir =
+            std::env::temp_dir().join(format!("sprout-trace-count-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (profile, duration, seed) = (NetProfile::TmobileUmtsUp, Duration::from_secs(5), 77);
+        sprout_cache::disable();
+        let fresh = profile.generate(duration, seed);
+
+        sprout_cache::set_dir(&dir);
+        for count in [u64::from(u32::MAX), u64::MAX] {
+            let mut w = ByteWriter::new();
+            w.u64(count).u64(0).u32(1);
+            let payload = w.finish();
+            assert!(decode_trace(&payload).is_none(), "count {count}");
+            let mut key = ByteWriter::new();
+            key.str(profile.id()).u64(duration.as_micros()).u64(seed);
+            assert!(TRACE_ARTIFACT.store(&key.finish(), &payload));
+            assert_eq!(profile.generate(duration, seed), fresh, "count {count}");
+        }
+
+        sprout_cache::reset_override();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
