@@ -40,16 +40,20 @@ fn cfg_with(
 proptest! {
     #[test]
     fn chunked_evolve_matches_scalar_reference(
-        raw in collection::vec(0.0f64..1.0, 8..97),
+        // Up to 320 bins: wide noise on a short grid reflects every row
+        // (no shared band, one dense block), narrow noise on a long one
+        // leaves a band hundreds of rows long, and the sizes in between
+        // end on every tail-tile length.
+        raw in collection::vec(0.0f64..1.0, 8..321),
         sigma in 20.0f64..400.0,
         max_rate_pps in 100.0f64..1000.0,
     ) {
         let num_bins = raw.len();
         let cfg = cfg_with(num_bins, sigma, max_rate_pps, 8, 256);
         let kernel = TransitionKernel::new(&cfg);
-        // Force exact zeros into the source distribution: the fast walk
-        // skips zero-probability sources, which may only ever elide +0.0
-        // contributions.
+        // Force exact zeros into the source distribution: the reference
+        // skips zero-probability sources where the tiled walk multiplies
+        // them out, which may only ever add +0.0 contributions.
         let src: Vec<f64> = raw.iter().map(|&p| if p < 0.3 { 0.0 } else { p }).collect();
         let mut fast = vec![0.0f64; num_bins];
         let mut reference = vec![0.0f64; num_bins];
@@ -272,6 +276,47 @@ fn windowed_search_tracks_reference_over_a_long_session() {
             &mut reference,
         )
         .unwrap();
+    }
+}
+
+#[test]
+fn evolve_tracks_reference_over_a_long_session() {
+    // 2 000 ticks of one receiver's life at paper scale, every evolve
+    // checked against the reference walk on the live posterior: busy
+    // stretches with full-tick observations, censored ones (the sender's
+    // queue ran dry part-way through the tick), gated ticks (no
+    // observation at all, evolve only) and two long silences that push
+    // the busy bins down to the likelihood floor, then the bursts that
+    // flip the posterior back.
+    let cfg = SproutConfig::paper();
+    let tick = cfg.tick_secs();
+    let kernel = TransitionKernel::new(&cfg);
+    let mut model = RateModel::new(cfg);
+    let mut reference = vec![0.0f64; model.distribution().len()];
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = |below: u64| {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 33) % below
+    };
+    for t in 0..2000u32 {
+        kernel.evolve_into_reference(model.distribution(), &mut reference);
+        model.evolve();
+        assert_eq!(
+            bits(model.distribution()),
+            bits(&reference),
+            "tick {t} diverged"
+        );
+        let outage = (400..640).contains(&t) || (1500..1580).contains(&t);
+        match draw(8) {
+            _ if outage => model.observe(0.0),
+            0 => {} // gated: the sender said nothing was due
+            1 | 2 => {
+                model.observe_exposed(draw(24) as f64 * 0.25, tick * (1 + draw(7)) as f64 / 8.0)
+            }
+            _ => model.observe((t / 250) as f64 + draw(9) as f64 * 0.5),
+        }
     }
 }
 

@@ -11,17 +11,20 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::config::SproutConfig;
-use crate::stats::{ln_gamma, normal_mass};
+use crate::simd::{tile_sum_into, TileTerms, EVOLVE_TILE};
+use crate::stats::{ln_gamma, normal_mass, poisson_ln_pmf_with_ln_gamma};
 
 /// The per-tick transition matrix in CSR (compressed sparse row) form:
 /// one flat `(destination, weight)` stream with per-row extents, so the
-/// hot loops of [`TransitionKernel::evolve_into`] and the forecast-table
-/// DP walk contiguous memory instead of a `Vec` of `Vec`s. Boundary
-/// reflections are already folded in (duplicate destinations merged), and
-/// rows list destinations in ascending order.
+/// forecast-table DP walks contiguous memory instead of a `Vec` of
+/// `Vec`s. Boundary reflections are already folded in (duplicate
+/// destinations merged), and rows list destinations in ascending order.
+/// This is the operator's declaration: the evolve plan behind
+/// [`TransitionKernel::evolve_into`] is derived from it by inspection.
 #[derive(Debug)]
 pub struct ScatterMatrix {
     num_bins: usize,
@@ -32,12 +35,6 @@ pub struct ScatterMatrix {
     /// Largest `|dst − j|` over all rows — how far one tick can move
     /// probability mass (the DP's reachable-window growth rate).
     max_reach: usize,
-    /// True when every row's destinations form one contiguous ascending
-    /// run (`dests[k+1] == dests[k] + 1`). Gaussian bands with folded
-    /// reflections always satisfy this; it lets the evolve hot loop use a
-    /// dense slice saxpy (no index gather, no per-element bounds check)
-    /// instead of the scattered CSR walk.
-    contiguous_rows: bool,
 }
 
 impl ScatterMatrix {
@@ -46,18 +43,13 @@ impl ScatterMatrix {
         let mut dests = Vec::new();
         let mut weights = Vec::new();
         let mut max_reach = 1usize;
-        let mut contiguous_rows = true;
         row_ptr.push(0u32);
         for (j, row) in rows.enumerate() {
-            let start = dests.len();
             for (dst, w) in row {
                 max_reach = max_reach.max(dst.abs_diff(j));
                 dests.push(dst as u32);
                 weights.push(w);
             }
-            contiguous_rows = contiguous_rows
-                && dests.len() > start
-                && dests[start..].windows(2).all(|w| w[1] == w[0] + 1);
             row_ptr.push(dests.len() as u32);
         }
         assert_eq!(row_ptr.len(), num_bins + 1);
@@ -67,7 +59,6 @@ impl ScatterMatrix {
             dests,
             weights,
             max_reach,
-            contiguous_rows,
         }
     }
 
@@ -89,12 +80,6 @@ impl ScatterMatrix {
         self.max_reach
     }
 
-    /// Whether every row's destinations are one contiguous ascending run
-    /// (see the field docs; true for every kernel this crate builds).
-    pub fn rows_are_contiguous(&self) -> bool {
-        self.contiguous_rows
-    }
-
     /// The transposed operator: row `d` of the result lists the
     /// `(source, weight)` pairs that scatter into bin `d`, sources
     /// ascending (the outer ascending-`j` scan guarantees the order).
@@ -112,6 +97,153 @@ impl ScatterMatrix {
     }
 }
 
+/// A group of consecutive matrix rows stored densely for the evolve
+/// walk: `weights[(j − rows.start) · pitch + (d − first_dest)]` is row
+/// `j`'s weight into destination `d`, `0.0` where the row has none.
+/// `first_dest` and `pitch` are multiples of [`EVOLVE_TILE`], so every
+/// destination tile the block touches reads [`EVOLVE_TILE`] stored lanes.
+#[derive(Debug)]
+struct DenseRows {
+    rows: Range<usize>,
+    first_dest: usize,
+    pitch: usize,
+    weights: Vec<f64>,
+}
+
+impl DenseRows {
+    fn new(scatter: &ScatterMatrix, rows: Range<usize>) -> Self {
+        let dests = || rows.clone().flat_map(|j| scatter.row(j).0.iter());
+        let first_dest = dests().min().map_or(0, |&d| d as usize) / EVOLVE_TILE * EVOLVE_TILE;
+        let end_dest = dests().max().map_or(0, |&d| d as usize + 1);
+        let pitch = (end_dest - first_dest).next_multiple_of(EVOLVE_TILE);
+        let mut weights = vec![0.0; rows.len() * pitch];
+        for j in rows.clone() {
+            let (dests, ws) = scatter.row(j);
+            let base = (j - rows.start) * pitch;
+            for (&d, &w) in dests.iter().zip(ws) {
+                weights[base + d as usize - first_dest] = w;
+            }
+        }
+        DenseRows {
+            rows,
+            first_dest,
+            pitch,
+            weights,
+        }
+    }
+
+    /// The block's sources for the destination tile starting at `d0`.
+    #[inline]
+    fn terms<'a>(&'a self, src: &'a [f64], d0: usize) -> TileTerms<'a> {
+        if !(self.first_dest..self.first_dest + self.pitch).contains(&d0) {
+            return TileTerms::EMPTY;
+        }
+        TileTerms {
+            ps: &src[self.rows.clone()],
+            weights: &self.weights,
+            first: d0 - self.first_dest,
+            stride: self.pitch as isize,
+        }
+    }
+}
+
+/// What [`TransitionKernel::evolve_into`] walks, derived from the
+/// [`ScatterMatrix`] by inspection. Away from the two reflecting edges
+/// every row of the §3.1 Brownian step is the same band shifted along the
+/// diagonal, so the matrix is three groups of rows, in source order: a
+/// dense block (row 0's sticky-outage mixture and the rows reflected at
+/// the low edge), one shared band, a dense block (the rows reflected at
+/// the high edge). At paper scale that is 30 + 29 dense rows and one
+/// 59-weight band, ≈ 30 KB. A grid too small for any row to escape both
+/// reflections is the same plan with an empty band and every row in the
+/// high block.
+#[derive(Debug)]
+struct EvolvePlan {
+    low: DenseRows,
+    /// The rows that are each the row before shifted up one bin,
+    /// bit-for-bit; empty when the matrix has no two such rows.
+    band_rows: Range<usize>,
+    /// The shared row, destinations densely from its first to its last,
+    /// between `EVOLVE_TILE − 1` zeros on either side: whichever way a
+    /// tile straddles the band's ends, its lanes read stored zeros.
+    band: Vec<f64>,
+    /// Band row `j`'s first destination is `j − band_reach`.
+    band_reach: usize,
+    high: DenseRows,
+}
+
+impl EvolvePlan {
+    fn new(scatter: &ScatterMatrix) -> Self {
+        let n = scatter.num_bins();
+        // Row `j` is row `j − 1` one bin up, reaching no higher than its
+        // own bin at the low end (true of any centred band).
+        let continues_band = |j: usize| {
+            let (prev_dests, prev_weights) = scatter.row(j - 1);
+            let (dests, weights) = scatter.row(j);
+            dests.first().is_some_and(|&d| d as usize <= j)
+                && dests.len() == prev_dests.len()
+                && dests.iter().zip(prev_dests).all(|(&d, &p)| d == p + 1)
+                && weights
+                    .iter()
+                    .zip(prev_weights)
+                    .all(|(w, p)| w.to_bits() == p.to_bits())
+        };
+        let mut band_rows = 0..0;
+        let mut start = 0;
+        for j in 1..=n {
+            if j < n && continues_band(j) {
+                continue;
+            }
+            if j - start >= 2 && j - start > band_rows.len() {
+                band_rows = start..j;
+            }
+            start = j;
+        }
+        let mut band = Vec::new();
+        let mut band_reach = 0;
+        if !band_rows.is_empty() {
+            let j = band_rows.start;
+            let (dests, weights) = scatter.row(j);
+            let first = dests[0] as usize;
+            let span = dests[dests.len() - 1] as usize + 1 - first;
+            band_reach = j - first;
+            band = vec![0.0; span + 2 * (EVOLVE_TILE - 1)];
+            for (&d, &w) in dests.iter().zip(weights) {
+                band[EVOLVE_TILE - 1 + d as usize - first] = w;
+            }
+        }
+        EvolvePlan {
+            low: DenseRows::new(scatter, 0..band_rows.start),
+            high: DenseRows::new(scatter, band_rows.end..n),
+            band_rows,
+            band,
+            band_reach,
+        }
+    }
+
+    /// The band's sources for the destination tile starting at `d0`:
+    /// every band row with a destination among the tile's lanes. Source
+    /// `j` reaches lane `l` with `band[(EVOLVE_TILE − 1) + (d0 + l) −
+    /// (j − band_reach)]`, a stored zero wherever that falls off the band.
+    #[inline]
+    fn band_terms<'a>(&'a self, src: &'a [f64], d0: usize) -> TileTerms<'a> {
+        let span = self.band.len().saturating_sub(2 * (EVOLVE_TILE - 1));
+        let lo = (d0 + self.band_reach + 1)
+            .saturating_sub(span)
+            .max(self.band_rows.start);
+        let hi = (d0 + self.band_reach + EVOLVE_TILE).min(self.band_rows.end);
+        if lo >= hi {
+            return TileTerms::EMPTY;
+        }
+        TileTerms {
+            ps: &src[lo..hi],
+            weights: &self.band,
+            first: EVOLVE_TILE - 1 + d0 + self.band_reach - lo,
+            stride: -1,
+        }
+    }
+}
+
 /// Precomputed per-tick evolution operator: a banded Gaussian kernel for
 /// the Brownian step plus the special sticky-outage row for bin 0.
 #[derive(Debug)]
@@ -121,10 +253,11 @@ pub struct TransitionKernel {
     half_width: usize,
     /// The whole operator flattened to CSR — the Gaussian Brownian band
     /// (reflected at both boundaries) for positive bins and the sticky
-    /// outage/escape mixture for bin 0. This is the only runtime
-    /// representation; `evolve_into` and the forecast-table builder both
-    /// walk it.
+    /// outage/escape mixture for bin 0. The forecast-table builder and
+    /// [`Self::evolve_into_reference`] walk it.
     scatter: ScatterMatrix,
+    /// The same operator as `evolve_into` walks it.
+    plan: EvolvePlan,
 }
 
 impl TransitionKernel {
@@ -165,6 +298,7 @@ impl TransitionKernel {
         TransitionKernel {
             num_bins: cfg.num_bins,
             half_width,
+            plan: EvolvePlan::new(&scatter),
             scatter,
         }
     }
@@ -174,8 +308,8 @@ impl TransitionKernel {
         self.half_width
     }
 
-    /// The operator flattened to CSR (the forecast-table builder and the
-    /// hot evolve loop consume this form).
+    /// The operator flattened to CSR (the forecast-table builder consumes
+    /// this form).
     pub fn scatter(&self) -> &ScatterMatrix {
         &self.scatter
     }
@@ -184,39 +318,47 @@ impl TransitionKernel {
     /// Probability is conserved exactly up to floating-point rounding
     /// (out-of-range Brownian mass clamps to the edge bins).
     ///
-    /// Walks the precomputed CSR rows — the sticky-outage row 0 and the
-    /// reflected Brownian rows are already folded into the matrix — so
-    /// the inner loop is a contiguous multiply-accumulate with no
-    /// per-weight reflection arithmetic.
+    /// `src` must be finite and non-negative — what [`RateModel::normalize`]
+    /// guarantees of every posterior (checked in debug builds).
     ///
-    /// When every row's destinations are contiguous (true for all kernels
-    /// built by this crate), the inner loop runs over a dense destination
-    /// slice: no index gather and no per-element bounds check, which lets
-    /// the compiler vectorize the saxpy. Destination lanes are
-    /// independent and each destination still accumulates contributions
-    /// in ascending source order, so results are bit-identical to
-    /// [`Self::evolve_into_reference`].
+    /// Walks the evolve plan destination-major: one tile of destinations
+    /// at a time, accumulators in registers, sources added low block →
+    /// shared band → high block. Bit-identical to
+    /// [`Self::evolve_into_reference`]:
+    ///
+    /// * *Order.* The three groups partition the rows in ascending order
+    ///   and each is walked ascending, so every destination adds its
+    ///   sources in ascending order from `+0.0`, one IEEE multiply and one
+    ///   IEEE add per source — the reference's operand sequence.
+    /// * *Zero lanes.* A source row that does not reach a lane meets a
+    ///   stored `0.0` there, and a zero source is multiplied out where the
+    ///   reference skips it. With `src` finite and non-negative and every
+    ///   weight finite and non-negative, each such term is `±0.0`, and
+    ///   adding `±0.0` to an accumulator that started at `+0.0` and has
+    ///   only had non-negative terms added leaves its bits unchanged. An
+    ///   infinite or NaN source would instead poison lanes the reference
+    ///   never touches, hence the precondition.
     pub fn evolve_into(&self, src: &[f64], dst: &mut [f64]) {
         assert_eq!(src.len(), self.num_bins);
         assert_eq!(dst.len(), self.num_bins);
-        if !self.scatter.rows_are_contiguous() {
-            return self.evolve_into_reference(src, dst);
-        }
-        dst.fill(0.0);
-        for (j, &p) in src.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let (dests, weights) = self.scatter.row(j);
-            let lo = dests[0] as usize;
-            let out = &mut dst[lo..lo + weights.len()];
-            crate::simd::saxpy(out, p, weights);
+        debug_assert!(
+            src.iter().all(|&p| p.is_finite() && p >= 0.0),
+            "evolve_into needs a finite, non-negative source distribution"
+        );
+        let plan = &self.plan;
+        for (tile, out) in dst.chunks_mut(EVOLVE_TILE).enumerate() {
+            let d0 = tile * EVOLVE_TILE;
+            let groups = [
+                plan.low.terms(src, d0),
+                plan.band_terms(src, d0),
+                plan.high.terms(src, d0),
+            ];
+            tile_sum_into(out, &groups);
         }
     }
 
-    /// The pre-vectorization scalar CSR walk of [`Self::evolve_into`],
-    /// kept as the bit-exactness reference (and as the fallback for
-    /// matrices with non-contiguous rows). Equivalence is enforced by the
+    /// The scalar source-major CSR walk [`Self::evolve_into`] must equal
+    /// bit for bit, kept as its reference. Equivalence is enforced by the
     /// `kernel_equivalence` proptest suite.
     pub fn evolve_into_reference(&self, src: &[f64], dst: &mut [f64]) {
         assert_eq!(src.len(), self.num_bins);
@@ -231,20 +373,6 @@ impl TransitionKernel {
                 dst[d as usize] += p * w;
             }
         }
-    }
-
-    /// The outgoing transition row of bin `j` as explicit
-    /// `(destination bin, probability)` pairs with boundary-clamped mass
-    /// merged (a borrowing view into the CSR matrix, materialized for
-    /// callers wanting owned pairs).
-    pub fn scatter_row(&self, j: usize) -> Vec<(usize, f64)> {
-        assert!(j < self.num_bins);
-        let (dests, weights) = self.scatter.row(j);
-        dests
-            .iter()
-            .zip(weights.iter())
-            .map(|(&d, &w)| (d as usize, w))
-            .collect()
     }
 }
 
@@ -378,17 +506,6 @@ pub struct RateModel {
     kernel: Arc<TransitionKernel>,
     dist: Vec<f64>,
     scratch: Vec<f64>,
-    /// Cached `ln(bin_rate_pps(i) · exposure)` per bin for the exposure in
-    /// `ln_means_exposure`. Endpoints observe with the same exposure on
-    /// almost every tick (a full queue-backed tick), so the logs are
-    /// recomputed only when the exposure's bit pattern changes — the
-    /// cached values are produced by the exact expression the scalar path
-    /// evaluates, keeping the likelihood bit-identical.
-    ln_means: Vec<f64>,
-    /// Bit pattern of the exposure `ln_means` was computed for
-    /// (`f64::NAN.to_bits()` = never computed; NaN never matches itself
-    /// by value, so compare bits).
-    ln_means_exposure: u64,
 }
 
 impl RateModel {
@@ -414,8 +531,6 @@ impl RateModel {
             kernel,
             dist: vec![1.0 / n as f64; n],
             scratch: vec![0.0; n],
-            ln_means: vec![0.0; n],
-            ln_means_exposure: f64::NAN.to_bits(),
         }
     }
 
@@ -508,26 +623,14 @@ impl RateModel {
     fn likelihood(&mut self, packets: f64, tau: f64) -> Option<Box<[f64]>> {
         let n = self.dist.len();
         // ln Γ(packets + 1) depends only on the observation, not the bin:
-        // hoist the Lanczos evaluation out of the loop. Combined with the
-        // cached ln-means this reduces the per-bin work to one multiply,
-        // two subtractions and a max — the exact operations (in the exact
-        // order) `poisson_ln_pmf(packets, mean)` performs, so the
-        // log-likelihoods are bit-identical to the scalar path.
+        // hoist the Lanczos evaluation out of the loop. The likelihood
+        // memo keeps this path rare, so nothing else is cached per model.
         let lgk1 = ln_gamma(packets + 1.0);
-        self.refresh_ln_means(tau);
         // Log-likelihood per bin, max-normalized before exponentiation.
         let mut max_ll = f64::NEG_INFINITY;
         for i in 0..n {
             let mean = self.cfg.bin_rate_pps(i) * tau;
-            let ll = if mean == 0.0 {
-                if packets == 0.0 {
-                    0.0
-                } else {
-                    f64::NEG_INFINITY
-                }
-            } else {
-                packets * self.ln_means[i] - mean - lgk1
-            };
+            let ll = poisson_ln_pmf_with_ln_gamma(packets, mean, lgk1);
             self.scratch[i] = ll;
             if ll > max_ll {
                 max_ll = ll;
@@ -568,19 +671,6 @@ impl RateModel {
             *p *= l;
         }
         self.normalize();
-    }
-
-    /// Recompute the cached `ln(mean)` table if `exposure` differs (by bit
-    /// pattern) from the one it was built for.
-    fn refresh_ln_means(&mut self, exposure: f64) {
-        let bits = exposure.to_bits();
-        if self.ln_means_exposure == bits {
-            return;
-        }
-        for i in 0..self.ln_means.len() {
-            self.ln_means[i] = (self.cfg.bin_rate_pps(i) * exposure).ln();
-        }
-        self.ln_means_exposure = bits;
     }
 
     /// Renormalize the posterior to sum to 1, resetting to uniform if the
@@ -791,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_rows_are_stochastic_and_match_scatter_row() {
+    fn csr_rows_are_stochastic_and_sorted() {
         let k = TransitionKernel::new(&small());
         let s = k.scatter();
         assert_eq!(s.num_bins(), small().num_bins);
@@ -804,13 +894,6 @@ mod tests {
             let sum: f64 = weights.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {j} sums to {sum}");
             assert!(dests.windows(2).all(|w| w[0] < w[1]), "row {j} not sorted");
-            // The materialized view agrees.
-            let owned = k.scatter_row(j);
-            assert_eq!(owned.len(), dests.len());
-            for ((d, w), (&cd, &cw)) in owned.iter().zip(dests.iter().zip(weights.iter())) {
-                assert_eq!(*d, cd as usize);
-                assert_eq!(*w, cw);
-            }
         }
     }
 
@@ -830,8 +913,9 @@ mod tests {
         k.evolve_into(&src, &mut dst);
         let mut manual = vec![0.0; n];
         for (j, &p) in src.iter().enumerate() {
-            for (d, w) in k.scatter_row(j) {
-                manual[d] += p * w;
+            let (dests, weights) = k.scatter().row(j);
+            for (&d, &w) in dests.iter().zip(weights) {
+                manual[d as usize] += p * w;
             }
         }
         for (a, b) in dst.iter().zip(manual.iter()) {
@@ -841,12 +925,27 @@ mod tests {
 
     #[test]
     fn evolve_into_bitwise_matches_reference() {
-        for cfg in [small(), SproutConfig::paper()] {
+        // The two named geometries, then grids that end one short of, on
+        // and one past a tile boundary (the last two wide enough to keep
+        // a shared band).
+        let tail = |num_bins| SproutConfig {
+            num_bins,
+            ..small()
+        };
+        let cfgs = [
+            small(),
+            SproutConfig::paper(),
+            tail(EVOLVE_TILE - 1),
+            tail(EVOLVE_TILE),
+            tail(EVOLVE_TILE + 1),
+            tail(3 * EVOLVE_TILE - 1),
+            tail(3 * EVOLVE_TILE + 1),
+        ];
+        for cfg in cfgs {
             let k = TransitionKernel::new(&cfg);
-            assert!(k.scatter().rows_are_contiguous());
             let n = cfg.num_bins;
             // A handful of shapes: uniform, point masses at the edges,
-            // and a sparse comb (exercises the zero-skip).
+            // and a sparse comb (zero sources the reference skips).
             let mut shapes: Vec<Vec<f64>> = vec![vec![1.0 / n as f64; n]];
             for idx in [0, 1, n / 2, n - 1] {
                 let mut d = vec![0.0; n];
@@ -864,9 +963,63 @@ mod tests {
                 k.evolve_into(&src, &mut fast);
                 k.evolve_into_reference(&src, &mut slow);
                 for (a, b) in fast.iter().zip(slow.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{n} bins: {a} vs {b}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn evolve_plan_finds_the_shared_band() {
+        // A silent fall-back to dense rows everywhere would still pass
+        // every equivalence test; pin the regime instead.
+        let paper = TransitionKernel::new(&SproutConfig::paper());
+        assert_eq!(paper.half_width(), 29);
+        assert_eq!(paper.plan.band_rows, 30..227);
+        assert_eq!(paper.plan.band_reach, 29);
+        assert_eq!(paper.plan.band.len(), 59 + 2 * (EVOLVE_TILE - 1));
+        assert_eq!(paper.plan.low.rows, 0..30);
+        assert_eq!(paper.plan.high.rows, 227..256);
+        let plan_bytes = 8 * [
+            &paper.plan.low.weights,
+            &paper.plan.band,
+            &paper.plan.high.weights,
+        ]
+        .map(Vec::len)
+        .iter()
+        .sum::<usize>();
+        assert!(plan_bytes < 32 << 10, "{plan_bytes} bytes");
+
+        let small = TransitionKernel::new(&small());
+        assert_eq!(small.half_width(), 15);
+        assert_eq!(small.plan.band_rows, 16..49);
+
+        // Every row of a grid this narrow is reflected: no band, one block.
+        let narrow = TransitionKernel::new(&SproutConfig {
+            num_bins: 12,
+            sigma: 400.0,
+            ..SproutConfig::test_small()
+        });
+        assert_eq!(narrow.half_width(), 10);
+        assert!(narrow.plan.band_rows.is_empty() && narrow.plan.band.is_empty());
+        assert!(narrow.plan.low.rows.is_empty());
+        assert_eq!(narrow.plan.high.rows, 0..12);
+    }
+
+    #[test]
+    fn all_zero_posterior_evolves_to_positive_zero() {
+        // A posterior whose mass underflowed entirely reaches `evolve`
+        // before `normalize` resets it: every lane multiplies zeros out
+        // and must land on +0.0 like the reference, never -0.0 or NaN.
+        for cfg in [small(), SproutConfig::paper()] {
+            let k = TransitionKernel::new(&cfg);
+            let src = vec![0.0; cfg.num_bins];
+            let mut fast = vec![f64::NAN; cfg.num_bins];
+            let mut slow = vec![f64::NAN; cfg.num_bins];
+            k.evolve_into(&src, &mut fast);
+            k.evolve_into_reference(&src, &mut slow);
+            assert!(fast.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+            assert!(slow.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
         }
     }
 

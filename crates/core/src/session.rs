@@ -7,8 +7,8 @@
 //! configuration (the [`table_memory_counters`] amortization counters
 //! prove the sharing — one `built`, N−1 `reused` per link group), and so
 //! is the [`TransitionKernel`] every session's model evolves through
-//! (182 KB at paper scale; one copy per session would be streamed through
-//! the cache every tick). The Poisson likelihood vectors are memoised per
+//! (a tick walks its ≈ 30 KB evolve plan at paper scale; one copy per
+//! session would push every other session's out of L1). The Poisson likelihood vectors are memoised per
 //! thread (see [`RateModel::observe_exposed`]), so sessions observing the
 //! same arrivals share those too. Each session owns only what actually
 //! differs per user: its [`SproutEndpoint`] state machine (whose

@@ -19,26 +19,6 @@
 //! keep byte-identical canonical output across machines — and it is
 //! enforced by unit tests here and the `kernel_equivalence` suite.
 
-/// `dst[i] += w * src[i]` over the common prefix of the two slices.
-#[inline]
-pub(crate) fn saxpy(dst: &mut [f64], w: f64, src: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match features() {
-            Level::Avx512 => {
-                // SAFETY: AVX-512F support verified at runtime.
-                return unsafe { saxpy_avx512(dst, w, src) };
-            }
-            Level::Avx2 => {
-                // SAFETY: AVX2 support verified at runtime.
-                return unsafe { saxpy_avx2(dst, w, src) };
-            }
-            Level::Baseline => {}
-        }
-    }
-    saxpy_scalar(dst, w, src);
-}
-
 /// `dst[i] += src[i]` over the common prefix of the two slices.
 #[inline]
 pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
@@ -61,9 +41,10 @@ pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
 
 /// `dst[k] = Σᵢ wᵢ · flat[offᵢ + k]`, terms accumulated in slice order
 /// starting from `0.0` — per lane, the exact operand sequence of
-/// `dst.fill(0.0)` followed by one [`saxpy`] per term. Keeping the
-/// accumulator in registers instead of re-reading `dst` per term is what
-/// makes destination-major loops cheaper than the saxpy-per-source form.
+/// `dst.fill(0.0)` followed by one `dst[k] += wᵢ · flat[offᵢ + k]` pass per
+/// term. Keeping the accumulator in registers instead of re-reading `dst`
+/// per term is what makes destination-major loops cheaper than the
+/// pass-per-source form.
 #[inline]
 pub(crate) fn weighted_sum_into(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
     #[cfg(target_arch = "x86_64")]
@@ -81,6 +62,73 @@ pub(crate) fn weighted_sum_into(dst: &mut [f64], flat: &[f64], terms: &[(u32, f6
         }
     }
     weighted_sum_into_scalar(dst, flat, terms);
+}
+
+/// Destinations per register tile of the evolve walk
+/// ([`TransitionKernel::evolve_into`]). Sixteen lanes are two 512-bit or
+/// four 256-bit accumulators, enough independent add chains to cover the
+/// add latency. Measured per evolve on the paper geometry (256 bins,
+/// 59-weight band) on Sapphire Rapids, best of 40 interleaved rounds
+/// because the host's clock wanders: 256-bit at 8 / 16 / 32 lanes 2.00 /
+/// 1.64 / 1.60 µs, 512-bit 1.82 / 1.46 / 1.40 µs. Every tile also drags
+/// `EVOLVE_TILE − 1` zero-padded band positions through its lanes, so 32
+/// lanes buy nothing at 256 bits and 4 % at 512 for twice the padding in
+/// the boundary blocks. At 16 lanes the 512-bit wrapper reads 3–11 %
+/// faster than the 256-bit one, so — unlike [`mixture_lanes`] — each CPU
+/// runs the widest wrapper it has. The pass-per-source walk this
+/// replaced (59-wide `dst[i] += w·src[i]` passes over 182 KB of CSR
+/// rows) took 1.9× as long in back-to-back runs (medians 4.9 vs 2.6 µs
+/// in a slow phase of the same host).
+///
+/// [`TransitionKernel::evolve_into`]: crate::model::TransitionKernel::evolve_into
+pub(crate) const EVOLVE_TILE: usize = 16;
+
+/// A run of consecutive sources feeding one destination tile: source
+/// `ps[i]` scatters into the tile's lanes with the [`EVOLVE_TILE`] weights
+/// at `weights[first + i·stride ..]`. A dense block of rows has a positive
+/// stride (its row pitch); a shared band has stride −1, each source
+/// reading the band one position lower than the source before it.
+pub(crate) struct TileTerms<'a> {
+    pub ps: &'a [f64],
+    pub weights: &'a [f64],
+    pub first: usize,
+    pub stride: isize,
+}
+
+impl TileTerms<'_> {
+    /// No sources: contributes nothing to the tile.
+    pub(crate) const EMPTY: TileTerms<'static> = TileTerms {
+        ps: &[],
+        weights: &[],
+        first: 0,
+        stride: 0,
+    };
+}
+
+/// `dst[l] = Σ ps[i] · weights[first + i·stride + l]` over the groups in
+/// order and each group's sources in order, every lane accumulating from
+/// `0.0` in registers — per lane, one IEEE multiply and one IEEE add per
+/// source, so the exact operand sequence of a scalar walk that visits the
+/// same sources in the same order. `dst` is one tile: at most
+/// [`EVOLVE_TILE`] destinations (fewer for a grid's tail; the surplus
+/// lanes are computed and dropped).
+#[inline]
+pub(crate) fn tile_sum_into(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match features() {
+            Level::Avx512 => {
+                // SAFETY: AVX-512F support verified at runtime.
+                return unsafe { tile_sum_into_avx512(dst, groups) };
+            }
+            Level::Avx2 => {
+                // SAFETY: AVX2 support verified at runtime.
+                return unsafe { tile_sum_into_avx2(dst, groups) };
+            }
+            Level::Baseline => {}
+        }
+    }
+    tile_sum_into_scalar(dst, groups);
 }
 
 /// Consecutive counts per tile of the in-memory forecast CDF (see
@@ -160,10 +208,24 @@ fn weighted_sum_into_scalar(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)])
 }
 
 #[inline(always)]
-fn saxpy_scalar(dst: &mut [f64], w: f64, src: &[f64]) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d += w * s;
+fn tile_sum_into_scalar(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
+    // A fixed-size accumulator indexed by a constant-bound loop is what
+    // LLVM keeps in vector registers across the source loop; written as
+    // a zip over the two slices the same kernel measures 4× slower (the
+    // accumulators go through memory).
+    let mut acc = [0.0f64; EVOLVE_TILE];
+    for g in groups {
+        let mut off = g.first as isize;
+        for &p in g.ps {
+            let w = &g.weights[off as usize..off as usize + EVOLVE_TILE];
+            #[allow(clippy::needless_range_loop)]
+            for l in 0..EVOLVE_TILE {
+                acc[l] += p * w[l];
+            }
+            off += g.stride;
+        }
     }
+    dst.copy_from_slice(&acc[..dst.len()]);
 }
 
 #[inline(always)]
@@ -218,18 +280,6 @@ fn features() -> Level {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn saxpy_avx2(dst: &mut [f64], w: f64, src: &[f64]) {
-    saxpy_scalar(dst, w, src);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn saxpy_avx512(dst: &mut [f64], w: f64, src: &[f64]) {
-    saxpy_scalar(dst, w, src);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
 unsafe fn add_assign_avx2(dst: &mut [f64], src: &[f64]) {
     add_assign_scalar(dst, src);
 }
@@ -244,6 +294,18 @@ unsafe fn weighted_sum_into_avx2(dst: &mut [f64], flat: &[f64], terms: &[(u32, f
 #[target_feature(enable = "avx512f")]
 unsafe fn weighted_sum_into_avx512(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
     weighted_sum_into_scalar(dst, flat, terms);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_sum_into_avx2(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
+    tile_sum_into_scalar(dst, groups);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_sum_into_avx512(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
+    tile_sum_into_scalar(dst, groups);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -273,18 +335,83 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn dispatched_saxpy_is_bitwise_scalar() {
-        for n in [0, 1, 3, 8, 31, 257] {
-            let src = probe_vec(n, 1);
-            for w in [0.0, 1.0, -3.5, 1e-200, 7.25] {
-                let mut a = probe_vec(n, 2);
-                let mut b = a.clone();
-                saxpy(&mut a, w, &src);
-                saxpy_scalar(&mut b, w, &src);
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "n={n} w={w}");
+    /// `tile_sum_into`'s definition, one lane at a time.
+    fn tile_sum_by_lane(len: usize, groups: &[TileTerms<'_>; 3]) -> Vec<f64> {
+        (0..len)
+            .map(|l| {
+                let mut acc = 0.0f64;
+                for g in groups {
+                    for (i, &p) in g.ps.iter().enumerate() {
+                        let at = g.first as isize + i as isize * g.stride + l as isize;
+                        acc += p * g.weights[at as usize];
+                    }
                 }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_compiled_tile_sum_width_is_bitwise_the_per_lane_sum() {
+        type Kernel = unsafe fn(&mut [f64], &[TileTerms<'_>; 3]);
+        // Every width this build compiled and this CPU can run, called
+        // directly: the check must not depend on which one `features()`
+        // picks here.
+        let mut kernels: Vec<(&str, Kernel)> = vec![
+            ("scalar", |d, g| tile_sum_into_scalar(d, g)),
+            ("dispatched", |d, g| tile_sum_into(d, g)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(("avx2", tile_sum_into_avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                kernels.push(("avx512", tile_sum_into_avx512));
+            }
+        }
+        const T: usize = EVOLVE_TILE;
+        let ps = probe_vec(40, 11);
+        // A dense block at a column offset, a band walked downwards from
+        // its top window to its bottom one, and a one-row block.
+        let block = probe_vec(9 * 3 * T, 12);
+        let band = probe_vec(21 + 2 * (T - 1), 13);
+        let groups = [
+            TileTerms {
+                ps: &ps[..9],
+                weights: &block,
+                first: T,
+                stride: 3 * T as isize,
+            },
+            TileTerms {
+                ps: &ps[9..39],
+                weights: &band,
+                first: band.len() - T,
+                stride: -1,
+            },
+            TileTerms {
+                ps: &ps[39..],
+                weights: &block,
+                first: 2 * T,
+                stride: 3 * T as isize,
+            },
+        ];
+        let empty = [TileTerms::EMPTY; 3];
+        for (name, kernel) in kernels {
+            // A whole tile and the tails a grid can end on.
+            for len in [1, T - 1, T] {
+                // Stale contents must be overwritten.
+                let mut got = vec![9.0; len];
+                // SAFETY: each wrapper was pushed only after its feature
+                // was detected.
+                unsafe { kernel(&mut got, &groups) };
+                let want = tile_sum_by_lane(len, &groups);
+                for (x, y) in got.iter().zip(want.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{name} len={len}");
+                }
+                // SAFETY: as above.
+                unsafe { kernel(&mut got, &empty) };
+                assert!(got.iter().all(|v| v.to_bits() == 0), "{name} len={len}");
             }
         }
     }
@@ -296,9 +423,11 @@ mod tests {
         for len in [0usize, 1, 5, 8, 17, 64, 127, 128] {
             let mut a = vec![9.0; len]; // stale contents must be overwritten
             weighted_sum_into(&mut a, &flat, &terms);
-            let mut b = vec![0.0; len];
+            let mut b = vec![0.0f64; len];
             for &(off, w) in &terms {
-                saxpy_scalar(&mut b, w, &flat[off as usize..off as usize + len]);
+                for (d, &v) in b.iter_mut().zip(&flat[off as usize..]) {
+                    *d += w * v;
+                }
             }
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "len={len}");
