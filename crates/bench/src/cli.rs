@@ -10,79 +10,135 @@
 //! contract cheap to state: a worker and the merge see byte-identical
 //! axis flags, so they build byte-identical scenario matrices.
 
-use crate::figures::ExperimentConfig;
+use std::fmt::Write as _;
+
+use crate::figures::{select, Experiment, ExperimentConfig, ALL, EXPERIMENTS};
 use crate::scenario::{FlowSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS};
 use crate::schemes::Scheme;
-use sprout_trace::{Impairment, NetProfile, IMPAIRMENT_PRESETS};
+use sprout_trace::{Impairment, NetProfile};
 
-/// Every experiment the harness can run, in help-text order.
-pub const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "loss",
-    "tunnel",
-    "contention",
-    "soak",
-    "impair",
-    "serve",
-    "replay",
-    "all",
+/// One command-line flag.
+pub struct Flag {
+    /// The flag as typed (`--links`).
+    pub name: &'static str,
+    /// Placeholder of the one value it consumes; empty for a bare flag.
+    pub value: &'static str,
+    /// One line of help. For an [`AXIS_FLAGS`] entry it completes
+    /// "`<flag>` expects …", so help and parse error are one text.
+    pub help: &'static str,
+}
+
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag { name, value, help }
+}
+
+/// The worker-safe flags every experiment takes.
+#[rustfmt::skip]
+pub const GLOBAL_FLAGS: &[Flag] = &[
+    flag("--secs", "N", "virtual seconds per run (default 300)"),
+    flag("--warmup", "N", "warm-up skipped before measurement (default 60)"),
+    flag("--seed", "N", "master seed of all randomness (default 20130401)"),
+    flag("--threads", "N", "sweep worker threads (default: one per core)"),
+    flag("--quick", "", "--secs 90 --warmup 20, where those are not given"),
+    flag("--cell-timeout", "SECS", "per-cell watchdog, wall seconds (default 600)"),
 ];
 
-/// True when `name` is a runnable experiment.
-pub fn is_experiment(name: &str) -> bool {
-    EXPERIMENTS.contains(&name)
-}
+/// The worker-safe flags that trim or replace one axis of a matrix. An
+/// experiment accepts exactly those its [`Experiment::flags`] lists.
+#[rustfmt::skip]
+pub const AXIS_FLAGS: &[Flag] = &[
+    flag("--links", "LIST", "comma-separated distinct link ids, e.g. vz-lte-down,tmo-3g-up"),
+    flag("--prop-delays", "LIST", "comma-separated distinct one-way delays in ms, each 1..=10000"),
+    flag("--queues", "LIST", "comma-separated distinct auto|droptail|codel|bytes:N"),
+    flag("--flows", "N", "a flow count in 2..=16 for the default workloads"),
+    flag("--contend", "LIST", "2..=16 comma-separated flows replacing the default workloads: \
+        scheme tags (never omniscient) or app flows like skype-over-sprout"),
+    flag("--impairments", "LIST", "comma-separated distinct presets of \
+        none,burst,outage,flap,jitter,reorder,storm"),
+    flag("--sessions", "LIST", "comma-separated distinct session counts, each 1..=4096"),
+    flag("--trace", "FILE", "a Saturator capture; repeatable (replaces the default corpus)"),
+    flag("--schemes", "LIST", "comma-separated distinct scheme tags, e.g. sprout,cubic,skype"),
+    flag("--timeseries", "", "per-cell delay and series TSVs by the sweep JSON; new cell identity"),
+];
 
-/// The sweep JSON artifacts each experiment records (basenames of the
-/// `<name>_sweep.json` files a full run writes).
-pub fn artifacts_of(cmd: &str) -> &'static [&'static str] {
-    match cmd {
-        "fig1" => &["fig1"],
-        "fig2" => &["fig2"],
-        "fig7" | "fig8" => &["fig7"],
-        "fig9" => &["fig9"],
-        "loss" => &["loss"],
-        "tunnel" => &["tunnel"],
-        "contention" => &["contention"],
-        "soak" => &["soak"],
-        "impair" => &["impair"],
-        "serve" => &["serve"],
-        "replay" => &["replay"],
-        "all" => &["fig1", "fig2", "fig7", "fig9", "loss", "tunnel"],
-        _ => &[],
-    }
-}
-
-/// Flags the control daemon reserves for itself when it assembles a
-/// worker command line. A submitted sweep naming one of these is
-/// rejected at submit time: the daemon owns sharding, cache placement,
-/// artifact output, and the worker handshake.
-pub const CONTROL_RESERVED_FLAGS: &[&str] = &[
-    "--shard",
-    "--merge",
-    "--resume",
-    "--out",
-    "--cache-dir",
-    "--no-cache",
-    "--json",
-    "--controlled",
+/// The `reproduce` flags the control daemon reserves for itself when it
+/// assembles a worker command line. A submitted sweep naming one of
+/// these is rejected at submit time: the daemon owns sharding, cache
+/// placement, artifact output, and the worker handshake.
+#[rustfmt::skip]
+pub const RESERVED_FLAGS: &[Flag] = &[
+    flag("--shard", "I/N", "run only cells with id % N == I into the cell cache; renders nothing"),
+    flag("--merge", "", "render from the cell cache alone; an absent cell is a named error"),
+    flag("--resume", "", "like --merge, but execute whatever the cache is missing"),
+    flag("--out", "DIR", "artifact directory (default results/)"),
+    flag("--cache-dir", "DIR", "artifact cache (default .sprout-cache or $SPROUT_CACHE_DIR)"),
+    flag("--no-cache", "", "disable the artifact cache for this run"),
+    flag("--json", "", "after running, print the sweep JSON artifact(s) to stdout"),
+    flag("--controlled", "", "print `CONTROL hb <seq> abandoned=<n>` every 500 ms (the daemon's probe)"),
 ];
 
 /// How many values a worker-safe flag consumes: `Some(0)` for bare
 /// flags, `Some(1)` for flags taking one value, `None` for flags this
-/// module does not own (binary-specific flags like `--out`).
+/// module does not apply (the [`RESERVED_FLAGS`]).
 pub fn worker_flag_arity(flag: &str) -> Option<usize> {
-    match flag {
-        "--quick" | "--timeseries" => Some(0),
-        "--secs" | "--warmup" | "--seed" | "--threads" | "--cell-timeout" | "--links"
-        | "--prop-delays" | "--queues" | "--flows" | "--contend" | "--impairments"
-        | "--sessions" | "--trace" | "--schemes" => Some(1),
-        _ => None,
+    let mut known = GLOBAL_FLAGS.iter().chain(AXIS_FLAGS);
+    let found = known.find(|f| f.name == flag)?;
+    Some(usize::from(!found.value.is_empty()))
+}
+
+/// The rows of the experiment table that accept axis flag `flag`.
+fn accepting(flag: &str) -> Vec<&'static str> {
+    let rows = EXPERIMENTS.iter().filter(|e| e.flags.contains(&flag));
+    rows.map(|e| e.name).collect()
+}
+
+/// The synopsis printed with every usage error.
+pub fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: reproduce [<experiment>] [flags]   (`reproduce --help` lists the flags)\nexperiments: {} {ALL} (the default)",
+        names.join(" ")
+    )
+}
+
+/// The `reproduce --help` text, rendered from the experiment table and
+/// the three flag tables.
+pub fn help() -> String {
+    let defaults = ExperimentConfig::default();
+    let mut out = format!("{}\n\nexperiments:\n", usage());
+    for e in &EXPERIMENTS {
+        let _ = write!(out, "  {:11} {}", e.name, e.help);
+        if e.secs(&defaults) != defaults.run_secs {
+            let _ = write!(out, " (default --secs {})", e.secs(&defaults));
+        }
+        out.push('\n');
     }
+    let members: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.in_all)
+        .map(|e| e.name)
+        .collect();
+    let _ = writeln!(out, "  {ALL:11} {}", members.join(", "));
+    let mut section = |title: &str, flags: &[Flag]| {
+        let _ = writeln!(out, "\n{title}:");
+        for f in flags {
+            let typed = format!("{} {}", f.name, f.value);
+            let _ = write!(out, "  {typed:20} ");
+            // Only an axis flag has rows that list it.
+            let takers = accepting(f.name);
+            if !takers.is_empty() {
+                let _ = write!(out, "[{}] ", takers.join(", "));
+            }
+            let _ = writeln!(out, "{}", f.help);
+        }
+    };
+    section("flags", GLOBAL_FLAGS);
+    section(
+        "flags of one process (sprout-control reserves them)",
+        RESERVED_FLAGS,
+    );
+    section("axis flags [the experiments that take them]", AXIS_FLAGS);
+    out
 }
 
 /// `Some(values)` only when every value is distinct: a duplicated axis
@@ -163,7 +219,7 @@ pub fn parse_contend(spec: &str) -> Option<Vec<FlowSpec>> {
 }
 
 /// Parse `--impairments`: comma-separated distinct preset names from
-/// [`IMPAIRMENT_PRESETS`], kept as `(name, spec)` pairs so artifacts can
+/// [`sprout_trace::IMPAIRMENT_PRESETS`], kept as `(name, spec)` pairs so artifacts can
 /// report the human-readable preset name alongside the canonical id.
 pub fn parse_impairments(spec: &str) -> Option<Vec<(String, Impairment)>> {
     spec.split(',')
@@ -193,193 +249,128 @@ pub fn parse_sessions(spec: &str) -> Option<Vec<u32>> {
         .and_then(all_distinct)
 }
 
-/// Apply the worker-safe flags in `args` to `cfg`, with the same
-/// validation matrix the `reproduce` binary enforces: axis flags must
-/// match `experiment`, `--quick` fills only what `--secs`/`--warmup`
-/// left unset, an explicit run length hands soak/serve/replay timing
-/// back to the global knobs, and the warmup must leave a non-empty
-/// measurement window. Returns a one-line usage message on the first
-/// violation. `--trace` registers each capture as it parses, so a
-/// malformed file is reported to its submitter here — before any worker
-/// is spawned.
+/// Apply the worker-safe flags in `args` to `cfg` and return the rows of
+/// the experiment table `experiment` selects. The validation is the
+/// table's: an axis flag must be one every selected row accepts,
+/// `--quick` fills only what `--secs`/`--warmup` left unset, an explicit
+/// run length hands soak/serve/replay timing back to the global knobs,
+/// and the warmup must leave each row a non-empty measurement window.
+/// Returns a one-line usage message on the first violation. `--trace`
+/// registers each capture as it parses, so a malformed file is reported
+/// to its submitter here — before any worker is spawned.
 ///
 /// Only flags [`worker_flag_arity`] recognizes are accepted; anything
-/// else (including every [`CONTROL_RESERVED_FLAGS`] entry) is an error,
-/// which is exactly the submit-time screen the control daemon needs.
+/// else (including every [`RESERVED_FLAGS`] entry) is an error, which is
+/// exactly the submit-time screen the control daemon needs.
 pub fn apply_worker_args(
     cfg: &mut ExperimentConfig,
     experiment: &str,
     args: &[String],
-) -> Result<(), String> {
-    if !is_experiment(experiment) {
-        return Err(format!("unknown experiment {experiment:?}"));
-    }
+) -> Result<Vec<&'static Experiment>, String> {
+    let rows = select(experiment).ok_or_else(|| format!("unknown experiment {experiment:?}"))?;
     let mut quick = false;
     let mut explicit_secs = false;
     let mut explicit_warmup = false;
-    let mut links_flag = false;
-    let mut soak_axis_flags = false;
     let mut explicit_flows = false;
-    let mut explicit_contend = false;
-    let mut explicit_impairments = false;
-    let mut explicit_sessions = false;
-    let mut explicit_schemes = false;
-    let mut timeseries = false;
     let mut traces: Vec<u64> = Vec::new();
-    fn value<'a>(iter: &mut std::slice::Iter<'a, String>, name: &str) -> Result<&'a str, String> {
+    type Args<'a> = std::slice::Iter<'a, String>;
+    fn value<'a>(iter: &mut Args<'a>, name: &str) -> Result<&'a str, String> {
         iter.next()
             .map(String::as_str)
             .ok_or_else(|| format!("{name} expects a value"))
     }
-    fn numeric(iter: &mut std::slice::Iter<'_, String>, name: &str) -> Result<u64, String> {
-        match iter.next().map(|v| v.parse::<u64>()) {
-            Some(Ok(v)) => Ok(v),
-            Some(Err(_)) => Err(format!("{name} expects a number")),
-            None => Err(format!("{name} expects a value")),
-        }
+    fn numeric(iter: &mut Args<'_>, name: &str) -> Result<u64, String> {
+        value(iter, name)?
+            .parse()
+            .map_err(|_| format!("{name} expects a number"))
+    }
+    /// The parsed value of an axis flag; its help line is the error.
+    fn axis<T>(
+        iter: &mut Args<'_>,
+        flag: &Flag,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        parse(value(iter, flag.name)?).ok_or_else(|| format!("{} expects {}", flag.name, flag.help))
     }
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--secs" => {
-                cfg.run_secs = numeric(&mut iter, "--secs")?;
-                explicit_secs = true;
+        let name = arg.as_str();
+        if let Some(flag) = AXIS_FLAGS.iter().find(|f| f.name == name) {
+            if !rows.iter().all(|row| row.flags.contains(&name)) {
+                return Err(format!(
+                    "{name} is an axis of {} only; {experiment} does not take it",
+                    accepting(name).join(", ")
+                ));
             }
-            "--warmup" => {
-                cfg.warmup_secs = numeric(&mut iter, "--warmup")?;
-                explicit_warmup = true;
-            }
-            "--seed" => cfg.seed = numeric(&mut iter, "--seed")?,
-            "--threads" => cfg.threads = numeric(&mut iter, "--threads")? as usize,
-            "--quick" => quick = true,
-            "--cell-timeout" => {
-                let secs = numeric(&mut iter, "--cell-timeout")?;
-                if secs == 0 {
-                    return Err("--cell-timeout expects a positive number of seconds".to_string());
-                }
-                cfg.cell_timeout_secs = secs;
-            }
-            "--links" => match parse_links(value(&mut iter, arg)?) {
-                Some(links) => {
+            match name {
+                "--links" => {
+                    let links = axis(&mut iter, flag, parse_links)?;
                     cfg.soak.links = links.clone();
                     cfg.contention.links = links.clone();
                     cfg.impair.links = links.clone();
                     cfg.serve.links = links;
-                    links_flag = true;
                 }
-                None => {
-                    return Err(
-                        "--links expects a comma-separated list of distinct link ids (e.g. vz-lte-down,tmo-3g-up)"
-                            .to_string(),
-                    )
+                "--prop-delays" => {
+                    cfg.soak.prop_delays_ms = axis(&mut iter, flag, parse_prop_delays)?
                 }
-            },
-            "--prop-delays" => match parse_prop_delays(value(&mut iter, arg)?) {
-                Some(ms) => {
-                    cfg.soak.prop_delays_ms = ms;
-                    soak_axis_flags = true;
+                "--queues" => cfg.soak.queues = axis(&mut iter, flag, parse_queues)?,
+                "--flows" => {
+                    cfg.contention.flows = axis(&mut iter, flag, |v| {
+                        let n = v.parse().ok()?;
+                        (2..=MAX_CONTENTION_FLOWS).contains(&n).then_some(n)
+                    })?;
+                    explicit_flows = true;
                 }
-                None => {
-                    return Err(
-                        "--prop-delays expects comma-separated distinct one-way delays in ms, each in 1..=10000 (e.g. 10,25,50)"
-                            .to_string(),
-                    )
+                "--contend" => {
+                    cfg.contention.contenders = Some(axis(&mut iter, flag, parse_contend)?)
                 }
-            },
-            "--queues" => match parse_queues(value(&mut iter, arg)?) {
-                Some(queues) => {
-                    cfg.soak.queues = queues;
-                    soak_axis_flags = true;
+                "--impairments" => {
+                    cfg.impair.impairments = axis(&mut iter, flag, parse_impairments)?
                 }
-                None => {
-                    return Err(
-                        "--queues expects comma-separated distinct specs from auto|droptail|codel|bytes:N (e.g. auto,bytes:75000)"
-                            .to_string(),
-                    )
+                "--sessions" => cfg.serve.sessions = axis(&mut iter, flag, parse_sessions)?,
+                "--trace" => {
+                    let path = value(&mut iter, name)?;
+                    // Registration validates the capture (a malformed file is
+                    // reported here, at submit/parse time) and is what makes
+                    // the fingerprint resolvable in *this* process.
+                    match sprout_trace::register_trace_file(path) {
+                        Ok(fp) => traces.push(fp),
+                        Err(e) => return Err(format!("--trace {path}: {e}")),
+                    }
                 }
-            },
-            "--flows" => {
-                let n = numeric(&mut iter, "--flows")? as usize;
-                if !(2..=MAX_CONTENTION_FLOWS).contains(&n) {
-                    return Err(format!(
-                        "--flows expects a flow count in 2..={MAX_CONTENTION_FLOWS}, got {n}"
-                    ));
-                }
-                cfg.contention.flows = n;
-                explicit_flows = true;
+                "--schemes" => cfg.replay.schemes = axis(&mut iter, flag, parse_schemes)?,
+                "--timeseries" => cfg.timeseries = true,
+                other => unreachable!("axis flag {other} has no parser"),
             }
-            "--contend" => match parse_contend(value(&mut iter, arg)?) {
-                Some(flows) => {
-                    cfg.contention.contenders = Some(flows);
-                    explicit_contend = true;
-                }
-                None => {
-                    return Err(
-                        "--contend expects 2..=16 comma-separated flow specs: scheme tags (sprout, sprout-ewma, cubic, cubic-codel, reno, vegas, compound, ledbat, skype, facetime, google-hangout) or tunneled app flows like skype-over-sprout; omniscient cannot contend"
-                            .to_string(),
-                    )
-                }
-            },
-            "--impairments" => match parse_impairments(value(&mut iter, arg)?) {
-                Some(impairments) => {
-                    cfg.impair.impairments = impairments;
-                    explicit_impairments = true;
-                }
-                None => {
-                    return Err(format!(
-                        "--impairments expects comma-separated distinct preset names from {}",
-                        IMPAIRMENT_PRESETS.join(", ")
-                    ))
-                }
-            },
-            "--sessions" => match parse_sessions(value(&mut iter, arg)?) {
-                Some(sessions) => {
-                    cfg.serve.sessions = sessions;
-                    explicit_sessions = true;
-                }
-                None => {
-                    return Err(format!(
-                        "--sessions expects comma-separated distinct session counts, each in 1..={MAX_SERVE_SESSIONS} (e.g. 1,64,1024)"
-                    ))
-                }
-            },
-            "--trace" => {
-                let path = value(&mut iter, arg)?;
-                // Registration validates the capture (a malformed file is
-                // reported here, at submit/parse time) and is what makes
-                // the fingerprint resolvable in *this* process.
-                match sprout_trace::register_trace_file(path) {
-                    Ok(fp) => traces.push(fp),
-                    Err(e) => return Err(format!("--trace {path}: {e}")),
+            continue;
+        }
+        match name {
+            "--secs" => {
+                cfg.run_secs = numeric(&mut iter, name)?;
+                explicit_secs = true;
+            }
+            "--warmup" => {
+                cfg.warmup_secs = numeric(&mut iter, name)?;
+                explicit_warmup = true;
+            }
+            "--seed" => cfg.seed = numeric(&mut iter, name)?,
+            "--threads" => cfg.threads = numeric(&mut iter, name)? as usize,
+            "--quick" => quick = true,
+            "--cell-timeout" => {
+                cfg.cell_timeout_secs = numeric(&mut iter, name)?;
+                if cfg.cell_timeout_secs == 0 {
+                    return Err("--cell-timeout expects a positive number of seconds".to_string());
                 }
             }
-            "--schemes" => match parse_schemes(value(&mut iter, arg)?) {
-                Some(schemes) => {
-                    cfg.replay.schemes = schemes;
-                    explicit_schemes = true;
-                }
-                None => {
-                    return Err(
-                        "--schemes expects comma-separated distinct scheme tags (sprout, sprout-ewma, cubic, cubic-codel, reno, vegas, compound, ledbat, skype, facetime, google-hangout, omniscient)"
-                            .to_string(),
-                    )
-                }
-            },
-            "--timeseries" => timeseries = true,
             other => return Err(format!("unknown worker flag {other:?}")),
         }
     }
-    let explicit_traces = !traces.is_empty();
-    if explicit_traces {
+    if !traces.is_empty() {
         // Duplicate captures (same bytes under any path) would cross into
         // duplicate cells with identical labels and cache keys.
-        match all_distinct(traces) {
-            Some(fps) => cfg.replay.traces = fps,
-            None => return Err(
-                "--trace captures must be distinct (two of the given files have identical bytes)"
-                    .to_string(),
-            ),
-        }
+        cfg.replay.traces = all_distinct(traces).ok_or(
+            "--trace captures must be distinct (two of the given files have identical bytes)",
+        )?;
     }
     // --quick fills in whatever the user did not set explicitly, so
     // `--warmup 100 --quick` is the contradiction it looks like (and is
@@ -392,95 +383,33 @@ pub fn apply_worker_args(
             cfg.warmup_secs = 20;
         }
     }
-    if soak_axis_flags && experiment != "soak" {
-        return Err(
-            "--prop-delays/--queues configure the soak matrix; they require the soak experiment"
-                .to_string(),
-        );
-    }
-    if links_flag
-        && experiment != "soak"
-        && experiment != "contention"
-        && experiment != "impair"
-        && experiment != "serve"
-    {
-        return Err(
-            "--links trims the soak/contention/impair/serve link axis; it requires one of those experiments"
-                .to_string(),
-        );
-    }
-    if (explicit_flows || explicit_contend) && experiment != "contention" {
-        return Err(
-            "--flows/--contend configure the contention matrix; they require the contention experiment"
-                .to_string(),
-        );
-    }
-    if explicit_impairments && experiment != "impair" {
-        return Err(
-            "--impairments configures the impair matrix; it requires the impair experiment"
-                .to_string(),
-        );
-    }
-    if explicit_sessions && experiment != "serve" {
-        return Err(
-            "--sessions configures the serve matrix; it requires the serve experiment".to_string(),
-        );
-    }
-    if (explicit_traces || explicit_schemes) && experiment != "replay" {
-        return Err(
-            "--trace/--schemes configure the replay matrix; they require the replay experiment"
-                .to_string(),
-        );
-    }
-    if timeseries {
-        if !matches!(experiment, "replay" | "impair" | "soak") {
-            return Err(
-                "--timeseries emits per-cell series for the replay, impair, and soak matrices; it requires one of those experiments"
-                    .to_string(),
-            );
-        }
-        cfg.timeseries = true;
-    }
-    if explicit_flows && explicit_contend {
+    if explicit_flows && cfg.contention.contenders.is_some() {
         return Err(
             "--flows sizes the default contention workloads and --contend replaces them; pick one"
                 .to_string(),
         );
     }
-    // The paper-length soak default (and the short serve default) live
-    // on their axes structs (so the library builds the identical
-    // matrix); an explicit --secs or --quick hands timing back to the
-    // global knobs.
+    // The experiments with their own default run length keep it on their
+    // axes struct (so the library builds the identical matrix); an
+    // explicit --secs or --quick hands timing back to the global knobs.
     if explicit_secs || quick {
         cfg.soak.secs = None;
         cfg.serve.secs = None;
         cfg.replay.secs = None;
     }
-    // Validate against the run length the experiment will actually use
-    // (soak defaults to SOAK_SECS, serve to SERVE_SECS, replay to
-    // REPLAY_SECS, independently of --secs). Serve and replay derive
-    // their warmup from the run length (one sixth) instead of --warmup,
-    // so their windows can never be empty.
-    let effective_secs = effective_secs(cfg, experiment);
-    if experiment != "serve" && experiment != "replay" && cfg.warmup_secs >= effective_secs {
-        return Err(format!(
-            "warmup ({}s) must be shorter than the run ({}s): the measurement window would be empty",
-            cfg.warmup_secs, effective_secs
-        ));
+    // Validate against the run length each row will actually use. A row
+    // that derives its warmup from the run length can never have an
+    // empty window.
+    for row in rows.iter().filter(|row| !row.own_warmup) {
+        if cfg.warmup_secs >= row.secs(cfg) {
+            return Err(format!(
+                "warmup ({}s) must be shorter than the run ({}s): the measurement window would be empty",
+                cfg.warmup_secs,
+                row.secs(cfg)
+            ));
+        }
     }
-    Ok(())
-}
-
-/// The run length `experiment` will actually use under `cfg` (soak,
-/// serve, and replay carry their own defaults independently of
-/// `--secs`).
-pub fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
-    match experiment {
-        "soak" => cfg.soak.secs.unwrap_or(cfg.run_secs),
-        "serve" => cfg.serve.secs.unwrap_or(cfg.run_secs),
-        "replay" => cfg.replay.secs.unwrap_or(cfg.run_secs),
-        _ => cfg.run_secs,
-    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -490,7 +419,87 @@ mod tests {
     fn apply(experiment: &str, args: &[&str]) -> Result<ExperimentConfig, String> {
         let mut cfg = ExperimentConfig::default();
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        apply_worker_args(&mut cfg, experiment, &args).map(|()| cfg)
+        apply_worker_args(&mut cfg, experiment, &args).map(|_| cfg)
+    }
+
+    /// The run length `experiment`'s one row uses under `cfg`.
+    fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
+        select(experiment).expect("a table row")[0].secs(cfg)
+    }
+
+    #[test]
+    fn the_experiment_table_and_the_flag_tables_agree() {
+        let cfg = ExperimentConfig::default();
+        for (i, row) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|e| e.name != row.name) && row.name != ALL,
+                "row name {:?} is taken",
+                row.name
+            );
+            // A row names only axis flags, and only ones the parser knows.
+            for name in row.flags {
+                assert!(AXIS_FLAGS.iter().any(|f| f.name == *name), "{name}");
+                assert!(worker_flag_arity(name).is_some(), "{name}");
+            }
+            assert_eq!(select(row.name).unwrap().len(), 1);
+        }
+        // Every axis flag the parser knows has a row that takes it; the
+        // global flags are nobody's axis.
+        for f in AXIS_FLAGS {
+            let takers = accepting(f.name);
+            assert!(!takers.is_empty(), "{} has no experiment", f.name);
+            // ...and a parser: given alone it is applied or refused for
+            // its missing value, never a panic.
+            let alone = apply(takers[0], &[f.name]);
+            assert_eq!(alone.is_ok(), f.value.is_empty(), "{}", f.name);
+        }
+        for f in GLOBAL_FLAGS {
+            assert!(accepting(f.name).is_empty() && worker_flag_arity(f.name).is_some());
+        }
+        for f in RESERVED_FLAGS {
+            assert_eq!(worker_flag_arity(f.name), None, "{}", f.name);
+        }
+
+        // `all` is today's six sweeps in today's order, each executed
+        // once; its members take no axis flag and no timing of their own.
+        let all = select(ALL).unwrap();
+        let sweeps: Vec<String> = all
+            .iter()
+            .map(|e| (e.matrix)(&cfg).name().to_string())
+            .collect();
+        assert_eq!(sweeps, ["fig1", "fig2", "fig7", "fig9", "loss", "tunnel"]);
+        assert!(all
+            .iter()
+            .all(|e| e.flags.is_empty() && e.own_secs.is_none()));
+        // fig8 is a second report over the fig7 sweep, not a second sweep.
+        let sweep_of = |name: &str| (select(name).unwrap()[0].matrix)(&cfg).fingerprint();
+        assert_eq!(sweep_of("fig7"), sweep_of("fig8"));
+        assert!(select("fig99").is_none() && select("").is_none());
+    }
+
+    #[test]
+    fn help_is_rendered_from_the_tables() {
+        let help = help();
+        for row in &EXPERIMENTS {
+            assert!(help.contains(&format!("  {:11} {}", row.name, row.help)));
+        }
+        let flags = GLOBAL_FLAGS.iter().chain(AXIS_FLAGS).chain(RESERVED_FLAGS);
+        for f in flags {
+            assert!(help.contains(&format!("  {} ", f.name)), "{}", f.name);
+        }
+        assert!(
+            help.contains("[contention, soak, impair, serve] comma-separated distinct link ids")
+        );
+        assert!(help.contains("(default --secs 1020)") && help.contains("(default --secs 30)"));
+        // The ranges the help promises are the ones the parsers enforce.
+        let promised = |flag: &str, bound: String| {
+            let f = AXIS_FLAGS.iter().find(|f| f.name == flag).unwrap();
+            assert!(f.help.contains(&bound), "{flag}: {}", f.help);
+        };
+        promised("--flows", format!("2..={MAX_CONTENTION_FLOWS}"));
+        promised("--contend", format!("2..={MAX_CONTENTION_FLOWS}"));
+        promised("--sessions", format!("1..={MAX_SERVE_SESSIONS}"));
+        promised("--impairments", sprout_trace::IMPAIRMENT_PRESETS.join(","));
     }
 
     #[test]
@@ -511,16 +520,17 @@ mod tests {
         assert!(apply("nope", &[]).is_err());
 
         // Reserved control-plane flags are not worker flags.
-        for flag in CONTROL_RESERVED_FLAGS {
+        for flag in RESERVED_FLAGS {
             assert!(
-                apply("soak", &[flag]).is_err(),
-                "{flag} must be rejected as a worker flag"
+                apply("soak", &[flag.name]).is_err(),
+                "{} must be rejected as a worker flag",
+                flag.name
             );
         }
         // The retired `--bench` is no longer reserved, only unknown: a
         // `sprout-control submit … -- --bench` is still refused at
         // submit time.
-        assert!(!CONTROL_RESERVED_FLAGS.contains(&"--bench"));
+        assert!(RESERVED_FLAGS.iter().all(|f| f.name != "--bench"));
         assert_eq!(worker_flag_arity("--bench"), None);
         let err = apply("soak", &["--bench"]).unwrap_err();
         assert!(err.contains("unknown worker flag"), "{err}");

@@ -1,24 +1,30 @@
-//! Regeneration of every table and figure in the paper's evaluation
-//! (§5).
+//! Every experiment of the paper's evaluation (§5) and of this repo's
+//! added sweeps, declared once.
 //!
-//! Each figure **declares** its experiment as a [`ScenarioMatrix`]
-//! cross-product, hands it to the shared [`SweepEngine`] (parallel,
-//! deterministically seeded), and **renders** the returned
-//! [`SweepResult`] rows: machine-readable TSV plus a canonical
-//! `<figure>_sweep.json` record into the output directory, and a
-//! structured summary for display. No figure runs its own scheme×link
-//! loops.
+//! An experiment is one row of [`EXPERIMENTS`]: its name, a line of
+//! help, the [`ScenarioMatrix`] it **declares**, the axis flags it
+//! accepts, its own default run length if it has one, whether `all`
+//! includes it, and the [`Report`] that **renders** the finished
+//! [`SweepResult`] rows — TSVs into the output directory, a summary to
+//! the caller's writer. Everything that needs to know what an experiment
+//! is ([`select`], [`Experiment::run`], `crate::cli`'s validation and
+//! help, the `reproduce` binary, the control daemon) looks the row up; no
+//! experiment runs its own scheme×link loops, and all of them go through
+//! the shared [`SweepEngine`] (parallel, deterministically seeded), which
+//! also records the canonical `<matrix>_sweep.json`.
 
 use std::fs;
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufWriter, Write};
+use std::path::PathBuf;
 
 use sprout_baselines::VideoApp;
 use sprout_trace::{Duration, Impairment, NetProfile, IMPAIRMENT_PRESETS};
 
 use crate::scenario::{FlowSpec, LinkSpec, QueueSpec, ScenarioMatrix, Workload};
 use crate::schemes::{Scheme, SchemeResult};
-use crate::sweep::{self, CellCachePolicy, FlowSummary, ShardSpec, SweepEngine, SweepResult};
+use crate::sweep::{
+    self, CellCachePolicy, FlowSummary, SeriesRow, ShardSpec, SweepEngine, SweepResult,
+};
 
 pub use crate::scenario::{paired, paired_profile};
 
@@ -39,8 +45,8 @@ pub struct SoakAxes {
     /// Queue disciplines.
     pub queues: Vec<QueueSpec>,
     /// Soak run length override, seconds. Defaults to the paper-length
-    /// [`SOAK_SECS`] so *every* soak entry point — CLI, library,
-    /// `matrices_for` shard workers — declares the identical matrix
+    /// [`SOAK_SECS`] so *every* soak entry point — CLI, library, shard
+    /// workers — declares the identical matrix
     /// (and therefore the identical cache keys); `None` inherits the
     /// global `ExperimentConfig` timing (`--secs`/`--quick` set this).
     pub secs: Option<u64>,
@@ -358,18 +364,312 @@ impl ExperimentConfig {
     }
 }
 
-// ---------------------------------------------------------------- fig 1
+// ------------------------------------------------------------ the table
 
-/// Figure 1: Skype vs Sprout time series on the Verizon LTE downlink.
-pub struct Fig1Result {
-    /// (time s, capacity kbps, skype kbps, sprout kbps) per 500 ms bin.
-    pub throughput_rows: Vec<(f64, f64, f64, f64)>,
-    /// Worst per-arrival delay per 500 ms bin: (time s, skype ms, sprout ms).
-    pub delay_rows: Vec<(f64, f64, f64)>,
+/// A finished sweep, as a [`Report`] sees it.
+pub struct Sweep<'a> {
+    /// The configuration the matrix was declared under; TSVs go to its
+    /// `out_dir`.
+    pub cfg: &'a ExperimentConfig,
+    /// One result per cell, in matrix order.
+    pub results: &'a [SweepResult],
+    /// Wall time the engine spent on the matrix.
+    pub elapsed: std::time::Duration,
 }
 
+/// Renders one experiment from its finished sweep: writes the TSVs into
+/// `cfg.out_dir` and the console summary to the given writer (never to
+/// process stdout, so a library caller decides where the text goes).
+pub type Report = fn(&Sweep<'_>, &mut dyn Write) -> io::Result<()>;
+
+/// One experiment. The rows of [`EXPERIMENTS`] are the only place an
+/// experiment is declared; `reproduce`, `all`, shard/merge, the control
+/// daemon's validation, the flag-ownership errors and the help text are
+/// lookups in, or loops over, that table.
+pub struct Experiment {
+    /// The name `reproduce` and `sprout-control submit` take.
+    pub name: &'static str,
+    /// One line for `reproduce --help`.
+    pub help: &'static str,
+    /// The matrix it sweeps. Rows may share one: `fig8` is a second
+    /// report over the `fig7` sweep.
+    pub matrix: fn(&ExperimentConfig) -> ScenarioMatrix,
+    /// The axis flags ([`crate::cli::AXIS_FLAGS`]) it accepts; any other
+    /// axis flag is a usage error naming the rows that do accept it.
+    pub flags: &'static [&'static str],
+    /// Its own default run length, where it has one: `Some(secs)` until
+    /// `--secs`/`--quick` hand timing back to the global knob.
+    pub own_secs: Option<fn(&ExperimentConfig) -> Option<u64>>,
+    /// Its matrix derives the warm-up from the run length (one sixth),
+    /// so `--warmup` is not checked against it.
+    pub own_warmup: bool,
+    /// Whether `reproduce all` includes it. The rows left out are sized
+    /// for sharded runs (`soak`), take axis flags that would silently
+    /// change what `all` means, or — `fig7` — are rendered in full by a
+    /// row that is in (`fig8`), so the shared sweep executes once.
+    pub in_all: bool,
+    /// Its TSVs and console summary.
+    pub report: Report,
+}
+
+/// Every experiment, in help-text order.
+pub static EXPERIMENTS: [Experiment; 12] = [
+    Experiment {
+        name: "fig1",
+        help: "Skype vs Sprout time series (Verizon LTE downlink)",
+        matrix: fig1_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: fig1_report,
+    },
+    Experiment {
+        name: "fig2",
+        help: "saturated-link interarrival distribution",
+        matrix: fig2_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: fig2_report,
+    },
+    Experiment {
+        name: "fig7",
+        help: "comparative sweep (10 schemes x 8 links) + intro tables 1 and 2",
+        matrix: fig7_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: false,
+        report: fig7_report,
+    },
+    Experiment {
+        name: "fig8",
+        help: "fig7, then average utilization vs delay over the same sweep",
+        matrix: fig7_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: fig8_report,
+    },
+    Experiment {
+        name: "fig9",
+        help: "forecast-confidence sweep (T-Mobile 3G uplink)",
+        matrix: fig9_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: fig9_report,
+    },
+    Experiment {
+        name: "loss",
+        help: "s5.6 loss-resilience table",
+        matrix: loss_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: loss_report,
+    },
+    Experiment {
+        name: "tunnel",
+        help: "s5.7 SproutTunnel isolation table",
+        matrix: tunnel_matrix,
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: true,
+        report: tunnel_report,
+    },
+    Experiment {
+        name: "contention",
+        help: "N flows sharing one bottleneck queue: per-flow shares + Jain fairness",
+        matrix: contention_matrix,
+        flags: &["--links", "--flows", "--contend"],
+        own_secs: None,
+        own_warmup: false,
+        in_all: false,
+        report: contention_report,
+    },
+    Experiment {
+        name: "soak",
+        help: "schemes + apps x links x queues x delays at paper length; run it sharded",
+        matrix: soak_matrix,
+        flags: &["--links", "--prop-delays", "--queues", "--timeseries"],
+        own_secs: Some(|cfg| cfg.soak.secs),
+        own_warmup: false,
+        in_all: false,
+        report: soak_report,
+    },
+    Experiment {
+        name: "impair",
+        help: "schemes x fault-injection presets, with graceful-degradation metrics",
+        matrix: impair_matrix,
+        flags: &["--links", "--impairments", "--timeseries"],
+        own_secs: None,
+        own_warmup: false,
+        in_all: false,
+        report: impair_report,
+    },
+    Experiment {
+        name: "serve",
+        help: "one SproutServer driving N sessions: delivered bytes + fairness per N",
+        matrix: serve_matrix,
+        flags: &["--links", "--sessions"],
+        own_secs: Some(|cfg| cfg.serve.secs),
+        own_warmup: true,
+        in_all: false,
+        report: serve_report,
+    },
+    Experiment {
+        name: "replay",
+        help: "the scheme roster over measured Saturator captures replayed as the link",
+        matrix: replay_matrix,
+        flags: &["--trace", "--schemes", "--timeseries"],
+        own_secs: Some(|cfg| cfg.replay.secs),
+        own_warmup: true,
+        in_all: false,
+        report: replay_report,
+    },
+];
+
+/// The name that selects every [`Experiment::in_all`] row.
+pub const ALL: &str = "all";
+
+/// The rows `name` selects, in table order: the row of that name, or
+/// every `in_all` row for [`ALL`]. `None` when it names nothing.
+pub fn select(name: &str) -> Option<Vec<&'static Experiment>> {
+    let rows: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| {
+            if name == ALL {
+                e.in_all
+            } else {
+                e.name == name
+            }
+        })
+        .collect();
+    (!rows.is_empty()).then_some(rows)
+}
+
+impl Experiment {
+    /// The run length this experiment uses under `cfg`: its own default
+    /// while that stands, the global knob otherwise.
+    pub fn secs(&self, cfg: &ExperimentConfig) -> u64 {
+        self.own_secs
+            .and_then(|own| own(cfg))
+            .unwrap_or(cfg.run_secs)
+    }
+
+    /// Run `matrix` — this row's, as declared under `cfg` — on the
+    /// shared engine, record its `<matrix>_sweep.json`, and report.
+    pub fn run(
+        &self,
+        cfg: &ExperimentConfig,
+        matrix: &ScenarioMatrix,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        run_and_report(cfg, matrix, self.report, out)
+    }
+}
+
+fn run_and_report(
+    cfg: &ExperimentConfig,
+    matrix: &ScenarioMatrix,
+    report: Report,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    let t0 = std::time::Instant::now();
+    let results = cfg.run_matrix(matrix)?;
+    let sweep = Sweep {
+        cfg,
+        results: &results,
+        elapsed: t0.elapsed(),
+    };
+    report(&sweep, out)
+}
+
+// -------------------------------------------------------- table writing
+
+/// One column of a TSV table: its header and how a row renders in it. A
+/// table is written from one list of these, so header and rows cannot
+/// drift apart.
+struct Col<'a, R>(&'static str, Box<dyn Fn(&R) -> String + 'a>);
+
+/// A column over sweep cells, the rows of most tables.
+fn col<'a>(name: &'static str, cell: impl Fn(&SweepResult) -> String + 'a) -> Col<'a, SweepResult> {
+    Col(name, Box::new(cell))
+}
+
+/// A column holding one of the cell's direction metrics.
+fn metric_col<'a>(
+    name: &'static str,
+    digits: usize,
+    metric: fn(&SchemeResult) -> f64,
+) -> Col<'a, SweepResult> {
+    col(name, move |r| format!("{:.digits$}", metric(&metrics(r))))
+}
+
+/// The four metric columns the per-cell tables share, in their one
+/// format.
+fn metric_cols<'a>() -> [Col<'a, SweepResult>; 4] {
+    [
+        metric_col("throughput_kbps", 1, |m| m.throughput_kbps),
+        metric_col("p95_delay_ms", 1, |m| m.p95_delay_ms),
+        metric_col("self_inflicted_ms", 1, |m| m.self_inflicted_ms),
+        metric_col("utilization", 4, |m| m.utilization),
+    ]
+}
+
+fn label_col<'a>() -> Col<'a, SweepResult> {
+    col("label", |r| r.scenario.label.clone())
+}
+
+fn link_col<'a>(name: &'static str) -> Col<'a, SweepResult> {
+    col(name, |r| r.scenario.link.id())
+}
+
+fn scheme_col<'a>() -> Col<'a, SweepResult> {
+    col("scheme", |r| scheme(r).name().to_string())
+}
+
+fn metrics(r: &SweepResult) -> SchemeResult {
+    r.metrics.expect("the cell produces direction metrics")
+}
+
+fn scheme(r: &SweepResult) -> Scheme {
+    r.scenario.workload.scheme().expect("a scheme matrix")
+}
+
+impl ExperimentConfig {
+    /// Write `<out_dir>/<file>`: the column names, then one line per row.
+    fn write_table<R>(&self, file: &str, rows: &[R], cols: &[Col<'_, R>]) -> io::Result<()> {
+        let mut f = self.tsv(file)?;
+        let header: Vec<&str> = cols.iter().map(|c| c.0).collect();
+        writeln!(f, "{}", header.join("\t"))?;
+        for row in rows {
+            let cells: Vec<String> = cols.iter().map(|c| (c.1)(row)).collect();
+            writeln!(f, "{}", cells.join("\t"))?;
+        }
+        f.flush()
+    }
+}
+
+/// Render a `SchemeResult` row for console output.
+fn fmt_result(name: &str, r: &SchemeResult) -> String {
+    format!(
+        "{name:16} {:>8.0} kbps  p95 {:>9.0} ms  self-inflicted {:>9.0} ms  util {:>5.2}",
+        r.throughput_kbps, r.p95_delay_ms, r.self_inflicted_ms, r.utilization
+    )
+}
+
+// ---------------------------------------------------------------- fig 1
+
 /// The Figure 1 matrix: Skype vs Sprout with 500 ms series collection.
-pub fn fig1_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn fig1_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.matrix("fig1")
         .schemes([Scheme::Skype, Scheme::Sprout])
         .links([NetProfile::VerizonLteDown])
@@ -377,63 +677,57 @@ pub fn fig1_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// Run Figure 1.
-pub fn fig1(cfg: &ExperimentConfig) -> std::io::Result<Fig1Result> {
-    let matrix = fig1_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-    let (skype, sprout) = (&results[0], &results[1]);
-
-    let n = skype.series.len().min(sprout.series.len());
-    let mut throughput_rows = Vec::with_capacity(n);
-    let mut delay_rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let (sk, sp) = (&skype.series[i], &sprout.series[i]);
-        // Both cells replay the identical link trace, so either capacity
-        // column works.
-        throughput_rows.push((
-            sk.t_s,
-            sk.capacity_kbps,
-            sk.throughput_kbps,
-            sp.throughput_kbps,
-        ));
-        delay_rows.push((sk.t_s, sk.worst_delay_ms, sp.worst_delay_ms));
-    }
-
-    let mut f = cfg.tsv("fig1_timeseries.tsv")?;
+/// Figure 1: Skype vs Sprout time series on the Verizon LTE downlink.
+fn fig1_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    // Both cells replay the identical link trace, so either capacity
+    // column works.
+    let bins: Vec<(&SeriesRow, &SeriesRow)> = s.results[0]
+        .series
+        .iter()
+        .zip(&s.results[1].series)
+        .collect();
+    let mut f = s.cfg.tsv("fig1_timeseries.tsv")?;
     writeln!(
         f,
         "time_s\tcapacity_kbps\tskype_kbps\tsprout_kbps\tskype_delay_ms\tsprout_delay_ms"
     )?;
-    for (i, row) in throughput_rows.iter().enumerate() {
+    for (skype, sprout) in &bins {
         writeln!(
             f,
             "{:.1}\t{:.0}\t{:.0}\t{:.0}\t{:.0}\t{:.0}",
-            row.0, row.1, row.2, row.3, delay_rows[i].1, delay_rows[i].2
+            skype.t_s,
+            skype.capacity_kbps,
+            skype.throughput_kbps,
+            sprout.throughput_kbps,
+            skype.worst_delay_ms,
+            sprout.worst_delay_ms
         )?;
     }
     f.flush()?;
-    Ok(Fig1Result {
-        throughput_rows,
-        delay_rows,
-    })
+
+    let mean = |of: fn(&(&SeriesRow, &SeriesRow)) -> f64| {
+        bins.iter().map(of).sum::<f64>() / bins.len().max(1) as f64
+    };
+    writeln!(
+        out,
+        "fig1: {} bins written to fig1_timeseries.tsv",
+        bins.len()
+    )?;
+    writeln!(
+        out,
+        "  mean capacity {:.0} kbps | skype {:.0} kbps | sprout {:.0} kbps",
+        mean(|b| b.0.capacity_kbps),
+        mean(|b| b.0.throughput_kbps),
+        mean(|b| b.1.throughput_kbps),
+    )
 }
 
 // ---------------------------------------------------------------- fig 2
 
-/// Figure 2: interarrival distribution of a saturated downlink.
-pub struct Fig2Result {
-    /// Fraction of interarrivals within 20 ms (paper: 99.99%).
-    pub fraction_within_20ms: f64,
-    /// Power-law slope of the 20 ms–5 s tail (paper: −3.27).
-    pub tail_slope: Option<f64>,
-    /// Total interarrivals measured.
-    pub samples: u64,
-}
-
 /// The Figure 2 matrix: a saturated-link interarrival probe. The paper's
 /// sample is 1.2 M packets; at ~420 packets/s that is ~48 min of
 /// saturation, so the probe scales with `run_secs` but keeps ≥ 10 min.
-pub fn fig2_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn fig2_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     let secs = (cfg.run_secs * 10).max(600);
     ScenarioMatrix::builder("fig2")
         .workloads([Workload::InterarrivalProbe])
@@ -442,234 +736,215 @@ pub fn fig2_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// Run Figure 2 on a long saturated Verizon LTE downlink.
-pub fn fig2(cfg: &ExperimentConfig) -> std::io::Result<Fig2Result> {
-    let matrix = fig2_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-    let ia = results[0]
+/// Figure 2: interarrival distribution of a long saturated Verizon LTE
+/// downlink.
+fn fig2_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    let ia = s.results[0]
         .interarrival
         .as_ref()
         .expect("probe cells produce interarrival stats");
-
-    let mut f = cfg.tsv("fig2_interarrival.tsv")?;
+    let mut f = s.cfg.tsv("fig2_interarrival.tsv")?;
     writeln!(f, "bin_start_ms\tbin_end_ms\tpercent")?;
     for &(lo, hi, pct) in &ia.rows {
         writeln!(f, "{lo:.3}\t{hi:.3}\t{pct:.6}")?;
     }
     f.flush()?;
-    Ok(Fig2Result {
-        fraction_within_20ms: ia.fraction_within_20ms,
-        tail_slope: ia.tail_slope,
-        samples: ia.samples,
-    })
+    writeln!(
+        out,
+        "fig2: {} interarrivals; {:.3}% within 20 ms [paper: 99.99%]; tail slope {:?} [paper: -3.27]",
+        ia.samples,
+        ia.fraction_within_20ms * 100.0,
+        ia.tail_slope
+    )
 }
 
-// ---------------------------------------------------------------- fig 7
-
-/// All Figure 7 cells (plus Cubic-CoDel for the intro tables / Fig. 8).
-pub struct Fig7Results {
-    /// (link, scheme, result) for every cell.
-    pub cells: Vec<(NetProfile, Scheme, SchemeResult)>,
-}
-
-impl Fig7Results {
-    /// The result of one cell.
-    pub fn get(&self, link: NetProfile, scheme: Scheme) -> Option<&SchemeResult> {
-        self.cells
-            .iter()
-            .find(|(l, s, _)| *l == link && *s == scheme)
-            .map(|(_, _, r)| r)
-    }
-
-    /// Mean over all links of a per-cell metric for one scheme.
-    pub fn mean_over_links(&self, scheme: Scheme, f: impl Fn(&SchemeResult) -> f64) -> f64 {
-        let vals: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|(_, s, _)| *s == scheme)
-            .map(|(_, _, r)| f(r))
-            .filter(|v| v.is_finite())
-            .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
-    }
-}
+// ------------------------------------------------------------ fig 7 + 8
 
 /// The schemes of the Figure 7 sweep: the paper's nine plus Cubic-CoDel
 /// (the intro tables and Figure 8 need it).
-pub fn fig7_schemes() -> Vec<Scheme> {
+fn fig7_schemes() -> Vec<Scheme> {
     let mut schemes = Scheme::fig7().to_vec();
     schemes.push(Scheme::CubicCodel);
     schemes
 }
 
 /// The Figure 7 matrix: every scheme on every link direction.
-pub fn fig7_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn fig7_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.matrix("fig7")
         .schemes(fig7_schemes())
         .links(NetProfile::all())
         .build()
 }
 
-/// Run the full Figure 7 sweep: every scheme on every link direction.
-pub fn fig7(cfg: &ExperimentConfig) -> std::io::Result<Fig7Results> {
-    let matrix = fig7_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let mut f = cfg.tsv("fig7_comparative.tsv")?;
-    writeln!(
-        f,
-        "link\tscheme\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tomniscient_ms\tutilization"
-    )?;
-    let mut cells = Vec::with_capacity(results.len());
-    for r in &results {
-        let scheme = r.scenario.workload.scheme().expect("scheme matrix");
-        let m = r.metrics.expect("scheme cells produce metrics");
-        writeln!(
-            f,
-            "{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{:.4}",
-            r.scenario.link.id(),
-            scheme.name(),
-            m.throughput_kbps,
-            m.p95_delay_ms,
-            m.self_inflicted_ms,
-            m.omniscient_ms,
-            m.utilization
-        )?;
-        let link = r
-            .scenario
-            .link
-            .profile()
-            .expect("fig7 sweeps synthetic links");
-        cells.push((link, scheme, m));
-    }
-    f.flush()?;
-    Ok(Fig7Results { cells })
+/// The cell of scheme `of` on `link`, if the sweep has one.
+fn cell(results: &[SweepResult], link: NetProfile, of: Scheme) -> Option<SchemeResult> {
+    let on_link = |r: &&SweepResult| r.scenario.link.profile() == Some(link) && scheme(r) == of;
+    results.iter().find(on_link).map(metrics)
 }
 
-/// One row of the intro comparison tables.
-pub struct SummaryRow {
-    /// Scheme being compared against the reference.
-    pub scheme: Scheme,
-    /// Mean over links of (reference throughput / scheme throughput).
-    pub avg_speedup: f64,
-    /// (scheme mean self-inflicted delay) / (reference mean delay).
-    pub delay_reduction: f64,
-    /// Scheme mean self-inflicted delay, seconds.
-    pub avg_delay_s: f64,
+/// Mean over all links of a per-cell metric for one scheme (cells whose
+/// metric is not finite are left out).
+fn mean_over_links(results: &[SweepResult], of: Scheme, metric: fn(&SchemeResult) -> f64) -> f64 {
+    let vals: Vec<f64> = results
+        .iter()
+        .filter(|r| scheme(r) == of)
+        .map(|r| metric(&metrics(r)))
+        .filter(|v| v.is_finite())
+        .collect();
+    vals.iter().sum::<f64>() / vals.len().max(1) as f64
 }
 
-/// Intro table 1 (reference = Sprout) or table 2 (reference =
-/// Sprout-EWMA), §1.
-pub fn summary_table(results: &Fig7Results, reference: Scheme, rows: &[Scheme]) -> Vec<SummaryRow> {
-    let ref_delay = results.mean_over_links(reference, |r| r.self_inflicted_ms) / 1e3;
-    rows.iter()
-        .map(|&scheme| {
-            // Mean of per-link speedups (ratio of throughputs per link).
-            let mut ratios = Vec::new();
-            for link in NetProfile::all() {
-                if let (Some(a), Some(b)) =
-                    (results.get(link, reference), results.get(link, scheme))
-                {
-                    if b.throughput_kbps > 0.0 {
-                        ratios.push(a.throughput_kbps / b.throughput_kbps);
-                    }
-                }
-            }
-            let avg_speedup = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-            let avg_delay_s = results.mean_over_links(scheme, |r| r.self_inflicted_ms) / 1e3;
-            SummaryRow {
-                scheme,
-                avg_speedup,
-                delay_reduction: avg_delay_s / ref_delay.max(1e-9),
-                avg_delay_s,
-            }
-        })
-        .collect()
-}
-
-/// Write an intro summary table as TSV.
-pub fn write_summary(
-    cfg: &ExperimentConfig,
-    name: &str,
-    rows: &[SummaryRow],
-) -> std::io::Result<()> {
-    let mut f = cfg.tsv(name)?;
+/// One intro comparison table (§1): each of `schemes` against
+/// `reference` over the Figure 7 sweep, written as `<file>`. Returns,
+/// per scheme: the mean over links of (reference throughput / scheme
+/// throughput), (scheme mean self-inflicted delay) / (reference mean
+/// delay), and the scheme's mean self-inflicted delay in seconds.
+fn intro_table(
+    s: &Sweep<'_>,
+    file: &str,
+    reference: Scheme,
+    schemes: &[Scheme],
+) -> io::Result<Vec<(Scheme, f64, f64, f64)>> {
+    let mean_delay_s = |of| mean_over_links(s.results, of, |r| r.self_inflicted_ms) / 1e3;
+    let reference_delay_s = mean_delay_s(reference);
+    let mut f = s.cfg.tsv(file)?;
     writeln!(
         f,
         "scheme\tavg_speedup_vs_ref\tdelay_reduction\tavg_delay_s"
     )?;
-    for r in rows {
+    let mut rows = Vec::with_capacity(schemes.len());
+    for &of in schemes {
+        // Mean of per-link speedups (ratio of throughputs per link).
+        let ratios: Vec<f64> = NetProfile::all()
+            .into_iter()
+            .filter_map(|link| {
+                Some((
+                    cell(s.results, link, reference)?,
+                    cell(s.results, link, of)?,
+                ))
+            })
+            .filter(|(_, theirs)| theirs.throughput_kbps > 0.0)
+            .map(|(ours, theirs)| ours.throughput_kbps / theirs.throughput_kbps)
+            .collect();
+        let speedup = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+        let delay_s = mean_delay_s(of);
+        let delay_ratio = delay_s / reference_delay_s.max(1e-9);
         writeln!(
             f,
-            "{}\t{:.2}\t{:.2}\t{:.2}",
-            r.scheme.name(),
-            r.avg_speedup,
-            r.delay_reduction,
-            r.avg_delay_s
+            "{}\t{speedup:.2}\t{delay_ratio:.2}\t{delay_s:.2}",
+            of.name()
         )?;
-    }
-    f.flush()?;
-    Ok(())
-}
-
-// ---------------------------------------------------------------- fig 8
-
-/// Figure 8: average utilization vs average self-inflicted delay.
-pub struct Fig8Row {
-    /// Scheme.
-    pub scheme: Scheme,
-    /// Mean utilization across the eight links, percent.
-    pub avg_utilization_pct: f64,
-    /// Mean self-inflicted delay across links, ms.
-    pub avg_delay_ms: f64,
-}
-
-/// Derive Figure 8 from the Figure 7 sweep.
-pub fn fig8(cfg: &ExperimentConfig, results: &Fig7Results) -> std::io::Result<Vec<Fig8Row>> {
-    let schemes = [
-        Scheme::Sprout,
-        Scheme::SproutEwma,
-        Scheme::Cubic,
-        Scheme::CubicCodel,
-    ];
-    let rows: Vec<Fig8Row> = schemes
-        .iter()
-        .map(|&s| Fig8Row {
-            scheme: s,
-            avg_utilization_pct: results.mean_over_links(s, |r| r.utilization) * 100.0,
-            avg_delay_ms: results.mean_over_links(s, |r| r.self_inflicted_ms),
-        })
-        .collect();
-    let mut f = cfg.tsv("fig8_utilization.tsv")?;
-    writeln!(f, "scheme\tavg_utilization_pct\tavg_self_inflicted_ms")?;
-    for r in &rows {
-        writeln!(
-            f,
-            "{}\t{:.1}\t{:.0}",
-            r.scheme.name(),
-            r.avg_utilization_pct,
-            r.avg_delay_ms
-        )?;
+        rows.push((of, speedup, delay_ratio, delay_s));
     }
     f.flush()?;
     Ok(rows)
 }
 
-// ---------------------------------------------------------------- fig 9
+/// Intro table 1's rows with the paper's own values: speedup, and delay
+/// reduction (average delay).
+const TABLE1_PAPER: [(Scheme, &str, &str); 8] = [
+    (Scheme::Skype, "2.2x", "7.9x (2.52s)"),
+    (Scheme::Hangout, "4.4x", "7.2x (2.28s)"),
+    (Scheme::Facetime, "1.9x", "8.7x (2.75s)"),
+    (Scheme::Compound, "1.3x", "4.8x (1.53s)"),
+    (Scheme::Vegas, "1.1x", "2.1x (0.67s)"),
+    (Scheme::Ledbat, "1.0x", "2.8x (0.89s)"),
+    (Scheme::Cubic, "0.91x", "79x (25s)"),
+    (Scheme::CubicCodel, "0.70x", "1.6x (0.50s)"),
+];
 
-/// Figure 9: the confidence-parameter sweep on the T-Mobile 3G uplink.
-pub struct Fig9Row {
-    /// Forecast confidence percent (95 = paper default).
-    pub confidence: f64,
-    /// Result at that confidence.
-    pub result: SchemeResult,
+/// Figure 7 (every scheme on every link direction) and the two intro
+/// tables derived from it: table 1 against Sprout, table 2 against
+/// Sprout-EWMA.
+fn fig7_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    s.cfg.write_table(
+        "fig7_comparative.tsv",
+        s.results,
+        &[
+            link_col("link"),
+            scheme_col(),
+            metric_col("throughput_kbps", 1, |m| m.throughput_kbps),
+            metric_col("p95_delay_ms", 1, |m| m.p95_delay_ms),
+            metric_col("self_inflicted_ms", 1, |m| m.self_inflicted_ms),
+            metric_col("omniscient_ms", 1, |m| m.omniscient_ms),
+            metric_col("utilization", 4, |m| m.utilization),
+        ],
+    )?;
+    writeln!(
+        out,
+        "\n== Figure 7: throughput vs self-inflicted delay ({:.0?}) ==",
+        s.elapsed
+    )?;
+    for link in NetProfile::all() {
+        writeln!(out, "\n--- {} ---", link.name())?;
+        for of in fig7_schemes() {
+            if let Some(m) = cell(s.results, link, of) {
+                writeln!(out, "  {}", fmt_result(of.name(), &m))?;
+            }
+        }
+    }
+
+    let schemes = TABLE1_PAPER.map(|row| row.0);
+    let table1 = intro_table(s, "table1_summary.tsv", Scheme::Sprout, &schemes)?;
+    writeln!(
+        out,
+        "\n== Intro table 1 (reference: Sprout; paper values in brackets) =="
+    )?;
+    for ((of, speedup, delay_ratio, delay_s), (_, paper_speedup, paper_delay)) in
+        table1.into_iter().zip(TABLE1_PAPER)
+    {
+        writeln!(
+            out,
+            "  {:16} speedup {speedup:>5.2}x [paper {paper_speedup:>5}]   delay {delay_ratio:>6.1}x ({delay_s:.2}s) [paper {paper_delay}]",
+            of.name(),
+        )?;
+    }
+
+    let schemes = [Scheme::Sprout, Scheme::Cubic, Scheme::CubicCodel];
+    let table2 = intro_table(s, "table2_ewma.tsv", Scheme::SproutEwma, &schemes)?;
+    writeln!(out, "\n== Intro table 2 (reference: Sprout-EWMA) ==")?;
+    for (of, speedup, delay_ratio, delay_s) in table2 {
+        writeln!(
+            out,
+            "  {:16} speedup {speedup:>6.2}x  delay reduction {delay_ratio:>6.2}x (avg {delay_s:.2}s)",
+            of.name(),
+        )?;
+    }
+    Ok(())
 }
+
+/// Figure 7's report, then Figure 8 over the same sweep: average
+/// utilization vs average self-inflicted delay across the links.
+fn fig8_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    fig7_report(s, out)?;
+    let mut f = s.cfg.tsv("fig8_utilization.tsv")?;
+    writeln!(f, "scheme\tavg_utilization_pct\tavg_self_inflicted_ms")?;
+    writeln!(out, "\n== Figure 8: average utilization vs delay ==")?;
+    for of in [
+        Scheme::Sprout,
+        Scheme::SproutEwma,
+        Scheme::Cubic,
+        Scheme::CubicCodel,
+    ] {
+        let utilization_pct = mean_over_links(s.results, of, |r| r.utilization) * 100.0;
+        let delay_ms = mean_over_links(s.results, of, |r| r.self_inflicted_ms);
+        writeln!(f, "{}\t{utilization_pct:.1}\t{delay_ms:.0}", of.name())?;
+        writeln!(
+            out,
+            "  {:12} {utilization_pct:>5.1}% utilization at {delay_ms:>7.0} ms self-inflicted delay",
+            of.name()
+        )?;
+    }
+    f.flush()
+}
+
+// ---------------------------------------------------------------- fig 9
 
 /// The confidence axis of Figure 9, in the paper's order.
 pub const FIG9_CONFIDENCES: [f64; 5] = [95.0, 75.0, 50.0, 25.0, 5.0];
 
 /// The Figure 9 matrix: Sprout across the confidence axis.
-pub fn fig9_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn fig9_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.matrix("fig9")
         .schemes([Scheme::Sprout])
         .links([NetProfile::TmobileUmtsUp])
@@ -677,45 +952,39 @@ pub fn fig9_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// Run Figure 9.
-pub fn fig9(cfg: &ExperimentConfig) -> std::io::Result<Vec<Fig9Row>> {
-    let matrix = fig9_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let mut f = cfg.tsv("fig9_confidence.tsv")?;
-    writeln!(f, "confidence_pct\tthroughput_kbps\tself_inflicted_ms")?;
-    let mut rows = Vec::with_capacity(results.len());
-    for r in &results {
-        let confidence = r.scenario.confidence_pct.expect("confidence axis");
-        let m = r.metrics.expect("scheme cells produce metrics");
+/// Figure 9: the confidence-parameter sweep on the T-Mobile 3G uplink.
+fn fig9_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    let confidence = |r: &SweepResult| r.scenario.confidence_pct.expect("confidence axis");
+    s.cfg.write_table(
+        "fig9_confidence.tsv",
+        s.results,
+        &[
+            col("confidence_pct", |r| format!("{:.0}", confidence(r))),
+            metric_col("throughput_kbps", 1, |m| m.throughput_kbps),
+            metric_col("self_inflicted_ms", 1, |m| m.self_inflicted_ms),
+        ],
+    )?;
+    writeln!(
+        out,
+        "\n== Figure 9: confidence sweep (T-Mobile 3G uplink) =="
+    )?;
+    for r in s.results {
+        let m = metrics(r);
         writeln!(
-            f,
-            "{confidence:.0}\t{:.1}\t{:.1}",
-            m.throughput_kbps, m.self_inflicted_ms
+            out,
+            "  {:>3.0}% confidence: {:>6.0} kbps at {:>6.0} ms",
+            confidence(r),
+            m.throughput_kbps,
+            m.self_inflicted_ms
         )?;
-        rows.push(Fig9Row {
-            confidence,
-            result: m,
-        });
     }
-    f.flush()?;
-    Ok(rows)
+    Ok(())
 }
 
 // ----------------------------------------------------------- §5.6 loss
 
-/// One row of the §5.6 loss-resilience table.
-pub struct LossRow {
-    /// Link under test.
-    pub link: NetProfile,
-    /// Bernoulli per-direction loss probability.
-    pub loss_rate: f64,
-    /// Result.
-    pub result: SchemeResult,
-}
-
 /// The §5.6 loss matrix (Verizon LTE, both directions, 0/5/10%).
-pub fn loss_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn loss_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.matrix("loss")
         .schemes([Scheme::Sprout])
         .links([NetProfile::VerizonLteDown, NetProfile::VerizonLteUp])
@@ -723,104 +992,103 @@ pub fn loss_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// Run the §5.6 loss table (Verizon LTE, both directions, 0/5/10%).
-pub fn loss_table(cfg: &ExperimentConfig) -> std::io::Result<Vec<LossRow>> {
-    let matrix = loss_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let mut f = cfg.tsv("loss_resilience.tsv")?;
-    writeln!(f, "link\tloss_pct\tthroughput_kbps\tself_inflicted_ms")?;
-    let mut rows = Vec::with_capacity(results.len());
-    for r in &results {
-        let m = r.metrics.expect("scheme cells produce metrics");
+/// The §5.6 loss-resilience table.
+fn loss_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    s.cfg.write_table(
+        "loss_resilience.tsv",
+        s.results,
+        &[
+            link_col("link"),
+            col("loss_pct", |r| {
+                format!("{:.0}", r.scenario.loss_rate * 100.0)
+            }),
+            metric_col("throughput_kbps", 1, |m| m.throughput_kbps),
+            metric_col("self_inflicted_ms", 1, |m| m.self_inflicted_ms),
+        ],
+    )?;
+    writeln!(out, "\n== s5.6 loss resilience (Sprout) ==")?;
+    writeln!(
+        out,
+        "  paper (downlink): 0% 4741kbps/73ms, 5% 3971/60, 10% 2768/58"
+    )?;
+    writeln!(
+        out,
+        "  paper (uplink):   0% 3703kbps/332ms, 5% 2598/378, 10% 1163/314"
+    )?;
+    for r in s.results {
+        let m = metrics(r);
         writeln!(
-            f,
-            "{}\t{:.0}\t{:.1}\t{:.1}",
+            out,
+            "  {:12} {:>3.0}% loss: {:>6.0} kbps at {:>6.0} ms",
             r.scenario.link.id(),
             r.scenario.loss_rate * 100.0,
             m.throughput_kbps,
             m.self_inflicted_ms
         )?;
-        rows.push(LossRow {
-            link: r
-                .scenario
-                .link
-                .profile()
-                .expect("loss sweeps synthetic links"),
-            loss_rate: r.scenario.loss_rate,
-            result: m,
-        });
     }
-    f.flush()?;
-    Ok(rows)
+    Ok(())
 }
 
 // ---------------------------------------------------------- §5.7 tunnel
 
-/// §5.7: Cubic bulk + Skype, direct vs through SproutTunnel.
-pub struct TunnelComparison {
-    /// Cubic throughput, direct, kbps.
-    pub cubic_direct_kbps: f64,
-    /// Cubic throughput through the tunnel, kbps.
-    pub cubic_tunnel_kbps: f64,
-    /// Skype throughput, direct, kbps.
-    pub skype_direct_kbps: f64,
-    /// Skype throughput through the tunnel, kbps.
-    pub skype_tunnel_kbps: f64,
-    /// Skype 95% end-to-end delay, direct, s.
-    pub skype_direct_delay_s: f64,
-    /// Skype 95% end-to-end delay through the tunnel, s.
-    pub skype_tunnel_delay_s: f64,
-}
-
 /// The §5.7 tunnel matrix: mux'd flows direct vs through SproutTunnel.
-pub fn tunnel_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn tunnel_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.matrix("tunnel")
         .workloads([Workload::MuxDirect, Workload::MuxTunneled])
         .links([NetProfile::VerizonLteDown])
         .build()
 }
 
-/// Run the §5.7 comparison on the Verizon LTE downlink.
-pub fn tunnel_comparison(cfg: &ExperimentConfig) -> std::io::Result<TunnelComparison> {
-    let matrix = tunnel_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let flow = |r: &SweepResult, id: u32| -> sweep::FlowSummary {
-        *r.flows
-            .iter()
-            .find(|f| f.flow == id)
-            .expect("mux cells report both flows")
-    };
-    let (direct, tunneled) = (&results[0], &results[1]);
-    let result = TunnelComparison {
-        cubic_direct_kbps: flow(direct, sweep::BULK_FLOW.0).throughput_kbps,
-        cubic_tunnel_kbps: flow(tunneled, sweep::BULK_FLOW.0).throughput_kbps,
-        skype_direct_kbps: flow(direct, sweep::INTERACTIVE_FLOW.0).throughput_kbps,
-        skype_tunnel_kbps: flow(tunneled, sweep::INTERACTIVE_FLOW.0).throughput_kbps,
-        skype_direct_delay_s: flow(direct, sweep::INTERACTIVE_FLOW.0).p95_delay_ms / 1e3,
-        skype_tunnel_delay_s: flow(tunneled, sweep::INTERACTIVE_FLOW.0).p95_delay_ms / 1e3,
-    };
-
-    let mut f = cfg.tsv("tunnel_isolation.tsv")?;
+/// §5.7: Cubic bulk + Skype on the Verizon LTE downlink, direct vs
+/// through SproutTunnel.
+fn tunnel_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    let mut f = s.cfg.tsv("tunnel_isolation.tsv")?;
     writeln!(f, "metric\tdirect\tvia_sprout")?;
     writeln!(
-        f,
-        "cubic_throughput_kbps\t{:.0}\t{:.0}",
-        result.cubic_direct_kbps, result.cubic_tunnel_kbps
+        out,
+        "\n== s5.7 SproutTunnel isolation (Verizon LTE downlink) =="
     )?;
-    writeln!(
-        f,
-        "skype_throughput_kbps\t{:.0}\t{:.0}",
-        result.skype_direct_kbps, result.skype_tunnel_kbps
+    writeln!(out, "  paper: cubic 8336->3776 kbps (-55%), skype 78->490 kbps (+528%), skype delay 6.0->0.17 s (-97%)")?;
+    // One metric of one flow, in the direct cell and in the tunneled one.
+    let mut row =
+        |key, label, unit, digits, flow: sprout_sim::FlowId, metric: fn(&FlowSummary) -> f64| {
+            let [direct, via] = [&s.results[0], &s.results[1]].map(|r| {
+                let flow = r.flows.iter().find(|f| f.flow == flow.0);
+                metric(flow.expect("mux cells report both flows"))
+            });
+            writeln!(f, "{key}\t{direct:.digits$}\t{via:.digits$}")?;
+            writeln!(
+                out,
+                "  {label} {direct:>7.digits$} -> {via:>7.digits$} {unit} ({:+.0}%)",
+                100.0 * (via / direct - 1.0)
+            )
+        };
+    let (bulk, interactive) = (sweep::BULK_FLOW, sweep::INTERACTIVE_FLOW);
+    row(
+        "cubic_throughput_kbps",
+        "cubic throughput",
+        "kbps",
+        0,
+        bulk,
+        |f| f.throughput_kbps,
     )?;
-    writeln!(
-        f,
-        "skype_p95_delay_s\t{:.2}\t{:.2}",
-        result.skype_direct_delay_s, result.skype_tunnel_delay_s
+    row(
+        "skype_throughput_kbps",
+        "skype throughput",
+        "kbps",
+        0,
+        interactive,
+        |f| f.throughput_kbps,
     )?;
-    f.flush()?;
-    Ok(result)
+    row(
+        "skype_p95_delay_s",
+        "skype 95% delay ",
+        "s",
+        2,
+        interactive,
+        |f| f.p95_delay_ms / 1e3,
+    )?;
+    f.flush()
 }
 
 // ----------------------------------------------------------- contention
@@ -857,7 +1125,7 @@ pub fn default_contention_workloads(n: usize) -> Vec<Vec<FlowSpec>> {
 /// The contention matrix: the default workload set (or the explicit
 /// `--contend` flow list) across the configured links, every cell
 /// sharing one deep per-user DropTail queue per direction.
-pub fn contention_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn contention_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     let workloads = match &cfg.contention.contenders {
         Some(flows) => vec![flows.clone()],
         None => default_contention_workloads(cfg.contention.flows),
@@ -868,68 +1136,72 @@ pub fn contention_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// One contention cell's summary, flattened for display.
-pub struct ContentionRow {
-    /// The cell label.
-    pub label: String,
-    /// `+`-joined flow tags, in flow order.
-    pub workload: String,
-    /// Jain's fairness index over the flow throughputs.
-    pub fairness: f64,
-    /// Aggregate link utilization of the cell.
-    pub utilization: f64,
-    /// Per-flow tag + metrics, in flow order.
-    pub flows: Vec<(String, FlowSummary)>,
-}
-
-/// Run the contention matrix and render `contention_fairness.tsv` (one
-/// row per flow, with the cell's fairness index and aggregate
-/// utilization repeated on each).
-pub fn contention(cfg: &ExperimentConfig) -> std::io::Result<Vec<ContentionRow>> {
-    let matrix = contention_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let mut f = cfg.tsv("contention_fairness.tsv")?;
-    writeln!(
-        f,
-        "label\tlink\tqueue\tflow\tspec\tthroughput_kbps\tp95_delay_ms\tjain_fairness\tutilization"
-    )?;
-    let mut rows = Vec::with_capacity(results.len());
-    for r in &results {
+/// `contention_fairness.tsv` (one row per flow, with the cell's fairness
+/// index and aggregate utilization repeated on each) and the per-cell
+/// console summary.
+fn contention_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    fn fairness(r: &SweepResult) -> f64 {
+        r.fairness.expect("contention cells report fairness")
+    }
+    fn flows_of(r: &SweepResult) -> impl Iterator<Item = (&FlowSpec, &FlowSummary)> {
         let specs = r
             .scenario
             .workload
             .contention_flows()
             .expect("contention matrix cells are contention workloads");
-        let m = r.metrics.expect("contention cells produce metrics");
-        let fairness = r.fairness.expect("contention cells report fairness");
-        let mut flows = Vec::with_capacity(specs.len());
-        for (spec, flow) in specs.iter().zip(&r.flows) {
+        specs.iter().zip(&r.flows)
+    }
+    // One table row per flow: (its cell, its spec, its metrics).
+    type Row<'r> = (&'r SweepResult, &'r FlowSpec, &'r FlowSummary);
+    let rows: Vec<Row<'_>> = s
+        .results
+        .iter()
+        .flat_map(|r| flows_of(r).map(move |(spec, flow)| (r, spec, flow)))
+        .collect();
+    let col = |name, cell: fn(&Row<'_>) -> String| Col(name, Box::new(cell));
+    s.cfg.write_table(
+        "contention_fairness.tsv",
+        &rows,
+        &[
+            col("label", |r| r.0.scenario.label.clone()),
+            col("link", |r| r.0.scenario.link.id()),
+            col("queue", |r| r.0.queue.id()),
+            col("flow", |r| r.2.flow.to_string()),
+            col("spec", |r| r.1.tag()),
+            col("throughput_kbps", |r| format!("{:.1}", r.2.throughput_kbps)),
+            col("p95_delay_ms", |r| format!("{:.1}", r.2.p95_delay_ms)),
+            col("jain_fairness", |r| format!("{:.4}", fairness(r.0))),
+            col("utilization", |r| {
+                format!("{:.4}", metrics(r.0).utilization)
+            }),
+        ],
+    )?;
+    writeln!(
+        out,
+        "\n== contention: {} cells, per-flow shares of one bottleneck queue ({:.0?}) ==",
+        s.results.len(),
+        s.elapsed
+    )?;
+    for r in s.results {
+        writeln!(
+            out,
+            "  {} (util {:.2}, Jain {:.3})",
+            r.scenario.label,
+            metrics(r).utilization,
+            fairness(r)
+        )?;
+        for (spec, flow) in flows_of(r) {
             writeln!(
-                f,
-                "{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.4}\t{:.4}",
-                r.scenario.label,
-                r.scenario.link.id(),
-                r.queue.id(),
+                out,
+                "    flow {} {:20} {:>8.0} kbps  p95 {:>9.0} ms",
                 flow.flow,
                 spec.tag(),
                 flow.throughput_kbps,
-                flow.p95_delay_ms,
-                fairness,
-                m.utilization,
+                flow.p95_delay_ms
             )?;
-            flows.push((spec.tag(), *flow));
         }
-        rows.push(ContentionRow {
-            label: r.scenario.label.clone(),
-            workload: r.scenario.workload.canonical_detail(),
-            fairness,
-            utilization: m.utilization,
-            flows,
-        });
     }
-    f.flush()?;
-    Ok(rows)
+    Ok(())
 }
 
 // ----------------------------------------------------------------- soak
@@ -967,101 +1239,77 @@ pub fn soak_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     .build()
 }
 
-/// Aggregate view of one workload across every soak cell it appears in.
-pub struct SoakRow {
-    /// The workload's label tag (scheme or `app-over-carrier`).
-    pub workload: String,
-    /// Cells aggregated.
-    pub cells: usize,
-    /// Mean throughput across the workload's cells, kbps.
-    pub mean_throughput_kbps: f64,
-    /// Mean self-inflicted delay across the workload's cells, ms.
-    pub mean_self_inflicted_ms: f64,
+/// Run the soak matrix and render its artifacts, discarding the console
+/// summary (the entry point `benchmark/` times).
+pub fn soak(cfg: &ExperimentConfig) -> io::Result<()> {
+    run_and_report(cfg, &soak_matrix(cfg), soak_report, &mut io::sink())
 }
 
-/// Run the soak matrix and render `soak_matrix.tsv` (one row per cell,
-/// every axis spelled out) plus a per-workload aggregate summary.
-pub fn soak(cfg: &ExperimentConfig) -> std::io::Result<Vec<SoakRow>> {
-    let matrix = soak_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-    write_cell_series(cfg, &results)?;
+/// `soak_matrix.tsv` (one row per cell, every axis spelled out), the
+/// `--timeseries` artifacts, and a per-workload aggregate on the console.
+fn soak_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    write_cell_series(s.cfg, s.results)?;
+    let app = |r: &SweepResult, metric: fn(&FlowSummary) -> f64| {
+        let flow = r.flows.iter().find(|f| f.flow == sweep::INTERACTIVE_FLOW.0);
+        format!("{:.1}", flow.map(metric).unwrap_or(f64::NAN))
+    };
+    let cols: Vec<Col<'_, SweepResult>> = [
+        label_col(),
+        col("workload", |r| r.scenario.workload.canonical_detail()),
+        link_col("link"),
+        col("queue", |r| r.queue.id()),
+        col("prop_delay_ms", |r| {
+            (r.scenario.prop_delay.as_micros() / 1_000).to_string()
+        }),
+    ]
+    .into_iter()
+    .chain(metric_cols())
+    .chain([
+        col("app_kbps", |r| app(r, |f| f.throughput_kbps)),
+        col("app_p95_ms", |r| app(r, |f| f.p95_delay_ms)),
+    ])
+    .collect();
+    s.cfg.write_table("soak_matrix.tsv", s.results, &cols)?;
 
-    let mut f = cfg.tsv("soak_matrix.tsv")?;
+    let cells = s.results.len();
     writeln!(
-        f,
-        "label\tworkload\tlink\tqueue\tprop_delay_ms\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tutilization\tapp_kbps\tapp_p95_ms"
+        out,
+        "soak: {cells} cells ({} links x {} delays x {} queues; kill/resume with --resume, farm out with --shard I/N)",
+        s.cfg.soak.links.len(),
+        s.cfg.soak.prop_delays_ms.len(),
+        s.cfg.soak.queues.len()
     )?;
-    for r in &results {
-        let m = r.metrics.expect("soak cells produce direction metrics");
-        let app = r
-            .flows
-            .iter()
-            .find(|fl| fl.flow == sweep::INTERACTIVE_FLOW.0);
-        writeln!(
-            f,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}",
-            r.scenario.label,
-            r.scenario.workload.canonical_detail(),
-            r.scenario.link.id(),
-            r.queue.id(),
-            r.scenario.prop_delay.as_micros() / 1_000,
-            metric_columns(&m),
-            app.map(|fl| fl.throughput_kbps).unwrap_or(f64::NAN),
-            app.map(|fl| fl.p95_delay_ms).unwrap_or(f64::NAN),
-        )?;
-    }
-    f.flush()?;
-
-    // Aggregate per workload, in matrix declaration order. The
-    // self-inflicted mean averages the *finite* samples only — a cell
-    // whose measurement window saw no deliveries (NaN p95) must not be
-    // counted as a zero-delay sample.
-    struct Acc {
-        workload: String,
-        cells: usize,
-        throughput_sum: f64,
-        self_inflicted_sum: f64,
-        self_inflicted_samples: usize,
-    }
-    let mut accs: Vec<Acc> = Vec::new();
-    for r in &results {
+    writeln!(
+        out,
+        "\n== soak: per-workload means over {cells} cells ({:.0?}) ==",
+        s.elapsed
+    )?;
+    // Aggregate per workload, in matrix declaration order.
+    let mut workloads: Vec<(String, Vec<SchemeResult>)> = Vec::new();
+    for r in s.results {
         let tag = r.scenario.workload.canonical_detail();
-        let m = r.metrics.expect("soak cells produce direction metrics");
-        let acc = match accs.iter_mut().find(|a| a.workload == tag) {
-            Some(a) => a,
-            None => {
-                accs.push(Acc {
-                    workload: tag,
-                    cells: 0,
-                    throughput_sum: 0.0,
-                    self_inflicted_sum: 0.0,
-                    self_inflicted_samples: 0,
-                });
-                accs.last_mut().expect("just pushed")
-            }
-        };
-        acc.cells += 1;
-        acc.throughput_sum += m.throughput_kbps;
-        if m.self_inflicted_ms.is_finite() {
-            acc.self_inflicted_sum += m.self_inflicted_ms;
-            acc.self_inflicted_samples += 1;
+        match workloads.iter_mut().find(|w| w.0 == tag) {
+            Some(w) => w.1.push(metrics(r)),
+            None => workloads.push((tag, vec![metrics(r)])),
         }
     }
-    Ok(accs
-        .into_iter()
-        .map(|a| SoakRow {
-            cells: a.cells,
-            mean_throughput_kbps: a.throughput_sum / a.cells as f64,
-            mean_self_inflicted_ms: if a.self_inflicted_samples == 0 {
-                // No cell of this workload produced a valid delay:
-                // surface NaN (like the per-cell TSV), not a fake 0 ms.
-                f64::NAN
-            } else {
-                a.self_inflicted_sum / a.self_inflicted_samples as f64
-            },
-            workload: a.workload,
-        })
-        .collect())
+    for (workload, cells) in workloads {
+        // The self-inflicted mean averages the *finite* samples only — a
+        // cell whose measurement window saw no deliveries (NaN p95) must
+        // not count as a zero-delay sample — and a workload with no valid
+        // sample at all surfaces NaN (0/0) like the per-cell TSV, not a
+        // fake 0 ms.
+        let delays = cells.iter().map(|m| m.self_inflicted_ms);
+        let delays: Vec<f64> = delays.filter(|d| d.is_finite()).collect();
+        writeln!(
+            out,
+            "  {workload:24} {:>4} cells  {:>7.0} kbps  self-inflicted {:>8.0} ms",
+            cells.len(),
+            cells.iter().map(|m| m.throughput_kbps).sum::<f64>() / cells.len() as f64,
+            delays.iter().sum::<f64>() / delays.len() as f64
+        )?;
+    }
+    Ok(())
 }
 
 // --------------------------------------------------------------- impair
@@ -1080,7 +1328,7 @@ pub const IMPAIR_SCHEMES: [Scheme; 4] = [
 /// configured links and impairment presets (burst loss, outages, flaps,
 /// jitter, reordering, the all-at-once storm — plus the clean-link
 /// control).
-pub fn impair_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn impair_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.with_timeseries(
         cfg.matrix("impair")
             .schemes(IMPAIR_SCHEMES)
@@ -1090,48 +1338,64 @@ pub fn impair_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     .build()
 }
 
-/// Run the fault-injection matrix and render `impair_degradation.tsv`:
-/// one row per cell with the degradation metrics (outage count, worst
-/// post-outage recovery time, delivered fraction while degraded)
-/// alongside the standard throughput/delay columns.
-pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
-    let matrix = impair_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-    write_cell_series(cfg, &results)?;
-
-    let preset_name = |imp: &Impairment| -> String {
-        let id = imp.id();
-        cfg.impair
-            .impairments
-            .iter()
-            .find(|(_, spec)| spec.id() == id)
-            .map(|(name, _)| name.clone())
-            .unwrap_or(id)
+/// `impair_degradation.tsv`: one row per cell with the degradation
+/// metrics (outage count, worst post-outage recovery time, delivered
+/// fraction while degraded) alongside the standard throughput/delay
+/// columns; the same on the console.
+fn impair_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    write_cell_series(s.cfg, s.results)?;
+    let axes = &s.cfg.impair;
+    let preset_name = |r: &SweepResult| -> String {
+        let id = r.scenario.impairment.id();
+        let named = axes.impairments.iter().find(|(_, spec)| spec.id() == id);
+        named.map(|(name, _)| name.clone()).unwrap_or(id)
     };
+    let cols: Vec<Col<'_, SweepResult>> = [
+        label_col(),
+        link_col("link"),
+        scheme_col(),
+        col("impairment", preset_name),
+    ]
+    .into_iter()
+    .chain(metric_cols())
+    .chain([
+        col("outages", |r| metrics(r).outages.to_string()),
+        metric_col("recovery_ms", 1, |m| m.recovery_ms),
+        metric_col("degraded_delivery", 4, |m| m.degraded_delivery),
+    ])
+    .collect();
+    s.cfg
+        .write_table("impair_degradation.tsv", s.results, &cols)?;
 
-    let mut f = cfg.tsv("impair_degradation.tsv")?;
     writeln!(
-        f,
-        "label\tlink\tscheme\timpairment\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tutilization\toutages\trecovery_ms\tdegraded_delivery"
+        out,
+        "\n== impair: graceful degradation under injected faults ({} schemes x {} links x {} presets, {:.0?}) ==",
+        IMPAIR_SCHEMES.len(),
+        axes.links.len(),
+        axes.impairments.len(),
+        s.elapsed
     )?;
-    for r in &results {
-        let scheme = r.scenario.workload.scheme().expect("scheme matrix");
-        let m = r.metrics.expect("scheme cells produce metrics");
+    let or_na = |v: f64, text: String| {
+        if v.is_finite() {
+            text
+        } else {
+            "n/a".to_string()
+        }
+    };
+    for r in s.results {
+        let m = metrics(r);
         writeln!(
-            f,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{:.1}\t{:.4}",
+            out,
+            "  {:44} {:>7.0} kbps  p95 {:>7.0} ms  outages {:>2}  recovery {:>8}  degraded-delivery {:>5}",
             r.scenario.label,
-            r.scenario.link.id(),
-            scheme.name(),
-            preset_name(&r.scenario.impairment),
-            metric_columns(&m),
+            m.throughput_kbps,
+            m.p95_delay_ms,
             m.outages,
-            m.recovery_ms,
-            m.degraded_delivery,
+            or_na(m.recovery_ms, format!("{:.0} ms", m.recovery_ms)),
+            or_na(m.degraded_delivery, format!("{:.2}", m.degraded_delivery)),
         )?;
     }
-    f.flush()?;
-    Ok(results)
+    Ok(())
 }
 
 // ---------------------------------------------------------------- serve
@@ -1140,7 +1404,7 @@ pub fn impair(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
 /// session counts and links. Timing follows its own short default
 /// ([`SERVE_SECS`], warmup = one sixth of the run) because each cell
 /// costs ~`2 N` path-simulations of work.
-pub fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     let secs = cfg.serve.secs.unwrap_or(cfg.run_secs);
     ScenarioMatrix::builder("serve")
         .timing(Duration::from_secs(secs), Duration::from_secs(secs / 6))
@@ -1149,36 +1413,54 @@ pub fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
-/// Run the serve capacity matrix and render `serve_capacity.tsv` (one
-/// row per cell): the virtual-time side of serving — bytes delivered and
-/// fairness, bit-identical across thread counts. (The wall-clock
-/// capacity numbers are `benchmark/`'s `serve-pool` workload's.)
-pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
-    let matrix = serve_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-
-    let mut f = cfg.tsv("serve_capacity.tsv")?;
-    writeln!(
-        f,
-        "label\tlink\tsessions\tdelivered_bytes\tmin_session_bytes\tmax_session_bytes\twire_delivered_bytes\tjain_fairness"
+/// `serve_capacity.tsv` (one row per cell): the virtual-time side of
+/// serving — bytes delivered and fairness, bit-identical across thread
+/// counts. (The wall-clock capacity numbers are `benchmark/`'s
+/// `serve-pool` workload's.)
+fn serve_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    let stats = |r: &SweepResult| r.serve.expect("serve cells produce serve stats");
+    let fairness = |r: &SweepResult| r.fairness.expect("serve cells report fairness");
+    s.cfg.write_table(
+        "serve_capacity.tsv",
+        s.results,
+        &[
+            label_col(),
+            link_col("link"),
+            col("sessions", |r| stats(r).sessions.to_string()),
+            col("delivered_bytes", |r| stats(r).delivered_bytes.to_string()),
+            col("min_session_bytes", |r| {
+                stats(r).min_session_bytes.to_string()
+            }),
+            col("max_session_bytes", |r| {
+                stats(r).max_session_bytes.to_string()
+            }),
+            col("wire_delivered_bytes", |r| {
+                stats(r).wire_delivered_bytes.to_string()
+            }),
+            col("jain_fairness", |r| format!("{:.4}", fairness(r))),
+        ],
     )?;
-    for r in &results {
-        let s = r.serve.expect("serve cells produce serve stats");
+    writeln!(
+        out,
+        "\n== serve: multi-session server capacity ({} session counts x {} links, {:.0?}) ==",
+        s.cfg.serve.sessions.len(),
+        s.cfg.serve.links.len(),
+        s.elapsed
+    )?;
+    for r in s.results {
+        let st = stats(r);
         writeln!(
-            f,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}",
+            out,
+            "  {:28} {:>5} sessions  {:>12} bytes delivered  per-session {:>9}..{:>9}  Jain {:.4}",
             r.scenario.label,
-            r.scenario.link.id(),
-            s.sessions,
-            s.delivered_bytes,
-            s.min_session_bytes,
-            s.max_session_bytes,
-            s.wire_delivered_bytes,
-            r.fairness.expect("serve cells report fairness"),
+            st.sessions,
+            st.delivered_bytes,
+            st.min_session_bytes,
+            st.max_session_bytes,
+            fairness(r)
         )?;
     }
-    f.flush()?;
-    Ok(results)
+    Ok(())
 }
 
 // --------------------------------------------------------------- replay
@@ -1188,49 +1470,45 @@ pub fn serve(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
 /// Timing follows its own short default ([`REPLAY_SECS`], warmup = one
 /// sixth of the run) because the committed corpus excerpts are only
 /// ~40 s long.
-pub fn replay_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
+fn replay_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     let secs = cfg.replay.secs.unwrap_or(cfg.run_secs);
+    let captures = cfg.replay.traces.iter();
     cfg.with_timeseries(
         ScenarioMatrix::builder("replay")
             .timing(Duration::from_secs(secs), Duration::from_secs(secs / 6))
             .schemes(cfg.replay.schemes.iter().copied())
-            .links(
-                cfg.replay
-                    .traces
-                    .iter()
-                    .map(|&fp| LinkSpec::Measured { fingerprint: fp }),
-            ),
+            .links(captures.map(|&fingerprint| LinkSpec::Measured { fingerprint })),
     )
     .build()
 }
 
-/// Run the measured-trace replay matrix and render
 /// `replay_comparative.tsv` (one row per cell), plus the per-cell
 /// time-series TSVs when `--timeseries` is set.
-pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
-    let matrix = replay_matrix(cfg);
-    let results = cfg.run_matrix(&matrix)?;
-    write_cell_series(cfg, &results)?;
-
-    let mut f = cfg.tsv("replay_comparative.tsv")?;
+fn replay_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
+    write_cell_series(s.cfg, s.results)?;
+    let cols: Vec<Col<'_, SweepResult>> = [label_col(), link_col("trace"), scheme_col()]
+        .into_iter()
+        .chain(metric_cols())
+        .collect();
+    s.cfg
+        .write_table("replay_comparative.tsv", s.results, &cols)?;
     writeln!(
-        f,
-        "label\ttrace\tscheme\tthroughput_kbps\tp95_delay_ms\tself_inflicted_ms\tutilization"
+        out,
+        "\n== replay: schemes over measured captures ({} schemes x {} captures, {:.0?}) ==",
+        s.cfg.replay.schemes.len(),
+        s.cfg.replay.traces.len(),
+        s.elapsed
     )?;
-    for r in &results {
-        let scheme = r.scenario.workload.scheme().expect("scheme matrix");
-        let m = r.metrics.expect("scheme cells produce metrics");
+    for r in s.results {
+        writeln!(out, "  {}", fmt_result(&r.scenario.label, &metrics(r)))?;
+    }
+    if s.cfg.timeseries {
         writeln!(
-            f,
-            "{}\t{}\t{}\t{}",
-            r.scenario.label,
-            r.scenario.link.id(),
-            scheme.name(),
-            metric_columns(&m),
+            out,
+            "per-cell time-series TSVs written next to replay_sweep.json"
         )?;
     }
-    f.flush()?;
-    Ok(results)
+    Ok(())
 }
 
 /// Write the per-cell time-series artifacts for every result that
@@ -1238,10 +1516,7 @@ pub fn replay(cfg: &ExperimentConfig) -> std::io::Result<Vec<SweepResult>> {
 /// (per-delivery delay vs. time) and `<matrix>_<id>_series.tsv` (binned
 /// capacity/throughput/queue-depth), deterministic byte for byte, next
 /// to the matrix's sweep JSON. Returns the number of cells rendered.
-pub fn write_cell_series(
-    cfg: &ExperimentConfig,
-    results: &[SweepResult],
-) -> std::io::Result<usize> {
+pub fn write_cell_series(cfg: &ExperimentConfig, results: &[SweepResult]) -> io::Result<usize> {
     let mut written = 0;
     for r in results {
         let Some(series) = &r.cell_series else {
@@ -1271,62 +1546,4 @@ pub fn write_cell_series(
         written += 1;
     }
     Ok(written)
-}
-
-// -------------------------------------------------------------- helpers
-
-/// The matrices one `reproduce` experiment runs (fig8 derives from the
-/// fig7 sweep; `all` is every distinct matrix). Shard workers iterate
-/// this to execute their slice of each matrix without rendering figures.
-pub fn matrices_for(cfg: &ExperimentConfig, experiment: &str) -> Vec<ScenarioMatrix> {
-    match experiment {
-        "fig1" => vec![fig1_matrix(cfg)],
-        "fig2" => vec![fig2_matrix(cfg)],
-        "fig7" | "fig8" => vec![fig7_matrix(cfg)],
-        "fig9" => vec![fig9_matrix(cfg)],
-        "loss" => vec![loss_matrix(cfg)],
-        "tunnel" => vec![tunnel_matrix(cfg)],
-        "contention" => vec![contention_matrix(cfg)],
-        "soak" => vec![soak_matrix(cfg)],
-        "impair" => vec![impair_matrix(cfg)],
-        "serve" => vec![serve_matrix(cfg)],
-        "replay" => vec![replay_matrix(cfg)],
-        // "all" deliberately excludes soak (sized for sharded, resumable
-        // execution, not a single sitting) and
-        // contention/impair/serve/replay (their matrices are
-        // CLI-parameterized — axis flags would silently change what
-        // "all" means).
-        "all" => vec![
-            fig1_matrix(cfg),
-            fig2_matrix(cfg),
-            fig7_matrix(cfg),
-            fig9_matrix(cfg),
-            loss_matrix(cfg),
-            tunnel_matrix(cfg),
-        ],
-        other => panic!("unknown experiment {other:?}"),
-    }
-}
-
-/// The four metric columns the per-cell TSVs share
-/// (`throughput_kbps`, `p95_delay_ms`, `self_inflicted_ms`,
-/// `utilization`), in their one format.
-fn metric_columns(m: &SchemeResult) -> String {
-    format!(
-        "{:.1}\t{:.1}\t{:.1}\t{:.4}",
-        m.throughput_kbps, m.p95_delay_ms, m.self_inflicted_ms, m.utilization
-    )
-}
-
-/// Render a `SchemeResult` row for console output.
-pub fn fmt_result(name: &str, r: &SchemeResult) -> String {
-    format!(
-        "{name:16} {:>8.0} kbps  p95 {:>9.0} ms  self-inflicted {:>9.0} ms  util {:>5.2}",
-        r.throughput_kbps, r.p95_delay_ms, r.self_inflicted_ms, r.utilization
-    )
-}
-
-/// Ensure the output directory exists (used by the binary).
-pub fn ensure_out_dir(path: &Path) -> std::io::Result<()> {
-    fs::create_dir_all(path)
 }

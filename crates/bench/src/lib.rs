@@ -1,14 +1,15 @@
 //! The reproduction harness: a scheme zoo, the scenario-matrix sweep
-//! engine, and regeneration functions for every table and figure in the
-//! paper's evaluation (see ARCHITECTURE.md for the layering and the
-//! scenario → sweep (engine) → executor → record → cellcache → figures
-//! pipeline).
+//! engine, and the experiment table that regenerates every table and
+//! figure in the paper's evaluation (see ARCHITECTURE.md for the layering
+//! and the scenario → sweep (engine) → executor → record → cellcache →
+//! figures pipeline).
 //!
-//! Architecture: each figure **declares** its cross-product as a
-//! [`ScenarioMatrix`] (schemes × links × loss rates × confidences), the
-//! [`SweepEngine`] executes the cells in parallel with deterministic
-//! per-cell seeding, and the figure functions only **render** the
-//! resulting [`SweepResult`] rows into TSV/JSON artifacts.
+//! Architecture: each row of [`EXPERIMENTS`] **declares** its
+//! cross-product as a [`ScenarioMatrix`] (schemes × links × loss rates ×
+//! confidences), the [`SweepEngine`] executes the cells in parallel with
+//! deterministic per-cell seeding, and the row's report only **renders**
+//! the resulting [`SweepResult`] rows into TSV artifacts beside the
+//! engine's canonical JSON.
 
 #![warn(missing_docs)]
 
@@ -23,12 +24,10 @@ pub mod sweep;
 
 pub use cellcache::{cell_cache_counters, cell_series_cache_counters, ENGINE_VERSION};
 pub use figures::{
-    contention, contention_matrix, default_contention_workloads, default_corpus_fingerprints, fig1,
-    fig2, fig7, fig8, fig9, impair, impair_matrix, loss_table, replay, replay_matrix, serve,
-    serve_matrix, soak, soak_matrix, summary_table, tunnel_comparison, write_cell_series,
-    ContentionAxes, ContentionRow, ExperimentConfig, Fig7Results, ImpairAxes, ReplayAxes,
-    ServeAxes, SoakAxes, CELL_SERIES_BIN, DEFAULT_CONTENTION_FLOWS, REPLAY_SECS, SERVE_SECS,
-    SERVE_SESSIONS, SHALLOW_QUEUE_BYTES, SOAK_SECS,
+    default_contention_workloads, default_corpus_fingerprints, select, soak, soak_matrix,
+    write_cell_series, ContentionAxes, Experiment, ExperimentConfig, ImpairAxes, ReplayAxes,
+    ServeAxes, SoakAxes, CELL_SERIES_BIN, DEFAULT_CONTENTION_FLOWS, EXPERIMENTS, REPLAY_SECS,
+    SERVE_SECS, SERVE_SESSIONS, SHALLOW_QUEUE_BYTES, SOAK_SECS,
 };
 pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,
@@ -38,8 +37,7 @@ pub use schemes::{build_endpoints, run_scheme, RunConfig, Scheme, SchemeResult};
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
     abandoned_cell_threads, cell_failure_counters, last_batch_layout, sweep_to_json,
-    trace_memo_occupancy, trace_memory_counters, BatchStats, CellCachePolicy, CellFailure,
-    CellFailureCounters, CellScratch, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary,
-    Measured, SeriesRow, ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult, SweepStats,
-    DEFAULT_CELL_TIMEOUT,
+    trace_memo_occupancy, trace_memory_counters, CellCachePolicy, CellFailure, CellFailureCounters,
+    CellScratch, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary, Measured, SeriesRow,
+    ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult, DEFAULT_CELL_TIMEOUT,
 };

@@ -55,42 +55,6 @@ pub use crate::record::{
     Measured, SeriesRow, ServeStats, SweepResult,
 };
 
-/// Execution statistics of one sweep run: wall time plus the disk-cache
-/// traffic the run generated. Cache counters are process-global deltas,
-/// so run sweeps one at a time when attributing traffic to a run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SweepStats {
-    /// Wall-clock time of the whole `run` call, milliseconds.
-    pub total_wall_ms: f64,
-    /// Forecast-table disk-cache traffic during the run.
-    pub table_cache: sprout_cache::CacheCounters,
-    /// Trace-synthesis disk-cache traffic during the run.
-    pub trace_cache: sprout_cache::CacheCounters,
-    /// Cell-result disk-cache traffic during the run (hits mean whole
-    /// cells were served without simulating).
-    pub cell_cache: sprout_cache::CacheCounters,
-    /// Schedule layout and in-memory amortization during the run.
-    pub batch: BatchStats,
-}
-
-/// How the schedule laid out one sweep and how well the in-memory
-/// shared resources amortized across its cells. Unlike the disk-cache
-/// counters in [`SweepStats`], a "reuse" here means a live in-memory
-/// handle was served — no disk I/O, no decode, no rebuild.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchStats {
-    /// Worker threads the executed phase actually spawned (0 when every
-    /// cell was served from the result cache).
-    pub workers: usize,
-    /// Distinct `(link, duration)` groups among the executed cells (0
-    /// when nothing executed).
-    pub batches: usize,
-    /// Forecast-table in-memory amortization (process-global delta).
-    pub tables: sprout_core::MemCounters,
-    /// Link-trace in-memory amortization (process-global delta).
-    pub traces: sprout_core::MemCounters,
-}
-
 static LAST_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static LAST_BATCHES: AtomicUsize = AtomicUsize::new(0);
 static CELLS_PANICKED: AtomicU64 = AtomicU64::new(0);
@@ -380,34 +344,6 @@ impl SweepEngine {
             self.threads
         };
         n.clamp(1, cells.max(1))
-    }
-
-    /// Run every cell of `matrix` and report execution statistics
-    /// alongside the results: per-cell wall time lands in each
-    /// [`SweepResult::wall_ms`], sweep-level wall time and disk-cache
-    /// traffic in the returned [`SweepStats`].
-    pub fn run_with_stats(&self, matrix: &ScenarioMatrix) -> (Vec<SweepResult>, SweepStats) {
-        let table0 = sprout_core::table_cache_counters();
-        let trace0 = sprout_trace::trace_cache_counters();
-        let cell0 = crate::cellcache::cell_cache_counters();
-        let tmem0 = sprout_core::table_memory_counters();
-        let trmem0 = trace_memory_counters();
-        let t0 = std::time::Instant::now();
-        let results = self.run(matrix);
-        let (workers, batches) = last_batch_layout();
-        let stats = SweepStats {
-            total_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            table_cache: sprout_core::table_cache_counters().since(table0),
-            trace_cache: sprout_trace::trace_cache_counters().since(trace0),
-            cell_cache: crate::cellcache::cell_cache_counters().since(cell0),
-            batch: BatchStats {
-                workers,
-                batches,
-                tables: sprout_core::table_memory_counters().since(tmem0),
-                traces: trace_memory_counters().since(trmem0),
-            },
-        };
-        (results, stats)
     }
 
     /// Run every owned cell of `matrix`; panics with the aggregated

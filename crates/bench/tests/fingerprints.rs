@@ -5,9 +5,9 @@
 //! scenario schema — a new field, a reordered write, a renamed id —
 //! silently retires every cached cell, or worse, collides two different
 //! cells onto one key. This test pins, for the default configuration of
-//! every experiment matrix: the cell count, the matrix fingerprint, the
-//! first cell's fingerprint, and the first cell's full canonical byte
-//! string (hex).
+//! every row of the experiment table: the cell count, the matrix
+//! fingerprint, the first cell's fingerprint, and the first cell's full
+//! canonical byte string (hex).
 //!
 //! A second snapshot, `golden_results.tsv`, pins what a cell *computes*:
 //! the fingerprint of the canonical JSON of the five Figure-9 Sprout
@@ -34,29 +34,12 @@
 
 use std::fmt::Write as _;
 
-use sprout_bench::figures::{self, ExperimentConfig, FIG9_CONFIDENCES};
+use sprout_bench::figures::{select, ExperimentConfig, EXPERIMENTS, FIG9_CONFIDENCES};
 use sprout_bench::sweep::result_to_json;
 use sprout_bench::{
     FlowSpec, ScenarioMatrix, Scheme, SweepEngine, VideoApp, Workload, ENGINE_VERSION,
 };
 use sprout_trace::{Impairment, NetProfile};
-
-/// Every distinct experiment matrix (fig8 shares fig7's sweep and is
-/// listed to document that identity).
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "loss",
-    "tunnel",
-    "contention",
-    "soak",
-    "impair",
-    "serve",
-    "replay",
-];
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fingerprints.tsv");
 const GOLDEN_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_results.tsv");
@@ -76,23 +59,26 @@ fn snapshot() -> String {
         "# experiment\tcells\tmatrix_fp\tcell0_fp\tcell0_canonical_bytes_hex\n\
          # Regenerate deliberately with: UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints\n",
     );
-    for exp in EXPERIMENTS {
-        for matrix in figures::matrices_for(&cfg, exp) {
-            let cell0 = &matrix.cells()[0];
-            let mut w = sprout_cache::ByteWriter::with_capacity(128);
-            cell0.canonical_bytes(&mut w);
-            let hex: String = w.finish().iter().fold(String::new(), |mut acc, b| {
-                let _ = write!(acc, "{b:02x}");
-                acc
-            });
-            let _ = writeln!(
-                out,
-                "{exp}\t{}\t{:016x}\t{:016x}\t{hex}",
-                matrix.len(),
-                matrix.fingerprint(),
-                cell0.fingerprint(),
-            );
-        }
+    // One line per row of the experiment table (fig8 shares fig7's sweep
+    // and is listed to document that identity): a row added to the table
+    // fails here until its line is committed.
+    for row in &EXPERIMENTS {
+        let matrix = (row.matrix)(&cfg);
+        let cell0 = &matrix.cells()[0];
+        let mut w = sprout_cache::ByteWriter::with_capacity(128);
+        cell0.canonical_bytes(&mut w);
+        let hex: String = w.finish().iter().fold(String::new(), |mut acc, b| {
+            let _ = write!(acc, "{b:02x}");
+            acc
+        });
+        let _ = writeln!(
+            out,
+            "{}\t{}\t{:016x}\t{:016x}\t{hex}",
+            row.name,
+            matrix.len(),
+            matrix.fingerprint(),
+            cell0.fingerprint(),
+        );
     }
     out
 }
@@ -273,9 +259,10 @@ fn snapshot_rules_demand_a_version_bump_for_changed_rows_or_schema() {
 #[test]
 fn fig8_shares_fig7s_matrix_identity() {
     let cfg = ExperimentConfig::default();
+    let sweep_of = |name: &str| (select(name).expect("a table row")[0].matrix)(&cfg);
     assert_eq!(
-        figures::matrices_for(&cfg, "fig7")[0].fingerprint(),
-        figures::matrices_for(&cfg, "fig8")[0].fingerprint(),
+        sweep_of("fig7").fingerprint(),
+        sweep_of("fig8").fingerprint(),
         "fig8 derives from the fig7 sweep; their cache identity must agree"
     );
 }

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use sprout_bench::{
-    cell_cache_counters, sweep_to_json, CellCachePolicy, QueueSpec, Scenario, ScenarioMatrix,
-    Scheme, ShardSpec, SweepEngine, SweepError, Workload,
+    cell_cache_counters, last_batch_layout, sweep_to_json, trace_memory_counters, CellCachePolicy,
+    QueueSpec, Scenario, ScenarioMatrix, Scheme, ShardSpec, SweepEngine, SweepError, Workload,
 };
 use sprout_cache::CacheCounters;
 use sprout_trace::{Duration, NetProfile};
@@ -98,23 +98,24 @@ fn shards_of_one_link_share_its_traces_and_merge_identical_to_single_shot() {
     // serve every cell from memory, however many workers run them: the
     // worker count follows the cells (2 here), not the one group.
     sprout_cache::set_dir(temp_cache_dir("batch-shared"));
-    let (_, stats) = SweepEngine::new(13)
+    let traces0 = trace_memory_counters();
+    SweepEngine::new(13)
         .with_threads(2)
         .with_shard(ShardSpec::new(0, 2))
-        .run_with_stats(&m);
+        .run(&m);
+    let traces = trace_memory_counters().since(traces0);
     assert_eq!(
-        (stats.batch.workers, stats.batch.batches),
+        last_batch_layout(),
         (2, 1),
         "two cells on two workers; one trace key => one batch"
     );
     assert_eq!(
-        stats.batch.traces.built, 2,
+        traces.built, 2,
         "one synthesis for the link, one for its paired feedback profile"
     );
     assert!(
-        stats.batch.traces.reused >= 2,
-        "sibling cells reuse the in-memory traces: {:?}",
-        stats.batch.traces
+        traces.reused >= 2,
+        "sibling cells reuse the in-memory traces: {traces:?}"
     );
     SweepEngine::new(13)
         .with_threads(4)

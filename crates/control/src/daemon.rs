@@ -34,12 +34,12 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sprout_bench::figures::{self, ExperimentConfig};
+use sprout_bench::figures::ExperimentConfig;
 use sprout_bench::{cellcache, cli};
 use sprout_cache::json;
 
 use crate::httpd::{self, Request, Response};
-use crate::state::{Queue, SweepState};
+use crate::state::{Queue, SweepState, MAX_WORKERS};
 
 /// Everything the daemon needs to run; see `sprout-control serve`.
 #[derive(Clone, Debug)]
@@ -693,8 +693,11 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     };
     let workers = match req.query("workers").map(str::parse::<usize>) {
         None => 2,
-        Some(Ok(n)) if (1..=64).contains(&n) => n,
-        Some(_) => return Response::error(400, "workers must be a number in 1..=64"),
+        Some(Ok(n)) if (1..=MAX_WORKERS).contains(&n) => n,
+        Some(_) => {
+            let msg = format!("workers must be a number in 1..={MAX_WORKERS}");
+            return Response::error(400, &msg);
+        }
     };
     let args: Vec<String> = req
         .body
@@ -704,7 +707,7 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
         .map(str::to_string)
         .collect();
     for arg in &args {
-        if cli::CONTROL_RESERVED_FLAGS.contains(&arg.as_str()) {
+        if cli::RESERVED_FLAGS.iter().any(|f| f.name == arg) {
             return Response::error(
                 400,
                 &format!("{arg} is reserved for the control daemon (it owns sharding, cache placement, and artifact output)"),
@@ -731,12 +734,14 @@ fn cells(shared: &Arc<Shared>, id: u64) -> Response {
         None => return Response::error(404, &format!("no sweep {id}")),
     };
     let mut cfg = ExperimentConfig::default();
-    if let Err(msg) = cli::apply_worker_args(&mut cfg, &spec.experiment, &spec.args) {
-        return Response::error(400, &msg);
-    }
+    let experiments = match cli::apply_worker_args(&mut cfg, &spec.experiment, &spec.args) {
+        Ok(experiments) => experiments,
+        Err(msg) => return Response::error(400, &msg),
+    };
     let mut rows = Vec::new();
     let mut cached_count = 0usize;
-    for matrix in figures::matrices_for(&cfg, &spec.experiment) {
+    for experiment in experiments {
+        let matrix = (experiment.matrix)(&cfg);
         let fingerprint = matrix.fingerprint();
         for cell in matrix.cells() {
             let cached = cellcache::load_cell(matrix.name(), fingerprint, cell, cfg.seed).is_some();

@@ -1,14 +1,28 @@
 //! A dependency-free sliver of HTTP/1.1 — just enough for a loopback
 //! status API. One accept loop, one connection at a time (requests are
-//! a few hundred bytes and handlers answer from in-memory state), read
-//! timeouts so a stalled client cannot wedge the daemon, and
+//! a few hundred bytes and handlers answer from in-memory state), and
 //! `Connection: close` on every response so framing stays trivial.
+//! Because the loop is serial, one connection must not be able to hold
+//! it: a request's head and body are bounded in bytes and header count,
+//! and a connection gets one total deadline for being read *and*
+//! answered — a client sending an endless line, ten thousand headers, or
+//! one byte a second is dropped like any other malformed one.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Most bytes of request line plus headers. The CLI's requests have a
+/// head of about a hundred.
+const MAX_HEAD_BYTES: u64 = 16 << 10;
+/// Most header lines.
+const MAX_HEADERS: usize = 64;
+/// Most body bytes: nobody legitimately posts more than a flag vector.
+const MAX_BODY_BYTES: usize = 1 << 20;
+/// The time one connection gets, from accept to the last response byte.
+const CONNECTION_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A parsed request: method, decoded path, decoded query pairs, body.
 pub struct Request {
@@ -112,22 +126,33 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     (percent_decode(path), pairs)
 }
 
-/// Read one request off `stream`. Returns `None` on a malformed or
-/// empty request (the connection is simply dropped).
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
+/// Read one request off `stream`. Returns `None` on a malformed,
+/// oversized, or empty request (the connection is simply dropped).
+fn read_request(stream: impl Read) -> Option<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    let mut parts = line.split_whitespace();
+    // The head is read through a byte budget: a line the budget (or the
+    // end of the stream) cuts short has no terminator and is refused.
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES);
+    let mut line = || {
+        let mut line = String::new();
+        head.read_line(&mut line).ok()?;
+        line.ends_with('\n').then_some(line)
+    };
+    let request_line = line()?;
+    let mut parts = request_line.split_whitespace();
     let method = parts.next()?.to_string();
     let target = parts.next()?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+        let header = line()?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return None;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -135,9 +160,7 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
             }
         }
     }
-    // Loopback status API: nobody legitimately posts more than a flag
-    // vector. Cap the body so a confused client cannot balloon memory.
-    if content_length > 1 << 20 {
+    if content_length > MAX_BODY_BYTES {
         return None;
     }
     let mut body = vec![0u8; content_length];
@@ -151,7 +174,7 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
     })
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
+fn write_response(mut stream: impl Write, resp: &Response) -> io::Result<()> {
     let reason = match resp.status {
         200 => "OK",
         400 => "Bad Request",
@@ -159,15 +182,52 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
         405 => "Method Not Allowed",
         _ => "Error",
     };
-    write!(
-        stream,
+    // One buffer, one write: each write of a deadlined stream re-arms
+    // its timeout.
+    let text = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         resp.status,
         reason,
         resp.body.len(),
         resp.body
-    )?;
+    );
+    stream.write_all(text.as_bytes())?;
     stream.flush()
+}
+
+/// A connection whose every read and write must finish by one instant:
+/// each call gets only the time still left, so neither a trickle of
+/// bytes nor a peer that stops reading can outlast the deadline.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Deadlined<'_> {
+    fn time_left(&self) -> io::Result<Duration> {
+        match self.deadline.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(io::ErrorKind::TimedOut.into()),
+        }
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 /// Serve `handler` on `listener` until `shutdown` flips. The listener
@@ -177,19 +237,34 @@ pub fn run<H>(listener: TcpListener, shutdown: Arc<AtomicBool>, handler: H) -> i
 where
     H: Fn(&Request) -> Response,
 {
+    serve(listener, shutdown, CONNECTION_DEADLINE, handler)
+}
+
+/// [`run`], with the per-connection deadline the tests shorten.
+fn serve<H>(
+    listener: TcpListener,
+    shutdown: Arc<AtomicBool>,
+    deadline: Duration,
+    handler: H,
+) -> io::Result<()>
+where
+    H: Fn(&Request) -> Response,
+{
     listener.set_nonblocking(true)?;
     loop {
         if shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
         match listener.accept() {
-            Ok((mut stream, _)) => {
+            Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                if let Some(req) = read_request(&mut stream) {
+                let mut conn = Deadlined {
+                    stream: &stream,
+                    deadline: Instant::now() + deadline,
+                };
+                if let Some(req) = read_request(&mut conn) {
                     let resp = handler(&req);
-                    let _ = write_response(&mut stream, &resp);
+                    let _ = write_response(&mut conn, &resp);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -252,5 +327,111 @@ mod tests {
         );
         shutdown.store(true, Ordering::Release);
         server.join().unwrap();
+    }
+
+    const VALID: &str =
+        "POST /sweeps?experiment=soak&workers=2 HTTP/1.1\r\nHost: x\r\nContent-Length: 9\r\n\r\n--secs\n40";
+
+    fn parse(bytes: &[u8]) -> Option<Request> {
+        read_request(bytes)
+    }
+
+    #[test]
+    fn a_request_split_across_reads_at_any_byte_parses_the_same() {
+        for cut in 0..=VALID.len() {
+            let (a, b) = VALID.as_bytes().split_at(cut);
+            let req = read_request(a.chain(b)).unwrap_or_else(|| panic!("split at {cut}"));
+            assert_eq!(
+                (req.method.as_str(), req.path.as_str()),
+                ("POST", "/sweeps")
+            );
+            assert_eq!(req.query("workers"), Some("2"));
+            assert_eq!(req.body, "--secs\n40");
+        }
+    }
+
+    #[test]
+    fn an_oversized_head_is_dropped_not_buffered() {
+        let pad = "a".repeat(MAX_HEAD_BYTES as usize);
+        // One endless request line: the parser must stop on its own.
+        assert!(read_request(io::repeat(b'a')).is_none());
+        assert!(parse(format!("GET /{pad} HTTP/1.1\r\n\r\n").as_bytes()).is_none());
+        assert!(parse(format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n").as_bytes()).is_none());
+        // Just inside the budget is still a request.
+        let fits = "a".repeat(MAX_HEAD_BYTES as usize - 64);
+        assert!(parse(format!("GET / HTTP/1.1\r\nX-Pad: {fits}\r\n\r\n").as_bytes()).is_some());
+    }
+
+    #[test]
+    fn too_many_headers_are_dropped() {
+        let with = |n: usize| format!("GET / HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(n));
+        assert!(parse(with(MAX_HEADERS).as_bytes()).is_some());
+        assert!(parse(with(MAX_HEADERS + 1).as_bytes()).is_none());
+        assert!(parse(with(10_000).as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_content_length_that_cannot_be_honored_is_dropped() {
+        let with = |len: &str, body: &str| {
+            parse(format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}").as_bytes())
+        };
+        assert_eq!(with("3", "abc").expect("honest length").body, "abc");
+        for bad in ["-1", "abc", "", "1e3", "99999999999999999999999"] {
+            assert!(with(bad, "abc").is_none(), "Content-Length: {bad}");
+        }
+        // Over the body cap, even though the bytes are all there.
+        let big = "b".repeat(MAX_BODY_BYTES + 1);
+        assert!(with(&big.len().to_string(), &big).is_none());
+        assert!(with(&MAX_BODY_BYTES.to_string(), &big[1..]).is_some());
+        // Promises more than the peer ever sends.
+        assert!(with("10", "abc").is_none());
+    }
+
+    #[test]
+    fn a_client_that_holds_its_connection_does_not_hold_the_next_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let deadline = Duration::from_millis(200);
+        let server = std::thread::spawn(move || {
+            serve(listener, flag, deadline, |req| {
+                Response::json(200, req.path.clone())
+            })
+            .unwrap();
+        });
+        // Three bad neighbours, each ahead of a well-formed request in
+        // the accept queue: one byte every 20 ms for 2 s (never a whole
+        // request, never silent for a read timeout), an endless request
+        // line, and ten thousand headers.
+        let trickle = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            let mut trickle = trickle;
+            for _ in 0..100 {
+                if trickle.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let t0 = Instant::now();
+        let (status, body) = crate::client::request(&addr.to_string(), "GET", "/one", "").unwrap();
+        assert_eq!((status, body.as_str()), (200, "/one"));
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "held for {:?} by a trickling client (deadline {deadline:?})",
+            t0.elapsed()
+        );
+        for flood in ["a".repeat(1 << 20), "X: y\r\n".repeat(10_000)] {
+            let mut bad = TcpStream::connect(addr).unwrap();
+            // The server may hang up mid-flood; that is the point.
+            let _ = bad.write_all(format!("GET / HTTP/1.1\r\n{flood}").as_bytes());
+            let (status, body) =
+                crate::client::request(&addr.to_string(), "GET", "/next", "").unwrap();
+            assert_eq!((status, body.as_str()), (200, "/next"));
+        }
+        shutdown.store(true, Ordering::Release);
+        server.join().unwrap();
+        trickler.join().unwrap();
     }
 }

@@ -20,6 +20,9 @@ use std::path::{Path, PathBuf};
 /// Joins the argument vector on disk; rejected inside arguments.
 const ARG_SEP: char = '\x1f';
 
+/// Most shard workers one sweep may be dealt across.
+pub const MAX_WORKERS: usize = 64;
+
 /// Lifecycle of one submitted sweep.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SweepState {
@@ -79,7 +82,7 @@ impl SweepState {
 pub struct SweepSpec {
     /// Queue-assigned id, unique within a state directory's lifetime.
     pub id: u64,
-    /// Experiment name from [`sprout_bench::cli::EXPERIMENTS`].
+    /// Experiment name: one [`sprout_bench::figures::select`] resolves.
     pub experiment: String,
     /// Shard worker count (`--shard i/workers` per worker).
     pub workers: usize,
@@ -107,23 +110,40 @@ pub fn storable_arg(arg: &str) -> bool {
 
 impl Queue {
     /// Load the queue from `state_dir` (creating the directory if
-    /// needed), demoting mid-flight sweeps to `pending`.
+    /// needed), demoting mid-flight sweeps to `pending`. Only a missing
+    /// `queue.tsv` means an empty queue: a file that cannot be read, or
+    /// holds a line that is not a sweep this daemon could have written
+    /// (truncated, a duplicate or unrepresentable id, a worker count
+    /// `submit` would refuse, an unknown experiment), is refused with an
+    /// error naming the file and the line — the next `persist` would
+    /// otherwise overwrite it with a silently shorter queue.
     pub fn open(state_dir: &Path) -> io::Result<Queue> {
         std::fs::create_dir_all(state_dir)?;
         let path = state_dir.join("queue.tsv");
-        let mut sweeps = Vec::new();
+        let contents = match std::fs::read_to_string(&path) {
+            Ok(contents) => contents,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(io::Error::new(e.kind(), format!("{path:?}: {e}"))),
+        };
+        let mut sweeps: Vec<SweepSpec> = Vec::new();
         let mut next_id = 1;
-        if let Ok(contents) = std::fs::read_to_string(&path) {
-            for line in contents.lines() {
-                let mut spec = Self::decode(line).ok_or_else(|| {
-                    io::Error::other(format!("corrupt queue line in {path:?}: {line:?}"))
-                })?;
-                if matches!(spec.state, SweepState::Running | SweepState::Merging) {
-                    spec.state = SweepState::Pending;
-                }
-                next_id = next_id.max(spec.id + 1);
-                sweeps.push(spec);
+        for (i, line) in contents.split_inclusive('\n').enumerate() {
+            let refuse =
+                |why: &str| io::Error::other(format!("{path:?} line {}: {why}: {line:?}", i + 1));
+            // `persist` ends every line; one without its end was cut short.
+            let line = line
+                .strip_suffix('\n')
+                .ok_or_else(|| refuse("truncated line"))?;
+            let mut spec = Self::decode(line.trim_end_matches('\r')).map_err(refuse)?;
+            if sweeps.iter().any(|s| s.id == spec.id) {
+                return Err(refuse("duplicate sweep id"));
             }
+            let after = spec.id.checked_add(1);
+            next_id = next_id.max(after.ok_or_else(|| refuse("sweep id leaves no next id"))?);
+            if matches!(spec.state, SweepState::Running | SweepState::Merging) {
+                spec.state = SweepState::Pending;
+            }
+            sweeps.push(spec);
         }
         Ok(Queue {
             path,
@@ -147,7 +167,9 @@ impl Queue {
             )));
         }
         let id = self.next_id;
-        self.next_id += 1;
+        self.next_id = id
+            .checked_add(1)
+            .ok_or_else(|| io::Error::other("sweep ids are exhausted"))?;
         self.sweeps.push(SweepSpec {
             id,
             experiment: experiment.to_string(),
@@ -230,21 +252,29 @@ impl Queue {
         )
     }
 
-    fn decode(line: &str) -> Option<SweepSpec> {
+    /// One `queue.tsv` line back into a sweep, or why it is not one.
+    fn decode(line: &str) -> Result<SweepSpec, &'static str> {
         let mut parts = line.splitn(7, '\t');
-        let id = parts.next()?.parse().ok()?;
-        let experiment = parts.next()?.to_string();
-        let workers = parts.next()?.parse().ok()?;
-        let state = SweepState::parse(parts.next()?)?;
-        let retries = parts.next()?.parse().ok()?;
-        let error = parts.next()?.to_string();
-        let args_field = parts.next()?;
+        let mut field = || parts.next().ok_or("fewer than 7 fields");
+        let id = field()?.parse().map_err(|_| "bad sweep id")?;
+        let experiment = field()?.to_string();
+        if sprout_bench::figures::select(&experiment).is_none() {
+            return Err("unknown experiment");
+        }
+        let workers = field()?.parse().map_err(|_| "bad worker count")?;
+        if !(1..=MAX_WORKERS).contains(&workers) {
+            return Err("worker count outside what submit accepts");
+        }
+        let state = SweepState::parse(field()?).ok_or("unknown sweep state")?;
+        let retries = field()?.parse().map_err(|_| "bad retry count")?;
+        let error = field()?.to_string();
+        let args_field = field()?;
         let args = if args_field.is_empty() {
             Vec::new()
         } else {
             args_field.split(ARG_SEP).map(str::to_string).collect()
         };
-        Some(SweepSpec {
+        Ok(SweepSpec {
             id,
             experiment,
             workers,
@@ -307,5 +337,128 @@ mod tests {
         assert!(q.submit("soak", 1, vec![String::new()]).is_err());
         assert!(q.sweeps().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Open a state directory whose `queue.tsv` holds exactly `bytes`.
+    fn open_with(tag: &str, bytes: &[u8]) -> io::Result<Queue> {
+        let dir = temp_state_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("queue.tsv"), bytes).unwrap();
+        let opened = Queue::open(&dir);
+        // A refusal must leave the file for its owner to repair.
+        assert_eq!(std::fs::read(dir.join("queue.tsv")).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+        opened
+    }
+
+    /// The refusal `bytes` earns, which must name the file and `line`.
+    fn refusal(tag: &str, bytes: &[u8], line: usize) -> String {
+        let err = match open_with(tag, bytes) {
+            Ok(q) => panic!("{tag}: opened with {} sweeps", q.sweeps().len()),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.contains("queue.tsv"), "{tag}: {err}");
+        assert!(err.contains(&format!("line {line}:")), "{tag}: {err}");
+        err
+    }
+
+    const TWO_SWEEPS: &str =
+        "1\tsoak\t2\tpending\t0\t\t--secs\x1f40\n2\tfig1\t1\tdone\t3\tboom\t\n";
+
+    #[test]
+    fn a_missing_queue_file_is_an_empty_queue_and_nothing_else_is() {
+        let dir = temp_state_dir("unreadable");
+        assert!(Queue::open(&dir).unwrap().sweeps().is_empty());
+        // Unreadable (here: a directory where the file should be).
+        std::fs::create_dir_all(dir.join("queue.tsv")).unwrap();
+        let err = Queue::open(&dir).err().expect("refused").to_string();
+        assert!(err.contains("queue.tsv"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_utf8_queue_file_is_refused_by_name() {
+        let mut bytes = TWO_SWEEPS.as_bytes().to_vec();
+        bytes[3] = 0xff;
+        let err = open_with("utf8", &bytes).err().expect("refused");
+        assert!(err.to_string().contains("queue.tsv"), "{err}");
+    }
+
+    #[test]
+    fn an_id_with_no_successor_is_refused_not_a_panic() {
+        let line = format!("{}\tsoak\t2\tpending\t0\t\t\n", u64::MAX);
+        refusal("max-id", line.as_bytes(), 1);
+        // The largest id that does leave a successor loads, and the
+        // queue then refuses to mint past it instead of overflowing.
+        let line = format!("{}\tsoak\t2\tdone\t0\t\t\n", u64::MAX - 1);
+        let dir = temp_state_dir("last-id");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("queue.tsv"), line).unwrap();
+        let mut q = Queue::open(&dir).unwrap();
+        assert!(q.submit("soak", 1, vec![]).is_err());
+        assert_eq!(q.sweeps().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_counts_submit_would_refuse_are_refused_on_reload() {
+        for workers in ["0", "65", "-1", "two"] {
+            let line = format!("1\tsoak\t{workers}\tpending\t0\t\t\n");
+            refusal("workers", line.as_bytes(), 1);
+        }
+        let line = format!("1\tsoak\t{MAX_WORKERS}\tpending\t0\t\t\n");
+        assert_eq!(
+            open_with("workers-max", line.as_bytes()).unwrap().sweeps()[0].workers,
+            64
+        );
+    }
+
+    #[test]
+    fn duplicate_ids_are_refused() {
+        let twice =
+            "1\tsoak\t2\tpending\t0\t\t\n7\tfig1\t1\tdone\t0\t\t\n1\tfig2\t1\tdone\t0\t\t\n";
+        let err = refusal("dup", twice.as_bytes(), 3);
+        assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn an_experiment_the_table_does_not_hold_is_refused() {
+        let err = refusal("unknown", "1\tfig99\t2\tpending\t0\t\t\n".as_bytes(), 1);
+        assert!(err.contains("unknown experiment"), "{err}");
+        // Every name the table resolves reloads, `all` included.
+        for name in sprout_bench::EXPERIMENTS
+            .iter()
+            .map(|e| e.name)
+            .chain(["all"])
+        {
+            let line = format!("1\t{name}\t2\tpending\t0\t\t\n");
+            assert_eq!(
+                open_with("known", line.as_bytes()).unwrap().sweeps()[0].experiment,
+                name
+            );
+        }
+    }
+
+    #[test]
+    fn a_file_cut_at_any_byte_reloads_a_prefix_or_is_refused_by_line() {
+        let whole = open_with("cut-whole", TWO_SWEEPS.as_bytes()).unwrap();
+        assert_eq!(whole.sweeps().len(), 2);
+        let first_line = TWO_SWEEPS.find('\n').unwrap() + 1;
+        for cut in 0..TWO_SWEEPS.len() {
+            let bytes = &TWO_SWEEPS.as_bytes()[..cut];
+            if cut == 0 || cut == first_line {
+                // Cut on a line boundary: a shorter, valid queue.
+                let q = open_with("cut-ok", bytes).unwrap();
+                assert_eq!(q.sweeps().len(), usize::from(cut > 0));
+                assert!(q
+                    .sweeps()
+                    .iter()
+                    .all(|s| s.args == whole.get(s.id).unwrap().args));
+            } else {
+                // Cut inside a line: never a silently shorter or altered
+                // queue (`--secs 4` for `--secs 40`), always that line.
+                refusal("cut", bytes, if cut < first_line { 1 } else { 2 });
+            }
+        }
     }
 }

@@ -54,7 +54,13 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
     sprout_cache::set_dir(&dir);
     let cold = run_tiny_sweep(31);
     let m = tiny_matrix();
-    let (results, stats) = SweepEngine::new(31).with_threads(2).run_with_stats(&m);
+    let (table0, trace0) = (
+        sprout_core::table_cache_counters(),
+        sprout_trace::trace_cache_counters(),
+    );
+    let results = SweepEngine::new(31).with_threads(2).run(&m);
+    let table_cache = sprout_core::table_cache_counters().since(table0);
+    let trace_cache = sprout_trace::trace_cache_counters().since(trace0);
     let warm = sweep_to_json(m.name(), 31, &results);
     sprout_cache::disable();
     let disabled = run_tiny_sweep(31);
@@ -68,11 +74,11 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
         "cold run stored nothing"
     );
     // ...and the warm run found every one of them.
-    assert!(stats.trace_cache.hits > 0, "{stats:?}");
+    assert!(trace_cache.hits > 0, "{trace_cache:?}");
     assert_eq!(
-        (stats.table_cache.misses, stats.trace_cache.misses),
+        (table_cache.misses, trace_cache.misses),
         (0, 0),
-        "warm run missed a table or trace artifact: {stats:?}"
+        "warm run missed a table or trace artifact: {table_cache:?} {trace_cache:?}"
     );
 }
 

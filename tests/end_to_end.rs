@@ -11,8 +11,8 @@ use sprout_trace::{Duration, LinkModelParams, LinkSimulator, NetProfile, Timesta
 /// A steady Poisson 400-packet/s link for 60 s (Poisson arrivals, not a
 /// metronome). 400 pps ≈ 4.8 Mbps is the regime where Sprout's queue
 /// stays backlogged enough for full-tick observations; at very low steady
-/// rates the cautious forecast deliberately underfills (see
-/// EXPERIMENTS.md, known limitations).
+/// rates the cautious forecast deliberately underfills (the 5th-percentile
+/// forecast of §3.3 rounds a small expected delivery down to nothing).
 fn steady_link() -> Trace {
     let params = LinkModelParams {
         mean_rate_pps: 400.0,
