@@ -1,7 +1,9 @@
 //! The cell executor: one scenario in, one [`SweepResult`] out.
 //!
-//! [`execute_scenario`] resolves a cell's link traces (through the
-//! sweep's trace memo, so every cell of a link shares one synthesis),
+//! [`execute_scenario`] resolves a cell's link inputs through the
+//! sweep's [`TraceMemo`] — a link's slot holds its trace and the
+//! omniscient floors computed from it, so every cell of a link shares one
+//! synthesis, one trace allocation and one floor per measurement window —
 //! derives its seeds, builds the workload's endpoints and paths, runs the
 //! simulation, and reduces the delivery logs into the record's
 //! [`Measured`] part. [`run_cell`] is the same path for callers that
@@ -9,15 +11,16 @@
 //! shards, or the result cache — that is `crate::sweep`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use sprout_baselines::{
     AppProfile, Cubic, TcpReceiver, TcpSender, VideoApp, VideoAppReceiver, VideoAppSender,
 };
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{
-    direction_stats, jain_fairness_index, CoDelConfig, Endpoint, FlowId, LinkImpairment,
-    MetricsCollector, MuxEndpoint, PathConfig, QueueConfig, ServeSim, Simulation, DEEP_QUEUE_BYTES,
+    direction_stats_with_floor, jain_fairness_index, omniscient_p95_delay, CoDelConfig, Endpoint,
+    FlowId, LinkImpairment, MetricsCollector, MuxEndpoint, PathConfig, QueueConfig, ServeSim,
+    Simulation, DEEP_QUEUE_BYTES,
 };
 use sprout_trace::{
     derive_labeled_seed, session_seed, Duration, InterarrivalHistogram, OutageSchedule, Timestamp,
@@ -63,26 +66,25 @@ pub const BULK_FLOW: FlowId = FlowId(1);
 /// The interactive flow of the §5.7 mux/tunnel cells.
 pub const INTERACTIVE_FLOW: FlowId = FlowId(2);
 
-/// Per-worker arena recycled across the cells a worker runs: buffers
-/// whose capacity is worth keeping warm between simulations. Contents never
+/// Per-worker arena recycled across the cells a worker runs: the
+/// event-loop packet buffer and the paths' delivery logs
+/// ([`Simulation::into_scratch`], [`ServeSim::into_scratch`]), whose
+/// capacity is worth keeping warm between simulations. Contents never
 /// carry over — each cell clears before use — so recycling is invisible
 /// to results.
-#[derive(Default)]
-pub struct CellScratch {
-    /// The event-loop packet buffer ([`Simulation::into_scratch`]).
-    packets: Vec<sprout_sim::Packet>,
-}
+pub type CellScratch = sprout_sim::SimScratch;
 
-/// How many synthesized traces one sweep's memo keeps live at once.
-/// Covers the widest matrix the experiments declare (8 link profiles ×
-/// 2 directions at one duration) so in practice nothing evicts; a
+/// How many links' inputs one sweep's memo keeps live at once. Covers
+/// the widest matrix the experiments declare (8 link profiles × 2
+/// directions at one duration) so in practice nothing evicts; a
 /// daemon-submitted matrix crossing many `(link, duration)` geometries
 /// recycles slots instead of holding every trace to the end of the
 /// sweep.
 const TRACE_MEMO_CAP: usize = 16;
 
-/// Lazily resolved link traces shared by every cell of one sweep,
-/// bounded by an LRU over `(link, duration)` keys. Values are
+/// Lazily resolved link inputs shared by every cell of one sweep,
+/// bounded by an LRU over `(link, duration)` keys. A slot is a
+/// [`LinkInputs`]: the trace, and the floors derived from it. Values are
 /// byte-identical to what a cell would build locally: synthetic links
 /// depend only on `(master_seed, profile, duration)`, measured links
 /// only on `(capture bytes, duration)` — so neither memoization nor
@@ -90,53 +92,101 @@ const TRACE_MEMO_CAP: usize = 16;
 /// cell's thread (under its watchdog), first-come: concurrent
 /// requesters of one key share a per-key `OnceLock` build slot and
 /// block only on that key.
-pub(crate) struct TraceMemo {
+pub struct TraceMemo {
     master_seed: u64,
-    slots: Mutex<sprout_core::LruCache<(LinkSpec, Duration), TraceSlot>>,
+    slots: Mutex<sprout_core::LruCache<(LinkSpec, Duration), Arc<LinkInputs>>>,
 }
 
-/// A per-key build slot (see [`TraceMemo`]).
-type TraceSlot = std::sync::Arc<OnceLock<Trace>>;
+/// Arguments of one omniscient floor on a given trace: `(prop_delay,
+/// from, to)`.
+type FloorKey = (Duration, Timestamp, Timestamp);
+
+/// What every cell on one `(link, duration)` shares: the trace (one
+/// allocation; [`Trace::clone`] is a reference count) and the omniscient
+/// floors computed from it, memoised by their full argument tuple. The
+/// floors live and die with the trace they were computed from — evicting
+/// the slot drops both.
+#[derive(Default)]
+pub struct LinkInputs {
+    trace: OnceLock<Trace>,
+    floors: Mutex<Vec<(FloorKey, Option<Duration>)>>,
+}
+
+impl LinkInputs {
+    /// The link's delivery schedule.
+    pub fn trace(&self) -> &Trace {
+        self.trace
+            .get()
+            .expect("the memo resolves a slot's trace before handing the slot out")
+    }
+
+    /// `omniscient_p95_delay(trace, prop_delay, from, to)`, computed on
+    /// first request and remembered: the six schemes of a link ask for
+    /// the same floor. Computed under the slot's lock, so a concurrent
+    /// requester of the same floor waits for it instead of repeating it.
+    pub fn floor(&self, prop_delay: Duration, from: Timestamp, to: Timestamp) -> Option<Duration> {
+        let key = (prop_delay, from, to);
+        let mut floors = self
+            .floors
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(&(_, floor)) = floors.iter().find(|(k, _)| *k == key) {
+            return floor;
+        }
+        let floor = omniscient_p95_delay(self.trace(), prop_delay, from, to);
+        floors.push((key, floor));
+        floor
+    }
+
+    /// How many distinct floors this slot has computed (each exactly
+    /// once). Test hook.
+    #[doc(hidden)]
+    pub fn floors_computed(&self) -> usize {
+        self.floors
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .len()
+    }
+}
 
 impl TraceMemo {
-    pub(crate) fn new(master_seed: u64) -> Self {
+    /// An empty memo for one sweep at `master_seed`.
+    pub fn new(master_seed: u64) -> Self {
         TraceMemo {
             master_seed,
             slots: Mutex::new(sprout_core::LruCache::new(TRACE_MEMO_CAP)),
         }
     }
 
-    /// The trace for `(link, duration)`, resolving on first use:
-    /// synthetic links generate, measured links come from the registry
-    /// truncated to the cell duration.
-    fn get_or_build(&self, link: LinkSpec, duration: Duration) -> Trace {
+    /// The shared inputs of `(link, duration)`, resolving the trace on
+    /// first use: synthetic links generate, measured links come from the
+    /// registry truncated to the cell duration.
+    pub fn link(&self, link: LinkSpec, duration: Duration) -> Arc<LinkInputs> {
         let slot = {
             let mut slots = self
                 .slots
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (slot, _) = slots.get_or_insert_with(&(link, duration), TraceSlot::default);
-            let slot = std::sync::Arc::clone(slot);
+            let (slot, _) = slots.get_or_insert_with(&(link, duration), Arc::default);
+            let slot = Arc::clone(slot);
             TRACES_EVICTED.store(slots.evictions(), Ordering::Relaxed);
             TRACE_MEMO_LEN.store(slots.len() as u64, Ordering::Relaxed);
             slot
         };
         let mut built_now = false;
-        let trace = slot
-            .get_or_init(|| {
-                built_now = true;
-                match link {
-                    LinkSpec::Profile(profile) => profile.generate(duration, self.master_seed),
-                    LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, duration),
-                }
-            })
-            .clone();
+        slot.trace.get_or_init(|| {
+            built_now = true;
+            match link {
+                LinkSpec::Profile(profile) => profile.generate(duration, self.master_seed),
+                LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, duration),
+            }
+        });
         if built_now {
             TRACES_BUILT.fetch_add(1, Ordering::Relaxed);
         } else {
             TRACES_REUSED.fetch_add(1, Ordering::Relaxed);
         }
-        trace
+        slot
     }
 }
 
@@ -167,7 +217,9 @@ pub fn execute_scenario(matrix: &str, scenario: &Scenario, master_seed: u64) -> 
     )
 }
 
-pub(crate) fn execute_with_memo(
+/// [`execute_scenario`] against a caller-held memo and scratch arena:
+/// what the sweep's workers call, cell after cell.
+pub fn execute_with_memo(
     matrix: &str,
     scenario: &Scenario,
     master_seed: u64,
@@ -183,7 +235,8 @@ pub(crate) fn execute_with_memo(
         // every cell on this link sees the same conditions (the
         // controlled variable). Measured links resolve from the
         // process-global registry.
-        let synth = |link: LinkSpec| memo.get_or_build(link, scenario.duration);
+        let data = memo.link(scenario.link, scenario.duration);
+        let feedback = memo.link(paired(scenario.link), scenario.duration);
         let cell_seed = result.cell_seed;
         let rc = RunConfig {
             duration: scenario.duration,
@@ -201,7 +254,7 @@ pub(crate) fn execute_with_memo(
             impair_seed_feedback: derive_labeled_seed(cell_seed, "impair-feedback", 0),
             outage_seed: derive_labeled_seed(cell_seed, "impair-outage", 0),
             serve_seed: cell_seed,
-            ..RunConfig::new(synth(scenario.link), synth(paired(scenario.link)))
+            ..RunConfig::new(data.trace().clone(), feedback.trace().clone())
         };
         run_cell_scratch(
             &scenario.workload,
@@ -210,6 +263,7 @@ pub(crate) fn execute_with_memo(
             scenario.series_bin,
             scenario.cell_series_bin,
             scratch,
+            &|from, to| data.floor(rc.prop_delay, from, to),
         )
     };
     result.wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -463,28 +517,34 @@ fn contention_children(spec: &FlowSpec, rc: &RunConfig) -> (Box<dyn Endpoint>, B
     }
 }
 
+/// The data direction's omniscient floor over `[from, to)`, from wherever
+/// the caller keeps it: the link's memo slot in a sweep, a direct
+/// computation for a one-off cell.
+type Floor<'a> = &'a dyn Fn(Timestamp, Timestamp) -> Option<Duration>;
+
 /// The spine every two-endpoint workload shares: build the simulation
 /// from the arena's recycled buffers, run it to `end`, take the data
-/// direction's standard metrics, let `reduce` add the workload's extras
-/// (series, per-flow rows, fairness), and hand the buffers back.
+/// direction's standard metrics against the link's `floor`, let `reduce`
+/// add the workload's extras (series, per-flow rows, fairness), and hand
+/// the buffers back.
 fn run_pair<A: Endpoint, B: Endpoint>(
     a: A,
     b: B,
     (ab, ba): (PathConfig, PathConfig),
     scratch: &mut CellScratch,
-    from: Timestamp,
-    end: Timestamp,
+    (from, end): (Timestamp, Timestamp),
+    floor: Floor,
     reduce: impl FnOnce(&Simulation<A, B>, &mut Measured),
 ) -> Measured {
-    let mut sim = Simulation::with_scratch(a, b, ab, ba, std::mem::take(&mut scratch.packets));
+    let mut sim = Simulation::with_scratch(a, b, ab, ba, std::mem::take(scratch));
     sim.run_until(end);
-    let stats = direction_stats(sim.ab_path(), from, end);
+    let stats = direction_stats_with_floor(sim.ab_path(), from, end, floor(from, end));
     let mut measured = Measured {
         metrics: Some(SchemeResult::from_stats(&stats)),
         ..Measured::default()
     };
     reduce(&sim, &mut measured);
-    scratch.packets = sim.into_scratch();
+    *scratch = sim.into_scratch();
     measured
 }
 
@@ -504,6 +564,7 @@ pub fn run_cell(
         series_bin,
         cell_series_bin,
         &mut CellScratch::default(),
+        &|from, to| omniscient_p95_delay(&rc.data_trace, rc.prop_delay, from, to),
     )
 }
 
@@ -517,6 +578,7 @@ fn run_cell_scratch(
     series_bin: Option<Duration>,
     cell_series_bin: Option<Duration>,
     scratch: &mut CellScratch,
+    floor: Floor,
 ) -> Measured {
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
@@ -529,7 +591,7 @@ fn run_cell_scratch(
         }
         Workload::Scheme(scheme) => {
             let (a, b) = build_endpoints(*scheme, rc);
-            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
                 let m = sim.ab_metrics();
                 if let Some(bin) = series_bin {
                     out.series = collect_series(m, &rc.data_trace, bin, from, end);
@@ -547,9 +609,18 @@ fn run_cell_scratch(
             if over.tunnels_apps() {
                 // Over Sprout the app rides inside a SproutTunnel session.
                 let (host_a, host_b) = app_tunnel(*app, *over, rc);
-                run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
-                    out.flows = flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end);
-                })
+                run_pair(
+                    host_a,
+                    host_b,
+                    paths,
+                    scratch,
+                    (from, end),
+                    floor,
+                    |sim, out| {
+                        out.flows =
+                            flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end);
+                    },
+                )
             } else {
                 // Over any other transport the app's open-loop flow
                 // shares the carrier queue with a bulk flow of that
@@ -564,7 +635,7 @@ fn run_cell_scratch(
                 let mut b = MuxEndpoint::new();
                 b.add(BULK_FLOW, bulk_b);
                 b.add(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                run_pair(a, b, paths, scratch, from, end, |sim, out| {
+                run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
                     out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
                 })
             }
@@ -585,7 +656,7 @@ fn run_cell_scratch(
                 b.add(flow, child_b);
                 ids.push(flow);
             }
-            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
                 out.flows = flow_summaries(&ids, sim.ab_metrics(), from, end);
                 let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput_kbps).collect();
                 out.fairness = jain_fairness_index(&throughputs);
@@ -606,7 +677,7 @@ fn run_cell_scratch(
             for i in 0..n {
                 server.add_session(i + 1);
             }
-            let mut sim = ServeSim::with_scratch(server, std::mem::take(&mut scratch.packets));
+            let mut sim = ServeSim::with_scratch(server, std::mem::take(scratch));
             for i in 0..n {
                 let sid = i + 1;
                 let s_seed = session_seed(rc.serve_seed, sid);
@@ -651,7 +722,7 @@ fn run_cell_scratch(
                 serve: Some(serve),
                 ..Measured::default()
             };
-            scratch.packets = sim.into_scratch();
+            *scratch = sim.into_scratch();
             measured
         }
         Workload::MuxDirect => {
@@ -663,7 +734,7 @@ fn run_cell_scratch(
             for (flow, ep) in mux_clients_b() {
                 b.add(flow, ep);
             }
-            run_pair(a, b, paths, scratch, from, end, |sim, out| {
+            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
                 out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
             })
         }
@@ -679,9 +750,17 @@ fn run_cell_scratch(
             // Flow metrics come from the far host's post-decapsulation
             // delivery log: the tunnel's own wire packets are what the
             // path sees, the clients' packets are what it delivers.
-            run_pair(host_a, host_b, paths, scratch, from, end, |sim, out| {
-                out.flows = flow_summaries(&MUX_FLOWS, sim.b.deliveries(), from, end);
-            })
+            run_pair(
+                host_a,
+                host_b,
+                paths,
+                scratch,
+                (from, end),
+                floor,
+                |sim, out| {
+                    out.flows = flow_summaries(&MUX_FLOWS, sim.b.deliveries(), from, end);
+                },
+            )
         }
     }
 }

@@ -36,8 +36,9 @@ pub use scenario::{
 pub use schemes::{build_endpoints, run_scheme, RunConfig, Scheme, SchemeResult};
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
-    abandoned_cell_threads, cell_failure_counters, last_batch_layout, sweep_to_json,
-    trace_memo_occupancy, trace_memory_counters, CellCachePolicy, CellFailure, CellFailureCounters,
-    CellScratch, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary, Measured, SeriesRow,
-    ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult, DEFAULT_CELL_TIMEOUT,
+    abandoned_cell_threads, cell_failure_counters, execute_with_memo, last_batch_layout,
+    sweep_to_json, trace_memo_occupancy, trace_memory_counters, CellCachePolicy, CellFailure,
+    CellFailureCounters, CellScratch, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary,
+    LinkInputs, Measured, SeriesRow, ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult,
+    TraceMemo, DEFAULT_CELL_TIMEOUT,
 };

@@ -10,31 +10,51 @@
 //! one allocation per ten extra packets, where the old path took seven per
 //! packet.
 //!
-//! Own test binary: the counting `#[global_allocator]` must not see other
-//! tests' threads.
+//! The same counter pins what a sweep shares instead of copying: cloning
+//! a [`Trace`] allocates nothing, and a worker's second cell records into
+//! the delivery logs its first cell grew.
+//!
+//! Own test binary, and the counter is per thread: every cell here runs
+//! on the thread of the test that counts it, so neither the other tests
+//! nor the harness show up in a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use sprout_bench::{run_scheme, RunConfig, Scheme};
-use sprout_trace::{Duration, NetProfile, MTU_BYTES};
+use sprout_bench::{
+    execute_with_memo, run_scheme, CellScratch, RunConfig, ScenarioMatrix, Scheme, TraceMemo,
+};
+use sprout_trace::{Duration, NetProfile, Trace, MTU_BYTES};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates and stays valid for as long as the thread can allocate.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations (and reallocations) this thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// statistic that publishes no other data.
+// thread-local statistic that publishes no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,9 +69,9 @@ fn run(scheme: Scheme, secs: u64, base: &RunConfig) -> (u64, f64) {
         warmup: Duration::ZERO,
         ..base.clone()
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let result = run_scheme(scheme, &cfg);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     let packets = result.throughput_kbps * 1e3 / 8.0 * secs as f64 / MTU_BYTES as f64;
     (allocs, packets)
 }
@@ -83,4 +103,67 @@ fn steady_state_tcp_packet_path_allocates_nothing_per_packet() {
             scheme.name()
         );
     }
+}
+
+#[test]
+fn cloning_a_trace_allocates_nothing() {
+    let trace = NetProfile::VerizonLteDown.generate(Duration::from_secs(5), 11);
+    let mut copies: Vec<Trace> = Vec::with_capacity(64);
+    let before = allocs();
+    for _ in 0..64 {
+        copies.push(trace.clone());
+    }
+    assert_eq!(allocs() - before, 0, "a trace clone is a reference count");
+    for copy in &copies {
+        assert!(
+            std::ptr::eq(copy.opportunities(), trace.opportunities()),
+            "a clone must share the original's storage"
+        );
+    }
+}
+
+#[test]
+fn a_second_cell_on_a_warm_scratch_does_not_regrow_its_delivery_logs() {
+    sprout_cache::disable();
+    let matrix = ScenarioMatrix::builder("alloc-budget")
+        .schemes([Scheme::Cubic])
+        .links([NetProfile::VerizonLteDown])
+        .timing(Duration::from_secs(20), Duration::from_secs(1))
+        .build();
+    let cell = &matrix.cells()[0];
+    let memo = TraceMemo::new(11);
+    let run = |scratch: &mut CellScratch| {
+        let before = allocs();
+        let result = execute_with_memo(matrix.name(), cell, 11, &memo, scratch);
+        let metrics = result.metrics.expect("scheme cell");
+        (
+            allocs() - before,
+            metrics.throughput_kbps,
+            format!("{metrics:?}"),
+        )
+    };
+    // A throwaway cell resolves the link's traces and floor, so the three
+    // counted runs differ in nothing but the scratch they start from.
+    run(&mut CellScratch::default());
+    let mut scratch = CellScratch::default();
+    let (cold, kbps, first) = run(&mut scratch);
+    let (warm, _, second) = run(&mut scratch);
+    let (warm_again, _, third) = run(&mut scratch);
+    assert_eq!(first, second, "recycled buffers must not change results");
+    assert_eq!(first, third);
+
+    // A `Vec<DeliveryRecord>` grown from empty to n records reallocates
+    // once per doubling from its first capacity of 4.
+    let packets = kbps * 1e3 / 8.0 * 19.0 / MTU_BYTES as f64;
+    assert!(packets > 2_000.0, "the cell must move data ({packets:.0})");
+    let doublings = (packets / 4.0).log2().floor() as u64;
+    assert!(
+        warm + doublings <= cold,
+        "cold cell: {cold} allocations, warm cell: {warm} — a warm scratch \
+         must save at least the data log's {doublings} doublings"
+    );
+    assert_eq!(
+        warm, warm_again,
+        "on a warm scratch the allocation count is steady"
+    );
 }

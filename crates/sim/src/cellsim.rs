@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::link::{LinkConfig, LinkDelivery, TraceLink};
+use crate::link::{LinkConfig, TraceLink};
 use crate::metrics::{DeliveryRecord, MetricsCollector};
 use crate::packet::Packet;
 use sprout_trace::{Duration, Timestamp, Trace};
@@ -42,24 +42,34 @@ pub struct DirectedPath {
     /// Packets on the wire, with the time they reach the bottleneck queue.
     in_flight: VecDeque<(Timestamp, Packet)>,
     link: TraceLink,
-    /// Recycled buffer the link fills on each service call.
-    crossed: Vec<LinkDelivery>,
     metrics: MetricsCollector,
 }
 
 impl DirectedPath {
     /// Build one direction from its configuration.
     pub fn new(cfg: PathConfig) -> Self {
+        DirectedPath::with_log(cfg, Vec::new())
+    }
+
+    /// [`DirectedPath::new`], recording deliveries into `log` (cleared
+    /// first) so a recycled log's capacity survives from one simulation to
+    /// the next; recover it with [`DirectedPath::into_log`].
+    pub fn with_log(cfg: PathConfig, log: Vec<DeliveryRecord>) -> Self {
         DirectedPath {
             prop_delay: cfg.link.prop_delay,
             in_flight: VecDeque::new(),
             link: TraceLink::new(cfg.link),
-            crossed: Vec::new(),
-            metrics: MetricsCollector::new(),
+            metrics: MetricsCollector::with_log(log),
         }
     }
 
+    /// Tear down, recovering the delivery log's storage.
+    pub fn into_log(self) -> Vec<DeliveryRecord> {
+        self.metrics.into_log()
+    }
+
     /// Hand a packet to this direction at `now` (stamps `sent_at`).
+    #[inline]
     pub fn send(&mut self, mut packet: Packet, now: Timestamp) {
         debug_assert!(
             packet.payload.len() as u64 + packet.padding as u64 <= packet.size as u64,
@@ -75,6 +85,7 @@ impl DirectedPath {
     /// The next time something happens inside this direction: a wire
     /// arrival reaching the queue, a trace delivery opportunity, or a
     /// jittered/held delivery coming due in the link's release buffer.
+    #[inline]
     pub fn next_event(&self) -> Option<Timestamp> {
         let arrival = self.in_flight.front().map(|(t, _)| *t);
         let link_event = self.link.next_link_event();
@@ -84,20 +95,25 @@ impl DirectedPath {
         }
     }
 
-    /// Advance internal state to `now`, processing wire arrivals and
-    /// delivery opportunities in strict time order, and return packets
-    /// delivered to the far end. Allocating convenience form of
-    /// [`DirectedPath::advance_into`].
+    /// [`DirectedPath::advance_into`] into a fresh `Vec` (tests and
+    /// drivers outside the hot loop).
     pub fn advance(&mut self, now: Timestamp) -> Vec<Packet> {
         let mut delivered = Vec::new();
         self.advance_into(now, &mut delivered);
         delivered
     }
 
-    /// Advance internal state to `now`, appending packets delivered to
-    /// the far end onto `delivered` (not cleared; the event loop reuses
-    /// one buffer across steps).
+    /// [`DirectedPath::advance_with`], appending each delivered packet to
+    /// `delivered` (not cleared).
     pub fn advance_into(&mut self, now: Timestamp, delivered: &mut Vec<Packet>) {
+        self.advance_with(now, |p| delivered.push(p));
+    }
+
+    /// Advance internal state to `now`, processing wire arrivals and
+    /// delivery opportunities in strict time order. Each packet that
+    /// reaches the far end is recorded in the delivery log and handed to
+    /// `sink` in the same place, in delivery order.
+    pub fn advance_with(&mut self, now: Timestamp, mut sink: impl FnMut(Packet)) {
         loop {
             let next_arrival = self.in_flight.front().map(|(t, _)| *t);
             // Link events cover delivery opportunities and due releases
@@ -109,7 +125,7 @@ impl DirectedPath {
             match (arrival_due, op_due) {
                 (false, false) => break,
                 (true, false) => self.ingress_one(),
-                (false, true) => self.service_due(next_op.unwrap(), delivered),
+                (false, true) => self.service_due(next_op.unwrap(), &mut sink),
                 (true, true) => {
                     // Arrivals strictly before the opportunity must be
                     // queued first; at a tie, enqueue first so the packet
@@ -118,7 +134,7 @@ impl DirectedPath {
                     if next_arrival.unwrap() <= next_op.unwrap() {
                         self.ingress_one();
                     } else {
-                        self.service_due(next_op.unwrap(), delivered);
+                        self.service_due(next_op.unwrap(), &mut sink);
                     }
                 }
             }
@@ -131,17 +147,18 @@ impl DirectedPath {
         }
     }
 
-    fn service_due(&mut self, op_time: Timestamp, delivered: &mut Vec<Packet>) {
-        self.link.service_into(op_time, &mut self.crossed);
-        for d in self.crossed.drain(..) {
-            self.metrics.record(DeliveryRecord {
-                sent_at: d.packet.sent_at,
-                delivered_at: d.at,
-                size: d.packet.size,
-                flow: d.packet.flow,
+    #[inline]
+    fn service_due(&mut self, op_time: Timestamp, sink: &mut impl FnMut(Packet)) {
+        let metrics = &mut self.metrics;
+        self.link.service_with(op_time, |packet, at| {
+            metrics.record(DeliveryRecord {
+                sent_at: packet.sent_at,
+                delivered_at: at,
+                size: packet.size,
+                flow: packet.flow,
             });
-            delivered.push(d.packet);
-        }
+            sink(packet);
+        });
     }
 
     /// Delivery log of this direction.

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use crate::packet::Packet;
-use crate::queue::Queue;
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
 
 /// CoDel parameters. Defaults are the reference values used by the paper's
@@ -116,15 +115,17 @@ impl CoDelQueue {
             }
         }
     }
-}
 
-impl Queue for CoDelQueue {
-    fn enqueue(&mut self, packet: Packet, now: Timestamp) {
+    /// Offer a packet, stamping its arrival time; CoDel never drops at
+    /// the tail.
+    pub fn enqueue(&mut self, packet: Packet, now: Timestamp) {
         self.bytes += packet.size as u64;
         self.queue.push_back((packet, now));
     }
 
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
+    /// Remove the next packet to serve at `now`, dropping packets per the
+    /// control law while sojourn time stays above target.
+    pub fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
         let mut r = self.dodeque(now);
         if self.dropping {
             if !r.ok_to_drop {
@@ -160,15 +161,18 @@ impl Queue for CoDelQueue {
         r.packet
     }
 
-    fn bytes(&self) -> u64 {
+    /// Bytes currently queued.
+    pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn packets(&self) -> usize {
+    /// Packets currently queued.
+    pub fn packets(&self) -> usize {
         self.queue.len()
     }
 
-    fn drops(&self) -> u64 {
+    /// Cumulative count of packets CoDel dropped.
+    pub fn drops(&self) -> u64 {
         self.drops
     }
 }
@@ -177,6 +181,13 @@ impl Queue for CoDelQueue {
 mod tests {
     use super::*;
     use crate::packet::FlowId;
+    use crate::queue::Bottleneck;
+
+    /// A default-parameter CoDel queue, driven the way the link drives
+    /// it: through the bottleneck enum.
+    fn codel() -> Bottleneck {
+        Bottleneck::CoDel(CoDelQueue::new(CoDelConfig::default()))
+    }
 
     fn pkt(seq: u64) -> Packet {
         Packet::opaque(FlowId::PRIMARY, seq, MTU_BYTES)
@@ -188,7 +199,7 @@ mod tests {
 
     #[test]
     fn below_target_never_drops() {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        let mut q = codel();
         // Packets sit for < 5 ms: CoDel must behave as plain FIFO.
         for i in 0..100 {
             q.enqueue(pkt(i), t(i * 10));
@@ -200,7 +211,7 @@ mod tests {
 
     #[test]
     fn persistent_standing_queue_triggers_drops() {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        let mut q = codel();
         // Fill a deep queue at time 0, then drain slowly: every packet has
         // a huge sojourn, so after the first interval CoDel must start
         // dropping.
@@ -222,7 +233,7 @@ mod tests {
 
     #[test]
     fn drop_rate_increases_while_above_target() {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        let mut q = codel();
         for i in 0..2_000 {
             q.enqueue(pkt(i), t(0));
         }
@@ -253,7 +264,7 @@ mod tests {
 
     #[test]
     fn leaves_dropping_state_when_queue_clears() {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        let mut q = codel();
         for i in 0..300 {
             q.enqueue(pkt(i), t(0));
         }
@@ -270,12 +281,15 @@ mod tests {
             let got = q.dequeue(now + Duration::from_millis(1));
             assert!(got.is_some());
         }
-        assert!(!q.in_dropping_state());
+        let Bottleneck::CoDel(inner) = &q else {
+            unreachable!("built as CoDel")
+        };
+        assert!(!inner.in_dropping_state());
     }
 
     #[test]
     fn empty_queue_returns_none_and_resets() {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        let mut q = codel();
         assert!(q.dequeue(t(100)).is_none());
         assert_eq!(q.bytes(), 0);
         assert_eq!(q.drops(), 0);

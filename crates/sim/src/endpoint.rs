@@ -26,6 +26,15 @@ pub trait Endpoint: Send {
     /// driver stamps `sent_at`. This is the required method so the event
     /// loop can recycle one buffer across all endpoints and steps instead
     /// of allocating a fresh `Vec` per poll tick.
+    ///
+    /// A driver may poll at any instant, not only after an arrival or at
+    /// [`Endpoint::next_wakeup`], and today's drivers do: `Simulation`
+    /// polls both endpoints at every path event (each delivery
+    /// opportunity of either trace included), `ServeSim` polls a client at
+    /// every event of its downlink path. An endpoint whose answer depends
+    /// on `now` (Sprout's window does) therefore sends on the cadence of
+    /// those polls; a driver that polls less often simulates something
+    /// else.
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>);
 
     /// Allocating convenience form of [`Endpoint::poll_into`] (tests,
@@ -38,7 +47,10 @@ pub trait Endpoint: Send {
 
     /// The next time this endpoint needs to be polled even if no packet
     /// arrives (tick boundaries, retransmission timers, pacing release
-    /// times). `None` means "only wake me on packet arrival".
+    /// times). `None` means "only wake me on packet arrival". This is a
+    /// lower bound on attention, not a schedule: the driver guarantees a
+    /// poll at this instant and is free to poll earlier and more often
+    /// (see [`Endpoint::poll_into`]).
     fn next_wakeup(&self) -> Option<Timestamp>;
 }
 

@@ -46,7 +46,9 @@ pub use metrics::{
     self_inflicted_delay, utilization, DegradationStats, DeliveryRecord, MetricsCollector,
 };
 pub use packet::{FlowId, Packet};
-pub use queue::{DropTail, Queue, DEEP_QUEUE_BYTES};
-pub use run::{direction_stats, run_stats, DirectionStats, Simulation};
+pub use queue::{DropTail, DEEP_QUEUE_BYTES};
+pub use run::{
+    direction_stats, direction_stats_with_floor, run_stats, DirectionStats, SimScratch, Simulation,
+};
 pub use serve::ServeSim;
 pub use wheel::TimerWheel;

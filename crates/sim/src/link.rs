@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::codel::{CoDelConfig, CoDelQueue};
 use crate::packet::Packet;
-use crate::queue::{DropTail, Queue};
+use crate::queue::{Bottleneck, DropTail};
 use sprout_trace::{
     derive_seed, DeliveryPerturber, Duration, GilbertElliott, GilbertElliottProcess, Impairment,
     JitterSpec, OutageSchedule, ReorderSpec, Timestamp, Trace, TraceCursor, MTU_BYTES,
@@ -49,11 +49,13 @@ pub enum QueueConfig {
 }
 
 impl QueueConfig {
-    fn build(&self) -> Box<dyn Queue> {
+    fn build(&self) -> Bottleneck {
         match self {
-            QueueConfig::DropTailUnbounded => Box::new(DropTail::unbounded()),
-            QueueConfig::DropTailBytes(cap) => Box::new(DropTail::with_capacity_bytes(*cap)),
-            QueueConfig::CoDel(cfg) => Box::new(CoDelQueue::new(*cfg)),
+            QueueConfig::DropTailUnbounded => Bottleneck::DropTail(DropTail::unbounded()),
+            QueueConfig::DropTailBytes(cap) => {
+                Bottleneck::DropTail(DropTail::with_capacity_bytes(*cap))
+            }
+            QueueConfig::CoDel(cfg) => Bottleneck::CoDel(CoDelQueue::new(*cfg)),
         }
     }
 }
@@ -174,7 +176,7 @@ impl Ord for PendingDelivery {
 
 /// One direction of the cellular bottleneck.
 pub struct TraceLink {
-    queue: Box<dyn Queue>,
+    queue: Bottleneck,
     cursor: TraceCursor,
     /// The packet currently being served and how many of its bytes have
     /// already crossed.
@@ -244,17 +246,20 @@ impl TraceLink {
     }
 
     /// Time of the next delivery opportunity, if the trace has any left.
+    #[inline]
     pub fn next_opportunity(&self) -> Option<Timestamp> {
         self.cursor.peek()
     }
 
     /// Earliest release time in the jitter/reorder buffer, if any.
+    #[inline]
     pub fn next_pending_release(&self) -> Option<Timestamp> {
         self.pending.peek().map(|Reverse(p)| p.at)
     }
 
     /// The next instant this link does anything on its own: a delivery
     /// opportunity or a buffered release coming due.
+    #[inline]
     pub fn next_link_event(&self) -> Option<Timestamp> {
         match (self.next_opportunity(), self.next_pending_release()) {
             (Some(o), Some(r)) => Some(o.min(r)),
@@ -262,20 +267,27 @@ impl TraceLink {
         }
     }
 
-    /// Allocating convenience form of [`TraceLink::service_into`] (tests,
-    /// probes, drivers outside the hot loop).
+    /// [`TraceLink::service_into`] into a fresh `Vec` (tests, probes,
+    /// drivers outside the hot loop).
     pub fn service(&mut self, now: Timestamp) -> Vec<LinkDelivery> {
         let mut out = Vec::new();
         self.service_into(now, &mut out);
         out
     }
 
-    /// Fire all delivery opportunities due at or before `now` and release
-    /// any buffered (jittered/held) deliveries that have come due,
-    /// appending the packets whose final byte crossed the link to `out`
-    /// (not cleared; the path reuses one buffer across opportunities), in
-    /// non-decreasing delivery-time order.
+    /// [`TraceLink::service_with`], appending each delivery to `out` (not
+    /// cleared).
     pub fn service_into(&mut self, now: Timestamp, out: &mut Vec<LinkDelivery>) {
+        self.service_with(now, |packet, at| out.push(LinkDelivery { packet, at }));
+    }
+
+    /// Fire all delivery opportunities due at or before `now` and release
+    /// any buffered (jittered/held) deliveries that have come due, handing
+    /// each packet whose final byte crossed the link to `sink` together
+    /// with its delivery time, in non-decreasing delivery-time order. The
+    /// packet goes straight from the queue (or the release buffer) to the
+    /// sink; nothing is collected in between.
+    pub fn service_with(&mut self, now: Timestamp, mut sink: impl FnMut(Packet, Timestamp)) {
         while let Some(op_time) = self.cursor.pop_due(now) {
             if self.outages.is_out(op_time) {
                 // The link is dark: the opportunity is lost outright.
@@ -297,7 +309,7 @@ impl TraceLink {
                 let need = packet.size - served;
                 if need <= budget {
                     budget -= need;
-                    self.emit(packet, op_time, out);
+                    self.emit(packet, op_time, &mut sink);
                 } else {
                     self.in_service = Some((packet, served + budget));
                     budget = 0;
@@ -309,17 +321,20 @@ impl TraceLink {
                 self.wasted_opportunities += 1;
             }
         }
-        self.release_due(now, out);
+        self.release_due(now, &mut sink);
     }
 
-    /// Route one crossed packet to the output: directly (unimpaired), or
+    /// Route one crossed packet to the sink: directly (unimpaired), or
     /// through the release buffer with a perturbed timestamp.
-    fn emit(&mut self, packet: Packet, op_time: Timestamp, out: &mut Vec<LinkDelivery>) {
+    #[inline]
+    fn emit(
+        &mut self,
+        packet: Packet,
+        op_time: Timestamp,
+        sink: &mut impl FnMut(Packet, Timestamp),
+    ) {
         match &mut self.perturb {
-            None => out.push(LinkDelivery {
-                packet,
-                at: op_time,
-            }),
+            None => sink(packet, op_time),
             Some(p) => {
                 let (extra, held) = p.perturb();
                 if held {
@@ -339,7 +354,7 @@ impl TraceLink {
     /// opportunity consumed so far precedes `now`, and fresh holds are
     /// never scheduled before their opportunity, so pops are globally
     /// non-decreasing in `at`.
-    fn release_due(&mut self, now: Timestamp, out: &mut Vec<LinkDelivery>) {
+    fn release_due(&mut self, now: Timestamp, sink: &mut impl FnMut(Packet, Timestamp)) {
         while self
             .pending
             .peek()
@@ -347,10 +362,7 @@ impl TraceLink {
             .unwrap_or(false)
         {
             let Reverse(p) = self.pending.pop().unwrap();
-            out.push(LinkDelivery {
-                packet: p.packet,
-                at: p.at,
-            });
+            sink(p.packet, p.at);
         }
     }
 

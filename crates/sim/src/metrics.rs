@@ -46,8 +46,22 @@ impl MetricsCollector {
         Self::default()
     }
 
+    /// Empty collector that records into `log`'s storage: the log is
+    /// cleared, its capacity kept.
+    pub fn with_log(mut log: Vec<DeliveryRecord>) -> Self {
+        log.clear();
+        MetricsCollector { records: log }
+    }
+
+    /// Give the log's storage back, for the next
+    /// [`MetricsCollector::with_log`].
+    pub fn into_log(self) -> Vec<DeliveryRecord> {
+        self.records
+    }
+
     /// Record a delivery. Must be called in non-decreasing `delivered_at`
     /// order (the event loop guarantees this).
+    #[inline]
     pub fn record(&mut self, rec: DeliveryRecord) {
         debug_assert!(self
             .records
@@ -63,11 +77,15 @@ impl MetricsCollector {
     }
 
     /// Bytes delivered with `delivered_at` ∈ `[from, to)`, optionally for
-    /// one flow only.
+    /// one flow only. The log is in non-decreasing `delivered_at` order
+    /// ([`MetricsCollector::record`]'s contract), so the window is a
+    /// slice found by binary search — a binned series costs
+    /// O(bins · log records + records), not O(bins × records).
     pub fn delivered_bytes(&self, from: Timestamp, to: Timestamp, flow: Option<FlowId>) -> u64 {
-        self.records
+        let lo = self.records.partition_point(|r| r.delivered_at < from);
+        let hi = lo + self.records[lo..].partition_point(|r| r.delivered_at < to);
+        self.records[lo..hi]
             .iter()
-            .filter(|r| r.delivered_at >= from && r.delivered_at < to)
             .filter(|r| flow.map(|f| r.flow == f).unwrap_or(true))
             .map(|r| r.size as u64)
             .sum()
@@ -650,6 +668,59 @@ mod tests {
         assert_eq!(m.delivered_bytes(t(0), t(1_000), None), 3_000);
         assert!(m.flow_p95_delay(FlowId(1), t(0), t(1_000)).is_some());
         assert!(m.flow_p95_delay(FlowId(9), t(0), t(1_000)).is_none());
+    }
+
+    #[test]
+    fn delivered_bytes_window_matches_the_filter_form() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The definition, as a scan of the whole log.
+        let by_filter = |m: &MetricsCollector, from, to, flow: Option<FlowId>| -> u64 {
+            m.records()
+                .iter()
+                .filter(|r| r.delivered_at >= from && r.delivered_at < to)
+                .filter(|r| flow.map(|f| r.flow == f).unwrap_or(true))
+                .map(|r| r.size as u64)
+                .sum()
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        for case in 0..200 {
+            // Non-decreasing delivery times with ties (step 0) and gaps;
+            // every 20th log is empty.
+            let len = if case % 20 == 0 {
+                0
+            } else {
+                rng.gen_range(1..120u32)
+            };
+            let mut m = MetricsCollector::new();
+            let mut at = rng.gen_range(0..50u64);
+            for _ in 0..len {
+                at += [0, 0, 1, 7, 40][rng.gen_range(0..5usize)];
+                m.record(DeliveryRecord {
+                    sent_at: t(0),
+                    delivered_at: t(at),
+                    size: rng.gen_range(40..1_501u32),
+                    flow: FlowId(rng.gen_range(1..4u32)),
+                });
+            }
+            // Windows inside, straddling, before and after the log,
+            // empty (`from == to`) and inverted (`from > to`).
+            for _ in 0..30 {
+                let from = t(rng.gen_range(0..at + 60));
+                let to = t(rng.gen_range(0..at + 60));
+                for flow in [None, Some(FlowId(2)), Some(FlowId(9))] {
+                    assert_eq!(
+                        m.delivered_bytes(from, to, flow),
+                        by_filter(&m, from, to, flow),
+                        "case {case}: [{from}, {to}) flow {flow:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                m.delivered_bytes(Timestamp::ZERO, Timestamp::FAR_FUTURE, None),
+                m.records().iter().map(|r| r.size as u64).sum::<u64>()
+            );
+        }
     }
 
     #[test]

@@ -1,36 +1,67 @@
-//! Bottleneck queues: the abstract interface plus the DropTail policy.
+//! Bottleneck queues: the DropTail policy and the one representation a
+//! link holds its queue in.
 //!
 //! Cellular base stations keep one deep queue per user (§2.1); Cellsim
-//! models that queue explicitly. The queue policy is pluggable so the
-//! evaluation can compare plain DropTail (deep, "bufferbloated") against
-//! CoDel (§5.4), and emulate shallow-buffered carriers via a byte cap.
+//! models that queue explicitly. The evaluation compares plain DropTail
+//! (deep, "bufferbloated") against CoDel (§5.4), and emulates
+//! shallow-buffered carriers via a byte cap. Two policies, one user (the
+//! link): `Bottleneck` is an enum over them, dispatched by `match`.
 
 use std::collections::VecDeque;
 
+use crate::codel::CoDelQueue;
 use crate::packet::Packet;
 use sprout_trace::Timestamp;
 
-/// A bottleneck queue policy.
-///
-/// `Send` so links (and the simulations holding them) can run on worker
-/// threads.
-pub trait Queue: Send {
-    /// Offer a packet to the queue at time `now`. The policy may drop it.
-    fn enqueue(&mut self, packet: Packet, now: Timestamp);
+/// The queue at a link's bottleneck, under either policy. Both share one
+/// interface: `enqueue` offers a packet at `now` (the policy may drop
+/// it); `dequeue` removes the next packet to serve, `now` being the time
+/// service begins (CoDel measures sojourn time against it and may drop
+/// packets instead of returning them); `bytes`/`packets` are the current
+/// backlog and `drops` the cumulative count of policy drops.
+#[derive(Debug)]
+pub(crate) enum Bottleneck {
+    DropTail(DropTail),
+    CoDel(CoDelQueue),
+}
 
-    /// Remove the next packet to serve. `now` is the time service begins;
-    /// AQM policies use it to measure sojourn time and may drop packets
-    /// instead of returning them.
-    fn dequeue(&mut self, now: Timestamp) -> Option<Packet>;
+impl Bottleneck {
+    #[inline]
+    pub(crate) fn enqueue(&mut self, packet: Packet, now: Timestamp) {
+        match self {
+            Bottleneck::DropTail(q) => q.enqueue(packet, now),
+            Bottleneck::CoDel(q) => q.enqueue(packet, now),
+        }
+    }
 
-    /// Bytes currently queued.
-    fn bytes(&self) -> u64;
+    #[inline]
+    pub(crate) fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
+        match self {
+            Bottleneck::DropTail(q) => q.dequeue(now),
+            Bottleneck::CoDel(q) => q.dequeue(now),
+        }
+    }
 
-    /// Packets currently queued.
-    fn packets(&self) -> usize;
+    pub(crate) fn bytes(&self) -> u64 {
+        match self {
+            Bottleneck::DropTail(q) => q.bytes(),
+            Bottleneck::CoDel(q) => q.bytes(),
+        }
+    }
 
-    /// Cumulative count of packets dropped by the policy.
-    fn drops(&self) -> u64;
+    pub(crate) fn packets(&self) -> usize {
+        match self {
+            Bottleneck::DropTail(q) => q.packets(),
+            Bottleneck::CoDel(q) => q.packets(),
+        }
+    }
+
+    pub(crate) fn drops(&self) -> u64 {
+        match self {
+            Bottleneck::DropTail(q) => q.drops(),
+            Bottleneck::CoDel(q) => q.drops(),
+        }
+    }
 }
 
 /// The explicit capacity standing in for a "deeply buffered" carrier
@@ -75,10 +106,10 @@ impl DropTail {
             drops: 0,
         }
     }
-}
 
-impl Queue for DropTail {
-    fn enqueue(&mut self, packet: Packet, _now: Timestamp) {
+    /// Offer a packet; it is dropped if it would overflow the capacity.
+    #[inline]
+    pub fn enqueue(&mut self, packet: Packet, _now: Timestamp) {
         if let Some(cap) = self.capacity {
             if self.bytes + packet.size as u64 > cap {
                 self.drops += 1;
@@ -89,21 +120,26 @@ impl Queue for DropTail {
         self.queue.push_back(packet);
     }
 
-    fn dequeue(&mut self, _now: Timestamp) -> Option<Packet> {
+    /// Remove the packet at the head of the queue.
+    #[inline]
+    pub fn dequeue(&mut self, _now: Timestamp) -> Option<Packet> {
         let p = self.queue.pop_front()?;
         self.bytes -= p.size as u64;
         Some(p)
     }
 
-    fn bytes(&self) -> u64 {
+    /// Bytes currently queued.
+    pub fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    fn packets(&self) -> usize {
+    /// Packets currently queued.
+    pub fn packets(&self) -> usize {
         self.queue.len()
     }
 
-    fn drops(&self) -> u64 {
+    /// Cumulative count of packets dropped at the tail.
+    pub fn drops(&self) -> u64 {
         self.drops
     }
 }
@@ -119,7 +155,7 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
-        let mut q = DropTail::unbounded();
+        let mut q = Bottleneck::DropTail(DropTail::unbounded());
         q.enqueue(pkt(1, 100), Timestamp::ZERO);
         q.enqueue(pkt(2, 100), Timestamp::ZERO);
         assert_eq!(q.packets(), 2);
@@ -132,7 +168,7 @@ mod tests {
 
     #[test]
     fn capacity_causes_tail_drop() {
-        let mut q = DropTail::with_capacity_bytes(250);
+        let mut q = Bottleneck::DropTail(DropTail::with_capacity_bytes(250));
         q.enqueue(pkt(1, 100), Timestamp::ZERO);
         q.enqueue(pkt(2, 100), Timestamp::ZERO);
         q.enqueue(pkt(3, 100), Timestamp::ZERO); // would exceed 250
@@ -146,7 +182,7 @@ mod tests {
 
     #[test]
     fn exactly_full_is_allowed() {
-        let mut q = DropTail::with_capacity_bytes(200);
+        let mut q = Bottleneck::DropTail(DropTail::with_capacity_bytes(200));
         q.enqueue(pkt(1, 100), Timestamp::ZERO);
         q.enqueue(pkt(2, 100), Timestamp::ZERO);
         assert_eq!(q.packets(), 2);

@@ -5,8 +5,9 @@ use crate::cellsim::{DirectedPath, PathConfig};
 use crate::endpoint::Endpoint;
 use crate::metrics::{
     self, degradation_stats, omniscient_p95_delay, self_inflicted_delay, utilization,
-    DegradationStats, MetricsCollector,
+    DegradationStats, DeliveryRecord, MetricsCollector,
 };
+use crate::packet::Packet;
 use sprout_trace::{Duration, Timestamp};
 
 /// What the shared driver needs of an event loop: its clock, how to
@@ -55,6 +56,28 @@ pub(crate) trait EventLoop {
     }
 }
 
+/// The buffers of a finished simulation whose capacity is worth keeping
+/// for the next one: the event loop's packet buffer and the paths'
+/// delivery logs (megabytes each on a long baseline cell). Contents never
+/// carry over — every buffer is cleared before use — so recycling cannot
+/// affect results; a second simulation on a warm `SimScratch` pushes into
+/// capacity that is already grown and already faulted in.
+#[derive(Default)]
+pub struct SimScratch {
+    pub(crate) packets: Vec<Packet>,
+    /// Free list of delivery logs, popped one per path. A teardown pushes
+    /// its logs back in reverse path order, so the next simulation of the
+    /// same shape hands each path the log that path filled last time.
+    pub(crate) logs: Vec<Vec<DeliveryRecord>>,
+}
+
+impl SimScratch {
+    /// A delivery log from the free list, or a fresh one.
+    pub(crate) fn take_log(&mut self) -> Vec<DeliveryRecord> {
+        self.logs.pop().unwrap_or_default()
+    }
+}
+
 /// A full experiment: endpoint `a`, endpoint `b`, and the two directed
 /// paths between them (`ab` carries a→b traffic, `ba` the reverse).
 pub struct Simulation<A: Endpoint, B: Endpoint> {
@@ -65,46 +88,47 @@ pub struct Simulation<A: Endpoint, B: Endpoint> {
     ab: DirectedPath,
     ba: DirectedPath,
     now: Timestamp,
-    /// Recycled packet buffer for deliveries and endpoint polls: the
-    /// event loop drains it every step, so one allocation serves the
-    /// whole run instead of four fresh `Vec`s per step.
-    scratch: Vec<crate::packet::Packet>,
+    /// Recycled buffers: `packets` is what the endpoints poll into every
+    /// step, drained before the step ends; the log free list is held only
+    /// to be handed back.
+    scratch: SimScratch,
 }
 
 impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
     /// Assemble a simulation. `ab` is the path carrying a→b traffic.
     pub fn new(a: A, b: B, ab: PathConfig, ba: PathConfig) -> Self {
-        Simulation::with_scratch(a, b, ab, ba, Vec::new())
+        Simulation::with_scratch(a, b, ab, ba, SimScratch::default())
     }
 
-    /// [`Simulation::new`], seeding the event loop's packet buffer with
-    /// `scratch` instead of a fresh `Vec`. Batch executors that run many
-    /// simulations back-to-back pass the previous run's buffer (via
-    /// [`Simulation::into_scratch`]) so its capacity survives across
-    /// cells. The buffer's contents are irrelevant — it is cleared before
-    /// first use — so recycling cannot affect results.
+    /// [`Simulation::new`] on recycled buffers. Batch executors that run
+    /// many simulations back-to-back pass the previous run's
+    /// [`Simulation::into_scratch`], so the packet buffer's and the two
+    /// delivery logs' capacity survives across cells.
     pub fn with_scratch(
         a: A,
         b: B,
         ab: PathConfig,
         ba: PathConfig,
-        mut scratch: Vec<crate::packet::Packet>,
+        mut scratch: SimScratch,
     ) -> Self {
-        scratch.clear();
+        scratch.packets.clear();
         Simulation {
             a,
             b,
-            ab: DirectedPath::new(ab),
-            ba: DirectedPath::new(ba),
+            ab: DirectedPath::with_log(ab, scratch.take_log()),
+            ba: DirectedPath::with_log(ba, scratch.take_log()),
             now: Timestamp::ZERO,
             scratch,
         }
     }
 
-    /// Tear down the simulation, recovering the event-loop packet buffer
-    /// for the next [`Simulation::with_scratch`].
-    pub fn into_scratch(self) -> Vec<crate::packet::Packet> {
-        self.scratch
+    /// Tear down the simulation, recovering its buffers for the next
+    /// [`Simulation::with_scratch`].
+    pub fn into_scratch(self) -> SimScratch {
+        let mut scratch = self.scratch;
+        scratch.logs.push(self.ba.into_log());
+        scratch.logs.push(self.ab.into_log());
+        scratch
     }
 
     /// Current virtual time.
@@ -158,25 +182,23 @@ impl<A: Endpoint, B: Endpoint> EventLoop for Simulation<A, B> {
     /// Process all events due at the current instant: deliveries first,
     /// then endpoint transmissions (so feedback generated by an arrival is
     /// sent in the same instant, as a real event-driven process would).
-    /// All four phases drain one recycled buffer — no per-step allocation.
+    /// A delivered packet goes from the path straight into the receiving
+    /// endpoint; the two poll phases drain one recycled buffer — no
+    /// per-step allocation.
     fn step(&mut self) {
-        let buf = &mut self.scratch;
+        let now = self.now;
+        let (a, b) = (&mut self.a, &mut self.b);
+        self.ab.advance_with(now, |p| b.on_packet(p, now));
+        self.ba.advance_with(now, |p| a.on_packet(p, now));
+        let buf = &mut self.scratch.packets;
         debug_assert!(buf.is_empty());
-        self.ab.advance_into(self.now, buf);
+        a.poll_into(now, buf);
         for p in buf.drain(..) {
-            self.b.on_packet(p, self.now);
+            self.ab.send(p, now);
         }
-        self.ba.advance_into(self.now, buf);
+        b.poll_into(now, buf);
         for p in buf.drain(..) {
-            self.a.on_packet(p, self.now);
-        }
-        self.a.poll_into(self.now, buf);
-        for p in buf.drain(..) {
-            self.ab.send(p, self.now);
-        }
-        self.b.poll_into(self.now, buf);
-        for p in buf.drain(..) {
-            self.ba.send(p, self.now);
+            self.ba.send(p, now);
         }
     }
 }
@@ -203,17 +225,31 @@ pub struct DirectionStats {
 
 /// Compute [`DirectionStats`] for a finished path over `[from, to)`.
 pub fn direction_stats(path: &DirectedPath, from: Timestamp, to: Timestamp) -> DirectionStats {
+    let floor = omniscient_p95_delay(path.link().trace(), path.prop_delay(), from, to);
+    direction_stats_with_floor(path, from, to, floor)
+}
+
+/// [`direction_stats`] for a caller that already knows the omniscient
+/// floor. `floor` must be
+/// `omniscient_p95_delay(path.link().trace(), path.prop_delay(), from, to)`:
+/// a pure function of the link and the window, so every cell on one link
+/// can share one computation of it.
+pub fn direction_stats_with_floor(
+    path: &DirectedPath,
+    from: Timestamp,
+    to: Timestamp,
+    floor: Option<Duration>,
+) -> DirectionStats {
     let m = path.metrics();
     let trace = path.link().trace();
     let delivered = m.delivered_bytes(from, to, None);
     let p95 = m.p95_delay(from, to);
-    let omni = omniscient_p95_delay(trace, path.prop_delay(), from, to);
     DirectionStats {
         delivered_bytes: delivered,
         throughput_kbps: m.throughput_kbps(from, to),
         p95_delay: p95,
-        omniscient_p95: omni,
-        self_inflicted: match (p95, omni) {
+        omniscient_p95: floor,
+        self_inflicted: match (p95, floor) {
             (Some(p), Some(o)) => Some(self_inflicted_delay(p, o)),
             _ => None,
         },
@@ -243,7 +279,7 @@ pub use metrics::omniscient_delay_percentile;
 mod tests {
     use super::*;
     use crate::endpoint::SinkEndpoint;
-    use crate::packet::{FlowId, Packet};
+    use crate::packet::FlowId;
     use sprout_trace::{Trace, MTU_BYTES};
 
     /// Sends one MTU packet every `interval`, unconditionally.

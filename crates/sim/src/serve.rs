@@ -10,19 +10,33 @@
 //! Both loops run under the one driver (`run::EventLoop::drive_until`:
 //! time advanced to the minimum pending event, 1 µs forced progress, an
 //! idempotent final step at `end`) and keep the same phase order within
-//! an instant — deliveries before polls — but here the
-//! per-step cost is O(due), not O(N): per-session paths and client
-//! wakeups live in [`TimerWheel`]s, so a step touches only the sessions
-//! with a delivery or deadline at the current instant. This requires
-//! endpoints whose `next_wakeup` is accurate (they transmit only after a
-//! delivery or at a declared wakeup), which all Sprout endpoints are.
+//! an instant — deliveries before polls. Per-session paths and client
+//! wakeups live in [`TimerWheel`]s, so a step visits only the sessions
+//! with something due at the current instant rather than all N.
+//!
+//! What "due" means is wider than a delivery or a declared wakeup, and
+//! results depend on it. A client is polled whenever its wakeup is due
+//! **and at every event of its downlink path** — a wire arrival, a
+//! delivery opportunity, a buffered release — whether or not that event
+//! delivered anything (`step` marks the session pending either way). The
+//! server is polled after an uplink delivery or at its declared wakeup.
+//! [`Simulation`](crate::Simulation) is blunter still: it polls both
+//! endpoints at every step. The extra polls are not idle: a
+//! `SproutEndpoint`'s send window is a function of `now`, and its
+//! `next_wakeup` declares only the end of the current tick, so in both
+//! loops it is the link's opportunity schedule that paces how often
+//! Sprout gets to send within a tick. Skipping the polls that follow no
+//! delivery leaves the TCP baselines' results unchanged and moves every
+//! Sprout, app, mux, tunnel and serve cell (ROADMAP item 2: *Sprout's send
+//! cadence is set by trace density*), so the cadence is part of what
+//! `ENGINE_VERSION` pins; see [`Endpoint::poll_into`].
 
 use std::collections::HashMap;
 
 use crate::cellsim::{DirectedPath, PathConfig};
 use crate::endpoint::Endpoint;
-use crate::packet::{FlowId, Packet};
-use crate::run::EventLoop;
+use crate::packet::FlowId;
+use crate::run::{EventLoop, SimScratch};
 use crate::wheel::TimerWheel;
 use sprout_trace::Timestamp;
 
@@ -48,23 +62,25 @@ pub struct ServeSim<C: Endpoint, S: Endpoint> {
     pending_queue: Vec<usize>,
     server_pending: bool,
     now: Timestamp,
-    /// Recycled packet buffer, as in [`Simulation`](crate::Simulation).
-    scratch: Vec<Packet>,
+    /// Recycled buffers, as in [`Simulation`](crate::Simulation): the
+    /// poll buffer, and the free list each new session's two delivery
+    /// logs come from.
+    scratch: SimScratch,
     delivered_to_server: u64,
 }
 
 impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
     /// Empty loop around `server`; add sessions before running.
     pub fn new(server: S) -> Self {
-        ServeSim::with_scratch(server, Vec::new())
+        ServeSim::with_scratch(server, SimScratch::default())
     }
 
-    /// [`ServeSim::new`], seeding the event-loop packet buffer with
-    /// `scratch` (recovered via [`ServeSim::into_scratch`]) so batch
-    /// executors keep one allocation across cells. Contents are cleared
-    /// before first use, so recycling cannot affect results.
-    pub fn with_scratch(server: S, mut scratch: Vec<Packet>) -> Self {
-        scratch.clear();
+    /// [`ServeSim::new`] on recycled buffers (recovered via
+    /// [`ServeSim::into_scratch`]), so batch executors keep the packet
+    /// buffer and the sessions' delivery logs across cells. Contents are
+    /// cleared before first use, so recycling cannot affect results.
+    pub fn with_scratch(server: S, mut scratch: SimScratch) -> Self {
+        scratch.packets.clear();
         ServeSim {
             clients: Vec::new(),
             flows: Vec::new(),
@@ -84,9 +100,14 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
         }
     }
 
-    /// Tear down, recovering the packet buffer for the next cell.
-    pub fn into_scratch(self) -> Vec<Packet> {
-        self.scratch
+    /// Tear down, recovering the buffers for the next cell.
+    pub fn into_scratch(self) -> SimScratch {
+        let mut scratch = self.scratch;
+        for (up, down) in self.up.into_iter().zip(self.down).rev() {
+            scratch.logs.push(down.into_log());
+            scratch.logs.push(up.into_log());
+        }
+        scratch
     }
 
     /// Attach session `flow`: its client endpoint and its two directed
@@ -104,8 +125,8 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
             "duplicate session flow id {}",
             flow.0
         );
-        let up = DirectedPath::new(up);
-        let down = DirectedPath::new(down);
+        let up = DirectedPath::with_log(up, self.scratch.take_log());
+        let down = DirectedPath::with_log(down, self.scratch.take_log());
         self.up_wheel.schedule(idx, up.next_event());
         self.down_wheel.schedule(idx, down.next_event());
         self.client_wheel.schedule(idx, client.next_wakeup());
@@ -191,28 +212,30 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
     /// in `(deadline, index)` order; pending clients drain ascending).
     fn step(&mut self) {
         let now = self.now;
-        debug_assert!(self.scratch.is_empty());
+        debug_assert!(self.scratch.packets.is_empty());
 
         // Uplink deliveries → the shared server.
         while let Some(idx) = self.up_wheel.pop_due(now) {
-            self.up[idx].advance_into(now, &mut self.scratch);
+            let (server, bytes, pending) = (
+                &mut self.server,
+                &mut self.delivered_to_server,
+                &mut self.server_pending,
+            );
+            self.up[idx].advance_with(now, |p| {
+                *bytes += u64::from(p.size);
+                server.on_packet(p, now);
+                *pending = true;
+            });
             self.up_wheel.schedule(idx, self.up[idx].next_event());
-            for p in self.scratch.drain(..) {
-                self.delivered_to_server += u64::from(p.size);
-                self.server.on_packet(p, now);
-                self.server_pending = true;
-            }
         }
 
         // Downlink deliveries → their clients, which then owe a poll this
         // instant (feedback follows an arrival immediately, exactly as in
         // `Simulation::step`).
         while let Some(idx) = self.down_wheel.pop_due(now) {
-            self.down[idx].advance_into(now, &mut self.scratch);
+            let client = &mut self.clients[idx];
+            self.down[idx].advance_with(now, |p| client.on_packet(p, now));
             self.down_wheel.schedule(idx, self.down[idx].next_event());
-            for p in self.scratch.drain(..) {
-                self.clients[idx].on_packet(p, now);
-            }
             self.mark_pending(idx);
         }
 
@@ -224,8 +247,8 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
         for qi in 0..self.pending_queue.len() {
             let idx = self.pending_queue[qi];
             self.pending[idx] = false;
-            self.clients[idx].poll_into(now, &mut self.scratch);
-            for mut p in self.scratch.drain(..) {
+            self.clients[idx].poll_into(now, &mut self.scratch.packets);
+            for mut p in self.scratch.packets.drain(..) {
                 p.flow = self.flows[idx];
                 self.up[idx].send(p, now);
             }
@@ -238,8 +261,8 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
         // Server poll: route each output packet to its session's downlink.
         if self.server_pending || self.server.next_wakeup().is_some_and(|w| w <= now) {
             self.server_pending = false;
-            self.server.poll_into(now, &mut self.scratch);
-            for p in self.scratch.drain(..) {
+            self.server.poll_into(now, &mut self.scratch.packets);
+            for p in self.scratch.packets.drain(..) {
                 let Some(&idx) = self.route.get(&p.flow.0) else {
                     debug_assert!(false, "server emitted unroutable flow {}", p.flow.0);
                     continue;
@@ -254,6 +277,7 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packet;
     use crate::run::direction_stats;
     use sprout_trace::{Duration, Trace};
 

@@ -331,6 +331,7 @@ impl OutageSchedule {
     }
 
     /// Whether the link is dark at `t`.
+    #[inline]
     pub fn is_out(&self, t: Timestamp) -> bool {
         let idx = self.windows.partition_point(|&(start, _)| start <= t);
         idx > 0 && t < self.windows[idx - 1].1

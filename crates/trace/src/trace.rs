@@ -6,15 +6,21 @@
 //! queued when an opportunity fires are released, up to one MTU per
 //! opportunity; opportunities that find an empty queue are wasted (§4.2).
 
+use std::sync::Arc;
+
 use crate::time::{Duration, Timestamp, MTU_BYTES};
 
 /// A recorded (or synthesized) cellular link trace: a non-decreasing list of
 /// delivery-opportunity timestamps. Several opportunities may share the same
 /// millisecond on fast links.
+///
+/// The list is immutable shared storage: `clone()` is a reference count,
+/// so every cell, path and cursor replaying one link holds the same
+/// allocation. Equality compares the timestamps, not the storage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// Delivery opportunities, in non-decreasing order.
-    opportunities: Vec<Timestamp>,
+    opportunities: Arc<[Timestamp]>,
 }
 
 impl Trace {
@@ -24,7 +30,9 @@ impl Trace {
         if !opportunities.windows(2).all(|w| w[0] <= w[1]) {
             opportunities.sort_unstable();
         }
-        Trace { opportunities }
+        Trace {
+            opportunities: opportunities.into(),
+        }
     }
 
     /// Build a trace from opportunity times given in milliseconds (the
@@ -80,7 +88,7 @@ impl Trace {
     pub fn truncated(&self, limit: Timestamp) -> Trace {
         let end = self.opportunities.partition_point(|&t| t < limit);
         Trace {
-            opportunities: self.opportunities[..end].to_vec(),
+            opportunities: self.opportunities[..end].into(),
         }
     }
 
@@ -103,7 +111,7 @@ impl Trace {
         let total = self.duration();
         let nbins = (total.as_micros() / bin.as_micros() + 1) as usize;
         let mut counts = vec![0u64; nbins];
-        for &t in &self.opportunities {
+        for &t in self.opportunities.iter() {
             let idx = (t.as_micros() / bin.as_micros()) as usize;
             counts[idx] += 1;
         }
@@ -180,6 +188,19 @@ mod tests {
     fn new_sorts_out_of_order_input() {
         let tr = Trace::new(vec![t(30), t(10), t(20)]);
         assert_eq!(tr.opportunities(), &[t(10), t(20), t(30)]);
+    }
+
+    #[test]
+    fn clone_shares_storage_and_derived_traces_do_not() {
+        let tr = Trace::from_millis([100, 200, 300]);
+        let copy = tr.clone();
+        assert!(std::ptr::eq(tr.opportunities(), copy.opportunities()));
+        // Equality is by timestamps, not by storage.
+        let rebuilt = Trace::from_millis([100, 200, 300]);
+        assert!(!std::ptr::eq(tr.opportunities(), rebuilt.opportunities()));
+        assert_eq!(tr, rebuilt);
+        assert_ne!(tr, tr.truncated(t(300)));
+        assert_eq!(tr.truncated(t(301)), tr);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use sprout_core::{IntervalSet, RateModel, SproutConfig, SproutHeader, WireForecast};
 use sprout_sim::{
-    CoDelConfig, CoDelQueue, DirectedPath, DropTail, FlowId, LinkConfig, Packet, PathConfig, Queue,
+    CoDelConfig, CoDelQueue, DirectedPath, DropTail, FlowId, LinkConfig, Packet, PathConfig,
     QueueConfig, TraceLink,
 };
 use sprout_trace::{Duration, Timestamp, Trace, MTU_BYTES};
