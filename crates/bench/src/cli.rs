@@ -32,11 +32,19 @@ const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Fl
     Flag { name, value, help }
 }
 
+/// The longest run `--secs` (and so `--warmup`) accepts, in virtual
+/// seconds. Run lengths become microsecond [`sprout_trace::Duration`]s by
+/// an unchecked multiply, after Figure 2 has scaled its probe by ten, so
+/// the bound is what keeps `secs × 10 × 10⁶` inside a `u64` — set far
+/// below that, at a hundred times the paper's longest run, because a run
+/// also has to finish.
+pub const MAX_RUN_SECS: u64 = 100_000;
+
 /// The worker-safe flags every experiment takes.
 #[rustfmt::skip]
 pub const GLOBAL_FLAGS: &[Flag] = &[
-    flag("--secs", "N", "virtual seconds per run (default 300)"),
-    flag("--warmup", "N", "warm-up skipped before measurement (default 60)"),
+    flag("--secs", "N", "virtual seconds per run, 1..=100000 (default 300)"),
+    flag("--warmup", "N", "warm-up seconds skipped before measurement, 0..=100000 (default 60)"),
     flag("--seed", "N", "master seed of all randomness (default 20130401)"),
     flag("--threads", "N", "sweep worker threads (default: one per core)"),
     flag("--quick", "", "--secs 90 --warmup 20, where those are not given"),
@@ -284,6 +292,13 @@ pub fn apply_worker_args(
             .parse()
             .map_err(|_| format!("{name} expects a number"))
     }
+    /// A run length in `min..=`[`MAX_RUN_SECS`].
+    fn run_secs(iter: &mut Args<'_>, name: &str, min: u64) -> Result<u64, String> {
+        match numeric(iter, name)? {
+            secs if (min..=MAX_RUN_SECS).contains(&secs) => Ok(secs),
+            _ => Err(format!("{name} expects a number in {min}..={MAX_RUN_SECS}")),
+        }
+    }
     /// The parsed value of an axis flag; its help line is the error.
     fn axis<T>(
         iter: &mut Args<'_>,
@@ -346,11 +361,11 @@ pub fn apply_worker_args(
         }
         match name {
             "--secs" => {
-                cfg.run_secs = numeric(&mut iter, name)?;
+                cfg.run_secs = run_secs(&mut iter, name, 1)?;
                 explicit_secs = true;
             }
             "--warmup" => {
-                cfg.warmup_secs = numeric(&mut iter, name)?;
+                cfg.warmup_secs = run_secs(&mut iter, name, 0)?;
                 explicit_warmup = true;
             }
             "--seed" => cfg.seed = numeric(&mut iter, name)?,
@@ -534,6 +549,39 @@ mod tests {
         assert_eq!(worker_flag_arity("--bench"), None);
         let err = apply("soak", &["--bench"]).unwrap_err();
         assert!(err.contains("unknown worker flag"), "{err}");
+    }
+
+    #[test]
+    fn run_lengths_are_bounded_so_microseconds_cannot_wrap() {
+        let max = MAX_RUN_SECS.to_string();
+        let past = (MAX_RUN_SECS + 1).to_string();
+        let huge = u64::MAX.to_string();
+        // The vector that used to wrap to a 0.45 s sweep: 2⁶⁴ / 10⁶ + 1.
+        let wrapping = "18446744073710";
+        let cfg = apply("fig9", &["--secs", &max, "--warmup", "0"]).unwrap();
+        assert_eq!((cfg.run_secs, cfg.warmup_secs), (MAX_RUN_SECS, 0));
+        // At the bound, the longest duration any matrix derives (Figure
+        // 2's tenfold probe) is exact.
+        let probe = &select("fig2").unwrap()[0];
+        let longest = (probe.matrix)(&cfg).cells()[0].duration;
+        assert_eq!(longest.as_micros(), MAX_RUN_SECS * 10 * 1_000_000);
+        for flag in ["--secs", "--warmup"] {
+            for bad in [past.as_str(), wrapping, huge.as_str()] {
+                for experiment in ["fig9", "fig2", "soak", "serve", ALL] {
+                    let err = apply(experiment, &[flag, bad]).unwrap_err();
+                    assert!(err.contains(flag) && err.contains(&max), "{err}");
+                }
+            }
+        }
+        assert!(apply("serve", &["--secs", "0"]).is_err());
+        // The range the help promises is the one enforced.
+        for (name, range) in [
+            ("--secs", format!("1..={max}")),
+            ("--warmup", format!("0..={max}")),
+        ] {
+            let f = GLOBAL_FLAGS.iter().find(|f| f.name == name).unwrap();
+            assert!(f.help.contains(&range), "{name}: {}", f.help);
+        }
     }
 
     #[test]

@@ -10,12 +10,9 @@
 //! bring their own [`RunConfig`]. Nothing here knows about threads,
 //! shards, or the result cache — that is `crate::sweep`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use sprout_baselines::{
-    AppProfile, Cubic, TcpReceiver, TcpSender, VideoApp, VideoAppReceiver, VideoAppSender,
-};
+use sprout_baselines::VideoApp;
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{
     direction_stats_with_floor, jain_fairness_index, omniscient_p95_delay, CoDelConfig, Endpoint,
@@ -33,21 +30,16 @@ use crate::record::{
     ServeStats, SweepResult,
 };
 use crate::scenario::{paired, FlowSpec, LinkSpec, ResolvedQueue, Scenario, Workload};
-use crate::schemes::{build_endpoints, RunConfig, Scheme};
+use crate::schemes::{app_endpoints, build_endpoints, sprout_endpoint, RunConfig, Scheme};
 
-static TRACES_BUILT: AtomicU64 = AtomicU64::new(0);
-static TRACES_REUSED: AtomicU64 = AtomicU64::new(0);
-static TRACES_EVICTED: AtomicU64 = AtomicU64::new(0);
-static TRACE_MEMO_LEN: AtomicU64 = AtomicU64::new(0);
+/// Built / reused / evicted / live counts of every sweep's [`TraceMemo`].
+static TRACE_COUNTERS: sprout_core::MemoCounters = sprout_core::MemoCounters::zeroed();
 
 /// Process-wide in-memory trace amortization counters: `built` counts
 /// link-trace syntheses actually performed, `reused` counts requests
 /// served by an already-synthesized in-memory trace (the sweep memo).
 pub fn trace_memory_counters() -> sprout_core::MemCounters {
-    sprout_core::MemCounters {
-        built: TRACES_BUILT.load(Ordering::Relaxed),
-        reused: TRACES_REUSED.load(Ordering::Relaxed),
-    }
+    TRACE_COUNTERS.memory()
 }
 
 /// Occupancy of the most recent sweep's trace memo: `(live_entries,
@@ -55,10 +47,7 @@ pub fn trace_memory_counters() -> sprout_core::MemCounters {
 /// daemon sweeping many disjoint `(link, duration)` geometries holds a
 /// bounded number of synthesized traces in memory at once.
 pub fn trace_memo_occupancy() -> (usize, u64) {
-    (
-        TRACE_MEMO_LEN.load(Ordering::Relaxed) as usize,
-        TRACES_EVICTED.load(Ordering::Relaxed),
-    )
+    TRACE_COUNTERS.occupancy()
 }
 
 /// The bulk flow of the §5.7 mux/tunnel cells.
@@ -94,7 +83,7 @@ const TRACE_MEMO_CAP: usize = 16;
 /// block only on that key.
 pub struct TraceMemo {
     master_seed: u64,
-    slots: Mutex<sprout_core::LruCache<(LinkSpec, Duration), Arc<LinkInputs>>>,
+    slots: sprout_core::Memo<(LinkSpec, Duration), Arc<LinkInputs>>,
 }
 
 /// Arguments of one omniscient floor on a given trace: `(prop_delay,
@@ -106,18 +95,15 @@ type FloorKey = (Duration, Timestamp, Timestamp);
 /// floors computed from it, memoised by their full argument tuple. The
 /// floors live and die with the trace they were computed from — evicting
 /// the slot drops both.
-#[derive(Default)]
 pub struct LinkInputs {
-    trace: OnceLock<Trace>,
+    trace: Trace,
     floors: Mutex<Vec<(FloorKey, Option<Duration>)>>,
 }
 
 impl LinkInputs {
     /// The link's delivery schedule.
     pub fn trace(&self) -> &Trace {
-        self.trace
-            .get()
-            .expect("the memo resolves a slot's trace before handing the slot out")
+        &self.trace
     }
 
     /// `omniscient_p95_delay(trace, prop_delay, from, to)`, computed on
@@ -126,14 +112,11 @@ impl LinkInputs {
     /// requester of the same floor waits for it instead of repeating it.
     pub fn floor(&self, prop_delay: Duration, from: Timestamp, to: Timestamp) -> Option<Duration> {
         let key = (prop_delay, from, to);
-        let mut floors = self
-            .floors
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut floors = self.floors.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&(_, floor)) = floors.iter().find(|(k, _)| *k == key) {
             return floor;
         }
-        let floor = omniscient_p95_delay(self.trace(), prop_delay, from, to);
+        let floor = omniscient_p95_delay(&self.trace, prop_delay, from, to);
         floors.push((key, floor));
         floor
     }
@@ -142,10 +125,8 @@ impl LinkInputs {
     /// once). Test hook.
     #[doc(hidden)]
     pub fn floors_computed(&self) -> usize {
-        self.floors
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        let floors = self.floors.lock().unwrap_or_else(PoisonError::into_inner);
+        floors.len()
     }
 }
 
@@ -154,7 +135,7 @@ impl TraceMemo {
     pub fn new(master_seed: u64) -> Self {
         TraceMemo {
             master_seed,
-            slots: Mutex::new(sprout_core::LruCache::new(TRACE_MEMO_CAP)),
+            slots: sprout_core::Memo::new(TRACE_MEMO_CAP, &TRACE_COUNTERS),
         }
     }
 
@@ -162,31 +143,16 @@ impl TraceMemo {
     /// first use: synthetic links generate, measured links come from the
     /// registry truncated to the cell duration.
     pub fn link(&self, link: LinkSpec, duration: Duration) -> Arc<LinkInputs> {
-        let slot = {
-            let mut slots = self
-                .slots
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (slot, _) = slots.get_or_insert_with(&(link, duration), Arc::default);
-            let slot = Arc::clone(slot);
-            TRACES_EVICTED.store(slots.evictions(), Ordering::Relaxed);
-            TRACE_MEMO_LEN.store(slots.len() as u64, Ordering::Relaxed);
-            slot
-        };
-        let mut built_now = false;
-        slot.trace.get_or_init(|| {
-            built_now = true;
-            match link {
+        self.slots.get_or_build(&(link, duration), || {
+            let trace = match link {
                 LinkSpec::Profile(profile) => profile.generate(duration, self.master_seed),
                 LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, duration),
-            }
-        });
-        if built_now {
-            TRACES_BUILT.fetch_add(1, Ordering::Relaxed);
-        } else {
-            TRACES_REUSED.fetch_add(1, Ordering::Relaxed);
-        }
-        slot
+            };
+            Arc::new(LinkInputs {
+                trace,
+                floors: Mutex::default(),
+            })
+        })
     }
 }
 
@@ -247,15 +213,11 @@ pub fn execute_with_memo(
                 Some(pct) => SproutConfig::with_confidence_percent(pct),
                 None => SproutConfig::paper(),
             },
-            loss_seed_data: derive_labeled_seed(cell_seed, "loss-data", 0),
-            loss_seed_feedback: derive_labeled_seed(cell_seed, "loss-feedback", 0),
             impairment: scenario.impairment,
-            impair_seed_data: derive_labeled_seed(cell_seed, "impair-data", 0),
-            impair_seed_feedback: derive_labeled_seed(cell_seed, "impair-feedback", 0),
-            outage_seed: derive_labeled_seed(cell_seed, "impair-outage", 0),
             serve_seed: cell_seed,
             ..RunConfig::new(data.trace().clone(), feedback.trace().clone())
-        };
+        }
+        .seeded(cell_seed);
         run_cell_scratch(
             &scenario.workload,
             &rc,
@@ -327,29 +289,6 @@ fn path_configs(rc: &RunConfig, queue: ResolvedQueue) -> (PathConfig, PathConfig
             LinkImpairment::from_spec(&rc.impairment, rc.impair_seed_feedback, outages);
     }
     (data, feedback)
-}
-
-fn mux_clients_a() -> Vec<(FlowId, Box<dyn Endpoint>)> {
-    vec![
-        (
-            BULK_FLOW,
-            Box::new(TcpSender::new(Box::new(Cubic::new()))) as Box<dyn Endpoint>,
-        ),
-        (
-            INTERACTIVE_FLOW,
-            Box::new(VideoAppSender::new(AppProfile::skype())) as Box<dyn Endpoint>,
-        ),
-    ]
-}
-
-fn mux_clients_b() -> Vec<(FlowId, Box<dyn Endpoint>)> {
-    vec![
-        (BULK_FLOW, Box::new(TcpReceiver::new()) as Box<dyn Endpoint>),
-        (
-            INTERACTIVE_FLOW,
-            Box::new(VideoAppReceiver::new()) as Box<dyn Endpoint>,
-        ),
-    ]
 }
 
 fn flow_summaries(
@@ -478,43 +417,90 @@ fn collect_cell_series(
     }
 }
 
-/// One side of a single-session SproutTunnel (§4.3) carried by `over`
-/// (Sprout or Sprout-EWMA), before any client is attached.
-fn tunnel_host(over: Scheme, rc: &RunConfig) -> TunnelHost {
-    let sprout = if over == Scheme::SproutEwma {
-        SproutEndpoint::new_ewma(rc.sprout.clone())
-    } else {
-        SproutEndpoint::new(rc.sprout.clone())
+/// One flow of a multi-flow cell: its id on the shared path, its sender
+/// and its receiver.
+type Flow = (FlowId, Box<dyn Endpoint>, Box<dyn Endpoint>);
+
+/// What a multi-flow workload declares: its flows and, when they ride
+/// inside a SproutTunnel session (§4.3), the carrier of that session.
+/// Every multi-flow cell is this list run through [`mux_pair`] and, if
+/// tunnelled, [`tunnel_pair`].
+fn flows_of(workload: &Workload, rc: &RunConfig) -> (Vec<Flow>, Option<Scheme>) {
+    let scheme = |flow: FlowId, scheme: Scheme| {
+        let (sender, receiver) = build_endpoints(scheme, rc);
+        (flow, sender, receiver)
     };
-    TunnelHost::new(TunnelEndpoint::new(sprout))
-}
-
-/// The two hosts of a single-client SproutTunnel session (§4.3) carrying
-/// `app` over `over`: the path between them carries Sprout wire packets,
-/// the far host decapsulates the app's flow.
-fn app_tunnel(app: VideoApp, over: Scheme, rc: &RunConfig) -> (TunnelHost, TunnelHost) {
-    let mut host_a = tunnel_host(over, rc);
-    host_a.add_client(
-        INTERACTIVE_FLOW,
-        Box::new(VideoAppSender::new(app.profile())),
-    );
-    let mut host_b = tunnel_host(over, rc);
-    host_b.add_client(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-    (host_a, host_b)
-}
-
-/// Build the (sender-side, receiver-side) endpoints of one contention
-/// flow. Scheme flows reuse the standard scheme zoo pair; app flows ride
-/// their own tunnel session, so the shared queue carries that flow's
-/// Sprout wire packets.
-fn contention_children(spec: &FlowSpec, rc: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-    match spec {
-        FlowSpec::Scheme(s) => build_endpoints(*s, rc),
-        FlowSpec::App { app, over } => {
-            let (host_a, host_b) = app_tunnel(*app, *over, rc);
-            (Box::new(host_a), Box::new(host_b))
+    let call = |app: VideoApp| {
+        let (sender, receiver) = app_endpoints(app);
+        (INTERACTIVE_FLOW, sender, receiver)
+    };
+    match workload {
+        Workload::App { app, over } => {
+            assert!(
+                over.is_transport(),
+                "app carrier must be a transport scheme, got {}",
+                over.name()
+            );
+            if over.tunnels_apps() {
+                (vec![call(*app)], Some(*over))
+            } else {
+                // Over any other transport the app's open-loop flow
+                // shares the carrier queue with a bulk flow of that
+                // scheme (§5.7 "direct", generalized from Cubic+Skype).
+                (vec![scheme(BULK_FLOW, *over), call(*app)], None)
+            }
+        }
+        // Flow i runs as FlowId(i + 1). An app flow is the tunnelled
+        // single-flow cell, whole, as one child: the shared queue
+        // carries that session's Sprout wire packets.
+        Workload::Contention { flows } => {
+            let child = |(i, spec): (usize, &FlowSpec)| {
+                let flow = FlowId(i as u32 + 1);
+                match *spec {
+                    FlowSpec::Scheme(s) => scheme(flow, s),
+                    FlowSpec::App { app, over } => {
+                        let (a, b) = tunnel_pair(mux_pair(vec![call(app)]), over, rc);
+                        (flow, Box::new(a) as _, Box::new(b) as _)
+                    }
+                }
+            };
+            (flows.iter().enumerate().map(child).collect(), None)
+        }
+        Workload::MuxDirect | Workload::MuxTunneled => (
+            vec![
+                scheme(BULK_FLOW, Scheme::Cubic),
+                scheme(INTERACTIVE_FLOW, Scheme::Skype),
+            ],
+            (*workload == Workload::MuxTunneled).then_some(Scheme::Sprout),
+        ),
+        Workload::Scheme(_) | Workload::Serve { .. } | Workload::InterarrivalProbe => {
+            unreachable!("{} cells are not flow lists", workload.id())
         }
     }
+}
+
+/// The two ends of a shared path carrying `flows`: senders behind one
+/// mux, receivers behind the other.
+fn mux_pair(flows: Vec<Flow>) -> (MuxEndpoint, MuxEndpoint) {
+    let (mut a, mut b) = (MuxEndpoint::new(), MuxEndpoint::new());
+    for (flow, sender, receiver) in flows {
+        a.add(flow, sender);
+        b.add(flow, receiver);
+    }
+    (a, b)
+}
+
+/// Wrap each end in one side of a SproutTunnel session (§4.3) carried by
+/// `over`: the path between the hosts carries Sprout wire packets, the
+/// far host decapsulates the clients' flows.
+fn tunnel_pair(
+    (a, b): (MuxEndpoint, MuxEndpoint),
+    over: Scheme,
+    rc: &RunConfig,
+) -> (TunnelHost, TunnelHost) {
+    let host =
+        |clients| TunnelHost::with_clients(TunnelEndpoint::new(sprout_endpoint(over, rc)), clients);
+    (host(a), host(b))
 }
 
 /// The data direction's omniscient floor over `[from, to)`, from wherever
@@ -583,7 +569,6 @@ fn run_cell_scratch(
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
     let paths = path_configs(rc, queue);
-    const MUX_FLOWS: [FlowId; 2] = [BULK_FLOW, INTERACTIVE_FLOW];
 
     match workload {
         Workload::InterarrivalProbe => {
@@ -600,67 +585,39 @@ fn run_cell_scratch(
                     .map(|bin| collect_cell_series(m, &rc.data_trace, bin, from, end));
             })
         }
-        Workload::App { app, over } => {
-            assert!(
-                over.is_transport(),
-                "app carrier must be a transport scheme, got {}",
-                over.name()
-            );
-            if over.tunnels_apps() {
-                // Over Sprout the app rides inside a SproutTunnel session.
-                let (host_a, host_b) = app_tunnel(*app, *over, rc);
-                run_pair(
-                    host_a,
-                    host_b,
-                    paths,
-                    scratch,
-                    (from, end),
-                    floor,
-                    |sim, out| {
-                        out.flows =
-                            flow_summaries(&[INTERACTIVE_FLOW], sim.b.deliveries(), from, end);
-                    },
-                )
-            } else {
-                // Over any other transport the app's open-loop flow
-                // shares the carrier queue with a bulk flow of that
-                // scheme (§5.7 "direct", generalized from Cubic+Skype).
-                let (bulk_a, bulk_b) = build_endpoints(*over, rc);
-                let mut a = MuxEndpoint::new();
-                a.add(BULK_FLOW, bulk_a);
-                a.add(
-                    INTERACTIVE_FLOW,
-                    Box::new(VideoAppSender::new(app.profile())),
-                );
-                let mut b = MuxEndpoint::new();
-                b.add(BULK_FLOW, bulk_b);
-                b.add(INTERACTIVE_FLOW, Box::new(VideoAppReceiver::new()));
-                run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
-                    out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
-                })
+        Workload::App { .. }
+        | Workload::Contention { .. }
+        | Workload::MuxDirect
+        | Workload::MuxTunneled => {
+            // flows → mux → (tunnel) → path pair. Per-flow rows come from
+            // the log that attributes every client packet to its flow:
+            // the shared path's own, or — when the path carries the
+            // tunnel's wire packets instead — the far host's
+            // post-decapsulation one.
+            let (flows, tunnel) = flows_of(workload, rc);
+            let ids: Vec<FlowId> = flows.iter().map(|(flow, ..)| *flow).collect();
+            let contended = matches!(workload, Workload::Contention { .. });
+            let reduce = |log: &MetricsCollector, out: &mut Measured| {
+                out.flows = flow_summaries(&ids, log, from, end);
+                if contended {
+                    let throughputs: Vec<f64> =
+                        out.flows.iter().map(|f| f.throughput_kbps).collect();
+                    out.fairness = jain_fairness_index(&throughputs);
+                }
+            };
+            let (a, b) = mux_pair(flows);
+            let window = (from, end);
+            match tunnel {
+                None => run_pair(a, b, paths, scratch, window, floor, |sim, out| {
+                    reduce(sim.ab_metrics(), out)
+                }),
+                Some(over) => {
+                    let (a, b) = tunnel_pair((a, b), over, rc);
+                    run_pair(a, b, paths, scratch, window, floor, |sim, out| {
+                        reduce(sim.b.deliveries(), out)
+                    })
+                }
             }
-        }
-        Workload::Contention { flows } => {
-            // N independent endpoint pairs multiplexed over one shared
-            // bottleneck path: the per-user buffer regime where N flows
-            // contend for one queue. Flow i runs as FlowId(i + 1); the
-            // path's delivery log attributes every packet to its flow,
-            // so per-flow metrics come straight from the shared link.
-            let mut a = MuxEndpoint::new();
-            let mut b = MuxEndpoint::new();
-            let mut ids = Vec::with_capacity(flows.len());
-            for (i, spec) in flows.iter().enumerate() {
-                let flow = FlowId(i as u32 + 1);
-                let (child_a, child_b) = contention_children(spec, rc);
-                a.add(flow, child_a);
-                b.add(flow, child_b);
-                ids.push(flow);
-            }
-            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
-                out.flows = flow_summaries(&ids, sim.ab_metrics(), from, end);
-                let throughputs: Vec<f64> = out.flows.iter().map(|f| f.throughput_kbps).collect();
-                out.fairness = jain_fairness_index(&throughputs);
-            })
         }
         Workload::Serve { sessions } => {
             // N independent Sprout sessions, each with its own path pair
@@ -680,13 +637,7 @@ fn run_cell_scratch(
             let mut sim = ServeSim::with_scratch(server, std::mem::take(scratch));
             for i in 0..n {
                 let sid = i + 1;
-                let s_seed = session_seed(rc.serve_seed, sid);
-                let mut src = rc.clone();
-                src.loss_seed_data = derive_labeled_seed(s_seed, "loss-data", 0);
-                src.loss_seed_feedback = derive_labeled_seed(s_seed, "loss-feedback", 0);
-                src.impair_seed_data = derive_labeled_seed(s_seed, "impair-data", 0);
-                src.impair_seed_feedback = derive_labeled_seed(s_seed, "impair-feedback", 0);
-                src.outage_seed = derive_labeled_seed(s_seed, "impair-outage", 0);
+                let src = rc.clone().seeded(session_seed(rc.serve_seed, sid));
                 let (up, down) = path_configs(&src, queue);
                 let mut client = SproutEndpoint::new_ewma(rc.sprout.clone());
                 client.set_saturating();
@@ -724,43 +675,6 @@ fn run_cell_scratch(
             };
             *scratch = sim.into_scratch();
             measured
-        }
-        Workload::MuxDirect => {
-            let mut a = MuxEndpoint::new();
-            for (flow, ep) in mux_clients_a() {
-                a.add(flow, ep);
-            }
-            let mut b = MuxEndpoint::new();
-            for (flow, ep) in mux_clients_b() {
-                b.add(flow, ep);
-            }
-            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
-                out.flows = flow_summaries(&MUX_FLOWS, sim.ab_metrics(), from, end);
-            })
-        }
-        Workload::MuxTunneled => {
-            let mut host_a = tunnel_host(Scheme::Sprout, rc);
-            for (flow, ep) in mux_clients_a() {
-                host_a.add_client(flow, ep);
-            }
-            let mut host_b = tunnel_host(Scheme::Sprout, rc);
-            for (flow, ep) in mux_clients_b() {
-                host_b.add_client(flow, ep);
-            }
-            // Flow metrics come from the far host's post-decapsulation
-            // delivery log: the tunnel's own wire packets are what the
-            // path sees, the clients' packets are what it delivers.
-            run_pair(
-                host_a,
-                host_b,
-                paths,
-                scratch,
-                (from, end),
-                floor,
-                |sim, out| {
-                    out.flows = flow_summaries(&MUX_FLOWS, sim.b.deliveries(), from, end);
-                },
-            )
         }
     }
 }

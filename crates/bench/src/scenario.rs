@@ -172,6 +172,16 @@ impl FlowSpec {
 }
 
 /// What runs inside a cell.
+///
+/// Every variant but [`Workload::Scheme`], [`Workload::Serve`] and the
+/// probe declares a *flow list* — flows behind a mux pair on one shared
+/// path, optionally inside a SproutTunnel — and the executor builds them
+/// all the same way. So three declarations are one simulation, equal to
+/// the last bit: [`Workload::MuxDirect`], `App { app: Skype, over:
+/// Cubic }` and `Contention { flows: [Scheme(Cubic), Scheme(Skype)] }`
+/// all put a Cubic download on flow 1 and a Skype call on flow 2 of one
+/// carrier queue (only the contention cell adds Jain's index). They
+/// stay separate declarations because labels and cache keys name them.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Workload {
     /// One scheme saturating the link under test (Figure 7 style).

@@ -2,12 +2,12 @@
 //! them over any emulated link.
 
 use sprout_baselines::{
-    AppProfile, Compound, Cubic, Ledbat, OmniscientSender, Reno, TcpReceiver, TcpSender, Vegas,
-    VideoAppReceiver, VideoAppSender,
+    Compound, CongestionControl, Cubic, Ledbat, OmniscientSender, Reno, TcpReceiver, TcpSender,
+    Vegas, VideoApp, VideoAppReceiver, VideoAppSender,
 };
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{Endpoint, SinkEndpoint};
-use sprout_trace::{Duration, Impairment, Trace};
+use sprout_trace::{derive_labeled_seed, Duration, Impairment, Trace};
 
 pub use crate::record::SchemeResult;
 
@@ -131,6 +131,35 @@ impl Scheme {
     pub fn tunnels_apps(self) -> bool {
         matches!(self, Scheme::Sprout | Scheme::SproutEwma)
     }
+
+    /// Which of the four endpoint pairs the scheme is, and what tells it
+    /// from the others of its kind.
+    fn pair(self) -> Pair {
+        match self {
+            Scheme::Sprout | Scheme::SproutEwma => Pair::Sprout,
+            Scheme::Cubic | Scheme::CubicCodel => Pair::Tcp(Box::new(Cubic::new())),
+            Scheme::Reno => Pair::Tcp(Box::new(Reno::new())),
+            Scheme::Vegas => Pair::Tcp(Box::new(Vegas::new())),
+            Scheme::Compound => Pair::Tcp(Box::new(Compound::new())),
+            Scheme::Ledbat => Pair::Tcp(Box::new(Ledbat::new())),
+            Scheme::Skype => Pair::App(VideoApp::Skype),
+            Scheme::Facetime => Pair::App(VideoApp::Facetime),
+            Scheme::Hangout => Pair::App(VideoApp::Hangout),
+            Scheme::Omniscient => Pair::Omniscient,
+        }
+    }
+}
+
+/// The shapes of endpoint pair [`build_endpoints`] knows.
+enum Pair {
+    /// Two Sprout endpoints (forecaster per [`sprout_endpoint`]).
+    Sprout,
+    /// A TCP sender around this congestion controller, and a receiver.
+    Tcp(Box<dyn CongestionControl>),
+    /// A videoconference call of this application.
+    App(VideoApp),
+    /// The omniscient sender and a sink.
+    Omniscient,
 }
 
 /// One experiment cell: a scheme over one link direction.
@@ -193,56 +222,50 @@ impl RunConfig {
             sprout: SproutConfig::paper(),
         }
     }
+
+    /// The same conditions with the five per-direction random streams
+    /// re-seeded from `root`: a cell's seed, or one serve session's.
+    pub fn seeded(mut self, root: u64) -> Self {
+        let stream = |label| derive_labeled_seed(root, label, 0);
+        self.loss_seed_data = stream("loss-data");
+        self.loss_seed_feedback = stream("loss-feedback");
+        self.impair_seed_data = stream("impair-data");
+        self.impair_seed_feedback = stream("impair-feedback");
+        self.outage_seed = stream("impair-outage");
+        self
+    }
+}
+
+/// The Sprout endpoint `scheme` runs on — EWMA forecaster for
+/// [`Scheme::SproutEwma`], the Bayesian one otherwise — as a bare pair's
+/// end or as a tunnel's carrier.
+pub(crate) fn sprout_endpoint(scheme: Scheme, cfg: &RunConfig) -> SproutEndpoint {
+    if scheme == Scheme::SproutEwma {
+        SproutEndpoint::new_ewma(cfg.sprout.clone())
+    } else {
+        SproutEndpoint::new(cfg.sprout.clone())
+    }
+}
+
+/// The (sender, receiver) pair of one modeled videoconference call.
+pub(crate) fn app_endpoints(app: VideoApp) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    (
+        Box::new(VideoAppSender::new(app.profile())),
+        Box::new(VideoAppReceiver::new()),
+    )
 }
 
 /// Construct the (sender, receiver) endpoint pair for a scheme.
 pub fn build_endpoints(scheme: Scheme, cfg: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-    match scheme {
-        Scheme::Sprout => {
-            let mut a = SproutEndpoint::new(cfg.sprout.clone());
+    match scheme.pair() {
+        Pair::Sprout => {
+            let mut a = sprout_endpoint(scheme, cfg);
             a.set_saturating();
-            let b = SproutEndpoint::new(cfg.sprout.clone());
-            (Box::new(a), Box::new(b))
+            (Box::new(a), Box::new(sprout_endpoint(scheme, cfg)))
         }
-        Scheme::SproutEwma => {
-            let mut a = SproutEndpoint::new_ewma(cfg.sprout.clone());
-            a.set_saturating();
-            let b = SproutEndpoint::new_ewma(cfg.sprout.clone());
-            (Box::new(a), Box::new(b))
-        }
-        Scheme::Cubic | Scheme::CubicCodel => (
-            Box::new(TcpSender::new(Box::new(Cubic::new()))),
-            Box::new(TcpReceiver::new()),
-        ),
-        Scheme::Reno => (
-            Box::new(TcpSender::new(Box::new(Reno::new()))),
-            Box::new(TcpReceiver::new()),
-        ),
-        Scheme::Vegas => (
-            Box::new(TcpSender::new(Box::new(Vegas::new()))),
-            Box::new(TcpReceiver::new()),
-        ),
-        Scheme::Compound => (
-            Box::new(TcpSender::new(Box::new(Compound::new()))),
-            Box::new(TcpReceiver::new()),
-        ),
-        Scheme::Ledbat => (
-            Box::new(TcpSender::new(Box::new(Ledbat::new()))),
-            Box::new(TcpReceiver::new()),
-        ),
-        Scheme::Skype => (
-            Box::new(VideoAppSender::new(AppProfile::skype())),
-            Box::new(VideoAppReceiver::new()),
-        ),
-        Scheme::Facetime => (
-            Box::new(VideoAppSender::new(AppProfile::facetime())),
-            Box::new(VideoAppReceiver::new()),
-        ),
-        Scheme::Hangout => (
-            Box::new(VideoAppSender::new(AppProfile::hangout())),
-            Box::new(VideoAppReceiver::new()),
-        ),
-        Scheme::Omniscient => (
+        Pair::Tcp(cc) => (Box::new(TcpSender::new(cc)), Box::new(TcpReceiver::new())),
+        Pair::App(app) => app_endpoints(app),
+        Pair::Omniscient => (
             Box::new(OmniscientSender::new(&cfg.data_trace, cfg.prop_delay)),
             Box::new(SinkEndpoint::new()),
         ),

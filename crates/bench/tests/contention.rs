@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use sprout_bench::{
     sweep_to_json, CellCachePolicy, FlowSpec, ScenarioMatrix, Scheme, ShardSpec, SweepEngine,
-    VideoApp,
+    VideoApp, Workload,
 };
 use sprout_trace::{Duration, NetProfile};
 
@@ -46,6 +46,62 @@ fn tiny_matrix() -> ScenarioMatrix {
         .links([NetProfile::TmobileUmtsDown])
         .timing(Duration::from_secs(30), Duration::from_secs(6))
         .build()
+}
+
+/// §5.7's "direct" pair is declared three ways — the mux cell, Skype
+/// over a Cubic carrier, Cubic and Skype contending — and is one
+/// topology: flows 1 and 2 behind one mux pair on one shared path. The
+/// three cells must agree to the last bit; only the contention cell
+/// reports fairness.
+#[test]
+fn three_declarations_of_the_direct_pair_are_one_simulation() {
+    let m = ScenarioMatrix::builder("onetopology")
+        .workloads([Workload::MuxDirect])
+        .apps([VideoApp::Skype], [Scheme::Cubic])
+        .contention([vec![
+            FlowSpec::Scheme(Scheme::Cubic),
+            FlowSpec::Scheme(Scheme::Skype),
+        ]])
+        .links([NetProfile::VerizonLteDown])
+        .timing(Duration::from_secs(20), Duration::from_secs(4))
+        .build();
+    let results = SweepEngine::new(17).with_threads(1).run(&m);
+    let ids: Vec<&str> = results.iter().map(|r| r.scenario.workload.id()).collect();
+    assert_eq!(ids, ["mux-direct", "app", "contention"]);
+
+    let bits = |r: &sprout_bench::SweepResult| -> Vec<u64> {
+        let m = r
+            .metrics
+            .expect("a two-endpoint cell has direction metrics");
+        let mut bits = vec![
+            m.throughput_kbps.to_bits(),
+            m.p95_delay_ms.to_bits(),
+            m.self_inflicted_ms.to_bits(),
+            m.omniscient_ms.to_bits(),
+            m.utilization.to_bits(),
+            u64::from(m.outages),
+            m.recovery_ms.to_bits(),
+            m.degraded_delivery.to_bits(),
+        ];
+        assert_eq!(r.flows.len(), 2, "{}", r.scenario.label);
+        for f in &r.flows {
+            bits.extend([
+                u64::from(f.flow),
+                f.throughput_kbps.to_bits(),
+                f.p95_delay_ms.to_bits(),
+            ]);
+        }
+        bits
+    };
+    assert!(results[0].metrics.unwrap().throughput_kbps > 0.0);
+    assert_eq!(bits(&results[0]), bits(&results[1]), "mux-direct vs app");
+    assert_eq!(
+        bits(&results[0]),
+        bits(&results[2]),
+        "mux-direct vs contention"
+    );
+    let fairness: Vec<bool> = results.iter().map(|r| r.fairness.is_some()).collect();
+    assert_eq!(fairness, [false, false, true]);
 }
 
 #[test]

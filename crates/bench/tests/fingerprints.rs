@@ -180,6 +180,15 @@ fn pinned_matrices() -> Vec<ScenarioMatrix> {
             .workloads([Workload::MuxDirect, Workload::MuxTunneled])
             .serve([4])
             .workloads([Workload::InterarrivalProbe])
+            // Appended last: a cell's id is its position, and the rows
+            // above were pinned before this one existed.
+            .contention([vec![
+                FlowSpec::Scheme(Scheme::Cubic),
+                FlowSpec::App {
+                    app: VideoApp::Skype,
+                    over: Scheme::SproutEwma,
+                },
+            ]])
             .links(link)
             .build(),
         cfg.matrix("pin-storm")

@@ -35,6 +35,23 @@ fn empty_measurement_window_is_rejected() {
 }
 
 #[test]
+fn run_lengths_that_would_wrap_are_rejected() {
+    // 18446744073710 s × 10⁶ wraps a u64 of microseconds to 0.45 s; this
+    // used to print "runs 18446744073710s", simulate the 0.45 s and exit 0.
+    for flag in ["--secs", "--warmup"] {
+        for secs in ["18446744073710", "18446744073709551615", "100001"] {
+            let out = reproduce(&["fig9", flag, secs, "--no-cache"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {secs}: {stderr}");
+            assert!(
+                stderr.contains("usage: reproduce") && stderr.contains("..=100000"),
+                "{flag} {secs}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn quick_does_not_clobber_explicit_timing() {
     // --quick defaults secs to 90; an explicit warmup of 100 (in either
     // flag order) now contradicts it instead of being silently reset.

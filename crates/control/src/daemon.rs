@@ -18,10 +18,12 @@
 //! are bounded; exhausting them fails the sweep with a named reason
 //! instead of looping forever.
 //!
-//! When every shard reports success the daemon spawns the merge run
-//! (`--merge`), which serves all cells from the cache and renders the
-//! artifacts — byte-identical to a single-process run of the same
-//! flags, which is the contract the integration tests pin.
+//! A sweep is a list of tasks: its shards, then one merge run
+//! (`--merge`) that becomes eligible when every shard has reported
+//! success, supervised and retried like any other task. The merge
+//! serves all cells from the cache and renders the artifacts —
+//! byte-identical to a single-process run of the same flags, which is
+//! the contract the integration tests pin.
 
 use std::collections::HashSet;
 use std::fs::File;
@@ -108,7 +110,7 @@ struct Shared {
     cfg: DaemonConfig,
     queue: Mutex<Queue>,
     cancels: Mutex<HashSet<u64>>,
-    shutdown: AtomicBool,
+    shutdown: Arc<AtomicBool>,
     views: Mutex<Vec<WorkerView>>,
     started: Instant,
 }
@@ -119,7 +121,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One spawned `reproduce` process (a shard worker or the merge).
 struct WorkerProc {
-    shard: usize,
     child: Child,
     pid: u32,
     last_line: Arc<Mutex<Instant>>,
@@ -145,32 +146,62 @@ impl WorkerProc {
             let _ = reader.join();
         }
     }
+
+    /// Where this process stands: still `Running`, exited cleanly
+    /// (`Done`, reaped), or — dead, or silent past `hb_timeout` — killed,
+    /// with the reason to retry it for.
+    fn check(mut self, merge: bool, hb_timeout: Duration) -> Result<TaskState, String> {
+        let (who, pre) = if merge {
+            ("merge", "merge ")
+        } else {
+            ("worker", "")
+        };
+        let quiet = self.quiet_for();
+        let reason = match self.child.try_wait() {
+            Ok(None) if quiet <= hb_timeout => return Ok(TaskState::Running(self)),
+            Ok(Some(st)) if st.success() => {
+                self.reap();
+                return Ok(TaskState::Done);
+            }
+            Ok(Some(st)) => format!("{who} exited with {st}"),
+            Ok(None) => format!("{pre}heartbeat silent for {:.1}s", quiet.as_secs_f64()),
+            Err(e) => format!("{pre}wait failed: {e}"),
+        };
+        self.kill_and_reap();
+        Err(reason)
+    }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ShardPhase {
+enum TaskState {
     Waiting,
-    Running,
+    Running(WorkerProc),
     Done,
 }
 
-struct ShardRun {
-    phase: ShardPhase,
+/// One unit of a sweep's work: a shard run, or the merge that follows
+/// them all. Both are supervised, retried and shown the same way.
+struct Task {
+    /// `Some(i)` for shard `i`, `None` for the merge.
+    shard: Option<usize>,
+    state: TaskState,
     retries: u32,
     next_attempt: Instant,
 }
 
-/// The sweep currently being dealt.
+impl Task {
+    fn is_done(&self) -> bool {
+        matches!(self.state, TaskState::Done)
+    }
+}
+
+/// The sweep currently being dealt: its `count` shard tasks, then the
+/// merge task, which becomes eligible when every shard before it is done.
 struct Active {
     id: u64,
     experiment: String,
     args: Vec<String>,
     count: usize,
-    shards: Vec<ShardRun>,
-    workers: Vec<WorkerProc>,
-    merge: Option<WorkerProc>,
-    merge_retries: u32,
-    merge_next_attempt: Instant,
+    tasks: Vec<Task>,
     out_dir: PathBuf,
 }
 
@@ -199,24 +230,14 @@ impl Daemon {
             cfg,
             queue: Mutex::new(queue),
             cancels: Mutex::new(HashSet::new()),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             views: Mutex::new(Vec::new()),
             started: Instant::now(),
         });
         let http_shared = Arc::clone(&shared);
-        let http_shutdown = Arc::clone(&shared);
         let http = std::thread::spawn(move || {
-            let flag = Arc::new(AtomicBool::new(false));
-            // Mirror the daemon-wide flag into the server's poll loop.
-            let mirror = Arc::clone(&flag);
-            let watcher = std::thread::spawn(move || {
-                while !http_shutdown.shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                mirror.store(true, Ordering::Release);
-            });
-            let _ = httpd::run(listener, flag, move |req| handle(&http_shared, req));
-            let _ = watcher.join();
+            let shutdown = Arc::clone(&http_shared.shutdown);
+            let _ = httpd::run(listener, shutdown, move |req| handle(&http_shared, req));
         });
         Ok(Daemon {
             endpoint,
@@ -236,8 +257,8 @@ impl Daemon {
         let mut active: Option<Active> = None;
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
-                if let Some(a) = active.take() {
-                    kill_all(a);
+                if let Some(mut a) = active.take() {
+                    kill_all(&mut a);
                     // The queue still records the sweep as running /
                     // merging; reload demotes it to pending, and its
                     // cached cells make the restart cheap.
@@ -246,14 +267,12 @@ impl Daemon {
             }
             if let Some(a) = &active {
                 if lock(&self.shared.cancels).remove(&a.id) {
-                    let a = active.take().expect("checked above");
-                    let id = a.id;
-                    let out_dir = a.out_dir.clone();
-                    kill_all(a);
+                    let mut a = active.take().expect("checked above");
+                    kill_all(&mut a);
                     // Leave only cached cells behind: no partial
                     // artifacts survive a cancel.
-                    let _ = std::fs::remove_dir_all(&out_dir);
-                    self.finish(id, SweepState::Cancelled, String::new());
+                    let _ = std::fs::remove_dir_all(&a.out_dir);
+                    self.finish(a.id, SweepState::Cancelled, String::new());
                 }
             }
             if active.is_none() {
@@ -288,182 +307,74 @@ impl Daemon {
         let out_dir = self.shared.cfg.out_dir.join(format!("sweep-{id}"));
         std::fs::create_dir_all(&out_dir)?;
         let now = Instant::now();
-        let shards = (0..count)
-            .map(|_| ShardRun {
-                phase: ShardPhase::Waiting,
-                retries: 0,
-                next_attempt: now,
-            })
-            .collect();
+        let tasks = (0..count).map(Some).chain([None]).map(|shard| Task {
+            shard,
+            state: TaskState::Waiting,
+            retries: 0,
+            next_attempt: now,
+        });
         Ok(Some(Active {
             id,
             experiment,
             args,
             count,
-            shards,
-            workers: Vec::new(),
-            merge: None,
-            merge_retries: 0,
-            merge_next_attempt: now,
+            tasks: tasks.collect(),
             out_dir,
         }))
     }
 
-    /// One scheduler pass over the active sweep. Returns `true` when
-    /// the sweep reached a terminal state.
+    /// One scheduler pass over the active sweep's tasks, in order: look
+    /// at a running one (success marks it done; a death or a silent
+    /// heartbeat re-deals it after a backoff), deal a waiting one whose
+    /// backoff has elapsed. Returns `true` when the sweep reached a
+    /// terminal state.
     fn step(&self, a: &mut Active) -> io::Result<bool> {
         let cfg = &self.shared.cfg;
         let now = Instant::now();
-
-        // Reap shard workers: success marks the shard done; a death or
-        // a silent heartbeat re-deals it after a backoff.
-        enum Verdict {
-            Keep,
-            Done,
-            Fail(String),
-        }
-        let mut idx = 0;
-        while idx < a.workers.len() {
-            let verdict = {
-                let w = &mut a.workers[idx];
-                match w.child.try_wait() {
-                    Ok(Some(st)) if st.success() => Verdict::Done,
-                    Ok(Some(st)) => Verdict::Fail(format!("worker exited with {st}")),
-                    Ok(None) => {
-                        let quiet = w.quiet_for();
-                        if quiet > cfg.hb_timeout {
-                            Verdict::Fail(format!(
-                                "heartbeat silent for {:.1}s",
-                                quiet.as_secs_f64()
-                            ))
-                        } else {
-                            Verdict::Keep
-                        }
+        for i in 0..a.tasks.len() {
+            let shard = a.tasks[i].shard;
+            let merge = shard.is_none();
+            // The merge renders from the cells every shard deposits.
+            let blocked = merge && !a.tasks[..i].iter().all(Task::is_done);
+            let state = std::mem::replace(&mut a.tasks[i].state, TaskState::Waiting);
+            let outcome = match state {
+                TaskState::Running(w) => w.check(merge, cfg.hb_timeout),
+                TaskState::Waiting if !blocked && now >= a.tasks[i].next_attempt => {
+                    if merge {
+                        self.set_state(a.id, SweepState::Merging);
                     }
-                    Err(e) => Verdict::Fail(format!("wait failed: {e}")),
+                    self.spawn(a, shard, a.tasks[i].retries)
+                        .map(TaskState::Running)
+                        .map_err(|e| format!("spawn failed: {e}"))
                 }
+                idle => Ok(idle),
             };
-            match verdict {
-                Verdict::Keep => idx += 1,
-                Verdict::Done => {
-                    let w = a.workers.swap_remove(idx);
-                    a.shards[w.shard].phase = ShardPhase::Done;
-                    w.reap();
-                }
-                Verdict::Fail(reason) => {
-                    let w = a.workers.swap_remove(idx);
-                    let shard = w.shard;
-                    w.kill_and_reap();
+            let task = &mut a.tasks[i];
+            match outcome {
+                Ok(state) => task.state = state,
+                Err(reason) => {
                     self.count_retry(a.id);
-                    let s = &mut a.shards[shard];
-                    s.retries += 1;
-                    if s.retries > cfg.max_retries {
-                        let msg = format!(
-                            "shard {shard}/{} failed after {} attempts: {reason}",
-                            a.count, s.retries
-                        );
-                        return self.fail_active(a, msg);
-                    }
-                    s.phase = ShardPhase::Waiting;
-                    s.next_attempt = now + backoff(cfg.retry_base, s.retries);
-                }
-            }
-        }
-
-        // Deal shards whose backoff has elapsed.
-        for shard in 0..a.shards.len() {
-            let due =
-                a.shards[shard].phase == ShardPhase::Waiting && now >= a.shards[shard].next_attempt;
-            if !due {
-                continue;
-            }
-            match self.spawn(a, Some(shard), a.shards[shard].retries) {
-                Ok(w) => {
-                    a.shards[shard].phase = ShardPhase::Running;
-                    a.workers.push(w);
-                }
-                Err(e) => {
-                    self.count_retry(a.id);
-                    let s = &mut a.shards[shard];
-                    s.retries += 1;
-                    if s.retries > cfg.max_retries {
-                        let msg = format!("shard {shard}/{}: spawn failed: {e}", a.count);
-                        return self.fail_active(a, msg);
-                    }
-                    s.next_attempt = now + backoff(cfg.retry_base, s.retries);
-                }
-            }
-        }
-
-        // Merge once every shard has deposited its cells.
-        if !a.shards.iter().all(|s| s.phase == ShardPhase::Done) {
-            return Ok(false);
-        }
-        match &mut a.merge {
-            None if now >= a.merge_next_attempt => {
-                self.set_state(a.id, SweepState::Merging);
-                match self.spawn(a, None, a.merge_retries) {
-                    Ok(w) => a.merge = Some(w),
-                    Err(e) => return self.merge_failed(a, format!("spawn failed: {e}"), now),
-                }
-            }
-            None => {}
-            Some(m) => {
-                let verdict = match m.child.try_wait() {
-                    Ok(Some(st)) if st.success() => Some(Ok(())),
-                    Ok(Some(st)) => Some(Err(format!("merge exited with {st}"))),
-                    Ok(None) => {
-                        let quiet = m.quiet_for();
-                        if quiet > cfg.hb_timeout {
-                            Some(Err(format!(
-                                "merge heartbeat silent for {:.1}s",
-                                quiet.as_secs_f64()
-                            )))
-                        } else {
-                            None
-                        }
-                    }
-                    Err(e) => Some(Err(format!("merge wait failed: {e}"))),
-                };
-                match verdict {
-                    None => {}
-                    Some(Ok(())) => {
-                        a.merge.take().expect("matched Some").reap();
-                        self.finish(a.id, SweepState::Done, String::new());
+                    task.retries += 1;
+                    if task.retries > cfg.max_retries {
+                        let what = match shard {
+                            Some(i) => format!("shard {i}/{}", a.count),
+                            None => "merge".to_string(),
+                        };
+                        let msg =
+                            format!("{what} failed after {} attempts: {reason}", task.retries);
+                        kill_all(a);
+                        self.finish(a.id, SweepState::Failed, msg);
                         return Ok(true);
                     }
-                    Some(Err(reason)) => {
-                        a.merge.take().expect("matched Some").kill_and_reap();
-                        return self.merge_failed(a, reason, now);
-                    }
+                    task.next_attempt = now + backoff(cfg.retry_base, task.retries);
                 }
             }
         }
-        Ok(false)
-    }
-
-    /// Book a merge retry (or fail the sweep when exhausted).
-    fn merge_failed(&self, a: &mut Active, reason: String, now: Instant) -> io::Result<bool> {
-        self.count_retry(a.id);
-        a.merge_retries += 1;
-        if a.merge_retries > self.shared.cfg.max_retries {
-            let msg = format!("merge failed after {} attempts: {reason}", a.merge_retries);
-            return self.fail_active(a, msg);
+        let merged = a.tasks.last().is_some_and(Task::is_done);
+        if merged {
+            self.finish(a.id, SweepState::Done, String::new());
         }
-        a.merge_next_attempt = now + backoff(self.shared.cfg.retry_base, a.merge_retries);
-        Ok(false)
-    }
-
-    /// Kill everything the sweep still runs and mark it failed.
-    fn fail_active(&self, a: &mut Active, msg: String) -> io::Result<bool> {
-        for w in a.workers.drain(..) {
-            w.kill_and_reap();
-        }
-        if let Some(m) = a.merge.take() {
-            m.kill_and_reap();
-        }
-        self.finish(a.id, SweepState::Failed, msg);
-        Ok(true)
+        Ok(merged)
     }
 
     fn set_state(&self, id: u64, state: SweepState) {
@@ -551,7 +462,6 @@ impl Daemon {
             }
         });
         Ok(WorkerProc {
-            shard: shard.unwrap_or(usize::MAX),
             child,
             pid,
             last_line,
@@ -560,32 +470,27 @@ impl Daemon {
         })
     }
 
-    /// Refresh the `/status` worker table.
+    /// Refresh the `/status` worker table: one row per running task.
     fn publish(&self, active: Option<&Active>) {
         let mut views = Vec::new();
         if let Some(a) = active {
-            for w in &a.workers {
+            for task in &a.tasks {
+                let TaskState::Running(w) = &task.state else {
+                    continue;
+                };
+                let (phase, shard, count) = match task.shard {
+                    Some(i) => ("shard", i, a.count),
+                    None => ("merge", 0, 1),
+                };
                 views.push(WorkerView {
                     sweep: a.id,
-                    phase: "shard",
-                    shard: w.shard,
-                    count: a.count,
+                    phase,
+                    shard,
+                    count,
                     pid: w.pid,
-                    retries: a.shards[w.shard].retries,
+                    retries: task.retries,
                     abandoned: w.abandoned.load(Ordering::Relaxed),
                     quiet_ms: w.quiet_for().as_millis() as u64,
-                });
-            }
-            if let Some(m) = &a.merge {
-                views.push(WorkerView {
-                    sweep: a.id,
-                    phase: "merge",
-                    shard: 0,
-                    count: 1,
-                    pid: m.pid,
-                    retries: a.merge_retries,
-                    abandoned: m.abandoned.load(Ordering::Relaxed),
-                    quiet_ms: m.quiet_for().as_millis() as u64,
                 });
             }
         }
@@ -593,12 +498,12 @@ impl Daemon {
     }
 }
 
-fn kill_all(mut a: Active) {
-    for w in a.workers.drain(..) {
-        w.kill_and_reap();
-    }
-    if let Some(m) = a.merge.take() {
-        m.kill_and_reap();
+/// Kill and reap everything the sweep still runs.
+fn kill_all(a: &mut Active) {
+    for task in &mut a.tasks {
+        if let TaskState::Running(w) = std::mem::replace(&mut task.state, TaskState::Waiting) {
+            w.kill_and_reap();
+        }
     }
 }
 

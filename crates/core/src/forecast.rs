@@ -32,13 +32,13 @@
 //! only consistent with rate-uncertainty caution — a deliberate,
 //! documented interpretation of the paper's text.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 use sprout_cache::{ArtifactKind, ByteReader, ByteWriter, CacheCounters};
 
 use crate::config::{SproutConfig, TableKey};
-use crate::lru::LruCache;
+pub use crate::lru::MemCounters;
+use crate::lru::{Memo, MemoCounters};
 use crate::model::{ScatterMatrix, TransitionKernel};
 use crate::simd::{mixture_lanes, CDF_LANES};
 
@@ -53,32 +53,8 @@ pub fn table_cache_counters() -> CacheCounters {
     TABLE_ARTIFACT.counters()
 }
 
-/// In-memory amortization counters: how many times a shared resource was
-/// materialized in this process versus served from a live in-memory
-/// handle. Distinct from [`CacheCounters`], which tracks the *disk*
-/// artifact cache — a "built" here may still have been a disk hit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemCounters {
-    /// First-time materializations (DP build or disk decode).
-    pub built: u64,
-    /// Requests served from an already-live in-memory instance.
-    pub reused: u64,
-}
-
-impl MemCounters {
-    /// Counter deltas since an earlier snapshot of the same counters.
-    pub fn since(self, earlier: MemCounters) -> MemCounters {
-        MemCounters {
-            built: self.built - earlier.built,
-            reused: self.reused - earlier.reused,
-        }
-    }
-}
-
-static TABLES_BUILT: AtomicU64 = AtomicU64::new(0);
-static TABLES_REUSED: AtomicU64 = AtomicU64::new(0);
-static TABLES_EVICTED: AtomicU64 = AtomicU64::new(0);
-static TABLE_CACHE_LEN: AtomicU64 = AtomicU64::new(0);
+/// Built / reused / evicted / live counts of [`TABLE_MEMO`].
+static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
 
 /// How many link geometries the in-memory forecast-table cache keeps
 /// live at once. Each entry is ≈4 MB at paper scale; eight covers every
@@ -91,20 +67,16 @@ pub const FORECAST_TABLE_CACHE_CAP: usize = 8;
 /// [`TableKey`] determines both).
 type SharedModel = (Arc<ForecastTables>, Arc<TransitionKernel>);
 
-/// A per-key build slot: the first caller of a key initializes the
-/// `OnceLock` (building the table) while others wait on it, without
-/// holding the whole-cache lock.
-type TableSlot = Arc<OnceLock<SharedModel>>;
+/// The process-wide bounded memo of built geometries.
+static TABLE_MEMO: LazyLock<Memo<TableKey, SharedModel>> =
+    LazyLock::new(|| Memo::new(FORECAST_TABLE_CACHE_CAP, &TABLE_COUNTERS));
 
 /// Occupancy of the in-memory forecast-table cache: `(live_entries,
 /// evictions_total)`. `live_entries` never exceeds
 /// [`FORECAST_TABLE_CACHE_CAP`]; a growing `evictions_total` under a
 /// geometry-heavy sweep is the cache recycling slots as designed.
 pub fn table_cache_occupancy() -> (usize, u64) {
-    (
-        TABLE_CACHE_LEN.load(Ordering::Relaxed) as usize,
-        TABLES_EVICTED.load(Ordering::Relaxed),
-    )
+    TABLE_COUNTERS.occupancy()
 }
 
 /// Process-wide in-memory forecast-table amortization counters: `built`
@@ -112,10 +84,7 @@ pub fn table_cache_occupancy() -> (usize, u64) {
 /// build or disk load), `reused` counts calls served by the live
 /// in-memory cache.
 pub fn table_memory_counters() -> MemCounters {
-    MemCounters {
-        built: TABLES_BUILT.load(Ordering::Relaxed),
-        reused: TABLES_REUSED.load(Ordering::Relaxed),
-    }
+    TABLE_COUNTERS.memory()
 }
 
 /// Unit tests of this crate run as threads of one process and share the
@@ -230,41 +199,14 @@ impl ForecastTables {
     pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
         #[cfg(test)]
         let _gate = fetch_gate::shared();
-        // Per-key OnceLock slots: the first caller of a key builds while
-        // holding only that key's slot, so concurrent sweep workers neither
-        // duplicate a build (it costs seconds at paper scale) nor block
-        // callers wanting a different geometry. Eviction drops the map's
-        // Arc only — a builder mid-flight on an evicted slot still owns
-        // it and finishes; the next `get` of that key simply rebuilds.
-        static CACHE: OnceLock<Mutex<LruCache<TableKey, TableSlot>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(LruCache::new(FORECAST_TABLE_CACHE_CAP)));
-        let key = cfg.table_key();
-        let slot = {
-            let mut map = cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (slot, _) = map.get_or_insert_with(&key, TableSlot::default);
-            let slot = Arc::clone(slot);
-            TABLES_EVICTED.store(map.evictions(), Ordering::Relaxed);
-            TABLE_CACHE_LEN.store(map.len() as u64, Ordering::Relaxed);
-            slot
-        };
-        let mut built_now = false;
-        let shared = slot
-            .get_or_init(|| {
-                built_now = true;
-                (
-                    Arc::new(ForecastTables::load_or_build(cfg)),
-                    Arc::new(TransitionKernel::new(cfg)),
-                )
-            })
-            .clone();
-        if built_now {
-            TABLES_BUILT.fetch_add(1, Ordering::Relaxed);
-        } else {
-            TABLES_REUSED.fetch_add(1, Ordering::Relaxed);
-        }
-        shared
+        // One build per live geometry (it costs seconds at paper scale),
+        // shared by every concurrent sweep worker that asks for it.
+        TABLE_MEMO.get_or_build(&cfg.table_key(), || {
+            (
+                Arc::new(ForecastTables::load_or_build(cfg)),
+                Arc::new(TransitionKernel::new(cfg)),
+            )
+        })
     }
 
     /// Fetch the tables for `cfg` from the on-disk artifact cache, or

@@ -59,7 +59,7 @@ pub use forecast::{
     ForecastTables, MemCounters, FORECAST_TABLE_CACHE_CAP,
 };
 pub use forecaster::{BayesianForecaster, EwmaForecaster, Forecaster};
-pub use lru::LruCache;
+pub use lru::{LruCache, Memo, MemoCounters};
 pub use model::{
     likelihood_memo_occupancy, RateModel, ScatterMatrix, TransitionKernel,
     LIKELIHOOD_MEMO_MAX_BYTES,

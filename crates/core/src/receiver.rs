@@ -195,7 +195,8 @@ impl SproutReceiver {
         }
         // Byte-range accounting for received-or-lost.
         let start = header.seq;
-        let end = header.seq + wire_size as u64;
+        // Saturating: a foreign header may claim any sequence number.
+        let end = header.seq.saturating_add(wire_size as u64);
         self.received.insert(start, end);
         self.highest_seq_end = self.highest_seq_end.max(end);
         if header.throwaway > self.horizon {

@@ -75,10 +75,17 @@ impl SproutSender {
             }
         }
         let unit = self.cfg.mtu_bytes as u64 / crate::forecast::UNITS_PER_MTU;
+        // A receiver's cumulative forecast never decreases; a foreign
+        // block's might, and every use below takes differences. Hold the
+        // running maximum (the identity on a well-formed block).
+        let mut floor = 0;
         let cumulative_bytes: Vec<u64> = fb
             .cumulative_units
             .iter()
-            .map(|&c| c as u64 * unit)
+            .map(|&c| {
+                floor = floor.max(c as u64 * unit);
+                floor
+            })
             .collect();
         self.queue_estimate = self.bytes_sent.saturating_sub(fb.recv_or_lost_bytes);
         self.forecast = Some(ActiveForecast {

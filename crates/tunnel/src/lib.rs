@@ -12,8 +12,8 @@
 //!
 //! [`TunnelEndpoint`] is the tunnel itself (local packets in/out, Sprout
 //! wire packets toward the network); [`TunnelHost`] composes a tunnel
-//! with the local client endpoints into a single [`Endpoint`] suitable
-//! for [`sprout_sim::Simulation`].
+//! with a [`MuxEndpoint`] of local client endpoints into a single
+//! [`Endpoint`] suitable for [`sprout_sim::Simulation`].
 
 #![warn(missing_docs)]
 
@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use sprout_core::SproutEndpoint;
-use sprout_sim::{Endpoint, FlowId, Packet};
+use sprout_sim::{Endpoint, FlowId, MuxEndpoint, Packet};
 use sprout_trace::Timestamp;
 
 /// Encapsulation header inside a Sprout datagram: flow(4) seq(8)
@@ -262,12 +262,15 @@ impl TunnelEndpoint {
 }
 
 /// A tunnel endpoint composed with its local client endpoints, presenting
-/// one [`Endpoint`] to the emulator. The "wired" segment between tunnel
-/// and clients is modeled as zero-delay (the paper's relay is
-/// well-connected; the cellular hop dominates end-to-end behaviour).
+/// one [`Endpoint`] to the emulator: tunnel ∘ [`MuxEndpoint`]. The mux
+/// owns the clients — routing arrivals by flow, polling in order,
+/// re-stamping flow ids — and the host moves packets between it and the
+/// tunnel. The "wired" segment between tunnel and clients is modeled as
+/// zero-delay (the paper's relay is well-connected; the cellular hop
+/// dominates end-to-end behaviour).
 pub struct TunnelHost {
     tunnel: TunnelEndpoint,
-    clients: Vec<(FlowId, Box<dyn Endpoint>)>,
+    clients: MuxEndpoint,
     /// End-to-end delivery log of decapsulated client packets (client
     /// `sent_at` → local delivery time), for per-flow §5.7 metrics.
     deliveries: sprout_sim::MetricsCollector,
@@ -279,11 +282,16 @@ pub struct TunnelHost {
 }
 
 impl TunnelHost {
-    /// Compose a tunnel with client endpoints.
+    /// A tunnel with no clients yet (see [`TunnelHost::add_client`]).
     pub fn new(tunnel: TunnelEndpoint) -> Self {
+        Self::with_clients(tunnel, MuxEndpoint::new())
+    }
+
+    /// Compose a tunnel with an already-built client set.
+    pub fn with_clients(tunnel: TunnelEndpoint, clients: MuxEndpoint) -> Self {
         TunnelHost {
             tunnel,
-            clients: Vec::new(),
+            clients,
             deliveries: sprout_sim::MetricsCollector::new(),
             client_scratch: Vec::new(),
             deliver_scratch: Vec::new(),
@@ -298,7 +306,7 @@ impl TunnelHost {
 
     /// Attach a client endpoint under `flow`.
     pub fn add_client(&mut self, flow: FlowId, client: Box<dyn Endpoint>) {
-        self.clients.push((flow, client));
+        self.clients.add(flow, client);
     }
 
     /// Tunnel counters.
@@ -323,35 +331,21 @@ impl Endpoint for TunnelHost {
                 size: client_packet.size,
                 flow: client_packet.flow,
             });
-            if let Some((_, client)) = self
-                .clients
-                .iter_mut()
-                .find(|(f, _)| *f == client_packet.flow)
-            {
-                client.on_packet(client_packet, now);
-            }
+            self.clients.on_packet(client_packet, now);
         }
     }
 
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
-        for (flow, client) in &mut self.clients {
-            client.poll_into(now, &mut self.client_scratch);
-            for mut p in self.client_scratch.drain(..) {
-                p.flow = *flow;
-                p.sent_at = now; // end-to-end timing starts at the client
-                self.tunnel.inject_local(p, now);
-            }
+        self.clients.poll_into(now, &mut self.client_scratch);
+        for mut p in self.client_scratch.drain(..) {
+            p.sent_at = now; // end-to-end timing starts at the client
+            self.tunnel.inject_local(p, now);
         }
         self.tunnel.poll_wire_into(now, out)
     }
 
     fn next_wakeup(&self) -> Option<Timestamp> {
-        let client_min = self
-            .clients
-            .iter()
-            .filter_map(|(_, c)| c.next_wakeup())
-            .min();
-        match (client_min, self.tunnel.next_wakeup()) {
+        match (self.clients.next_wakeup(), self.tunnel.next_wakeup()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
