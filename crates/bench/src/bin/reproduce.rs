@@ -243,9 +243,10 @@ fn run() -> std::io::Result<()> {
     }
     println!(
         "reproduce: {cmd} (runs {}s, warmup {}s, seed {}, threads {}, out {:?})",
-        // Exact for `all` too: its members all run at the global length.
+        // Exact for `all` too: its members all run at the global length
+        // and warm-up.
         rows[0].secs(&cfg),
-        cfg.warmup_secs,
+        rows[0].warmup(&cfg),
         cfg.seed,
         if cfg.threads == 0 {
             "auto".to_string()

@@ -555,6 +555,16 @@ pub fn select(name: &str) -> Option<Vec<&'static Experiment>> {
     (!rows.is_empty()).then_some(rows)
 }
 
+/// Run length and warm-up of the row a matrix fn is declared in, as the
+/// builder's `timing` takes them — for the matrices whose row owns its
+/// timing, so the matrix is built from the numbers the banner prints.
+fn own_timing(name: &str, cfg: &ExperimentConfig) -> (Duration, Duration) {
+    let row = EXPERIMENTS.iter().find(|e| e.name == name);
+    let row = row.expect("a matrix fn names the row that declares it");
+    let (secs, warmup) = (row.secs(cfg), row.warmup(cfg));
+    (Duration::from_secs(secs), Duration::from_secs(warmup))
+}
+
 impl Experiment {
     /// The run length this experiment uses under `cfg`: its own default
     /// while that stands, the global knob otherwise.
@@ -562,6 +572,18 @@ impl Experiment {
         self.own_secs
             .and_then(|own| own(cfg))
             .unwrap_or(cfg.run_secs)
+    }
+
+    /// The warm-up this experiment uses under `cfg`: one sixth of its
+    /// run length where it derives it (`own_warmup`), the global knob
+    /// otherwise. The banner prints it and the deriving matrices are
+    /// built from it.
+    pub fn warmup(&self, cfg: &ExperimentConfig) -> u64 {
+        if self.own_warmup {
+            self.secs(cfg) / 6
+        } else {
+            cfg.warmup_secs
+        }
     }
 
     /// Run `matrix` — this row's, as declared under `cfg` — on the
@@ -1405,9 +1427,9 @@ fn impair_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 /// ([`SERVE_SECS`], warmup = one sixth of the run) because each cell
 /// costs ~`2 N` path-simulations of work.
 fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
-    let secs = cfg.serve.secs.unwrap_or(cfg.run_secs);
+    let (secs, warmup) = own_timing("serve", cfg);
     ScenarioMatrix::builder("serve")
-        .timing(Duration::from_secs(secs), Duration::from_secs(secs / 6))
+        .timing(secs, warmup)
         .serve(cfg.serve.sessions.iter().copied())
         .links(cfg.serve.links.iter().copied())
         .build()
@@ -1471,11 +1493,11 @@ fn serve_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 /// sixth of the run) because the committed corpus excerpts are only
 /// ~40 s long.
 fn replay_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
-    let secs = cfg.replay.secs.unwrap_or(cfg.run_secs);
+    let (secs, warmup) = own_timing("replay", cfg);
     let captures = cfg.replay.traces.iter();
     cfg.with_timeseries(
         ScenarioMatrix::builder("replay")
-            .timing(Duration::from_secs(secs), Duration::from_secs(secs / 6))
+            .timing(secs, warmup)
             .schemes(cfg.replay.schemes.iter().copied())
             .links(captures.map(|&fingerprint| LinkSpec::Measured { fingerprint })),
     )

@@ -270,3 +270,41 @@ fn soak_accepts_valid_axis_flags() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+/// The first stdout line of `reproduce <args>` — the banner, printed
+/// before any cell runs; the process is killed once it has said it.
+fn banner(tag: &str, args: &[&str]) -> String {
+    use std::io::{BufRead, BufReader};
+    let tmp = std::env::temp_dir().join(format!("reproduce-banner-{}-{tag}", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .arg("--no-cache")
+        .arg("--out")
+        .arg(&tmp)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn reproduce");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut line)
+        .expect("read the banner");
+    let _ = child.kill();
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&tmp);
+    line
+}
+
+#[test]
+fn the_banner_prints_the_warmup_the_matrix_uses() {
+    // `replay` and `serve` derive warm-up = secs / 6; the banner used to
+    // print the global knob: "runs 30s, warmup 60s".
+    let replay = banner("replay", &["replay"]);
+    assert!(replay.contains("(runs 30s, warmup 5s,"), "{replay}");
+    let serve = banner("serve", &["serve", "--secs", "48"]);
+    assert!(serve.contains("(runs 48s, warmup 8s,"), "{serve}");
+    // And still the global knob for everything else.
+    let fig9 = banner("fig9", &["fig9"]);
+    assert!(fig9.contains("(runs 300s, warmup 60s,"), "{fig9}");
+    let fig9 = banner("fig9-set", &["fig9", "--secs", "50", "--warmup", "7"]);
+    assert!(fig9.contains("(runs 50s, warmup 7s,"), "{fig9}");
+}

@@ -3,7 +3,7 @@
 //! ```text
 //! sprout-control serve    [--listen ADDR] [--state-dir DIR] [--cache-dir DIR]
 //!                         [--out DIR] [--reproduce-bin PATH]
-//!                         [--hb-timeout SECS] [--max-retries N] [--tick-ms MS]
+//!                         [--hb-timeout SECS] [--max-retries N]
 //! sprout-control submit <experiment> [--workers N] [-- <worker flags…>]
 //! sprout-control status
 //! sprout-control sweeps
@@ -17,7 +17,8 @@
 //! (default state dir `.sprout-control`) or an explicit `--endpoint
 //! host:port`, print the JSON response to stdout, and exit nonzero on
 //! any non-2xx answer. `wait` polls until the sweep reaches a terminal
-//! state and exits 0 only for `done`.
+//! state (first at once, then after 10 ms, doubling to 200 ms) and exits
+//! 0 only for `done`.
 //!
 //! `serve` runs the daemon in the foreground: a persistent sweep queue
 //! in the state dir, `reproduce --shard i/N --resume --controlled`
@@ -31,7 +32,7 @@ use std::time::{Duration, Instant};
 use sprout_control::{client, Daemon, DaemonConfig};
 
 const USAGE: &str = "usage: sprout-control <serve|submit|status|sweeps|cells|cancel|wait|shutdown> [flags]
-  serve    [--listen ADDR] [--state-dir DIR] [--cache-dir DIR] [--out DIR] [--reproduce-bin PATH] [--hb-timeout SECS] [--max-retries N] [--tick-ms MS]
+  serve    [--listen ADDR] [--state-dir DIR] [--cache-dir DIR] [--out DIR] [--reproduce-bin PATH] [--hb-timeout SECS] [--max-retries N]
   submit <experiment> [--workers N] [--state-dir DIR | --endpoint ADDR] [-- <worker flags...>]
   status|sweeps|shutdown [--state-dir DIR | --endpoint ADDR]
   cells|cancel <id> [--state-dir DIR | --endpoint ADDR]
@@ -145,10 +146,6 @@ fn serve(rest: &[String]) {
                 Ok(n) => cfg.max_retries = n,
                 Err(_) => usage_error("--max-retries expects a number"),
             },
-            "--tick-ms" => match value("--tick-ms").parse::<u64>() {
-                Ok(ms) if ms >= 1 => cfg.tick = Duration::from_millis(ms),
-                _ => usage_error("--tick-ms expects a positive number of milliseconds"),
-            },
             other => usage_error(&format!("unknown serve flag {other:?}")),
         }
     }
@@ -253,6 +250,9 @@ fn wait(rest: &[String]) {
     let endpoint = opts.endpoint();
     let needle = format!("\"id\":{id},");
     let deadline = Instant::now() + timeout;
+    // A sweep over cached cells is done in tens of milliseconds, a cold
+    // one in minutes: poll quickly at first, then back off.
+    let mut pause = Duration::from_millis(10);
     loop {
         let (status, body) = request_or_die(&endpoint, "GET", "/sweeps", "");
         if status != 200 {
@@ -281,6 +281,7 @@ fn wait(rest: &[String]) {
             eprintln!("sprout-control: timed out waiting for sweep {id}");
             std::process::exit(1);
         }
-        std::thread::sleep(Duration::from_millis(200));
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(200));
     }
 }

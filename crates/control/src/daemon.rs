@@ -24,6 +24,14 @@
 //! serves all cells from the cache and renders the artifacts —
 //! byte-identical to a single-process run of the same flags, which is
 //! the contract the integration tests pin.
+//!
+//! Nothing here runs on a clock someone else picked. The scheduler
+//! sleeps on one condvar and makes a pass when something it acts on can
+//! have changed: a `POST` was answered (submit, cancel, shutdown), a
+//! worker's stdout reached end-of-file (it exited), or the earliest
+//! deadline a task declared has come — the end of a retry back-off, or
+//! `hb_timeout` after a worker's last line. With no sweep queued it
+//! sleeps indefinitely.
 
 use std::collections::HashSet;
 use std::fs::File;
@@ -32,7 +40,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,9 +49,11 @@ use sprout_bench::{cellcache, cli};
 use sprout_cache::json;
 
 use crate::httpd::{self, Request, Response};
-use crate::state::{Queue, SweepState, MAX_WORKERS};
+use crate::state::{Queue, SweepSpec, SweepState, MAX_WORKERS};
 
 /// Everything the daemon needs to run; see `sprout-control serve`.
+/// The two durations are deadlines the scheduler wakes for, not polling
+/// periods: there is no tick to configure.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
     /// Listen address, e.g. `127.0.0.1:0` (the bound port is written to
@@ -63,8 +73,6 @@ pub struct DaemonConfig {
     pub retry_base: Duration,
     /// Retries per shard (and for the merge) before the sweep fails.
     pub max_retries: u32,
-    /// Scheduler tick.
-    pub tick: Duration,
 }
 
 impl DaemonConfig {
@@ -88,63 +96,97 @@ impl DaemonConfig {
             hb_timeout: Duration::from_secs(10),
             retry_base: Duration::from_millis(500),
             max_retries: 4,
-            tick: Duration::from_millis(100),
         }
     }
 }
 
-/// A worker's row in `/status`.
-#[derive(Clone)]
+/// A worker's row in `/status`, published when its task changes state:
+/// the fields that only a pass can change, rendered by that pass
+/// (`{"sweep":…,"retries":N`), and the worker's live `abandoned` /
+/// `last_line` handles, read at the moment a request is answered.
 struct WorkerView {
-    sweep: u64,
-    phase: &'static str,
-    shard: usize,
-    count: usize,
-    pid: u32,
-    retries: u32,
-    abandoned: u64,
-    quiet_ms: u64,
+    fixed: String,
+    abandoned: Arc<AtomicU64>,
+    last_line: Arc<Mutex<Instant>>,
 }
 
 struct Shared {
     cfg: DaemonConfig,
     queue: Mutex<Queue>,
     cancels: Mutex<HashSet<u64>>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     views: Mutex<Vec<WorkerView>>,
     started: Instant,
+    /// "Something the scheduler acts on may have changed", with the
+    /// condvar it sleeps on.
+    poked: Mutex<bool>,
+    wake: Condvar,
+    /// Scheduler passes made so far.
+    passes: Arc<AtomicU64>,
+}
+
+impl Shared {
+    /// Wake the scheduler for one pass. Call it *after* making the
+    /// change the pass should see.
+    fn poke(&self) {
+        *lock(&self.poked) = true;
+        self.wake.notify_one();
+    }
+
+    /// Sleep until poked or until `deadline` (forever when there is
+    /// none). The flag is tested and cleared under its lock, so a poke
+    /// that lands between a pass and this call is not lost: it was left
+    /// set, and the wait returns at once.
+    fn wait_until(&self, deadline: Option<Instant>) {
+        let mut poked = lock(&self.poked);
+        while !*poked {
+            // `Duration::MAX` is past any clock: `wait_timeout` then waits
+            // with no timeout, and would only come back here if it did not.
+            let now = Instant::now();
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
+            if left.is_zero() {
+                break;
+            }
+            let waited = self.wake.wait_timeout(poked, left);
+            poked = waited.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        *poked = false;
+    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A worker whose stdout has ended is looked at again this soon, then
+/// at twice the interval each time up to [`RECHECK_MAX`].
+const RECHECK_MIN: Duration = Duration::from_millis(1);
+/// Well below any `hb_timeout`, which is what ends the re-checks of a
+/// worker that closed its stdout and lives on.
+const RECHECK_MAX: Duration = Duration::from_millis(128);
+
 /// One spawned `reproduce` process (a shard worker or the merge).
 struct WorkerProc {
     child: Child,
-    pid: u32,
     last_line: Arc<Mutex<Instant>>,
     abandoned: Arc<AtomicU64>,
-    reader: Option<JoinHandle<()>>,
+    /// Set by the reader thread when the worker's stdout ends.
+    eof: Arc<AtomicBool>,
+    /// For a worker whose stdout has ended but which `try_wait` cannot
+    /// reap yet: when to look again, and the interval that got there.
+    recheck: Option<(Instant, Duration)>,
+    reader: JoinHandle<()>,
 }
 
 impl WorkerProc {
-    fn quiet_for(&self) -> Duration {
-        lock(&self.last_line).elapsed()
-    }
-
     fn kill_and_reap(mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
+        self.reap();
     }
 
-    fn reap(mut self) {
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
+    fn reap(self) {
+        let _ = self.reader.join();
     }
 
     /// Where this process stands: still `Running`, exited cleanly
@@ -156,9 +198,20 @@ impl WorkerProc {
         } else {
             ("worker", "")
         };
-        let quiet = self.quiet_for();
+        let quiet = lock(&self.last_line).elapsed();
         let reason = match self.child.try_wait() {
-            Ok(None) if quiet <= hb_timeout => return Ok(TaskState::Running(self)),
+            Ok(None) if quiet <= hb_timeout => {
+                // An exiting process closes its files before it can be
+                // reaped, so end-of-file may be announced a moment before
+                // `try_wait` sees the exit. Never a blocking `wait`: a
+                // worker may close stdout and live on.
+                if self.eof.load(Ordering::Acquire) {
+                    let last = self.recheck.map_or(Duration::ZERO, |(_, step)| step);
+                    let step = (last * 2).clamp(RECHECK_MIN, RECHECK_MAX);
+                    self.recheck = Some((Instant::now() + step, step));
+                }
+                return Ok(TaskState::Running(self));
+            }
             Ok(Some(st)) if st.success() => {
                 self.reap();
                 return Ok(TaskState::Done);
@@ -205,6 +258,27 @@ struct Active {
     out_dir: PathBuf,
 }
 
+impl Active {
+    /// The earliest deadline among the tasks, each a look nobody will
+    /// announce: for a running worker the end of its heartbeat
+    /// allowance or its end-of-file re-check, for a waiting task that
+    /// can be dealt the end of its back-off. The merge declares none
+    /// until every shard is done — the pass that sees the last shard
+    /// finish deals it.
+    fn deadline(&self, hb_timeout: Duration) -> Option<Instant> {
+        let shards_done = self.tasks[..self.count].iter().all(Task::is_done);
+        let due = |task: &Task| match &task.state {
+            TaskState::Running(w) => {
+                let silent = *lock(&w.last_line) + hb_timeout;
+                Some(w.recheck.map_or(silent, |(at, _)| at.min(silent)))
+            }
+            TaskState::Waiting if shards_done || task.shard.is_some() => Some(task.next_attempt),
+            _ => None,
+        };
+        self.tasks.iter().filter_map(due).min()
+    }
+}
+
 /// A running control daemon: HTTP thread + scheduler.
 pub struct Daemon {
     shared: Arc<Shared>,
@@ -230,14 +304,16 @@ impl Daemon {
             cfg,
             queue: Mutex::new(queue),
             cancels: Mutex::new(HashSet::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: AtomicBool::new(false),
             views: Mutex::new(Vec::new()),
             started: Instant::now(),
+            poked: Mutex::new(false),
+            wake: Condvar::new(),
+            passes: Arc::new(AtomicU64::new(0)),
         });
-        let http_shared = Arc::clone(&shared);
+        let served = Arc::clone(&shared);
         let http = std::thread::spawn(move || {
-            let shutdown = Arc::clone(&http_shared.shutdown);
-            let _ = httpd::run(listener, shutdown, move |req| handle(&http_shared, req));
+            let _ = httpd::run(listener, &served.shutdown, |req| handle(&served, req));
         });
         Ok(Daemon {
             endpoint,
@@ -251,44 +327,59 @@ impl Daemon {
         &self.endpoint
     }
 
+    /// Scheduler passes made so far — a gauge for the tests that pin
+    /// "an idle daemon makes none".
+    #[doc(hidden)]
+    pub fn passes(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.shared.passes)
+    }
+
     /// Run the scheduler until `/shutdown`: deal pending sweeps, watch
-    /// workers, merge, repeat. Kills every child before returning.
+    /// workers, merge, repeat. Between passes it sleeps until a `POST`
+    /// is answered, a worker's stdout ends, or the earliest task
+    /// deadline (a retry back-off, `hb_timeout` of silence) — forever
+    /// when no sweep is active. Kills every child and stops the status
+    /// API before returning.
     pub fn run(self) -> io::Result<()> {
         let mut active: Option<Active> = None;
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                if let Some(mut a) = active.take() {
-                    kill_all(&mut a);
-                    // The queue still records the sweep as running /
-                    // merging; reload demotes it to pending, and its
-                    // cached cells make the restart cheap.
-                }
-                break;
-            }
-            if let Some(a) = &active {
-                if lock(&self.shared.cancels).remove(&a.id) {
-                    let mut a = active.take().expect("checked above");
-                    kill_all(&mut a);
-                    // Leave only cached cells behind: no partial
-                    // artifacts survive a cancel.
-                    let _ = std::fs::remove_dir_all(&a.out_dir);
-                    self.finish(a.id, SweepState::Cancelled, String::new());
-                }
+        let result = self.schedule(&mut active);
+        if let Some(mut a) = active {
+            kill_all(&mut a);
+            // The queue still records the sweep as running / merging;
+            // reload demotes it to pending, and its cached cells make
+            // the restart cheap.
+        }
+        httpd::stop(&self.shared.shutdown, &self.endpoint);
+        let _ = std::fs::remove_file(self.shared.cfg.state_dir.join("endpoint"));
+        let _ = self.http.join();
+        result
+    }
+
+    fn schedule(&self, active: &mut Option<Active>) -> io::Result<()> {
+        let (shared, hb_timeout) = (&self.shared, self.shared.cfg.hb_timeout);
+        while !shared.shutdown.load(Ordering::Acquire) {
+            shared.passes.fetch_add(1, Ordering::Relaxed);
+            if let Some(mut a) = active.take_if(|a| lock(&shared.cancels).remove(&a.id)) {
+                kill_all(&mut a);
+                // Leave only cached cells behind: no partial
+                // artifacts survive a cancel.
+                let _ = std::fs::remove_dir_all(&a.out_dir);
+                self.finish(a.id, SweepState::Cancelled, String::new());
             }
             if active.is_none() {
-                active = self.next_pending()?;
+                *active = self.next_pending()?;
             }
-            if let Some(a) = &mut active {
+            if let Some(a) = active.as_mut() {
                 if self.step(a)? {
-                    active = None;
+                    *active = None;
+                    // The next pending sweep is dealt by the next pass,
+                    // which nothing else would announce.
+                    shared.poke();
                 }
             }
             self.publish(active.as_ref());
-            std::thread::sleep(self.shared.cfg.tick);
+            shared.wait_until(active.as_ref().and_then(|a| a.deadline(hb_timeout)));
         }
-        lock(&self.shared.views).clear();
-        let _ = std::fs::remove_file(self.shared.cfg.state_dir.join("endpoint"));
-        let _ = self.http.join();
         Ok(())
     }
 
@@ -341,7 +432,7 @@ impl Daemon {
                 TaskState::Running(w) => w.check(merge, cfg.hb_timeout),
                 TaskState::Waiting if !blocked && now >= a.tasks[i].next_attempt => {
                     if merge {
-                        self.set_state(a.id, SweepState::Merging);
+                        self.update(a.id, |spec| spec.state = SweepState::Merging);
                     }
                     self.spawn(a, shard, a.tasks[i].retries)
                         .map(TaskState::Running)
@@ -353,7 +444,7 @@ impl Daemon {
             match outcome {
                 Ok(state) => task.state = state,
                 Err(reason) => {
-                    self.count_retry(a.id);
+                    self.update(a.id, |spec| spec.retries += 1);
                     task.retries += 1;
                     if task.retries > cfg.max_retries {
                         let what = match shard {
@@ -377,31 +468,17 @@ impl Daemon {
         Ok(merged)
     }
 
-    fn set_state(&self, id: u64, state: SweepState) {
+    /// Change sweep `id`'s row of the queue and persist it.
+    fn update(&self, id: u64, change: impl FnOnce(&mut SweepSpec)) {
         let mut q = lock(&self.shared.queue);
         if let Some(spec) = q.get_mut(id) {
-            if spec.state != state {
-                spec.state = state;
-                let _ = q.persist();
-            }
+            change(spec);
+            let _ = q.persist();
         }
     }
 
     fn finish(&self, id: u64, state: SweepState, error: String) {
-        let mut q = lock(&self.shared.queue);
-        if let Some(spec) = q.get_mut(id) {
-            spec.state = state;
-            spec.error = error;
-            let _ = q.persist();
-        }
-    }
-
-    fn count_retry(&self, id: u64) {
-        let mut q = lock(&self.shared.queue);
-        if let Some(spec) = q.get_mut(id) {
-            spec.retries += 1;
-            let _ = q.persist();
-        }
+        self.update(id, |spec| (spec.state, spec.error) = (state, error));
     }
 
     /// Spawn one worker: `Some(shard)` for a shard run, `None` for the
@@ -437,11 +514,12 @@ impl Daemon {
             .stdout(Stdio::piped())
             .stderr(Stdio::from(File::create(&err_path)?));
         let mut child = cmd.spawn()?;
-        let pid = child.id();
         let stdout = child.stdout.take().expect("stdout was piped");
         let last_line = Arc::new(Mutex::new(Instant::now()));
         let abandoned = Arc::new(AtomicU64::new(0));
+        let eof = Arc::new(AtomicBool::new(false));
         let (ll, ab) = (Arc::clone(&last_line), Arc::clone(&abandoned));
+        let (ended, shared) = (Arc::clone(&eof), Arc::clone(&self.shared));
         let reader = std::thread::spawn(move || {
             let mut log = File::create(&log_path).ok();
             for line in BufReader::new(stdout).lines() {
@@ -460,17 +538,22 @@ impl Daemon {
                     let _ = writeln!(log, "{line}");
                 }
             }
+            // Stdout ended: the worker has exited, or is about to.
+            ended.store(true, Ordering::Release);
+            shared.poke();
         });
         Ok(WorkerProc {
             child,
-            pid,
             last_line,
             abandoned,
-            reader: Some(reader),
+            eof,
+            recheck: None,
+            reader,
         })
     }
 
-    /// Refresh the `/status` worker table: one row per running task.
+    /// Publish the `/status` worker table, one row per running task,
+    /// at the end of every pass — the only time a task changes state.
     fn publish(&self, active: Option<&Active>) {
         let mut views = Vec::new();
         if let Some(a) = active {
@@ -482,15 +565,13 @@ impl Daemon {
                     Some(i) => ("shard", i, a.count),
                     None => ("merge", 0, 1),
                 };
+                let (sweep, pid, retries) = (a.id, w.child.id(), task.retries);
                 views.push(WorkerView {
-                    sweep: a.id,
-                    phase,
-                    shard,
-                    count,
-                    pid: w.pid,
-                    retries: task.retries,
-                    abandoned: w.abandoned.load(Ordering::Relaxed),
-                    quiet_ms: w.quiet_for().as_millis() as u64,
+                    fixed: format!(
+                        "{{\"sweep\":{sweep},\"phase\":\"{phase}\",\"shard\":{shard},\"count\":{count},\"pid\":{pid},\"retries\":{retries}"
+                    ),
+                    abandoned: Arc::clone(&w.abandoned),
+                    last_line: Arc::clone(&w.last_line),
                 });
             }
         }
@@ -512,7 +593,7 @@ fn backoff(base: Duration, retries: u32) -> Duration {
     (base * factor).min(Duration::from_secs(10))
 }
 
-fn sweep_json(spec: &crate::state::SweepSpec) -> String {
+fn sweep_json(spec: &SweepSpec) -> String {
     let args: Vec<String> = spec.args.iter().map(|a| json::quoted(a)).collect();
     format!(
         "{{\"id\":{},\"experiment\":{},\"workers\":{},\"state\":\"{}\",\"retries\":{},\"error\":{},\"args\":[{}]}}",
@@ -526,8 +607,18 @@ fn sweep_json(spec: &crate::state::SweepSpec) -> String {
     )
 }
 
-/// Route one status-API request.
+/// Answer one status-API request. Any `POST` may have changed what the
+/// scheduler should do, so it is woken once the answer is made (and
+/// every lock the route took is released).
 fn handle(shared: &Arc<Shared>, req: &Request) -> Response {
+    let resp = route(shared, req);
+    if req.method == "POST" {
+        shared.poke();
+    }
+    resp
+}
+
+fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["status"]) => status(shared),
@@ -546,6 +637,8 @@ fn handle(shared: &Arc<Shared>, req: &Request) -> Response {
             Err(_) => Response::error(400, "sweep id must be a number"),
         },
         ("POST", ["shutdown"]) => {
+            // This is the serving thread: it sees the flag before its
+            // next accept, with no need for `httpd::stop`.
             shared.shutdown.store(true, Ordering::Release);
             Response::json(200, "{\"shutting_down\":true}")
         }
@@ -571,9 +664,11 @@ fn status(shared: &Arc<Shared>) -> Response {
     let workers: Vec<String> = views
         .iter()
         .map(|w| {
+            let abandoned = w.abandoned.load(Ordering::Relaxed);
+            let quiet_ms = lock(&w.last_line).elapsed().as_millis();
             format!(
-                "{{\"sweep\":{},\"phase\":\"{}\",\"shard\":{},\"count\":{},\"pid\":{},\"retries\":{},\"abandoned\":{},\"quiet_ms\":{}}}",
-                w.sweep, w.phase, w.shard, w.count, w.pid, w.retries, w.abandoned, w.quiet_ms
+                "{},\"abandoned\":{abandoned},\"quiet_ms\":{quiet_ms}}}",
+                w.fixed
             )
         })
         .collect();

@@ -1,7 +1,9 @@
 //! A dependency-free sliver of HTTP/1.1 — just enough for a loopback
 //! status API. One accept loop, one connection at a time (requests are
 //! a few hundred bytes and handlers answer from in-memory state), and
-//! `Connection: close` on every response so framing stays trivial.
+//! `Connection: close` on every response so framing stays trivial. The
+//! loop blocks in `accept` — a request is answered when it arrives, not
+//! at the next poll — and [`stop`] is how another thread ends it.
 //! Because the loop is serial, one connection must not be able to hold
 //! it: a request's head and body are bounded in bytes and header count,
 //! and a connection gets one total deadline for being read *and*
@@ -9,9 +11,8 @@
 //! one byte a second is dropped like any other malformed one.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Most bytes of request line plus headers. The CLI's requests have a
@@ -230,54 +231,56 @@ impl Write for Deadlined<'_> {
     }
 }
 
-/// Serve `handler` on `listener` until `shutdown` flips. The listener
-/// is polled non-blocking so shutdown is honored within ~20 ms even
-/// when no request ever arrives.
-pub fn run<H>(listener: TcpListener, shutdown: Arc<AtomicBool>, handler: H) -> io::Result<()>
+/// Serve `handler` on `listener` until `shutdown` is set. The loop
+/// blocks in `accept`: it is woken by a connection and by nothing else,
+/// and looks at the flag before each accept — so a handler that sets it
+/// ends the loop with its own response, and anyone else uses [`stop`].
+pub fn run<H>(listener: TcpListener, shutdown: &AtomicBool, handler: H) -> io::Result<()>
 where
     H: Fn(&Request) -> Response,
 {
     serve(listener, shutdown, CONNECTION_DEADLINE, handler)
 }
 
+/// Stop the server listening on `addr` from another thread: set its
+/// flag, then connect to it so the blocked `accept` returns and the
+/// loop sees the flag. Connections still queued behind that one are
+/// refused when the listener drops.
+pub fn stop(shutdown: &AtomicBool, addr: impl ToSocketAddrs) {
+    shutdown.store(true, Ordering::Release);
+    // Refused means the server is already gone, which is the goal.
+    let _ = TcpStream::connect(addr);
+}
+
 /// [`run`], with the per-connection deadline the tests shorten.
 fn serve<H>(
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
+    shutdown: &AtomicBool,
     deadline: Duration,
     handler: H,
 ) -> io::Result<()>
 where
     H: Fn(&Request) -> Response,
 {
-    listener.set_nonblocking(true)?;
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let mut conn = Deadlined {
-                    stream: &stream,
-                    deadline: Instant::now() + deadline,
-                };
-                if let Some(req) = read_request(&mut conn) {
-                    let resp = handler(&req);
-                    let _ = write_response(&mut conn, &resp);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
+    while !shutdown.load(Ordering::Acquire) {
+        let (stream, _) = listener.accept()?;
+        let _ = stream.set_nodelay(true);
+        let mut conn = Deadlined {
+            stream: &stream,
+            deadline: Instant::now() + deadline,
+        };
+        if let Some(req) = read_request(&mut conn) {
+            let resp = handler(&req);
+            let _ = write_response(&mut conn, &resp);
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn targets_split_and_decode() {
@@ -305,7 +308,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let server = std::thread::spawn(move || {
-            run(listener, flag, |req| {
+            run(listener, &flag, |req| {
                 Response::json(
                     200,
                     format!(
@@ -325,8 +328,65 @@ mod tests {
             body,
             "{\"method\":\"POST\",\"path\":\"/echo\",\"body\":\"hello\"}"
         );
-        shutdown.store(true, Ordering::Release);
+        stop(&shutdown, addr);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn stop_ends_an_idle_server_and_never_hangs_a_queued_request() {
+        use std::sync::mpsc;
+        // No request ever received: only the self-connect can end the
+        // blocked accept.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let server = std::thread::spawn(move || {
+            run(listener, &flag, |_| Response::json(200, "{}")).unwrap()
+        });
+        stop(&shutdown, addr);
+        server.join().unwrap();
+
+        // A request queued behind the one being handled when `stop` is
+        // called: the handler is held until both are in place, so the
+        // order is forced, not slept for.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&shutdown);
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            run(listener, &flag, move |req| {
+                entered_tx.send(()).unwrap();
+                released.recv().unwrap();
+                Response::json(200, req.path.clone())
+            })
+            .unwrap();
+        });
+        let ask = move |path: &'static str| {
+            std::thread::spawn(move || crate::client::request(&addr.to_string(), "GET", path, ""))
+        };
+        let first = ask("/first");
+        entered.recv().unwrap();
+        // Connected (the kernel completes the handshake into the accept
+        // queue) before `stop`, answered by nobody yet.
+        let queued = TcpStream::connect(addr).unwrap();
+        stop(&shutdown, addr);
+        release.send(()).unwrap();
+        server.join().unwrap();
+        assert_eq!(first.join().unwrap().unwrap(), (200, "/first".to_string()));
+        // Answered or refused, but the read returns: the listener is gone.
+        queued
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        if let Err(e) = (&queued).read_to_end(&mut Vec::new()) {
+            let hung = matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            );
+            assert!(!hung, "a queued connection hung past stop: {e}");
+        }
     }
 
     const VALID: &str =
@@ -395,7 +455,7 @@ mod tests {
         let flag = Arc::clone(&shutdown);
         let deadline = Duration::from_millis(200);
         let server = std::thread::spawn(move || {
-            serve(listener, flag, deadline, |req| {
+            serve(listener, &flag, deadline, |req| {
                 Response::json(200, req.path.clone())
             })
             .unwrap();
@@ -430,7 +490,7 @@ mod tests {
                 crate::client::request(&addr.to_string(), "GET", "/next", "").unwrap();
             assert_eq!((status, body.as_str()), (200, "/next"));
         }
-        shutdown.store(true, Ordering::Release);
+        stop(&shutdown, addr);
         server.join().unwrap();
         trickler.join().unwrap();
     }

@@ -21,7 +21,8 @@
 //!   --resume --controlled` workers sharing one `SPROUT_CACHE_DIR`,
 //!   watches their heartbeat lines, kills and re-deals on silence or
 //!   death (exponential backoff, bounded retries), and runs the final
-//!   `--merge` that renders the artifacts.
+//!   `--merge` that renders the artifacts. It is woken by a `POST`, a
+//!   worker's exit or a deadline a task declared — never by a tick.
 //! - [`httpd`] / [`client`] — a dependency-free HTTP/1.1 sliver for the
 //!   status API (`/status`, `/sweeps`, `/sweeps/<id>/cells`) and the
 //!   `sprout-control` CLI that speaks to it.

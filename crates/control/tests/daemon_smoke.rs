@@ -76,7 +76,6 @@ fn start_daemon(tag: &str) -> (String, std::thread::JoinHandle<()>, PathBuf, Pat
     cfg.cache_dir = cache;
     cfg.out_dir = out.clone();
     cfg.reproduce_bin = reproduce_bin();
-    cfg.tick = Duration::from_millis(25);
     cfg.retry_base = Duration::from_millis(100);
     let daemon = Daemon::start(cfg).expect("daemon starts");
     let endpoint = daemon.endpoint().to_string();

@@ -4,6 +4,13 @@
 //! resolution. Microseconds are fine-grained enough to express sub-packet
 //! serialization times at the rates the paper studies (an MTU at 11 Mbps
 //! lasts ~1 ms) while keeping all arithmetic exact in `u64`.
+//!
+//! The `from_millis` / `from_secs` constructors are where a number from
+//! outside (a flag, a hand-built `Scenario`) becomes microseconds, so
+//! they are checked: a count that does not fit panics by name, in debug
+//! and release alike, instead of wrapping to a short run. `Add` / `Sub`
+//! sit on the per-packet path and stay plain operators — their operands
+//! are times the simulation itself produced.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -15,6 +22,51 @@ pub const MTU_BYTES: u32 = 1500;
 
 /// Length of one Sprout inference tick: 20 ms (§3.1).
 pub const TICK: Duration = Duration::from_millis(20);
+
+/// `count × micros_per` for the named constructor, or its panic.
+#[inline]
+const fn micros(constructor: &str, count: u64, micros_per: u64) -> u64 {
+    match count.checked_mul(micros_per) {
+        Some(us) => us,
+        None => overflow(constructor, count),
+    }
+}
+
+/// Panic naming the constructor and the count it was given. The message
+/// is assembled by hand because formatting an integer is not a `const`
+/// operation.
+#[cold]
+#[inline(never)]
+const fn overflow(constructor: &str, count: u64) -> ! {
+    let mut digits = [0u8; 20];
+    let (mut first, mut rest) = (digits.len(), count);
+    while rest > 0 {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let parts = [
+        constructor.as_bytes(),
+        b"(",
+        digits.split_at(first).1,
+        b"): microseconds overflow u64",
+    ];
+    let mut msg = [0u8; 96];
+    let (mut len, mut p) = (0, 0);
+    while p < parts.len() {
+        let mut i = 0;
+        while i < parts[p].len() {
+            msg[len] = parts[p][i];
+            len += 1;
+            i += 1;
+        }
+        p += 1;
+    }
+    match std::str::from_utf8(msg.split_at(len).0) {
+        Ok(msg) => panic!("{}", msg),
+        Err(_) => panic!("time constructor: microseconds overflow u64"),
+    }
+}
 
 /// A point in virtual time, in microseconds since the start of the run.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -36,14 +88,18 @@ impl Timestamp {
         Timestamp(us)
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds. Panics if the microsecond count
+    /// overflows a `u64`.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        Timestamp(ms * 1_000)
+        Timestamp(micros("Timestamp::from_millis", ms, 1_000))
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds. Panics if the microsecond count
+    /// overflows a `u64`.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        Timestamp(s * 1_000_000)
+        Timestamp(micros("Timestamp::from_secs", s, 1_000_000))
     }
 
     /// Raw microseconds since the start of the run.
@@ -82,14 +138,18 @@ impl Duration {
         Duration(us)
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds. Panics if the microsecond count
+    /// overflows a `u64`.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        Duration(ms * 1_000)
+        Duration(micros("Duration::from_millis", ms, 1_000))
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds. Panics if the microsecond count
+    /// overflows a `u64`.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000)
+        Duration(micros("Duration::from_secs", s, 1_000_000))
     }
 
     /// Construct from fractional seconds (rounds to the nearest µs).
@@ -255,5 +315,65 @@ mod tests {
     #[should_panic]
     fn negative_float_duration_panics() {
         let _ = Duration::from_secs_f64(-0.5);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn counts_that_fit_round_trip_through_micros(
+            ms in 0u64..u64::MAX / 1_000 + 1,
+            s in 0u64..u64::MAX / 1_000_000 + 1,
+        ) {
+            proptest::prop_assert_eq!(Duration::from_millis(ms).as_micros() / 1_000, ms);
+            proptest::prop_assert_eq!(Timestamp::from_millis(ms).as_micros() / 1_000, ms);
+            proptest::prop_assert_eq!(Duration::from_secs(s).as_micros() / 1_000_000, s);
+            proptest::prop_assert_eq!(Timestamp::from_secs(s).as_micros() / 1_000_000, s);
+            proptest::prop_assert_eq!(Duration::from_millis(ms).as_micros() % 1_000, 0);
+            proptest::prop_assert_eq!(Timestamp::from_secs(s).as_micros() % 1_000_000, 0);
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_of(f: impl FnOnce() -> u64 + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic, not wrap");
+        let msg = payload.downcast_ref::<String>().cloned();
+        msg.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a string panic message")
+    }
+
+    #[test]
+    fn constructors_that_would_wrap_panic_by_name() {
+        // `cargo test --release` runs this too: `checked_mul`, not the
+        // debug-only overflow check, is what refuses.
+        let first_bad_ms = u64::MAX / 1_000 + 1;
+        let first_bad_s = u64::MAX / 1_000_000 + 1;
+        for ms in [first_bad_ms, u64::MAX] {
+            assert_eq!(
+                panic_of(move || Duration::from_millis(ms).as_micros()),
+                format!("Duration::from_millis({ms}): microseconds overflow u64")
+            );
+            assert_eq!(
+                panic_of(move || Timestamp::from_millis(ms).as_micros()),
+                format!("Timestamp::from_millis({ms}): microseconds overflow u64")
+            );
+        }
+        for s in [first_bad_s, u64::MAX] {
+            assert_eq!(
+                panic_of(move || Duration::from_secs(s).as_micros()),
+                format!("Duration::from_secs({s}): microseconds overflow u64")
+            );
+            assert_eq!(
+                panic_of(move || Timestamp::from_secs(s).as_micros()),
+                format!("Timestamp::from_secs({s}): microseconds overflow u64")
+            );
+        }
+        // The largest counts that fit still construct.
+        assert_eq!(
+            Duration::from_millis(first_bad_ms - 1).as_micros(),
+            (first_bad_ms - 1) * 1_000
+        );
+        assert_eq!(
+            Timestamp::from_secs(first_bad_s - 1).as_micros(),
+            (first_bad_s - 1) * 1_000_000
+        );
     }
 }
