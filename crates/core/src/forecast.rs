@@ -11,16 +11,27 @@
 //! bin `i`, horizon tick `t`, and cumulative count `c`, we precompute
 //!
 //! ```text
-//! F[t][c][i] = P( C_{t} ≤ c | λ₀ = bin i )
+//! F[t][c][i] = P( C_{t+1} ≤ c | λ₀ = bin i )
 //! ```
 //!
-//! by dynamic programming over the joint (rate bin × cumulative volume)
-//! distribution: each tick applies the Brownian/outage transition to the
-//! bin axis and advances the volume axis by the bin's expected per-tick
-//! deliveries (in quarter-MTU units, split across adjacent cells to keep
-//! the expectation exact). At runtime the forecast CDF is the
-//! posterior-weighted mixture `Σᵢ P(λ₀=i)·F[t][c][i]`, binary-searched
-//! for the configured percentile.
+//! where one tick moves the rate bin by the Brownian/outage transition
+//! `K(i→j)` and then advances the cumulative volume by bin `j`'s expected
+//! per-tick deliveries (in quarter-MTU units, split across the two
+//! adjacent integer cells to keep the expectation exact). Conditioning on
+//! the *first* tick's destination gives the backward (Kolmogorov)
+//! recursion [`ForecastTables::build`] runs — every start bin at once:
+//!
+//! ```text
+//! G₀[j][c]  = 1
+//! M[j][c]   = G_t[j][c − lo_j]·(1 − frac_j) + G_t[j][c − lo_j − 1]·frac_j
+//! G_{t+1}[i][c] = Σ_j K(i→j) · M[j][c]            F[t] = G_{t+1}
+//! ```
+//!
+//! (`G[j][c] = 0` for `c < 0`), one gather through the kernel's CSR rows
+//! per tick instead of one forward DP over the joint (rate bin ×
+//! cumulative volume) distribution per start bin. At runtime the forecast
+//! CDF is the posterior-weighted mixture `Σᵢ P(λ₀=i)·F[t][c][i]`,
+//! binary-searched for the configured percentile.
 //!
 //! **Implementation note (documented deviation).** The percentile is
 //! taken over the *rate path* (the model's uncertainty about λ and
@@ -44,11 +55,13 @@ use crate::simd::{mixture_lanes, CDF_LANES};
 
 /// On-disk persistence of built tables. Version covers both the byte
 /// layout of [`ForecastTables::to_bytes`] and the DP semantics — bump it
-/// whenever either changes, or stale files would silently load.
-static TABLE_ARTIFACT: ArtifactKind = ArtifactKind::new("forecast-table", 1);
+/// whenever either changes, or stale files would silently load. (v2: the
+/// backward recursion; the paper geometry's bytes are pinned equal to
+/// v1's, other geometries are equal only to rounding.)
+static TABLE_ARTIFACT: ArtifactKind = ArtifactKind::new("forecast-table", 2);
 
 /// Disk-cache traffic counters for forecast tables (hits mean a
-/// `ForecastTables::get` skipped the DP entirely).
+/// `ForecastTables::get` skipped the build entirely).
 pub fn table_cache_counters() -> CacheCounters {
     TABLE_ARTIFACT.counters()
 }
@@ -57,9 +70,11 @@ pub fn table_cache_counters() -> CacheCounters {
 static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
 
 /// How many link geometries the in-memory forecast-table cache keeps
-/// live at once. Each entry is ≈4 MB at paper scale; eight covers every
+/// live at once. Each entry is ≈6 MB at paper scale; eight covers every
 /// matrix the `reproduce` experiments declare with headroom, while a
-/// daemon cycling through arbitrary geometries stays bounded.
+/// daemon cycling through arbitrary geometries stays bounded. The cap
+/// bounds memory, not time: an evicted geometry comes back in tens of
+/// milliseconds (disk load or rebuild).
 pub const FORECAST_TABLE_CACHE_CAP: usize = 8;
 
 /// Everything immutable that one table geometry needs at runtime: the
@@ -147,8 +162,11 @@ pub struct Forecast {
 impl Forecast {
     /// Cumulative *bytes* deliverable within the first `t+1` ticks.
     pub fn cumulative_bytes(&self, tick_index: usize, mtu: u32) -> u64 {
-        let idx = tick_index.min(self.cumulative_units.len() - 1);
-        self.cumulative_units[idx] as u64 * mtu as u64 / UNITS_PER_MTU
+        // Past the horizon the forecast extends flat; an empty one (the
+        // `Default`) promises nothing.
+        let last = self.cumulative_units.last().copied().unwrap_or(0);
+        let units = self.cumulative_units.get(tick_index).copied();
+        units.unwrap_or(last) as u64 * mtu as u64 / UNITS_PER_MTU
     }
 
     /// Number of horizon ticks covered.
@@ -186,7 +204,7 @@ impl ForecastTables {
     /// Fetch (building on first use) the tables for `cfg` from the global
     /// cache. Tables depend only on the model geometry, not the percentile,
     /// so Fig-9 style confidence sweeps share one build. The cache is a
-    /// bounded LRU ([`FORECAST_TABLE_CACHE_CAP`] geometries, ≈4 MB each at
+    /// bounded LRU ([`FORECAST_TABLE_CACHE_CAP`] geometries, ≈6 MB each at
     /// paper scale): a daemon sweeping many disjoint geometries recycles
     /// slots instead of growing without bound.
     pub fn get(cfg: &SproutConfig) -> Arc<ForecastTables> {
@@ -199,8 +217,9 @@ impl ForecastTables {
     pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
         #[cfg(test)]
         let _gate = fetch_gate::shared();
-        // One build per live geometry (it costs seconds at paper scale),
-        // shared by every concurrent sweep worker that asks for it.
+        // One build per live geometry (tens of milliseconds and ≈6 MB at
+        // paper scale), shared by every concurrent sweep worker that asks
+        // for it.
         TABLE_MEMO.get_or_build(&cfg.table_key(), || {
             (
                 Arc::new(ForecastTables::load_or_build(cfg)),
@@ -315,95 +334,95 @@ impl ForecastTables {
         Some(tables)
     }
 
-    /// Build the tables by per-start-bin dynamic programming.
+    /// Build the tables by the backward recursion of the module docs: every
+    /// start bin at once, one volume step per bin and one gather through
+    /// the kernel's CSR rows per horizon tick (≈ 93 M multiply-adds at
+    /// paper scale, tens of milliseconds). Single-threaded on purpose: a
+    /// second worker could save under 20 ms once per geometry per
+    /// process, less than the strip-and-merge scaffolding it needs is
+    /// worth.
     pub fn build(cfg: &SproutConfig, kernel: &TransitionKernel) -> ForecastTables {
-        ForecastTables::build_impl(cfg, kernel, build_one_start)
+        cfg.validate();
+        let n = cfg.num_bins;
+        let cm = cfg.count_max;
+        let shifts = unit_shifts(cfg);
+        let scatter = kernel.scatter();
+        // The count axis clamps at its top cell, so `P(C ≤ cm−1) = 1` for
+        // every tick and start bin: the top cell keeps the 1.0 it is
+        // filled with. Below it the clamp moves no mass, so the recursion
+        // runs unclamped.
+        let mut tables = ForecastTables::filled(n, cfg.horizon_ticks, cm, max_unit_step(cfg));
+        // `g[j·cm + c] = G_t[j][c]`, starting at `G₀ ≡ 1`; `m` likewise.
+        let mut g = vec![1.0f64; n * cm];
+        let mut m = vec![0.0f64; n * cm];
+        for t in 0..cfg.horizon_ticks {
+            // Advance the volume axis of every bin: the tick delivers `lo`
+            // units with probability `1 − frac` and `lo + 1` with `frac`.
+            let rows = g.chunks_exact(cm).zip(m.chunks_exact_mut(cm));
+            for ((g_row, m_row), &(lo, frac)) in rows.zip(&shifts) {
+                if lo == 0 && frac == 0.0 {
+                    m_row.copy_from_slice(g_row); // outage bin: volume unchanged
+                    continue;
+                }
+                // Counts below `lo` are unreachable; `lo` itself only by
+                // the low half from count 0.
+                let keep = 1.0 - frac;
+                let (below, reachable) = m_row.split_at_mut(lo.min(cm));
+                below.fill(0.0);
+                if let Some((first, rest)) = reachable.split_first_mut() {
+                    *first = g_row[0] * keep;
+                    for (slot, pair) in rest.iter_mut().zip(g_row.windows(2)) {
+                        *slot = pair[1] * keep + pair[0] * frac;
+                    }
+                }
+            }
+            // Evolve the bin axis: start bin `i` reaches bin `j` with
+            // `K(i→j)`, summed in ascending `j`.
+            for (i, out) in g.chunks_exact_mut(cm).enumerate() {
+                out.fill(0.0);
+                let (dests, weights) = scatter.row(i);
+                for (&j, &w) in dests.iter().zip(weights) {
+                    let m_row = &m[j as usize * cm..][..cm];
+                    for (o, &v) in out.iter_mut().zip(m_row) {
+                        *o += w * v;
+                    }
+                }
+                for (c, &p) in out[..cm - 1].iter().enumerate() {
+                    let at = tables.cell(t, c, i);
+                    tables.cdf[at] = p.min(1.0) as f32;
+                }
+            }
+        }
+        tables
     }
 
-    /// [`Self::build`] driven by the pre-vectorization scalar DP, kept as
-    /// the bit-exactness reference: the blocked/restructured inner loops
-    /// of the production build must produce byte-identical tables
-    /// (enforced by the `kernel_equivalence` proptest suite).
+    /// [`Self::build`] by the scalar forward DP — one pass over the joint
+    /// (rate bin × cumulative volume) distribution per start bin — kept as
+    /// the oracle of the recursion above; only tests call it (seconds at
+    /// paper scale). The two agree to rounding in f64, and after the
+    /// narrowing to f32 to the bit on every geometry the test suites
+    /// build.
     pub fn build_reference(cfg: &SproutConfig, kernel: &TransitionKernel) -> ForecastTables {
-        ForecastTables::build_impl(cfg, kernel, build_one_start_reference)
-    }
-
-    /// Shared build scaffolding (shift precomputation, worker threads,
-    /// strip merge) parameterized over the per-start DP implementation.
-    fn build_impl(
-        cfg: &SproutConfig,
-        kernel: &TransitionKernel,
-        one_start: OneStart,
-    ) -> ForecastTables {
         cfg.validate();
         let n = cfg.num_bins;
         let horizon = cfg.horizon_ticks;
         let cm = cfg.count_max;
-        let tau = cfg.tick_secs();
-
-        // Per-bin deterministic volume advance for one tick, in quarter-MTU
-        // units: the expectation λ·τ·UNITS_PER_MTU, split between the two
-        // adjacent integer cells so the expected advance is exact. (The
-        // percentile covers rate-path uncertainty, not Poisson sampling
-        // noise — see the module docs.)
-        let shifts: Vec<(usize, f64)> = (0..n)
-            .map(|i| {
-                let units = cfg.bin_rate_pps(i) * tau * UNITS_PER_MTU as f64;
-                let lo = units.floor();
-                (lo as usize, units - lo)
-            })
-            .collect();
-
-        // The CSR transition matrix and its transpose (for the
-        // destination-major evolve), shared read-only by every worker.
-        let scatter = kernel.scatter();
-        let scatter_t = scatter.transposed();
-
-        // The DP over start bins is embarrassingly parallel; chunk it over
-        // the available cores with scoped threads (no extra dependencies).
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n);
-        let chunk = n.div_ceil(threads);
-        let mut per_start: Vec<Vec<f32>> = vec![Vec::new(); n];
-        std::thread::scope(|scope| {
-            let mut rest: &mut [Vec<f32>] = &mut per_start;
-            let mut base = 0usize;
-            let mut handles = Vec::new();
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let start0 = base;
-                base += take;
-                let shifts = &shifts;
-                let scatter_t = &scatter_t;
-                handles.push(scope.spawn(move || {
-                    let mut joint = vec![0.0f64; n * cm];
-                    let mut next = vec![0.0f64; n * cm];
-                    let mut conv = vec![0.0f64; cm];
-                    for (off, slot) in head.iter_mut().enumerate() {
-                        let start = start0 + off;
-                        *slot = one_start(
-                            start, horizon, cm, shifts, scatter, scatter_t, &mut joint, &mut next,
-                            &mut conv,
-                        );
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("forecast-table worker panicked");
-            }
-        });
-
-        let max_step = shifts.iter().map(|&(lo, _)| lo + 1).max().unwrap_or(cm);
-        debug_assert_eq!(max_step, max_unit_step(cfg));
-
-        // Merge the per-start CDF strips into the tiled runtime layout.
-        let mut tables = ForecastTables::filled(n, horizon, cm, max_step);
-        for (start, strip) in per_start.iter().enumerate() {
-            debug_assert_eq!(strip.len(), horizon * cm);
+        let shifts = unit_shifts(cfg);
+        let mut tables = ForecastTables::filled(n, horizon, cm, max_unit_step(cfg));
+        let mut joint = vec![0.0f64; n * cm];
+        let mut next = vec![0.0f64; n * cm];
+        let mut conv = vec![0.0f64; cm];
+        for start in 0..n {
+            let strip = build_one_start_reference(
+                start,
+                horizon,
+                cm,
+                &shifts,
+                kernel.scatter(),
+                &mut joint,
+                &mut next,
+                &mut conv,
+            );
             for t in 0..horizon {
                 for c in 0..cm {
                     let at = tables.cell(t, c, start);
@@ -720,237 +739,35 @@ pub struct ForecastScratch {
     prev_units: Vec<u32>,
 }
 
-/// Signature shared by the production per-start DP and its scalar
-/// reference, so [`ForecastTables::build_impl`] can run either. The two
-/// `ScatterMatrix` arguments are the transition operator and its
-/// transpose (the reference ignores the transpose).
-type OneStart = fn(
-    usize,
-    usize,
-    usize,
-    &[(usize, f64)],
-    &ScatterMatrix,
-    &ScatterMatrix,
-    &mut Vec<f64>,
-    &mut Vec<f64>,
-    &mut [f64],
-) -> Vec<f32>;
+/// Per-bin deterministic volume advance for one tick, in quarter-MTU
+/// units: the expectation λ·τ·UNITS_PER_MTU as `(floor, fraction)`, split
+/// between the two adjacent integer cells so the expected advance is
+/// exact. (The percentile covers rate-path uncertainty, not Poisson
+/// sampling noise — see the module docs.)
+fn unit_shifts(cfg: &SproutConfig) -> Vec<(usize, f64)> {
+    let tau = cfg.tick_secs();
+    (0..cfg.num_bins)
+        .map(|i| {
+            let units = cfg.bin_rate_pps(i) * tau * UNITS_PER_MTU as f64;
+            let lo = units.floor();
+            (lo as usize, units - lo)
+        })
+        .collect()
+}
 
 /// Largest per-tick advance of the cumulative-volume axis, in
 /// quarter-MTU units: the top bin's expected per-tick deliveries,
 /// rounded up for the fractional two-point split. Rates are monotone in
-/// the bin index, so this equals `max(shifts[j].0 + 1)`.
+/// the bin index, so this equals `max(unit_shifts[j].0 + 1)`.
 fn max_unit_step(cfg: &SproutConfig) -> usize {
     let units = cfg.bin_rate_pps(cfg.num_bins - 1) * cfg.tick_secs() * UNITS_PER_MTU as f64;
     units.floor() as usize + 1
 }
 
-/// Count-axis cache block for [`evolve_rows`], in f64 lanes. The evolve
-/// step re-reads every source row once per destination (~2·half_width+1
-/// times); blocking the count axis keeps the active slab — the kernel
-/// band's worth of source and destination row segments — resident in
-/// cache across those passes instead of streaming the full
-/// `window × count_max` panels (≈ 1.8 MB at paper scale) through memory
-/// once per band offset.
-const C_BLOCK: usize = 32;
-
-/// The DP for a single starting bin: returns the conditional CDF strip
-/// laid out as `strip[t * cm + c] = P(C_{t+1} ≤ c | λ₀ = start)`.
-///
-/// This is the production implementation: count-axis blocking in the
-/// evolve step, per-tick zero-fill narrowed to the reachable count
-/// range, and a bin-outer marginalization pass. Every floating-point
-/// accumulation keeps the reference implementation's order (ascending
-/// source bin per destination cell, ascending count for the cumulative
-/// sum), so the strips are bit-identical to
-/// [`build_one_start_reference`] — see that function and the
-/// `kernel_equivalence` tests.
-#[allow(clippy::too_many_arguments)]
-fn build_one_start(
-    start: usize,
-    horizon: usize,
-    cm: usize,
-    shifts: &[(usize, f64)],
-    scatter: &ScatterMatrix,
-    scatter_t: &ScatterMatrix,
-    joint: &mut Vec<f64>,
-    next: &mut Vec<f64>,
-    conv: &mut [f64],
-) -> Vec<f32> {
-    let n = scatter.num_bins();
-    let hw = scatter.max_reach();
-    let mut nz = vec![false; n];
-    let mut terms: Vec<(u32, f64)> = Vec::new();
-    joint.fill(0.0);
-    next.fill(0.0);
-    joint[start * cm] = 1.0;
-    let mut strip = vec![0.0f32; horizon * cm];
-    // Reachable bin window grows by the kernel half-width per tick (the
-    // outage escape row is bounded the same way); the reachable count
-    // ceiling grows by the widest kernel among reachable bins.
-    let mut j_lo = start;
-    let mut j_hi = start;
-    let mut c_hi = 0usize;
-
-    for t in 0..horizon {
-        j_lo = j_lo.saturating_sub(hw);
-        j_hi = (j_hi + hw).min(n - 1);
-        let (jl, jh) = (j_lo, j_hi);
-
-        // Count ceiling after this tick's volume advance. Nothing beyond
-        // it is written or read before the next tick's fill re-zeroes the
-        // range, so the scratch rows only need zeroing up to here —
-        // window rows outside `[jl, jh]` stay all-zero from the initial
-        // full fill by induction (writes never leave the window).
-        let widest = shifts[jh].0 + 1;
-        let new_c_hi = (c_hi + widest).min(cm - 1);
-
-        // --- evolve the bin axis (count axis untouched) ---
-        // The destination-major evolve overwrites counts `0..=c_hi` of
-        // every window row; only the counts this tick's volume advance
-        // will newly reach still need zeroing by hand.
-        for j in jl..=jh {
-            next[j * cm + c_hi + 1..j * cm + new_c_hi + 1].fill(0.0);
-        }
-        evolve_rows(
-            scatter_t, joint, next, jl, jh, c_hi, cm, &mut nz, &mut terms,
-        );
-        std::mem::swap(joint, next);
-
-        // --- advance the volume axis per bin (quarter-MTU units) ---
-        // The reference walks counts in ascending order doing two
-        // scattered adds per cell. Destination cells are independent, so
-        // the same result is computed cell-centrically as a two-point
-        // stencil: cell `k` receives the `frac` term from `c = k-lo-1`
-        // *then* the `1-frac` term from `c = k-lo` (ascending-`c` order),
-        // i.e. `row[k-lo-1]*frac + row[k-lo]*(1-frac)` — the reference's
-        // exact operand sequence per cell. Reads beyond `c_hi` see the
-        // zeros left by this tick's fill, contributing `+0.0` terms that
-        // cannot change any bit (no value in the DP is negative zero).
-        for j in jl..=jh {
-            let row = &mut joint[j * cm..(j + 1) * cm];
-            let (lo, frac) = shifts[j];
-            if lo == 0 && frac == 0.0 {
-                continue; // outage bin: volume unchanged
-            }
-            let inv = 1.0 - frac;
-            conv[..lo.min(new_c_hi + 1)].fill(0.0); // below the shift: unreachable
-            if lo <= new_c_hi {
-                conv[lo] = row[0] * inv; // only c = 0's low half reaches k = lo
-            }
-            let top = new_c_hi.min(cm - 2);
-            for k in lo + 1..=top {
-                conv[k] = row[k - lo - 1] * frac + row[k - lo] * inv;
-            }
-            if new_c_hi == cm - 1 {
-                // Clamped top cell: several counts collapse into `cm-1`,
-                // so replay the reference's accumulation order exactly
-                // (ascending `c`; low half before high half within one).
-                // `lo` can exceed `cm-1` when one tick's volume advance
-                // overshoots the whole count axis (tiny `count_max`
-                // relative to the rate grid) — then every count collapses
-                // into the top cell and the scan starts at `c = 0`.
-                let mut acc = 0.0f64;
-                for (c, &p) in row
-                    .iter()
-                    .enumerate()
-                    .take(c_hi + 1)
-                    .skip((cm - 1).saturating_sub(lo).saturating_sub(1))
-                {
-                    if p == 0.0 {
-                        continue;
-                    }
-                    if c + lo >= cm - 1 {
-                        acc += p * inv;
-                    }
-                    if c + lo + 1 >= cm - 1 {
-                        acc += p * frac;
-                    }
-                }
-                conv[cm - 1] = acc;
-            }
-            row[..=new_c_hi].copy_from_slice(&conv[..=new_c_hi]);
-        }
-        c_hi = new_c_hi;
-
-        // --- marginalize over bins, cumulative-sum, store ---
-        // Bin-outer accumulation into `conv` walks the joint array
-        // contiguously (the count-outer form strides by `cm` on every
-        // add); each count cell still sums its bins in ascending order
-        // and the cumulative sum still adds per-count totals in
-        // ascending count order, so `acc` sees the reference's exact
-        // operand sequence.
-        conv[..=c_hi].fill(0.0);
-        for j in jl..=jh {
-            let row = &joint[j * cm..j * cm + c_hi + 1];
-            crate::simd::add_assign(&mut conv[..=c_hi], row);
-        }
-        let mut acc = 0.0f64;
-        for (c, slot) in strip[t * cm..(t + 1) * cm].iter_mut().enumerate() {
-            if c <= c_hi {
-                acc += conv[c];
-            } else {
-                acc = 1.0; // everything reachable is ≤ c_hi
-            }
-            *slot = acc.min(1.0) as f32;
-        }
-    }
-    strip
-}
-
-/// Apply the transition operator to bins `[j_lo, j_hi]` of the joint
-/// distribution, overwriting counts `0..=c_hi` of every window row of
-/// `next`. Only counts `0..=c_hi` of `joint` carry mass; the count axis
-/// stays contiguous so the inner loop vectorizes.
-///
-/// The walk is destination-major over the transposed operator: each
-/// destination block accumulates all of its source contributions in one
-/// register-resident pass ([`crate::simd::weighted_sum_into`]) instead
-/// of being re-read and re-written once per source row. Per destination
-/// cell the contributions still arrive in ascending source-bin order —
-/// the reference's exact accumulation order — so the results are
-/// bit-identical (the per-block zero-source skip only elides `+0.0`
-/// terms, which cannot change any bit: no value in the DP is negative
-/// zero). The count axis is processed in [`C_BLOCK`]-wide blocks so the
-/// active slab of source rows stays cache-resident across the
-/// destination passes.
-#[allow(clippy::too_many_arguments)]
-fn evolve_rows(
-    scatter_t: &ScatterMatrix,
-    joint: &[f64],
-    next: &mut [f64],
-    j_lo: usize,
-    j_hi: usize,
-    c_hi: usize,
-    cm: usize,
-    nz: &mut [bool],
-    terms: &mut Vec<(u32, f64)>,
-) {
-    let mut c0 = 0usize;
-    while c0 <= c_hi {
-        let c1 = (c0 + C_BLOCK).min(c_hi + 1); // exclusive block end
-        for j in j_lo..=j_hi {
-            nz[j] = joint[j * cm + c0..j * cm + c1].iter().any(|&p| p != 0.0);
-        }
-        for dst in j_lo..=j_hi {
-            terms.clear();
-            let (srcs, weights) = scatter_t.row(dst);
-            for (&src, &w) in srcs.iter().zip(weights.iter()) {
-                let s = src as usize;
-                if s >= j_lo && s <= j_hi && nz[s] {
-                    terms.push(((s * cm + c0) as u32, w));
-                }
-            }
-            crate::simd::weighted_sum_into(&mut next[dst * cm + c0..dst * cm + c1], joint, terms);
-        }
-        c0 = c1;
-    }
-}
-
-/// The pre-vectorization scalar DP for one starting bin, kept verbatim
-/// as the bit-exactness reference for [`build_one_start`] (exercised by
-/// [`ForecastTables::build_reference`] and the `kernel_equivalence`
-/// proptest suite).
+/// The scalar forward DP for a single starting bin: returns the
+/// conditional CDF strip laid out as `strip[t * cm + c] = P(C_{t+1} ≤ c |
+/// λ₀ = start)`. Kept verbatim as the oracle behind
+/// [`ForecastTables::build_reference`].
 #[allow(clippy::too_many_arguments)]
 fn build_one_start_reference(
     start: usize,
@@ -958,7 +775,6 @@ fn build_one_start_reference(
     cm: usize,
     shifts: &[(usize, f64)],
     scatter: &ScatterMatrix,
-    _scatter_t: &ScatterMatrix,
     joint: &mut Vec<f64>,
     next: &mut Vec<f64>,
     conv: &mut [f64],
@@ -1026,7 +842,8 @@ fn build_one_start_reference(
     strip
 }
 
-/// The reference (unblocked) form of [`evolve_rows`].
+/// Apply the transition operator to bins `[j_lo, j_hi]` of the joint
+/// distribution (only counts `0..=c_hi` carry mass), source-major.
 fn evolve_rows_reference(
     scatter: &ScatterMatrix,
     joint: &[f64],
@@ -1265,6 +1082,14 @@ mod tests {
         assert_eq!(f.cumulative_bytes(0, 1500), 1_500);
         assert_eq!(f.cumulative_bytes(2, 1500), 4_500);
         assert_eq!(f.cumulative_bytes(99, 1500), 4_500); // clamped
+    }
+
+    #[test]
+    fn empty_forecast_promises_zero_bytes() {
+        let f = Forecast::default();
+        assert_eq!(f.horizon(), 0);
+        assert_eq!(f.cumulative_bytes(0, 1500), 0);
+        assert_eq!(f.cumulative_bytes(7, 1500), 0);
     }
 
     #[test]

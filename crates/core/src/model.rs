@@ -79,22 +79,6 @@ impl ScatterMatrix {
     pub fn max_reach(&self) -> usize {
         self.max_reach
     }
-
-    /// The transposed operator: row `d` of the result lists the
-    /// `(source, weight)` pairs that scatter into bin `d`, sources
-    /// ascending (the outer ascending-`j` scan guarantees the order).
-    /// Lets destination-major consumers accumulate each output cell in
-    /// the same ascending-source order as the row-major walk.
-    pub(crate) fn transposed(&self) -> ScatterMatrix {
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.num_bins];
-        for j in 0..self.num_bins {
-            let (dests, weights) = self.row(j);
-            for (&d, &w) in dests.iter().zip(weights.iter()) {
-                cols[d as usize].push((j, w));
-            }
-        }
-        ScatterMatrix::from_rows(self.num_bins, cols.into_iter())
-    }
 }
 
 /// A group of consecutive matrix rows stored densely for the evolve

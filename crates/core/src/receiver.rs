@@ -301,11 +301,13 @@ impl SproutReceiver {
                 let fc = &self.fc_scratch;
                 let unit = self.cfg.mtu_bytes as u64 / crate::forecast::UNITS_PER_MTU;
                 let mut units = [0u16; WIRE_HORIZON];
+                // Clamp into the wire's fixed 8-tick format: shorter
+                // horizons extend flat (an empty one as all zeros), longer
+                // ones truncate.
+                let last = fc.last().copied().unwrap_or(0);
                 for (i, slot) in units.iter_mut().enumerate() {
-                    // Clamp into the wire's fixed 8-tick format: shorter
-                    // horizons extend flat, longer ones truncate.
-                    let idx = i.min(fc.len() - 1);
-                    *slot = (fc[idx] / unit).min(u16::MAX as u64) as u16;
+                    let bytes = fc.get(i).copied().unwrap_or(last);
+                    *slot = (bytes / unit).min(u16::MAX as u64) as u16;
                 }
                 self.cached_units = Some(units);
                 units
@@ -576,5 +578,26 @@ mod tests {
         r.process_ticks(t(100));
         assert_eq!(r.make_feedback().tick, 5);
         assert_eq!(r.tick_counter(), 5);
+    }
+
+    #[test]
+    fn a_forecaster_that_returns_nothing_feeds_back_zeros() {
+        struct Silent;
+        impl Forecaster for Silent {
+            fn tick(&mut self, _: Option<TickObservation>) {}
+            fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>) {
+                out.clear();
+            }
+            fn horizon(&self) -> usize {
+                0
+            }
+            fn rate_estimate_bps(&self) -> f64 {
+                0.0
+            }
+        }
+        let cfg = SproutConfig::test_small();
+        let mut r = SproutReceiver::new(cfg, Box::new(Silent), Timestamp::ZERO);
+        r.process_ticks(t(20));
+        assert_eq!(r.make_feedback().cumulative_units, [0; WIRE_HORIZON]);
     }
 }

@@ -1,68 +1,23 @@
-//! Runtime-dispatched element-wise kernels for the evolve/DP/forecast hot
-//! loops.
+//! Runtime-dispatched lane-wise kernels for the evolve/forecast hot loops.
 //!
 //! The workspace builds for baseline x86-64 (SSE2, two f64 lanes), but the
-//! forecast-table DP, the per-tick evolve and the forecast's mixture sums
-//! spend nearly all their time in a few element-wise loops. Compiling
-//! those loops a second time inside
+//! per-tick evolve and the forecast's mixture sums spend nearly all their
+//! time in two lane-wise loops. Compiling those loops a second time inside
 //! `#[target_feature(enable = ...)]` wrappers — and dispatching on runtime
 //! CPU feature detection — lets LLVM autovectorize them 4 (AVX2) or
 //! 8 (AVX-512) lanes wide without changing how the workspace is built.
+//! (The forecast-table build runs once per geometry in tens of
+//! milliseconds and is plain loops in `forecast.rs`.)
 //!
-//! **Bit-exactness.** Every kernel here is element-wise: lane `i` computes
-//! `dst[i] += w * src[i]` (or `dst[i] += src[i]`) with one IEEE multiply
-//! and one IEEE add, exactly like the scalar loop ([`mixture_lanes`] also
-//! widens an f32, which is exact). Rust never enables
+//! **Bit-exactness.** Every kernel here is lane-wise: lane `l` accumulates
+//! `acc[l] += p * w[l]` with one IEEE multiply and one IEEE add per term,
+//! exactly like the scalar loop ([`mixture_lanes`] also widens an f32,
+//! which is exact). Rust never enables
 //! floating-point contraction (no FMA fusing) or reassociation, and wider
 //! registers do not change per-lane rounding, so every dispatch path
 //! produces bit-identical results. This invariant is what lets the sweep
 //! keep byte-identical canonical output across machines — and it is
 //! enforced by unit tests here and the `kernel_equivalence` suite.
-
-/// `dst[i] += src[i]` over the common prefix of the two slices.
-#[inline]
-pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match features() {
-            Level::Avx512 => {
-                // SAFETY: AVX-512F support verified at runtime.
-                return unsafe { add_assign_avx512(dst, src) };
-            }
-            Level::Avx2 => {
-                // SAFETY: AVX2 support verified at runtime.
-                return unsafe { add_assign_avx2(dst, src) };
-            }
-            Level::Baseline => {}
-        }
-    }
-    add_assign_scalar(dst, src);
-}
-
-/// `dst[k] = Σᵢ wᵢ · flat[offᵢ + k]`, terms accumulated in slice order
-/// starting from `0.0` — per lane, the exact operand sequence of
-/// `dst.fill(0.0)` followed by one `dst[k] += wᵢ · flat[offᵢ + k]` pass per
-/// term. Keeping the accumulator in registers instead of re-reading `dst`
-/// per term is what makes destination-major loops cheaper than the
-/// pass-per-source form.
-#[inline]
-pub(crate) fn weighted_sum_into(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match features() {
-            Level::Avx512 => {
-                // SAFETY: AVX-512F support verified at runtime.
-                return unsafe { weighted_sum_into_avx512(dst, flat, terms) };
-            }
-            Level::Avx2 => {
-                // SAFETY: AVX2 support verified at runtime.
-                return unsafe { weighted_sum_into_avx2(dst, flat, terms) };
-            }
-            Level::Baseline => {}
-        }
-    }
-    weighted_sum_into_scalar(dst, flat, terms);
-}
 
 /// Destinations per register tile of the evolve walk
 /// ([`TransitionKernel::evolve_into`]). Sixteen lanes are two 512-bit or
@@ -176,38 +131,6 @@ fn mixture_lanes_scalar(tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
 }
 
 #[inline(always)]
-fn weighted_sum_into_scalar(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
-    // 32-lane tiles spread each term's adds over enough independent
-    // accumulator registers that the loop is bound by multiply/add
-    // throughput, not by the latency chain through one accumulator.
-    const TILE: usize = 32;
-    let len = dst.len();
-    let mut k = 0;
-    while k + TILE <= len {
-        let mut acc = [0.0f64; TILE];
-        for &(off, w) in terms {
-            let s = &flat[off as usize + k..off as usize + k + TILE];
-            for (a, &v) in acc.iter_mut().zip(s.iter()) {
-                *a += w * v;
-            }
-        }
-        dst[k..k + TILE].copy_from_slice(&acc);
-        k += TILE;
-    }
-    if k < len {
-        let rem = len - k;
-        let mut acc = [0.0f64; TILE];
-        for &(off, w) in terms {
-            let s = &flat[off as usize + k..off as usize + k + rem];
-            for (a, &v) in acc.iter_mut().zip(s.iter()) {
-                *a += w * v;
-            }
-        }
-        dst[k..].copy_from_slice(&acc[..rem]);
-    }
-}
-
-#[inline(always)]
 fn tile_sum_into_scalar(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     // A fixed-size accumulator indexed by a constant-bound loop is what
     // LLVM keeps in vector registers across the source loop; written as
@@ -226,13 +149,6 @@ fn tile_sum_into_scalar(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
         }
     }
     dst.copy_from_slice(&acc[..dst.len()]);
-}
-
-#[inline(always)]
-fn add_assign_scalar(dst: &mut [f64], src: &[f64]) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d += s;
-    }
 }
 
 /// Widest vector extension available on this CPU.
@@ -280,24 +196,6 @@ fn features() -> Level {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn add_assign_avx2(dst: &mut [f64], src: &[f64]) {
-    add_assign_scalar(dst, src);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn weighted_sum_into_avx2(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
-    weighted_sum_into_scalar(dst, flat, terms);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn weighted_sum_into_avx512(dst: &mut [f64], flat: &[f64], terms: &[(u32, f64)]) {
-    weighted_sum_into_scalar(dst, flat, terms);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
 unsafe fn tile_sum_into_avx2(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     tile_sum_into_scalar(dst, groups);
 }
@@ -306,12 +204,6 @@ unsafe fn tile_sum_into_avx2(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_sum_into_avx512(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     tile_sum_into_scalar(dst, groups);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn add_assign_avx512(dst: &mut [f64], src: &[f64]) {
-    add_assign_scalar(dst, src);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -417,25 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_into_is_bitwise_fill_plus_saxpy() {
-        let flat = probe_vec(600, 7);
-        let terms: Vec<(u32, f64)> = vec![(3, 1.5), (40, -2.25), (301, 1e-150), (0, 0.5)];
-        for len in [0usize, 1, 5, 8, 17, 64, 127, 128] {
-            let mut a = vec![9.0; len]; // stale contents must be overwritten
-            weighted_sum_into(&mut a, &flat, &terms);
-            let mut b = vec![0.0f64; len];
-            for &(off, w) in &terms {
-                for (d, &v) in b.iter_mut().zip(&flat[off as usize..]) {
-                    *d += w * v;
-                }
-            }
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "len={len}");
-            }
-        }
-    }
-
-    #[test]
     fn mixture_lanes_is_bitwise_the_per_count_scalar_sum() {
         for bins in [0usize, 1, 3, 40, 181] {
             let w = probe_vec(bins, 5);
@@ -450,20 +323,6 @@ mod tests {
                     acc += p * tile[k * CDF_LANES + l] as f64;
                 }
                 assert_eq!(lane.to_bits(), acc.to_bits(), "bins={bins} lane={l}");
-            }
-        }
-    }
-
-    #[test]
-    fn dispatched_add_assign_is_bitwise_scalar() {
-        for n in [0, 1, 5, 64, 130] {
-            let src = probe_vec(n, 3);
-            let mut a = probe_vec(n, 4);
-            let mut b = a.clone();
-            add_assign(&mut a, &src);
-            add_assign_scalar(&mut b, &src);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n}");
             }
         }
     }
