@@ -26,26 +26,29 @@ use sprout_cache::{ArtifactKind, ByteWriter, CacheCounters};
 use crate::record::{self, Part, SweepResult};
 use crate::scenario::Scenario;
 
-/// On-disk persistence of sweep cells. The version covers the payload
-/// encoding only; simulation-semantics changes are keyed separately by
-/// [`ENGINE_VERSION`].
+/// On-disk persistence of sweep cells: one file per cell. The version
+/// covers the payload encoding only; simulation-semantics changes are
+/// keyed separately by [`ENGINE_VERSION`].
 ///
-/// v2: the payload is the record's [`Part::Canonical`] fields in walk
-/// order under the one layout rule of `crate::record` (v1 hand-encoded
-/// each field, with two option encodings and `u32` counts). The version
-/// is part of the file name, so v1 files are never opened: a cell stored
-/// by an older build is a plain miss.
-static CELL_ARTIFACT: ArtifactKind = ArtifactKind::new("cell-result", 2);
+/// v3: the payload is the record's parts under the one layout rule of
+/// `crate::record` — [`payload_parts`]: the canonical fields, and right
+/// behind them the series of a cell that requests one (v2 kept the
+/// series in a second file under the same key; v1 hand-encoded each
+/// field). The version is part of the file name, so older files are
+/// never opened: a cell stored by an older build is a plain miss.
+static CELL_ARTIFACT: ArtifactKind = ArtifactKind::new("cell-result", 3);
 
-/// On-disk persistence of per-cell time series, stored *alongside* the
-/// cell result under the same key (own kind, own file). Split out so the
-/// summary payload stays small for sweeps that never request a series,
-/// while a `--timeseries` resume can serve both without re-simulating.
-/// The payload is the record's [`Part::Series`] — an absent series is
-/// stored as such, so a cell whose workload produces none (probe, serve)
-/// still has a valid artifact and its hits never demote for a series
-/// that never existed. v2 for the same reason as [`CELL_ARTIFACT`].
-static CELL_SERIES_ARTIFACT: ArtifactKind = ArtifactKind::new("cell-series", 2);
+/// The parts `scenario`'s payload holds. The series request is part of
+/// the cache key ([`Scenario::canonical_bytes`]), so one key only ever
+/// names one shape, and a series-requesting cell is one store, one hit or
+/// one miss. An absent series is stored as such: a cell whose workload
+/// produces none (probe, serve) still decodes.
+fn payload_parts(scenario: &Scenario) -> &'static [Part] {
+    match scenario.cell_series_bin {
+        Some(_) => &[Part::Canonical, Part::Series],
+        None => &[Part::Canonical],
+    }
+}
 
 /// Version of the sweep engine's *execution semantics*. Bump whenever a
 /// change makes the same `(matrix, scenario, master_seed)` produce
@@ -76,14 +79,13 @@ static CELL_SERIES_ARTIFACT: ArtifactKind = ArtifactKind::new("cell-series", 2);
 /// [`ServeStats`](crate::record::ServeStats) capacity summary, which the
 /// payload now encodes.
 ///
-/// v6: measured-trace replay and the cell-series artifact. `Scenario`
+/// v6: measured-trace replay and the per-cell time series. `Scenario`
 /// links became [`crate::scenario::LinkSpec`] (measured captures keyed
 /// by the content fingerprint of their raw bytes, never a path) and
 /// gained the `cell_series_bin` request field; a cell result now
-/// carries an optional time-series attachment persisted as its own
-/// "cell-series" artifact under the same key, and a series-requesting
-/// hit must find that artifact — the bump retires every pre-series
-/// cell so the invariant holds from the first v6 run.
+/// carries an optional time-series attachment, persisted with it, and a
+/// series-requesting hit must supply it — the bump retires every
+/// pre-series cell so the invariant holds from the first v6 run.
 ///
 /// The bump is enforced, not remembered: `tests/fingerprints.rs` records
 /// this constant and the fingerprint of [`record::schema`] in the golden
@@ -95,11 +97,6 @@ pub const ENGINE_VERSION: u32 = 6;
 /// served a whole cell without simulating it).
 pub fn cell_cache_counters() -> CacheCounters {
     CELL_ARTIFACT.counters()
-}
-
-/// Disk-cache traffic counters for per-cell time-series artifacts.
-pub fn cell_series_cache_counters() -> CacheCounters {
-    CELL_SERIES_ARTIFACT.counters()
 }
 
 /// The full content address of one cell's result. The cache layer stores
@@ -154,25 +151,10 @@ pub fn load_cell(
     let key = cell_key(matrix_name, matrix_fingerprint, scenario, master_seed);
     let payload = CELL_ARTIFACT.load(&key)?;
     let mut result = SweepResult::unmeasured(matrix_name, scenario, master_seed);
-    if record::decode(&mut result, Part::Canonical, &payload).is_none() {
+    if record::decode(&mut result, payload_parts(scenario), &payload).is_none() {
         CELL_ARTIFACT.quarantine(&key);
         CELL_ARTIFACT.demote_hit();
         return None;
-    }
-    if scenario.cell_series_bin.is_some() {
-        // The scenario requests a time series, so a hit must supply the
-        // series artifact too; anything less demotes the whole cell to
-        // a miss (re-execute), never a series-less stale hit.
-        let Some(bytes) = CELL_SERIES_ARTIFACT.load(&key) else {
-            CELL_ARTIFACT.demote_hit();
-            return None;
-        };
-        if record::decode(&mut result, Part::Series, &bytes).is_none() {
-            CELL_SERIES_ARTIFACT.quarantine(&key);
-            CELL_SERIES_ARTIFACT.demote_hit();
-            CELL_ARTIFACT.demote_hit();
-            return None;
-        }
     }
     Some(result)
 }
@@ -185,11 +167,8 @@ pub fn store_cell(matrix_fingerprint: u64, master_seed: u64, result: &SweepResul
         &result.scenario,
         master_seed,
     );
-    let stored = CELL_ARTIFACT.store(&key, &record::encode(result, Part::Canonical));
-    if result.scenario.cell_series_bin.is_some() {
-        CELL_SERIES_ARTIFACT.store(&key, &record::encode(result, Part::Series));
-    }
-    stored
+    let parts = payload_parts(&result.scenario);
+    CELL_ARTIFACT.store(&key, &record::encode(result, parts))
 }
 
 #[cfg(test)]
@@ -273,6 +252,45 @@ mod tests {
         r
     }
 
+    /// `r` as a series-requesting cell that produced a series.
+    fn with_series(mut r: SweepResult) -> SweepResult {
+        r.scenario.cell_series_bin = Some(Duration::from_millis(500));
+        r.measured.cell_series = Some(sample_series());
+        r
+    }
+
+    /// The names in the cache directory, sorted.
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Write one artifact exactly as the parent commit's container did —
+    /// `SPROUTAC` magic, byte-wise FNV-1a checksum, a file name hashed
+    /// from the kind's name and the key alone — and return its name.
+    /// (FNV-1a of a concatenation is the chained hash the parent used.)
+    fn write_parent_layout_file(
+        dir: &std::path::Path,
+        kind: &str,
+        version: u32,
+        key: &[u8],
+        payload: &[u8],
+    ) -> String {
+        let fnv = |a: &[u8], b: &[u8]| sprout_cache::fingerprint64(&[a, b].concat());
+        let name = format!("{kind}-v{version}-{:016x}.bin", fnv(kind.as_bytes(), key));
+        let mut w = ByteWriter::new();
+        w.u32(version).u32(key.len() as u32);
+        w.u64(payload.len() as u64).u64(fnv(key, payload));
+        let bytes = [b"SPROUTAC", &w.finish()[..], key, payload].concat();
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join(&name), bytes).unwrap();
+        name
+    }
+
     #[test]
     fn pre_bump_engine_versions_are_cache_misses_not_stale_hits() {
         // Cells persisted by an older engine must be *missed* (and thus
@@ -286,7 +304,7 @@ mod tests {
         for old_version in [0, ENGINE_VERSION - 1] {
             let old_key = cell_key_versioned(old_version, "t", fp, &r.scenario, SEED);
             assert!(
-                CELL_ARTIFACT.store(&old_key, &record::encode(&r, Part::Canonical)),
+                CELL_ARTIFACT.store(&old_key, &record::encode(&r, payload_parts(&r.scenario))),
                 "storing under engine version {old_version}"
             );
         }
@@ -306,38 +324,36 @@ mod tests {
 
     #[test]
     fn pre_v2_cell_results_are_misses_not_quarantined() {
-        // The payload-layout bump (artifact v1 -> v2) is in the file
-        // name: a v1 file under the very same key is never opened, so it
-        // is a plain miss — not damage to quarantine — and it stays put.
+        // Every earlier layout of a cell — v1, and the v2 pair of a
+        // `cell-result` and a `cell-series` file the parent commit wrote
+        // — lives under file names this build never forms, so it is never
+        // opened: a plain miss, not damage to quarantine, and it stays put.
         let _g = CACHE_LOCK.lock().unwrap();
-        let dir = fresh_cache("artifact-v1");
-        static V1_RESULT: ArtifactKind = ArtifactKind::new("cell-result", 1);
-        static V1_SERIES: ArtifactKind = ArtifactKind::new("cell-series", 1);
+        let dir = fresh_cache("old-artifacts");
 
-        let mut r = sample_result();
-        r.scenario.cell_series_bin = Some(Duration::from_millis(500));
+        let r = with_series(sample_result());
         let fp = 0x0001;
         let key = cell_key("t", fp, &r.scenario, SEED);
-        assert!(V1_RESULT.store(&key, b"a v1 payload"));
-        assert!(V1_SERIES.store(&key, b"a v1 series payload"));
-        let files_before = std::fs::read_dir(&dir).unwrap().count();
+        let canonical = record::encode(&r, &[Part::Canonical]);
+        let series = &record::encode(&r, payload_parts(&r.scenario))[canonical.len()..];
+        let mut old = vec![
+            write_parent_layout_file(&dir, "cell-result", 1, &key, b"a v1 payload"),
+            write_parent_layout_file(&dir, "cell-series", 1, &key, b"a v1 series payload"),
+            write_parent_layout_file(&dir, "cell-result", 2, &key, &canonical),
+            write_parent_layout_file(&dir, "cell-series", 2, &key, series),
+        ];
+        old.sort();
+        assert_eq!(listing(&dir), old);
 
-        let (c0, s0) = (cell_cache_counters(), cell_series_cache_counters());
+        let before = cell_cache_counters();
         assert!(load_cell("t", fp, &r.scenario, SEED).is_none());
-        let (c, s) = (
-            cell_cache_counters().since(c0),
-            cell_series_cache_counters().since(s0),
-        );
+        let c = cell_cache_counters().since(before);
         assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 0));
-        assert_eq!((s.hits, s.misses, s.quarantined), (0, 0, 0));
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            files_before,
-            "the v1 files are left alone"
-        );
-        // A v2 store then serves, next to them.
+        assert_eq!(listing(&dir), old, "the old files are left alone");
+        // A v3 store then serves, next to them, as one more file.
         assert!(store_cell(fp, SEED, &r));
         assert!(load_cell("t", fp, &r.scenario, SEED).is_some());
+        assert_eq!(listing(&dir).len(), old.len() + 1);
 
         sprout_cache::reset_override();
         let _ = std::fs::remove_dir_all(&dir);
@@ -379,6 +395,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Store `payload` under `r`'s key as a checksum-valid file and
+    /// assert the load quarantines it and reports one miss.
+    fn assert_quarantined_miss(fp: u64, r: &SweepResult, payload: &[u8], what: &str) {
+        let key = cell_key("t", fp, &r.scenario, SEED);
+        assert!(CELL_ARTIFACT.store(&key, payload), "{what}");
+        let before = cell_cache_counters();
+        assert!(load_cell("t", fp, &r.scenario, SEED).is_none(), "{what}");
+        let c = cell_cache_counters().since(before);
+        assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1), "{what}");
+    }
+
     #[test]
     fn huge_stored_counts_are_quarantined_misses_not_allocations() {
         // Well-checksummed payloads whose sequence count claims ~4 G (or
@@ -387,40 +414,22 @@ mod tests {
         let _g = CACHE_LOCK.lock().unwrap();
         let dir = fresh_cache("cell-huge-count");
 
-        let mut r = sample_result();
-        r.scenario.cell_series_bin = Some(Duration::from_millis(500));
-        r.measured.cell_series = Some(sample_series());
+        let r = with_series(sample_result());
+        let canonical = record::encode(&r, &[Part::Canonical]);
         for (i, count) in [u64::from(u32::MAX), u64::MAX].into_iter().enumerate() {
-            // cell-result: no metrics, no fairness, then `flows` claims
-            // `count` elements.
+            // The canonical part: no metrics, no fairness, then `flows`
+            // claims `count` elements.
             let fp = 0xb16 + i as u64;
-            let key = cell_key("t", fp, &r.scenario, SEED);
             let mut w = ByteWriter::new();
             w.bool(false).bool(false).u64(count).u64(0);
-            assert!(CELL_ARTIFACT.store(&key, &w.finish()));
-            let before = cell_cache_counters();
-            assert!(load_cell("t", fp, &r.scenario, SEED).is_none());
-            let c = cell_cache_counters().since(before);
-            assert_eq!(
-                (c.hits, c.misses, c.quarantined),
-                (0, 1, 1),
-                "count {count}"
-            );
+            assert_quarantined_miss(fp, &r, &w.finish(), &format!("flows x {count}"));
 
-            // cell-series: a good result next to a series whose `delays`
-            // claims `count` samples.
-            assert!(store_cell(fp, SEED, &r));
+            // The series part: a good canonical part, then a series whose
+            // `delays` claims `count` samples.
             let mut w = ByteWriter::new();
             w.bool(true).u64(500_000).u64(count).f64(0.5);
-            assert!(CELL_SERIES_ARTIFACT.store(&key, &w.finish()));
-            let (c0, s0) = (cell_cache_counters(), cell_series_cache_counters());
-            assert!(load_cell("t", fp, &r.scenario, SEED).is_none());
-            let (c, s) = (
-                cell_cache_counters().since(c0),
-                cell_series_cache_counters().since(s0),
-            );
-            assert_eq!((c.hits, c.misses), (0, 1), "count {count}: hit demoted");
-            assert_eq!((s.hits, s.quarantined), (0, 1), "count {count}");
+            let payload = [&canonical[..], &w.finish()].concat();
+            assert_quarantined_miss(fp, &r, &payload, &format!("delays x {count}"));
         }
 
         sprout_cache::reset_override();
@@ -432,41 +441,51 @@ mod tests {
         let _g = CACHE_LOCK.lock().unwrap();
         let dir = fresh_cache("cell-series");
 
-        let mut r = sample_result();
-        r.scenario.cell_series_bin = Some(Duration::from_millis(500));
-        r.measured.cell_series = Some(sample_series());
+        // One file, one store, one hit: the cell and its series.
+        let r = with_series(sample_result());
         let fp = 0xc0de;
+        let before = cell_cache_counters();
         assert!(store_cell(fp, SEED, &r));
-        let back = load_cell("t", fp, &r.scenario, SEED).expect("hit serves both artifacts");
+        let back = load_cell("t", fp, &r.scenario, SEED).expect("one hit serves the series too");
         assert_eq!(back.cell_series, r.cell_series);
+        assert_eq!(back.measured.flows, r.measured.flows);
+        let c = cell_cache_counters().since(before);
+        assert_eq!((c.hits, c.misses, c.stores), (1, 0, 1));
+        let files = listing(&dir);
+        assert_eq!(files.len(), 1, "{files:?}");
+        assert!(files[0].starts_with("cell-result-v3-"), "{files:?}");
 
-        // A workload without a series stores a valid "none" artifact, so
-        // its hits never demote.
+        // A workload without a series stores the absence, so its hits
+        // never demote.
         let mut none = r.clone();
         none.measured.cell_series = None;
         assert!(store_cell(fp + 1, SEED, &none));
         let back = load_cell("t", fp + 1, &r.scenario, SEED).expect("a stored absence is a hit");
         assert_eq!(back.cell_series, None);
 
-        // A result entry without its requested series artifact (stored
-        // directly, bypassing store_cell) must demote to a miss.
-        let fp2 = 0xc0df + 1;
-        let key2 = cell_key("t", fp2, &r.scenario, SEED);
-        assert!(CELL_ARTIFACT.store(&key2, &record::encode(&r, Part::Canonical)));
-        let before = cell_cache_counters();
-        assert!(
-            load_cell("t", fp2, &r.scenario, SEED).is_none(),
-            "a series-requesting hit without its series re-executes"
-        );
-        let traffic = cell_cache_counters().since(before);
-        assert_eq!((traffic.hits, traffic.misses), (0, 1));
-
-        // An undecodable series payload quarantines and demotes too.
-        assert!(CELL_SERIES_ARTIFACT.store(&key2, b"not a series payload"));
-        let s_before = cell_series_cache_counters();
-        assert!(load_cell("t", fp2, &r.scenario, SEED).is_none());
-        let s_traffic = cell_series_cache_counters().since(s_before);
-        assert_eq!((s_traffic.hits, s_traffic.quarantined), (0, 1));
+        // A good canonical part whose requested series part is missing,
+        // cut short anywhere, garbled, or followed by anything: the file
+        // is quarantined and the cell is a miss (it re-executes) — never
+        // a series-less or half-a-series hit.
+        let payload = record::encode(&r, payload_parts(&r.scenario));
+        let canonical_len = record::encode(&r, &[Part::Canonical]).len();
+        for cut in canonical_len..payload.len() {
+            let what = format!("series part cut to {} bytes", cut - canonical_len);
+            assert_quarantined_miss(fp + 2, &r, &payload[..cut], &what);
+        }
+        let mut garbled = payload.clone();
+        garbled[canonical_len] = 7; // neither "absent" nor "present"
+        assert_quarantined_miss(fp + 2, &r, &garbled, "garbled presence byte");
+        let garbled = [&payload[..canonical_len], b"not a series payload"].concat();
+        assert_quarantined_miss(fp + 2, &r, &garbled, "garbled series part");
+        let trailing = [&payload[..], &[0]].concat();
+        assert_quarantined_miss(fp + 2, &r, &trailing, "a byte after the last part");
+        // Nor does a cell that requests no series accept one.
+        let plain = sample_result();
+        assert_quarantined_miss(fp + 3, &plain, &payload, "an unrequested series part");
+        // The name is free again: the re-executed cell's store serves.
+        assert!(store_cell(fp + 2, SEED, &r));
+        assert!(load_cell("t", fp + 2, &r.scenario, SEED).is_some());
 
         sprout_cache::reset_override();
         let _ = std::fs::remove_dir_all(&dir);

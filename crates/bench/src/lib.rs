@@ -22,7 +22,7 @@ pub mod scenario;
 pub mod schemes;
 pub mod sweep;
 
-pub use cellcache::{cell_cache_counters, cell_series_cache_counters, ENGINE_VERSION};
+pub use cellcache::{cell_cache_counters, ENGINE_VERSION};
 pub use figures::{
     default_contention_workloads, default_corpus_fingerprints, select, soak, soak_matrix,
     write_cell_series, ContentionAxes, Experiment, ExperimentConfig, ImpairAxes, ReplayAxes,

@@ -10,14 +10,15 @@
 //!
 //! * the canonical JSON line ([`result_to_json`]; `*_sweep.json` is
 //!   [`sweep_to_json`] over it),
-//! * the `cell-result` and `cell-series` cache payloads (`encode`) and
-//!   their decoder (`decode`),
+//! * the `cell-result` cache payload (`encode`: the canonical part and,
+//!   for a cell that requests one, the series part behind it) and its
+//!   decoder (`decode`),
 //! * the `(path, kind)` listing ([`schema`]) whose fingerprint the golden
 //!   snapshots pin next to `ENGINE_VERSION`.
 //!
 //! So a new result column is: a field on its struct, a line in that
 //! struct's walk, and whoever produces it. **Payload layout rule:** a
-//! payload is its part's fields in walk order; a scalar is its
+//! payload is its parts' fields in walk order; a scalar is its
 //! little-endian bits, an optional is one presence byte then the value
 //! only when present, a sequence is a `u64` count then the elements.
 //! Nothing else — no per-field special cases — which is why the payload
@@ -143,8 +144,8 @@ pub struct InterarrivalSummary {
     pub rows: Vec<(f64, f64, f64)>,
 }
 
-/// Per-cell time-series payload of the "cell-series" artifact
-/// (`reproduce --timeseries`): every per-arrival delay sample plus
+/// Per-cell time series (`reproduce --timeseries`), the [`Part::Series`]
+/// of a cell's cache payload: every per-arrival delay sample plus
 /// per-bin capacity/throughput/queue-depth rows over the measurement
 /// window. Collected for scheme workloads (the replay, impair, and soak
 /// matrices); workloads without a single metered direction (probe,
@@ -196,9 +197,10 @@ pub struct Measured {
     pub interarrival: Option<InterarrivalSummary>,
     /// Per-cell time series (only when the scenario requested one via
     /// [`Scenario::cell_series_bin`] and the workload produces one —
-    /// scheme workloads do, probe/serve cells don't). Persisted as its
-    /// own "cell-series" artifact and **excluded** from the canonical
-    /// sweep JSON; the TSV renderings are the deliverable.
+    /// scheme workloads do, probe/serve cells don't). Persisted behind
+    /// the canonical fields in the cell's one cache payload and
+    /// **excluded** from the canonical sweep JSON; the TSV renderings are
+    /// the deliverable.
     pub cell_series: Option<CellSeries>,
 }
 
@@ -252,13 +254,17 @@ impl Deref for SweepResult {
 // --------------------------------------------------------------- the walk
 
 /// Which part of a result a top-level field belongs to. A nested
-/// record's fields travel with the field that holds it.
+/// record's fields travel with the field that holds it. A `cell-result`
+/// payload is a list of parts, each part's fields in walk order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Part {
-    /// Rendered in canonical JSON and stored in the `cell-result`
+    /// Rendered in canonical JSON and stored in every `cell-result`
     /// payload.
     Canonical,
-    /// Stored as the `cell-series` artifact; never in canonical JSON.
+    /// Stored behind the canonical fields in the `cell-result` payload
+    /// of a cell whose scenario requests a series — the request is in the
+    /// cache key, so a key's payload always has one shape; never in
+    /// canonical JSON.
     Series,
     /// Measured per execution: neither stored nor canonical.
     Wall,
@@ -614,16 +620,16 @@ fn json_record<C: Record>(rec: &C, out: &mut String) {
     out.push(close);
 }
 
-/// Writes the payload of one part of a record.
+/// Writes the payload of the listed parts of a record.
 struct Encode<'a, R> {
     w: &'a mut ByteWriter,
     rec: &'a R,
-    part: Part,
+    parts: &'a [Part],
 }
 
 impl<R> Walker<R> for Encode<'_, R> {
     fn wants(&mut self, part: Part) -> bool {
-        part == self.part
+        self.parts.contains(&part)
     }
     fn field<V: Value>(&mut self, _name: &'static str, at: Lens<R, V>) -> Option<()> {
         (at.get)(self.rec).put(self.w);
@@ -632,16 +638,16 @@ impl<R> Walker<R> for Encode<'_, R> {
     fn derived(&mut self, _: &'static str, _: &'static str, _: fn(&R, &mut String)) {}
 }
 
-/// Fills one part of a record from its payload.
+/// Fills the listed parts of a record from their payload.
 struct Decode<'a, 'b, R> {
     r: &'a mut ByteReader<'b>,
     rec: &'a mut R,
-    part: Part,
+    parts: &'a [Part],
 }
 
 impl<R> Walker<R> for Decode<'_, '_, R> {
     fn wants(&mut self, part: Part) -> bool {
-        part == self.part
+        self.parts.contains(&part)
     }
     fn field<V: Value>(&mut self, _name: &'static str, at: Lens<R, V>) -> Option<()> {
         *(at.get_mut)(self.rec) = V::take(self.r)?;
@@ -682,7 +688,7 @@ impl<C: Record + Default> Value for C {
         let mut walker = Encode {
             w,
             rec: self,
-            part: Part::Canonical,
+            parts: &[Part::Canonical],
         };
         C::walk(&mut walker).expect("encoding cannot fail");
     }
@@ -691,7 +697,7 @@ impl<C: Record + Default> Value for C {
         let mut walker = Decode {
             r,
             rec: &mut rec,
-            part: Part::Canonical,
+            parts: &[Part::Canonical],
         };
         C::walk(&mut walker)?;
         Some(rec)
@@ -737,26 +743,28 @@ pub fn sweep_to_json(matrix_name: &str, master_seed: u64, results: &[SweepResult
     o
 }
 
-/// The payload of one `part` of `r`.
-pub(crate) fn encode(r: &SweepResult, part: Part) -> Vec<u8> {
+/// The payload of the listed `parts` of `r`, one behind the other in
+/// walk order.
+pub(crate) fn encode(r: &SweepResult, parts: &[Part]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(256);
     let mut walker = Encode {
         w: &mut w,
         rec: r,
-        part,
+        parts,
     };
     SweepResult::walk(&mut walker).expect("encoding cannot fail");
     w.finish()
 }
 
-/// Fill one `part` of `r` from its payload; `None` (with `r` possibly
-/// half-filled — discard it) unless `bytes` is exactly one payload.
-pub(crate) fn decode(rec: &mut SweepResult, part: Part, bytes: &[u8]) -> Option<()> {
+/// Fill the listed `parts` of `r` from their payload; `None` (with `r`
+/// possibly half-filled — discard it) unless `bytes` is exactly those
+/// parts and nothing else.
+pub(crate) fn decode(rec: &mut SweepResult, parts: &[Part], bytes: &[u8]) -> Option<()> {
     let mut r = ByteReader::new(bytes);
     SweepResult::walk(&mut Decode {
         r: &mut r,
         rec,
-        part,
+        parts,
     })?;
     (r.remaining() == 0).then_some(())
 }
@@ -940,11 +948,14 @@ pub(crate) mod tests {
         }
     }
 
+    /// The two payload shapes the cell cache stores.
+    const SHAPES: [&[Part]; 2] = [&[Part::Canonical], &[Part::Canonical, Part::Series]];
+    const WITH_SERIES: &[Part] = SHAPES[1];
+
     /// Decode both parts of `r` back onto a fresh record.
     fn round_trip(r: &SweepResult) -> Option<SweepResult> {
         let mut back = SweepResult::unmeasured(&r.matrix, &r.scenario, 7);
-        decode(&mut back, Part::Canonical, &encode(r, Part::Canonical))?;
-        decode(&mut back, Part::Series, &encode(r, Part::Series))?;
+        decode(&mut back, WITH_SERIES, &encode(r, WITH_SERIES))?;
         Some(back)
     }
 
@@ -957,9 +968,14 @@ pub(crate) mod tests {
             // NaN != NaN, so compare bit for bit through the payloads
             // (every stored bit) and field for field through Debug (which
             // prints every NaN alike), wall time aside.
-            for part in [Part::Canonical, Part::Series] {
-                prop_assert!(encode(&back, part) == encode(&r, part));
-            }
+            prop_assert!(encode(&back, WITH_SERIES) == encode(&r, WITH_SERIES));
+            // The series part sits right behind the canonical one.
+            let canonical = encode(&r, &[Part::Canonical]);
+            prop_assert!(encode(&r, WITH_SERIES).starts_with(&canonical));
+            let mut alone = SweepResult::unmeasured("t", &r.scenario, 7);
+            decode(&mut alone, &[Part::Canonical], &canonical).expect("the canonical part alone");
+            prop_assert!(alone.cell_series.is_none());
+            prop_assert_eq!(result_to_json(&alone), result_to_json(&r));
             let expect = SweepResult { wall_ms: 0.0, ..r.clone() };
             prop_assert_eq!(format!("{back:?}"), format!("{expect:?}"));
             prop_assert_eq!(result_to_json(&back), result_to_json(&r));
@@ -968,19 +984,24 @@ pub(crate) mod tests {
         #[test]
         fn strict_prefixes_and_trailing_bytes_decode_to_none(measured in measured(6)) {
             let r = record_of(measured);
-            for part in [Part::Canonical, Part::Series] {
-                let mut bytes = encode(&r, part);
+            for parts in SHAPES {
+                let mut bytes = encode(&r, parts);
                 for cut in 0..bytes.len() {
                     let mut back = SweepResult::unmeasured("t", &r.scenario, 7);
                     prop_assert!(
-                        decode(&mut back, part, &bytes[..cut]).is_none(),
-                        "{part:?}: a {cut}-byte prefix of {} bytes decoded", bytes.len()
+                        decode(&mut back, parts, &bytes[..cut]).is_none(),
+                        "{parts:?}: a {cut}-byte prefix of {} bytes decoded", bytes.len()
                     );
                 }
                 bytes.push(0);
                 let mut back = SweepResult::unmeasured("t", &r.scenario, 7);
-                prop_assert!(decode(&mut back, part, &bytes).is_none(), "{part:?}: trailing byte");
+                prop_assert!(decode(&mut back, parts, &bytes).is_none(), "{parts:?}: trailing byte");
             }
+            // One shape's bytes are never the other's: the series part is
+            // at least its presence byte.
+            let mut back = SweepResult::unmeasured("t", &r.scenario, 7);
+            prop_assert!(decode(&mut back, SHAPES[0], &encode(&r, SHAPES[1])).is_none());
+            prop_assert!(decode(&mut back, SHAPES[1], &encode(&r, SHAPES[0])).is_none());
         }
     }
 
@@ -1000,9 +1021,10 @@ pub(crate) mod tests {
         assert_eq!(back.cell_series.as_ref().unwrap().delays.len(), 50_000);
 
         let empty = record_of(Measured::default());
-        // Four absent options and two empty `u64` counts; one absent option.
-        assert_eq!(encode(&empty, Part::Canonical), [0; 4 + 2 * 8]);
-        assert_eq!(encode(&empty, Part::Series), [0]);
+        // Four absent options and two empty `u64` counts; one more absent
+        // option when the series part rides behind.
+        assert_eq!(encode(&empty, &[Part::Canonical]), [0; 4 + 2 * 8]);
+        assert_eq!(encode(&empty, WITH_SERIES), [0; 4 + 2 * 8 + 1]);
         assert_eq!(round_trip(&empty).unwrap().measured, Measured::default());
     }
 

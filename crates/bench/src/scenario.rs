@@ -413,12 +413,12 @@ pub struct Scenario {
     /// Deterministic fault injection applied to both directions of the
     /// path ([`Impairment::none()`] for the classic clean-link cell).
     pub impairment: Impairment,
-    /// When set, the cell additionally emits a **cell-series** artifact —
+    /// When set, the cell additionally emits a **cell series** —
     /// per-delivery delay-vs-time plus per-bin capacity / throughput /
     /// queue-depth series at this bin width — persisted in the artifact
-    /// cache next to the cell result (the `--timeseries` flag). Part of
-    /// cell identity: a cached cell either has its series or was never
-    /// asked for one.
+    /// cache inside the cell's own `cell-result` file (the `--timeseries`
+    /// flag). Part of cell identity: a cached cell either has its series
+    /// or was never asked for one.
     pub cell_series_bin: Option<Duration>,
 }
 
@@ -459,7 +459,7 @@ impl Scenario {
         w.bool(imp.reorder.is_some());
         w.f64(imp.reorder.map(|r| r.probability).unwrap_or(0.0));
         w.u64(imp.reorder.map(|r| r.extra_delay.as_micros()).unwrap_or(0));
-        // The cell-series request is a *conditional tail*: appended only
+        // The cell series request is a *conditional tail*: appended only
         // when present, so every pre-existing scenario keeps its exact
         // historical canonical bytes (the golden-fingerprint snapshot
         // regenerates strictly additively). Safe because the tail only
@@ -740,8 +740,8 @@ impl MatrixBuilder {
         self
     }
 
-    /// Emit per-cell **cell-series** artifacts (delay-vs-time plus
-    /// binned capacity/throughput/queue-depth) at this bin width — the
+    /// Collect per-cell time series (delay-vs-time plus binned
+    /// capacity/throughput/queue-depth) at this bin width — the
     /// `--timeseries` flag. Changes cell identity (see
     /// [`Scenario::cell_series_bin`]).
     pub fn cell_series(mut self, bin: Duration) -> Self {

@@ -370,21 +370,34 @@ impl SweepEngine {
             .filter(|c| self.shard.owns(c.id))
             .collect();
 
-        // Phase 1: serve what the cache already holds (policy permitting).
+        // Phase 1: serve what the cache already holds (policy permitting),
+        // each worker filling its own contiguous slice of `results`.
         let mut results: Vec<Option<SweepResult>> = vec![None; owned.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (k, cell) in owned.iter().enumerate() {
-            let cached = match self.policy {
-                CellCachePolicy::Execute => None,
-                CellCachePolicy::Resume | CellCachePolicy::Merge => {
-                    crate::cellcache::load_cell(matrix.name(), matrix_fp, cell, self.master_seed)
+        if self.policy != CellCachePolicy::Execute {
+            let load = |cells: &[&Scenario], slots: &mut [Option<SweepResult>]| {
+                for (cell, slot) in cells.iter().zip(slots) {
+                    *slot = crate::cellcache::load_cell(
+                        matrix.name(),
+                        matrix_fp,
+                        cell,
+                        self.master_seed,
+                    );
                 }
             };
-            match cached {
-                Some(r) => results[k] = Some(r),
-                None => pending.push(k),
+            let threads = self.effective_threads(owned.len());
+            if threads == 1 {
+                load(&owned, &mut results);
+            } else {
+                let (load, per_worker) = (&load, owned.len().div_ceil(threads));
+                std::thread::scope(|scope| {
+                    let slices = owned.chunks(per_worker).zip(results.chunks_mut(per_worker));
+                    for (cells, slots) in slices {
+                        scope.spawn(move || load(cells, slots));
+                    }
+                });
             }
         }
+        let pending: Vec<usize> = (0..owned.len()).filter(|&k| results[k].is_none()).collect();
         if self.policy == CellCachePolicy::Merge && !pending.is_empty() {
             return Err(SweepError::MissingCells {
                 matrix: matrix.name().to_string(),

@@ -209,6 +209,104 @@ fn merge_without_all_shards_names_the_missing_cells() {
     sprout_cache::reset_override();
 }
 
+/// Everything the cells measured, series included, wall time excluded
+/// (through `Debug`, which prints every NaN alike).
+fn measured(results: &[sprout_bench::SweepResult]) -> String {
+    let cells: Vec<_> = results.iter().map(|r| (&r.scenario, &r.measured)).collect();
+    format!("{cells:?}")
+}
+
+#[test]
+fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
+    // Nine series-requesting cells, cached in full; then, at 1, 2 and 4
+    // threads, a copy of that cache with every third cell file deleted.
+    // Phase 1 fills disjoint slices of the result vector from as many
+    // threads as the engine has: the results, which cells execute and the
+    // cache traffic must not depend on how many.
+    let _g = LOCK.lock().unwrap();
+    let m = ScenarioMatrix::builder("par-resume")
+        .schemes([Scheme::Cubic, Scheme::Vegas, Scheme::Reno])
+        .links([NetProfile::TmobileUmtsDown])
+        .loss_rates([0.0, 0.02, 0.05])
+        .timing(Duration::from_secs(10), Duration::from_secs(2))
+        .cell_series(Duration::from_millis(500))
+        .build();
+    let full = temp_cache_dir("par-resume-full");
+    sprout_cache::set_dir(&full);
+    let want = SweepEngine::new(17).with_threads(2).run(&m);
+    let names = |dir: &PathBuf, prefix: &str| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with(prefix))
+            .collect();
+        names.sort();
+        names
+    };
+    let cell_files = names(&full, "cell-");
+    assert_eq!(
+        cell_files.len(),
+        m.len(),
+        "one file per cell: {cell_files:?}"
+    );
+    let deleted = cell_files.iter().step_by(3).count() as u64;
+
+    let mut outcomes = Vec::new();
+    for threads in [1, 2, 4] {
+        let dir = temp_cache_dir(&format!("par-resume-{threads}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in names(&full, "") {
+            std::fs::copy(full.join(&name), dir.join(&name)).unwrap();
+        }
+        for name in cell_files.iter().step_by(3) {
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
+        sprout_cache::set_dir(&dir);
+        let before = cell_cache_counters();
+        let resumed = SweepEngine::new(17)
+            .with_threads(threads)
+            .with_policy(CellCachePolicy::Resume)
+            .try_run(&m)
+            .expect("resume completes");
+        let traffic = cell_traffic_since(before);
+        // A cached load reports no wall time; an executed cell does.
+        let executed: Vec<u64> = resumed
+            .iter()
+            .filter(|r| r.wall_ms > 0.0)
+            .map(|r| r.scenario.id)
+            .collect();
+        assert_eq!(executed.len() as u64, deleted, "threads {threads}");
+        assert_eq!(
+            (
+                traffic.hits,
+                traffic.misses,
+                traffic.stores,
+                traffic.quarantined
+            ),
+            (m.len() as u64 - deleted, deleted, deleted, 0),
+            "threads {threads}"
+        );
+        assert_eq!(
+            names(&dir, "cell-"),
+            cell_files,
+            "threads {threads}: refilled"
+        );
+        outcomes.push((executed, measured(&resumed)));
+    }
+    for (threads, (executed, got)) in [1, 2, 4].into_iter().zip(&outcomes) {
+        assert_eq!(
+            executed, &outcomes[0].0,
+            "threads {threads} executed other cells"
+        );
+        assert!(
+            got == &measured(&want),
+            "threads {threads}: resumed results (series included) differ from the executing run"
+        );
+    }
+
+    sprout_cache::reset_override();
+}
+
 /// A matrix whose middle cell panics during setup: a negative confidence
 /// override trips `SproutConfig::with_confidence_percent`'s assertion.
 fn poisoned_matrix() -> ScenarioMatrix {

@@ -1,20 +1,45 @@
 //! Content-addressed on-disk artifact cache.
 //!
-//! Sprout's expensive precomputations — the forecast CDF tables (seconds
-//! of dynamic programming at paper scale) and synthesized link traces
-//! (minutes of virtual time at 1 ms steps) — are pure functions of their
-//! input configuration. This crate gives them a shared persistence layer
-//! so a second `reproduce` run skips the work entirely:
+//! Sprout's precomputations — the forecast CDF tables (tens of
+//! milliseconds of backward recursion at paper scale, 6 MB), synthesized
+//! link traces (minutes of virtual time at 1 ms steps) and finished sweep
+//! cells — are pure functions of their input configuration. This crate
+//! gives them a shared persistence layer so a second `reproduce` run
+//! skips the work entirely.
 //!
-//! * **Content addressing.** An artifact is stored under a file name
-//!   derived from a 64-bit hash of its *full* key bytes (the serialized
-//!   input configuration). The complete key is also stored inside the
-//!   file and compared byte-for-byte on load, so a hash collision can
-//!   never serve the wrong artifact.
-//! * **Integrity.** Every file carries a magic tag, the artifact kind's
-//!   schema version, and an FNV-1a checksum over key and payload.
+//! **The container.** One artifact is one file,
+//! `<kind>-v<version>-<name hash>.bin`:
+//!
+//! ```text
+//! magic "SPROUTA2" (8) | version u32 | key_len u32 | payload_len u64 | checksum u64
+//! key bytes (key_len) | payload bytes (payload_len)
+//! ```
+//!
+//! all little-endian, nothing after the payload. A load checks, in order:
+//! the magic, the kind's version, the key length, the total length, the
+//! stored key byte for byte, the checksum.
+//!
+//! * **Content addressing.** The file name carries a 64-bit hash of the
+//!   container magic, the kind's name and the *full* key bytes (the
+//!   serialized input configuration). The complete key is also stored
+//!   inside the file and compared byte-for-byte on load, so a hash
+//!   collision can never serve the wrong artifact. Seeding the name with
+//!   the magic means a container-format change renames every file of
+//!   every kind at once: files of an older format are never opened (dead
+//!   weight until the directory is cleared, as after any version bump).
+//! * **Integrity.** Every file carries the magic tag, the artifact
+//!   kind's schema version, and a checksum over key and payload.
 //!   Corrupt, truncated, or version-mismatched files are treated as
 //!   misses; the caller rebuilds and the fresh store overwrites them.
+//! * **Two hash functions, two jobs.** The *name hash* addresses: it
+//!   reads a hundred-odd key bytes once per operation, and it is the
+//!   byte-wise FNV-1a of [`fingerprint64`], which recorded keys and
+//!   golden snapshots depend on and which therefore never changes. The
+//!   *checksum* detects damage: it reads every payload byte of every
+//!   load — 6 MB for a forecast table — so it walks 64-bit words with a
+//!   full-width mix per step (several GB/s where byte-serial FNV-1a
+//!   manages 0.75). It is private to the container and versioned by the
+//!   magic, so it is free to be whatever is fast and catches bit rot.
 //! * **Quarantine.** A file that is *damaged* — bad magic, truncated,
 //!   failed checksum — is additionally renamed aside to `<name>.corrupt`
 //!   (and counted in [`CacheCounters::quarantined`]), so the evidence
@@ -43,8 +68,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Magic tag opening every cache file.
-const MAGIC: &[u8; 8] = b"SPROUTAC";
+/// Magic tag opening every cache file; names the container format
+/// (header layout and checksum function) and seeds every file name.
+const MAGIC: &[u8; 8] = b"SPROUTA2";
 
 /// Header length: magic(8) + version(4) + key_len(4) + payload_len(8) +
 /// checksum(8).
@@ -67,6 +93,33 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// depend on it.
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
+}
+
+/// The entry checksum: key, then payload, each as little-endian 64-bit
+/// words (a short tail zero-padded), then both lengths, through one
+/// full-width mix per word. Every step is a bijection of the state, so a
+/// change confined to one word always changes the result; the fold brings
+/// the high half down, without which bit 63 of a word never reaches the
+/// bits below it and some two-bit flips cancel.
+fn checksum(key: &[u8], payload: &[u8]) -> u64 {
+    fn mix(state: u64, word: u64) -> u64 {
+        let s = (state ^ word).wrapping_mul(0x100_0000_01b3);
+        s ^ (s >> 32)
+    }
+    let mut state = FNV_OFFSET;
+    for bytes in [key, payload] {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            state = mix(state, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            state = mix(state, u64::from_le_bytes(w));
+        }
+    }
+    mix(mix(state, key.len() as u64), payload.len() as u64)
 }
 
 /// How the cache root was overridden (None = no override in effect).
@@ -167,6 +220,13 @@ impl CacheCounters {
     }
 }
 
+/// Where a damaged `path` is moved aside to.
+fn corrupt_name(path: &std::path::Path) -> PathBuf {
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(".corrupt");
+    PathBuf::from(aside)
+}
+
 /// What a file-level load found. Only `Corrupt` triggers quarantine:
 /// `Mismatch` files are healthy artifacts that legitimately don't serve
 /// this key (stale schema version, key-hash collision).
@@ -241,7 +301,7 @@ impl ArtifactKind {
 
     /// File path an artifact with `key` lives at, under `dir`.
     fn path_for(&self, dir: &std::path::Path, key: &[u8]) -> PathBuf {
-        let hash = fnv1a(fnv1a(FNV_OFFSET, self.name.as_bytes()), key);
+        let hash = fnv1a(fnv1a(fnv1a(FNV_OFFSET, MAGIC), self.name.as_bytes()), key);
         dir.join(format!("{}-v{}-{hash:016x}.bin", self.name, self.version))
     }
 
@@ -288,8 +348,8 @@ impl ArtifactKind {
             return LoadOutcome::Mismatch;
         }
         let key_len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
-        let payload_len = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
+        let payload_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
+        let stored_checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
         if key_len != key.len() {
             // Hash collision with a different key: healthy file, wrong
             // occupant.
@@ -299,14 +359,19 @@ impl ArtifactKind {
         if file.read_to_end(&mut body).is_err() {
             return LoadOutcome::Corrupt;
         }
-        if body.len() != key_len + payload_len {
+        // Both lengths are bytes this process did not write: a sum that
+        // overflows is damage, not arithmetic.
+        let total = usize::try_from(payload_len)
+            .ok()
+            .and_then(|n| n.checked_add(key_len));
+        if total != Some(body.len()) {
             return LoadOutcome::Corrupt;
         }
         let (stored_key, payload) = body.split_at(key_len);
         if stored_key != key {
             return LoadOutcome::Mismatch;
         }
-        if fnv1a(fnv1a(FNV_OFFSET, key), payload) != checksum {
+        if checksum(key, payload) != stored_checksum {
             return LoadOutcome::Corrupt;
         }
         LoadOutcome::Hit(payload.to_vec())
@@ -334,9 +399,7 @@ impl ArtifactKind {
     }
 
     fn quarantine_path(&self, path: &std::path::Path) -> bool {
-        let mut aside = path.as_os_str().to_owned();
-        aside.push(".corrupt");
-        if std::fs::rename(path, &aside).is_ok() {
+        if std::fs::rename(path, corrupt_name(path)).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             true
         } else {
@@ -370,14 +433,13 @@ impl ArtifactKind {
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
             final_path.file_name().unwrap().to_string_lossy()
         ));
-        let checksum = fnv1a(fnv1a(FNV_OFFSET, key), payload);
         let write = (|| -> std::io::Result<()> {
             let mut f = std::fs::File::create(&temp_path)?;
             f.write_all(MAGIC)?;
             f.write_all(&self.version.to_le_bytes())?;
             f.write_all(&(key.len() as u32).to_le_bytes())?;
             f.write_all(&(payload.len() as u64).to_le_bytes())?;
-            f.write_all(&checksum.to_le_bytes())?;
+            f.write_all(&checksum(key, payload).to_le_bytes())?;
             f.write_all(key)?;
             f.write_all(payload)?;
             f.sync_all().ok(); // best-effort durability
@@ -638,10 +700,8 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         assert_eq!(KIND.load(b"k"), None, "corrupt file must read as a miss");
         // The damaged bytes were moved aside, not destroyed.
-        let mut aside = path.clone().into_os_string();
-        aside.push(".corrupt");
         assert!(
-            std::path::Path::new(&aside).exists(),
+            corrupt_name(&path).exists(),
             "the damaged file must be renamed to *.corrupt"
         );
         assert!(!path.exists(), "the original name must be freed");
@@ -854,6 +914,197 @@ mod tests {
             KIND.load(b"shared").as_deref(),
             Some(&b"identical payload"[..])
         );
+        assert_eq!(
+            KIND.counters().quarantined,
+            0,
+            "a reader racing a writer sees the old file or the new one, never damage"
+        );
+        reset_override();
+    }
+
+    #[test]
+    fn hostile_payload_length_is_quarantined_not_an_overflow() {
+        // A well-formed header whose payload_len is u64::MAX: key_len +
+        // payload_len must not be computed with a panicking add.
+        let _g = LOCK.lock().unwrap();
+        let dir = temp_dir("hostile-length");
+        set_dir(&dir);
+        static KIND: ArtifactKind = ArtifactKind::new("test-hostile-length", 1);
+        KIND.reset_counters();
+        assert!(KIND.store(b"key", b"payload"));
+        let path = KIND.path_for(&dir, b"key");
+        let mut bytes = std::fs::read(&path).unwrap();
+        for claimed in [u64::MAX, u64::MAX - 2, 1 << 63] {
+            bytes[16..24].copy_from_slice(&claimed.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(KIND.load(b"key"), None, "payload_len {claimed}");
+            assert!(corrupt_name(&path).exists() && !path.exists());
+        }
+        assert_eq!(KIND.counters().quarantined, 3);
+        reset_override();
+    }
+
+    #[test]
+    fn the_checksum_is_pinned() {
+        // The container format must not drift silently: a changed value
+        // here means every stored file fails its check — change MAGIC too.
+        // (Values from an independent implementation of the definition.)
+        assert_eq!(checksum(b"", b""), 0x6885_3b6a_3912_cca3);
+        assert_eq!(
+            checksum(b"the key", b"a payload that ends mid-word"),
+            0xf293_141c_b8e7_bf1b
+        );
+        // Word boundaries and the two streams are part of the value.
+        assert_ne!(checksum(b"ab", b"c"), checksum(b"a", b"bc"));
+        assert_ne!(checksum(b"", b"\0"), checksum(b"", b""));
+        assert_ne!(checksum(b"", &[0; 8]), checksum(b"", &[0; 16]));
+    }
+
+    #[test]
+    fn no_one_or_two_bit_flip_keeps_the_checksum() {
+        // Exhaustive over a 128-byte entry (28-byte key, 100-byte
+        // payload): 1024 single flips and 523 776 pairs.
+        let original: Vec<u8> = (0..128u32).map(|i| (i * 37 + 11) as u8).collect();
+        let sum = |e: &[u8]| checksum(&e[..28], &e[28..]);
+        let good = sum(&original);
+        let mut entry = original.clone();
+        let bits = entry.len() * 8;
+        for a in 0..bits {
+            entry[a / 8] ^= 1 << (a % 8);
+            assert_ne!(sum(&entry), good, "bit {a}");
+            for b in a + 1..bits {
+                entry[b / 8] ^= 1 << (b % 8);
+                assert_ne!(sum(&entry), good, "bits {a} and {b}");
+                entry[b / 8] ^= 1 << (b % 8);
+            }
+            entry[a / 8] ^= 1 << (a % 8);
+        }
+        assert_eq!(entry, original);
+    }
+
+    #[test]
+    fn no_damaged_file_is_ever_a_hit() {
+        // On disk, a small entry (7-byte key, 21-byte payload): every
+        // 1-bit flip of the whole file, every 2-bit flip inside key +
+        // payload, every truncation and every one-byte extension. Damage
+        // to the payload or a length quarantines; a changed stored key (or
+        // key length, or version) is the plain mismatch of a healthy file
+        // that belongs to someone else.
+        let _g = LOCK.lock().unwrap();
+        let dir = temp_dir("damage");
+        set_dir(&dir);
+        static KIND: ArtifactKind = ArtifactKind::new("test-damage", 1);
+        KIND.reset_counters();
+        let (key, payload) = (&b"the key"[..], &b"twenty-one byte load."[..]);
+        assert!(KIND.store(key, payload));
+        let path = KIND.path_for(&dir, key);
+        let aside = corrupt_name(&path);
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(good.len(), HEADER_LEN + key.len() + payload.len());
+
+        // Load `bytes` from the entry's name; report whether it was
+        // quarantined. Never a hit.
+        let quarantined = |bytes: &[u8], what: &str| -> bool {
+            std::fs::write(&path, bytes).unwrap();
+            let before = KIND.counters();
+            assert_eq!(KIND.load(key), None, "{what} must not be a hit");
+            let c = KIND.counters().since(before);
+            assert_eq!((c.hits, c.misses), (0, 1), "{what}");
+            assert_eq!(aside.exists(), c.quarantined == 1, "{what}");
+            assert_eq!(path.exists(), c.quarantined == 0, "{what}");
+            let _ = std::fs::remove_file(&aside);
+            c.quarantined == 1
+        };
+        let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+
+        let key_bits = HEADER_LEN * 8..(HEADER_LEN + key.len()) * 8;
+        // Version and key length say "another artifact", not "damage".
+        let foreign_header_bits = 8 * 8..16 * 8;
+        let mut bytes = good.clone();
+        for a in 0..good.len() * 8 {
+            flip(&mut bytes, a);
+            let healthy_stranger = key_bits.contains(&a) || foreign_header_bits.contains(&a);
+            assert_eq!(
+                quarantined(&bytes, &format!("bit {a}")),
+                !healthy_stranger,
+                "bit {a}"
+            );
+            if a >= key_bits.start {
+                for b in a + 1..good.len() * 8 {
+                    flip(&mut bytes, b);
+                    assert_eq!(
+                        quarantined(&bytes, &format!("bits {a} and {b}")),
+                        !key_bits.contains(&a),
+                        "bits {a} and {b}"
+                    );
+                    flip(&mut bytes, b);
+                }
+            }
+            flip(&mut bytes, a);
+        }
+        for cut in 0..good.len() {
+            assert!(quarantined(&good[..cut], &format!("cut at {cut}")));
+        }
+        for extra in 0..=255u8 {
+            let mut longer = good.clone();
+            longer.push(extra);
+            assert!(quarantined(&longer, &format!("extended by {extra:#04x}")));
+        }
+        // And the undamaged bytes still serve.
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(KIND.load(key).as_deref(), Some(payload));
+        reset_override();
+    }
+
+    /// A cache file as the parent commit's container wrote it: `SPROUTAC`
+    /// magic, byte-wise FNV-1a checksum, name hash seeded with the kind's
+    /// name only.
+    fn parent_format_file(kind: &ArtifactKind, key: &[u8], payload: &[u8]) -> (String, Vec<u8>) {
+        let hash = fnv1a(fnv1a(FNV_OFFSET, kind.name.as_bytes()), key);
+        let name = format!("{}-v{}-{hash:016x}.bin", kind.name, kind.version);
+        let mut bytes = b"SPROUTAC".to_vec();
+        bytes.extend_from_slice(&kind.version.to_le_bytes());
+        bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(fnv1a(FNV_OFFSET, key), payload).to_le_bytes());
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(payload);
+        (name, bytes)
+    }
+
+    #[test]
+    fn parent_format_files_are_never_opened_and_old_magic_is_damage() {
+        let _g = LOCK.lock().unwrap();
+        let dir = temp_dir("old-format");
+        set_dir(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        static KIND: ArtifactKind = ArtifactKind::new("test-old-format", 1);
+        KIND.reset_counters();
+        let (old_name, old_bytes) = parent_format_file(&KIND, b"k", b"an old payload");
+        let new_path = KIND.path_for(&dir, b"k");
+        assert_ne!(dir.join(&old_name), new_path, "the magic seeds the name");
+
+        // A directory the parent wrote: a plain miss, nothing touched.
+        std::fs::write(dir.join(&old_name), &old_bytes).unwrap();
+        assert_eq!(KIND.load(b"k"), None);
+        let c = KIND.counters();
+        assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 0));
+        let listing: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(listing, std::slice::from_ref(&old_name));
+        assert_eq!(std::fs::read(dir.join(&old_name)).unwrap(), old_bytes);
+
+        // The same bytes under a new-format name are not this format.
+        std::fs::write(&new_path, &old_bytes).unwrap();
+        assert_eq!(KIND.load(b"k"), None);
+        assert_eq!(KIND.counters().quarantined, 1);
+        assert!(corrupt_name(&new_path).exists() && !new_path.exists());
+        // Storing beside the old file serves, and leaves it alone.
+        assert!(KIND.store(b"k", b"a new payload"));
+        assert_eq!(KIND.load(b"k").as_deref(), Some(&b"a new payload"[..]));
+        assert_eq!(std::fs::read(dir.join(&old_name)).unwrap(), old_bytes);
         reset_override();
     }
 }
