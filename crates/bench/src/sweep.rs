@@ -32,11 +32,20 @@
 //! failure names every offending `scenario.id` instead of poisoning the
 //! whole sweep. A per-cell wall-clock watchdog
 //! ([`SweepEngine::cell_timeout`]) turns a wedged cell into the same
-//! kind of named failure: each cell runs on an abandonable thread, so a
-//! hang costs one timeout instead of the sweep.
+//! kind of named failure: a worker is a supervisor beside one long-lived,
+//! abandonable cell thread, so a hang costs one timeout (and that
+//! thread) instead of the sweep.
+//!
+//! **Threads of a sweep.** `W` workers execute cells: `W` scoped
+//! supervisors, each blocked on its own non-scoped cell thread, and a
+//! constant number of scoped *store lanes* that persist finished cells
+//! behind a bounded queue while the next ones compute — `2 W + lanes`
+//! threads, of which `W` burn CPU. The lanes are joined before
+//! [`SweepEngine::try_run`] returns.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sprout_trace::{cancel, Duration};
@@ -102,9 +111,10 @@ pub fn abandoned_cell_threads() -> u64 {
 }
 
 /// The layout of the most recent sweep execution in this process:
-/// `(workers, batches)` — threads spawned and distinct `(link, duration)`
-/// groups among the executed cells — both 0 when the last sweep executed
-/// nothing (fully cache-served).
+/// `(workers, batches)` — cell workers (threads executing cells side by
+/// side; neither their supervisors nor the store lanes count) and
+/// distinct `(link, duration)` groups among the executed cells — both 0
+/// when the last sweep executed nothing (fully cache-served).
 pub fn last_batch_layout() -> (usize, usize) {
     (
         LAST_WORKERS.load(Ordering::Relaxed),
@@ -359,9 +369,13 @@ impl SweepEngine {
     ///
     /// Depending on [`Self::policy`], cells may be served from the
     /// per-cell result cache instead of executing; every *executed* cell
-    /// is persisted there (best-effort). A panicking cell does not take
-    /// the sweep down: the other cells complete (and are cached) and the
-    /// returned [`SweepError::CellsPanicked`] names each failure.
+    /// is persisted there (best-effort) by the store lanes, each file
+    /// written, synced and renamed into place as
+    /// [`sprout_cache::ArtifactKind::store`] does, and the last of them
+    /// before this function returns — a `Merge` may start the moment it
+    /// does. A panicking cell does not take the sweep down: the other
+    /// cells complete (and are cached) and the returned
+    /// [`SweepError::CellsPanicked`] names each failure.
     pub fn try_run(&self, matrix: &ScenarioMatrix) -> Result<Vec<SweepResult>, SweepError> {
         let matrix_fp = matrix.fingerprint();
         let owned: Vec<&Scenario> = matrix
@@ -415,9 +429,9 @@ impl SweepEngine {
         //
         // One schedule: pending cells are ordered by their shared-input
         // group (see [`schedule`]) and each worker claims the next *cell*,
-        // keeping one recycled [`CellScratch`] arena. Cells are pure
-        // functions of their scenario, so the order cannot change
-        // results — only locality.
+        // its cell thread keeping one recycled [`CellScratch`] arena.
+        // Cells are pure functions of their scenario, so the order cannot
+        // change results — only locality.
         let mut failures: Vec<CellFailure> = Vec::new();
         if pending.is_empty() {
             LAST_WORKERS.store(0, Ordering::Relaxed);
@@ -430,30 +444,62 @@ impl SweepEngine {
             LAST_BATCHES.store(groups, Ordering::Relaxed);
             let slots: Vec<Mutex<Option<Result<SweepResult, CellFailure>>>> =
                 pending.iter().map(|_| Mutex::new(None)).collect();
+            let fill = |j: usize, entry| {
+                *slots[j].lock().expect("a slot is filled by one assignment") = Some(entry);
+            };
             let next = AtomicUsize::new(0);
+            let (to_lanes, finished) = sync_channel::<(usize, SweepResult)>(STORE_QUEUE);
+            let finished = Mutex::new(finished);
 
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        let mut scratch = CellScratch::default();
-                        while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let entry = run_watchdogged(
-                                matrix.name(),
-                                owned[pending[j]],
-                                self.master_seed,
-                                &memo,
-                                std::mem::take(&mut scratch),
-                                self.cell_timeout,
-                            )
-                            .map(|(result, returned)| {
-                                scratch = returned;
-                                crate::cellcache::store_cell(matrix_fp, self.master_seed, &result);
-                                result
-                            });
-                            *slots[j].lock().unwrap() = Some(entry);
-                        }
+            // A worker is a supervisor: it claims the next cell, hands it
+            // to its cell thread, waits under the watchdog and passes the
+            // result to the lanes.
+            let work = |to_lanes: SyncSender<(usize, SweepResult)>| {
+                let mut cell_thread: Option<CellThread> = None;
+                while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let thread = cell_thread.get_or_insert_with(|| {
+                        CellThread::start(matrix.name(), self.master_seed, &memo)
                     });
+                    match thread.run(owned[pending[j]], self.cell_timeout) {
+                        Ok(result) => to_lanes
+                            .send((j, result))
+                            .expect("the lanes outlive the workers"),
+                        Err(failure) => {
+                            if failure.timed_out {
+                                cell_thread = None; // abandoned; the next cell gets a fresh one
+                            }
+                            fill(j, Err(failure));
+                        }
+                    }
                 }
+                if let Some(thread) = cell_thread {
+                    thread.retire();
+                }
+            };
+            // A lane stores finished cells until every worker is done and
+            // the queue is drained. Failed cells never get here.
+            let lane = || loop {
+                // The guard is a temporary of this statement: a lane holds
+                // the queue only while it waits.
+                let claimed = finished
+                    .lock()
+                    .expect("no lane panics holding the queue")
+                    .recv();
+                let Ok((j, result)) = claimed else { break };
+                crate::cellcache::store_cell(matrix_fp, self.master_seed, &result);
+                fill(j, Ok(result));
+            };
+            // The scope joins the lanes too: on return every executed cell
+            // has been stored.
+            std::thread::scope(|scope| {
+                for _ in 0..STORE_LANES.min(pending.len()) {
+                    scope.spawn(lane);
+                }
+                for _ in 0..threads {
+                    let (work, to_lanes) = (&work, to_lanes.clone());
+                    scope.spawn(move || work(to_lanes));
+                }
+                drop(to_lanes);
             });
 
             for (j, slot) in slots.into_iter().enumerate() {
@@ -492,87 +538,146 @@ impl SweepEngine {
     }
 }
 
-/// Execute one cell on a dedicated (non-scoped) thread under a
-/// wall-clock watchdog. The cell thread owns clones of everything it
-/// needs, so a wedged cell can be *abandoned* — the worker stops
-/// waiting, reports a named timeout failure, and moves on — without
-/// wedging the sweep's scope join. On success the recycled scratch
-/// arena rides back with the result; a panic or timeout forfeits it
-/// (mid-panic state is unknown, and an abandoned thread still owns its
-/// arena), so the worker starts the next cell from a fresh one.
+/// Lane threads persisting finished cells while the workers compute the
+/// next ones. A store is an fsync — latency, not CPU — so the gain is
+/// overlap, and the count is how many fsyncs are in flight. Measured on
+/// the 720-cell soak populate (`resume-warm` `setup_s`, one worker,
+/// medians of rotating rounds; stores on the worker itself: 1.69 and
+/// 1.87 s): 1 lane 1.48 s, 2 lanes 1.31 and 1.39, 4 lanes 1.24 and 1.32,
+/// 8 lanes 1.22 — half of those cells are shorter than one fsync, so one
+/// or two in flight leave the queue full and the worker waiting, and
+/// past four the worker is the bottleneck.
+const STORE_LANES: usize = 4;
+
+/// Finished cells that may wait for a lane. Bounded, so a stalled disk
+/// blocks the workers instead of growing memory: at most `STORE_QUEUE +
+/// STORE_LANES` results are between a worker and the disk.
+const STORE_QUEUE: usize = 2 * STORE_LANES;
+
+/// One claimed cell on its way to a worker's cell thread.
+struct CellJob {
+    scenario: Scenario,
+    token: cancel::CancelToken,
+    /// The cell's lifecycle, shared with the watchdog: 0 = running,
+    /// 1 = finished, 2 = abandoned. Whoever transitions *second* across
+    /// the abandon/finish race settles the [`ABANDONED_LIVE`] gauge.
+    state: Arc<AtomicU8>,
+}
+
+/// A worker's handle on its long-lived cell thread: a (non-scoped)
+/// thread that owns clones of everything a cell needs plus one recycled
+/// [`CellScratch`] arena, and executes the cells its supervisor sends it
+/// one at a time. Being non-scoped is what lets a wedged cell be
+/// *abandoned* — the supervisor stops waiting, drops this handle, reports
+/// a named timeout failure and gives the next cell a fresh thread —
+/// without wedging the sweep's scope join. A panic is caught per cell and
+/// costs the arena (mid-panic state is unknown), not the thread.
 ///
 /// Abandonment is not fire-and-forget: the watchdog arms the cell's
 /// [`cancel::CancelToken`] on timeout, the simulation/synthesis loops
-/// honor it at their next checkpoint, and the [`abandoned_cell_threads`]
-/// gauge tracks threads between abandonment and their cooperative exit —
-/// so a timed-out cell costs milliseconds of extra CPU, not the rest of
-/// its virtual duration at wall speed.
-fn run_watchdogged(
-    matrix: &str,
-    cell: &Scenario,
-    master_seed: u64,
-    memo: &Arc<TraceMemo>,
-    scratch: CellScratch,
-    timeout: std::time::Duration,
-) -> Result<(SweepResult, CellScratch), CellFailure> {
-    cancel::silence_cancelled_panics();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let name = matrix.to_string();
-    let scenario = cell.clone();
-    let memo = Arc::clone(memo);
-    let token = cancel::CancelToken::new();
-    // Cell-thread lifecycle, shared with the watchdog: 0 = running,
-    // 1 = exited, 2 = abandoned. Whoever transitions *second* across the
-    // abandon/exit race settles the [`ABANDONED_LIVE`] gauge.
-    let state = Arc::new(std::sync::atomic::AtomicU8::new(0));
-    let cell_token = token.clone();
-    let cell_state = Arc::clone(&state);
-    std::thread::spawn(move || {
-        let mut scratch = scratch;
-        let guard = cancel::CancelGuard::install(cell_token);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_with_memo(&name, &scenario, master_seed, &memo, &mut scratch)
-        }));
-        drop(guard);
-        let scratch = match &outcome {
-            Ok(_) => scratch,
-            Err(_) => CellScratch::default(),
-        };
-        // Send fails only when the watchdog already gave up on us; the
-        // late (or cancellation-unwound) result is deliberately dropped
-        // and never cached.
-        let _ = tx.send((outcome, scratch));
-        if cell_state.swap(1, Ordering::AcqRel) == 2 {
-            // The watchdog abandoned us and we just exited: settle the
-            // live-abandoned gauge back down.
-            ABANDONED_LIVE.fetch_sub(1, Ordering::AcqRel);
+/// honor it at their next checkpoint, the thread then finds its job
+/// channel closed and exits, and the [`abandoned_cell_threads`] gauge
+/// tracks threads between abandonment and that cooperative unwind — so a
+/// timed-out cell costs milliseconds of extra CPU, not the rest of its
+/// virtual duration at wall speed.
+struct CellThread {
+    jobs: Sender<CellJob>,
+    outcomes: Receiver<std::thread::Result<SweepResult>>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl CellThread {
+    fn start(matrix: &str, master_seed: u64, memo: &Arc<TraceMemo>) -> Self {
+        cancel::silence_cancelled_panics();
+        let (jobs, claimed) = channel::<CellJob>();
+        let (finished, outcomes) = channel();
+        let (name, memo) = (matrix.to_string(), Arc::clone(memo));
+        let handle = std::thread::spawn(move || {
+            let mut scratch = CellScratch::default();
+            // Ends when the supervisor drops its handle: after its last
+            // cell, or on abandoning this thread.
+            while let Ok(job) = claimed.recv() {
+                let guard = cancel::CancelGuard::install(job.token);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    execute_with_memo(&name, &job.scenario, master_seed, &memo, &mut scratch)
+                }));
+                drop(guard);
+                if outcome.is_err() {
+                    scratch = CellScratch::default();
+                }
+                // Send fails only when the watchdog already gave up on
+                // us; the late (or cancellation-unwound) result is
+                // deliberately dropped and never cached.
+                let _ = finished.send(outcome);
+                if job.state.swap(1, Ordering::AcqRel) == 2 {
+                    // The watchdog abandoned this cell and it has just
+                    // unwound: settle the live-abandoned gauge back down.
+                    ABANDONED_LIVE.fetch_sub(1, Ordering::AcqRel);
+                }
+            }
+        });
+        CellThread {
+            jobs,
+            outcomes,
+            handle,
         }
-    });
-    match rx.recv_timeout(timeout) {
-        Ok((Ok(result), scratch)) => Ok((result, scratch)),
-        Ok((Err(payload), _)) => Err(CellFailure {
+    }
+
+    /// Execute `cell` under the wall-clock watchdog. After a failure with
+    /// [`CellFailure::timed_out`] set the cell has been cancelled and this
+    /// thread must be dropped, not used again.
+    fn run(
+        &self,
+        cell: &Scenario,
+        timeout: std::time::Duration,
+    ) -> Result<SweepResult, CellFailure> {
+        let token = cancel::CancelToken::new();
+        let state = Arc::new(AtomicU8::new(0));
+        // The budget starts when the job is sent.
+        let sent = std::time::Instant::now();
+        self.jobs
+            .send(CellJob {
+                scenario: cell.clone(),
+                token: token.clone(),
+                state: Arc::clone(&state),
+            })
+            .expect("a cell thread lives until its supervisor drops it");
+        let failure = |message, timed_out| CellFailure {
             scenario_id: cell.id,
             label: cell.label.clone(),
-            message: panic_message(payload.as_ref()),
-            timed_out: false,
-        }),
-        // Timeout — or the cell thread dying without reporting, which
-        // the per-cell catch_unwind makes unreachable in practice.
-        Err(_) => {
-            ABANDONED_LIVE.fetch_add(1, Ordering::AcqRel);
-            if state.swap(2, Ordering::AcqRel) == 1 {
-                // Lost the race: the thread exited between the timeout
-                // and the abandonment mark. Undo the gauge bump.
-                ABANDONED_LIVE.fetch_sub(1, Ordering::AcqRel);
+            message,
+            timed_out,
+        };
+        match self
+            .outcomes
+            .recv_timeout(timeout.saturating_sub(sent.elapsed()))
+        {
+            Ok(outcome) => {
+                outcome.map_err(|payload| failure(panic_message(payload.as_ref()), false))
             }
-            token.cancel();
-            Err(CellFailure {
-                scenario_id: cell.id,
-                label: cell.label.clone(),
-                message: format!("exceeded the {}s cell watchdog timeout", timeout.as_secs()),
-                timed_out: true,
-            })
+            // Timeout — or the cell thread dying without reporting, which
+            // the per-cell catch_unwind makes unreachable in practice.
+            Err(_) => {
+                ABANDONED_LIVE.fetch_add(1, Ordering::AcqRel);
+                if state.swap(2, Ordering::AcqRel) == 1 {
+                    // Lost the race: the cell finished between the
+                    // timeout and the abandonment mark. Undo the bump.
+                    ABANDONED_LIVE.fetch_sub(1, Ordering::AcqRel);
+                }
+                token.cancel();
+                Err(failure(
+                    format!("exceeded the {}s cell watchdog timeout", timeout.as_secs()),
+                    true,
+                ))
+            }
         }
+    }
+
+    /// The supervisor has no more cells: close the job channel and wait
+    /// for the (idle) thread to exit.
+    fn retire(self) {
+        drop(self.jobs);
+        self.handle.join().expect("cell panics are caught per cell");
     }
 }
 

@@ -310,6 +310,11 @@ fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
 /// A matrix whose middle cell panics during setup: a negative confidence
 /// override trips `SproutConfig::with_confidence_percent`'s assertion.
 fn poisoned_matrix() -> ScenarioMatrix {
+    poisoned_cells("poison", &[false, true, false])
+}
+
+/// One 12-second Cubic cell per flag; a `true` cell panics during setup.
+fn poisoned_cells(name: &str, poisoned: &[bool]) -> ScenarioMatrix {
     let cell = |id: u64, confidence: Option<f64>| Scenario {
         id,
         label: format!("poison/cell{id}"),
@@ -325,10 +330,10 @@ fn poisoned_matrix() -> ScenarioMatrix {
         impairment: sprout_trace::Impairment::none(),
         cell_series_bin: None,
     };
-    ScenarioMatrix::from_cells(
-        "poison",
-        vec![cell(0, None), cell(1, Some(-5.0)), cell(2, None)],
-    )
+    let cells = (0..)
+        .zip(poisoned)
+        .map(|(id, &poison)| cell(id, poison.then_some(-5.0)));
+    ScenarioMatrix::from_cells(name, cells.collect())
 }
 
 #[test]
@@ -378,5 +383,126 @@ fn panicking_cell_is_isolated_and_resume_redoes_only_it() {
     assert_eq!(traffic.stores, 0);
 
     std::panic::set_hook(hook);
+    sprout_cache::reset_override();
+}
+
+#[test]
+fn a_panic_costs_one_worker_neither_its_thread_nor_the_survivors_their_entries() {
+    // One worker, so one cell thread: it catches two panics and still runs
+    // every later cell, and each survivor — before, between and after the
+    // panics — is cached.
+    let _g = LOCK.lock().unwrap();
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+
+    sprout_cache::set_dir(temp_cache_dir("poison-one-worker"));
+    let m = poisoned_cells("poison", &[false, true, false, true, false, false]);
+    let before = cell_cache_counters();
+    let err = SweepEngine::new(9)
+        .with_threads(1)
+        .try_run(&m)
+        .expect_err("two poisoned cells");
+    match &err {
+        SweepError::CellsPanicked { failures, .. } => {
+            let named: Vec<(u64, bool)> = failures
+                .iter()
+                .map(|f| (f.scenario_id, f.timed_out))
+                .collect();
+            assert_eq!(named, [(1, false), (3, false)]);
+        }
+        other => panic!("expected CellsPanicked, got {other:?}"),
+    }
+    assert_eq!(last_batch_layout().0, 1, "one cell worker");
+    assert_eq!(cell_traffic_since(before).stores, 4, "survivors are cached");
+
+    let before = cell_cache_counters();
+    let err = SweepEngine::new(9)
+        .with_threads(1)
+        .with_policy(CellCachePolicy::Resume)
+        .try_run(&m)
+        .expect_err("still poisoned");
+    assert!(matches!(err, SweepError::CellsPanicked { ref failures, .. } if failures.len() == 2));
+    let traffic = cell_traffic_since(before);
+    assert_eq!((traffic.hits, traffic.misses, traffic.stores), (4, 2, 0));
+
+    std::panic::set_hook(hook);
+    sprout_cache::reset_override();
+}
+
+/// `n` one-second cells on one link (loss rate is the axis): a cell is a
+/// millisecond or two, so storing them is most of the sweep.
+fn many_tiny_cells(name: &str, n: usize) -> ScenarioMatrix {
+    ScenarioMatrix::builder(name)
+        .schemes([Scheme::Cubic])
+        .links([NetProfile::TmobileUmtsDown])
+        .loss_rates((0..n).map(|i| i as f64 * 1e-4))
+        .timing(Duration::from_secs(1), Duration::from_millis(200))
+        .build()
+}
+
+#[test]
+fn every_executed_cell_is_on_disk_when_the_sweep_returns() {
+    // Stores run on lanes beside the workers; `try_run` must not return
+    // before the last of them. A merge that starts the moment the
+    // executing run returns finds every cell.
+    let _g = LOCK.lock().unwrap();
+    let m = many_tiny_cells("flush", 240);
+    for threads in [1, 2] {
+        sprout_cache::set_dir(temp_cache_dir(&format!("flush-{threads}")));
+        let before = cell_cache_counters();
+        let executed = SweepEngine::new(23).with_threads(threads).run(&m);
+        let stores = cell_traffic_since(before).stores;
+        let before = cell_cache_counters();
+        let merged = SweepEngine::new(23)
+            .with_threads(threads)
+            .with_policy(CellCachePolicy::Merge)
+            .try_run(&m)
+            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+        let traffic = cell_traffic_since(before);
+        assert_eq!(stores, m.len() as u64, "threads {threads}");
+        assert_eq!(
+            (traffic.hits, traffic.misses, traffic.stores),
+            (m.len() as u64, 0, 0),
+            "threads {threads}"
+        );
+        assert_eq!(
+            sweep_to_json(m.name(), 23, &merged),
+            sweep_to_json(m.name(), 23, &executed),
+            "threads {threads}"
+        );
+    }
+    sprout_cache::reset_override();
+}
+
+#[test]
+fn a_cache_that_cannot_store_costs_the_sweep_nothing_but_the_cache() {
+    // The cache directory is a regular file: every store fails. Stores are
+    // best-effort, so the sweep returns the complete result set — the same
+    // bytes as beside a healthy cache, more cells than the lanes' queue
+    // holds — and leaves nothing behind.
+    let _g = LOCK.lock().unwrap();
+    let m = many_tiny_cells("unwritable", 40);
+    sprout_cache::set_dir(temp_cache_dir("writable"));
+    let want = sweep_to_json(m.name(), 29, &SweepEngine::new(29).with_threads(2).run(&m));
+
+    let parent = temp_cache_dir("unwritable");
+    std::fs::create_dir_all(&parent).unwrap();
+    let not_a_dir = parent.join("cache");
+    std::fs::write(&not_a_dir, b"not a directory").unwrap();
+    sprout_cache::set_dir(&not_a_dir);
+    let before = cell_cache_counters();
+    let got = SweepEngine::new(29)
+        .with_threads(2)
+        .try_run(&m)
+        .expect("a failing store is not a failing cell");
+    assert_eq!(sweep_to_json(m.name(), 29, &got), want);
+    assert_eq!(cell_traffic_since(before).stores, 0);
+    assert_eq!(std::fs::read(&not_a_dir).unwrap(), b"not a directory");
+    let left: Vec<_> = std::fs::read_dir(&parent)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["cache"], "no temp file beside it either");
+
     sprout_cache::reset_override();
 }
