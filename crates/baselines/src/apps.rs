@@ -373,6 +373,13 @@ impl Endpoint for VideoAppReceiver {
 mod tests {
     use super::*;
 
+    /// Everything `e` sends at `now`.
+    fn polled(e: &mut impl Endpoint, now: Timestamp) -> Vec<Packet> {
+        let mut out = Vec::new();
+        e.poll_into(now, &mut out);
+        out
+    }
+
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
     }
@@ -393,7 +400,7 @@ mod tests {
         let mut s = VideoAppSender::new(AppProfile::facetime());
         let mut bytes = 0u64;
         for ms in 0..2_000u64 {
-            for p in s.poll(t(ms)) {
+            for p in polled(&mut s, t(ms)) {
                 bytes += p.size as u64;
             }
         }
@@ -408,7 +415,7 @@ mod tests {
         let r0 = s.rate_bps();
         for sec in 0..20u64 {
             s.on_packet(report(50), t(sec * 1_000));
-            let _ = s.poll(t(sec * 1_000));
+            let _ = polled(&mut s, t(sec * 1_000));
         }
         assert!(s.rate_bps() > r0 * 2.0, "rate {} from {r0}", s.rate_bps());
         assert!(s.rate_bps() <= AppProfile::skype().max_rate_bps);
@@ -449,7 +456,7 @@ mod tests {
         // Then good news for ten minutes.
         for sec in 60..660u64 {
             s.on_packet(report(10), t(sec * 1_000));
-            let _ = s.poll(t(sec * 1_000));
+            let _ = polled(&mut s, t(sec * 1_000));
         }
         assert!(s.rate_bps() <= p.max_rate_bps);
     }
@@ -464,7 +471,7 @@ mod tests {
         };
         r.on_packet(frame(0, 500), t(100)); // 100 ms delay
         r.on_packet(frame(200, 500), t(220)); // 20 ms delay
-        let reports = r.poll(t(250));
+        let reports = polled(&mut r, t(250));
         assert_eq!(reports.len(), 1);
         match decode(&reports[0].payload) {
             AppDecoded::Report { max_delay } => {
@@ -474,7 +481,7 @@ mod tests {
         }
         // Next interval starts fresh.
         r.on_packet(frame(400, 500), t(410));
-        let reports = r.poll(t(500));
+        let reports = polled(&mut r, t(500));
         match decode(&reports[0].payload) {
             AppDecoded::Report { max_delay } => {
                 assert_eq!(max_delay, Duration::from_millis(10));
@@ -488,7 +495,7 @@ mod tests {
         let mut profile = AppProfile::skype();
         profile.start_rate_bps = 4e6; // big frames → multiple chunks
         let mut s = VideoAppSender::new(profile);
-        let pkts = s.poll(t(0));
+        let pkts = polled(&mut s, t(0));
         assert!(!pkts.is_empty());
         assert!(pkts.iter().all(|p| p.size <= MTU_BYTES));
         assert!(pkts.iter().any(|p| p.size == MTU_BYTES));

@@ -480,6 +480,13 @@ impl Endpoint for TcpReceiver {
 mod tests {
     use super::*;
 
+    /// Everything `e` sends at `now`.
+    fn polled(e: &mut impl Endpoint, now: Timestamp) -> Vec<Packet> {
+        let mut out = Vec::new();
+        e.poll_into(now, &mut out);
+        out
+    }
+
     /// Fixed-window controller for exercising the transport skeleton.
     struct FixedWindow(f64);
     impl CongestionControl for FixedWindow {
@@ -528,20 +535,20 @@ mod tests {
     #[test]
     fn sender_fills_fixed_window() {
         let mut s = TcpSender::new(Box::new(FixedWindow(8.0)));
-        let pkts = s.poll(t(0));
+        let pkts = polled(&mut s, t(0));
         assert_eq!(pkts.len(), 8);
         // No acks: window stays full, nothing more to send.
-        assert_eq!(s.poll(t(10)).len(), 0);
+        assert_eq!(polled(&mut s, t(10)).len(), 0);
     }
 
     #[test]
     fn ack_clock_releases_new_segments() {
         let mut s = TcpSender::new(Box::new(FixedWindow(4.0)));
-        let first = s.poll(t(0));
+        let first = polled(&mut s, t(0));
         assert_eq!(first.len(), 4);
         // Receiver acks segment 0 → expected becomes 1.
         s.on_packet(ack(1, t(0), t(20)), t(40));
-        let next = s.poll(t(40));
+        let next = polled(&mut s, t(40));
         assert_eq!(next.len(), 1, "one acked → one new");
         assert!(s.rtt().srtt().is_some());
     }
@@ -564,13 +571,14 @@ mod tests {
         }
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
         let mut s = TcpSender::new(Box::new(LossSpySync(counter.clone())));
-        let _ = s.poll(t(0)); // 10 segments out
-                              // Segment 0 lost: acks echo later segments but cum stays 0.
+        let _ = polled(&mut s, t(0)); // 10 segments out
+
+        // Segment 0 lost: acks echo later segments but cum stays 0.
         for i in 1..=4u64 {
             s.on_packet(ack(0, t(0), t(20 + i)), t(20 + i));
         }
         assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 1);
-        let out = s.poll(t(30));
+        let out = polled(&mut s, t(30));
         // The fast-retransmitted segment 0 is among the emitted packets.
         assert!(out.iter().any(|p| p.seq == 0));
         assert!(s.retransmits() >= 1);
@@ -594,11 +602,11 @@ mod tests {
         }
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
         let mut s = TcpSender::new(Box::new(TimeoutSpy(counter.clone())));
-        let _ = s.poll(t(0));
+        let _ = polled(&mut s, t(0));
         let deadline = s.next_wakeup().unwrap();
         assert!(deadline > t(0));
         // Nothing acked by the deadline: timeout fires on the next poll.
-        let out = s.poll(deadline + Duration::from_millis(1));
+        let out = polled(&mut s, deadline + Duration::from_millis(1));
         assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert!(out.iter().any(|p| p.seq == 0), "oldest seg retransmitted");
     }
@@ -614,7 +622,7 @@ mod tests {
         r.on_packet(data(0), t(1));
         r.on_packet(data(2), t(2)); // gap at 1
         r.on_packet(data(1), t(3)); // fills the gap
-        let acks = r.poll(t(3));
+        let acks = polled(&mut r, t(3));
         assert_eq!(acks.len(), 3);
         let cums: Vec<u64> = acks
             .iter()
@@ -814,7 +822,7 @@ mod tests {
         cc: impl Fn() -> Box<dyn CongestionControl>,
         script: &[(u32, u64, u64)],
     ) -> Result<(), String> {
-        use proptest::prop_assert_eq;
+        use proptest::{prop_assert, prop_assert_eq};
         let mut ring = TcpSender::new(cc());
         let mut tree = reference::BTreeSender::new(cc());
         let mut now = Timestamp::ZERO;
@@ -864,7 +872,12 @@ mod tests {
             for (r, t) in ring_out.drain(..).zip(tree_out.drain(..)) {
                 prop_assert_eq!((r.seq, r.size, r.flow), (t.seq, t.size, t.flow));
                 prop_assert_eq!(&r.payload[..], &t.payload[..DATA_HEADER]);
-                prop_assert_eq!(r.wire_payload(), t.payload);
+                // The reference's payload is ours followed by our padding
+                // as zero bytes.
+                let (head, filler) = t.payload.split_at(r.payload.len());
+                prop_assert_eq!(head, &r.payload[..]);
+                prop_assert_eq!(filler.len(), r.padding as usize);
+                prop_assert!(filler.iter().all(|&z| z == 0));
             }
             prop_assert_eq!(ring.next_wakeup(), tree.next_wakeup());
             prop_assert_eq!(ring.segments_sent(), tree.segments_sent);

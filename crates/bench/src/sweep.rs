@@ -666,7 +666,8 @@ impl CellThread {
                 }
                 token.cancel();
                 Err(failure(
-                    format!("exceeded the {}s cell watchdog timeout", timeout.as_secs()),
+                    // `Debug` renders a `Duration` exactly: "600s", "50ms".
+                    format!("exceeded the {timeout:?} cell watchdog timeout"),
                     true,
                 ))
             }

@@ -9,12 +9,13 @@
 //! locked by `impair_identity.rs`.
 //!
 //! The last two properties pin that the packet path exists once: the
-//! sink forms (`TraceLink::service_with`, `DirectedPath::advance_with`)
-//! and the buffer forms over them (`service_into`/`service`,
-//! `advance_into`/`advance`) yield the same packets at the same times in
-//! the same order, the same delivery log and the same counters, for
-//! random packet sizes, queue policies and impairments. CI also runs them
-//! optimised, where the sink closures are inlined.
+//! link's sink form (`TraceLink::service_with`) and the buffer form over
+//! it (`service`, which `benchmark/` probes) yield the same packets at the
+//! same times in the same order and the same counters, and the path's
+//! sink form (`DirectedPath::advance_with`) hands over exactly what its
+//! delivery log records, for random packet sizes, queue policies and
+//! impairments. CI also runs them optimised, where the sink closures are
+//! inlined.
 
 use proptest::option;
 use proptest::prelude::*;
@@ -82,14 +83,12 @@ fn outage_schedule(dur_ms: u64, extra_ms: u64, seed: u64) -> OutageSchedule {
     )
 }
 
-/// Which of the three equivalent entry points drives a link or a path.
+/// Which of the two equivalent entry points drives a link.
 #[derive(Clone, Copy, Debug)]
 enum Form {
-    /// `service_with` / `advance_with`: the implementation.
+    /// `service_with`: the implementation.
     Sink,
-    /// `service_into` / `advance_into`: appends to a caller's buffer.
-    Into,
-    /// `service` / `advance`: returns a fresh `Vec`.
+    /// `service`: returns a fresh `Vec`.
     Fresh,
 }
 
@@ -190,19 +189,10 @@ fn wire_size(draw: u32) -> u32 {
 fn drive_link(cfg: LinkConfig, sizes: &[u32], form: Form) -> Outcome {
     let mut link = TraceLink::new(cfg);
     let mut delivered = Vec::new();
-    let mut buffer: Vec<LinkDelivery> = Vec::new();
     let mut poll = |link: &mut TraceLink, now: Timestamp| match form {
         Form::Sink => link.service_with(now, |p, at| {
             delivered.push((p.seq, p.size, at.as_micros()));
         }),
-        Form::Into => {
-            link.service_into(now, &mut buffer);
-            delivered.extend(
-                buffer
-                    .drain(..)
-                    .map(|d| (d.packet.seq, d.packet.size, d.at.as_micros())),
-            );
-        }
         Form::Fresh => delivered.extend(
             link.service(now)
                 .into_iter()
@@ -225,25 +215,15 @@ fn drive_link(cfg: LinkConfig, sizes: &[u32], form: Form) -> Outcome {
     }
 }
 
-/// [`drive_link`] one layer up: packets are sent into a [`DirectedPath`]
-/// (wire delay, then the link) on two flows, and the delivery log is part
-/// of the outcome.
-fn drive_path(cfg: LinkConfig, sizes: &[u32], form: Form) -> Outcome {
+/// [`drive_link`] one layer up, through `advance_with`: packets are sent
+/// into a [`DirectedPath`] (wire delay, then the link) on two flows, and
+/// the delivery log is part of the outcome.
+fn drive_path(cfg: LinkConfig, sizes: &[u32]) -> Outcome {
     let mut path = DirectedPath::new(PathConfig { link: cfg });
     let mut delivered = Vec::new();
-    let mut buffer: Vec<Packet> = Vec::new();
     let mut poll = |path: &mut DirectedPath, now: Timestamp| {
         let at = now.as_micros();
-        match form {
-            Form::Sink => path.advance_with(now, |p| delivered.push((p.seq, p.size, at))),
-            Form::Into => {
-                path.advance_into(now, &mut buffer);
-                delivered.extend(buffer.drain(..).map(|p| (p.seq, p.size, at)));
-            }
-            Form::Fresh => {
-                delivered.extend(path.advance(now).into_iter().map(|p| (p.seq, p.size, at)))
-            }
-        }
+        path.advance_with(now, |p| delivered.push((p.seq, p.size, at)));
     };
     for (step, pair) in sizes.chunks(2).enumerate() {
         let now = t(step as u64 * GAP_MS);
@@ -425,8 +405,8 @@ proptest! {
         }
     }
 
-    /// `service_with` is the link's one delivery path: the buffer forms
-    /// over it see the same packets, times, order and counters.
+    /// `service_with` is the link's one delivery path: the buffer form
+    /// over it sees the same packets, times, order and counters.
     #[test]
     fn link_sink_and_buffer_forms_are_one_path(
         seed in 0u64..1_000_000,
@@ -442,7 +422,6 @@ proptest! {
         let (ge, outage, perturb) = shape;
         let cfg = drawn_link(seed, 2 * sizes.len() as u64, queue, loss, ge, outage, perturb);
         let sink = drive_link(cfg.clone(), &sizes, Form::Sink);
-        prop_assert_eq!(&drive_link(cfg.clone(), &sizes, Form::Into), &sink);
         prop_assert_eq!(&drive_link(cfg, &sizes, Form::Fresh), &sink);
         // The case exercised the path: something crossed, and every
         // packet is accounted for exactly once.
@@ -455,8 +434,8 @@ proptest! {
     }
 
     /// The same one layer up: `advance_with` records a delivery and hands
-    /// it over in the same place, so the three forms also agree on the
-    /// delivery log.
+    /// it over in the same place, so what it hands over is the delivery
+    /// log, record for record.
     #[test]
     fn path_sink_and_buffer_forms_are_one_path(
         seed in 0u64..1_000_000,
@@ -471,9 +450,7 @@ proptest! {
     ) {
         let (ge, outage, perturb) = shape;
         let cfg = drawn_link(seed, 2 * sizes.len() as u64, queue, loss, ge, outage, perturb);
-        let sink = drive_path(cfg.clone(), &sizes, Form::Sink);
-        prop_assert_eq!(&drive_path(cfg.clone(), &sizes, Form::Into), &sink);
-        prop_assert_eq!(&drive_path(cfg, &sizes, Form::Fresh), &sink);
+        let sink = drive_path(cfg, &sizes);
         // The log is the delivered sequence, record for record.
         prop_assert_eq!(sink.log.len(), sink.delivered.len());
         for (rec, del) in sink.log.iter().zip(&sink.delivered) {

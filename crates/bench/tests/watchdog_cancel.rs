@@ -135,6 +135,11 @@ fn a_timeout_costs_the_worker_its_cell_thread_and_nothing_else() {
                 .map(|f| (f.scenario_id, f.timed_out))
                 .collect();
             assert_eq!(named, [(0, true)], "exactly the first cell, as a timeout");
+            // A sub-second budget is named as such, not as "0s".
+            assert_eq!(
+                failures[0].message,
+                "exceeded the 50ms cell watchdog timeout"
+            );
         }
         other => panic!("expected CellsPanicked, got {other:?}"),
     }

@@ -73,8 +73,10 @@ impl Response {
     }
 }
 
-/// Decode `%XX` escapes and `+` (space) in a URL component.
+/// Decode `%XX` escapes and `+` (space) in a URL component. An escape is
+/// `%` and exactly two ASCII hex digits; any other `%` is kept literally.
 pub fn percent_decode(s: &str) -> String {
+    let digit = |b: u8| (b as char).to_digit(16);
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -85,14 +87,12 @@ pub fn percent_decode(s: &str) -> String {
                 i += 1;
             }
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    std::str::from_utf8(h)
-                        .ok()
-                        .and_then(|h| u8::from_str_radix(h, 16).ok())
-                });
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .and_then(|h| Some(digit(h[0])? * 16 + digit(h[1])?));
                 match hex {
                     Some(b) => {
-                        out.push(b);
+                        out.push(b as u8);
                         i += 3;
                     }
                     None => {
@@ -290,6 +290,11 @@ mod tests {
         assert_eq!(query[1], ("x".to_string(), "a b c".to_string()));
         let (path, query) = split_target("/status");
         assert_eq!((path.as_str(), query.len()), ("/status", 0));
+        // An escape is `%` and two hex digits; `u8::from_str_radix` alone
+        // would take `+F` for 0x0F. Anything else stays literal.
+        let (_, query) = split_target("/s?a=%+F&b=%-1&c=%G0&d=%2F&e=%4");
+        let values: Vec<&str> = query.iter().map(|(_, v)| v.as_str()).collect();
+        assert_eq!(values, ["% F", "%-1", "%G0", "/", "%4"]);
     }
 
     #[test]

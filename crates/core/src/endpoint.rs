@@ -1,7 +1,6 @@
 //! The full-duplex Sprout endpoint: receiver inference + sender window,
-//! assembled behind the sans-IO [`sprout_sim::Endpoint`] trait
-//! so the same state machine runs under the virtual-time emulator and the
-//! real-UDP driver.
+//! assembled behind the sans-IO [`sprout_sim::Endpoint`] trait, which
+//! the virtual-time emulator drives.
 
 use bytes::Bytes;
 
@@ -70,7 +69,7 @@ pub struct EndpointStats {
 }
 
 /// A Sprout endpoint. Construct one per side of a session; wire them with
-/// the emulator ([`sprout_sim::Simulation`]) or the UDP driver.
+/// the emulator ([`sprout_sim::Simulation`]).
 pub struct SproutEndpoint {
     cfg: SproutConfig,
     sender: SproutSender,
@@ -377,6 +376,13 @@ fn patch_time_to_next(packet: &mut Packet, ttn: Duration) {
 mod tests {
     use super::*;
 
+    /// Everything `e` sends at `now`.
+    fn polled(e: &mut impl Endpoint, now: Timestamp) -> Vec<Packet> {
+        let mut out = Vec::new();
+        e.poll_into(now, &mut out);
+        out
+    }
+
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
     }
@@ -390,7 +396,7 @@ mod tests {
         let mut e = endpoint();
         let mut control = 0;
         for ms in (0..200).step_by(20) {
-            let pkts = e.poll(t(ms));
+            let pkts = polled(&mut e, t(ms));
             control += pkts.len();
             for p in &pkts {
                 let h = SproutHeader::decode(&p.payload).unwrap();
@@ -407,7 +413,7 @@ mod tests {
     fn startup_sends_limited_data_before_forecast() {
         let mut e = endpoint();
         e.set_saturating();
-        let pkts = e.poll(t(0));
+        let pkts = polled(&mut e, t(0));
         // Startup window is one MTU: at most one data packet (plus no
         // separate control packet since data carries the feedback).
         let data: Vec<_> = pkts
@@ -421,7 +427,7 @@ mod tests {
     fn forecast_feedback_opens_window() {
         let mut e = endpoint();
         e.set_saturating();
-        let _ = e.poll(t(0));
+        let _ = polled(&mut e, t(0));
         // Hand-craft generous feedback: 4 packets per tick, nothing lost.
         let fb = WireForecast {
             recv_or_lost_bytes: e.sender().bytes_sent(),
@@ -443,7 +449,7 @@ mod tests {
             Packet::from_payload(FlowId::PRIMARY, 0, packet_with_fb),
             t(25),
         );
-        let pkts = e.poll(t(25));
+        let pkts = polled(&mut e, t(25));
         // Window: 5 ticks × 4 pkts × 1500 B = 30 kB minus queue estimate;
         // expect a burst of MTU-sized data packets.
         let data_count = pkts
@@ -468,7 +474,7 @@ mod tests {
         let mut e = endpoint();
         // Idle endpoint: heartbeats must carry a positive time-to-next so
         // the peer's observations stay gated during the silence.
-        let pkts = e.poll(t(0));
+        let pkts = polled(&mut e, t(0));
         assert_eq!(pkts.len(), 1);
         let h = SproutHeader::decode(&pkts[0].payload).unwrap();
         assert!(h.heartbeat);
@@ -497,7 +503,7 @@ mod tests {
         }
         .encode_with_padding();
         e.on_packet(Packet::from_payload(FlowId::PRIMARY, 0, payload), t(5));
-        let pkts = e.poll(t(5));
+        let pkts = polled(&mut e, t(5));
         let sent: u64 = pkts
             .iter()
             .map(|p| SproutHeader::decode(&p.payload).unwrap().payload_len as u64)
@@ -522,7 +528,7 @@ mod tests {
     fn patch_time_to_next_rewrites_field() {
         let mut e = endpoint();
         e.set_saturating();
-        let mut pkts = e.poll(t(0));
+        let mut pkts = polled(&mut e, t(0));
         let pkt = pkts.last_mut().unwrap();
         patch_time_to_next(pkt, Duration::from_millis(123));
         let h = SproutHeader::decode(&pkt.payload).unwrap();
@@ -539,10 +545,10 @@ mod tests {
         // Walk packets across a perfect wire for a few ticks.
         for step in 0..10u64 {
             let now = t(step * 20);
-            for p in tx.poll(now) {
+            for p in polled(&mut tx, now) {
                 rx.on_packet(p, now);
             }
-            for p in rx.poll(now) {
+            for p in polled(&mut rx, now) {
                 tx.on_packet(p, now);
             }
         }

@@ -13,9 +13,9 @@
 //! **sender** turns the forecast into an evolving window that bounds the
 //! risk of any packet queueing longer than 100 ms to under 5% (§3.5).
 //!
-//! The protocol state machines are sans-IO: drive [`SproutEndpoint`] from
-//! the virtual-time emulator (`sprout-sim`) for experiments, or from real
-//! sockets (`sprout-net`) for live use.
+//! The protocol state machines are sans-IO: [`SproutEndpoint`] names no
+//! socket or clock, and the virtual-time emulator (`sprout-sim`) drives it
+//! in every experiment.
 //!
 //! ```
 //! use sprout_core::{SproutConfig, SproutEndpoint};

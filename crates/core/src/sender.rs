@@ -200,11 +200,6 @@ impl SproutSender {
     pub fn queue_estimate(&self) -> u64 {
         self.queue_estimate
     }
-
-    /// Whether any forecast has been received yet.
-    pub fn has_forecast(&self) -> bool {
-        self.forecast.is_some()
-    }
 }
 
 #[cfg(test)]

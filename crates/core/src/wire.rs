@@ -125,12 +125,6 @@ impl SproutHeader {
         buf.freeze()
     }
 
-    /// The payload bytes of a decoded packet (after the header).
-    pub fn payload_of<'a>(&self, packet: &'a [u8]) -> &'a [u8] {
-        let start = self.encoded_len();
-        &packet[start..start + self.payload_len as usize]
-    }
-
     /// Encode just the header into `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u8(MAGIC);

@@ -95,20 +95,6 @@ impl DirectedPath {
         }
     }
 
-    /// [`DirectedPath::advance_into`] into a fresh `Vec` (tests and
-    /// drivers outside the hot loop).
-    pub fn advance(&mut self, now: Timestamp) -> Vec<Packet> {
-        let mut delivered = Vec::new();
-        self.advance_into(now, &mut delivered);
-        delivered
-    }
-
-    /// [`DirectedPath::advance_with`], appending each delivered packet to
-    /// `delivered` (not cleared).
-    pub fn advance_into(&mut self, now: Timestamp, delivered: &mut Vec<Packet>) {
-        self.advance_with(now, |p| delivered.push(p));
-    }
-
     /// Advance internal state to `now`, processing wire arrivals and
     /// delivery opportunities in strict time order. Each packet that
     /// reaches the far end is recorded in the delivery log and handed to
@@ -196,15 +182,22 @@ mod tests {
         Packet::opaque(FlowId::PRIMARY, seq, MTU_BYTES)
     }
 
+    /// The packets `advance_with` hands its sink, collected.
+    fn advance(path: &mut DirectedPath, now: Timestamp) -> Vec<Packet> {
+        let mut delivered = Vec::new();
+        path.advance_with(now, |p| delivered.push(p));
+        delivered
+    }
+
     #[test]
     fn propagation_delays_queue_entry() {
         // Opportunity at 10 ms, packet sent at 0 with 20 ms propagation:
         // it misses the 10 ms opportunity and uses the one at 30 ms.
         let mut path = DirectedPath::new(PathConfig::standard(Trace::from_millis([10, 30])));
         path.send(mtu(1), t(0));
-        let d = path.advance(t(10));
+        let d = advance(&mut path, t(10));
         assert!(d.is_empty());
-        let d = path.advance(t(30));
+        let d = advance(&mut path, t(30));
         assert_eq!(d.len(), 1);
         assert_eq!(path.metrics().records()[0].delivered_at, t(30));
         assert_eq!(path.metrics().records()[0].sent_at, t(0));
@@ -216,7 +209,7 @@ mod tests {
         // immediately (one-way delay = propagation).
         let mut path = DirectedPath::new(PathConfig::standard(Trace::from_millis([20])));
         path.send(mtu(1), t(0));
-        let d = path.advance(t(20));
+        let d = advance(&mut path, t(20));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sent_at, t(0));
     }
@@ -227,9 +220,9 @@ mod tests {
         assert_eq!(path.next_event(), Some(t(100)));
         path.send(mtu(1), t(0)); // arrival at 20 ms
         assert_eq!(path.next_event(), Some(t(20)));
-        path.advance(t(50));
+        advance(&mut path, t(50));
         assert_eq!(path.next_event(), Some(t(100)));
-        path.advance(t(100));
+        advance(&mut path, t(100));
         assert_eq!(path.next_event(), None);
     }
 
@@ -239,7 +232,7 @@ mod tests {
         // even when advance() is called late, at 100 ms.
         let mut path = DirectedPath::new(PathConfig::standard(Trace::from_millis([25, 60])));
         path.send(mtu(1), t(10)); // arrives at queue at 30 ms
-        let d = path.advance(t(100));
+        let d = advance(&mut path, t(100));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sent_at, t(10));
         assert_eq!(path.metrics().records()[0].delivered_at, t(60));
@@ -252,7 +245,7 @@ mod tests {
         path.send(mtu(1), t(0));
         path.send(mtu(2), t(5));
         assert_eq!(path.wire_bytes(), 2 * MTU_BYTES as u64);
-        path.advance(t(21)); // first has arrived at queue
+        advance(&mut path, t(21)); // first has arrived at queue
         assert_eq!(path.wire_bytes(), MTU_BYTES as u64);
     }
 }

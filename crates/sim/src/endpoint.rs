@@ -2,11 +2,11 @@
 //!
 //! Every protocol in this workspace — Sprout itself, the TCP baselines, the
 //! videoconference app models, the tunnel — is a state machine implementing
-//! [`Endpoint`]. The state machine never touches sockets or clocks; it is
-//! driven by whoever owns it: the virtual-time event loop ([`crate::run`])
-//! in experiments, or a real-socket driver (`sprout-net`) in live use.
-//! This is the smoltcp idiom: explicit `poll(now)`-style interfaces keep
-//! the protocol logic deterministic and testable.
+//! [`Endpoint`]. The state machine never touches sockets or clocks, and
+//! the trait names no I/O type; the virtual-time event loops
+//! ([`crate::run`], [`crate::serve`]) are its drivers. This is the smoltcp
+//! idiom: explicit `poll_into(now, ..)`-style interfaces keep the protocol
+//! logic deterministic and testable.
 
 use crate::packet::Packet;
 use sprout_trace::Timestamp;
@@ -37,14 +37,6 @@ pub trait Endpoint: Send {
     /// else.
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>);
 
-    /// Allocating convenience form of [`Endpoint::poll_into`] (tests,
-    /// examples, drivers outside the hot loop).
-    fn poll(&mut self, now: Timestamp) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
     /// The next time this endpoint needs to be polled even if no packet
     /// arrives (tick boundaries, retransmission timers, pacing release
     /// times). `None` means "only wake me on packet arrival". This is a
@@ -60,9 +52,6 @@ impl<T: Endpoint + ?Sized> Endpoint for Box<T> {
     }
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
         (**self).poll_into(now, out)
-    }
-    fn poll(&mut self, now: Timestamp) -> Vec<Packet> {
-        (**self).poll(now)
     }
     fn next_wakeup(&self) -> Option<Timestamp> {
         (**self).next_wakeup()
@@ -171,13 +160,20 @@ mod tests {
     use super::*;
     use crate::packet::FlowId;
 
+    /// Everything `e` sends at `now`.
+    pub(super) fn polled(e: &mut impl Endpoint, now: Timestamp) -> Vec<Packet> {
+        let mut out = Vec::new();
+        e.poll_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn sink_counts_bytes_and_stays_silent() {
         let mut sink = SinkEndpoint::new();
         sink.on_packet(Packet::opaque(FlowId::PRIMARY, 0, 100), Timestamp::ZERO);
         sink.on_packet(Packet::opaque(FlowId::PRIMARY, 1, 50), Timestamp::ZERO);
         assert_eq!(sink.received_bytes(), 150);
-        assert!(sink.poll(Timestamp::ZERO).is_empty());
+        assert!(polled(&mut sink, Timestamp::ZERO).is_empty());
         assert_eq!(sink.next_wakeup(), None);
     }
 
@@ -185,13 +181,14 @@ mod tests {
     fn boxed_endpoint_delegates() {
         let mut boxed: Box<dyn Endpoint> = Box::new(SinkEndpoint::new());
         boxed.on_packet(Packet::opaque(FlowId::PRIMARY, 0, 10), Timestamp::ZERO);
-        assert!(boxed.poll(Timestamp::ZERO).is_empty());
+        assert!(polled(&mut boxed, Timestamp::ZERO).is_empty());
         assert_eq!(boxed.next_wakeup(), None);
     }
 }
 
 #[cfg(test)]
 mod mux_tests {
+    use super::tests::polled;
     use super::*;
     use crate::packet::FlowId;
 
@@ -229,14 +226,14 @@ mod mux_tests {
         let mut mux = MuxEndpoint::new();
         mux.add(FlowId(1), Box::new(Chatter::new()));
         mux.add(FlowId(2), Box::new(Chatter::new()));
-        let out = mux.poll(Timestamp::ZERO);
+        let out = polled(&mut mux, Timestamp::ZERO);
         assert_eq!(out.len(), 2);
         // Children's flow ids are overwritten by the mux.
         assert!(out.iter().any(|p| p.flow == FlowId(1)));
         assert!(out.iter().any(|p| p.flow == FlowId(2)));
         // Routing: a packet for flow 2 only reaches child 2.
         mux.on_packet(Packet::opaque(FlowId(2), 7, 10), Timestamp::ZERO);
-        let echoed = mux.poll(Timestamp::ZERO);
+        let echoed = polled(&mut mux, Timestamp::ZERO);
         assert_eq!(echoed.len(), 1);
         assert_eq!(echoed[0].flow, FlowId(2));
         assert_eq!(echoed[0].seq, 7);
@@ -246,8 +243,8 @@ mod mux_tests {
     fn unknown_flow_is_dropped() {
         let mut mux = MuxEndpoint::new();
         mux.add(FlowId(1), Box::new(Chatter::new()));
-        let _ = mux.poll(Timestamp::ZERO);
+        let _ = polled(&mut mux, Timestamp::ZERO);
         mux.on_packet(Packet::opaque(FlowId(5), 0, 10), Timestamp::ZERO);
-        assert!(mux.poll(Timestamp::ZERO).is_empty());
+        assert!(polled(&mut mux, Timestamp::ZERO).is_empty());
     }
 }

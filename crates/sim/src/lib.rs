@@ -48,7 +48,7 @@ pub use metrics::{
 pub use packet::{FlowId, Packet};
 pub use queue::{DropTail, DEEP_QUEUE_BYTES};
 pub use run::{
-    direction_stats, direction_stats_with_floor, run_stats, DirectionStats, SimScratch, Simulation,
+    direction_stats, direction_stats_with_floor, DirectionStats, SimScratch, Simulation,
 };
 pub use serve::ServeSim;
 pub use wheel::TimerWheel;

@@ -267,18 +267,12 @@ impl TraceLink {
         }
     }
 
-    /// [`TraceLink::service_into`] into a fresh `Vec` (tests, probes,
-    /// drivers outside the hot loop).
+    /// [`TraceLink::service_with`], collected into a fresh `Vec` (tests
+    /// and `benchmark/`'s `sim.link_service_ns` probe).
     pub fn service(&mut self, now: Timestamp) -> Vec<LinkDelivery> {
         let mut out = Vec::new();
-        self.service_into(now, &mut out);
-        out
-    }
-
-    /// [`TraceLink::service_with`], appending each delivery to `out` (not
-    /// cleared).
-    pub fn service_into(&mut self, now: Timestamp, out: &mut Vec<LinkDelivery>) {
         self.service_with(now, |packet, at| out.push(LinkDelivery { packet, at }));
+        out
     }
 
     /// Fire all delivery opportunities due at or before `now` and release

@@ -21,9 +21,9 @@ impl FlowId {
 /// an encapsulated datagram); `padding` is filler the protocol would put
 /// on the wire after `payload` — counted, never stored. Bulk senders
 /// emit a 17-byte header with `padding` of 1483 rather than a zeroed
-/// 1500-byte buffer per segment. Exactly two consumers need the filler as
-/// real bytes and materialise it: tunnel encapsulation and the UDP
-/// driver ([`Packet::wire_payload`]).
+/// 1500-byte buffer per segment. Exactly one place needs the filler as
+/// real bytes and materialises it: tunnel encapsulation
+/// (`sprout_tunnel::encapsulate`).
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Flow the packet belongs to.
@@ -73,19 +73,6 @@ impl Packet {
             payload: Bytes::new(),
         }
     }
-
-    /// The protocol's full wire format: `payload` followed by `padding`
-    /// zero bytes. Returns `payload` itself (no copy) when there is no
-    /// padding.
-    pub fn wire_payload(&self) -> Bytes {
-        if self.padding == 0 {
-            return self.payload.clone();
-        }
-        let mut wire = Vec::with_capacity(self.payload.len() + self.padding as usize);
-        wire.extend_from_slice(&self.payload);
-        wire.resize(self.payload.len() + self.padding as usize, 0);
-        Bytes::from(wire)
-    }
 }
 
 #[cfg(test)]
@@ -104,31 +91,5 @@ mod tests {
         let p = Packet::opaque(FlowId(3), 0, 1500);
         assert_eq!(p.size, 1500);
         assert!(p.payload.is_empty());
-    }
-
-    #[test]
-    fn wire_payload_appends_the_counted_padding_as_zeros() {
-        let header: Vec<u8> = (1..=17).collect();
-        let p = Packet {
-            padding: 1_483,
-            size: 1_500,
-            ..Packet::from_payload(FlowId::PRIMARY, 0, Bytes::from(header.clone()))
-        };
-        let wire = p.wire_payload();
-        assert_eq!(wire.len(), p.payload.len() + p.padding as usize);
-        assert_eq!(&wire[..17], &header[..]);
-        assert!(wire[17..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn wire_payload_without_padding_is_the_payload_itself() {
-        // Long enough for shared storage, so "no copy" is observable.
-        let p = Packet::from_payload(FlowId::PRIMARY, 0, Bytes::from(vec![7; 100]));
-        let wire = p.wire_payload();
-        assert_eq!(wire, p.payload);
-        assert_eq!(wire.as_ptr(), p.payload.as_ptr(), "storage is shared");
-        assert!(Packet::opaque(FlowId::PRIMARY, 0, 1_500)
-            .wire_payload()
-            .is_empty());
     }
 }

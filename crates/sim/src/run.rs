@@ -4,8 +4,8 @@
 use crate::cellsim::{DirectedPath, PathConfig};
 use crate::endpoint::Endpoint;
 use crate::metrics::{
-    self, degradation_stats, omniscient_p95_delay, self_inflicted_delay, utilization,
-    DegradationStats, DeliveryRecord, MetricsCollector,
+    degradation_stats, omniscient_p95_delay, self_inflicted_delay, utilization, DegradationStats,
+    DeliveryRecord, MetricsCollector,
 };
 use crate::packet::Packet;
 use sprout_trace::{Duration, Timestamp};
@@ -257,23 +257,6 @@ pub fn direction_stats_with_floor(
         degradation: degradation_stats(m, trace, path.link().outage_windows(), from, to, p95),
     }
 }
-
-/// Convenience: stats for both directions with the paper's measurement
-/// convention (skip the first `warmup` of the run; measure to `end`).
-pub fn run_stats<A: Endpoint, B: Endpoint>(
-    sim: &Simulation<A, B>,
-    warmup: Duration,
-    end: Timestamp,
-) -> (DirectionStats, DirectionStats) {
-    let from = Timestamp::ZERO + warmup;
-    (
-        direction_stats(&sim.ab, from, end),
-        direction_stats(&sim.ba, from, end),
-    )
-}
-
-/// Re-export hook used by harness code that wants raw metric helpers.
-pub use metrics::omniscient_delay_percentile;
 
 #[cfg(test)]
 mod tests {

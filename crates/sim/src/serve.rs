@@ -163,11 +163,6 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
         &self.up[idx]
     }
 
-    /// Session `idx`'s downlink path (server → client).
-    pub fn down_path(&self, idx: usize) -> &DirectedPath {
-        &self.down[idx]
-    }
-
     /// Total wire bytes the uplink paths have handed to the server — the
     /// link-level side of the conservation property (it must equal the
     /// sum of per-session delivered bytes).

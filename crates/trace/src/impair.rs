@@ -265,11 +265,6 @@ impl GilbertElliottProcess {
         };
         loss < rate
     }
-
-    /// Whether the chain is currently in the bad (lossy) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
 }
 
 /// A precomputed, seeded schedule of link outages: non-overlapping

@@ -35,7 +35,7 @@ const ENCAP_LEN: usize = 24;
 
 /// The datagram a client packet travels in: the encapsulation header,
 /// then the packet's full wire payload with its counted padding
-/// materialised as zeros (one of the two places that do, see
+/// materialised as zeros (the one place that does, see
 /// [`Packet::padding`]).
 ///
 /// Known inconsistency, changing it is an ENGINE_VERSION bump: the
@@ -380,19 +380,31 @@ mod tests {
     fn tcp_segment_and_ack() -> (Packet, Packet) {
         use sprout_baselines::{Cubic, TcpReceiver, TcpSender};
         let now = Timestamp::from_millis(7);
-        let mut segment = TcpSender::new(Box::new(Cubic::new())).poll(now).remove(0);
+        let mut sent = Vec::new();
+        TcpSender::new(Box::new(Cubic::new())).poll_into(now, &mut sent);
+        let mut segment = sent.remove(0);
         segment.flow = FlowId(2);
         segment.sent_at = now;
         let mut receiver = TcpReceiver::new();
         receiver.on_packet(segment.clone(), now);
-        let ack = receiver.poll(now).remove(0);
-        (segment, ack)
+        let mut acks = Vec::new();
+        receiver.poll_into(now, &mut acks);
+        (segment, acks.remove(0))
     }
 
     #[test]
     fn header_only_segment_encapsulates_like_the_fully_padded_one() {
-        let (segment, _) = tcp_segment_and_ack();
+        let (segment, ack) = tcp_segment_and_ack();
         assert_eq!((segment.payload.len(), segment.padding), (17, 1_483));
+        // Behind the encapsulation header: the payload first, then the
+        // counted padding as zeros, nothing else.
+        let datagram = encapsulate(&segment);
+        assert_eq!(datagram.len(), ENCAP_LEN + 17 + 1_483);
+        assert_eq!(&datagram[ENCAP_LEN..ENCAP_LEN + 17], &segment.payload[..]);
+        assert!(datagram[ENCAP_LEN + 17..].iter().all(|&b| b == 0));
+        // Without padding the payload is all there is.
+        assert_eq!(ack.padding, 0);
+        assert_eq!(&encapsulate(&ack)[ENCAP_LEN..], &ack.payload[..]);
         // The oracle: the segment as the previous encoder built it, its
         // filler 1483 real zero bytes (`encode_data` before `padding`).
         let mut padded = BytesMut::with_capacity(segment.size as usize);
@@ -403,8 +415,6 @@ mod tests {
             payload: padded.freeze(),
             ..segment.clone()
         };
-        let datagram = encapsulate(&segment);
-        assert_eq!(datagram.len(), ENCAP_LEN + 1_500);
         assert_eq!(datagram, encapsulate(&oracle));
         // And the far end still understands it.
         let delivered = decapsulate(datagram).unwrap();
@@ -413,7 +423,9 @@ mod tests {
         let mut receiver = sprout_baselines::TcpReceiver::new();
         receiver.on_packet(delivered, Timestamp::from_millis(50));
         assert_eq!(receiver.segments_received(), 1);
-        assert_eq!(receiver.poll(Timestamp::from_millis(50)).len(), 1);
+        let mut acks = Vec::new();
+        receiver.poll_into(Timestamp::from_millis(50), &mut acks);
+        assert_eq!(acks.len(), 1);
     }
 
     /// Pins a known inconsistency (changing it is an ENGINE_VERSION

@@ -137,7 +137,8 @@ mod tests {
         // session 2's counters.
         let mut client = SproutEndpoint::new_ewma(cfg);
         client.set_flow(FlowId(2));
-        let pkts = client.poll(t(0));
+        let mut pkts = Vec::new();
+        client.poll_into(t(0), &mut pkts);
         assert!(!pkts.is_empty());
         for p in pkts {
             server.on_packet(p, t(0));
@@ -156,11 +157,14 @@ mod tests {
         // All sessions tick on the same grid; at the first tick boundary
         // every session emits its heartbeat exactly once.
         let first = server.next_wakeup().expect("sessions are armed");
-        let out = server.poll(first);
+        let mut out = Vec::new();
+        server.poll_into(first, &mut out);
         assert_eq!(out.len(), 4, "one heartbeat per session");
         // Immediately afterwards nothing is due: the wheel re-armed
         // every session for the *next* tick.
-        assert!(server.poll(first).is_empty());
+        out.clear();
+        server.poll_into(first, &mut out);
+        assert!(out.is_empty());
         assert!(server.next_wakeup() > Some(first));
     }
 }

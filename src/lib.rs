@@ -9,7 +9,6 @@
 //! * [`sprout_sim`] — the Cellsim trace-driven network emulator
 //! * [`sprout_baselines`] — TCP variants, app models, omniscient, Saturator
 //! * [`sprout_tunnel`] — SproutTunnel flow isolation (§4.3)
-//! * [`sprout_net`] — real-UDP driver for the sans-IO endpoints
 //! * [`sprout_cache`] — content-addressed artifact cache (forecast
 //!   tables, synthesized traces)
 //!
@@ -20,7 +19,6 @@
 pub use sprout_baselines;
 pub use sprout_cache;
 pub use sprout_core;
-pub use sprout_net;
 pub use sprout_sim;
 pub use sprout_trace;
 pub use sprout_tunnel;

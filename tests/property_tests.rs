@@ -176,7 +176,7 @@ proptest! {
         for seq in 0..60u64 {
             path.send(Packet::opaque(FlowId::PRIMARY, seq, 1_200), Timestamp::from_millis(seq * 7));
         }
-        path.advance(Timestamp::from_millis(horizon));
+        path.advance_with(Timestamp::from_millis(horizon), drop);
         for rec in path.metrics().records() {
             prop_assert!(
                 rec.delivered_at.saturating_since(rec.sent_at) >= d,
