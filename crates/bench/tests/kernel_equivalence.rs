@@ -1,7 +1,8 @@
 //! Kernel-vs-reference equivalence: the tiled evolve walk must be
 //! **bit-for-bit** equal to its scalar reference across random
 //! configurations and inputs — not merely close; likewise the windowed
-//! percentile search against the one-count bisection and the memoised
+//! percentile search over the banded table (certain bins summed as a
+//! prefix or skipped) against the one-count bisection and the memoised
 //! likelihood update against the uncached one. Those restructured loops
 //! preserve the floating-point accumulation order (ascending source bins
 //! per output cell). The forecast-table build is a different algorithm
@@ -115,15 +116,16 @@ proptest! {
         let at = |t: &ForecastTables, tick, c, i| t.conditional_cdf(tick, c, i);
 
         // Horizon prefix: tick `t` never looks at ticks after it, so the
-        // `h`-tick table is the first `h` ticks of the `H`-tick one.
+        // `h`-tick table is the first `h` ticks of the `H`-tick one — and
+        // the payload stores its spans tick-major, so its spans after the
+        // 24-byte header are a prefix of the longer table's.
         let h = 1 + horizon_ticks / 2;
         let short = ForecastTables::build(
             &cfg_with(num_bins, sigma, max_rate_pps, h, count_max),
             &kernel,
-        );
-        let payload = 24 + 4 * h * count_max * num_bins;
+        ).to_bytes();
         prop_assert!(
-            short.to_bytes()[24..] == full.to_bytes()[24..payload],
+            short[24..] == full.to_bytes()[24..short.len()],
             "the {}-tick table is not a prefix of the {}-tick one", h, horizon_ticks
         );
 
@@ -279,37 +281,36 @@ proptest! {
         weights in collection::vec(0.01f64..1.0, 5..6),
         total in 0.2f64..1.2,
     ) {
-        // Tables no DP would produce, decoded from a hand-made payload:
-        // per (tick, bin) a step-like CDF that is non-decreasing in the
-        // count — all the search relies on — but unrelated from one tick
-        // to the next and free to stop short of 1. Answers land below
-        // the warm start, on block boundaries, several blocks from the
-        // prediction and in the last block's padding.
-        let mut payload = sprout_cache::ByteWriter::new();
-        payload
-            .u64(num_bins as u64)
-            .u64(horizon_ticks as u64)
-            .u64(count_max as u64);
-        let mut draws = raw.iter().cycle();
-        let mut cdfs = vec![vec![0.0f32; count_max]; horizon_ticks * num_bins];
-        for cdf in &mut cdfs {
-            let ceiling = *draws.next().unwrap();
-            let steps: Vec<f64> = (0..count_max).map(|_| draws.next().unwrap().powi(8)).collect();
+        // Tables no DP would produce, from hand-made rows: per (tick, bin)
+        // a step-like CDF that is non-decreasing in the count — all the
+        // search relies on — but unrelated from one tick to the next. A
+        // row starts with a run of exact zeros of any length, then either
+        // reaches 1.0 (a band that ends inside the axis), stops short of
+        // 1 (one that runs to its end) or stays 0.0 throughout (an empty
+        // band at the top). Answers land below the warm start, on block
+        // boundaries, several blocks from the prediction and among the
+        // last block's counts past the axis (which read 1.0).
+        let mut draws = raw.iter().cycle().copied();
+        let mut rows = vec![0.0f32; horizon_ticks * num_bins * count_max];
+        for row in rows.chunks_exact_mut(count_max) {
+            let ceiling = match draws.next().unwrap() {
+                d if d < 0.45 => 1.0,
+                d if d < 0.55 => 0.0,
+                d => d,
+            };
+            let zeros = (draws.next().unwrap() * count_max as f64) as usize;
+            let steps: Vec<f64> = (0..count_max)
+                .map(|c| if c < zeros { 0.0 } else { draws.next().unwrap().powi(8) })
+                .collect();
             let sum: f64 = steps.iter().sum::<f64>().max(1e-9);
             let mut acc = 0.0;
-            for (slot, step) in cdf.iter_mut().zip(steps.iter()) {
+            for (slot, step) in row.iter_mut().zip(steps.iter()) {
                 acc += step;
                 *slot = (acc / sum * ceiling).min(1.0) as f32;
             }
         }
-        for tick_cdfs in cdfs.chunks(num_bins) {
-            for c in 0..count_max {
-                for cdf in tick_cdfs {
-                    payload.f32(cdf[c]);
-                }
-            }
-        }
-        let tables = ForecastTables::from_bytes(&payload.finish()).expect("well-formed payload");
+        let tables = ForecastTables::from_rows(num_bins, horizon_ticks, count_max, &rows);
+        prop_assert!(ForecastTables::from_bytes(&tables.to_bytes()).is_some());
         let posterior = scaled(&weights[..num_bins], total);
         let mut windowed = ForecastScratch::default();
         let mut reference = ForecastScratch::default();
@@ -383,10 +384,17 @@ fn evolve_tracks_reference_over_a_long_session() {
     // queue ran dry part-way through the tick), gated ticks (no
     // observation at all, evolve only) and two long silences that push
     // the busy bins down to the likelihood floor, then the bursts that
-    // flip the posterior back.
+    // flip the posterior back. Every tick also forecasts from the live
+    // posterior through both searches on the paper table, at the
+    // protocol's percentile and at the median, one scratch pair each.
     let cfg = SproutConfig::paper();
     let tick = cfg.tick_secs();
     let kernel = TransitionKernel::new(&cfg);
+    let tables = ForecastTables::get(&cfg);
+    let mut scratches: Vec<_> = [cfg.forecast_percentile, 50.0]
+        .into_iter()
+        .map(|pct| (pct, ForecastScratch::default(), ForecastScratch::default()))
+        .collect();
     let mut model = RateModel::new(cfg);
     let mut reference = vec![0.0f64; model.distribution().len()];
     let mut lcg = 0x2545_f491_4f6c_dd1du64;
@@ -404,6 +412,10 @@ fn evolve_tracks_reference_over_a_long_session() {
             bits(&reference),
             "tick {t} diverged"
         );
+        for (pct, windowed, slow) in &mut scratches {
+            assert_searches_agree(&tables, model.distribution(), *pct, windowed, slow)
+                .unwrap_or_else(|e| panic!("tick {t}, percentile {pct}: {e}"));
+        }
         let outage = (400..640).contains(&t) || (1500..1580).contains(&t);
         match draw(8) {
             _ if outage => model.observe(0.0),
@@ -422,14 +434,11 @@ fn windowed_search_masks_sub_epsilon_bins_like_the_reference() {
     // count 6. Bin 1 holds mass below the mask, and counting it would
     // lift the CDF at count 3 from just under the median to just over.
     let (num_bins, count_max) = (3usize, 10usize);
-    let mut payload = sprout_cache::ByteWriter::new();
-    payload.u64(num_bins as u64).u64(1).u64(count_max as u64);
-    for c in 0..count_max {
-        for reached_at in [3, 3, 6] {
-            payload.f32(if c >= reached_at { 1.0 } else { 0.0 });
-        }
-    }
-    let tables = ForecastTables::from_bytes(&payload.finish()).expect("well-formed payload");
+    let rows: Vec<f32> = [3, 3, 6]
+        .iter()
+        .flat_map(|&reached_at| (0..count_max).map(move |c| if c < reached_at { 0.0 } else { 1.0 }))
+        .collect();
+    let tables = ForecastTables::from_rows(num_bins, 1, count_max, &rows);
     let posterior = [0.5 - 0.5e-12, 0.9e-12, 0.5];
     assert!(posterior[0] + posterior[1] >= 0.5 && posterior[0] < 0.5);
     let fast = tables
@@ -522,13 +531,43 @@ fn paper_geometry_table_bytes_are_pinned() {
     // recorded from the per-start forward DP this build replaced (commit
     // 436129b), so a table that moves by one bit anywhere fails here —
     // and with it every cached cell computed from the old bytes would be
-    // stale: that is an ENGINE_VERSION bump, not a new constant.
+    // stale: that is an ENGINE_VERSION bump, not a new constant. It
+    // fingerprints the dense image that forward DP's payload was — the
+    // three dimensions, then every value row-major `(tick, count, bin)` —
+    // rebuilt here through `conditional_cdf`, which is what proves the
+    // band layout lossless.
     let cfg = SproutConfig::paper();
     let tables = ForecastTables::build(&cfg, &TransitionKernel::new(&cfg));
+    let (n, h, cm) = (cfg.num_bins, cfg.horizon_ticks, cfg.count_max);
+    let mut dense = sprout_cache::ByteWriter::with_capacity(24 + 4 * n * h * cm);
+    dense.u64(n as u64).u64(h as u64).u64(cm as u64);
+    for tick in 0..h {
+        for count in 0..cm {
+            for bin in 0..n {
+                dense.f32(tables.conditional_cdf(tick, count, bin) as f32);
+            }
+        }
+    }
     assert_eq!(
-        sprout_cache::fingerprint64(&tables.to_bytes()),
+        sprout_cache::fingerprint64(&dense.finish()),
         0x1fe6_1f55_b088_2bdf
     );
+}
+
+#[test]
+fn paper_geometry_table_footprint_is_pinned() {
+    // The paper table keeps only its uncertain band: ≈ 1.5 MB of heap
+    // where the dense layout held 6 MiB, however the table was made.
+    let cfg = SproutConfig::paper();
+    let tables = ForecastTables::get(&cfg);
+    let decoded = ForecastTables::from_bytes(&tables.to_bytes()).expect("a table decodes");
+    for (how, t) in [("fetched", &*tables), ("decoded", &decoded)] {
+        assert!(
+            t.heap_bytes() <= 1_800_000,
+            "the {how} paper table holds {} bytes",
+            t.heap_bytes()
+        );
+    }
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Content-addressed on-disk artifact cache.
 //!
 //! Sprout's precomputations — the forecast CDF tables (tens of
-//! milliseconds of backward recursion at paper scale, 6 MB), synthesized
-//! link traces (minutes of virtual time at 1 ms steps) and finished sweep
-//! cells — are pure functions of their input configuration. This crate
-//! gives them a shared persistence layer so a second `reproduce` run
-//! skips the work entirely.
+//! milliseconds of backward recursion at paper scale, ≈ 1.5 MB banded),
+//! synthesized link traces (minutes of virtual time at 1 ms steps) and
+//! finished sweep cells — are pure functions of their input
+//! configuration. This crate gives them a shared persistence layer so a
+//! second `reproduce` run skips the work entirely.
 //!
 //! **The container.** One artifact is one file,
 //! `<kind>-v<version>-<name hash>.bin`:
@@ -16,8 +16,9 @@
 //! ```
 //!
 //! all little-endian, nothing after the payload. A load checks, in order:
-//! the magic, the kind's version, the key length, the total length, the
-//! stored key byte for byte, the checksum.
+//! the magic, the kind's version, the key length, the total length (the
+//! header's against the file's), the stored key byte for byte, the
+//! checksum — and reads the payload once, into the buffer it returns.
 //!
 //! * **Content addressing.** The file name carries a 64-bit hash of the
 //!   container magic, the kind's name and the *full* key bytes (the
@@ -36,7 +37,7 @@
 //!   byte-wise FNV-1a of [`fingerprint64`], which recorded keys and
 //!   golden snapshots depend on and which therefore never changes. The
 //!   *checksum* detects damage: it reads every payload byte of every
-//!   load — 6 MB for a forecast table — so it walks 64-bit words with a
+//!   load — ≈ 1.5 MB for a forecast table — so it walks 64-bit words with a
 //!   full-width mix per step (several GB/s where byte-serial FNV-1a
 //!   manages 0.75). It is private to the container and versioned by the
 //!   magic, so it is free to be whatever is fast and catches bit rot.
@@ -371,26 +372,37 @@ impl ArtifactKind {
             // occupant.
             return LoadOutcome::Mismatch;
         }
-        let mut body = Vec::new();
-        if file.read_to_end(&mut body).is_err() {
+        // The payload's buffer is sized from the file, not from the
+        // header alone: the two must agree, and a sum that overflows is
+        // damage (both lengths are bytes this process did not write).
+        let Ok(file_len) = file.metadata().map(|m| m.len()) else {
+            return LoadOutcome::Corrupt;
+        };
+        let claimed = payload_len
+            .checked_add(key_len as u64)
+            .and_then(|n| n.checked_add(HEADER_LEN as u64));
+        if claimed != Some(file_len) {
+            return LoadOutcome::Corrupt; // truncated, or bytes after it
+        }
+        let mut stored_key = vec![0u8; key_len];
+        if file.read_exact(&mut stored_key).is_err() {
             return LoadOutcome::Corrupt;
         }
-        // Both lengths are bytes this process did not write: a sum that
-        // overflows is damage, not arithmetic.
-        let total = usize::try_from(payload_len)
-            .ok()
-            .and_then(|n| n.checked_add(key_len));
-        if total != Some(body.len()) {
-            return LoadOutcome::Corrupt;
-        }
-        let (stored_key, payload) = body.split_at(key_len);
         if stored_key != key {
             return LoadOutcome::Mismatch;
         }
-        if checksum(key, payload) != stored_checksum {
+        // The payload is read once, into the buffer the caller gets.
+        let Ok(payload_len) = usize::try_from(file_len - (HEADER_LEN + key_len) as u64) else {
+            return LoadOutcome::Corrupt;
+        };
+        let mut payload = vec![0u8; payload_len];
+        if file.read_exact(&mut payload).is_err() {
             return LoadOutcome::Corrupt;
         }
-        LoadOutcome::Hit(payload.to_vec())
+        if checksum(key, &payload) != stored_checksum {
+            return LoadOutcome::Corrupt;
+        }
+        LoadOutcome::Hit(payload)
     }
 
     /// Quarantine the entry stored under `key`: rename it aside to
@@ -446,7 +458,7 @@ impl ArtifactKind {
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         // Header and key in one buffer, the payload beside it: one
-        // `writev` for the whole entry, and a 6 MB table is not copied.
+        // `writev` for the whole entry, and a forecast table is not copied.
         let mut head = Vec::with_capacity(HEADER_LEN + key.len());
         head.extend_from_slice(MAGIC);
         head.extend_from_slice(&self.version.to_le_bytes());

@@ -31,7 +31,29 @@
 //! per tick instead of one forward DP over the joint (rate bin ×
 //! cumulative volume) distribution per start bin. At runtime the forecast
 //! CDF is the posterior-weighted mixture `Σᵢ P(λ₀=i)·F[t][c][i]`,
-//! binary-searched for the configured percentile.
+//! searched for the configured percentile.
+//!
+//! **The band layout.** After the narrowing to f32 most of `F` is exactly
+//! 0.0 (counts no path stays under) or exactly 1.0 (counts every path
+//! stays under) — 77 % of the paper table. A row `F[t][·][i]` is 0.0 below
+//! its *band* of uncertain counts and 1.0 above it, and the bands of
+//! ascending start bins move up the count axis. The table cuts the count
+//! axis into windows of eight counts (`CDF_LANES`) and keeps, per `(tick,
+//! window)`, only the *span* of bins between the leading run whose values
+//! are exactly 1.0 across the window (their bands end at or below it) and
+//! the trailing run exactly +0.0 across it (their bands start above it) —
+//! lossless by definition, with no monotonicity assumed: a table that is
+//! not monotone merely stores more. The stored bins' values sit side by
+//! side, eight per bin, so one search probe reads one contiguous
+//! slice. The windowed search then stays bit-identical to summing every
+//! live bin at every count, by three exact rules:
+//!
+//! * a leading bin contributes `w × 1.0 = w` per lane, so the leading run
+//!   is a prefix sum of its weights — in the same ascending order, from
+//!   +0.0 — computed once per forecast;
+//! * a trailing bin contributes `w × 0.0 = +0.0`, and adding +0.0 to a
+//!   non-negative sum changes no bit, so the trailing run is skipped;
+//! * every live bin of the span is loaded from the stored slice.
 //!
 //! **Implementation note (documented deviation).** The percentile is
 //! taken over the *rate path* (the model's uncertainty about λ and
@@ -57,8 +79,9 @@ use crate::simd::{mixture_lanes, CDF_LANES};
 /// layout of [`ForecastTables::to_bytes`] and the DP semantics — bump it
 /// whenever either changes, or stale files would silently load. (v2: the
 /// backward recursion; the paper geometry's bytes are pinned equal to
-/// v1's, other geometries are equal only to rounding.)
-static TABLE_ARTIFACT: ArtifactKind = ArtifactKind::new("forecast-table", 2);
+/// v1's, other geometries are equal only to rounding. v3: the band
+/// encoding, same values.)
+static TABLE_ARTIFACT: ArtifactKind = ArtifactKind::new("forecast-table", 3);
 
 /// Disk-cache traffic counters for forecast tables (hits mean a
 /// `ForecastTables::get` skipped the build entirely).
@@ -70,7 +93,7 @@ pub fn table_cache_counters() -> CacheCounters {
 static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
 
 /// How many link geometries the in-memory forecast-table cache keeps
-/// live at once. Each entry is ≈6 MB at paper scale; eight covers every
+/// live at once. Each entry is ≈ 1.5 MB at paper scale; eight covers every
 /// matrix the `reproduce` experiments declare with headroom, while a
 /// daemon cycling through arbitrary geometries stays bounded. The cap
 /// bounds memory, not time: an evicted geometry comes back in tens of
@@ -176,6 +199,16 @@ impl Forecast {
 }
 
 /// Precomputed conditional CDF tables; build once, share via [`Arc`].
+///
+/// Stored banded (module docs): per `(tick, window)` one `Span` of the
+/// bins whose values there are not all exactly 1.0 or all exactly 0.0,
+/// and the stored bins' windows in one f32 buffer — ≈ 1.5 MB at paper
+/// scale where the dense table took 6 MiB. The on-disk payload
+/// ([`Self::to_bytes`]) is the same spans and windows. Every table a DP
+/// or a test makes — [`Self::build`], [`Self::build_reference`],
+/// [`Self::from_rows`] — goes through one encoder (`push_tick`),
+/// and [`Self::from_bytes`] accepts only what it can have written from
+/// CDF values.
 pub struct ForecastTables {
     num_bins: usize,
     horizon: usize,
@@ -184,28 +217,43 @@ pub struct ForecastTables {
     /// no rate bin delivers more than this many quarter-MTU units in one
     /// tick, so the percentile index grows by at most `max_step` per tick.
     /// Bounds the warm-started search in [`Self::forecast_into`]. Derived
-    /// from the configuration, not serialized; tables decoded through the
-    /// raw [`Self::from_bytes`] fall back to the unbounded `count_max`
-    /// (identical results, more probes per search).
+    /// from the configuration, not serialized; tables made through the
+    /// raw [`Self::from_bytes`] or [`Self::from_rows`] fall back to the
+    /// unbounded `count_max` (identical results, more probes per search).
     max_step: usize,
-    /// `count_max` rounded up to whole [`CDF_LANES`]-wide count blocks.
-    count_blocks: usize,
-    /// Tiled layout `[tick][count block][bin][CDF_LANES]` (see
-    /// [`Self::cell`]): the [`CDF_LANES`] consecutive counts of one block
-    /// sit side by side per bin, so a single pass over the live bins
-    /// yields the mixture CDF at all of them. f32 to halve the footprint
-    /// (≈6 MB at paper scale). Lanes past `count_max` in the last block
-    /// hold 1.0. The on-disk payload ([`Self::to_bytes`]) stays row-major
-    /// `(t, c, i)`; the tiling exists in memory only.
-    cdf: Vec<f32>,
+    /// One per `(tick, window)`, tick-major; window `k` is the counts
+    /// `k·CDF_LANES..(k + 1)·CDF_LANES`, and counts past `count_max` hold
+    /// 1.0.
+    spans: Vec<Span>,
+    /// The stored bins' windows, [`CDF_LANES`] values each, in span order
+    /// and ascending bin order within a span.
+    vals: Vec<f32>,
+}
+
+/// Which bins of one `(tick, window)` a [`ForecastTables`] stores: every
+/// bin below `first` is exactly 1.0 at all [`CDF_LANES`] counts of the
+/// window, every bin from `end` on exactly +0.0, and bin `first + j`'s
+/// values are `vals[at + j·CDF_LANES..][..CDF_LANES]`.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    first: u32,
+    end: u32,
+    at: usize,
+}
+
+impl Span {
+    /// The stored windows, bins `first..end` side by side.
+    fn tile(self, vals: &[f32]) -> &[f32] {
+        &vals[self.at..][..(self.end - self.first) as usize * CDF_LANES]
+    }
 }
 
 impl ForecastTables {
     /// Fetch (building on first use) the tables for `cfg` from the global
     /// cache. Tables depend only on the model geometry, not the percentile,
     /// so Fig-9 style confidence sweeps share one build. The cache is a
-    /// bounded LRU ([`FORECAST_TABLE_CACHE_CAP`] geometries, ≈6 MB each at
-    /// paper scale): a daemon sweeping many disjoint geometries recycles
+    /// bounded LRU ([`FORECAST_TABLE_CACHE_CAP`] geometries, ≈ 1.5 MB each
+    /// at paper scale): a daemon sweeping many disjoint geometries recycles
     /// slots instead of growing without bound.
     pub fn get(cfg: &SproutConfig) -> Arc<ForecastTables> {
         Self::get_with_kernel(cfg).0
@@ -217,7 +265,7 @@ impl ForecastTables {
     pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
         #[cfg(test)]
         let _gate = fetch_gate::shared();
-        // One build per live geometry (tens of milliseconds and ≈6 MB at
+        // One build per live geometry (tens of milliseconds and ≈ 1.5 MB at
         // paper scale), shared by every concurrent sweep worker that asks
         // for it.
         TABLE_MEMO.get_or_build(&cfg.table_key(), || {
@@ -255,83 +303,171 @@ impl ForecastTables {
         tables
     }
 
-    /// An all-ones table of the given dimensions (1.0 is what the lanes
-    /// past `count_max` must hold; every real cell gets overwritten).
-    fn filled(num_bins: usize, horizon: usize, count_max: usize, max_step: usize) -> Self {
-        let count_blocks = count_max.div_ceil(CDF_LANES);
+    /// A table of the given dimensions with no tick stored yet.
+    fn empty(num_bins: usize, horizon: usize, count_max: usize, max_step: usize) -> Self {
+        assert!(
+            u32::try_from(num_bins).is_ok(),
+            "a span bounds its bins in u32"
+        );
         ForecastTables {
             num_bins,
             horizon,
             count_max,
             max_step,
-            count_blocks,
-            cdf: vec![1.0f32; horizon * count_blocks * num_bins * CDF_LANES],
+            spans: Vec::with_capacity(horizon * count_max.div_ceil(CDF_LANES)),
+            vals: Vec::new(),
         }
     }
 
-    /// Index of `P(C_{tick+1} ≤ count | λ₀ = bin)` in the tiled `cdf`.
-    /// Consecutive bins of one `(tick, count)` are [`CDF_LANES`] apart.
-    #[inline]
-    fn cell(&self, tick: usize, count: usize, bin: usize) -> usize {
-        ((tick * self.count_blocks + count / CDF_LANES) * self.num_bins + bin) * CDF_LANES
-            + count % CDF_LANES
+    /// Windows per tick: the count axis in [`CDF_LANES`]-count steps.
+    fn windows(&self) -> usize {
+        self.count_max.div_ceil(CDF_LANES)
     }
 
-    /// Serialize to the on-disk payload: three dimensions then the raw
-    /// f32 bit patterns of the CDF in row-major `(tick, count, bin)` order
-    /// — independent of the in-memory tiling. Bit-exact round trip, so
-    /// cached and freshly built tables produce identical forecasts.
+    /// The encoder: append the next tick, given every bin's values at the
+    /// counts of window `k` as `window(bin, k)` (1.0 past `count_max`).
+    /// Of each window it keeps only the span between the leading run of
+    /// bins exactly 1.0 across it and the trailing run exactly +0.0 across
+    /// it (compared by bits: a -0.0 is stored, never implied) — reserving
+    /// the tick's exact size first, so a build holds no spare capacity.
+    fn push_tick(&mut self, window: impl Fn(usize, usize) -> [f32; CDF_LANES]) {
+        let n = self.num_bins;
+        let ones = |v: [f32; CDF_LANES]| v.iter().all(|&f| f == 1.0);
+        let zeros = |v: [f32; CDF_LANES]| v.iter().all(|&f| f.to_bits() == 0);
+        let new = self.spans.len();
+        let mut at = self.vals.len();
+        for k in 0..self.windows() {
+            let first = (0..n).find(|&i| !ones(window(i, k))).unwrap_or(n);
+            // No bin is both, so `end ≥ first`.
+            let end = (first..n)
+                .rfind(|&i| !zeros(window(i, k)))
+                .map_or(first, |i| i + 1);
+            self.spans.push(Span {
+                first: first as u32,
+                end: end as u32,
+                at,
+            });
+            at += (end - first) * CDF_LANES;
+        }
+        self.vals.reserve_exact(at - self.vals.len());
+        for (k, span) in self.spans[new..].iter().enumerate() {
+            for i in span.first..span.end {
+                self.vals.extend(window(i as usize, k));
+            }
+        }
+    }
+
+    /// A table from dense CDF rows, `rows[(tick · num_bins + bin) ·
+    /// count_max + count]`, through the encoder.
+    fn from_dense(
+        num_bins: usize,
+        horizon: usize,
+        count_max: usize,
+        max_step: usize,
+        rows: &[f32],
+    ) -> Self {
+        assert!(num_bins > 0 && horizon > 0 && count_max > 0);
+        assert_eq!(rows.len(), num_bins * horizon * count_max);
+        let mut tables = ForecastTables::empty(num_bins, horizon, count_max, max_step);
+        for tick in rows.chunks_exact(num_bins * count_max) {
+            tables.push_tick(|i, k| {
+                let row = &tick[i * count_max..][..count_max];
+                std::array::from_fn(|l| row.get(k * CDF_LANES + l).copied().unwrap_or(1.0))
+            });
+        }
+        tables
+    }
+
+    /// A table from explicit CDF rows, `rows[(tick · num_bins + bin) ·
+    /// count_max + count] = P(C_{tick+1} ≤ count | λ₀ = bin)` — for tests
+    /// that need tables no DP produces. The search bound is unbounded
+    /// (`count_max`), as for [`Self::from_bytes`].
+    pub fn from_rows(num_bins: usize, horizon: usize, count_max: usize, rows: &[f32]) -> Self {
+        ForecastTables::from_dense(num_bins, horizon, count_max, count_max, rows)
+    }
+
+    /// Heap bytes the table holds (stored windows and spans): ≈ 1.5 MB at
+    /// paper scale.
+    pub fn heap_bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<f32>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
+    }
+
+    /// Serialize to the on-disk payload: the three dimensions as `u64`,
+    /// then per `(tick, window)`, tick-major, its span as `first: u32,
+    /// end: u32` and the stored windows' f32 bit patterns. Bit-exact round
+    /// trip, so cached and freshly built tables produce identical
+    /// forecasts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let cells = self.horizon * self.count_max * self.num_bins;
-        let mut w = ByteWriter::with_capacity(24 + 4 * cells);
+        let mut w = ByteWriter::with_capacity(24 + 8 * self.spans.len() + 4 * self.vals.len());
         w.u64(self.num_bins as u64)
             .u64(self.horizon as u64)
             .u64(self.count_max as u64);
-        for t in 0..self.horizon {
-            for c in 0..self.count_max {
-                let row = self.cell(t, c, 0);
-                for i in 0..self.num_bins {
-                    w.f32(self.cdf[row + i * CDF_LANES]);
-                }
+        for span in &self.spans {
+            w.u32(span.first).u32(span.end);
+            for &v in span.tile(&self.vals) {
+                w.f32(v);
             }
         }
         w.finish()
     }
 
-    /// Decode a [`ForecastTables::to_bytes`] payload; `None` on any
-    /// dimension/length mismatch (treated as a cache miss upstream).
+    /// Decode a [`ForecastTables::to_bytes`] payload; `None` — treated as
+    /// a cache miss upstream — for anything the encoder cannot have
+    /// written from CDF values: an empty axis, more bins than `u32`
+    /// holds, more spans than the payload can hold, a span outside the
+    /// bin axis or the payload, a stored value outside [0, 1] (NaN
+    /// included), a count past the axis not at 1.0, a span whose first
+    /// bin is 1.0 or whose last is 0.0 across the window, or bytes after
+    /// the last span. Every size is bounded by the payload, never by what
+    /// its header claims, and what decodes re-encodes to the same bytes.
     pub fn from_bytes(bytes: &[u8]) -> Option<ForecastTables> {
         let mut r = ByteReader::new(bytes);
-        let num_bins = r.u64()? as usize;
-        let horizon = r.u64()? as usize;
-        let count_max = r.u64()? as usize;
-        let cells = num_bins.checked_mul(horizon)?.checked_mul(count_max)?;
-        // An empty axis describes no table (and with every axis non-empty
-        // the tiled size below is at most `CDF_LANES` × `cells`).
-        if cells == 0 || r.remaining() != 4 * cells {
+        let num_bins = u32::try_from(r.u64()?).ok()? as usize;
+        let horizon = usize::try_from(r.u64()?).ok()?;
+        let count_max = usize::try_from(r.u64()?).ok()?;
+        if num_bins == 0 || horizon == 0 || count_max == 0 {
             return None;
         }
-        let mut tables = ForecastTables::filled(num_bins, horizon, count_max, count_max);
-        // Re-tile a count block at a time: its payload rows (one per
-        // count, `num_bins` values each) interleave into one tile that
-        // stays cache-resident while they do.
-        let payload = &bytes[bytes.len() - 4 * cells..];
-        let tile_len = num_bins * CDF_LANES;
-        let rows_of_tick = payload.chunks_exact(4 * num_bins * count_max);
-        let tiles_of_tick = tables.cdf.chunks_exact_mut(tables.count_blocks * tile_len);
-        for (rows, tiles) in rows_of_tick.zip(tiles_of_tick) {
-            let blocks = rows
-                .chunks(4 * tile_len)
-                .zip(tiles.chunks_exact_mut(tile_len));
-            for (block_rows, tile) in blocks {
-                for (lane, row) in block_rows.chunks_exact(4 * num_bins).enumerate() {
-                    for (cell, v) in tile.chunks_exact_mut(CDF_LANES).zip(row.chunks_exact(4)) {
-                        cell[lane] = f32::from_le_bytes(v.try_into().unwrap());
+        // Every span takes its 8 bytes of bounds, every stored window 32.
+        let spans = horizon.checked_mul(count_max.div_ceil(CDF_LANES))?;
+        if spans > r.remaining() / 8 {
+            return None;
+        }
+        let mut tables = ForecastTables::empty(num_bins, horizon, count_max, count_max);
+        tables.vals.reserve_exact((r.remaining() - 8 * spans) / 4);
+        let windows = tables.windows();
+        for s in 0..spans {
+            let (first, end) = (r.u32()?, r.u32()?);
+            if first > end || end as usize > num_bins {
+                return None;
+            }
+            let at = tables.vals.len();
+            // Lanes `past..` of the tick's last window lie past the axis.
+            let past = match s % windows {
+                k if k + 1 == windows => count_max - k * CDF_LANES,
+                _ => CDF_LANES,
+            };
+            for _ in first..end {
+                for lane in 0..CDF_LANES {
+                    let v = r.f32()?;
+                    if !(0.0..=1.0).contains(&v) || (lane >= past && v != 1.0) {
+                        return None;
                     }
+                    tables.vals.push(v);
                 }
             }
+            let span = Span { first, end, at };
+            let tile = span.tile(&tables.vals);
+            let (head, tail) = (tile.first_chunk(), tile.last_chunk());
+            if head.is_some_and(|w: &[f32; CDF_LANES]| w.iter().all(|&f| f == 1.0))
+                || tail.is_some_and(|w: &[f32; CDF_LANES]| w.iter().all(|&f| f.to_bits() == 0))
+            {
+                return None;
+            }
+            tables.spans.push(span);
         }
-        Some(tables)
+        (r.remaining() == 0).then_some(tables)
     }
 
     /// Build the tables by the backward recursion of the module docs: every
@@ -340,22 +476,20 @@ impl ForecastTables {
     /// paper scale, tens of milliseconds). Single-threaded on purpose: a
     /// second worker could save under 20 ms once per geometry per
     /// process, less than the strip-and-merge scaffolding it needs is
-    /// worth.
+    /// worth. Each tick is narrowed and encoded straight from the DP's own
+    /// rows the moment it is computed: no dense f32 table, not even one
+    /// tick of it, exists at any point.
     pub fn build(cfg: &SproutConfig, kernel: &TransitionKernel) -> ForecastTables {
         cfg.validate();
         let n = cfg.num_bins;
         let cm = cfg.count_max;
         let shifts = unit_shifts(cfg);
         let scatter = kernel.scatter();
-        // The count axis clamps at its top cell, so `P(C ≤ cm−1) = 1` for
-        // every tick and start bin: the top cell keeps the 1.0 it is
-        // filled with. Below it the clamp moves no mass, so the recursion
-        // runs unclamped.
-        let mut tables = ForecastTables::filled(n, cfg.horizon_ticks, cm, max_unit_step(cfg));
+        let mut tables = ForecastTables::empty(n, cfg.horizon_ticks, cm, max_unit_step(cfg));
         // `g[j·cm + c] = G_t[j][c]`, starting at `G₀ ≡ 1`; `m` likewise.
         let mut g = vec![1.0f64; n * cm];
         let mut m = vec![0.0f64; n * cm];
-        for t in 0..cfg.horizon_ticks {
+        for _ in 0..cfg.horizon_ticks {
             // Advance the volume axis of every bin: the tick delivers `lo`
             // units with probability `1 − frac` and `lo + 1` with `frac`.
             let rows = g.chunks_exact(cm).zip(m.chunks_exact_mut(cm));
@@ -387,11 +521,19 @@ impl ForecastTables {
                         *o += w * v;
                     }
                 }
-                for (c, &p) in out[..cm - 1].iter().enumerate() {
-                    let at = tables.cell(t, c, i);
-                    tables.cdf[at] = p.min(1.0) as f32;
-                }
             }
+            // The count axis clamps at its top cell, so `P(C ≤ cm−1) = 1`
+            // for every start bin: the top count reads 1.0 like the counts
+            // past the axis. Below it the clamp moves no mass, so the
+            // recursion runs unclamped.
+            tables.push_tick(|i, k| {
+                let below_top = &g[i * cm..][..cm - 1];
+                std::array::from_fn(|l| {
+                    below_top
+                        .get(k * CDF_LANES + l)
+                        .map_or(1.0, |&p| p.min(1.0) as f32)
+                })
+            });
         }
         tables
     }
@@ -408,7 +550,7 @@ impl ForecastTables {
         let horizon = cfg.horizon_ticks;
         let cm = cfg.count_max;
         let shifts = unit_shifts(cfg);
-        let mut tables = ForecastTables::filled(n, horizon, cm, max_unit_step(cfg));
+        let mut rows = vec![0.0f32; horizon * n * cm];
         let mut joint = vec![0.0f64; n * cm];
         let mut next = vec![0.0f64; n * cm];
         let mut conv = vec![0.0f64; cm];
@@ -423,31 +565,38 @@ impl ForecastTables {
                 &mut next,
                 &mut conv,
             );
-            for t in 0..horizon {
-                for c in 0..cm {
-                    let at = tables.cell(t, c, start);
-                    tables.cdf[at] = strip[t * cm + c];
-                }
+            for (t, values) in strip.chunks_exact(cm).enumerate() {
+                rows[(t * n + start) * cm..][..cm].copy_from_slice(values);
             }
         }
-        tables
+        ForecastTables::from_dense(n, horizon, cm, max_unit_step(cfg), &rows)
+    }
+
+    /// `P(C_{tick+1} ≤ count | λ₀ = bin)` as stored.
+    #[inline]
+    fn value(&self, tick: usize, count: usize, bin: usize) -> f32 {
+        let span = self.spans[tick * self.windows() + count / CDF_LANES];
+        match bin.checked_sub(span.first as usize) {
+            None => 1.0,
+            Some(_) if bin >= span.end as usize => 0.0,
+            Some(j) => span.tile(&self.vals)[j * CDF_LANES + count % CDF_LANES],
+        }
     }
 
     /// Conditional CDF `P(C_{t+1} ≤ c | λ₀ = bin)` (test/diagnostic hook).
     pub fn conditional_cdf(&self, tick: usize, count: usize, bin: usize) -> f64 {
-        assert!(count < self.count_max && bin < self.num_bins);
-        self.cdf[self.cell(tick, count, bin)] as f64
+        assert!(tick < self.horizon && count < self.count_max && bin < self.num_bins);
+        self.value(tick, count, bin) as f64
     }
 
     /// The mixture CDF `P(C_{t+1} ≤ c)` under `posterior`.
     pub fn mixture_cdf(&self, posterior: &[f64], tick: usize, count: usize) -> f64 {
         assert_eq!(posterior.len(), self.num_bins);
-        assert!(count < self.count_max);
-        let row = &self.cdf[self.cell(tick, count, 0)..];
+        assert!(tick < self.horizon && count < self.count_max);
         posterior
             .iter()
-            .zip(row.iter().step_by(CDF_LANES))
-            .map(|(&p, &f)| p * f as f64)
+            .enumerate()
+            .map(|(i, &p)| p * self.value(tick, count, i) as f64)
             .sum()
     }
 
@@ -463,7 +612,7 @@ impl ForecastTables {
     /// The allocation-free forecast hot path: every per-tick working set
     /// lives in `scratch`, which the caller keeps between ticks.
     ///
-    /// Three structural properties make this fast:
+    /// Four structural properties make this fast:
     ///
     /// * **Live-bin masking.** Converged posteriors concentrate their
     ///   mass in a narrow band of rate bins; the rest sit at or near the
@@ -479,18 +628,23 @@ impl ForecastTables {
     ///   this call's to within a unit or two.
     /// * **Windowed probes.** One mixture-CDF value is a serial add chain
     ///   over the live bins — latency-bound, and a bisection is a chain of
-    ///   such chains. The tiled table instead yields the CDF at the
-    ///   eight consecutive counts around the prediction in one pass of
-    ///   independent lanes (`simd::mixture_lanes`), which usually
+    ///   such chains. The windowed pass instead yields the CDF at the
+    ///   eight consecutive counts of a block around the prediction in one
+    ///   pass of independent lanes (`simd::mixture_lanes`), which usually
     ///   brackets the answer outright; a neighbouring block is evaluated
     ///   only on a miss. Each lane is the same ascending-bin chain the
     ///   one-count probe computes, and the mixture CDF is non-decreasing
     ///   in the count (the stored per-bin CDFs are, no weight is
     ///   negative, and rounding is monotone), so the smallest satisfying
     ///   index is the one [`Self::forecast_into_reference`] bisects to.
+    /// * **Certain bins cost nothing.** A probe does arithmetic only on
+    ///   the bins whose values at the block it does not already know —
+    ///   the table's stored span for that block: the live bins below it
+    ///   enter as one prefix sum of their weights, those above it are
+    ///   skipped (the module docs' exactness rules).
     ///
-    /// The windowed pass walks the span from the first to the last live
-    /// bin as one slice; a masked bin inside the span weighs `0.0`, and
+    /// The windowed pass walks the live range, from the first to the last
+    /// live bin, as one slice; a masked bin inside it weighs `0.0`, and
     /// `acc + 0.0 × f` leaves every lane's accumulator bit-identical to
     /// skipping the bin.
     pub fn forecast_into<'a>(
@@ -502,6 +656,7 @@ impl ForecastTables {
         assert_eq!(posterior.len(), self.num_bins);
         let ForecastScratch {
             live_w: w,
+            certain,
             out,
             prev_units,
             ..
@@ -518,8 +673,16 @@ impl ForecastTables {
                 .iter()
                 .map(|&p| if live(p) { p } else { 0.0 }),
         );
+        // `certain[k] = ((+0.0 + w₀) + w₁) + … + w_{k−1}`: the lanes'
+        // accumulator after `k` leading bins that each add `w × 1.0`.
+        certain.clear();
+        certain.push(0.0);
+        certain.extend(w.iter().scan(0.0, |acc, &p| {
+            *acc += p;
+            Some(*acc)
+        }));
         self.search_horizon(percentile, prev_units, out, |t, want, prev, guess| {
-            self.percentile_index_windowed(t, want, prev, guess, first, w)
+            self.percentile_index_windowed(t, want, prev, guess, first, w, certain)
         });
         out
     }
@@ -540,6 +703,7 @@ impl ForecastTables {
             live_w: w,
             out,
             prev_units,
+            ..
         } = scratch;
         idx.clear();
         w.clear();
@@ -594,17 +758,18 @@ impl ForecastTables {
     /// Mixture CDF at one count over the pre-masked live bins, summed in
     /// ascending bin order into one accumulator.
     fn live_mixture_cdf(&self, tick: usize, count: usize, idx: &[u32], w: &[f64]) -> f64 {
-        let row = &self.cdf[self.cell(tick, count, 0)..];
         idx.iter()
             .zip(w.iter())
-            .map(|(&i, &p)| p * row[i as usize * CDF_LANES] as f64)
+            .map(|(&i, &p)| p * self.value(tick, count, i as usize) as f64)
             .sum()
     }
 
     /// Smallest `c ≥ start` with masked mixture CDF ≥ `want` at `tick`
-    /// (the last count if there is none), found by evaluating whole count
-    /// blocks over the bins `first..first + w.len()` (masked ones weigh
-    /// `0.0`). `guess` only picks the first block evaluated.
+    /// (the last count if there is none), found by evaluating whole
+    /// [`CDF_LANES`]-count blocks over the bins `first..first + w.len()`
+    /// (masked ones weigh `0.0`; `certain` is their weights' prefix sums).
+    /// `guess` only picks the first block evaluated.
+    #[allow(clippy::too_many_arguments)]
     fn percentile_index_windowed(
         &self,
         tick: usize,
@@ -613,23 +778,42 @@ impl ForecastTables {
         guess: usize,
         first: usize,
         w: &[f64],
+        certain: &[f64],
     ) -> usize {
         let last = self.count_max - 1;
         if start >= last {
             return last;
         }
+        let windows = self.windows();
+        let spans = &self.spans[tick * windows..][..windows];
+        let end = first + w.len();
         // First count of `block` whose mixture CDF reaches `want`.
         let first_reaching = |block: usize| {
-            let base = ((tick * self.count_blocks + block) * self.num_bins + first) * CDF_LANES;
-            let tile = &self.cdf[base..base + w.len() * CDF_LANES];
-            let lane = mixture_lanes(tile, w).iter().position(|&f| f >= want)?;
+            // The live bins below the span are 1.0 across the block and
+            // enter as their weights' prefix sum; those from its end on
+            // are +0.0 and are skipped; the rest are one stored tile.
+            let span = spans[block];
+            let lead = (span.first as usize).clamp(first, end);
+            let stop = (span.end as usize).clamp(lead, end);
+            let tile = if stop > lead {
+                // Then `span.first ≤ lead < stop ≤ span.end`.
+                let stored = span.tile(&self.vals);
+                let from = span.first as usize;
+                &stored[(lead - from) * CDF_LANES..(stop - from) * CDF_LANES]
+            } else {
+                &[]
+            };
+            let live = &w[lead - first..stop - first];
+            let lane = mixture_lanes(certain[lead - first], tile, live)
+                .iter()
+                .position(|&f| f >= want)?;
             Some(block * CDF_LANES + lane)
         };
         let cap = start.saturating_add(self.max_step).min(last);
         let mut block = guess.clamp(start + 1, cap) / CDF_LANES;
         let Some(mut c) = first_reaching(block) else {
             // Every count of the block falls short: the answer lies above.
-            return (block + 1..self.count_blocks)
+            return (block + 1..windows)
                 .find_map(first_reaching)
                 .map_or(last, |c| c.min(last));
         };
@@ -725,14 +909,18 @@ impl ForecastTables {
 pub const MASS_EPSILON: f64 = 1e-12;
 
 /// Reusable working memory for [`ForecastTables::forecast_into`]: the
-/// live-bin mask and the output forecast, kept allocated between ticks.
+/// live-bin mask, its weights' prefix sums and the output forecast, kept
+/// allocated between ticks.
 #[derive(Debug, Default)]
 pub struct ForecastScratch {
     /// Indices of the live bins (the reference search only).
     live_idx: Vec<u32>,
-    /// Weights: one per bin of the live span (windowed search) or one per
-    /// `live_idx` entry (reference search).
+    /// Weights: one per bin of the live range (windowed search) or one
+    /// per `live_idx` entry (reference search).
     live_w: Vec<f64>,
+    /// Prefix sums of the live range's weights, from +0.0 (windowed
+    /// search only).
+    certain: Vec<f64>,
     out: Forecast,
     /// The previous call's answers, recycled as this call's search
     /// predictions (guesses only — they cannot affect results).

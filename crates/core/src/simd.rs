@@ -86,7 +86,7 @@ pub(crate) fn tile_sum_into(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     tile_sum_into_scalar(dst, groups);
 }
 
-/// Consecutive counts per tile of the in-memory forecast CDF (see
+/// Consecutive counts per window of the in-memory forecast CDF (see
 /// `ForecastTables`). Eight lanes are two independent 256-bit accumulator
 /// chains (four at SSE2 width), and [`mixture_lanes`] then yields eight
 /// counts for about 1.3× what the serial one-count sum costs for one.
@@ -97,12 +97,12 @@ pub(crate) fn tile_sum_into(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
 /// and has the better tail.
 pub(crate) const CDF_LANES: usize = 8;
 
-/// `out[l] = Σₖ w[k] · tile[k·CDF_LANES + l]`, every lane accumulating its
-/// terms in ascending `k` from `0.0` — per lane, the exact operand
-/// sequence of the scalar mixture sum over one table row. `tile` holds one
-/// [`CDF_LANES`]-wide row per weight.
+/// `out[l] = init + Σₖ w[k] · tile[k·CDF_LANES + l]`, every lane
+/// accumulating its terms in ascending `k` from `init` — per lane, the
+/// exact operand sequence of the scalar mixture sum over the same bins.
+/// `tile` holds one [`CDF_LANES`]-wide row per weight.
 #[inline]
-pub(crate) fn mixture_lanes(tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
+pub(crate) fn mixture_lanes(init: f64, tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
     debug_assert_eq!(tile.len(), w.len() * CDF_LANES);
     #[cfg(target_arch = "x86_64")]
     {
@@ -113,15 +113,15 @@ pub(crate) fn mixture_lanes(tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
         if features() != Level::Baseline {
             // SAFETY: AVX2 support verified at runtime (`features` reports
             // the AVX-512 level only on CPUs that also have AVX2).
-            return unsafe { mixture_lanes_avx2(tile, w) };
+            return unsafe { mixture_lanes_avx2(init, tile, w) };
         }
     }
-    mixture_lanes_scalar(tile, w)
+    mixture_lanes_scalar(init, tile, w)
 }
 
 #[inline(always)]
-fn mixture_lanes_scalar(tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
-    let mut acc = [0.0f64; CDF_LANES];
+fn mixture_lanes_scalar(init: f64, tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
+    let mut acc = [init; CDF_LANES];
     for (row, &p) in tile.chunks_exact(CDF_LANES).zip(w.iter()) {
         for (a, &f) in acc.iter_mut().zip(row.iter()) {
             *a += p * f as f64;
@@ -208,8 +208,8 @@ unsafe fn tile_sum_into_avx512(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mixture_lanes_avx2(tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
-    mixture_lanes_scalar(tile, w)
+unsafe fn mixture_lanes_avx2(init: f64, tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] {
+    mixture_lanes_scalar(init, tile, w)
 }
 
 #[cfg(test)]
@@ -316,13 +316,15 @@ mod tests {
                 .iter()
                 .map(|&v| v as f32)
                 .collect();
-            let lanes = mixture_lanes(&tile, &w);
-            for (l, lane) in lanes.iter().enumerate() {
-                let mut acc = 0.0f64;
-                for (k, &p) in w.iter().enumerate() {
-                    acc += p * tile[k * CDF_LANES + l] as f64;
+            for init in [0.0, -0.0, 0.375, probe_vec(1, 7)[0]] {
+                let lanes = mixture_lanes(init, &tile, &w);
+                for (l, lane) in lanes.iter().enumerate() {
+                    let mut acc = init;
+                    for (k, &p) in w.iter().enumerate() {
+                        acc += p * tile[k * CDF_LANES + l] as f64;
+                    }
+                    assert_eq!(lane.to_bits(), acc.to_bits(), "bins={bins} lane={l}");
                 }
-                assert_eq!(lane.to_bits(), acc.to_bits(), "bins={bins} lane={l}");
             }
         }
     }
