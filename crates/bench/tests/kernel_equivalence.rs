@@ -552,6 +552,42 @@ fn paper_geometry_table_bytes_are_pinned() {
         sprout_cache::fingerprint64(&dense.finish()),
         0x1fe6_1f55_b088_2bdf
     );
+    // The band payload itself, recorded from the row-major gather the
+    // strip-major one replaced (see the next test).
+    assert_eq!(
+        sprout_cache::fingerprint64(&tables.to_bytes()),
+        0xa0db_1d50_0066_46fd
+    );
+}
+
+#[test]
+fn table_bytes_are_pinned_where_the_strips_end() {
+    // `build` and `build_reference` agree only to rounding in f64, so
+    // they cannot show that the strip-major gather adds the row-major
+    // gather's operands in its order. These payload fingerprints were
+    // recorded from that row-major gather (the parent of the change that
+    // replaced it) and must never be re-recorded: a moved bit is an
+    // ENGINE_VERSION bump.
+    let pins = [
+        // The geometry every unit test runs on.
+        (SproutConfig::test_small(), 0x7ccc_9fa6_c46a_7fb4),
+        // A count axis ending 33 counts into its second 64-count strip,
+        // with rows +0.0 across whole strips (1 908 skipped sources).
+        (cfg_with(48, 150.0, 600.0, 6, 97), 0x8fa0_5df1_a5a6_542a),
+        // A grid so narrow that every row reflects (no shared band), on
+        // an axis whose last strip is one count.
+        (cfg_with(9, 300.0, 100.0, 4, 65), 0xec82_875c_6286_8977),
+    ];
+    for (cfg, pin) in pins {
+        let tables = ForecastTables::build(&cfg, &TransitionKernel::new(&cfg));
+        assert_eq!(
+            sprout_cache::fingerprint64(&tables.to_bytes()),
+            pin,
+            "{} bins, count axis {}",
+            cfg.num_bins,
+            cfg.count_max
+        );
+    }
 }
 
 #[test]

@@ -72,8 +72,10 @@ use sprout_cache::{ArtifactKind, ByteReader, ByteWriter, CacheCounters};
 use crate::config::{SproutConfig, TableKey};
 pub use crate::lru::MemCounters;
 use crate::lru::{Memo, MemoCounters};
-use crate::model::{ScatterMatrix, TransitionKernel};
-use crate::simd::{mixture_lanes, CDF_LANES};
+#[cfg(any(test, feature = "testing"))]
+use crate::model::ScatterMatrix;
+use crate::model::TransitionKernel;
+use crate::simd::{mixture_lanes, strip_sum_into, CDF_LANES, STRIP_LANES};
 
 /// On-disk persistence of built tables. Version covers both the byte
 /// layout of [`ForecastTables::to_bytes`] and the DP semantics — bump it
@@ -205,7 +207,7 @@ impl Forecast {
 /// and the stored bins' windows in one f32 buffer — ≈ 1.5 MB at paper
 /// scale where the dense table took 6 MiB. The on-disk payload
 /// ([`Self::to_bytes`]) is the same spans and windows. Every table a DP
-/// or a test makes — [`Self::build`], [`Self::build_reference`],
+/// or a test makes — [`Self::build`], `Self::build_reference`,
 /// [`Self::from_rows`] — goes through one encoder (`push_tick`),
 /// and [`Self::from_bytes`] accepts only what it can have written from
 /// CDF values.
@@ -330,27 +332,40 @@ impl ForecastTables {
     /// bins exactly 1.0 across it and the trailing run exactly +0.0 across
     /// it (compared by bits: a -0.0 is stored, never implied) — reserving
     /// the tick's exact size first, so a build holds no spare capacity.
+    /// One pass over the bins in ascending order classifies every `(bin,
+    /// window)` once, reading each bin's windows side by side; the stored
+    /// windows are then copied in span order.
     fn push_tick(&mut self, window: impl Fn(usize, usize) -> [f32; CDF_LANES]) {
         let n = self.num_bins;
-        let ones = |v: [f32; CDF_LANES]| v.iter().all(|&f| f == 1.0);
-        let zeros = |v: [f32; CDF_LANES]| v.iter().all(|&f| f.to_bits() == 0);
         let new = self.spans.len();
-        let mut at = self.vals.len();
-        for k in 0..self.windows() {
-            let first = (0..n).find(|&i| !ones(window(i, k))).unwrap_or(n);
-            // No bin is both, so `end ≥ first`.
-            let end = (first..n)
-                .rfind(|&i| !zeros(window(i, k)))
-                .map_or(first, |i| i + 1);
-            self.spans.push(Span {
-                first: first as u32,
-                end: end as u32,
-                at,
-            });
-            at += (end - first) * CDF_LANES;
+        let unset = Span {
+            first: n as u32,
+            end: 0,
+            at: 0,
+        };
+        self.spans.resize(new + self.windows(), unset);
+        let spans = &mut self.spans[new..];
+        // Bins ascend, so a span starts at the first bin not all 1.0 and
+        // ends past the last one not all +0.0; the bins below its start
+        // are 1.0s, never 0.0s, so it ends at or past its start. The folds
+        // test all eight lanes without branching.
+        for i in 0..n as u32 {
+            for (k, span) in spans.iter_mut().enumerate() {
+                let v = window(i as usize, k);
+                let ones = v.iter().fold(true, |all, &f| all & (f == 1.0));
+                let zeros = v.iter().fold(0, |bits, &f| bits | f.to_bits()) == 0;
+                span.first = span.first.min(if ones { n as u32 } else { i });
+                span.end = if zeros { span.end } else { i + 1 };
+            }
         }
-        self.vals.reserve_exact(at - self.vals.len());
-        for (k, span) in self.spans[new..].iter().enumerate() {
+        let start = self.vals.len();
+        let mut at = start;
+        for span in spans.iter_mut() {
+            span.at = at;
+            at += (span.end - span.first) as usize * CDF_LANES;
+        }
+        self.vals.reserve_exact(at - start);
+        for (k, span) in spans.iter().enumerate() {
             for i in span.first..span.end {
                 self.vals.extend(window(i as usize, k));
             }
@@ -472,78 +487,66 @@ impl ForecastTables {
 
     /// Build the tables by the backward recursion of the module docs: every
     /// start bin at once, one volume step per bin and one gather through
-    /// the kernel's CSR rows per horizon tick (≈ 93 M multiply-adds at
-    /// paper scale, tens of milliseconds). Single-threaded on purpose: a
-    /// second worker could save under 20 ms once per geometry per
-    /// process, less than the strip-and-merge scaffolding it needs is
-    /// worth. Each tick is narrowed and encoded straight from the DP's own
-    /// rows the moment it is computed: no dense f32 table, not even one
-    /// tick of it, exists at any point.
+    /// the kernel's CSR rows per horizon tick — ≈ 93 M multiply-adds at
+    /// paper scale, ≈ 11 ms on Sapphire Rapids (the row-major gather at
+    /// SSE2 width this replaced took ≈ 26 ms).
+    ///
+    /// Each tick is walked strip-major, 64 counts at a time
+    /// (`STRIP_LANES`) from the top of the count axis down: the volume
+    /// step writes one strip of `M` for every bin, then each start bin's
+    /// output strip accumulates over its CSR row in registers at the CPU's
+    /// widest vector width (`simd::strip_sum_into`). `G` is updated in
+    /// place — strip `c0` of `M` reads `G_t` below count `c0 + 64` only,
+    /// and every strip above it already holds `G_{t+1}` — so the DP holds
+    /// `G` and one strip of `M`, ≈ 1.6 MiB at paper scale.
+    ///
+    /// Every count still adds `K(i→j)·M[j][c]` in ascending `j` from
+    /// +0.0, one IEEE multiply and one IEEE add per term: the operand
+    /// sequence of the row-major `out[c] += w·m[j][c]` walk, so the table
+    /// is bit-identical to that walk's. A source whose strip of `M` is all
+    /// +0.0 — its first count that is not +0.0 lies at or past the strip's
+    /// end, which assumes no monotonicity — is skipped: each of its terms
+    /// is a non-negative weight times +0.0, and adding +0.0 to an
+    /// accumulator that started at +0.0 changes no bit.
+    ///
+    /// Single-threaded on purpose: a second worker could save a few
+    /// milliseconds once per geometry per process, less than the
+    /// strip-and-merge scaffolding it needs is worth. Each tick is narrowed
+    /// and encoded straight from the DP's own rows the moment it is
+    /// computed: no dense f32 table, not even one tick of it, exists at
+    /// any point.
     pub fn build(cfg: &SproutConfig, kernel: &TransitionKernel) -> ForecastTables {
         cfg.validate();
-        let n = cfg.num_bins;
         let cm = cfg.count_max;
-        let shifts = unit_shifts(cfg);
-        let scatter = kernel.scatter();
-        let mut tables = ForecastTables::empty(n, cfg.horizon_ticks, cm, max_unit_step(cfg));
-        // `g[j·cm + c] = G_t[j][c]`, starting at `G₀ ≡ 1`; `m` likewise.
-        let mut g = vec![1.0f64; n * cm];
-        let mut m = vec![0.0f64; n * cm];
-        for _ in 0..cfg.horizon_ticks {
-            // Advance the volume axis of every bin: the tick delivers `lo`
-            // units with probability `1 − frac` and `lo + 1` with `frac`.
-            let rows = g.chunks_exact(cm).zip(m.chunks_exact_mut(cm));
-            for ((g_row, m_row), &(lo, frac)) in rows.zip(&shifts) {
-                if lo == 0 && frac == 0.0 {
-                    m_row.copy_from_slice(g_row); // outage bin: volume unchanged
-                    continue;
-                }
-                // Counts below `lo` are unreachable; `lo` itself only by
-                // the low half from count 0.
-                let keep = 1.0 - frac;
-                let (below, reachable) = m_row.split_at_mut(lo.min(cm));
-                below.fill(0.0);
-                if let Some((first, rest)) = reachable.split_first_mut() {
-                    *first = g_row[0] * keep;
-                    for (slot, pair) in rest.iter_mut().zip(g_row.windows(2)) {
-                        *slot = pair[1] * keep + pair[0] * frac;
-                    }
-                }
-            }
-            // Evolve the bin axis: start bin `i` reaches bin `j` with
-            // `K(i→j)`, summed in ascending `j`.
-            for (i, out) in g.chunks_exact_mut(cm).enumerate() {
-                out.fill(0.0);
-                let (dests, weights) = scatter.row(i);
-                for (&j, &w) in dests.iter().zip(weights) {
-                    let m_row = &m[j as usize * cm..][..cm];
-                    for (o, &v) in out.iter_mut().zip(m_row) {
-                        *o += w * v;
-                    }
-                }
-            }
+        let mut tables =
+            ForecastTables::empty(cfg.num_bins, cfg.horizon_ticks, cm, max_unit_step(cfg));
+        backward_recursion(cfg, kernel, |g| {
             // The count axis clamps at its top cell, so `P(C ≤ cm−1) = 1`
             // for every start bin: the top count reads 1.0 like the counts
             // past the axis. Below it the clamp moves no mass, so the
             // recursion runs unclamped.
             tables.push_tick(|i, k| {
                 let below_top = &g[i * cm..][..cm - 1];
-                std::array::from_fn(|l| {
-                    below_top
-                        .get(k * CDF_LANES + l)
-                        .map_or(1.0, |&p| p.min(1.0) as f32)
-                })
-            });
-        }
+                let narrow = |p: f64| p.min(1.0) as f32;
+                match below_top[(k * CDF_LANES).min(cm - 1)..].first_chunk() {
+                    Some(whole) => whole.map(narrow),
+                    None => std::array::from_fn(|l| {
+                        below_top.get(k * CDF_LANES + l).map_or(1.0, |&p| narrow(p))
+                    }),
+                }
+            })
+        });
         tables
     }
 
     /// [`Self::build`] by the scalar forward DP — one pass over the joint
     /// (rate bin × cumulative volume) distribution per start bin — kept as
     /// the oracle of the recursion above; only tests call it (seconds at
-    /// paper scale). The two agree to rounding in f64, and after the
+    /// paper scale), and only test builds compile it (`cfg(test)` or the
+    /// `testing` feature). The two agree to rounding in f64, and after the
     /// narrowing to f32 to the bit on every geometry the test suites
     /// build.
+    #[cfg(any(test, feature = "testing"))]
     pub fn build_reference(cfg: &SproutConfig, kernel: &TransitionKernel) -> ForecastTables {
         cfg.validate();
         let n = cfg.num_bins;
@@ -636,7 +639,7 @@ impl ForecastTables {
     ///   one-count probe computes, and the mixture CDF is non-decreasing
     ///   in the count (the stored per-bin CDFs are, no weight is
     ///   negative, and rounding is monotone), so the smallest satisfying
-    ///   index is the one [`Self::forecast_into_reference`] bisects to.
+    ///   index is the one `Self::forecast_into_reference` bisects to.
     /// * **Certain bins cost nothing.** A probe does arithmetic only on
     ///   the bins whose values at the block it does not already know —
     ///   the table's stored span for that block: the live bins below it
@@ -690,7 +693,9 @@ impl ForecastTables {
     /// [`Self::forecast_into`] by one-count probes: a bracketed bisection
     /// of `(prev, prev + max_step]` per tick, ~7 serial mixture sums at
     /// paper scale. Kept as the reference the windowed search must equal
-    /// (`kernel_equivalence` suite); only tests call it.
+    /// (`kernel_equivalence` suite); only tests call it, and only test
+    /// builds compile it (`cfg(test)` or the `testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn forecast_into_reference<'a>(
         &self,
         posterior: &[f64],
@@ -757,6 +762,7 @@ impl ForecastTables {
 
     /// Mixture CDF at one count over the pre-masked live bins, summed in
     /// ascending bin order into one accumulator.
+    #[cfg(any(test, feature = "testing"))]
     fn live_mixture_cdf(&self, tick: usize, count: usize, idx: &[u32], w: &[f64]) -> f64 {
         idx.iter()
             .zip(w.iter())
@@ -836,6 +842,7 @@ impl ForecastTables {
     /// the result): when it is exact, the search confirms it with two
     /// probes (`cdf(guess) ≥ want`, `cdf(guess−1) < want`) instead of a
     /// full bisection.
+    #[cfg(any(test, feature = "testing"))]
     fn percentile_index(
         &self,
         tick: usize,
@@ -914,6 +921,7 @@ pub const MASS_EPSILON: f64 = 1e-12;
 #[derive(Debug, Default)]
 pub struct ForecastScratch {
     /// Indices of the live bins (the reference search only).
+    #[cfg(any(test, feature = "testing"))]
     live_idx: Vec<u32>,
     /// Weights: one per bin of the live range (windowed search) or one
     /// per `live_idx` entry (reference search).
@@ -952,10 +960,85 @@ fn max_unit_step(cfg: &SproutConfig) -> usize {
     units.floor() as usize + 1
 }
 
+/// The recursion of [`ForecastTables::build`], strip-major: calls
+/// `tick(g)` after every horizon tick with `g[j·cm + c] = G_{t+1}[j][c]`.
+fn backward_recursion(cfg: &SproutConfig, kernel: &TransitionKernel, mut tick: impl FnMut(&[f64])) {
+    let n = cfg.num_bins;
+    let cm = cfg.count_max;
+    let shifts = unit_shifts(cfg);
+    let scatter = kernel.scatter();
+    // `g[j·cm + c] = G_t[j][c]`, starting at `G₀ ≡ 1`, updated in place.
+    let mut g = vec![1.0f64; n * cm];
+    // One strip of `M`, `m[j][l] = M[j][c0 + l]` for the strip's `len`
+    // lanes, and `lead[j]`: row `j`'s first lane that is not +0.0 (`len`
+    // if none).
+    let mut m = vec![[0.0f64; STRIP_LANES]; n];
+    let mut lead = vec![0usize; n];
+    for _ in 0..cfg.horizon_ticks {
+        // Strips in descending count order: strip `c0` of `M` reads `G_t`
+        // at counts below `c0 + STRIP_LANES` only, and every strip above
+        // it already holds `G_{t+1}`.
+        for c0 in (0..cm).step_by(STRIP_LANES).rev() {
+            let len = STRIP_LANES.min(cm - c0);
+            let rows = g.chunks_exact(cm).zip(m.iter_mut().zip(&mut lead));
+            for ((g_row, (m_row, lead)), &shift) in rows.zip(&shifts) {
+                *lead = shift_strip(&mut m_row[..len], g_row, c0, shift);
+            }
+            // Evolve the bin axis: start bin `i` reaches bin `j` with
+            // `K(i→j)`, summed in ascending `j` in registers.
+            for (i, out) in g.chunks_exact_mut(cm).enumerate() {
+                let (dests, weights) = scatter.row(i);
+                strip_sum_into(&mut out[c0..c0 + len], &m, &lead, dests, weights);
+            }
+        }
+        tick(&g);
+    }
+}
+
+/// Strip `c0..c0 + m_row.len()` of one bin's volume advance, `M[j][c] =
+/// G[j][c − lo]·(1 − frac) + G[j][c − lo − 1]·frac`, from `g_row = G[j]`
+/// into `m_row`; returns its first lane that is not +0.0 (`m_row.len()`
+/// if none). Counts below `lo` are unreachable and `lo` itself only by the
+/// low half from count 0; the outage bin (no advance) copies `G` through.
+fn shift_strip(m_row: &mut [f64], g_row: &[f64], c0: usize, (lo, frac): (usize, f64)) -> usize {
+    let len = m_row.len();
+    let below = if lo == 0 && frac == 0.0 {
+        m_row.copy_from_slice(&g_row[c0..c0 + len]);
+        0
+    } else {
+        let keep = 1.0 - frac;
+        let (below, mut reachable) = m_row.split_at_mut(lo.saturating_sub(c0).min(len));
+        below.fill(0.0);
+        // The first count of `reachable` is `lo` itself or lies above it
+        // (when any count of the strip is reachable).
+        let c = c0 + below.len();
+        if c == lo {
+            if let Some((first, rest)) = std::mem::take(&mut reachable).split_first_mut() {
+                *first = g_row[0] * keep;
+                reachable = rest;
+            }
+        }
+        if !reachable.is_empty() {
+            // Its counts now all lie above `lo`, from `max(c, lo + 1)` on,
+            // and count `c′` reads `G[c′ − lo − 1..=c′ − lo]`.
+            let from = c.max(lo + 1) - lo - 1;
+            for (slot, pair) in reachable.iter_mut().zip(g_row[from..].windows(2)) {
+                *slot = pair[1] * keep + pair[0] * frac;
+            }
+        }
+        below.len()
+    };
+    m_row[below..]
+        .iter()
+        .position(|v| v.to_bits() != 0)
+        .map_or(len, |l| below + l)
+}
+
 /// The scalar forward DP for a single starting bin: returns the
 /// conditional CDF strip laid out as `strip[t * cm + c] = P(C_{t+1} ≤ c |
 /// λ₀ = start)`. Kept verbatim as the oracle behind
-/// [`ForecastTables::build_reference`].
+/// `ForecastTables::build_reference`.
+#[cfg(any(test, feature = "testing"))]
 #[allow(clippy::too_many_arguments)]
 fn build_one_start_reference(
     start: usize,
@@ -1032,6 +1115,7 @@ fn build_one_start_reference(
 
 /// Apply the transition operator to bins `[j_lo, j_hi]` of the joint
 /// distribution (only counts `0..=c_hi` carry mass), source-major.
+#[cfg(any(test, feature = "testing"))]
 fn evolve_rows_reference(
     scatter: &ScatterMatrix,
     joint: &[f64],
@@ -1288,6 +1372,48 @@ mod tests {
         let slow = ForecastTables::build_reference(&cfg, &kernel);
         assert_eq!(fast.to_bytes(), slow.to_bytes());
         assert_eq!(fast.max_step, slow.max_step);
+    }
+
+    #[test]
+    fn the_f64_recursion_is_pinned_where_the_strips_end() {
+        // Narrowed to f32, two summation orders of the same terms almost
+        // never differ (a one-ulp f64 difference must straddle an f32
+        // rounding boundary), so table pins cannot tell them apart. These
+        // fingerprint every tick's f64 `G`, recorded from the row-major
+        // gather the strip-major one replaced: the same operands in the
+        // same order, at strip tails and skipped sources. Never re-record
+        // them.
+        let cfg_with = |num_bins, sigma, max_rate_pps, horizon_ticks, count_max| SproutConfig {
+            num_bins,
+            sigma,
+            max_rate_pps,
+            horizon_ticks,
+            lookahead_ticks: 1,
+            count_max,
+            ..SproutConfig::default()
+        };
+        let pins = [
+            (SproutConfig::paper(), 0x8d07_1b4b_7b6e_d1b4),
+            (small_cfg(), 0xb71f_9113_b077_3cdd),
+            // The axis ends 33 counts into its second strip, and whole
+            // strips of `M` are +0.0 (1 908 skipped sources).
+            (cfg_with(48, 150.0, 600.0, 6, 97), 0x5dfa_8268_82b2_bf06),
+            // Every row reflects; the last strip is one count.
+            (cfg_with(9, 300.0, 100.0, 4, 65), 0x874a_f7c8_ff23_f28a),
+        ];
+        for (cfg, pin) in pins {
+            let mut bits = Vec::new();
+            backward_recursion(&cfg, &TransitionKernel::new(&cfg), |g| {
+                bits.extend(g.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+            });
+            assert_eq!(
+                sprout_cache::fingerprint64(&bits),
+                pin,
+                "{} bins, count axis {}",
+                cfg.num_bins,
+                cfg.count_max
+            );
+        }
     }
 
     #[test]

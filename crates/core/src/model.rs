@@ -238,7 +238,7 @@ pub struct TransitionKernel {
     /// The whole operator flattened to CSR — the Gaussian Brownian band
     /// (reflected at both boundaries) for positive bins and the sticky
     /// outage/escape mixture for bin 0. The forecast-table builder and
-    /// [`Self::evolve_into_reference`] walk it.
+    /// `Self::evolve_into_reference` walk it.
     scatter: ScatterMatrix,
     /// The same operator as `evolve_into` walks it.
     plan: EvolvePlan,
@@ -308,7 +308,7 @@ impl TransitionKernel {
     /// Walks the evolve plan destination-major: one tile of destinations
     /// at a time, accumulators in registers, sources added low block →
     /// shared band → high block. Bit-identical to
-    /// [`Self::evolve_into_reference`]:
+    /// `Self::evolve_into_reference`:
     ///
     /// * *Order.* The three groups partition the rows in ascending order
     ///   and each is walked ascending, so every destination adds its
@@ -343,7 +343,9 @@ impl TransitionKernel {
 
     /// The scalar source-major CSR walk [`Self::evolve_into`] must equal
     /// bit for bit, kept as its reference. Equivalence is enforced by the
-    /// `kernel_equivalence` proptest suite.
+    /// `kernel_equivalence` proptest suite; only test builds compile it
+    /// (`cfg(test)` or the `testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn evolve_into_reference(&self, src: &[f64], dst: &mut [f64]) {
         assert_eq!(src.len(), self.num_bins);
         assert_eq!(dst.len(), self.num_bins);
@@ -568,7 +570,7 @@ impl RateModel {
     /// every model on the thread: a hit costs one multiply per bin and
     /// the normalize. A hit applies the very `f64`s a miss computed, so
     /// the posterior is bit-identical to
-    /// [`Self::observe_exposed_reference`] either way.
+    /// `Self::observe_exposed_reference` either way.
     pub fn observe_exposed(&mut self, packets: f64, exposure_secs: f64) {
         assert!(packets >= 0.0 && packets.is_finite());
         assert!(exposure_secs > 0.0 && exposure_secs.is_finite());
@@ -593,7 +595,9 @@ impl RateModel {
 
     /// [`Self::observe_exposed`] without the likelihood memo: always
     /// computes the likelihood vector. Kept as the bit-exactness reference
-    /// for the memoised path (`kernel_equivalence` suite).
+    /// for the memoised path (`kernel_equivalence` suite); only test
+    /// builds compile it (`cfg(test)` or the `testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn observe_exposed_reference(&mut self, packets: f64, exposure_secs: f64) {
         assert!(packets >= 0.0 && packets.is_finite());
         assert!(exposure_secs > 0.0 && exposure_secs.is_finite());

@@ -1,20 +1,21 @@
-//! Runtime-dispatched lane-wise kernels for the evolve/forecast hot loops.
+//! Runtime-dispatched lane-wise kernels for the evolve/forecast hot loops
+//! and the forecast-table build.
 //!
 //! The workspace builds for baseline x86-64 (SSE2, two f64 lanes), but the
-//! per-tick evolve and the forecast's mixture sums spend nearly all their
-//! time in two lane-wise loops. Compiling those loops a second time inside
-//! `#[target_feature(enable = ...)]` wrappers — and dispatching on runtime
-//! CPU feature detection — lets LLVM autovectorize them 4 (AVX2) or
-//! 8 (AVX-512) lanes wide without changing how the workspace is built.
-//! (The forecast-table build runs once per geometry in tens of
-//! milliseconds and is plain loops in `forecast.rs`.)
+//! per-tick evolve, the forecast's mixture sums and the table build's
+//! gather spend nearly all their time in three lane-wise loops. Compiling
+//! those loops a second time inside `#[target_feature(enable = ...)]`
+//! wrappers — and dispatching on runtime CPU feature detection, once, in
+//! `features()` — lets LLVM autovectorize them 4 (AVX2) or 8 (AVX-512)
+//! lanes wide without changing how the workspace is built.
 //!
 //! **Bit-exactness.** Every kernel here is lane-wise: lane `l` accumulates
 //! `acc[l] += p * w[l]` with one IEEE multiply and one IEEE add per term,
 //! exactly like the scalar loop ([`mixture_lanes`] also widens an f32,
-//! which is exact). Rust never enables
-//! floating-point contraction (no FMA fusing) or reassociation, and wider
-//! registers do not change per-lane rounding, so every dispatch path
+//! which is exact; [`strip_sum_into`] also skips sources whose every term
+//! is ±0.0, which changes no bit of a sum started at +0.0). Rust never
+//! enables floating-point contraction (no FMA fusing) or reassociation,
+//! and wider registers do not change per-lane rounding, so every dispatch path
 //! produces bit-identical results. This invariant is what lets the sweep
 //! keep byte-identical canonical output across machines — and it is
 //! enforced by unit tests here and the `kernel_equivalence` suite.
@@ -86,6 +87,49 @@ pub(crate) fn tile_sum_into(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     tile_sum_into_scalar(dst, groups);
 }
 
+/// Counts per strip of the forecast-table gather ([`strip_sum_into`]).
+/// Sixty-four lanes are eight independent 512-bit accumulator chains, or
+/// sixteen 256-bit ones. Measured per paper-scale gather (≤ 93 M
+/// multiply-adds over 8 ticks) on Sapphire Rapids, best of 15 builds:
+/// 512-bit at 16 / 32 / 64 lanes 9.9 / 9.0 / 7.3 ms (fewer lanes are
+/// fewer add chains, and the volume step pays per strip too: 2.4 / 1.5 /
+/// 1.3 ms), 256-bit at 64 lanes 9.9–10.5 ms, the SSE2 baseline 20.3 ms.
+pub(crate) const STRIP_LANES: usize = 64;
+
+/// `dst[l] = Σₖ weights[k] · rows[dests[k]][l]`, every lane accumulating
+/// in ascending `k` from +0.0 in registers — per lane, one IEEE multiply
+/// and one IEEE add per source, the operand sequence of the scalar
+/// `out[c] += w · m[j][c]` walk over the same sources. Row `j` is +0.0 at
+/// every lane below `lead[j]`, and a source whose row is +0.0 at every
+/// lane of `dst` (`lead ≥ dst.len()`) is skipped: with a finite weight
+/// its terms are ±0.0, and adding ±0.0 to an accumulator that started at
+/// +0.0 changes no bit. `dst` is one strip, at most [`STRIP_LANES`]
+/// counts; the surplus lanes of a shorter one are computed and dropped.
+#[inline]
+pub(crate) fn strip_sum_into(
+    dst: &mut [f64],
+    rows: &[[f64; STRIP_LANES]],
+    lead: &[usize],
+    dests: &[u32],
+    weights: &[f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match features() {
+            Level::Avx512 => {
+                // SAFETY: AVX-512F support verified at runtime.
+                return unsafe { strip_sum_into_avx512(dst, rows, lead, dests, weights) };
+            }
+            Level::Avx2 => {
+                // SAFETY: AVX2 support verified at runtime.
+                return unsafe { strip_sum_into_avx2(dst, rows, lead, dests, weights) };
+            }
+            Level::Baseline => {}
+        }
+    }
+    strip_sum_into_scalar(dst, rows, lead, dests, weights);
+}
+
 /// Consecutive counts per window of the in-memory forecast CDF (see
 /// `ForecastTables`). Eight lanes are two independent 256-bit accumulator
 /// chains (four at SSE2 width), and [`mixture_lanes`] then yields eight
@@ -151,6 +195,31 @@ fn tile_sum_into_scalar(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     dst.copy_from_slice(&acc[..dst.len()]);
 }
 
+#[inline(always)]
+fn strip_sum_into_scalar(
+    dst: &mut [f64],
+    rows: &[[f64; STRIP_LANES]],
+    lead: &[usize],
+    dests: &[u32],
+    weights: &[f64],
+) {
+    // As in `tile_sum_into_scalar`: a fixed-size accumulator under a
+    // constant-bound loop stays in registers.
+    let mut acc = [0.0f64; STRIP_LANES];
+    for (&j, &w) in dests.iter().zip(weights) {
+        let j = j as usize;
+        if lead[j] >= dst.len() {
+            continue;
+        }
+        let src = &rows[j];
+        #[allow(clippy::needless_range_loop)]
+        for l in 0..STRIP_LANES {
+            acc[l] += w * src[l];
+        }
+    }
+    dst.copy_from_slice(&acc[..dst.len()]);
+}
+
 /// Widest vector extension available on this CPU.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -204,6 +273,30 @@ unsafe fn tile_sum_into_avx2(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
 #[target_feature(enable = "avx512f")]
 unsafe fn tile_sum_into_avx512(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
     tile_sum_into_scalar(dst, groups);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strip_sum_into_avx2(
+    dst: &mut [f64],
+    rows: &[[f64; STRIP_LANES]],
+    lead: &[usize],
+    dests: &[u32],
+    weights: &[f64],
+) {
+    strip_sum_into_scalar(dst, rows, lead, dests, weights);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn strip_sum_into_avx512(
+    dst: &mut [f64],
+    rows: &[[f64; STRIP_LANES]],
+    lead: &[usize],
+    dests: &[u32],
+    weights: &[f64],
+) {
+    strip_sum_into_scalar(dst, rows, lead, dests, weights);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -303,6 +396,80 @@ mod tests {
                 }
                 // SAFETY: as above.
                 unsafe { kernel(&mut got, &empty) };
+                assert!(got.iter().all(|v| v.to_bits() == 0), "{name} len={len}");
+            }
+        }
+    }
+
+    /// `strip_sum_into`'s definition, one lane at a time, no source
+    /// skipped.
+    fn strip_sum_by_lane(
+        len: usize,
+        rows: &[[f64; STRIP_LANES]],
+        dests: &[u32],
+        w: &[f64],
+    ) -> Vec<f64> {
+        (0..len)
+            .map(|l| {
+                let mut acc = 0.0f64;
+                for (&j, &p) in dests.iter().zip(w) {
+                    acc += p * rows[j as usize][l];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_compiled_strip_sum_width_is_bitwise_the_per_lane_sum() {
+        type Kernel = unsafe fn(&mut [f64], &[[f64; STRIP_LANES]], &[usize], &[u32], &[f64]);
+        // As for the tile sum: every width this build compiled and this
+        // CPU can run, called directly.
+        let mut kernels: Vec<(&str, Kernel)> = vec![
+            ("scalar", |d, r, z, j, w| {
+                strip_sum_into_scalar(d, r, z, j, w)
+            }),
+            ("dispatched", |d, r, z, j, w| strip_sum_into(d, r, z, j, w)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(("avx2", strip_sum_into_avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                kernels.push(("avx512", strip_sum_into_avx512));
+            }
+        }
+        const S: usize = STRIP_LANES;
+        // Nine rows of awkward values (and weights): row 3 is +0.0 across
+        // the strip, so every strip skips it; row 5 is +0.0 across its
+        // first 40 lanes, so a 40-count strip skips it and longer ones
+        // add it.
+        let mut vals: Vec<[f64; S]> = (0..9)
+            .map(|r| probe_vec(S, 20 + r).try_into().expect("one strip"))
+            .collect();
+        vals[3] = [0.0; S];
+        vals[5][..40].fill(0.0);
+        let lead: Vec<usize> = vals
+            .iter()
+            .map(|row| row.iter().position(|v| v.to_bits() != 0).unwrap_or(S))
+            .collect();
+        let dests: Vec<u32> = (0..9).collect();
+        let weights = probe_vec(9, 31);
+        for (name, kernel) in kernels {
+            // A whole strip and the tails a count axis can end on.
+            for len in [1, 40, S - 1, S] {
+                // Stale contents must be overwritten.
+                let mut got = vec![9.0; len];
+                // SAFETY: each wrapper was pushed only after its feature
+                // was detected.
+                unsafe { kernel(&mut got, &vals, &lead, &dests, &weights) };
+                let want = strip_sum_by_lane(len, &vals, &dests, &weights);
+                for (x, y) in got.iter().zip(want.iter()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{name} len={len}");
+                }
+                // SAFETY: as above.
+                unsafe { kernel(&mut got, &vals, &lead, &[], &[]) };
                 assert!(got.iter().all(|v| v.to_bits() == 0), "{name} len={len}");
             }
         }

@@ -57,8 +57,9 @@ fn a_paper_table_is_held_once_on_its_way_in() {
         table.heap_bytes(),
         table.to_bytes().len()
     );
-    // The DP scratch (3 MiB) and the table (1.5 MB), or the file's bytes
-    // and the table: with headroom, and far from two dense copies.
+    // The DP scratch (`G` and one strip of `M`, 1.6 MiB) and the table
+    // (1.5 MB), or the file's bytes and the table: with headroom, and far
+    // from two dense copies.
     assert!(
         build <= 7 * 1024,
         "build + store raised VmHWM by {build} kB"
