@@ -13,7 +13,7 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use sprout_baselines::VideoApp;
-use sprout_core::{SproutConfig, SproutEndpoint};
+use sprout_core::SproutConfig;
 use sprout_sim::{
     direction_stats_with_floor, jain_fairness_index, omniscient_p95_delay, CoDelConfig, Endpoint,
     FlowId, LinkImpairment, MetricsCollector, MuxEndpoint, PathConfig, QueueConfig, ServeSim,
@@ -30,7 +30,9 @@ use crate::record::{
     ServeStats, SweepResult,
 };
 use crate::scenario::{paired, FlowSpec, LinkSpec, ResolvedQueue, Scenario, Workload};
-use crate::schemes::{app_endpoints, build_endpoints, sprout_endpoint, RunConfig, Scheme};
+use crate::schemes::{
+    app_endpoints, build_endpoints, sprout_data_sender, sprout_endpoint, RunConfig, Scheme,
+};
 
 /// Built / reused / evicted / live counts of every sweep's [`TraceMemo`].
 static TRACE_COUNTERS: sprout_core::MemoCounters = sprout_core::MemoCounters::zeroed();
@@ -623,11 +625,9 @@ fn run_cell_scratch(
             // N independent Sprout sessions, each with its own path pair
             // over the *same* link conditions (the controlled variable),
             // served by one shared-event-loop SproutServer. Clients are
-            // the saturating data senders (EWMA forecaster — no table
-            // fetch), server halves are the Bayesian receivers, so the
-            // pool performs exactly N table lookups: 1 build + N−1
-            // reuses per link group. Session i runs as FlowId(i + 1),
-            // with per-session loss/impairment streams derived from
+            // one-way data senders, server halves the Bayesian
+            // receivers. Session i runs as FlowId(i + 1), with
+            // per-session loss/impairment streams derived from
             // session_seed(cell_seed, i + 1).
             let n = *sessions;
             let mut server = SproutServer::new(rc.sprout.clone(), rc.serve_seed);
@@ -639,8 +639,7 @@ fn run_cell_scratch(
                 let sid = i + 1;
                 let src = rc.clone().seeded(session_seed(rc.serve_seed, sid));
                 let (up, down) = path_configs(&src, queue);
-                let mut client = SproutEndpoint::new_ewma(rc.sprout.clone());
-                client.set_saturating();
+                let mut client = sprout_data_sender(&rc.sprout);
                 client.set_flow(FlowId(sid));
                 sim.add_session(FlowId(sid), client, up, down);
             }

@@ -33,7 +33,9 @@ pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,
     Workload, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS,
 };
-pub use schemes::{build_endpoints, run_scheme, RunConfig, Scheme, SchemeResult};
+pub use schemes::{
+    build_endpoints, run_scheme, sprout_data_sender, RunConfig, Scheme, SchemeResult,
+};
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
     abandoned_cell_threads, cell_failure_counters, execute_with_memo, last_batch_layout,

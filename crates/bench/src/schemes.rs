@@ -152,7 +152,8 @@ impl Scheme {
 
 /// The shapes of endpoint pair [`build_endpoints`] knows.
 enum Pair {
-    /// Two Sprout endpoints (forecaster per [`sprout_endpoint`]).
+    /// A [`sprout_data_sender`] and a receiver whose forecaster is per
+    /// [`sprout_endpoint`].
     Sprout,
     /// A TCP sender around this congestion controller, and a receiver.
     Tcp(Box<dyn CongestionControl>),
@@ -247,6 +248,23 @@ pub(crate) fn sprout_endpoint(scheme: Scheme, cfg: &RunConfig) -> SproutEndpoint
     }
 }
 
+/// The saturating data sender of a one-way Sprout pair: every
+/// [`Scheme::Sprout`] / [`Scheme::SproutEwma`] pair (so every Sprout flow
+/// of a contention cell) and every serve client. It runs the EWMA
+/// forecaster whatever the scheme, which changes no bit: in §3 the
+/// *receiver* forecasts and the sender spends the forecast it is sent.
+/// This end's forecast could steer only the peer's sender window, which
+/// a peer without app bytes never reads (its control packets bypass it),
+/// so the pair runs one Bayesian model, not two: a serve pool of N
+/// sessions makes exactly N table lookups, 1 build + N − 1 reuses per
+/// link group. Tunnel carriers keep the scheme's own endpoint: app
+/// reports flow back through them.
+pub fn sprout_data_sender(cfg: &SproutConfig) -> SproutEndpoint {
+    let mut a = SproutEndpoint::new_ewma(cfg.clone());
+    a.set_saturating();
+    a
+}
+
 /// The (sender, receiver) pair of one modeled videoconference call.
 pub(crate) fn app_endpoints(app: VideoApp) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
     (
@@ -258,11 +276,10 @@ pub(crate) fn app_endpoints(app: VideoApp) -> (Box<dyn Endpoint>, Box<dyn Endpoi
 /// Construct the (sender, receiver) endpoint pair for a scheme.
 pub fn build_endpoints(scheme: Scheme, cfg: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
     match scheme.pair() {
-        Pair::Sprout => {
-            let mut a = sprout_endpoint(scheme, cfg);
-            a.set_saturating();
-            (Box::new(a), Box::new(sprout_endpoint(scheme, cfg)))
-        }
+        Pair::Sprout => (
+            Box::new(sprout_data_sender(&cfg.sprout)),
+            Box::new(sprout_endpoint(scheme, cfg)),
+        ),
         Pair::Tcp(cc) => (Box::new(TcpSender::new(cc)), Box::new(TcpReceiver::new())),
         Pair::App(app) => app_endpoints(app),
         Pair::Omniscient => (

@@ -6,6 +6,7 @@
 //! and a 95%-confidence (5th-percentile) forecast. Those are the defaults
 //! here; Figure 9 sweeps the confidence parameter.
 
+use crate::wire::FULL_HEADER_LEN;
 use sprout_trace::{Duration, MTU_BYTES, TICK};
 
 /// All tunables of a Sprout session. The model/forecast fields feed the
@@ -123,7 +124,13 @@ impl SproutConfig {
         assert!(self.forecast_percentile > 0.0 && self.forecast_percentile < 100.0);
         assert!(self.count_max >= 8);
         assert!(self.tick > Duration::ZERO);
-        assert!(self.mtu_bytes > 0);
+        // A data packet is a full header plus a `u16` payload length.
+        let mtu = self.mtu_bytes as usize;
+        assert!(
+            FULL_HEADER_LEN < mtu && mtu <= FULL_HEADER_LEN + u16::MAX as usize,
+            "mtu_bytes {mtu} must fit a {FULL_HEADER_LEN}-byte header and a payload of 1..={}",
+            u16::MAX
+        );
     }
 
     /// Key identifying the precomputed-table inputs (used for caching).
@@ -237,5 +244,30 @@ mod tests {
     #[test]
     fn test_small_is_valid() {
         SproutConfig::test_small().validate();
+    }
+
+    fn with_mtu(mtu_bytes: u32) -> SproutConfig {
+        SproutConfig {
+            mtu_bytes,
+            ..SproutConfig::paper()
+        }
+    }
+
+    #[test]
+    fn mtu_bounds_are_a_one_byte_and_a_u16_payload() {
+        with_mtu(61).validate();
+        with_mtu(65_595).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "mtu_bytes 60 must fit a 60-byte header")]
+    fn mtu_of_a_bare_full_header_is_rejected() {
+        with_mtu(60).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "mtu_bytes 65596 must fit a 60-byte header")]
+    fn mtu_past_a_u16_payload_is_rejected() {
+        with_mtu(65_596).validate();
     }
 }

@@ -424,6 +424,25 @@ mod tests {
     }
 
     #[test]
+    fn the_mtu_bounds_build_whole_packets() {
+        // The startup window is one MTU: one packet of a full header and
+        // the largest payload, its length carried untruncated.
+        for mtu_bytes in [61, 65_595] {
+            let mut e = SproutEndpoint::new_ewma(SproutConfig {
+                mtu_bytes,
+                ..SproutConfig::test_small()
+            });
+            e.set_saturating();
+            let pkts = polled(&mut e, t(0));
+            assert_eq!(pkts.len(), 1, "mtu {mtu_bytes}");
+            let h = SproutHeader::decode(&pkts[0].payload).unwrap();
+            assert_eq!(pkts[0].size, mtu_bytes);
+            assert_eq!(h.payload_len as usize, mtu_bytes as usize - FULL_HEADER_LEN);
+            assert_eq!(e.stats().app_bytes_sent, u64::from(h.payload_len));
+        }
+    }
+
+    #[test]
     fn forecast_feedback_opens_window() {
         let mut e = endpoint();
         e.set_saturating();

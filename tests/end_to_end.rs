@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the paper's headline claims, asserted
 //! as invariants on short deterministic runs. They use the paper's
 //! full-scale Sprout configuration; the forecast tables build once per
-//! test binary (a few seconds) and are shared through the global cache.
+//! test binary (≈ 11 ms optimised) and are shared through the global
+//! cache.
 
 use sprout_baselines::{Cubic, TcpReceiver, TcpSender};
+use sprout_bench::sprout_data_sender;
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{direction_stats, PathConfig, Simulation};
 use sprout_trace::{Duration, LinkModelParams, LinkSimulator, NetProfile, Timestamp, Trace};
@@ -25,10 +27,10 @@ fn steady_link() -> Trace {
     LinkSimulator::new(params, 1234).generate(Duration::from_secs(60))
 }
 
+/// A one-way Sprout pair as every Sprout cell builds it: the data
+/// receiver runs the Bayesian forecaster.
 fn sprout_pair(cfg: &SproutConfig) -> (SproutEndpoint, SproutEndpoint) {
-    let mut a = SproutEndpoint::new(cfg.clone());
-    a.set_saturating();
-    (a, SproutEndpoint::new(cfg.clone()))
+    (sprout_data_sender(cfg), SproutEndpoint::new(cfg.clone()))
 }
 
 #[test]
@@ -169,8 +171,7 @@ fn ewma_variant_trades_delay_for_throughput() {
         Timestamp::from_secs(90),
     );
 
-    let mut a = SproutEndpoint::new_ewma(cfg.clone());
-    a.set_saturating();
+    let a = sprout_data_sender(&cfg);
     let b = SproutEndpoint::new_ewma(cfg.clone());
     let mut sim = Simulation::new(a, b, PathConfig::standard(down), PathConfig::standard(up));
     sim.run_until(Timestamp::from_secs(90));
