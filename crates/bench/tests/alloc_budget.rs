@@ -1,4 +1,4 @@
-//! Allocation budget of the TCP-baseline packet path.
+//! Allocation budget of the TCP-baseline and Sprout packet paths.
 //!
 //! A baseline cell moves a few hundred thousand packets; one heap
 //! allocation per packet (a payload `Vec`, an `Arc`, a per-opportunity
@@ -8,7 +8,10 @@
 //! the queues takes, plus the B-tree nodes of the occasional loss episode
 //! (`TcpSender::lost` after an RTO, `TcpReceiver::ooo`) — together below
 //! one allocation per ten extra packets, where the old path took seven per
-//! packet.
+//! packet. A Sprout pair is pinned the same way at what its wire format
+//! costs: every packet's header is a 32- or 60-byte buffer, one `Vec` and
+//! one `Arc` in `vendor/bytes`, and nothing else on its way may allocate
+//! (the sender's forecast, the receiver's received-range list).
 //!
 //! The same counter pins what a sweep shares instead of copying: cloning
 //! a [`Trace`] allocates nothing, and a worker's second cell records into
@@ -22,9 +25,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sprout_bench::{
-    execute_with_memo, run_scheme, CellScratch, RunConfig, ScenarioMatrix, Scheme, TraceMemo,
+    execute_with_memo, run_scheme, sprout_data_sender, CellScratch, RunConfig, ScenarioMatrix,
+    Scheme, TraceMemo,
 };
-use sprout_trace::{Duration, NetProfile, Trace, MTU_BYTES};
+use sprout_core::{SproutConfig, SproutEndpoint};
+use sprout_sim::{PathConfig, Simulation};
+use sprout_trace::{Duration, NetProfile, Timestamp, Trace, MTU_BYTES};
 
 struct Counting;
 
@@ -103,6 +109,51 @@ fn steady_state_tcp_packet_path_allocates_nothing_per_packet() {
             scheme.name()
         );
     }
+}
+
+/// Allocations and packets sent (both directions, data and control) of
+/// one `secs`-long Sprout pair, its forecast tables already built.
+fn run_sprout(secs: u64, up: &Trace, down: &Trace) -> (u64, u64) {
+    let cfg = SproutConfig::paper();
+    let end = Timestamp::from_secs(secs);
+    let before = allocs();
+    let mut sim = Simulation::new(
+        sprout_data_sender(&cfg),
+        SproutEndpoint::new(cfg),
+        PathConfig::standard(down.truncated(end)),
+        PathConfig::standard(up.truncated(end)),
+    );
+    sim.run_until(end);
+    let allocs = allocs() - before;
+    let (a, b) = (sim.a.stats(), sim.b.stats());
+    let packets =
+        a.data_packets_sent + a.control_packets_sent + b.data_packets_sent + b.control_packets_sent;
+    (allocs, packets)
+}
+
+#[test]
+fn steady_state_sprout_packet_path_allocates_only_its_headers() {
+    sprout_cache::disable();
+    let span = Duration::from_secs(40);
+    let down = NetProfile::VerizonLteDown.generate(span, 11);
+    let up = NetProfile::VerizonLteUp.generate(span, 12);
+    // Builds the tables and warms the thread's likelihood memo.
+    run_sprout(20, &up, &down);
+    let (allocs_20, packets_20) = run_sprout(20, &up, &down);
+    let (allocs_40, packets_40) = run_sprout(40, &up, &down);
+    let extra_packets = packets_40 - packets_20;
+    assert!(
+        extra_packets > 2_000,
+        "the longer run must send more ({packets_20} → {packets_40})"
+    );
+    let per_packet = allocs_40.saturating_sub(allocs_20) as f64 / extra_packets as f64;
+    assert!(
+        per_packet < 2.1,
+        "{per_packet:.3} allocations per extra packet sent ({allocs_20} \
+         allocations for {packets_20} packets in 20 s, {allocs_40} for \
+         {packets_40} in 40 s) — beyond a header's `Vec` + `Arc`, something \
+         on the Sprout packet path allocates again"
+    );
 }
 
 #[test]

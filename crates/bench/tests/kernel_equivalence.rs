@@ -1,4 +1,5 @@
-//! Kernel-vs-reference equivalence: the tiled evolve walk must be
+//! Kernel-vs-reference equivalence: the blocked evolve kernel (and a
+//! whole model tick through it and the likelihood memo) must be
 //! **bit-for-bit** equal to its scalar reference across random
 //! configurations and inputs — not merely close; likewise the windowed
 //! percentile search over the banded table (certain bins summed as a
@@ -44,9 +45,9 @@ proptest! {
     #[test]
     fn chunked_evolve_matches_scalar_reference(
         // Up to 320 bins: wide noise on a short grid reflects every row
-        // (no shared band, one dense block), narrow noise on a long one
+        // (no shared band, one edge group), narrow noise on a long one
         // leaves a band hundreds of rows long, and the sizes in between
-        // end on every tail-tile length.
+        // end on every tail-block length.
         raw in collection::vec(0.0f64..1.0, 8..321),
         sigma in 20.0f64..400.0,
         max_rate_pps in 100.0f64..1000.0,
@@ -55,8 +56,8 @@ proptest! {
         let cfg = cfg_with(num_bins, sigma, max_rate_pps, 8, 256);
         let kernel = TransitionKernel::new(&cfg);
         // Force exact zeros into the source distribution: the reference
-        // skips zero-probability sources where the tiled walk multiplies
-        // them out, which may only ever add +0.0 contributions.
+        // skips zero-probability sources where the blocked kernel
+        // multiplies them out, which may only ever add +0.0 contributions.
         let src: Vec<f64> = raw.iter().map(|&p| if p < 0.3 { 0.0 } else { p }).collect();
         let mut fast = vec![0.0f64; num_bins];
         let mut reference = vec![0.0f64; num_bins];
@@ -425,6 +426,87 @@ fn evolve_tracks_reference_over_a_long_session() {
             }
             _ => model.observe((t / 250) as f64 + draw(9) as f64 * 0.5),
         }
+    }
+}
+
+#[test]
+fn a_model_tick_is_the_reference_evolve_then_the_reference_observe() {
+    let small = SproutConfig::test_small();
+    let geometries = [
+        SproutConfig::paper(),
+        small.clone(),
+        // Ends inside a block.
+        SproutConfig {
+            num_bins: 100,
+            ..small.clone()
+        },
+        // Every row reflected: no shared band.
+        SproutConfig {
+            num_bins: 12,
+            sigma: 400.0,
+            ..small.clone()
+        },
+        // No likelihood floor on a grid this fast: silence zeroes every
+        // bin above the tenth exactly, and a burst only the top bin can
+        // explain then zeroes the rest — normalize's reset to uniform.
+        SproutConfig {
+            max_rate_pps: 1e6,
+            likelihood_floor: 0.0,
+            ..small
+        },
+    ];
+    for cfg in geometries {
+        let tick = cfg.tick_secs();
+        let n = cfg.num_bins;
+        let mut model = RateModel::new(cfg.clone());
+        // Kept bitwise equal to `model` before every tick, so its
+        // observe acts on exactly the reference walk's output.
+        let mut reference = RateModel::new(cfg.clone());
+        let mut evolved = vec![0.0f64; n];
+        let mut resets = 0;
+        // Full and censored observations, gated ticks, silence, the
+        // impossible observation (every bin's likelihood overflows: the
+        // update is skipped) and the burst after silence.
+        let observations = [
+            Some((2.0, tick)),
+            None,
+            Some((0.0, tick)),
+            Some((3.5, 0.013)),
+            Some((1e308, tick)),
+            None,
+            Some((1e6, tick)),
+            Some((4.0, tick)),
+        ];
+        for (t, &observation) in observations.iter().cycle().take(64).enumerate() {
+            model
+                .kernel()
+                .evolve_into_reference(model.distribution(), &mut evolved);
+            model.evolve();
+            reference.evolve();
+            assert_eq!(
+                bits(model.distribution()),
+                bits(&evolved),
+                "{n} bins, tick {t}: evolve"
+            );
+            assert_eq!(bits(reference.distribution()), bits(&evolved));
+            if let Some((packets, exposure_secs)) = observation {
+                model.observe_exposed(packets, exposure_secs);
+                reference.observe_exposed_reference(packets, exposure_secs);
+            }
+            assert_eq!(
+                bits(model.distribution()),
+                bits(reference.distribution()),
+                "{n} bins, tick {t} ({observation:?})"
+            );
+            let uniform = (1.0 / n as f64).to_bits();
+            resets += usize::from(model.distribution().iter().all(|p| p.to_bits() == uniform));
+        }
+        let floorless = cfg.likelihood_floor == 0.0;
+        assert_eq!(
+            resets > 0,
+            floorless,
+            "{n} bins: {resets} resets to uniform"
+        );
     }
 }
 

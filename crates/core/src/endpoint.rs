@@ -194,6 +194,25 @@ impl SproutEndpoint {
         self.sender.window_bytes(now)
     }
 
+    /// The receiver's part of a poll, step 1: run every tick that has
+    /// ended by `now` (evolve and observe, §3.2) and owe the peer fresh
+    /// feedback if one did. [`Endpoint::poll_into`] starts with it; a
+    /// server holding many sessions runs it for every due session before
+    /// any of them forecasts or sends. Each session's own sequence of
+    /// operations is the same either way, so the bytes are too.
+    pub fn process_ticks(&mut self, now: Timestamp) {
+        if self.receiver.process_ticks(now) > 0 {
+            self.need_feedback = true;
+        }
+    }
+
+    /// Step 2: compute the newest tick's forecast (§3.3) for the feedback
+    /// this endpoint's next packets carry; the poll that sends them reads
+    /// it from the receiver's cache.
+    pub fn prepare_feedback(&mut self) {
+        self.receiver.forecast_units();
+    }
+
     fn next_wakeup_at(&self) -> Timestamp {
         self.receiver.next_tick_end()
     }
@@ -271,9 +290,7 @@ impl Endpoint for SproutEndpoint {
     }
 
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
-        if self.receiver.process_ticks(now) > 0 {
-            self.need_feedback = true;
-        }
+        self.process_ticks(now);
         self.sender.advance(now);
 
         // `out` may carry other endpoints' packets; everything from
@@ -604,6 +621,58 @@ mod tests {
         assert_eq!(e.forecast_life_bytes(t(5)), 48_000);
         // Two ticks later, two ticks' worth (8 packets) have aged out.
         assert_eq!(e.forecast_life_bytes(t(45)), 36_000);
+    }
+
+    #[test]
+    fn a_server_can_run_the_poll_steps_in_any_order() {
+        // Three Bayesian endpoints fed the same arrivals; at each tick
+        // boundary one polls as is, one ticks and forecasts first (the
+        // server's passes), one forecasts *before* its tick. A tick drops
+        // the cached forecast, so all three send the same bytes. (Polls
+        // only at tick ends: a poll between ticks would cache a forecast
+        // all three share, hiding a tick that failed to drop it.)
+        let cfg = SproutConfig::test_small();
+        let mut plain = SproutEndpoint::new(cfg.clone());
+        let mut phased = SproutEndpoint::new(cfg.clone());
+        let mut early = SproutEndpoint::new(cfg.clone());
+        let mut seq = 0;
+        for ms in (0..400).step_by(5) {
+            let now = t(ms);
+            let arrival = SproutHeader {
+                seq,
+                throwaway: 0,
+                time_to_next: Duration::ZERO,
+                sent_at: now,
+                heartbeat: false,
+                datagram: false,
+                forecast: None,
+                payload_len: 1_000,
+            }
+            .encode_with_padding();
+            seq += 1_000 + crate::wire::BASE_HEADER_LEN as u64;
+            for e in [&mut plain, &mut phased, &mut early] {
+                e.on_packet(
+                    Packet::from_payload(FlowId::PRIMARY, 0, arrival.clone()),
+                    now,
+                );
+            }
+            if ms % 20 != 0 || ms == 0 {
+                continue;
+            }
+            phased.process_ticks(now);
+            phased.prepare_feedback();
+            early.prepare_feedback();
+            early.process_ticks(now);
+            let want = polled(&mut plain, now);
+            for e in [&mut phased, &mut early] {
+                let got = polled(e, now);
+                assert_eq!(got.len(), want.len(), "{ms} ms");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.payload[..], w.payload[..], "{ms} ms");
+                }
+            }
+        }
+        assert!(plain.stats().control_packets_sent >= 19);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use model::{
     likelihood_memo_occupancy, RateModel, ScatterMatrix, TransitionKernel,
     LIKELIHOOD_MEMO_MAX_BYTES,
 };
-pub use receiver::{IntervalSet, SproutReceiver};
+pub use receiver::SproutReceiver;
 pub use sender::SproutSender;
 pub use session::{SessionPool, SessionRef};
 pub use wire::{SproutHeader, WireError, WireForecast};

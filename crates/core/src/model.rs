@@ -15,7 +15,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::config::SproutConfig;
-use crate::simd::{tile_sum_into, TileTerms, EVOLVE_TILE};
+use crate::simd::{evolve_block_into, BlockTerms, EVOLVE_BLOCK};
 use crate::stats::{ln_gamma, normal_mass, poisson_ln_pmf_with_ln_gamma};
 
 /// The per-tick transition matrix in CSR (compressed sparse row) form:
@@ -23,7 +23,7 @@ use crate::stats::{ln_gamma, normal_mass, poisson_ln_pmf_with_ln_gamma};
 /// forecast-table DP walks contiguous memory instead of a `Vec` of
 /// `Vec`s. Boundary reflections are already folded in (duplicate
 /// destinations merged), and rows list destinations in ascending order.
-/// This is the operator's declaration: the evolve plan behind
+/// This is the operator's declaration: the band split behind
 /// [`TransitionKernel::evolve_into`] is derived from it by inspection.
 #[derive(Debug)]
 pub struct ScatterMatrix {
@@ -82,24 +82,25 @@ impl ScatterMatrix {
 }
 
 /// A group of consecutive matrix rows stored densely for the evolve
-/// walk: `weights[(j − rows.start) · pitch + (d − first_dest)]` is row
+/// kernel: `weights[(j − rows.start) · pitch + (d − first_dest)]` is row
 /// `j`'s weight into destination `d`, `0.0` where the row has none.
-/// `first_dest` and `pitch` are multiples of [`EVOLVE_TILE`], so every
-/// destination tile the block touches reads [`EVOLVE_TILE`] stored lanes.
+/// `first_dest` and `pitch` are multiples of [`EVOLVE_BLOCK`], so every
+/// destination block the group touches reads [`EVOLVE_BLOCK`] stored
+/// lanes.
 #[derive(Debug)]
-struct DenseRows {
+struct EdgeRows {
     rows: Range<usize>,
     first_dest: usize,
     pitch: usize,
     weights: Vec<f64>,
 }
 
-impl DenseRows {
+impl EdgeRows {
     fn new(scatter: &ScatterMatrix, rows: Range<usize>) -> Self {
         let dests = || rows.clone().flat_map(|j| scatter.row(j).0.iter());
-        let first_dest = dests().min().map_or(0, |&d| d as usize) / EVOLVE_TILE * EVOLVE_TILE;
+        let first_dest = dests().min().map_or(0, |&d| d as usize) / EVOLVE_BLOCK * EVOLVE_BLOCK;
         let end_dest = dests().max().map_or(0, |&d| d as usize + 1);
-        let pitch = (end_dest - first_dest).next_multiple_of(EVOLVE_TILE);
+        let pitch = (end_dest - first_dest).next_multiple_of(EVOLVE_BLOCK);
         let mut weights = vec![0.0; rows.len() * pitch];
         for j in rows.clone() {
             let (dests, ws) = scatter.row(j);
@@ -108,7 +109,7 @@ impl DenseRows {
                 weights[base + d as usize - first_dest] = w;
             }
         }
-        DenseRows {
+        EdgeRows {
             rows,
             first_dest,
             pitch,
@@ -116,17 +117,17 @@ impl DenseRows {
         }
     }
 
-    /// The block's sources for the destination tile starting at `d0`.
+    /// The group's sources for the destination block starting at `d0`.
     #[inline]
-    fn terms<'a>(&'a self, src: &'a [f64], d0: usize) -> TileTerms<'a> {
+    fn terms<'a>(&'a self, src: &'a [f64], d0: usize) -> BlockTerms<'a> {
         if !(self.first_dest..self.first_dest + self.pitch).contains(&d0) {
-            return TileTerms::EMPTY;
+            return BlockTerms::default();
         }
-        TileTerms {
-            ps: &src[self.rows.clone()],
-            weights: &self.weights,
+        BlockTerms {
+            coef: &src[self.rows.clone()],
+            lanes: &self.weights,
             first: d0 - self.first_dest,
-            stride: self.pitch as isize,
+            stride: self.pitch,
         }
     }
 }
@@ -134,29 +135,32 @@ impl DenseRows {
 /// What [`TransitionKernel::evolve_into`] walks, derived from the
 /// [`ScatterMatrix`] by inspection. Away from the two reflecting edges
 /// every row of the §3.1 Brownian step is the same band shifted along the
-/// diagonal, so the matrix is three groups of rows, in source order: a
-/// dense block (row 0's sticky-outage mixture and the rows reflected at
-/// the low edge), one shared band, a dense block (the rows reflected at
-/// the high edge). At paper scale that is 30 + 29 dense rows and one
-/// 59-weight band, ≈ 30 KB. A grid too small for any row to escape both
-/// reflections is the same plan with an empty band and every row in the
-/// high block.
+/// diagonal, so the matrix is three groups of rows, in source order: the
+/// low edge rows (row 0's sticky-outage mixture and the rows reflected at
+/// the low edge), one shared band, the high edge rows (reflected at the
+/// high edge). At paper scale that is 30 + 29 edge rows, ≈ 30 KB stored
+/// densely, and one 59-weight band. A grid too small for any row to
+/// escape both reflections has an empty band and every row in the high
+/// group.
 #[derive(Debug)]
-struct EvolvePlan {
-    low: DenseRows,
+struct BandSplit {
+    low: EdgeRows,
     /// The rows that are each the row before shifted up one bin,
     /// bit-for-bit; empty when the matrix has no two such rows.
     band_rows: Range<usize>,
-    /// The shared row, destinations densely from its first to its last,
-    /// between `EVOLVE_TILE − 1` zeros on either side: whichever way a
-    /// tile straddles the band's ends, its lanes read stored zeros.
+    /// The shared row's weights, *last destination first*: for
+    /// destination `d`, the band source `d + band_reach − m` carries
+    /// the row's `m`-th weight, so sources ascending are `m` descending.
     band: Vec<f64>,
     /// Band row `j`'s first destination is `j − band_reach`.
     band_reach: usize,
-    high: DenseRows,
+    /// Source `j` sits at `masked[j + lead]` in the masked copy, so the
+    /// band's lowest source for destination 0 is at index ≥ 0.
+    lead: usize,
+    high: EdgeRows,
 }
 
-impl EvolvePlan {
+impl BandSplit {
     fn new(scatter: &ScatterMatrix) -> Self {
         let n = scatter.num_bins();
         // Row `j` is row `j − 1` one bin up, reaching no higher than its
@@ -191,41 +195,65 @@ impl EvolvePlan {
             let first = dests[0] as usize;
             let span = dests[dests.len() - 1] as usize + 1 - first;
             band_reach = j - first;
-            band = vec![0.0; span + 2 * (EVOLVE_TILE - 1)];
+            band = vec![0.0; span];
             for (&d, &w) in dests.iter().zip(weights) {
-                band[EVOLVE_TILE - 1 + d as usize - first] = w;
+                band[span - 1 - (d as usize - first)] = w;
             }
         }
-        EvolvePlan {
-            low: DenseRows::new(scatter, 0..band_rows.start),
-            high: DenseRows::new(scatter, band_rows.end..n),
+        BandSplit {
+            low: EdgeRows::new(scatter, 0..band_rows.start),
+            high: EdgeRows::new(scatter, band_rows.end..n),
+            lead: band.len().saturating_sub(1 + band_reach),
             band_rows,
             band,
             band_reach,
         }
     }
 
-    /// The band's sources for the destination tile starting at `d0`:
-    /// every band row with a destination among the tile's lanes. Source
-    /// `j` reaches lane `l` with `band[(EVOLVE_TILE − 1) + (d0 + l) −
-    /// (j − band_reach)]`, a stored zero wherever that falls off the band.
-    #[inline]
-    fn band_terms<'a>(&'a self, src: &'a [f64], d0: usize) -> TileTerms<'a> {
-        let span = self.band.len().saturating_sub(2 * (EVOLVE_TILE - 1));
-        let lo = (d0 + self.band_reach + 1)
-            .saturating_sub(span)
-            .max(self.band_rows.start);
-        let hi = (d0 + self.band_reach + EVOLVE_TILE).min(self.band_rows.end);
-        if lo >= hi {
-            return TileTerms::EMPTY;
+    /// The band's terms for the destination block starting at `d0`:
+    /// `band[k]` against the window of the masked copy whose lane `l`
+    /// holds source `d0 + l + band_reach + 1 + k − band.len()` — the
+    /// source that reaches destination `d0 + l` with that weight.
+    fn band_terms<'a>(&'a self, masked: &'a [f64], d0: usize) -> BlockTerms<'a> {
+        if self.band.is_empty() {
+            return BlockTerms::default();
         }
-        TileTerms {
-            ps: &src[lo..hi],
-            weights: &self.band,
-            first: EVOLVE_TILE - 1 + d0 + self.band_reach - lo,
-            stride: -1,
+        BlockTerms {
+            coef: &self.band,
+            lanes: masked,
+            first: d0 + self.band_reach + self.lead + 1 - self.band.len(),
+            stride: 1,
         }
     }
+
+    /// `src` with every row outside the band replaced by +0.0, at
+    /// offset `lead` inside `buf` and padded with +0.0 past both ends as
+    /// far as any block's window reads; 64-byte aligned, so the
+    /// kernel's shifted loads split cache lines alike on every run.
+    fn masked_source<'a>(&self, buf: &'a mut Vec<f64>, src: &[f64]) -> &'a [f64] {
+        if self.band.is_empty() {
+            return &[];
+        }
+        let len = src.len().next_multiple_of(EVOLVE_BLOCK) + self.band_reach + self.lead;
+        const LINE: usize = 64 / std::mem::size_of::<f64>();
+        if buf.len() < len + LINE - 1 {
+            buf.resize(len + LINE - 1, 0.0);
+        }
+        let at = buf.as_ptr().align_offset(64).min(LINE - 1);
+        let masked = &mut buf[at..at + len];
+        let kept = self.band_rows.start + self.lead..self.band_rows.end + self.lead;
+        masked[..kept.start].fill(0.0);
+        masked[kept.clone()].copy_from_slice(&src[self.band_rows.clone()]);
+        masked[kept.end..].fill(0.0);
+        masked
+    }
+}
+
+thread_local! {
+    /// The masked source copy of [`TransitionKernel::evolve_into`], one
+    /// per thread: grown to the widest geometry the thread evolves, then
+    /// reused by every model on it.
+    static MASKED_SOURCE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Precomputed per-tick evolution operator: a banded Gaussian kernel for
@@ -241,7 +269,7 @@ pub struct TransitionKernel {
     /// `Self::evolve_into_reference` walk it.
     scatter: ScatterMatrix,
     /// The same operator as `evolve_into` walks it.
-    plan: EvolvePlan,
+    split: BandSplit,
 }
 
 impl TransitionKernel {
@@ -282,7 +310,7 @@ impl TransitionKernel {
         TransitionKernel {
             num_bins: cfg.num_bins,
             half_width,
-            plan: EvolvePlan::new(&scatter),
+            split: BandSplit::new(&scatter),
             scatter,
         }
     }
@@ -305,23 +333,29 @@ impl TransitionKernel {
     /// `src` must be finite and non-negative — what [`RateModel::normalize`]
     /// guarantees of every posterior (checked in debug builds).
     ///
-    /// Walks the evolve plan destination-major: one tile of destinations
-    /// at a time, accumulators in registers, sources added low block →
-    /// shared band → high block. Bit-identical to
-    /// `Self::evolve_into_reference`:
+    /// Walks the band split destination-major: one block of 64
+    /// destinations at a time, accumulators in registers,
+    /// the low edge rows ascending, then the band as `w[m] × src[d +
+    /// reach − m]` for `m` descending (a broadcast weight against a
+    /// shifted window of a copy of `src` with every row outside the band
+    /// masked to +0.0), then the high edge rows ascending. Bit-identical
+    /// to `Self::evolve_into_reference`:
     ///
     /// * *Order.* The three groups partition the rows in ascending order
-    ///   and each is walked ascending, so every destination adds its
-    ///   sources in ascending order from `+0.0`, one IEEE multiply and one
-    ///   IEEE add per source — the reference's operand sequence.
-    /// * *Zero lanes.* A source row that does not reach a lane meets a
-    ///   stored `0.0` there, and a zero source is multiplied out where the
-    ///   reference skips it. With `src` finite and non-negative and every
-    ///   weight finite and non-negative, each such term is `±0.0`, and
-    ///   adding `±0.0` to an accumulator that started at `+0.0` and has
-    ///   only had non-negative terms added leaves its bits unchanged. An
-    ///   infinite or NaN source would instead poison lanes the reference
-    ///   never touches, hence the precondition.
+    ///   and each is walked in ascending source order, so every
+    ///   destination adds its sources in ascending order from `+0.0`, one
+    ///   IEEE multiply and one IEEE add per source — the reference's
+    ///   operand sequence.
+    /// * *Zero terms.* An edge row that does not reach a lane meets a
+    ///   stored `0.0` there, a band position whose source is not a band
+    ///   row (or lies off the grid) reads a masked `+0.0`, and a zero
+    ///   source is multiplied out where the reference skips it. With
+    ///   `src` finite and non-negative and every weight finite and
+    ///   non-negative, each such term is `±0.0`, and adding `±0.0` to an
+    ///   accumulator that started at `+0.0` and has only had non-negative
+    ///   terms added leaves its bits unchanged. An infinite or NaN source
+    ///   would instead poison lanes the reference never touches, hence
+    ///   the precondition.
     pub fn evolve_into(&self, src: &[f64], dst: &mut [f64]) {
         assert_eq!(src.len(), self.num_bins);
         assert_eq!(dst.len(), self.num_bins);
@@ -329,16 +363,20 @@ impl TransitionKernel {
             src.iter().all(|&p| p.is_finite() && p >= 0.0),
             "evolve_into needs a finite, non-negative source distribution"
         );
-        let plan = &self.plan;
-        for (tile, out) in dst.chunks_mut(EVOLVE_TILE).enumerate() {
-            let d0 = tile * EVOLVE_TILE;
-            let groups = [
-                plan.low.terms(src, d0),
-                plan.band_terms(src, d0),
-                plan.high.terms(src, d0),
-            ];
-            tile_sum_into(out, &groups);
-        }
+        let split = &self.split;
+        MASKED_SOURCE.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            let masked = split.masked_source(&mut buf, src);
+            for (block, out) in dst.chunks_mut(EVOLVE_BLOCK).enumerate() {
+                let d0 = block * EVOLVE_BLOCK;
+                let groups = [
+                    split.low.terms(src, d0),
+                    split.band_terms(masked, d0),
+                    split.high.terms(src, d0),
+                ];
+                evolve_block_into(out, &groups);
+            }
+        });
     }
 
     /// The scalar source-major CSR walk [`Self::evolve_into`] must equal
@@ -914,8 +952,8 @@ mod tests {
     #[test]
     fn evolve_into_bitwise_matches_reference() {
         // The two named geometries, then grids that end one short of, on
-        // and one past a tile boundary (the last two wide enough to keep
-        // a shared band).
+        // and one past a block boundary (all wide enough to keep a shared
+        // band).
         let tail = |num_bins| SproutConfig {
             num_bins,
             ..small()
@@ -923,11 +961,11 @@ mod tests {
         let cfgs = [
             small(),
             SproutConfig::paper(),
-            tail(EVOLVE_TILE - 1),
-            tail(EVOLVE_TILE),
-            tail(EVOLVE_TILE + 1),
-            tail(3 * EVOLVE_TILE - 1),
-            tail(3 * EVOLVE_TILE + 1),
+            tail(EVOLVE_BLOCK - 1),
+            tail(EVOLVE_BLOCK),
+            tail(EVOLVE_BLOCK + 1),
+            tail(3 * EVOLVE_BLOCK - 1),
+            tail(3 * EVOLVE_BLOCK + 1),
         ];
         for cfg in cfgs {
             let k = TransitionKernel::new(&cfg);
@@ -959,39 +997,40 @@ mod tests {
 
     #[test]
     fn evolve_plan_finds_the_shared_band() {
-        // A silent fall-back to dense rows everywhere would still pass
+        // A silent fall-back to edge rows everywhere would still pass
         // every equivalence test; pin the regime instead.
         let paper = TransitionKernel::new(&SproutConfig::paper());
+        let split = &paper.split;
         assert_eq!(paper.half_width(), 29);
-        assert_eq!(paper.plan.band_rows, 30..227);
-        assert_eq!(paper.plan.band_reach, 29);
-        assert_eq!(paper.plan.band.len(), 59 + 2 * (EVOLVE_TILE - 1));
-        assert_eq!(paper.plan.low.rows, 0..30);
-        assert_eq!(paper.plan.high.rows, 227..256);
-        let plan_bytes = 8 * [
-            &paper.plan.low.weights,
-            &paper.plan.band,
-            &paper.plan.high.weights,
-        ]
-        .map(Vec::len)
-        .iter()
-        .sum::<usize>();
-        assert!(plan_bytes < 32 << 10, "{plan_bytes} bytes");
+        assert_eq!(split.band_rows, 30..227);
+        assert_eq!(split.band_reach, 29);
+        assert_eq!(split.band.len(), 59);
+        // A centred band: block windows start on the block, 64-byte
+        // aligned in the masked copy.
+        assert_eq!(split.lead, 29);
+        assert_eq!(split.band_terms(&[], 64).first, 64);
+        assert_eq!(split.low.rows, 0..30);
+        assert_eq!(split.high.rows, 227..256);
+        let split_bytes = 8 * [&split.low.weights, &split.band, &split.high.weights]
+            .map(Vec::len)
+            .iter()
+            .sum::<usize>();
+        assert!(split_bytes < 32 << 10, "{split_bytes} bytes");
 
         let small = TransitionKernel::new(&small());
         assert_eq!(small.half_width(), 15);
-        assert_eq!(small.plan.band_rows, 16..49);
+        assert_eq!(small.split.band_rows, 16..49);
 
-        // Every row of a grid this narrow is reflected: no band, one block.
+        // Every row of a grid this narrow is reflected: no band, one group.
         let narrow = TransitionKernel::new(&SproutConfig {
             num_bins: 12,
             sigma: 400.0,
             ..SproutConfig::test_small()
         });
         assert_eq!(narrow.half_width(), 10);
-        assert!(narrow.plan.band_rows.is_empty() && narrow.plan.band.is_empty());
-        assert!(narrow.plan.low.rows.is_empty());
-        assert_eq!(narrow.plan.high.rows, 0..12);
+        assert!(narrow.split.band_rows.is_empty() && narrow.split.band.is_empty());
+        assert!(narrow.split.low.rows.is_empty());
+        assert_eq!(narrow.split.high.rows, 0..12);
     }
 
     #[test]

@@ -1,80 +1,74 @@
 //! The Sprout receiver half (§3.2–3.4): per-tick inference, time-to-next
 //! gating, received-or-lost accounting, and forecast feedback assembly.
 
-use std::collections::BTreeMap;
-
 use crate::config::SproutConfig;
 use crate::forecaster::{Forecaster, TickObservation};
 use crate::wire::{SproutHeader, WireForecast, WIRE_HORIZON};
 use sprout_trace::{Duration, Timestamp};
 
 /// A set of disjoint half-open byte ranges `[start, end)`; used to total
-/// the bytes received above the written-off horizon.
+/// the bytes received above the written-off horizon. A sorted run list:
+/// arrivals come mostly in order, so an insert usually extends the last
+/// run in place and the set holds a run or two, and `discard_below`
+/// drains a prefix. No operation allocates once the list has grown to
+/// the most runs it holds at once.
 #[derive(Clone, Debug, Default)]
-pub struct IntervalSet {
-    /// start → end, disjoint and non-adjacent after merging.
-    ranges: BTreeMap<u64, u64>,
+struct IntervalSet {
+    /// Runs in ascending order, disjoint and non-adjacent after merging.
+    runs: Vec<(u64, u64)>,
 }
 
 impl IntervalSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert `[start, end)`, merging with neighbors.
-    pub fn insert(&mut self, start: u64, end: u64) {
+    /// Insert `[start, end)`, merging with every run it overlaps or
+    /// touches.
+    fn insert(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        let mut new_start = start;
-        let mut new_end = end;
-        // Merge with a predecessor that overlaps or touches.
-        if let Some((&ps, &pe)) = self.ranges.range(..=start).next_back() {
-            if pe >= start {
-                if pe >= end {
-                    return; // fully contained
-                }
-                new_start = ps;
-                new_end = new_end.max(pe);
-                self.ranges.remove(&ps);
+        match self.runs.last_mut() {
+            None => return self.runs.push((start, end)),
+            // In order: past the last run, or extending it.
+            Some(last) if start > last.1 => return self.runs.push((start, end)),
+            Some(last) if start >= last.0 => {
+                last.1 = last.1.max(end);
+                return;
             }
+            Some(_) => {}
         }
-        // Merge with successors that overlap or touch.
-        let overlapping: Vec<u64> = self
-            .ranges
-            .range(new_start..=new_end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ranges.remove(&s).unwrap();
-            new_end = new_end.max(e);
-        }
-        self.ranges.insert(new_start, new_end);
-    }
-
-    /// Drop everything below `cut` (clipping straddling ranges).
-    pub fn discard_below(&mut self, cut: u64) {
-        let below: Vec<u64> = self.ranges.range(..cut).map(|(&s, _)| s).collect();
-        for s in below {
-            let e = self.ranges.remove(&s).unwrap();
-            if e > cut {
-                self.ranges.insert(cut, e);
-            }
+        // The runs that end before `start` stay below, the runs that
+        // start after `end` stay above, and everything between merges.
+        let lo = self.runs.partition_point(|&(_, e)| e < start);
+        let hi = self.runs.partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.runs.insert(lo, (start, end));
+        } else {
+            let merged = (start.min(self.runs[lo].0), end.max(self.runs[hi - 1].1));
+            self.runs[lo] = merged;
+            self.runs.drain(lo + 1..hi);
         }
     }
 
-    /// Total length of ranges at or above `floor`.
-    pub fn len_above(&self, floor: u64) -> u64 {
-        self.ranges
+    /// Drop everything below `cut` (clipping a straddling run).
+    fn discard_below(&mut self, cut: u64) {
+        let below = self.runs.partition_point(|&(_, e)| e <= cut);
+        self.runs.drain(..below);
+        if let Some(first) = self.runs.first_mut() {
+            first.0 = first.0.max(cut);
+        }
+    }
+
+    /// Total length of the runs at or above `floor`.
+    fn len_above(&self, floor: u64) -> u64 {
+        self.runs
             .iter()
-            .map(|(&s, &e)| e.saturating_sub(s.max(floor)))
+            .map(|&(s, e)| e.saturating_sub(s.max(floor)))
             .sum()
     }
 
-    /// Number of stored ranges (diagnostics).
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
+    /// Number of stored runs.
+    #[cfg(test)]
+    fn range_count(&self) -> usize {
+        self.runs.len()
     }
 }
 
@@ -144,7 +138,7 @@ impl SproutReceiver {
             min_one_way_delay: None,
             highest_seq_end: 0,
             horizon: 0,
-            received: IntervalSet::new(),
+            received: IntervalSet::default(),
             gated_ticks: 0,
             observed_ticks: 0,
             cached_units: None,
@@ -293,7 +287,17 @@ impl SproutReceiver {
     /// received-or-lost total (which moves with every arrival) is
     /// re-read per call.
     pub fn make_feedback(&mut self) -> WireForecast {
-        let cumulative_units = match self.cached_units {
+        WireForecast {
+            recv_or_lost_bytes: self.recv_or_lost_bytes(),
+            tick: self.tick_counter,
+            cumulative_units: self.forecast_units(),
+        }
+    }
+
+    /// The forecast of the newest tick in wire units (§3.3), computed on
+    /// the first call after a tick and cached until the next one.
+    pub(crate) fn forecast_units(&mut self) -> [u16; WIRE_HORIZON] {
+        match self.cached_units {
             Some(units) => units,
             None => {
                 self.forecaster
@@ -312,11 +316,6 @@ impl SproutReceiver {
                 self.cached_units = Some(units);
                 units
             }
-        };
-        WireForecast {
-            recv_or_lost_bytes: self.recv_or_lost_bytes(),
-            tick: self.tick_counter,
-            cumulative_units,
         }
     }
 
@@ -345,6 +344,7 @@ impl SproutReceiver {
 mod tests {
     use super::*;
     use crate::forecaster::EwmaForecaster;
+    use proptest::prelude::*;
     use sprout_trace::Duration;
 
     fn t(ms: u64) -> Timestamp {
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn interval_insert_and_merge() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         s.insert(0, 100);
         s.insert(200, 300);
         assert_eq!(s.range_count(), 2);
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn interval_overlaps_do_not_double_count() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         s.insert(0, 150);
         s.insert(100, 200);
         s.insert(50, 120);
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn interval_len_above_clips() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         s.insert(0, 100);
         s.insert(200, 260);
         assert_eq!(s.len_above(50), 110);
@@ -414,7 +414,7 @@ mod tests {
 
     #[test]
     fn interval_discard_below_clips_straddlers() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         s.insert(0, 100);
         s.insert(150, 250);
         s.discard_below(200);
@@ -424,11 +424,100 @@ mod tests {
 
     #[test]
     fn interval_empty_and_degenerate() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::default();
         s.insert(10, 10);
         assert_eq!(s.range_count(), 0);
         assert_eq!(s.len_above(0), 0);
         s.discard_below(100); // no-op on empty
+    }
+
+    /// The maximal runs of a bitmap, as `(start, end)` offsets.
+    fn bitmap_runs(bits: &[bool]) -> Vec<(u64, u64)> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < bits.len() {
+            if bits[i] {
+                let start = i;
+                while i < bits.len() && bits[i] {
+                    i += 1;
+                }
+                runs.push((start as u64, i as u64));
+            }
+            i += 1;
+        }
+        runs
+    }
+
+    proptest! {
+        /// IntervalSet total length equals the length of the true union of
+        /// the inserted ranges, for arbitrary overlapping inserts.
+        #[test]
+        fn interval_set_matches_naive_union(
+            ranges in proptest::collection::vec((0u64..2_000, 1u64..300), 1..40)
+        ) {
+            let mut set = IntervalSet::default();
+            let mut naive = vec![false; 4_096];
+            for (start, len) in ranges {
+                let end = start + len;
+                set.insert(start, end);
+                for cell in naive.iter_mut().take(end as usize).skip(start as usize) {
+                    *cell = true;
+                }
+            }
+            let truth = naive.iter().filter(|&&b| b).count() as u64;
+            prop_assert_eq!(set.len_above(0), truth);
+        }
+
+        /// Every operation against a bitmap of the same bytes: in-order
+        /// arrivals that touch the last one or leave a gap, arbitrary
+        /// (out-of-order, duplicate, straddling, empty) inserts, cuts and
+        /// queries — in the low range and against `u64::MAX`, where the
+        /// receiver's saturating ends land. After every step the runs
+        /// are the bitmap's maximal runs, so `len_above` and the run
+        /// count are the union's.
+        #[test]
+        fn interval_set_matches_a_bitmap_model(
+            ops in proptest::collection::vec((0u32..7, 0u64..600, 0u64..48), 1..90),
+            high in any::<bool>(),
+        ) {
+            const SPAN: u64 = 600;
+            let base = if high { u64::MAX - SPAN } else { 0 };
+            let mut set = IntervalSet::default();
+            let mut bits = vec![false; SPAN as usize];
+            let mut next = 0u64;
+            for (kind, at, len) in ops {
+                match kind {
+                    // In order: touching the last arrival, or after a gap.
+                    0 | 1 => {
+                        let start = (next + u64::from(kind) * (at % 5)).min(SPAN);
+                        let end = (start + len).min(SPAN);
+                        set.insert(base + start, base + end);
+                        bits[start as usize..end as usize].fill(true);
+                        next = next.max(end);
+                    }
+                    // Anywhere, up to the top of the range.
+                    2 | 3 => {
+                        let end = (at + len).min(SPAN);
+                        set.insert(base + at, base + end);
+                        if at < end {
+                            bits[at as usize..end as usize].fill(true);
+                        }
+                    }
+                    4 => {
+                        set.discard_below(base + at);
+                        bits[..at as usize].fill(false);
+                    }
+                    _ => {
+                        let want = bits[at as usize..].iter().filter(|&&b| b).count() as u64;
+                        prop_assert_eq!(set.len_above(base + at), want);
+                    }
+                }
+                let runs: Vec<(u64, u64)> = set.runs.iter().map(|&(s, e)| (s - base, e - base)).collect();
+                prop_assert_eq!(runs, bitmap_runs(&bits));
+                prop_assert_eq!(set.range_count(), bitmap_runs(&bits).len());
+                prop_assert_eq!(set.len_above(base), bits.iter().filter(|&&b| b).count() as u64);
+            }
+        }
     }
 
     // ---- receiver accounting ----

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use crate::config::SproutConfig;
-use crate::wire::WireForecast;
+use crate::wire::{WireForecast, WIRE_HORIZON};
 use sprout_trace::Timestamp;
 
 /// The forecast currently steering the sender, rebased to sender time.
@@ -14,7 +14,7 @@ struct ActiveForecast {
     /// When the forecast arrived at the sender (its tick 0 reference).
     received_at: Timestamp,
     /// Cumulative deliverable bytes per tick; index k = within k+1 ticks.
-    cumulative_bytes: Vec<u64>,
+    cumulative_bytes: [u64; WIRE_HORIZON],
     /// Receiver tick counter, to discard stale reordered forecasts.
     tick: u32,
     /// Forecast ticks already credited against the queue estimate.
@@ -79,14 +79,10 @@ impl SproutSender {
         // block's might, and every use below takes differences. Hold the
         // running maximum (the identity on a well-formed block).
         let mut floor = 0;
-        let cumulative_bytes: Vec<u64> = fb
-            .cumulative_units
-            .iter()
-            .map(|&c| {
-                floor = floor.max(c as u64 * unit);
-                floor
-            })
-            .collect();
+        let cumulative_bytes = fb.cumulative_units.map(|c| {
+            floor = floor.max(c as u64 * unit);
+            floor
+        });
         self.queue_estimate = self.bytes_sent.saturating_sub(fb.recv_or_lost_bytes);
         self.forecast = Some(ActiveForecast {
             received_at: now,

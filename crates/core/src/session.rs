@@ -7,10 +7,11 @@
 //! configuration (the [`table_memory_counters`] amortization counters
 //! prove the sharing — one `built`, N−1 `reused` per link group), and so
 //! is the [`TransitionKernel`] every session's model evolves through
-//! (a tick walks its ≈ 30 KB evolve plan at paper scale; one copy per
-//! session would push every other session's out of L1). The Poisson likelihood vectors are memoised per
-//! thread (see [`RateModel::observe_exposed`]), so sessions observing the
-//! same arrivals share those too. Each session owns only what actually
+//! (a tick reads its ≈ 30 KB of edge rows and one 59-weight band at
+//! paper scale; one copy per session would push every other session's
+//! out of L1). The Poisson likelihood vectors are memoised per thread
+//! (see [`RateModel::observe_exposed`]), and so is the evolve's masked
+//! copy of the posterior, so sessions share those too. Each session owns only what actually
 //! differs per user: its [`SproutEndpoint`] state machine (whose
 //! forecaster carries its own posterior and `ForecastScratch`), its RNG
 //! sub-stream seed derived from `(cell_seed, session_id)` via
@@ -193,9 +194,10 @@ impl SessionPool {
     /// own (posterior, model scratch, forecast scratch — a few KB at
     /// paper scale) are not counted. Shared state — per geometry the
     /// forecast tables and the transition kernel, per thread the
-    /// likelihood memo — is deliberately excluded: it does not scale with
-    /// N, which is the point. Reported as `serve.per_session_bytes` in
-    /// the bench trajectory.
+    /// likelihood memo and the evolve's masked source copy — is
+    /// deliberately excluded: it does not scale with
+    /// N, which is the point. The benchmark reports it as
+    /// `core.session_bytes`.
     pub fn approx_session_bytes(&self) -> usize {
         std::mem::size_of::<SproutEndpoint>()
             + std::mem::size_of::<BayesianForecaster>()

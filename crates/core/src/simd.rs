@@ -19,72 +19,69 @@
 //! produces bit-identical results. This invariant is what lets the sweep
 //! keep byte-identical canonical output across machines — and it is
 //! enforced by unit tests here and the `kernel_equivalence` suite.
+//!
+//! **The evolve kernel** ([`evolve_block_into`]) computes one block of
+//! [`EVOLVE_BLOCK`] destinations of `T(src)`: the low edge rows, the
+//! shared Brownian band, the high edge rows, each in ascending source
+//! order. The band is walked as a convolution — per band weight, one
+//! broadcast multiplied against a window of a copy of `src` in which every
+//! row outside the band reads +0.0, shifted one position per weight — so
+//! no lane carries padding. The 16-lane tile walk it replaced read each
+//! source's band weights at a tile offset and dragged 15 stored zeros
+//! through every tile, ≈ 25 % extra work at paper scale (256 bins, a
+//! 59-weight band). Per paper-scale evolve on Sapphire Rapids (AVX-512),
+//! medians of 41 batches of 2 000 on a converged posterior, six
+//! alternating runs of each build: 1.07–1.17 µs against 1.56–1.73 µs for
+//! the tile walk (≈ 0.68×). Two ways to lose that, both seen: slicing the
+//! accumulator by a run-time length, which keeps it on the stack and
+//! stores it on every source (1.2–4.9 µs per evolve from run to run,
+//! depending on where the stack and the window fall), and folding the
+//! observation's likelihood multiply and normalize's sum into the output
+//! pass, which measured 3–10 % slower per tick than evolve and observe
+//! apart (1.70–1.76 against 1.54–1.71 µs).
 
-/// Destinations per register tile of the evolve walk
-/// ([`TransitionKernel::evolve_into`]). Sixteen lanes are two 512-bit or
-/// four 256-bit accumulators, enough independent add chains to cover the
-/// add latency. Measured per evolve on the paper geometry (256 bins,
-/// 59-weight band) on Sapphire Rapids, best of 40 interleaved rounds
-/// because the host's clock wanders: 256-bit at 8 / 16 / 32 lanes 2.00 /
-/// 1.64 / 1.60 µs, 512-bit 1.82 / 1.46 / 1.40 µs. Every tile also drags
-/// `EVOLVE_TILE − 1` zero-padded band positions through its lanes, so 32
-/// lanes buy nothing at 256 bits and 4 % at 512 for twice the padding in
-/// the boundary blocks. At 16 lanes the 512-bit wrapper reads 3–11 %
-/// faster than the 256-bit one, so — unlike [`mixture_lanes`] — each CPU
-/// runs the widest wrapper it has. The pass-per-source walk this
-/// replaced (59-wide `dst[i] += w·src[i]` passes over 182 KB of CSR
-/// rows) took 1.9× as long in back-to-back runs (medians 4.9 vs 2.6 µs
-/// in a slow phase of the same host).
+/// Destinations per block of the evolve kernel
+/// ([`TransitionKernel::evolve_into`]): eight 512-bit accumulators, and
+/// one block per 64 bins of the grid (four at paper scale).
 ///
 /// [`TransitionKernel::evolve_into`]: crate::model::TransitionKernel::evolve_into
-pub(crate) const EVOLVE_TILE: usize = 16;
+pub(crate) const EVOLVE_BLOCK: usize = 64;
 
-/// A run of consecutive sources feeding one destination tile: source
-/// `ps[i]` scatters into the tile's lanes with the [`EVOLVE_TILE`] weights
-/// at `weights[first + i·stride ..]`. A dense block of rows has a positive
-/// stride (its row pitch); a shared band has stride −1, each source
-/// reading the band one position lower than the source before it.
-pub(crate) struct TileTerms<'a> {
-    pub ps: &'a [f64],
-    pub weights: &'a [f64],
+/// One group of terms of an evolve block: `coef[i]` times the
+/// [`EVOLVE_BLOCK`] values at `lanes[first + i·stride ..]`. A group of
+/// edge rows stored densely is its sources against their weight rows
+/// (`stride` = the row pitch); the shared band is its weights against
+/// windows of the masked source, each one position further (`stride` 1).
+/// The default has no terms.
+#[derive(Default)]
+pub(crate) struct BlockTerms<'a> {
+    pub coef: &'a [f64],
+    pub lanes: &'a [f64],
     pub first: usize,
-    pub stride: isize,
+    pub stride: usize,
 }
 
-impl TileTerms<'_> {
-    /// No sources: contributes nothing to the tile.
-    pub(crate) const EMPTY: TileTerms<'static> = TileTerms {
-        ps: &[],
-        weights: &[],
-        first: 0,
-        stride: 0,
-    };
-}
-
-/// `dst[l] = Σ ps[i] · weights[first + i·stride + l]` over the groups in
-/// order and each group's sources in order, every lane accumulating from
-/// `0.0` in registers — per lane, one IEEE multiply and one IEEE add per
-/// source, so the exact operand sequence of a scalar walk that visits the
-/// same sources in the same order. `dst` is one tile: at most
-/// [`EVOLVE_TILE`] destinations (fewer for a grid's tail; the surplus
-/// lanes are computed and dropped).
+/// `dst[l] = Σ coef[i] · lanes[first + i·stride + l]` over the groups in
+/// order and each group's terms in order, every lane accumulating from
+/// +0.0 in registers — per lane, one IEEE multiply and one IEEE add per
+/// term. `dst` is one block, at most [`EVOLVE_BLOCK`] destinations.
 #[inline]
-pub(crate) fn tile_sum_into(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
+pub(crate) fn evolve_block_into(dst: &mut [f64], groups: &[BlockTerms<'_>; 3]) {
     #[cfg(target_arch = "x86_64")]
     {
         match features() {
             Level::Avx512 => {
                 // SAFETY: AVX-512F support verified at runtime.
-                return unsafe { tile_sum_into_avx512(dst, groups) };
+                return unsafe { evolve_block_into_avx512(dst, groups) };
             }
             Level::Avx2 => {
                 // SAFETY: AVX2 support verified at runtime.
-                return unsafe { tile_sum_into_avx2(dst, groups) };
+                return unsafe { evolve_block_into_avx2(dst, groups) };
             }
             Level::Baseline => {}
         }
     }
-    tile_sum_into_scalar(dst, groups);
+    evolve_block_lanes::<16>(dst, groups);
 }
 
 /// Counts per strip of the forecast-table gather ([`strip_sum_into`]).
@@ -174,25 +171,36 @@ fn mixture_lanes_scalar(init: f64, tile: &[f32], w: &[f64]) -> [f64; CDF_LANES] 
     acc
 }
 
+/// [`evolve_block_into`] `L` lanes at a time: the block's lanes are
+/// independent sums, so splitting them changes no bit, and `L` is eight
+/// accumulators of the width at hand (64 lanes at 512 bits, 32 at 256,
+/// 16 at 128). At 64 lanes of 256 bits all sixteen `ymm` registers would
+/// be accumulators and the loop would spill.
 #[inline(always)]
-fn tile_sum_into_scalar(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
-    // A fixed-size accumulator indexed by a constant-bound loop is what
-    // LLVM keeps in vector registers across the source loop; written as
-    // a zip over the two slices the same kernel measures 4× slower (the
-    // accumulators go through memory).
-    let mut acc = [0.0f64; EVOLVE_TILE];
-    for g in groups {
-        let mut off = g.first as isize;
-        for &p in g.ps {
-            let w = &g.weights[off as usize..off as usize + EVOLVE_TILE];
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..EVOLVE_TILE {
-                acc[l] += p * w[l];
+fn evolve_block_lanes<const L: usize>(dst: &mut [f64], groups: &[BlockTerms<'_>; 3]) {
+    for (h, out) in dst.chunks_mut(L).enumerate() {
+        // A fixed-size accumulator indexed only by constants (every loop
+        // over it has the constant bound `L`) is what LLVM keeps in
+        // vector registers across all three groups. Slicing it by a
+        // run-time length — a tail `copy_from_slice` — sends it through
+        // the stack on every term instead (module docs).
+        let mut acc = [0.0f64; L];
+        for g in groups {
+            for (i, &c) in g.coef.iter().enumerate() {
+                let at = g.first + i * g.stride + h * L;
+                let lanes: &[f64; L] = g.lanes[at..at + L].try_into().expect("L lanes");
+                for (a, &x) in acc.iter_mut().zip(lanes) {
+                    *a += c * x;
+                }
             }
-            off += g.stride;
+        }
+        #[allow(clippy::needless_range_loop)]
+        for l in 0..L {
+            if l < out.len() {
+                out[l] = acc[l];
+            }
         }
     }
-    dst.copy_from_slice(&acc[..dst.len()]);
 }
 
 #[inline(always)]
@@ -203,7 +211,7 @@ fn strip_sum_into_scalar(
     dests: &[u32],
     weights: &[f64],
 ) {
-    // As in `tile_sum_into_scalar`: a fixed-size accumulator under a
+    // As in `evolve_block_lanes`: a fixed-size accumulator under a
     // constant-bound loop stays in registers.
     let mut acc = [0.0f64; STRIP_LANES];
     for (&j, &w) in dests.iter().zip(weights) {
@@ -265,14 +273,14 @@ fn features() -> Level {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tile_sum_into_avx2(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
-    tile_sum_into_scalar(dst, groups);
+unsafe fn evolve_block_into_avx2(dst: &mut [f64], groups: &[BlockTerms<'_>; 3]) {
+    evolve_block_lanes::<32>(dst, groups);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_sum_into_avx512(dst: &mut [f64], groups: &[TileTerms<'_>; 3]) {
-    tile_sum_into_scalar(dst, groups);
+unsafe fn evolve_block_into_avx512(dst: &mut [f64], groups: &[BlockTerms<'_>; 3]) {
+    evolve_block_lanes::<64>(dst, groups);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -320,15 +328,14 @@ mod tests {
             .collect()
     }
 
-    /// `tile_sum_into`'s definition, one lane at a time.
-    fn tile_sum_by_lane(len: usize, groups: &[TileTerms<'_>; 3]) -> Vec<f64> {
+    /// `evolve_block_into`'s definition, one lane at a time.
+    fn evolve_block_by_lane(len: usize, groups: &[BlockTerms<'_>; 3]) -> Vec<f64> {
         (0..len)
             .map(|l| {
                 let mut acc = 0.0f64;
                 for g in groups {
-                    for (i, &p) in g.ps.iter().enumerate() {
-                        let at = g.first as isize + i as isize * g.stride + l as isize;
-                        acc += p * g.weights[at as usize];
+                    for (i, &c) in g.coef.iter().enumerate() {
+                        acc += c * g.lanes[g.first + i * g.stride + l];
                     }
                 }
                 acc
@@ -337,60 +344,62 @@ mod tests {
     }
 
     #[test]
-    fn every_compiled_tile_sum_width_is_bitwise_the_per_lane_sum() {
-        type Kernel = unsafe fn(&mut [f64], &[TileTerms<'_>; 3]);
+    fn every_compiled_evolve_block_width_is_bitwise_the_per_lane_sum() {
+        type Kernel = unsafe fn(&mut [f64], &[BlockTerms<'_>; 3]);
         // Every width this build compiled and this CPU can run, called
         // directly: the check must not depend on which one `features()`
         // picks here.
         let mut kernels: Vec<(&str, Kernel)> = vec![
-            ("scalar", |d, g| tile_sum_into_scalar(d, g)),
-            ("dispatched", |d, g| tile_sum_into(d, g)),
+            ("scalar", |d, g| evolve_block_lanes::<16>(d, g)),
+            ("dispatched", |d, g| evolve_block_into(d, g)),
         ];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                kernels.push(("avx2", tile_sum_into_avx2));
+                kernels.push(("avx2", evolve_block_into_avx2));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                kernels.push(("avx512", tile_sum_into_avx512));
+                kernels.push(("avx512", evolve_block_into_avx512));
             }
         }
-        const T: usize = EVOLVE_TILE;
-        let ps = probe_vec(40, 11);
-        // A dense block at a column offset, a band walked downwards from
-        // its top window to its bottom one, and a one-row block.
-        let block = probe_vec(9 * 3 * T, 12);
-        let band = probe_vec(21 + 2 * (T - 1), 13);
+        const B: usize = EVOLVE_BLOCK;
+        let ps = probe_vec(12, 11);
+        // Two groups of edge rows at a column offset inside their rows,
+        // around a 21-weight band over its shifted windows.
+        let rows = probe_vec(9 * 3 * B, 12);
+        let band = probe_vec(21, 13);
+        let window = probe_vec(band.len() - 1 + B, 14);
         let groups = [
-            TileTerms {
-                ps: &ps[..9],
-                weights: &block,
-                first: T,
-                stride: 3 * T as isize,
+            BlockTerms {
+                coef: &ps[..9],
+                lanes: &rows,
+                first: B,
+                stride: 3 * B,
             },
-            TileTerms {
-                ps: &ps[9..39],
-                weights: &band,
-                first: band.len() - T,
-                stride: -1,
+            BlockTerms {
+                coef: &band,
+                lanes: &window,
+                first: 0,
+                stride: 1,
             },
-            TileTerms {
-                ps: &ps[39..],
-                weights: &block,
-                first: 2 * T,
-                stride: 3 * T as isize,
+            BlockTerms {
+                coef: &ps[9..],
+                lanes: &rows,
+                first: 2 * B,
+                stride: 3 * B,
             },
         ];
-        let empty = [TileTerms::EMPTY; 3];
+        let empty = Default::default();
         for (name, kernel) in kernels {
-            // A whole tile and the tails a grid can end on.
-            for len in [1, T - 1, T] {
+            // A whole block and the tails a grid can end on, across every
+            // sub-block width.
+            for len in [1, 15, 17, 33, B - 1, B] {
                 // Stale contents must be overwritten.
                 let mut got = vec![9.0; len];
                 // SAFETY: each wrapper was pushed only after its feature
                 // was detected.
                 unsafe { kernel(&mut got, &groups) };
-                let want = tile_sum_by_lane(len, &groups);
+                let want = evolve_block_by_lane(len, &groups);
                 for (x, y) in got.iter().zip(want.iter()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{name} len={len}");
                 }
@@ -423,8 +432,8 @@ mod tests {
     #[test]
     fn every_compiled_strip_sum_width_is_bitwise_the_per_lane_sum() {
         type Kernel = unsafe fn(&mut [f64], &[[f64; STRIP_LANES]], &[usize], &[u32], &[f64]);
-        // As for the tile sum: every width this build compiled and this
-        // CPU can run, called directly.
+        // As for the evolve block: every width this build compiled and
+        // this CPU can run, called directly.
         let mut kernels: Vec<(&str, Kernel)> = vec![
             ("scalar", |d, r, z, j, w| {
                 strip_sum_into_scalar(d, r, z, j, w)

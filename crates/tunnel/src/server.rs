@@ -27,6 +27,8 @@ pub struct SproutServer {
     /// index; drained in ascending order for determinism.
     dirty: Vec<bool>,
     any_dirty: bool,
+    /// The sessions due at the current poll, in wheel order (reused).
+    due: Vec<usize>,
     /// Cached earliest tick deadline across all sessions. The wheel only
     /// changes inside `add_session` and `poll_into` (both `&mut self`),
     /// so recomputing it there keeps `next_wakeup` O(1) under the
@@ -43,6 +45,7 @@ impl SproutServer {
             wheel: TimerWheel::new(),
             dirty: Vec::new(),
             any_dirty: false,
+            due: Vec::new(),
             next_deadline: None,
         }
     }
@@ -93,10 +96,26 @@ impl Endpoint for SproutServer {
     }
 
     fn poll_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
-        // Sessions whose tick deadline arrived, in deadline order.
-        while let Some(idx) = self.wheel.pop_due(now) {
+        // Sessions whose tick deadline arrived, in deadline order, in
+        // three passes: every receiver tick (evolve, observe), then every
+        // forecast, then every poll, so each pass runs one kernel back to
+        // back over the sessions with its tables hot. Exact: a session's
+        // own operations keep their order, and the only state sessions
+        // share that any pass writes — the thread's likelihood memo —
+        // sees the observations in the same order as session-by-session
+        // polling would.
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(std::iter::from_fn(|| self.wheel.pop_due(now)));
+        for &idx in &due {
+            self.pool.endpoint_mut(idx).process_ticks(now);
+        }
+        for &idx in &due {
+            self.pool.endpoint_mut(idx).prepare_feedback();
+        }
+        for idx in due.drain(..) {
             self.poll_session(idx, now, out);
         }
+        self.due = due;
         // Sessions that received packets since their last poll (their
         // window or feedback state may allow immediate transmission).
         if self.any_dirty {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sprout_core::{IntervalSet, RateModel, SproutConfig, SproutHeader, WireForecast};
+use sprout_core::{RateModel, SproutConfig, SproutHeader, WireForecast};
 use sprout_sim::{
     CoDelConfig, CoDelQueue, DirectedPath, DropTail, FlowId, LinkConfig, Packet, PathConfig,
     QueueConfig, TraceLink,
@@ -56,25 +56,6 @@ proptest! {
         let bytes = header.encode_with_padding();
         let back = SproutHeader::decode(&bytes).unwrap();
         prop_assert_eq!(back, header);
-    }
-
-    /// IntervalSet total length equals the length of the true union of
-    /// the inserted ranges, for arbitrary overlapping inserts.
-    #[test]
-    fn interval_set_matches_naive_union(
-        ranges in proptest::collection::vec((0u64..2_000, 1u64..300), 1..40)
-    ) {
-        let mut set = IntervalSet::new();
-        let mut naive = vec![false; 4_096];
-        for (start, len) in ranges {
-            let end = start + len;
-            set.insert(start, end);
-            for cell in naive.iter_mut().take(end as usize).skip(start as usize) {
-                *cell = true;
-            }
-        }
-        let truth = naive.iter().filter(|&&b| b).count() as u64;
-        prop_assert_eq!(set.len_above(0), truth);
     }
 
     /// The Bayesian posterior stays a probability distribution under any
