@@ -13,7 +13,9 @@
 use std::fmt::Write as _;
 
 use crate::figures::{select, Experiment, ExperimentConfig, ALL, EXPERIMENTS};
-use crate::scenario::{FlowSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS};
+use crate::scenario::{
+    FlowSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
+};
 use crate::schemes::Scheme;
 use sprout_trace::{Impairment, NetProfile};
 
@@ -169,11 +171,11 @@ pub fn parse_links(spec: &str) -> Option<Vec<NetProfile>> {
 }
 
 /// Parse `--prop-delays`: comma-separated distinct one-way delays in
-/// whole ms, each in [1, 10_000].
+/// whole ms, each in [`PROP_DELAY_MS`].
 pub fn parse_prop_delays(spec: &str) -> Option<Vec<u64>> {
     spec.split(',')
         .map(|part| match part.parse::<u64>() {
-            Ok(ms) if (1..=10_000).contains(&ms) => Some(ms),
+            Ok(ms) if PROP_DELAY_MS.contains(&ms) => Some(ms),
             _ => None,
         })
         .collect::<Option<Vec<_>>>()
@@ -440,6 +442,21 @@ mod tests {
     /// The run length `experiment`'s one row uses under `cfg`.
     fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
         select(experiment).expect("a table row")[0].secs(cfg)
+    }
+
+    #[test]
+    fn the_cli_and_the_matrix_builder_refuse_the_same_prop_delays() {
+        use crate::scenario::ScenarioMatrix;
+        let builds = |ms: u64| {
+            std::panic::catch_unwind(|| ScenarioMatrix::builder("d").prop_delays_ms([ms])).is_ok()
+        };
+        let (lo, hi) = (*PROP_DELAY_MS.start(), *PROP_DELAY_MS.end());
+        for ms in [0, lo, 20, hi, hi + 1, u64::MAX / 1_000] {
+            let parsed = parse_prop_delays(&ms.to_string()).is_some();
+            assert_eq!(parsed, PROP_DELAY_MS.contains(&ms), "--prop-delays {ms}");
+            assert_eq!(builds(ms), parsed, "prop_delays_ms([{ms}])");
+        }
+        assert_eq!((lo, hi), (1, 10_000));
     }
 
     #[test]

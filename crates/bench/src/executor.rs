@@ -5,9 +5,9 @@
 //! omniscient floors computed from it, so every cell of a link shares one
 //! synthesis, one trace allocation and one floor per measurement window —
 //! derives its seeds, builds the workload's endpoints and paths, runs the
-//! simulation, and reduces the delivery logs into the record's
-//! [`Measured`] part. [`run_cell`] is the same path for callers that
-//! bring their own [`RunConfig`]. Nothing here knows about threads,
+//! simulation, and reduces the measured direction's delivery log into the
+//! record's [`Measured`] part. [`run_cell`] is the same path for callers
+//! that bring their own [`RunConfig`]. Nothing here knows about threads,
 //! shards, or the result cache — that is `crate::sweep`.
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -58,7 +58,7 @@ pub const BULK_FLOW: FlowId = FlowId(1);
 pub const INTERACTIVE_FLOW: FlowId = FlowId(2);
 
 /// Per-worker arena recycled across the cells a worker runs: the
-/// event-loop packet buffer and the paths' delivery logs
+/// event-loop packet buffer and the measured directions' delivery logs
 /// ([`Simulation::into_scratch`], [`ServeSim::into_scratch`]), whose
 /// capacity is worth keeping warm between simulations. Contents never
 /// carry over — each cell clears before use — so recycling is invisible

@@ -31,7 +31,7 @@ pub use figures::{
 };
 pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,
-    Workload, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS,
+    Workload, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
 };
 pub use schemes::{
     build_endpoints, run_scheme, sprout_data_sender, RunConfig, Scheme, SchemeResult,

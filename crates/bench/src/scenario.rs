@@ -115,6 +115,16 @@ pub const MAX_SERVE_SESSIONS: u32 = 4096;
 /// simulation in one cell.
 pub const MAX_CONTENTION_FLOWS: usize = 16;
 
+/// The one-way propagation delays a cell may declare, in whole ms: what
+/// `--prop-delays` parses and what [`MatrixBuilder::prop_delays_ms`]
+/// accepts. Zero is out: at 0 ms a packet sent at `now` reaches the queue
+/// at `now`, after that step's deliveries, so the event loop forces 1 µs of
+/// progress and polls again — and a Sprout sender still in its one-MTU-
+/// per-poll startup window emits an MTU every µs until feedback lands
+/// (megabytes sent in the first few milliseconds, whose drain then sets
+/// the cell's p95 delay whatever the forecaster).
+pub const PROP_DELAY_MS: std::ops::RangeInclusive<u64> = 1..=10_000;
+
 /// One contending flow of a [`Workload::Contention`] cell.
 ///
 /// A flow is either a whole scheme — a bulk transport saturating its
@@ -716,9 +726,18 @@ impl MatrixBuilder {
 
     /// Set the one-way propagation-delay axis in milliseconds (replaces
     /// the default `[20]`, the paper's standard condition; min-RTT is 2×
-    /// each value).
+    /// each value). Each value must lie in [`PROP_DELAY_MS`].
     pub fn prop_delays_ms(mut self, ms: impl IntoIterator<Item = u64>) -> Self {
-        self.prop_delays = ms.into_iter().map(Duration::from_millis).collect();
+        self.prop_delays = ms
+            .into_iter()
+            .map(|ms| {
+                assert!(
+                    PROP_DELAY_MS.contains(&ms),
+                    "prop delay {ms} ms is outside {PROP_DELAY_MS:?} ms"
+                );
+                Duration::from_millis(ms)
+            })
+            .collect();
         assert!(
             !self.prop_delays.is_empty(),
             "prop-delay axis must be non-empty"

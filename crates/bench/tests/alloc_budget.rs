@@ -15,7 +15,7 @@
 //!
 //! The same counter pins what a sweep shares instead of copying: cloning
 //! a [`Trace`] allocates nothing, and a worker's second cell records into
-//! the delivery logs its first cell grew.
+//! the delivery log its first cell grew.
 //!
 //! Own test binary, and the counter is per thread: every cell here runs
 //! on the thread of the test that counts it, so neither the other tests

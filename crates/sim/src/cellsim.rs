@@ -37,16 +37,28 @@ impl PathConfig {
 }
 
 /// One direction of the path: wire delay, then the cellular bottleneck.
+///
+/// Every direction counts the packets and bytes it delivers. Only a
+/// direction built with a log ([`DirectedPath::new`],
+/// [`DirectedPath::with_log`]) also records each delivery: the event
+/// loops log the direction they measure and build the other one
+/// [`DirectedPath::unlogged`].
 pub struct DirectedPath {
     prop_delay: Duration,
     /// Packets on the wire, with the time they reach the bottleneck queue.
     in_flight: VecDeque<(Timestamp, Packet)>,
     link: TraceLink,
-    metrics: MetricsCollector,
+    /// The delivery log, on a logged direction.
+    log: Option<MetricsCollector>,
+    delivered_packets: u64,
+    delivered_bytes: u64,
 }
 
+/// What [`DirectedPath::metrics`] reads on an unlogged direction.
+static UNLOGGED: MetricsCollector = MetricsCollector::new();
+
 impl DirectedPath {
-    /// Build one direction from its configuration.
+    /// Build one direction from its configuration, logging every delivery.
     pub fn new(cfg: PathConfig) -> Self {
         DirectedPath::with_log(cfg, Vec::new())
     }
@@ -56,16 +68,28 @@ impl DirectedPath {
     /// the next; recover it with [`DirectedPath::into_log`].
     pub fn with_log(cfg: PathConfig, log: Vec<DeliveryRecord>) -> Self {
         DirectedPath {
-            prop_delay: cfg.link.prop_delay,
-            in_flight: VecDeque::new(),
-            link: TraceLink::new(cfg.link),
-            metrics: MetricsCollector::with_log(log),
+            log: Some(MetricsCollector::with_log(log)),
+            ..DirectedPath::unlogged(cfg)
         }
     }
 
-    /// Tear down, recovering the delivery log's storage.
-    pub fn into_log(self) -> Vec<DeliveryRecord> {
-        self.metrics.into_log()
+    /// A direction that only counts what it delivers: no delivery log,
+    /// and [`DirectedPath::metrics`] is empty.
+    pub fn unlogged(cfg: PathConfig) -> Self {
+        DirectedPath {
+            prop_delay: cfg.link.prop_delay,
+            in_flight: VecDeque::new(),
+            link: TraceLink::new(cfg.link),
+            log: None,
+            delivered_packets: 0,
+            delivered_bytes: 0,
+        }
+    }
+
+    /// Tear down, recovering the delivery log's storage (`None` on an
+    /// unlogged direction).
+    pub fn into_log(self) -> Option<Vec<DeliveryRecord>> {
+        self.log.map(MetricsCollector::into_log)
     }
 
     /// Hand a packet to this direction at `now` (stamps `sent_at`).
@@ -97,8 +121,9 @@ impl DirectedPath {
 
     /// Advance internal state to `now`, processing wire arrivals and
     /// delivery opportunities in strict time order. Each packet that
-    /// reaches the far end is recorded in the delivery log and handed to
-    /// `sink` in the same place, in delivery order.
+    /// reaches the far end is counted, recorded in the delivery log on a
+    /// logged direction, and handed to `sink` in the same place, in
+    /// delivery order.
     pub fn advance_with(&mut self, now: Timestamp, mut sink: impl FnMut(Packet)) {
         loop {
             let next_arrival = self.in_flight.front().map(|(t, _)| *t);
@@ -135,21 +160,43 @@ impl DirectedPath {
 
     #[inline]
     fn service_due(&mut self, op_time: Timestamp, sink: &mut impl FnMut(Packet)) {
-        let metrics = &mut self.metrics;
+        let (log, packets, bytes) = (
+            &mut self.log,
+            &mut self.delivered_packets,
+            &mut self.delivered_bytes,
+        );
         self.link.service_with(op_time, |packet, at| {
-            metrics.record(DeliveryRecord {
-                sent_at: packet.sent_at,
-                delivered_at: at,
-                size: packet.size,
-                flow: packet.flow,
-            });
+            *packets += 1;
+            *bytes += u64::from(packet.size);
+            if let Some(log) = log {
+                log.record(DeliveryRecord {
+                    sent_at: packet.sent_at,
+                    delivered_at: at,
+                    size: packet.size,
+                    flow: packet.flow,
+                });
+            }
             sink(packet);
         });
     }
 
-    /// Delivery log of this direction.
+    /// Delivery log of this direction. On an unlogged direction
+    /// ([`DirectedPath::unlogged`]) this is an empty collector: it has no
+    /// records, and every window of it delivered nothing. The counters
+    /// ([`DirectedPath::delivered_packets`],
+    /// [`DirectedPath::delivered_bytes`]) hold on every direction.
     pub fn metrics(&self) -> &MetricsCollector {
-        &self.metrics
+        self.log.as_ref().unwrap_or(&UNLOGGED)
+    }
+
+    /// Packets this direction has delivered to the far end so far.
+    pub fn delivered_packets(&self) -> u64 {
+        self.delivered_packets
+    }
+
+    /// Wire bytes this direction has delivered to the far end so far.
+    pub fn delivered_bytes(&self) -> u64 {
+        self.delivered_bytes
     }
 
     /// The bottleneck link (for queue occupancy, drop counters, trace).
@@ -165,6 +212,11 @@ impl DirectedPath {
     /// Bytes currently in flight on the wire (not yet at the queue).
     pub fn wire_bytes(&self) -> u64 {
         self.in_flight.iter().map(|(_, p)| p.size as u64).sum()
+    }
+
+    /// Packets currently in flight on the wire (not yet at the queue).
+    pub fn wire_packets(&self) -> usize {
+        self.in_flight.len()
     }
 }
 

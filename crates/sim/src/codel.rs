@@ -39,6 +39,7 @@ pub struct CoDelQueue {
     queue: VecDeque<(Packet, Timestamp)>,
     bytes: u64,
     drops: u64,
+    drop_bytes: u64,
     /// Time at which the sojourn time first exceeded target continuously
     /// (plus one interval); `None` when below target.
     first_above_time: Option<Timestamp>,
@@ -63,6 +64,7 @@ impl CoDelQueue {
             queue: VecDeque::new(),
             bytes: 0,
             drops: 0,
+            drop_bytes: 0,
             first_above_time: None,
             dropping: false,
             drop_next: Timestamp::ZERO,
@@ -133,7 +135,7 @@ impl CoDelQueue {
             } else {
                 while self.dropping && now >= self.drop_next {
                     // Drop r.packet and fetch the next one.
-                    self.drops += 1;
+                    self.count_drop(&r.packet);
                     self.count += 1;
                     r = self.dodeque(now);
                     if !r.ok_to_drop {
@@ -145,7 +147,7 @@ impl CoDelQueue {
             }
         } else if r.ok_to_drop {
             // Enter the dropping state: drop this packet, deliver the next.
-            self.drops += 1;
+            self.count_drop(&r.packet);
             r = self.dodeque(now);
             self.dropping = true;
             // Reuse drop frequency from a recent dropping state (the
@@ -161,6 +163,11 @@ impl CoDelQueue {
         r.packet
     }
 
+    fn count_drop(&mut self, dropped: &Option<Packet>) {
+        self.drops += 1;
+        self.drop_bytes += dropped.as_ref().map_or(0, |p| u64::from(p.size));
+    }
+
     /// Bytes currently queued.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -174,6 +181,11 @@ impl CoDelQueue {
     /// Cumulative count of packets CoDel dropped.
     pub fn drops(&self) -> u64 {
         self.drops
+    }
+
+    /// Cumulative bytes of the packets CoDel dropped.
+    pub fn drop_bytes(&self) -> u64 {
+        self.drop_bytes
     }
 }
 

@@ -194,6 +194,8 @@ pub struct TraceLink {
     release_seq: u64,
     random_drops: u64,
     burst_drops: u64,
+    /// Bytes of the packets the random- and burst-loss processes dropped.
+    loss_bytes: u64,
     outage_suppressed: u64,
     reorder_holds: u64,
     wasted_opportunities: u64,
@@ -223,6 +225,7 @@ impl TraceLink {
             release_seq: 0,
             random_drops: 0,
             burst_drops: 0,
+            loss_bytes: 0,
             outage_suppressed: 0,
             reorder_holds: 0,
             wasted_opportunities: 0,
@@ -234,11 +237,13 @@ impl TraceLink {
     pub fn ingress(&mut self, packet: Packet, now: Timestamp) {
         if self.loss_rate > 0.0 && self.rng.gen::<f64>() < self.loss_rate {
             self.random_drops += 1;
+            self.loss_bytes += packet.size as u64;
             return;
         }
         if let Some(burst) = &mut self.burst {
             if burst.should_drop() {
                 self.burst_drops += 1;
+                self.loss_bytes += packet.size as u64;
                 return;
             }
         }
@@ -391,6 +396,22 @@ impl TraceLink {
         self.burst_drops
     }
 
+    /// Bytes of every packet dropped so far: by the random-loss and
+    /// burst-loss processes and by the queue policy.
+    pub fn dropped_bytes(&self) -> u64 {
+        self.loss_bytes + self.queue.drop_bytes()
+    }
+
+    /// Bytes of the partially served packet that have already crossed the
+    /// link. The packet counts as delivered only once its last byte does;
+    /// until then it is one of [`TraceLink::queued_packets`], and these
+    /// bytes are the part of it [`TraceLink::queued_bytes`] leaves out.
+    pub fn served_in_progress_bytes(&self) -> u64 {
+        self.in_service
+            .as_ref()
+            .map_or(0, |&(_, served)| u64::from(served))
+    }
+
     /// Delivery opportunities lost to link outages.
     pub fn outage_suppressed_opportunities(&self) -> u64 {
         self.outage_suppressed
@@ -405,6 +426,14 @@ impl TraceLink {
     /// link, not yet emitted).
     pub fn pending_release_packets(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Bytes of the packets in the jitter/reorder release buffer.
+    pub fn pending_release_bytes(&self) -> u64 {
+        self.pending
+            .iter()
+            .map(|Reverse(p)| u64::from(p.packet.size))
+            .sum()
     }
 
     /// The outage windows injected at this link (empty when unimpaired).

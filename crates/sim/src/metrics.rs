@@ -42,8 +42,10 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Empty collector.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        MetricsCollector {
+            records: Vec::new(),
+        }
     }
 
     /// Empty collector that records into `log`'s storage: the log is
@@ -101,67 +103,10 @@ impl MetricsCollector {
         throughput_kbps_of(self.delivered_bytes(from, to, Some(flow)), from, to)
     }
 
-    /// The instantaneous-delay function restricted to `[from, to)`,
-    /// described as linear segments `(segment_length, delay_at_start)`;
-    /// within each segment delay grows at 1 s/s, and for the purpose of
-    /// this metric only arrivals from `flow` (or all flows) count.
-    fn delay_segments(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-        flow: Option<FlowId>,
-    ) -> Vec<(Duration, Duration)> {
-        let relevant = |r: &&DeliveryRecord| flow.map(|f| r.flow == f).unwrap_or(true);
-
-        // The freshest (max sent_at) packet that arrived before the window
-        // opens seeds the function; reordering is handled by tracking the
-        // running max of sent_at rather than the last arrival.
-        let mut max_sent: Option<Timestamp> = self
-            .records
-            .iter()
-            .filter(relevant)
-            .take_while(|r| r.delivered_at < from)
-            .map(|r| r.sent_at)
-            .max();
-
-        let mut segments = Vec::new();
-        let mut cursor = from;
-        for r in self
-            .records
-            .iter()
-            .filter(relevant)
-            .skip_while(|r| r.delivered_at < from)
-            .take_while(|r| r.delivered_at < to)
-        {
-            match max_sent {
-                Some(ms) => {
-                    let seg_len = r.delivered_at.saturating_since(cursor);
-                    if seg_len > Duration::ZERO {
-                        segments.push((seg_len, cursor.saturating_since(ms)));
-                    }
-                }
-                None => {
-                    // Nothing had arrived yet: the function is undefined
-                    // before the first in-window arrival; start there.
-                }
-            }
-            if max_sent.map(|ms| r.sent_at > ms).unwrap_or(true) {
-                max_sent = Some(r.sent_at);
-            }
-            cursor = r.delivered_at;
-        }
-        if let Some(ms) = max_sent {
-            let seg_len = to.saturating_since(cursor);
-            if seg_len > Duration::ZERO {
-                segments.push((seg_len, cursor.saturating_since(ms)));
-            }
-        }
-        segments
-    }
-
     /// Exact percentile (0 < pct < 100) over time of the instantaneous
     /// delay in `[from, to)`. `None` if no packet arrives in (or before)
-    /// the window.
+    /// the window. Computed by counting over the log in place: nothing
+    /// proportional to the log is copied.
     pub fn delay_percentile(
         &self,
         pct: f64,
@@ -170,8 +115,7 @@ impl MetricsCollector {
         flow: Option<FlowId>,
     ) -> Option<Duration> {
         assert!((0.0..100.0).contains(&pct) && pct > 0.0);
-        let segments = self.delay_segments(from, to, flow);
-        percentile_of_segments(&segments, pct)
+        percentile_of_ramps(&LogRamps::new(&self.records, from, to, flow), pct)
     }
 
     /// The paper's headline "95% end-to-end delay".
@@ -220,45 +164,286 @@ fn throughput_kbps_of(bytes: u64, from: Timestamp, to: Timestamp) -> f64 {
     bytes as f64 * 8.0 / secs / 1e3
 }
 
-/// Percentile over time of a piecewise function made of segments that each
-/// last `len` and ramp linearly from `start_delay` to `start_delay + len`.
-fn percentile_of_segments(segments: &[(Duration, Duration)], pct: f64) -> Option<Duration> {
-    let total: u64 = segments.iter().map(|(len, _)| len.as_micros()).sum();
+/// An instantaneous-delay function over a window, as the linear ramps it
+/// is made of: on a ramp the delay starts at `start` µs and grows at 1 s/s
+/// for `len` µs. A reduction of the function is a pass over its ramps;
+/// no ramp is ever stored.
+trait Ramps {
+    /// An upper bound on every ramp's end, `start + len`.
+    fn bound(&self) -> u64;
+
+    /// Call `f(start, len)` for every ramp, in time order. Every `len` is
+    /// nonzero.
+    fn each(&self, f: impl FnMut(u64, u64));
+}
+
+/// The ramps of a delivery log over `[from, to)`, counting only arrivals
+/// of `flow` (or of all flows). At any instant the delay is the time since
+/// the freshest (largest `sent_at`) packet that has already arrived was
+/// sent, so a stale packet arriving late never resets it upward. Before
+/// the first arrival the function is undefined, unless one arrived before
+/// the window: then it is already ramping when the window opens.
+struct LogRamps<'a> {
+    /// The deliveries with `delivered_at` ∈ `[from, to)`, all flows.
+    window: &'a [DeliveryRecord],
+    flow: Option<FlowId>,
+    /// The freshest `sent_at` among the counted arrivals before `from`.
+    seed: Option<Timestamp>,
+    from: Timestamp,
+    to: Timestamp,
+}
+
+impl<'a> LogRamps<'a> {
+    fn new(
+        records: &'a [DeliveryRecord],
+        from: Timestamp,
+        to: Timestamp,
+        flow: Option<FlowId>,
+    ) -> Self {
+        let lo = records.partition_point(|r| r.delivered_at < from);
+        let hi = lo + records[lo..].partition_point(|r| r.delivered_at < to);
+        let seed = records[..lo]
+            .iter()
+            .filter(|r| counts(flow, r))
+            .map(|r| r.sent_at)
+            .max();
+        LogRamps {
+            window: &records[lo..hi],
+            flow,
+            seed,
+            from,
+            to,
+        }
+    }
+}
+
+fn counts(flow: Option<FlowId>, r: &DeliveryRecord) -> bool {
+    flow.is_none_or(|f| r.flow == f)
+}
+
+impl Ramps for LogRamps<'_> {
+    /// The delay at `t` is at most `t`: nothing is sent before time zero.
+    fn bound(&self) -> u64 {
+        self.to.as_micros()
+    }
+
+    fn each(&self, mut f: impl FnMut(u64, u64)) {
+        let mut freshest = self.seed;
+        let mut cursor = self.from;
+        for r in self.window.iter().filter(|r| counts(self.flow, r)) {
+            if let Some(sent) = freshest {
+                let len = r.delivered_at.saturating_since(cursor).as_micros();
+                if len > 0 {
+                    f(cursor.saturating_since(sent).as_micros(), len);
+                }
+            }
+            if freshest.is_none_or(|sent| r.sent_at > sent) {
+                freshest = Some(r.sent_at);
+            }
+            cursor = r.delivered_at;
+        }
+        if let Some(sent) = freshest {
+            let len = self.to.saturating_since(cursor).as_micros();
+            if len > 0 {
+                f(cursor.saturating_since(sent).as_micros(), len);
+            }
+        }
+    }
+}
+
+/// The ramps of the omniscient protocol's delay over `[from, to)`: its
+/// packets arrive exactly at the delivery opportunities `ops` (those in
+/// the window) after crossing the `prop` µs wire, so the delay is `prop`
+/// at each opportunity and grows until the next one.
+struct OpportunityRamps<'a> {
+    ops: &'a [Timestamp],
+    /// The last opportunity before the window, when a gap straddles the
+    /// window start: the delay is then already ramping at `from`.
+    before: Option<Timestamp>,
+    prop: u64,
+    from: Timestamp,
+    to: Timestamp,
+}
+
+impl Ramps for OpportunityRamps<'_> {
+    fn bound(&self) -> u64 {
+        self.prop.saturating_add(self.to.as_micros())
+    }
+
+    fn each(&self, mut f: impl FnMut(u64, u64)) {
+        if let Some(last) = self.before {
+            f(
+                self.prop + self.from.saturating_since(last).as_micros(),
+                self.ops[0].saturating_since(self.from).as_micros(),
+            );
+        }
+        let mut cursor = self.ops[0];
+        for &t in &self.ops[1..] {
+            if t > cursor {
+                f(self.prop, (t - cursor).as_micros());
+                cursor = t;
+            }
+        }
+        if self.to > cursor {
+            f(self.prop, (self.to - cursor).as_micros());
+        }
+    }
+}
+
+/// log2 of the first pass's buckets per octave of delay: a bucket is at
+/// most 1/128 as wide as the delays it holds.
+const OCTAVE_BITS: u32 = 7;
+
+/// The most breakpoints the second pass collects from its one bucket.
+const MAX_BREAKPOINTS: usize = 4096;
+
+/// The first pass's bucket of delay `v` µs. Delays below 256 µs get a
+/// bucket each; above, each octave `[2^k, 2^(k+1))` is split into 128
+/// equal buckets.
+fn bucket_of(v: u64) -> usize {
+    let shift = (63 - (v | 1).leading_zeros()).saturating_sub(OCTAVE_BITS);
+    ((shift as usize) << OCTAVE_BITS) + (v >> shift) as usize
+}
+
+/// The first delay of bucket `i`, and log2 of its width.
+fn bucket_start(i: usize) -> (u64, u32) {
+    let shift = ((i >> OCTAVE_BITS) as u32).saturating_sub(1);
+    (
+        ((i - ((shift as usize) << OCTAVE_BITS)) as u64) << shift,
+        shift,
+    )
+}
+
+/// How the ramps spend time in one bucket of delay: `partial` µs from the
+/// ramps that start or end inside it, plus the whole bucket once for each
+/// ramp that spans it (`spans`, kept as a difference: +1 in the bucket
+/// after the ramp's first, −1 in its last).
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    partial: u64,
+    spans: i64,
+}
+
+/// Exact percentile over time of the delay function made of `ramps`: the
+/// smallest whole µs `d` at which the time spent at or below `d`,
+/// `F(d) = Σ clamp(d − start, 0, len)`, reaches `⌈total · pct / 100⌉`.
+/// `None` when the ramps cover no time.
+///
+/// One pass buckets the ramps by delay, which gives `F` exactly at every
+/// bucket boundary and so the bucket holding the answer; a second pass
+/// resolves the answer inside that bucket ([`refine`]). Memory is the
+/// bucket array — a few thousand entries, set by the largest possible
+/// delay — never proportional to the ramps.
+fn percentile_of_ramps(ramps: &impl Ramps, pct: f64) -> Option<Duration> {
+    let mut buckets = vec![Bucket::default(); bucket_of(ramps.bound()) + 1];
+    let mut total = 0u64;
+    ramps.each(|start, len| {
+        total += len;
+        let end = start.saturating_add(len);
+        let (first, last) = (bucket_of(start), bucket_of(end - 1));
+        if first == last {
+            buckets[first].partial += len;
+        } else {
+            buckets[first].partial += bucket_start(first + 1).0 - start;
+            buckets[last].partial += end - bucket_start(last).0;
+            buckets[first + 1].spans += 1;
+            buckets[last].spans -= 1;
+        }
+    });
     if total == 0 {
         return None;
     }
     let want = (total as f64 * pct / 100.0).ceil() as u64;
-    // time_at_or_below(d) is monotone in d: binary-search the percentile.
-    let time_at_or_below = |d: u64| -> u64 {
-        segments
-            .iter()
-            .map(|(len, start)| {
-                let lo = start.as_micros();
-                (d.saturating_sub(lo)).min(len.as_micros())
-            })
-            .sum()
-    };
-    let mut lo = 0u64;
-    let mut hi = segments
-        .iter()
-        .map(|(len, start)| start.as_micros() + len.as_micros())
-        .max()
-        .unwrap_or(0);
-    while lo < hi {
+    if want == 0 {
+        return Some(Duration::ZERO);
+    }
+    // F at each bucket's upper boundary, until it reaches `want`.
+    let (mut below, mut spans) = (0u64, 0i64);
+    for (i, bucket) in buckets.iter().enumerate() {
+        spans += bucket.spans;
+        let (lo, shift) = bucket_start(i);
+        let at_end = below + bucket.partial + ((spans as u64) << shift);
+        if at_end >= want {
+            let hi = lo.saturating_add(1 << shift);
+            return Some(Duration::from_micros(if shift == 0 {
+                hi
+            } else {
+                refine(ramps, lo, hi, below, want)
+            }));
+        }
+        below = at_end;
+    }
+    unreachable!("F reaches the total at the ramps' bound")
+}
+
+/// The smallest whole `d` in `(lo, hi]` with `F(d) ≥ want`, given
+/// `F(lo) = below < want ≤ F(hi)`. One pass collects the breakpoints the
+/// ramps have strictly inside the bucket — `F` is linear between them —
+/// and walks them in order. A bucket holding more than
+/// [`MAX_BREAKPOINTS`] is bisected instead, one counting pass per halving.
+fn refine(ramps: &impl Ramps, lo: u64, hi: u64, below: u64, want: u64) -> u64 {
+    let mut under_way = 0i64; // ramps rising through `lo`
+    let mut breaks: Vec<(u64, bool)> = Vec::new(); // (at, a ramp starts)
+    let mut crowded = false;
+    ramps.each(|start, len| {
+        let end = start.saturating_add(len);
+        if crowded || end <= lo || start >= hi {
+            return;
+        }
+        if start <= lo {
+            under_way += 1;
+        } else {
+            breaks.push((start, true));
+        }
+        if end < hi {
+            breaks.push((end, false));
+        }
+        crowded = breaks.len() > MAX_BREAKPOINTS;
+    });
+    if crowded {
+        return bisect(ramps, lo, hi, want);
+    }
+    breaks.sort_unstable();
+    let (mut at, mut f, mut slope) = (lo, below, under_way);
+    for &(p, starts) in &breaks {
+        if p > at {
+            let reached = f + slope as u64 * (p - at);
+            if reached >= want {
+                break;
+            }
+            (at, f) = (p, reached);
+        }
+        slope += if starts { 1 } else { -1 };
+    }
+    at + (want - f).div_ceil(slope as u64)
+}
+
+/// [`refine`] by bisection: the smallest `d` in `(lo, hi]` with
+/// `F(d) ≥ want`, given `F(lo) < want ≤ F(hi)`.
+fn bisect(ramps: &impl Ramps, mut lo: u64, mut hi: u64, want: u64) -> u64 {
+    while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if time_at_or_below(mid) >= want {
+        let mut f = 0u64;
+        ramps.each(|start, len| f += mid.saturating_sub(start).min(len));
+        if f >= want {
             hi = mid;
         } else {
-            lo = mid + 1;
+            lo = mid;
         }
     }
-    Some(Duration::from_micros(lo))
+    hi
 }
 
 /// 95% end-to-end delay of the omniscient protocol on `trace` (§5.1): its
 /// packets arrive exactly at delivery opportunities after crossing the
 /// `prop_delay` wire, so its instantaneous delay is `prop_delay` at each
 /// opportunity, growing at 1 s/s until the next one.
+///
+/// If an opportunity gap straddles the window start, the delay is already
+/// ramping when measurement begins: it continues from the last pre-window
+/// opportunity, exactly as the measured delay is seeded from pre-window
+/// arrivals. Skipping that prefix would understate the floor and turn an
+/// outage at the warm-up boundary into phantom self-inflicted delay.
 pub fn omniscient_delay_percentile(
     trace: &Trace,
     prop_delay: Duration,
@@ -272,31 +457,14 @@ pub fn omniscient_delay_percentile(
     if lo >= hi {
         return None;
     }
-    let mut segments = Vec::with_capacity(hi - lo + 2);
-    // If an opportunity gap straddles the window start, the instantaneous
-    // delay is already ramping when measurement begins: continue it from
-    // the last pre-window opportunity, exactly as the measured-delay
-    // estimator (`delay_segments`) seeds itself from pre-window arrivals.
-    // Skipping this prefix would understate the floor and turn an outage
-    // at the warmup boundary into phantom self-inflicted delay.
-    if lo > 0 && ops[lo] > from {
-        let last_before = ops[lo - 1];
-        segments.push((
-            ops[lo].saturating_since(from),
-            prop_delay + from.saturating_since(last_before),
-        ));
-    }
-    let mut cursor = ops[lo];
-    for &t in &ops[lo + 1..hi] {
-        if t > cursor {
-            segments.push((t - cursor, prop_delay));
-            cursor = t;
-        }
-    }
-    if to > cursor + Duration::ZERO {
-        segments.push((to.saturating_since(cursor), prop_delay));
-    }
-    percentile_of_segments(&segments, pct)
+    let ramps = OpportunityRamps {
+        ops: &ops[lo..hi],
+        before: (lo > 0 && ops[lo] > from).then(|| ops[lo - 1]),
+        prop: prop_delay.as_micros(),
+        from,
+        to,
+    };
+    percentile_of_ramps(&ramps, pct)
 }
 
 /// The omniscient 95% end-to-end delay (the self-inflicted-delay baseline).
@@ -433,6 +601,7 @@ pub fn degradation_stats(
 
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
 
     fn t(ms: u64) -> Timestamp {
@@ -738,11 +907,326 @@ mod tests {
     fn percentile_of_segments_handles_flat_segments() {
         // Two segments: 900 ms ramping from delay 10 ms, then 100 ms
         // ramping from delay 1000 ms. Cumulative time-below-D is piecewise
-        // linear: p50 ⇒ 500 ms of time at or below D ⇒ D = 510 ms.
+        // linear: p50 ⇒ 500 ms of time at or below D ⇒ D = 510 ms. The
+        // counting percentile and the bisection oracle agree on it.
         let segs = vec![(d(900), d(10)), (d(100), d(1_000))];
-        let p50 = percentile_of_segments(&segs, 50.0).unwrap();
-        assert!(p50 >= d(509) && p50 <= d(511), "got {p50}");
-        let p99 = percentile_of_segments(&segs, 99.0).unwrap();
-        assert!(p99 >= d(1_089) && p99 <= d(1_091), "got {p99}");
+        for (pct, lo, hi) in [(50.0, 509, 511), (99.0, 1_089, 1_091)] {
+            let p = percentile_of_segments_reference(&segs, pct).unwrap();
+            assert!(p >= d(lo) && p <= d(hi), "p{pct}: got {p}");
+            assert_eq!(percentile_of_ramps(&Listed::of(&segs), pct), Some(p));
+        }
+    }
+
+    /// Ramps given as a list of `(len, start)` segments: the crafted and
+    /// randomized inputs of the counting percentile's oracle checks.
+    struct Listed(Vec<(u64, u64)>);
+
+    impl Listed {
+        fn of(segments: &[(Duration, Duration)]) -> Self {
+            Listed(
+                segments
+                    .iter()
+                    .map(|(len, start)| (len.as_micros(), start.as_micros()))
+                    .collect(),
+            )
+        }
+
+        fn segments(&self) -> Vec<(Duration, Duration)> {
+            self.0
+                .iter()
+                .map(|&(len, start)| (Duration::from_micros(len), Duration::from_micros(start)))
+                .collect()
+        }
+    }
+
+    impl Ramps for Listed {
+        fn bound(&self) -> u64 {
+            self.0
+                .iter()
+                .map(|(len, start)| len + start)
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn each(&self, mut f: impl FnMut(u64, u64)) {
+            for &(len, start) in &self.0 {
+                if len > 0 {
+                    f(start, len);
+                }
+            }
+        }
+    }
+
+    const PCTS: [f64; 8] = [0.1, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9];
+
+    fn random_pct(rng: &mut rand::rngs::StdRng) -> f64 {
+        use rand::Rng;
+        if rng.gen_range(0..2u32) == 0 {
+            PCTS[rng.gen_range(0..PCTS.len())]
+        } else {
+            rng.gen_range(0.1..99.9)
+        }
+    }
+
+    #[test]
+    fn counting_matches_bisection_on_random_logs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for case in 0..600 {
+            // Delays from a few µs to seconds, so answers land in 1 µs
+            // buckets, in wide ones, and across octaves.
+            let scale = [1u64, 30, 1_000, 40_000][case % 4];
+            let len = if case % 25 == 0 {
+                0
+            } else {
+                rng.gen_range(1..150u32)
+            };
+            let mut m = MetricsCollector::new();
+            let mut at = rng.gen_range(0..20 * scale);
+            for _ in 0..len {
+                at += [0, 0, 1, 3, 10, 50][rng.gen_range(0..6usize)] * scale;
+                // `sent_at` is not monotone: some packets overtake others.
+                let delay = rng.gen_range(0..at.min(60 * scale) + 1);
+                m.record(DeliveryRecord {
+                    sent_at: Timestamp::from_micros(at - delay),
+                    delivered_at: Timestamp::from_micros(at),
+                    size: MTU_BYTES,
+                    flow: FlowId(rng.gen_range(1..3u32)),
+                });
+            }
+            // Windows that start before, inside and after the data, empty
+            // and inverted ones among them.
+            for _ in 0..20 {
+                let from = Timestamp::from_micros(rng.gen_range(0..at + 20 * scale + 1));
+                let to = Timestamp::from_micros(rng.gen_range(0..at + 40 * scale + 1));
+                for flow in [None, Some(FlowId(1)), Some(FlowId(2))] {
+                    let pct = random_pct(&mut rng);
+                    let oracle = percentile_of_segments_reference(
+                        &delay_segments_reference(&m, from, to, flow),
+                        pct,
+                    );
+                    assert_eq!(
+                        m.delay_percentile(pct, from, to, flow),
+                        oracle,
+                        "case {case}: p{pct} over [{from}, {to}) flow {flow:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_matches_bisection_on_random_traces() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        for case in 0..400 {
+            let scale = [1u64, 100, 5_000][case % 3];
+            let mut at = 0;
+            let ops: Vec<u64> = (0..rng.gen_range(1..120u32))
+                .map(|_| {
+                    // Repeated opportunities (gap 0) and outages.
+                    at += [0, 1, 2, 7, 40, 300][rng.gen_range(0..6usize)] * scale;
+                    at
+                })
+                .collect();
+            let trace = Trace::new(ops.into_iter().map(Timestamp::from_micros).collect());
+            for _ in 0..10 {
+                let prop = Duration::from_micros(rng.gen_range(0..50 * scale));
+                let from = Timestamp::from_micros(rng.gen_range(0..at + 10 * scale + 1));
+                let to = Timestamp::from_micros(rng.gen_range(0..at + 50 * scale + 1));
+                let pct = random_pct(&mut rng);
+                let oracle = percentile_of_segments_reference(
+                    &omniscient_segments_reference(&trace, prop, from, to),
+                    pct,
+                );
+                assert_eq!(
+                    omniscient_delay_percentile(&trace, prop, pct, from, to),
+                    oracle,
+                    "case {case}: p{pct}, prop {prop}, [{from}, {to})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn counting_matches_bisection_on_crafted_edges() {
+        let check = |ramps: Listed, what: &str| {
+            for pct in PCTS {
+                assert_eq!(
+                    percentile_of_ramps(&ramps, pct),
+                    percentile_of_segments_reference(&ramps.segments(), pct),
+                    "{what}, p{pct}"
+                );
+            }
+        };
+        // No time at all: no percentile.
+        check(Listed(vec![]), "no ramps");
+        check(Listed(vec![(0, 5_000)]), "one empty ramp");
+        // A single ramp, from zero and from far up.
+        check(Listed(vec![(1, 0)]), "one 1 µs ramp");
+        check(Listed(vec![(1_000, 0)]), "one ramp from zero");
+        check(Listed(vec![(977, 3_000_000_000)]), "one ramp far up");
+        // Every breakpoint in one first-pass bucket: 10 000 ramps inside
+        // [999 424, 1 003 520), which holds more breakpoints than the
+        // second pass collects, so it is bisected.
+        let crowded = (0..10_000u64)
+            .map(|i| (1 + i % 3_000, 999_500 + i % 7))
+            .collect();
+        check(Listed(crowded), "every breakpoint in one bucket");
+        // The same ramp repeated: one breakpoint value, many times.
+        check(Listed(vec![(100_000, 20_000); 9_000]), "identical ramps");
+        // Ramps ending (and starting) exactly on bucket boundaries, in
+        // the 1 µs buckets and in wide ones.
+        for i in [10, 255, 256, 300, 1_000, 2_000, 3_000] {
+            let (lo, shift) = bucket_start(i);
+            let width = 1u64 << shift;
+            check(
+                Listed(vec![
+                    (width, lo),
+                    (lo, 0),
+                    (3 * width, lo + width),
+                    (1, lo - 1),
+                ]),
+                &format!("boundaries of bucket {i}"),
+            );
+        }
+    }
+
+    #[test]
+    fn buckets_tile_the_delay_axis() {
+        // Consecutive, gap-free and ordered: every bucket starts where the
+        // previous one ends, and every delay maps into the bucket that
+        // holds it.
+        for i in 0..bucket_of(u64::MAX) {
+            let (lo, shift) = bucket_start(i);
+            assert_eq!(bucket_start(i + 1).0, lo + (1 << shift), "bucket {i}");
+            assert_eq!(bucket_of(lo), i);
+            assert_eq!(bucket_of(lo + (1 << shift) - 1), i);
+        }
+        assert!(bucket_of(u64::MAX) < 60 << OCTAVE_BITS);
+    }
+}
+
+/// The percentile as it was computed before it counted over the log: the
+/// delay function copied into a list of `(len, start)` segments, then
+/// bisected on the delay, one pass over the list per step. Kept only as
+/// the oracle of the counting percentile's tests.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// [`MetricsCollector::delay_percentile`]'s delay function over
+    /// `[from, to)`, as copied segments.
+    pub(super) fn delay_segments_reference(
+        m: &MetricsCollector,
+        from: Timestamp,
+        to: Timestamp,
+        flow: Option<FlowId>,
+    ) -> Vec<(Duration, Duration)> {
+        let relevant = |r: &&DeliveryRecord| flow.map(|f| r.flow == f).unwrap_or(true);
+        let mut max_sent: Option<Timestamp> = m
+            .records()
+            .iter()
+            .filter(relevant)
+            .take_while(|r| r.delivered_at < from)
+            .map(|r| r.sent_at)
+            .max();
+        let mut segments = Vec::new();
+        let mut cursor = from;
+        for r in m
+            .records()
+            .iter()
+            .filter(relevant)
+            .skip_while(|r| r.delivered_at < from)
+            .take_while(|r| r.delivered_at < to)
+        {
+            if let Some(ms) = max_sent {
+                let seg_len = r.delivered_at.saturating_since(cursor);
+                if seg_len > Duration::ZERO {
+                    segments.push((seg_len, cursor.saturating_since(ms)));
+                }
+            }
+            if max_sent.map(|ms| r.sent_at > ms).unwrap_or(true) {
+                max_sent = Some(r.sent_at);
+            }
+            cursor = r.delivered_at;
+        }
+        if let Some(ms) = max_sent {
+            let seg_len = to.saturating_since(cursor);
+            if seg_len > Duration::ZERO {
+                segments.push((seg_len, cursor.saturating_since(ms)));
+            }
+        }
+        segments
+    }
+
+    /// [`omniscient_delay_percentile`]'s delay function, as copied
+    /// segments.
+    pub(super) fn omniscient_segments_reference(
+        trace: &Trace,
+        prop_delay: Duration,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Vec<(Duration, Duration)> {
+        let ops = trace.opportunities();
+        let lo = ops.partition_point(|&t| t < from);
+        let hi = ops.partition_point(|&t| t < to);
+        let mut segments = Vec::new();
+        if lo >= hi {
+            return segments;
+        }
+        if lo > 0 && ops[lo] > from {
+            segments.push((
+                ops[lo].saturating_since(from),
+                prop_delay + from.saturating_since(ops[lo - 1]),
+            ));
+        }
+        let mut cursor = ops[lo];
+        for &t in &ops[lo + 1..hi] {
+            if t > cursor {
+                segments.push((t - cursor, prop_delay));
+                cursor = t;
+            }
+        }
+        if to > cursor {
+            segments.push((to.saturating_since(cursor), prop_delay));
+        }
+        segments
+    }
+
+    /// Percentile over time of segments that each last `len` and ramp
+    /// from `start` to `start + len`, by bisecting on the delay.
+    pub(super) fn percentile_of_segments_reference(
+        segments: &[(Duration, Duration)],
+        pct: f64,
+    ) -> Option<Duration> {
+        let total: u64 = segments.iter().map(|(len, _)| len.as_micros()).sum();
+        if total == 0 {
+            return None;
+        }
+        let want = (total as f64 * pct / 100.0).ceil() as u64;
+        let time_at_or_below = |d: u64| -> u64 {
+            segments
+                .iter()
+                .map(|(len, start)| d.saturating_sub(start.as_micros()).min(len.as_micros()))
+                .sum()
+        };
+        let mut lo = 0u64;
+        let mut hi = segments
+            .iter()
+            .map(|(len, start)| start.as_micros() + len.as_micros())
+            .max()
+            .unwrap_or(0);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if time_at_or_below(mid) >= want {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(Duration::from_micros(lo))
     }
 }

@@ -18,7 +18,8 @@ use sprout_trace::Timestamp;
 /// it); `dequeue` removes the next packet to serve, `now` being the time
 /// service begins (CoDel measures sojourn time against it and may drop
 /// packets instead of returning them); `bytes`/`packets` are the current
-/// backlog and `drops` the cumulative count of policy drops.
+/// backlog and `drops`/`drop_bytes` the cumulative count and bytes of
+/// policy drops.
 #[derive(Debug)]
 pub(crate) enum Bottleneck {
     DropTail(DropTail),
@@ -62,6 +63,13 @@ impl Bottleneck {
             Bottleneck::CoDel(q) => q.drops(),
         }
     }
+
+    pub(crate) fn drop_bytes(&self) -> u64 {
+        match self {
+            Bottleneck::DropTail(q) => q.drop_bytes(),
+            Bottleneck::CoDel(q) => q.drop_bytes(),
+        }
+    }
 }
 
 /// The explicit capacity standing in for a "deeply buffered" carrier
@@ -84,6 +92,7 @@ pub struct DropTail {
     bytes: u64,
     capacity: Option<u64>,
     drops: u64,
+    drop_bytes: u64,
 }
 
 impl DropTail {
@@ -94,6 +103,7 @@ impl DropTail {
             bytes: 0,
             capacity: None,
             drops: 0,
+            drop_bytes: 0,
         }
     }
 
@@ -104,6 +114,7 @@ impl DropTail {
             bytes: 0,
             capacity: Some(capacity_bytes),
             drops: 0,
+            drop_bytes: 0,
         }
     }
 
@@ -113,6 +124,7 @@ impl DropTail {
         if let Some(cap) = self.capacity {
             if self.bytes + packet.size as u64 > cap {
                 self.drops += 1;
+                self.drop_bytes += packet.size as u64;
                 return;
             }
         }
@@ -141,6 +153,11 @@ impl DropTail {
     /// Cumulative count of packets dropped at the tail.
     pub fn drops(&self) -> u64 {
         self.drops
+    }
+
+    /// Cumulative bytes of the packets dropped at the tail.
+    pub fn drop_bytes(&self) -> u64 {
+        self.drop_bytes
     }
 }
 

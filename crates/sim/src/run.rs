@@ -57,17 +57,20 @@ pub(crate) trait EventLoop {
 }
 
 /// The buffers of a finished simulation whose capacity is worth keeping
-/// for the next one: the event loop's packet buffer and the paths'
-/// delivery logs (megabytes each on a long baseline cell). Contents never
-/// carry over — every buffer is cleared before use — so recycling cannot
-/// affect results; a second simulation on a warm `SimScratch` pushes into
-/// capacity that is already grown and already faulted in.
+/// for the next one: the event loop's packet buffer and the delivery log
+/// of each measured direction (megabytes on a long baseline cell) — one
+/// log per [`Simulation`], one per [`ServeSim`](crate::ServeSim)
+/// session. Contents never carry over — every buffer is cleared before
+/// use — so recycling cannot affect results; a second simulation on a
+/// warm `SimScratch` pushes into capacity that is already grown and
+/// already faulted in.
 #[derive(Default)]
 pub struct SimScratch {
     pub(crate) packets: Vec<Packet>,
-    /// Free list of delivery logs, popped one per path. A teardown pushes
-    /// its logs back in reverse path order, so the next simulation of the
-    /// same shape hands each path the log that path filled last time.
+    /// Free list of delivery logs, popped one per measured direction. A
+    /// teardown pushes its logs back in reverse order, so the next
+    /// simulation of the same shape hands each direction the log it
+    /// filled last time.
     pub(crate) logs: Vec<Vec<DeliveryRecord>>,
 }
 
@@ -76,10 +79,19 @@ impl SimScratch {
     pub(crate) fn take_log(&mut self) -> Vec<DeliveryRecord> {
         self.logs.pop().unwrap_or_default()
     }
+
+    /// Return `path`'s delivery log, if it kept one, to the free list.
+    pub(crate) fn put_log(&mut self, path: DirectedPath) {
+        self.logs.extend(path.into_log());
+    }
 }
 
 /// A full experiment: endpoint `a`, endpoint `b`, and the two directed
 /// paths between them (`ab` carries a→b traffic, `ba` the reverse).
+///
+/// The a→b direction is the measured one: it logs every delivery
+/// ([`Simulation::ab_metrics`]). The b→a direction — ACKs and feedback —
+/// only counts what it delivers; its [`DirectedPath::metrics`] is empty.
 pub struct Simulation<A: Endpoint, B: Endpoint> {
     /// The "a" endpoint (by convention: the sender/client side).
     pub a: A,
@@ -102,8 +114,8 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
 
     /// [`Simulation::new`] on recycled buffers. Batch executors that run
     /// many simulations back-to-back pass the previous run's
-    /// [`Simulation::into_scratch`], so the packet buffer's and the two
-    /// delivery logs' capacity survives across cells.
+    /// [`Simulation::into_scratch`], so the packet buffer's and the a→b
+    /// delivery log's capacity survives across cells.
     pub fn with_scratch(
         a: A,
         b: B,
@@ -116,7 +128,7 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
             a,
             b,
             ab: DirectedPath::with_log(ab, scratch.take_log()),
-            ba: DirectedPath::with_log(ba, scratch.take_log()),
+            ba: DirectedPath::unlogged(ba),
             now: Timestamp::ZERO,
             scratch,
         }
@@ -126,8 +138,7 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
     /// [`Simulation::with_scratch`].
     pub fn into_scratch(self) -> SimScratch {
         let mut scratch = self.scratch;
-        scratch.logs.push(self.ba.into_log());
-        scratch.logs.push(self.ab.into_log());
+        scratch.put_log(self.ab);
         scratch
     }
 
@@ -136,14 +147,9 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
         self.now
     }
 
-    /// Metrics of the a→b direction.
+    /// Delivery log of the a→b direction.
     pub fn ab_metrics(&self) -> &MetricsCollector {
         self.ab.metrics()
-    }
-
-    /// Metrics of the b→a direction.
-    pub fn ba_metrics(&self) -> &MetricsCollector {
-        self.ba.metrics()
     }
 
     /// The a→b path (queue state, drop counters, trace).
@@ -151,7 +157,7 @@ impl<A: Endpoint, B: Endpoint> Simulation<A, B> {
         &self.ab
     }
 
-    /// The b→a path.
+    /// The b→a path. It counts its deliveries but keeps no log.
     pub fn ba_path(&self) -> &DirectedPath {
         &self.ba
     }
@@ -339,7 +345,7 @@ mod tests {
         assert!(stats.p95_delay.unwrap() > Duration::from_secs(5));
         assert!(stats.utilization > 0.95, "bottleneck saturated");
         // The sink never talks back.
-        assert_eq!(sim.ba_metrics().records().len(), 0);
+        assert_eq!(sim.ba_path().delivered_packets(), 0);
     }
 
     #[test]
@@ -424,6 +430,35 @@ mod tests {
             pool.run_until(t(30));
             assert_eq!((pair.now(), pair.a.seq), (t(30), 4));
             assert_eq!((pool.now(), pool.client(0).seq), (t(30), 4));
+        }
+    }
+
+    #[test]
+    fn a_pair_logs_only_its_measured_direction() {
+        // Traffic both ways; only a→b keeps a log, both count.
+        let trace = || PathConfig::standard(Trace::from_millis((0..500).map(|i| i * 10)));
+        let every = |ms| Blaster::new(Duration::from_millis(ms));
+        let mut scratch = SimScratch::default();
+        for _ in 0..3 {
+            let mut sim = Simulation::with_scratch(every(20), every(30), trace(), trace(), scratch);
+            sim.run_until(t(4_000));
+            let (ab, ba) = (sim.ab_path(), sim.ba_path());
+            let logged = ab.metrics().records();
+            assert!(
+                ba.delivered_packets() > 0,
+                "the reverse direction carried traffic"
+            );
+            assert_eq!(ba.metrics().records().len(), 0, "and kept no log of it");
+            assert_eq!(logged.len() as u64, ab.delivered_packets());
+            assert_eq!(
+                logged.iter().map(|r| u64::from(r.size)).sum::<u64>(),
+                ab.delivered_bytes()
+            );
+            let delivered = ab.delivered_packets() as usize;
+            scratch = sim.into_scratch();
+            // One log per cell — the a→b one — recycled into the next.
+            assert_eq!(scratch.logs.len(), 1);
+            assert_eq!(scratch.logs[0].len(), delivered);
         }
     }
 

@@ -42,6 +42,10 @@ use sprout_trace::Timestamp;
 
 /// N independent client/server sessions over per-session paths, driven
 /// by one event loop around a shared server endpoint.
+///
+/// Each session's uplink (client → server) is the measured direction and
+/// logs every delivery ([`ServeSim::up_path`]); its downlink only counts
+/// what it delivers.
 pub struct ServeSim<C: Endpoint, S: Endpoint> {
     clients: Vec<C>,
     /// Per-session flow ids; client output is re-stamped on the way up so
@@ -63,10 +67,9 @@ pub struct ServeSim<C: Endpoint, S: Endpoint> {
     server_pending: bool,
     now: Timestamp,
     /// Recycled buffers, as in [`Simulation`](crate::Simulation): the
-    /// poll buffer, and the free list each new session's two delivery
-    /// logs come from.
+    /// poll buffer, and the free list each new session's uplink log comes
+    /// from.
     scratch: SimScratch,
-    delivered_to_server: u64,
 }
 
 impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
@@ -77,7 +80,7 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
 
     /// [`ServeSim::new`] on recycled buffers (recovered via
     /// [`ServeSim::into_scratch`]), so batch executors keep the packet
-    /// buffer and the sessions' delivery logs across cells. Contents are
+    /// buffer and the sessions' uplink logs across cells. Contents are
     /// cleared before first use, so recycling cannot affect results.
     pub fn with_scratch(server: S, mut scratch: SimScratch) -> Self {
         scratch.packets.clear();
@@ -96,22 +99,21 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
             server_pending: false,
             now: Timestamp::ZERO,
             scratch,
-            delivered_to_server: 0,
         }
     }
 
     /// Tear down, recovering the buffers for the next cell.
     pub fn into_scratch(self) -> SimScratch {
         let mut scratch = self.scratch;
-        for (up, down) in self.up.into_iter().zip(self.down).rev() {
-            scratch.logs.push(down.into_log());
-            scratch.logs.push(up.into_log());
+        for up in self.up.into_iter().rev() {
+            scratch.put_log(up);
         }
         scratch
     }
 
     /// Attach session `flow`: its client endpoint and its two directed
-    /// paths. Returns the dense session index.
+    /// paths, the uplink logged and the downlink counted. Returns the
+    /// dense session index.
     pub fn add_session(
         &mut self,
         flow: FlowId,
@@ -126,7 +128,7 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
             flow.0
         );
         let up = DirectedPath::with_log(up, self.scratch.take_log());
-        let down = DirectedPath::with_log(down, self.scratch.take_log());
+        let down = DirectedPath::unlogged(down);
         self.up_wheel.schedule(idx, up.next_event());
         self.down_wheel.schedule(idx, down.next_event());
         self.client_wheel.schedule(idx, client.next_wakeup());
@@ -158,7 +160,8 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
         &self.clients[idx]
     }
 
-    /// Session `idx`'s uplink path (client → server).
+    /// Session `idx`'s uplink path (client → server), with its delivery
+    /// log.
     pub fn up_path(&self, idx: usize) -> &DirectedPath {
         &self.up[idx]
     }
@@ -167,7 +170,7 @@ impl<C: Endpoint, S: Endpoint> ServeSim<C, S> {
     /// link-level side of the conservation property (it must equal the
     /// sum of per-session delivered bytes).
     pub fn delivered_to_server_bytes(&self) -> u64 {
-        self.delivered_to_server
+        self.up.iter().map(DirectedPath::delivered_bytes).sum()
     }
 
     /// Run the event loop until virtual time `end`.
@@ -211,13 +214,8 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
 
         // Uplink deliveries → the shared server.
         while let Some(idx) = self.up_wheel.pop_due(now) {
-            let (server, bytes, pending) = (
-                &mut self.server,
-                &mut self.delivered_to_server,
-                &mut self.server_pending,
-            );
+            let (server, pending) = (&mut self.server, &mut self.server_pending);
             self.up[idx].advance_with(now, |p| {
-                *bytes += u64::from(p.size);
                 server.on_packet(p, now);
                 *pending = true;
             });
@@ -273,7 +271,7 @@ impl<C: Endpoint, S: Endpoint> EventLoop for ServeSim<C, S> {
 mod tests {
     use super::*;
     use crate::packet::Packet;
-    use crate::run::direction_stats;
+    use crate::run::{direction_stats, SimScratch};
     use sprout_trace::{Duration, Trace};
 
     fn t(ms: u64) -> Timestamp {
@@ -378,6 +376,32 @@ mod tests {
         // Echoes actually came back down the per-session paths.
         for idx in 0..sim.sessions() {
             assert!(sim.client(idx).received > 0, "session {idx} got no echo");
+        }
+    }
+
+    #[test]
+    fn a_session_logs_only_its_uplink() {
+        let mut scratch = SimScratch::default();
+        for _ in 0..2 {
+            let mut sim: ServeSim<Ticker, EchoServer> =
+                ServeSim::with_scratch(EchoServer::default(), scratch);
+            for sid in 0..3u32 {
+                sim.add_session(
+                    FlowId(sid + 1),
+                    Ticker::new(10),
+                    PathConfig::standard(dense_trace(1)),
+                    PathConfig::standard(dense_trace(1)),
+                );
+            }
+            sim.run_until(t(500));
+            for idx in 0..3 {
+                let up = sim.up_path(idx);
+                assert!(sim.down[idx].delivered_packets() > 0, "echoes came back");
+                assert_eq!(sim.down[idx].metrics().records().len(), 0);
+                assert_eq!(up.metrics().records().len() as u64, up.delivered_packets());
+            }
+            scratch = sim.into_scratch();
+            assert_eq!(scratch.logs.len(), 3, "one log per session");
         }
     }
 
