@@ -5,8 +5,8 @@
 //! shard assignment, execution order) is guaranteed not to matter by the
 //! sweep engine's determinism contract. This module persists finished
 //! cells in the shared `sprout-cache` store under exactly that key, with
-//! the same checksummed/atomic/versioned guarantees forecast tables and
-//! synthesized traces already enjoy. It is what makes sweeps:
+//! the same checksummed/atomic/versioned guarantees synthesized traces
+//! already enjoy. It is what makes sweeps:
 //!
 //! * **shardable** — processes running disjoint shards of one matrix
 //!   against one cache directory each deposit their cells; a merge pass

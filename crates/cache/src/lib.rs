@@ -1,11 +1,12 @@
 //! Content-addressed on-disk artifact cache.
 //!
-//! Sprout's precomputations — the forecast CDF tables (tens of
-//! milliseconds of backward recursion at paper scale, ≈ 1.5 MB banded),
-//! synthesized link traces (minutes of virtual time at 1 ms steps) and
-//! finished sweep cells — are pure functions of their input
-//! configuration. This crate gives them a shared persistence layer so a
-//! second `reproduce` run skips the work entirely.
+//! Sprout's expensive products — synthesized link traces (minutes of
+//! virtual time at 1 ms steps) and finished sweep cells — are pure
+//! functions of their input configuration. This crate gives them a
+//! shared persistence layer so a second `reproduce` run skips the work
+//! entirely. (Forecast tables are not stored: a paper-scale build takes
+//! ≈ 11 ms once per process and geometry, too little for a stored copy
+//! to be worth its file and codec.)
 //!
 //! **The container.** One artifact is one file,
 //! `<kind>-v<version>-<name hash>.bin`:
@@ -37,7 +38,7 @@
 //!   byte-wise FNV-1a of [`fingerprint64`], which recorded keys and
 //!   golden snapshots depend on and which therefore never changes. The
 //!   *checksum* detects damage: it reads every payload byte of every
-//!   load — ≈ 1.5 MB for a forecast table — so it walks 64-bit words with a
+//!   load — megabytes for a long trace — so it walks 64-bit words with a
 //!   full-width mix per step (several GB/s where byte-serial FNV-1a
 //!   manages 0.75). It is private to the container and versioned by the
 //!   magic, so it is free to be whatever is fast and catches bit rot.
@@ -253,13 +254,13 @@ enum LoadOutcome {
     Hit(Vec<u8>),
 }
 
-/// One kind of cached artifact (forecast tables, synthesized traces, …),
+/// One kind of cached artifact (synthesized traces, sweep cells, …),
 /// carrying its own schema version and traffic counters. Declare as a
 /// `static`:
 ///
 /// ```
 /// use sprout_cache::ArtifactKind;
-/// static TABLES: ArtifactKind = ArtifactKind::new("forecast-table", 1);
+/// static TRACES: ArtifactKind = ArtifactKind::new("trace-synth", 1);
 /// ```
 ///
 /// Bump the version whenever the payload encoding *or* the semantics of
@@ -458,7 +459,7 @@ impl ArtifactKind {
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         // Header and key in one buffer, the payload beside it: one
-        // `writev` for the whole entry, and a forecast table is not copied.
+        // `writev` for the whole entry, and a long trace is not copied.
         let mut head = Vec::with_capacity(HEADER_LEN + key.len());
         head.extend_from_slice(MAGIC);
         head.extend_from_slice(&self.version.to_le_bytes());
@@ -640,11 +641,6 @@ impl<'a> ByteReader<'a> {
     /// Read a `u64`.
     pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read an `f32` from raw bits.
-    pub fn f32(&mut self) -> Option<f32> {
-        Some(f32::from_bits(self.u32()?))
     }
 
     /// Read an `f64` from raw bits.
@@ -879,7 +875,7 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u32(), Some(7));
         assert_eq!(r.u64(), Some(1 << 40));
-        assert_eq!(r.f32(), Some(1.5));
+        assert_eq!(r.u32(), Some(1.5f32.to_bits()));
         assert_eq!(r.u32(), Some(5));
         assert_eq!(r.remaining(), 5);
         assert_eq!(r.u64(), None, "underrun returns None");

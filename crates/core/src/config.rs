@@ -159,23 +159,6 @@ pub(crate) struct TableKey {
     tick_us: u64,
 }
 
-impl TableKey {
-    /// Stable byte encoding of the full key, for content-addressing the
-    /// on-disk forecast-table artifact. Field order is frozen; any change
-    /// to it must bump the table artifact's schema version.
-    pub(crate) fn cache_key_bytes(&self) -> Vec<u8> {
-        let mut w = sprout_cache::ByteWriter::with_capacity(7 * 8);
-        w.u64(self.num_bins as u64)
-            .u64(self.horizon_ticks as u64)
-            .u64(self.count_max as u64)
-            .u64(self.max_rate_bits)
-            .u64(self.sigma_bits)
-            .u64(self.escape_bits)
-            .u64(self.tick_us);
-        w.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

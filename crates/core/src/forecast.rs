@@ -67,7 +67,8 @@
 
 use std::sync::{Arc, LazyLock};
 
-use sprout_cache::{ArtifactKind, ByteReader, ByteWriter, CacheCounters};
+#[cfg(any(test, feature = "testing"))]
+use sprout_cache::ByteWriter;
 
 use crate::config::{SproutConfig, TableKey};
 pub use crate::lru::MemCounters;
@@ -77,20 +78,6 @@ use crate::model::ScatterMatrix;
 use crate::model::TransitionKernel;
 use crate::simd::{mixture_lanes, strip_sum_into, CDF_LANES, STRIP_LANES};
 
-/// On-disk persistence of built tables. Version covers both the byte
-/// layout of [`ForecastTables::to_bytes`] and the DP semantics — bump it
-/// whenever either changes, or stale files would silently load. (v2: the
-/// backward recursion; the paper geometry's bytes are pinned equal to
-/// v1's, other geometries are equal only to rounding. v3: the band
-/// encoding, same values.)
-static TABLE_ARTIFACT: ArtifactKind = ArtifactKind::new("forecast-table", 3);
-
-/// Disk-cache traffic counters for forecast tables (hits mean a
-/// `ForecastTables::get` skipped the build entirely).
-pub fn table_cache_counters() -> CacheCounters {
-    TABLE_ARTIFACT.counters()
-}
-
 /// Built / reused / evicted / live counts of [`TABLE_MEMO`].
 static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
 
@@ -98,8 +85,8 @@ static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
 /// live at once. Each entry is ≈ 1.5 MB at paper scale; eight covers every
 /// matrix the `reproduce` experiments declare with headroom, while a
 /// daemon cycling through arbitrary geometries stays bounded. The cap
-/// bounds memory, not time: an evicted geometry comes back in tens of
-/// milliseconds (disk load or rebuild).
+/// bounds memory, not time: an evicted geometry is rebuilt in tens of
+/// milliseconds.
 pub const FORECAST_TABLE_CACHE_CAP: usize = 8;
 
 /// Everything immutable that one table geometry needs at runtime: the
@@ -120,9 +107,8 @@ pub fn table_cache_occupancy() -> (usize, u64) {
 }
 
 /// Process-wide in-memory forecast-table amortization counters: `built`
-/// counts [`ForecastTables::get`] calls that materialized a table (DP
-/// build or disk load), `reused` counts calls served by the live
-/// in-memory cache.
+/// counts [`ForecastTables::get`] calls that built a table, `reused`
+/// counts calls served by the live in-memory cache.
 pub fn table_memory_counters() -> MemCounters {
     TABLE_COUNTERS.memory()
 }
@@ -205,12 +191,9 @@ impl Forecast {
 /// Stored banded (module docs): per `(tick, window)` one `Span` of the
 /// bins whose values there are not all exactly 1.0 or all exactly 0.0,
 /// and the stored bins' windows in one f32 buffer — ≈ 1.5 MB at paper
-/// scale where the dense table took 6 MiB. The on-disk payload
-/// ([`Self::to_bytes`]) is the same spans and windows. Every table a DP
-/// or a test makes — [`Self::build`], `Self::build_reference`,
-/// [`Self::from_rows`] — goes through one encoder (`push_tick`),
-/// and [`Self::from_bytes`] accepts only what it can have written from
-/// CDF values.
+/// scale where the dense table took 6 MiB. Every table a DP or a test
+/// makes — [`Self::build`], `Self::build_reference`, [`Self::from_rows`]
+/// — goes through one encoder (`push_tick`).
 pub struct ForecastTables {
     num_bins: usize,
     horizon: usize,
@@ -219,9 +202,9 @@ pub struct ForecastTables {
     /// no rate bin delivers more than this many quarter-MTU units in one
     /// tick, so the percentile index grows by at most `max_step` per tick.
     /// Bounds the warm-started search in [`Self::forecast_into`]. Derived
-    /// from the configuration, not serialized; tables made through the
-    /// raw [`Self::from_bytes`] or [`Self::from_rows`] fall back to the
-    /// unbounded `count_max` (identical results, more probes per search).
+    /// from the configuration; tables made through [`Self::from_rows`]
+    /// fall back to the unbounded `count_max` (identical results, more
+    /// probes per search).
     max_step: usize,
     /// One per `(tick, window)`, tick-major; window `k` is the counts
     /// `k·CDF_LANES..(k + 1)·CDF_LANES`, and counts past `count_max` hold
@@ -271,38 +254,20 @@ impl ForecastTables {
         // paper scale), shared by every concurrent sweep worker that asks
         // for it.
         TABLE_MEMO.get_or_build(&cfg.table_key(), || {
+            let kernel = TransitionKernel::new(cfg);
             (
-                Arc::new(ForecastTables::load_or_build(cfg)),
-                Arc::new(TransitionKernel::new(cfg)),
+                Arc::new(ForecastTables::build(cfg, &kernel)),
+                Arc::new(kernel),
             )
         })
     }
 
-    /// Fetch the tables for `cfg` from the on-disk artifact cache, or
-    /// build them (persisting the result for the next process). Bypasses
-    /// the in-memory layer — [`ForecastTables::get`] is the usual entry
-    /// point; this one exists for cache tooling and tests.
+    /// [`Self::build`], bypassing the in-memory cache. Kept only because
+    /// `benchmark/`'s probes and warm-ups call it; ROADMAP item 8 points
+    /// them at [`Self::build`] and deletes this alias.
+    #[doc(hidden)]
     pub fn load_or_build(cfg: &SproutConfig) -> ForecastTables {
-        cfg.validate();
-        let key = cfg.table_key().cache_key_bytes();
-        if let Some(bytes) = TABLE_ARTIFACT.load(&key) {
-            if let Some(mut t) = ForecastTables::from_bytes(&bytes) {
-                // The decoded dims are part of the key, but stay defensive:
-                // a mismatch means a corrupt entry that beat the checksum.
-                if t.num_bins == cfg.num_bins
-                    && t.horizon == cfg.horizon_ticks
-                    && t.count_max == cfg.count_max
-                {
-                    // The search bound is config-derived, not serialized.
-                    t.max_step = max_unit_step(cfg);
-                    return t;
-                }
-            }
-        }
-        let kernel = TransitionKernel::new(cfg);
-        let tables = ForecastTables::build(cfg, &kernel);
-        TABLE_ARTIFACT.store(&key, &tables.to_bytes());
-        tables
+        ForecastTables::build(cfg, &TransitionKernel::new(cfg))
     }
 
     /// A table of the given dimensions with no tick stored yet.
@@ -396,7 +361,7 @@ impl ForecastTables {
     /// A table from explicit CDF rows, `rows[(tick · num_bins + bin) ·
     /// count_max + count] = P(C_{tick+1} ≤ count | λ₀ = bin)` — for tests
     /// that need tables no DP produces. The search bound is unbounded
-    /// (`count_max`), as for [`Self::from_bytes`].
+    /// (`count_max`).
     pub fn from_rows(num_bins: usize, horizon: usize, count_max: usize, rows: &[f32]) -> Self {
         ForecastTables::from_dense(num_bins, horizon, count_max, count_max, rows)
     }
@@ -408,11 +373,11 @@ impl ForecastTables {
             + self.spans.capacity() * std::mem::size_of::<Span>()
     }
 
-    /// Serialize to the on-disk payload: the three dimensions as `u64`,
-    /// then per `(tick, window)`, tick-major, its span as `first: u32,
-    /// end: u32` and the stored windows' f32 bit patterns. Bit-exact round
-    /// trip, so cached and freshly built tables produce identical
-    /// forecasts.
+    /// The table's image, for pinning its bytes in tests: the three
+    /// dimensions as `u64`, then per `(tick, window)`, tick-major, its span
+    /// as `first: u32, end: u32` and the stored windows' f32 bit patterns.
+    /// Only test builds compile it (`cfg(test)` or the `testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(24 + 8 * self.spans.len() + 4 * self.vals.len());
         w.u64(self.num_bins as u64)
@@ -425,64 +390,6 @@ impl ForecastTables {
             }
         }
         w.finish()
-    }
-
-    /// Decode a [`ForecastTables::to_bytes`] payload; `None` — treated as
-    /// a cache miss upstream — for anything the encoder cannot have
-    /// written from CDF values: an empty axis, more bins than `u32`
-    /// holds, more spans than the payload can hold, a span outside the
-    /// bin axis or the payload, a stored value outside [0, 1] (NaN
-    /// included), a count past the axis not at 1.0, a span whose first
-    /// bin is 1.0 or whose last is 0.0 across the window, or bytes after
-    /// the last span. Every size is bounded by the payload, never by what
-    /// its header claims, and what decodes re-encodes to the same bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Option<ForecastTables> {
-        let mut r = ByteReader::new(bytes);
-        let num_bins = u32::try_from(r.u64()?).ok()? as usize;
-        let horizon = usize::try_from(r.u64()?).ok()?;
-        let count_max = usize::try_from(r.u64()?).ok()?;
-        if num_bins == 0 || horizon == 0 || count_max == 0 {
-            return None;
-        }
-        // Every span takes its 8 bytes of bounds, every stored window 32.
-        let spans = horizon.checked_mul(count_max.div_ceil(CDF_LANES))?;
-        if spans > r.remaining() / 8 {
-            return None;
-        }
-        let mut tables = ForecastTables::empty(num_bins, horizon, count_max, count_max);
-        tables.vals.reserve_exact((r.remaining() - 8 * spans) / 4);
-        let windows = tables.windows();
-        for s in 0..spans {
-            let (first, end) = (r.u32()?, r.u32()?);
-            if first > end || end as usize > num_bins {
-                return None;
-            }
-            let at = tables.vals.len();
-            // Lanes `past..` of the tick's last window lie past the axis.
-            let past = match s % windows {
-                k if k + 1 == windows => count_max - k * CDF_LANES,
-                _ => CDF_LANES,
-            };
-            for _ in first..end {
-                for lane in 0..CDF_LANES {
-                    let v = r.f32()?;
-                    if !(0.0..=1.0).contains(&v) || (lane >= past && v != 1.0) {
-                        return None;
-                    }
-                    tables.vals.push(v);
-                }
-            }
-            let span = Span { first, end, at };
-            let tile = span.tile(&tables.vals);
-            let (head, tail) = (tile.first_chunk(), tile.last_chunk());
-            if head.is_some_and(|w: &[f32; CDF_LANES]| w.iter().all(|&f| f == 1.0))
-                || tail.is_some_and(|w: &[f32; CDF_LANES]| w.iter().all(|&f| f.to_bits() == 0))
-            {
-                return None;
-            }
-            tables.spans.push(span);
-        }
-        (r.remaining() == 0).then_some(tables)
     }
 
     /// Build the tables by the backward recursion of the module docs: every
@@ -1418,14 +1325,19 @@ mod tests {
 
     #[test]
     fn bounded_search_matches_unbounded_gallop_domain() {
-        // A table decoded through raw `from_bytes` has no config-derived
+        // The same values through raw `from_rows` have no config-derived
         // search bound (max_step == count_max). Forecasts must be
         // identical either way.
         let cfg = small_cfg();
         let kernel = TransitionKernel::new(&cfg);
         let bounded = ForecastTables::build(&cfg, &kernel);
         assert!(bounded.max_step < bounded.count_max);
-        let unbounded = ForecastTables::from_bytes(&bounded.to_bytes()).unwrap();
+        let (n, horizon, cm) = (cfg.num_bins, cfg.horizon_ticks, cfg.count_max);
+        let rows: Vec<f32> = (0..horizon * n * cm)
+            .map(|at| bounded.value(at / (n * cm), at % cm, at / cm % n))
+            .collect();
+        let unbounded = ForecastTables::from_rows(n, horizon, cm, &rows);
+        assert_eq!(unbounded.to_bytes(), bounded.to_bytes());
         assert_eq!(unbounded.max_step, unbounded.count_max);
         for posterior in [
             uniform(cfg.num_bins),

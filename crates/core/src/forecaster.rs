@@ -38,15 +38,6 @@ pub trait Forecaster: Send {
     /// the receiver's per-poll hot path.
     fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>);
 
-    /// Allocating convenience form of
-    /// [`Forecaster::forecast_cumulative_bytes_into`] (tests,
-    /// diagnostics).
-    fn forecast_cumulative_bytes(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.forecast_cumulative_bytes_into(&mut out);
-        out
-    }
-
     /// Number of ticks covered by the forecast.
     fn horizon(&self) -> usize;
 
@@ -245,7 +236,8 @@ mod tests {
         for _ in 0..80 {
             f.tick(obs(3_000));
         }
-        let fc = f.forecast_cumulative_bytes();
+        let mut fc = Vec::new();
+        f.forecast_cumulative_bytes_into(&mut fc);
         assert_eq!(fc.len(), cfg.horizon_ticks);
         // The cautious forecast should be positive but below the true
         // delivered volume (8 ticks × 3000 = 24000).
@@ -293,7 +285,8 @@ mod tests {
             f.tick(obs(6_000));
         }
         assert!((f.bytes_per_tick() - 6_000.0).abs() < 60.0);
-        let fc = f.forecast_cumulative_bytes();
+        let mut fc = Vec::new();
+        f.forecast_cumulative_bytes_into(&mut fc);
         // Flat extrapolation: tick k ≈ k × rate.
         assert!((fc[0] as f64 - 6_000.0).abs() < 100.0);
         let last = fc[cfg.horizon_ticks - 1] as f64;
@@ -316,8 +309,10 @@ mod tests {
             ewma.tick(obs(0));
             bayes.tick(obs(0));
         }
-        let ewma_fc = ewma.forecast_cumulative_bytes()[0];
-        let bayes_fc = bayes.forecast_cumulative_bytes()[0];
+        let (mut ewma_fc, mut bayes_fc) = (Vec::new(), Vec::new());
+        ewma.forecast_cumulative_bytes_into(&mut ewma_fc);
+        bayes.forecast_cumulative_bytes_into(&mut bayes_fc);
+        let (ewma_fc, bayes_fc) = (ewma_fc[0], bayes_fc[0]);
         // EWMA still forecasts a sizable fraction of the old rate; the
         // cautious forecast has slammed to (near) zero.
         assert!(ewma_fc as f64 > 3_000.0 * 0.3, "ewma {ewma_fc}");

@@ -55,8 +55,8 @@ pub mod wire;
 pub use config::SproutConfig;
 pub use endpoint::{EndpointStats, SproutEndpoint};
 pub use forecast::{
-    table_cache_counters, table_cache_occupancy, table_memory_counters, Forecast, ForecastScratch,
-    ForecastTables, MemCounters, FORECAST_TABLE_CACHE_CAP,
+    table_cache_occupancy, table_memory_counters, Forecast, ForecastScratch, ForecastTables,
+    MemCounters, FORECAST_TABLE_CACHE_CAP,
 };
 pub use forecaster::{BayesianForecaster, EwmaForecaster, Forecaster};
 pub use lru::{LruCache, Memo, MemoCounters};

@@ -110,7 +110,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 /// *disk* artifact cache — a "built" here may still have been a disk hit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemCounters {
-    /// First-time materializations (DP build or disk decode).
+    /// First-time materializations (a build, or a disk decode for a
+    /// kind the disk cache also stores).
     pub built: u64,
     /// Requests served from an already-live in-memory instance.
     pub reused: u64,

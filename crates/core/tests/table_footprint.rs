@@ -1,8 +1,5 @@
-//! Peak memory of the two ways a forecast table enters a process — a
-//! build plus its store, and a warm load — read as the rise of `VmHWM`
+//! Peak memory of a forecast table's build, read as the rise of `VmHWM`
 //! over `VmRSS` after resetting the peak through `/proc/self/clear_refs`.
-//! A dense 6 MiB table held twice (the table and its encoding, or the
-//! file's bytes and the decoded table) raised it by ≈ 12 MiB each way.
 //!
 //! `#[ignore]`d — the peak is process-wide, so this runs on its own,
 //! optimised (the verify skill's "Forecast table" section):
@@ -11,7 +8,7 @@
 //! cargo test --release -p sprout-core --test table_footprint -- --ignored --nocapture
 //! ```
 
-use sprout_core::{table_cache_counters, ForecastTables, SproutConfig};
+use sprout_core::{ForecastTables, SproutConfig, TransitionKernel};
 
 /// A `/proc/self/status` field, in kB.
 fn status_kb(field: &str) -> u64 {
@@ -37,32 +34,17 @@ fn peak_rise_kb(work: impl FnOnce()) -> u64 {
 
 #[test]
 #[ignore = "reads the process-wide peak: run alone, optimised"]
-fn a_paper_table_is_held_once_on_its_way_in() {
-    let dir = std::env::temp_dir().join(format!("sprout-table-footprint-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    sprout_cache::set_dir(&dir);
+fn a_paper_table_build_holds_one_table() {
     let cfg = SproutConfig::paper();
-    let before = table_cache_counters();
-    let build = peak_rise_kb(|| drop(ForecastTables::load_or_build(&cfg)));
-    let mut loaded = None;
-    let load = peak_rise_kb(|| loaded = Some(ForecastTables::load_or_build(&cfg)));
-    let traffic = table_cache_counters().since(before);
-    sprout_cache::reset_override();
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!((traffic.stores, traffic.hits), (1, 1), "{traffic:?}");
-    let table = loaded.expect("loaded");
+    let mut built = None;
+    let build =
+        peak_rise_kb(|| built = Some(ForecastTables::build(&cfg, &TransitionKernel::new(&cfg))));
+    let table = built.expect("built");
     eprintln!(
-        "VmHWM rise: build + store {build} kB, warm load {load} kB; \
-         table {} B of heap, {} B of payload",
-        table.heap_bytes(),
-        table.to_bytes().len()
+        "VmHWM rise: build {build} kB; table {} B of heap",
+        table.heap_bytes()
     );
     // The DP scratch (`G` and one strip of `M`, 1.6 MiB) and the table
-    // (1.5 MB), or the file's bytes and the table: with headroom, and far
-    // from two dense copies.
-    assert!(
-        build <= 7 * 1024,
-        "build + store raised VmHWM by {build} kB"
-    );
-    assert!(load <= 5 * 1024, "a warm load raised VmHWM by {load} kB");
+    // (1.5 MB): with headroom, and far from two dense copies.
+    assert!(build <= 7 * 1024, "a build raised VmHWM by {build} kB");
 }

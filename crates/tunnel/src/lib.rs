@@ -230,29 +230,12 @@ impl TunnelEndpoint {
         }
     }
 
-    /// Allocating convenience form of
-    /// [`TunnelEndpoint::on_wire_packet_into`] (tests, drivers outside
-    /// the hot loop).
-    pub fn on_wire_packet(&mut self, packet: Packet, now: Timestamp) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.on_wire_packet_into(packet, now, &mut out);
-        out
-    }
-
     /// Produce Sprout wire packets to transmit toward the network,
     /// appending to `out` (the event loop's recycled buffer).
     pub fn poll_wire_into(&mut self, now: Timestamp, out: &mut Vec<Packet>) {
         self.enforce_cap(now);
         self.fill_window(now);
         self.sprout.poll_into(now, out);
-    }
-
-    /// Allocating convenience form of
-    /// [`TunnelEndpoint::poll_wire_into`].
-    pub fn poll_wire(&mut self, now: Timestamp) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.poll_wire_into(now, &mut out);
-        out
     }
 
     /// Next wakeup of the underlying Sprout machinery.
@@ -456,7 +439,8 @@ mod tests {
         }
         .encode_with_padding();
         let now = Timestamp::from_millis(5);
-        let _ = t.on_wire_packet(Packet::from_payload(FlowId::PRIMARY, 0, feedback), now);
+        let feedback = Packet::from_payload(FlowId::PRIMARY, 0, feedback);
+        t.on_wire_packet_into(feedback, now, &mut Vec::new());
         let window = t.sprout.window_bytes(now);
         let charged = (40 + FULL_HEADER_LEN + ENCAP_LEN) as u64;
         let shipped = (FULL_HEADER_LEN + ENCAP_LEN + 25) as u64;
@@ -468,7 +452,8 @@ mod tests {
         for _ in 0..offered {
             t.inject_local(ack.clone(), now);
         }
-        let wire = t.poll_wire(now);
+        let mut wire = Vec::new();
+        t.poll_wire_into(now, &mut wire);
         assert_eq!(t.stats().dropped, 0);
         assert_eq!(t.stats().forwarded, window / charged);
         assert_eq!(wire.len() as u64, window / charged);
@@ -509,7 +494,7 @@ mod tests {
             t.inject_local(client_packet(2, seq, 200), Timestamp::ZERO);
         }
         assert_eq!(t.stats().enqueued, 6);
-        let _wire = t.poll_wire(Timestamp::ZERO);
+        t.poll_wire_into(Timestamp::ZERO, &mut Vec::new());
         // With the EWMA's startup window at least two packets fit, and
         // round-robin must take them from both flows before repeating one.
         assert!(
@@ -595,14 +580,14 @@ mod tests {
         }
         .encode_with_padding();
         let wire = Packet::from_payload(FlowId::PRIMARY, 0, payload);
-        let _ = t.on_wire_packet(wire, Timestamp::ZERO);
+        t.on_wire_packet_into(wire, Timestamp::ZERO, &mut Vec::new());
         // Flow 1: a deep backlog far over the cap; flow 2: two packets.
         for seq in 0..40 {
             t.inject_local(client_packet(1, seq, 1_000), Timestamp::ZERO);
         }
         t.inject_local(client_packet(2, 0, 100), Timestamp::ZERO);
         t.inject_local(client_packet(2, 1, 100), Timestamp::ZERO);
-        let _ = t.poll_wire(Timestamp::ZERO);
+        t.poll_wire_into(Timestamp::ZERO, &mut Vec::new());
         assert!(t.stats().dropped > 0, "cap must shed backlog");
         // Drops come from the long flow; the short flow is untouched
         // (either still queued or already forwarded).

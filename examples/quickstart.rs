@@ -26,7 +26,7 @@ fn main() {
     // 2. Two Sprout endpoints. The paper's frozen configuration: 20 ms
     //    ticks, sigma = 200, 95%-confidence forecasts. The first
     //    construction builds the forecast tables (tens of milliseconds,
-    //    or a load from `.sprout-cache`).
+    //    once per process).
     println!("building forecast tables...");
     let cfg = SproutConfig::paper();
     let mut sender = SproutEndpoint::new(cfg.clone());

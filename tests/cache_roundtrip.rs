@@ -1,11 +1,12 @@
 //! Artifact-cache integration: cached artifacts must be bit-identical to
 //! fresh builds, corruption and version bumps must invalidate cleanly,
-//! and concurrent first builds must not duplicate work or corrupt state.
+//! forecast tables never reach the disk, and concurrent first builds must
+//! not duplicate work or corrupt state.
 //!
-//! Every test redirects the process-global cache root, so they all
-//! funnel through one mutex — `cargo test` runs tests of one binary in
-//! parallel, and two tests swapping the root under each other would
-//! race.
+//! Every test that touches the disk redirects the process-global cache
+//! root, so they all funnel through one mutex — `cargo test` runs tests
+//! of one binary in parallel, and two tests swapping the root under each
+//! other would race.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -31,10 +32,10 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A tiny but non-trivial sweep (2 schemes × 1 link, 20 virtual seconds).
+/// A tiny but non-trivial sweep (3 schemes × 1 link, 20 virtual seconds).
 fn tiny_matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder("cache-it")
-        .schemes([Scheme::SproutEwma, Scheme::Cubic])
+        .schemes([Scheme::Sprout, Scheme::SproutEwma, Scheme::Cubic])
         .links([NetProfile::TmobileUmtsDown])
         .timing(Duration::from_secs(20), Duration::from_secs(4))
         .build()
@@ -54,12 +55,8 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
     sprout_cache::set_dir(&dir);
     let cold = run_tiny_sweep(31);
     let m = tiny_matrix();
-    let (table0, trace0) = (
-        sprout_core::table_cache_counters(),
-        sprout_trace::trace_cache_counters(),
-    );
+    let trace0 = sprout_trace::trace_cache_counters();
     let results = SweepEngine::new(31).with_threads(2).run(&m);
-    let table_cache = sprout_core::table_cache_counters().since(table0);
     let trace_cache = sprout_trace::trace_cache_counters().since(trace0);
     let warm = sweep_to_json(m.name(), 31, &results);
     sprout_cache::disable();
@@ -68,44 +65,25 @@ fn sweep_json_is_bit_identical_cold_warm_and_disabled() {
 
     assert_eq!(cold, warm, "warm cache changed the sweep output");
     assert_eq!(cold, disabled, "disabling the cache changed the output");
-    // The cold run populated the trace artifacts this matrix needs.
-    assert!(
-        std::fs::read_dir(&dir).unwrap().count() > 0,
-        "cold run stored nothing"
-    );
-    // ...and the warm run found every one of them.
+    // The cold run stored the traces and cells this matrix needs, and no
+    // forecast table: the Sprout cell's table is built in memory only.
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(!files.is_empty(), "cold run stored nothing");
+    for file in &files {
+        assert!(
+            file.starts_with("trace-synth-") || file.starts_with("cell-result-"),
+            "the cache holds {file}"
+        );
+    }
+    // The warm run found every trace.
     assert!(trace_cache.hits > 0, "{trace_cache:?}");
     assert_eq!(
-        (table_cache.misses, trace_cache.misses),
-        (0, 0),
-        "warm run missed a table or trace artifact: {table_cache:?} {trace_cache:?}"
+        trace_cache.misses, 0,
+        "warm run missed a trace: {trace_cache:?}"
     );
-}
-
-#[test]
-fn cached_tables_are_bit_identical_to_fresh_build() {
-    let _g = cache_lock().lock().unwrap();
-    let dir = fresh_dir("tables");
-    let cfg = SproutConfig {
-        num_bins: 48,
-        max_rate_pps: 300.0,
-        sigma: 120.0,
-        count_max: 192,
-        ..SproutConfig::test_small()
-    };
-
-    sprout_cache::set_dir(&dir);
-    let built = ForecastTables::load_or_build(&cfg); // cold: builds + stores
-    let cached = ForecastTables::load_or_build(&cfg); // warm: decodes
-    sprout_cache::reset_override();
-
-    assert_eq!(
-        built.to_bytes(),
-        cached.to_bytes(),
-        "cached tables must round-trip bit-exactly"
-    );
-    let c = sprout_core::table_cache_counters();
-    assert!(c.hits >= 1, "second load_or_build must hit: {c:?}");
 }
 
 #[test]
@@ -149,32 +127,7 @@ fn corrupt_cache_files_are_rebuilt_transparently() {
 }
 
 #[test]
-fn truncated_table_artifact_is_rebuilt() {
-    let _g = cache_lock().lock().unwrap();
-    let dir = fresh_dir("truncate");
-    let cfg = SproutConfig {
-        num_bins: 32,
-        count_max: 128,
-        ..SproutConfig::test_small()
-    };
-
-    sprout_cache::set_dir(&dir);
-    let original = ForecastTables::load_or_build(&cfg);
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-    }
-    let rebuilt = ForecastTables::load_or_build(&cfg);
-    sprout_cache::reset_override();
-
-    assert_eq!(original.to_bytes(), rebuilt.to_bytes());
-}
-
-#[test]
 fn concurrent_first_builds_share_one_table() {
-    let _g = cache_lock().lock().unwrap();
-    let dir = fresh_dir("concurrent");
     // A geometry no other test uses, so this process has no in-memory
     // entry yet: the per-key OnceLock must hand every thread one Arc.
     let cfg = SproutConfig {
@@ -184,14 +137,12 @@ fn concurrent_first_builds_share_one_table() {
         ..SproutConfig::test_small()
     };
 
-    sprout_cache::set_dir(&dir);
     let tables: Vec<Arc<ForecastTables>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|_| s.spawn(|| ForecastTables::get(&cfg)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    sprout_cache::reset_override();
 
     for t in &tables[1..] {
         assert!(
