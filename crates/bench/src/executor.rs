@@ -34,7 +34,7 @@ use crate::schemes::{
     app_endpoints, build_endpoints, sprout_data_sender, sprout_endpoint, RunConfig, Scheme,
 };
 
-/// Built / reused / evicted / live counts of every sweep's [`TraceMemo`].
+/// Built / reused counts of every sweep's [`TraceMemo`].
 static TRACE_COUNTERS: sprout_core::MemoCounters = sprout_core::MemoCounters::zeroed();
 
 /// Process-wide in-memory trace amortization counters: `built` counts
@@ -42,14 +42,6 @@ static TRACE_COUNTERS: sprout_core::MemoCounters = sprout_core::MemoCounters::ze
 /// served by an already-synthesized in-memory trace (the sweep memo).
 pub fn trace_memory_counters() -> sprout_core::MemCounters {
     TRACE_COUNTERS.memory()
-}
-
-/// Occupancy of the most recent sweep's trace memo: `(live_entries,
-/// evictions_total)`. Live entries never exceed the memo's LRU cap, so a
-/// daemon sweeping many disjoint `(link, duration)` geometries holds a
-/// bounded number of synthesized traces in memory at once.
-pub fn trace_memo_occupancy() -> (usize, u64) {
-    TRACE_COUNTERS.occupancy()
 }
 
 /// The bulk flow of the §5.7 mux/tunnel cells.
@@ -65,24 +57,16 @@ pub const INTERACTIVE_FLOW: FlowId = FlowId(2);
 /// to results.
 pub type CellScratch = sprout_sim::SimScratch;
 
-/// How many links' inputs one sweep's memo keeps live at once. Covers
-/// the widest matrix the experiments declare (8 link profiles × 2
-/// directions at one duration) so in practice nothing evicts; a
-/// daemon-submitted matrix crossing many `(link, duration)` geometries
-/// recycles slots instead of holding every trace to the end of the
-/// sweep.
-const TRACE_MEMO_CAP: usize = 16;
-
-/// Lazily resolved link inputs shared by every cell of one sweep,
-/// bounded by an LRU over `(link, duration)` keys. A slot is a
-/// [`LinkInputs`]: the trace, and the floors derived from it. Values are
+/// Lazily resolved link inputs shared by every cell of one sweep, keyed
+/// by `(link, duration)`. A slot is a [`LinkInputs`]: the trace, and the
+/// floors derived from it. The memo keeps every key the sweep asks for
+/// and is dropped with the sweep, so its traces die with it. Values are
 /// byte-identical to what a cell would build locally: synthetic links
 /// depend only on `(master_seed, profile, duration)`, measured links
-/// only on `(capture bytes, duration)` — so neither memoization nor
-/// eviction can change results. Synthesis happens inside the requesting
-/// cell's thread (under its watchdog), first-come: concurrent
-/// requesters of one key share a per-key `OnceLock` build slot and
-/// block only on that key.
+/// only on `(capture bytes, duration)` — so memoization cannot change
+/// results. Synthesis happens inside the requesting cell's thread (under
+/// its watchdog), first-come: concurrent requesters of one key share a
+/// per-key `OnceLock` build slot and block only on that key.
 pub struct TraceMemo {
     master_seed: u64,
     slots: sprout_core::Memo<(LinkSpec, Duration), Arc<LinkInputs>>,
@@ -95,8 +79,8 @@ type FloorKey = (Duration, Timestamp, Timestamp);
 /// What every cell on one `(link, duration)` shares: the trace (one
 /// allocation; [`Trace::clone`] is a reference count) and the omniscient
 /// floors computed from it, memoised by their full argument tuple. The
-/// floors live and die with the trace they were computed from — evicting
-/// the slot drops both.
+/// floors live and die with the trace they were computed from — dropping
+/// the memo drops both.
 pub struct LinkInputs {
     trace: Trace,
     floors: Mutex<Vec<(FloorKey, Option<Duration>)>>,
@@ -137,7 +121,7 @@ impl TraceMemo {
     pub fn new(master_seed: u64) -> Self {
         TraceMemo {
             master_seed,
-            slots: sprout_core::Memo::new(TRACE_MEMO_CAP, &TRACE_COUNTERS),
+            slots: sprout_core::Memo::new(&TRACE_COUNTERS),
         }
     }
 

@@ -1,83 +1,50 @@
-//! In-memory cache boundedness across disjoint-geometry sweeps: a
-//! daemon that accepts arbitrary submitted matrices must not accumulate
-//! synthesized traces or forecast tables without bound. The trace memo
-//! is scoped to one sweep and LRU-bounded within it; the forecast-table
-//! cache is process-global but LRU-bounded (its eviction behavior is
-//! pinned in `sprout-core`). Here we pin the sweep-facing view: run two
-//! sweeps with disjoint `(link, duration)` geometries and assert the
-//! memo occupancy reflects only the latest sweep, never the union.
+//! What the in-memory memos hold on to. A sweep's trace memo belongs to
+//! that sweep: it keeps every `(link, duration)` the sweep asks for and
+//! is dropped when the sweep ends, so a second sweep of the same matrix
+//! synthesizes its traces again instead of finding the first sweep's.
 //!
 //! A memo slot is a link's shared inputs — the trace and the omniscient
 //! floors computed from it. The second test pins that sharing: cells of
 //! one `(link, duration, prop_delay, window)` compute the floor once, a
-//! different `prop_delay` or window computes its own, and evicting the
-//! slot drops the floors with the trace.
+//! different `prop_delay` or window computes its own, and dropping the
+//! memo drops the floors with the trace.
 
 use std::sync::{Arc, Mutex};
 
 use sprout_bench::{
-    execute_with_memo, trace_memo_occupancy, CellScratch, LinkSpec, ScenarioMatrix, Scheme,
+    execute_with_memo, trace_memory_counters, CellScratch, LinkSpec, ScenarioMatrix, Scheme,
     SweepEngine, TraceMemo,
 };
-use sprout_core::{table_cache_occupancy, FORECAST_TABLE_CACHE_CAP};
 use sprout_sim::omniscient_p95_delay;
 use sprout_trace::{Duration, NetProfile, Timestamp};
 
-/// `trace_memo_occupancy` reads process-global gauges that every memo
-/// writes: the tests of this binary take turns.
+/// `trace_memory_counters` counts every memo of the process: the tests
+/// of this binary take turns.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn matrix(name: &str, links: [NetProfile; 2], secs: u64) -> ScenarioMatrix {
-    ScenarioMatrix::builder(name)
-        .schemes([Scheme::SproutEwma])
-        .links(links)
-        .timing(Duration::from_secs(secs), Duration::from_secs(1))
-        .build()
-}
-
 #[test]
-fn disjoint_geometry_sweeps_do_not_accumulate_traces() {
+fn a_sweeps_traces_die_with_the_sweep() {
     let _turn = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Two sweeps, zero shared (link, duration) keys: different links AND
-    // different durations.
-    let first = matrix(
-        "memo-a",
-        [NetProfile::VerizonLteDown, NetProfile::Verizon3gUp],
-        4,
-    );
-    let second = matrix(
-        "memo-b",
-        [NetProfile::AttLteDown, NetProfile::TmobileUmtsUp],
-        5,
-    );
+    // No cell cache: both sweeps execute every cell.
+    sprout_cache::disable();
+    let matrix = ScenarioMatrix::builder("memo-sweep")
+        .schemes([Scheme::SproutEwma])
+        .links([NetProfile::VerizonLteDown, NetProfile::Verizon3gUp])
+        .timing(Duration::from_secs(4), Duration::from_secs(1))
+        .build();
+    let sweep = || {
+        let before = trace_memory_counters();
+        let results = SweepEngine::new(23).with_threads(1).run(&matrix);
+        assert_eq!(results.len(), matrix.len());
+        trace_memory_counters().since(before).built
+    };
 
-    let a = SweepEngine::new(23).with_threads(1).run(&first);
-    assert_eq!(a.len(), first.len());
-    let (after_a, _) = trace_memo_occupancy();
-
-    let b = SweepEngine::new(23).with_threads(1).run(&second);
-    assert_eq!(b.len(), second.len());
-    let (after_b, _) = trace_memo_occupancy();
-
-    // Each sweep touches at most 4 keys (2 links × 2 directions at one
-    // duration). If geometries accumulated across sweeps, the second
-    // occupancy would report the union (> 4).
-    assert!(
-        after_a <= 4,
-        "first sweep's memo held {after_a} traces, expected ≤ 4"
-    );
-    assert!(
-        after_b <= 4,
-        "second sweep's memo must not retain the first sweep's \
-         geometries: {after_b} traces live"
-    );
-
-    // The process-global forecast-table cache obeys its own cap.
-    let (tables_live, _) = table_cache_occupancy();
-    assert!(
-        tables_live <= FORECAST_TABLE_CACHE_CAP,
-        "forecast-table cache grew to {tables_live} entries past the cap"
-    );
+    // 2 links × 2 directions at one duration.
+    let first = sweep();
+    assert_eq!(first, 4, "one synthesis per (link, duration) key");
+    // Had the first sweep's traces outlived it, the second would reuse
+    // them and build nothing.
+    assert_eq!(sweep(), first, "the second sweep synthesizes afresh");
 }
 
 #[test]
@@ -143,20 +110,8 @@ fn a_link_computes_each_floor_once_and_drops_it_with_the_trace() {
     assert_eq!(floors, vec![direct(20, 2); 2]);
     assert_eq!(slot().floors_computed(), 3);
 
-    // The floors live in the trace's slot: pushing the slot out of the
-    // LRU (more distinct geometries than it holds) frees both, and the
-    // link starts over when it is asked for again.
-    let evicted = Arc::downgrade(&slot());
-    let (_, evictions_before) = trace_memo_occupancy();
-    let mut geometries = 0u64;
-    while evicted.strong_count() > 0 {
-        geometries += 1;
-        assert!(geometries <= 64, "the memo never evicted the link's slot");
-        memo.link(
-            LinkSpec::from(NetProfile::Verizon3gDown),
-            Duration::from_millis(200 + geometries),
-        );
-    }
-    assert!(trace_memo_occupancy().1 > evictions_before);
-    assert_eq!(slot().floors_computed(), 0);
+    // The floors live in the trace's slot: dropping the memo frees both.
+    let slot = Arc::downgrade(&slot());
+    drop(memo);
+    assert_eq!(slot.strong_count(), 0, "the link's slot outlived its memo");
 }

@@ -186,6 +186,13 @@ fn killed_worker_is_redealt_and_merge_matches_single_process_run() {
     let reference =
         std::fs::read(ref_out.join("soak_sweep.json")).expect("reference sweep artifact");
 
+    // The daemon runs in this process but only spawns workers and reads
+    // the cell cache: it builds no forecast table and synthesizes no
+    // trace, in memory or through the trace artifact.
+    let tables0 = sprout_core::table_memory_counters();
+    let traces0 = sprout_bench::trace_memory_counters();
+    let trace_disk0 = sprout_trace::trace_cache_counters();
+
     let (endpoint, handle, out, state_dir) = start_daemon("kill");
     let id = submit(&endpoint, 2);
 
@@ -234,6 +241,14 @@ fn killed_worker_is_redealt_and_merge_matches_single_process_run() {
         .and_then(|s| s.parse().ok())
         .unwrap();
     assert!(total > 0 && cached == total, "cells: {cached}/{total}");
+
+    let none = sprout_core::MemCounters::default();
+    assert_eq!(sprout_core::table_memory_counters().since(tables0), none);
+    assert_eq!(sprout_bench::trace_memory_counters().since(traces0), none);
+    assert_eq!(
+        sprout_trace::trace_cache_counters().since(trace_disk0),
+        Default::default()
+    );
 
     shutdown(&endpoint, handle, &state_dir);
 }

@@ -71,40 +71,24 @@ use std::sync::{Arc, LazyLock};
 use sprout_cache::ByteWriter;
 
 use crate::config::{SproutConfig, TableKey};
-pub use crate::lru::MemCounters;
-use crate::lru::{Memo, MemoCounters};
+pub use crate::memo::MemCounters;
+use crate::memo::{Memo, MemoCounters};
 #[cfg(any(test, feature = "testing"))]
 use crate::model::ScatterMatrix;
 use crate::model::TransitionKernel;
 use crate::simd::{mixture_lanes, strip_sum_into, CDF_LANES, STRIP_LANES};
 
-/// Built / reused / evicted / live counts of [`TABLE_MEMO`].
+/// Built / reused counts of [`TABLE_MEMO`].
 static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
-
-/// How many link geometries the in-memory forecast-table cache keeps
-/// live at once. Each entry is ≈ 1.5 MB at paper scale; eight covers every
-/// matrix the `reproduce` experiments declare with headroom, while a
-/// daemon cycling through arbitrary geometries stays bounded. The cap
-/// bounds memory, not time: an evicted geometry is rebuilt in tens of
-/// milliseconds.
-pub const FORECAST_TABLE_CACHE_CAP: usize = 8;
 
 /// Everything immutable that one table geometry needs at runtime: the
 /// CDF tables and the transition kernel they were built from (the same
 /// [`TableKey`] determines both).
 type SharedModel = (Arc<ForecastTables>, Arc<TransitionKernel>);
 
-/// The process-wide bounded memo of built geometries.
+/// The process-wide memo of built geometries.
 static TABLE_MEMO: LazyLock<Memo<TableKey, SharedModel>> =
-    LazyLock::new(|| Memo::new(FORECAST_TABLE_CACHE_CAP, &TABLE_COUNTERS));
-
-/// Occupancy of the in-memory forecast-table cache: `(live_entries,
-/// evictions_total)`. `live_entries` never exceeds
-/// [`FORECAST_TABLE_CACHE_CAP`]; a growing `evictions_total` under a
-/// geometry-heavy sweep is the cache recycling slots as designed.
-pub fn table_cache_occupancy() -> (usize, u64) {
-    TABLE_COUNTERS.occupancy()
-}
+    LazyLock::new(|| Memo::new(&TABLE_COUNTERS));
 
 /// Process-wide in-memory forecast-table amortization counters: `built`
 /// counts [`ForecastTables::get`] calls that built a table, `reused`
@@ -115,9 +99,8 @@ pub fn table_memory_counters() -> MemCounters {
 
 /// Unit tests of this crate run as threads of one process and share the
 /// table cache and the counters above. Every [`ForecastTables::get`]
-/// holds this gate shared, so a test that asserts exact counter deltas,
-/// or that an entry it just fetched is still cached, holds it exclusively
-/// and sees its own fetches only.
+/// holds this gate shared, so a test that asserts exact counter deltas
+/// holds it exclusively and sees its own fetches only.
 #[cfg(test)]
 pub(crate) mod fetch_gate {
     use std::cell::Cell;
@@ -236,10 +219,9 @@ impl Span {
 impl ForecastTables {
     /// Fetch (building on first use) the tables for `cfg` from the global
     /// cache. Tables depend only on the model geometry, not the percentile,
-    /// so Fig-9 style confidence sweeps share one build. The cache is a
-    /// bounded LRU ([`FORECAST_TABLE_CACHE_CAP`] geometries, ≈ 1.5 MB each
-    /// at paper scale): a daemon sweeping many disjoint geometries recycles
-    /// slots instead of growing without bound.
+    /// so Fig-9 style confidence sweeps share one build. The cache keeps
+    /// every geometry asked for (≈ 1.5 MB each at paper scale): the model
+    /// parameters are frozen, so a `reproduce` process asks for one.
     pub fn get(cfg: &SproutConfig) -> Arc<ForecastTables> {
         Self::get_with_kernel(cfg).0
     }
@@ -250,7 +232,7 @@ impl ForecastTables {
     pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
         #[cfg(test)]
         let _gate = fetch_gate::shared();
-        // One build per live geometry (tens of milliseconds and ≈ 1.5 MB at
+        // One build per geometry (tens of milliseconds and ≈ 1.5 MB at
         // paper scale), shared by every concurrent sweep worker that asks
         // for it.
         TABLE_MEMO.get_or_build(&cfg.table_key(), || {
@@ -1131,40 +1113,6 @@ mod tests {
     }
 
     #[test]
-    fn table_cache_stays_bounded_across_disjoint_geometries() {
-        // A daemon sweeping many distinct link geometries must not grow
-        // the in-memory table cache without bound: push well past the cap
-        // and pin that occupancy stays at or under it while the overflow
-        // shows up as evictions.
-        let span = FORECAST_TABLE_CACHE_CAP + 4;
-        let (_, evicted_before) = table_cache_occupancy();
-        for i in 0..span {
-            let cfg = SproutConfig {
-                num_bins: 16 + i, // distinct geometry ⇒ distinct table key
-                max_rate_pps: 100.0,
-                sigma: 100.0,
-                count_max: 32,
-                ..SproutConfig::default()
-            };
-            let _t = ForecastTables::get(&cfg);
-            let (len, _) = table_cache_occupancy();
-            assert!(
-                len <= FORECAST_TABLE_CACHE_CAP,
-                "cache grew to {len} entries past the cap after geometry {i}"
-            );
-        }
-        let (_, evicted_after) = table_cache_occupancy();
-        // Other tests in this binary share the cache, so evictions can
-        // only exceed the floor this loop forces.
-        assert!(
-            evicted_after - evicted_before >= (span - FORECAST_TABLE_CACHE_CAP) as u64,
-            "expected ≥{} evictions, saw {}",
-            span - FORECAST_TABLE_CACHE_CAP,
-            evicted_after - evicted_before
-        );
-    }
-
-    #[test]
     fn forecast_is_monotone_in_tick() {
         let cfg = small_cfg();
         let t = tables(&cfg);
@@ -1355,9 +1303,6 @@ mod tests {
 
     #[test]
     fn cache_returns_shared_instance() {
-        // Alone, or the tests cycling geometries through the bounded cache
-        // can evict the entry between the two fetches.
-        let _alone = fetch_gate::exclusive();
         let cfg = small_cfg();
         let a = ForecastTables::get(&cfg);
         let b = ForecastTables::get(&cfg);

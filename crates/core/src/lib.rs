@@ -43,7 +43,7 @@ pub mod config;
 pub mod endpoint;
 pub mod forecast;
 pub mod forecaster;
-pub mod lru;
+pub mod memo;
 pub mod model;
 pub mod receiver;
 pub mod sender;
@@ -54,17 +54,14 @@ pub mod wire;
 
 pub use config::SproutConfig;
 pub use endpoint::{EndpointStats, SproutEndpoint};
-pub use forecast::{
-    table_cache_occupancy, table_memory_counters, Forecast, ForecastScratch, ForecastTables,
-    MemCounters, FORECAST_TABLE_CACHE_CAP,
-};
+pub use forecast::{table_memory_counters, Forecast, ForecastScratch, ForecastTables, MemCounters};
 pub use forecaster::{BayesianForecaster, EwmaForecaster, Forecaster};
-pub use lru::{LruCache, Memo, MemoCounters};
+pub use memo::{Memo, MemoCounters};
 pub use model::{
     likelihood_memo_occupancy, RateModel, ScatterMatrix, TransitionKernel,
     LIKELIHOOD_MEMO_MAX_BYTES,
 };
 pub use receiver::SproutReceiver;
 pub use sender::SproutSender;
-pub use session::{SessionPool, SessionRef};
+pub use session::SessionPool;
 pub use wire::{SproutHeader, WireError, WireForecast};

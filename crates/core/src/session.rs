@@ -13,14 +13,13 @@
 //! (see [`RateModel::observe_exposed`]), and so is the evolve's masked
 //! copy of the posterior, so sessions share those too. Each session owns only what actually
 //! differs per user: its [`SproutEndpoint`] state machine (whose
-//! forecaster carries its own posterior and `ForecastScratch`), its RNG
-//! sub-stream seed derived from `(cell_seed, session_id)` via
-//! [`sprout_trace::session_seed`], and its [`EndpointStats`].
+//! forecaster carries its own posterior and `ForecastScratch`) and its
+//! [`EndpointStats`]. A session's RNG sub-streams (loss, impairment) are
+//! the caller's: they derive from `(cell_seed, session_id)` via
+//! [`sprout_trace::session_seed`].
 //!
-//! The pool is laid out struct-of-arrays: parallel `ids` / `seeds` /
-//! `endpoints` columns indexed by a dense session index, so the server's
-//! event loop iterates hot columns (wakeups, stats) without striding over
-//! cold protocol state.
+//! The pool holds its endpoints in one column indexed by a dense session
+//! index, plus the `session_id → index` demux map.
 //!
 //! [`table_memory_counters`]: crate::forecast::table_memory_counters
 //! [`RateModel::observe_exposed`]: crate::model::RateModel::observe_exposed
@@ -34,22 +33,9 @@ use crate::forecast::ForecastTables;
 use crate::forecaster::BayesianForecaster;
 use crate::model::TransitionKernel;
 use sprout_sim::FlowId;
-use sprout_trace::session_seed;
 
-/// The per-session state of one Sprout session inside a pool, borrowed by
-/// dense index. Everything here is *per user*; everything shared lives
-/// once on the [`SessionPool`].
-pub struct SessionRef<'a> {
-    /// The wire-visible session id (also the packet [`FlowId`]).
-    pub id: u32,
-    /// This session's RNG sub-stream seed, `session_seed(cell_seed, id)`.
-    pub seed: u64,
-    /// The session's protocol state machine.
-    pub endpoint: &'a mut SproutEndpoint,
-}
-
-/// A struct-of-arrays pool of independent Sprout sessions sharing one
-/// forecast-table build.
+/// A pool of independent Sprout sessions sharing one forecast-table
+/// build.
 ///
 /// A pool belongs to exactly one cell (one `cell_seed`): session identity
 /// is `(cell_seed, session_id)`, and [`SessionPool::add_session`] asserts
@@ -58,16 +44,13 @@ pub struct SessionRef<'a> {
 /// coexist.
 pub struct SessionPool {
     cfg: SproutConfig,
+    /// The cell this pool belongs to, named by the duplicate-session panic.
     cell_seed: u64,
     /// The shared immutable forecast tables and transition kernel,
     /// captured from the first session's forecaster; every later session
     /// must share these exact allocations (asserted in `add_session`).
     shared: Option<(Arc<ForecastTables>, Arc<TransitionKernel>)>,
-    /// SoA column: wire-visible session ids, by dense index.
-    ids: Vec<u32>,
-    /// SoA column: per-session RNG sub-stream seeds, by dense index.
-    seeds: Vec<u64>,
-    /// SoA column: per-session protocol state machines, by dense index.
+    /// Per-session protocol state machines, by dense index.
     endpoints: Vec<SproutEndpoint>,
     /// Demux map: session id → dense index.
     index: HashMap<u32, usize>,
@@ -82,8 +65,6 @@ impl SessionPool {
             cfg,
             cell_seed,
             shared: None,
-            ids: Vec::new(),
-            seeds: Vec::new(),
             endpoints: Vec::new(),
             index: HashMap::new(),
         }
@@ -100,7 +81,7 @@ impl SessionPool {
     /// identity is `(cell_seed, session_id)`, and duplicating it would
     /// alias one RNG sub-stream across two live sessions.
     pub fn add_session(&mut self, session_id: u32) -> usize {
-        let idx = self.ids.len();
+        let idx = self.endpoints.len();
         assert!(
             self.index.insert(session_id, idx).is_none(),
             "duplicate session: (cell_seed={}, session_id={session_id}) already exists",
@@ -123,25 +104,18 @@ impl SessionPool {
         }
         let mut endpoint = SproutEndpoint::with_forecaster(self.cfg.clone(), Box::new(forecaster));
         endpoint.set_flow(FlowId(session_id));
-        self.ids.push(session_id);
-        self.seeds.push(session_seed(self.cell_seed, session_id));
         self.endpoints.push(endpoint);
         idx
     }
 
     /// Number of sessions in the pool.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.endpoints.len()
     }
 
     /// True when the pool holds no sessions.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The cell seed all session sub-streams derive from.
-    pub fn cell_seed(&self) -> u64 {
-        self.cell_seed
+        self.endpoints.is_empty()
     }
 
     /// The shared table handle (`None` until the first session is added).
@@ -160,28 +134,9 @@ impl SessionPool {
         self.index.get(&session_id).copied()
     }
 
-    /// The wire-visible session id at dense index `idx`.
-    pub fn session_id(&self, idx: usize) -> u32 {
-        self.ids[idx]
-    }
-
-    /// The RNG sub-stream seed of the session at dense index `idx`.
-    pub fn session_seed(&self, idx: usize) -> u64 {
-        self.seeds[idx]
-    }
-
     /// Mutable access to the session endpoint at dense index `idx`.
     pub fn endpoint_mut(&mut self, idx: usize) -> &mut SproutEndpoint {
         &mut self.endpoints[idx]
-    }
-
-    /// Borrow session `idx` as one logical record across the SoA columns.
-    pub fn session_mut(&mut self, idx: usize) -> SessionRef<'_> {
-        SessionRef {
-            id: self.ids[idx],
-            seed: self.seeds[idx],
-            endpoint: &mut self.endpoints[idx],
-        }
     }
 
     /// Endpoint counters of the session at dense index `idx`.
@@ -190,9 +145,9 @@ impl SessionPool {
     }
 
     /// Size of the *per-session* structs: the endpoint and forecaster
-    /// structs plus this pool's SoA slots. The heap buffers those structs
-    /// own (posterior, model scratch, forecast scratch — a few KB at
-    /// paper scale) are not counted. Shared state — per geometry the
+    /// structs plus this pool's demux-map entry. The heap buffers those
+    /// structs own (posterior, model scratch, forecast scratch — a few KB
+    /// at paper scale) are not counted. Shared state — per geometry the
     /// forecast tables and the transition kernel, per thread the
     /// likelihood memo and the evolve's masked source copy — is
     /// deliberately excluded: it does not scale with
@@ -201,8 +156,6 @@ impl SessionPool {
     pub fn approx_session_bytes(&self) -> usize {
         std::mem::size_of::<SproutEndpoint>()
             + std::mem::size_of::<BayesianForecaster>()
-            + std::mem::size_of::<u32>()
-            + std::mem::size_of::<u64>()
             // HashMap entry: key + value + bucket overhead (~1.1 factor
             // rounded up to whole words).
             + 3 * std::mem::size_of::<usize>()
@@ -243,9 +196,6 @@ mod tests {
 
     #[test]
     fn sessions_share_one_kernel_allocation() {
-        // Exclusive, so no concurrent test's geometries can evict this
-        // one's cache entry (and its handle) between the adds and the count.
-        let _alone = crate::forecast::fetch_gate::exclusive();
         let mut cfg = SproutConfig::test_small();
         cfg.max_rate_pps = 207.0; // a geometry of this test's own
         let mut pool = SessionPool::new(cfg, 42);
@@ -257,15 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_columns_align_and_seeds_derive_from_identity() {
+    fn index_of_maps_session_ids_to_dense_indices() {
         let mut pool = SessionPool::new(SproutConfig::test_small(), 7);
         pool.add_session(3);
         pool.add_session(11);
+        assert_eq!(pool.index_of(3), Some(0));
         assert_eq!(pool.index_of(11), Some(1));
         assert_eq!(pool.index_of(4), None);
-        assert_eq!(pool.session_id(1), 11);
-        assert_eq!(pool.session_seed(1), sprout_trace::session_seed(7, 11));
-        assert_eq!(pool.session_mut(0).id, 3);
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]

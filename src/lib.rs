@@ -9,8 +9,8 @@
 //! * [`sprout_sim`] — the Cellsim trace-driven network emulator
 //! * [`sprout_baselines`] — TCP variants, app models, omniscient, Saturator
 //! * [`sprout_tunnel`] — SproutTunnel flow isolation (§4.3)
-//! * [`sprout_cache`] — content-addressed artifact cache (forecast
-//!   tables, synthesized traces)
+//! * [`sprout_cache`] — content-addressed artifact cache (synthesized
+//!   traces, cell results)
 //!
 //! See README.md for the guided tour and ARCHITECTURE.md for the
 //! workspace layering, the experiment pipeline, and the cache-key
