@@ -14,10 +14,12 @@
 //! the qualitative placements in Figure 7. This is a deliberate,
 //! documented substitution for the unavailable closed-source binaries.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
+
+use crate::wire;
 
 /// One of the paper's modeled interactive applications, as a nameable
 /// value: the app-workload axis of the scenario matrix refers to apps by
@@ -135,58 +137,23 @@ impl AppProfile {
     }
 }
 
-// --- wire format ---
+// --- wire format (the baseline suite's one header layout, `wire`) ---
 
 const MAGIC_FRAME: u8 = 0xF0;
 const MAGIC_REPORT: u8 = 0xF1;
 /// Frame chunk: magic(1) seq(8) sent_at(8).
-const FRAME_HEADER: usize = 17;
+const FRAME_HEADER: usize = wire::len(2);
 /// Report: magic(1) max_delay_us(8) received(8).
-const REPORT_LEN: usize = 17;
+const REPORT_LEN: usize = wire::len(2);
 
 /// The 17 header bytes of a frame chunk; the media bytes behind it are
 /// filler the packet carries as [`Packet::padding`].
 fn encode_frame_chunk(seq: u64, sent_at: Timestamp) -> Bytes {
-    let mut hdr = [0u8; FRAME_HEADER];
-    let mut w = &mut hdr[..];
-    w.put_u8(MAGIC_FRAME);
-    w.put_u64_le(seq);
-    w.put_u64_le(sent_at.as_micros());
-    Bytes::copy_from_slice(&hdr)
+    wire::encode(MAGIC_FRAME, [seq, sent_at.as_micros()])
 }
 
 fn encode_report(max_delay: Duration, received: u64) -> Bytes {
-    let mut report = [0u8; REPORT_LEN];
-    let mut w = &mut report[..];
-    w.put_u8(MAGIC_REPORT);
-    w.put_u64_le(max_delay.as_micros());
-    w.put_u64_le(received);
-    Bytes::copy_from_slice(&report)
-}
-
-enum AppDecoded {
-    Frame { sent_at: Timestamp },
-    Report { max_delay: Duration },
-    Junk,
-}
-
-fn decode(payload: &[u8]) -> AppDecoded {
-    let mut buf = payload;
-    if buf.is_empty() {
-        return AppDecoded::Junk;
-    }
-    match buf.get_u8() {
-        MAGIC_FRAME if buf.len() >= FRAME_HEADER - 1 => {
-            let _seq = buf.get_u64_le();
-            AppDecoded::Frame {
-                sent_at: Timestamp::from_micros(buf.get_u64_le()),
-            }
-        }
-        MAGIC_REPORT if buf.len() >= REPORT_LEN - 1 => AppDecoded::Report {
-            max_delay: Duration::from_micros(buf.get_u64_le()),
-        },
-        _ => AppDecoded::Junk,
-    }
+    wire::encode(MAGIC_REPORT, [max_delay.as_micros(), received])
 }
 
 /// The sending side of a modeled videoconference application.
@@ -251,8 +218,8 @@ impl VideoAppSender {
 
 impl Endpoint for VideoAppSender {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        if let AppDecoded::Report { max_delay } = decode(&packet.payload) {
-            self.maybe_adapt(max_delay, now);
+        if let Some([max_delay_us, _received]) = wire::decode(&packet.payload, MAGIC_REPORT) {
+            self.maybe_adapt(Duration::from_micros(max_delay_us), now);
         }
     }
 
@@ -339,9 +306,9 @@ impl Default for VideoAppReceiver {
 
 impl Endpoint for VideoAppReceiver {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        if let AppDecoded::Frame { sent_at } = decode(&packet.payload) {
+        if let Some([_seq, sent_at]) = wire::decode(&packet.payload, MAGIC_FRAME) {
             self.received += 1;
-            let delay = now.saturating_since(sent_at);
+            let delay = now.saturating_since(Timestamp::from_micros(sent_at));
             if delay > self.worst_delay {
                 self.worst_delay = delay;
             }
@@ -393,6 +360,13 @@ mod tests {
                 encode_report(Duration::from_millis(delay_ms), 0),
             )
         }
+    }
+
+    /// The worst delay a receiver report carries.
+    fn reported_delay(report: &Packet) -> Duration {
+        let [max_delay_us, _received] =
+            wire::decode(&report.payload, MAGIC_REPORT).expect("a report");
+        Duration::from_micros(max_delay_us)
     }
 
     #[test]
@@ -473,21 +447,11 @@ mod tests {
         r.on_packet(frame(200, 500), t(220)); // 20 ms delay
         let reports = polled(&mut r, t(250));
         assert_eq!(reports.len(), 1);
-        match decode(&reports[0].payload) {
-            AppDecoded::Report { max_delay } => {
-                assert_eq!(max_delay, Duration::from_millis(100));
-            }
-            _ => panic!("expected report"),
-        }
+        assert_eq!(reported_delay(&reports[0]), Duration::from_millis(100));
         // Next interval starts fresh.
         r.on_packet(frame(400, 500), t(410));
         let reports = polled(&mut r, t(500));
-        match decode(&reports[0].payload) {
-            AppDecoded::Report { max_delay } => {
-                assert_eq!(max_delay, Duration::from_millis(10));
-            }
-            _ => panic!("expected report"),
-        }
+        assert_eq!(reported_delay(&reports[0]), Duration::from_millis(10));
     }
 
     #[test]

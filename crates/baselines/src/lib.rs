@@ -16,6 +16,7 @@ pub mod reno;
 pub mod saturator;
 pub mod transport;
 pub mod vegas;
+mod wire;
 
 pub use apps::{AppProfile, VideoApp, VideoAppReceiver, VideoAppSender};
 pub use compound::Compound;

@@ -7,10 +7,10 @@
 //! starves, so the receiver-side arrival times *are* the link's delivery
 //! opportunities — the ground-truth trace Cellsim later replays.
 
-use bytes::{Buf, BufMut, Bytes};
-
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, Trace, MTU_BYTES};
+
+use crate::wire;
 
 /// Lower bound on the standing RTT (§4.1).
 pub const RTT_FLOOR: Duration = Duration::from_millis(750);
@@ -19,19 +19,9 @@ pub const RTT_CEILING: Duration = Duration::from_millis(3_000);
 
 const MAGIC_PROBE: u8 = 0xB0;
 const MAGIC_PROBE_ACK: u8 = 0xB1;
-/// Probe and probe ACK alike: magic(1) seq(8) timestamp(8).
-const PROBE_HEADER: usize = 17;
-
-/// A probe's (or probe ACK's) 17 bytes; a probe fills the rest of its
-/// MTU with [`Packet::padding`].
-fn encode_probe(magic: u8, seq: u64, stamp: Timestamp) -> Bytes {
-    let mut hdr = [0u8; PROBE_HEADER];
-    let mut w = &mut hdr[..];
-    w.put_u8(magic);
-    w.put_u64_le(seq);
-    w.put_u64_le(stamp.as_micros());
-    Bytes::copy_from_slice(&hdr)
-}
+/// Probe and probe ACK alike: magic(1) seq(8) timestamp(8). A probe
+/// fills the rest of its MTU with [`Packet::padding`].
+const PROBE_HEADER: usize = wire::len(2);
 
 /// The window-adjusting sender half.
 pub struct SaturatorSender {
@@ -74,12 +64,10 @@ impl Default for SaturatorSender {
 
 impl Endpoint for SaturatorSender {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        let mut buf = &packet.payload[..];
-        if buf.is_empty() || buf.get_u8() != MAGIC_PROBE_ACK || buf.len() < PROBE_HEADER - 1 {
+        let Some([seq, echo]) = wire::decode(&packet.payload, MAGIC_PROBE_ACK) else {
             return;
-        }
-        let seq = buf.get_u64_le();
-        let echo = Timestamp::from_micros(buf.get_u64_le());
+        };
+        let echo = Timestamp::from_micros(echo);
         self.acked = self.acked.max(seq + 1);
         let rtt = now.saturating_since(echo);
         self.last_rtt = Some(rtt);
@@ -100,7 +88,7 @@ impl Endpoint for SaturatorSender {
                 sent_at: Timestamp::ZERO,
                 size: MTU_BYTES,
                 padding: MTU_BYTES - PROBE_HEADER as u32,
-                payload: encode_probe(MAGIC_PROBE, self.next_seq, now),
+                payload: wire::encode(MAGIC_PROBE, [self.next_seq, now.as_micros()]),
             });
             self.next_seq += 1;
         }
@@ -143,12 +131,9 @@ impl Default for SaturatorReceiver {
 
 impl Endpoint for SaturatorReceiver {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        let mut buf = &packet.payload[..];
-        if buf.is_empty() || buf.get_u8() != MAGIC_PROBE {
+        let Some([seq, echo]) = wire::decode(&packet.payload, MAGIC_PROBE) else {
             return;
-        }
-        let seq = buf.get_u64_le();
-        let echo = Timestamp::from_micros(buf.get_u64_le());
+        };
         self.arrivals.push(now);
         self.pending.push(Packet {
             flow: self.flow,
@@ -156,7 +141,7 @@ impl Endpoint for SaturatorReceiver {
             sent_at: Timestamp::ZERO,
             size: 40,
             padding: 0,
-            payload: encode_probe(MAGIC_PROBE_ACK, seq, echo),
+            payload: wire::encode(MAGIC_PROBE_ACK, [seq, echo]),
         });
     }
 

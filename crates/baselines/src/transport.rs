@@ -11,10 +11,12 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
+
+use crate::wire;
 
 /// Congestion-control algorithm interface. Window units are MTU segments
 /// (fractional, as most algorithms accumulate sub-segment credit).
@@ -109,66 +111,26 @@ impl RttEstimator {
     }
 }
 
-// --- wire format (internal to the baseline suite) ---
+// --- wire format (the baseline suite's one header layout, `wire`) ---
 
 const MAGIC_DATA: u8 = 0xD0;
 const MAGIC_ACK: u8 = 0xA0;
 /// Data header: magic(1) seq(8) sent_at(8).
-const DATA_HEADER: usize = 17;
+const DATA_HEADER: usize = wire::len(2);
 /// ACK: magic(1) cum_ack(8) echo_sent_at(8) recv_at(8).
-const ACK_LEN: usize = 25;
+const ACK_LEN: usize = wire::len(3);
 
 /// The 17 header bytes of a data segment; the rest of the MTU is filler
 /// the packet carries as [`Packet::padding`], never as bytes.
 fn encode_data(seq: u64, sent_at: Timestamp) -> Bytes {
-    let mut hdr = [0u8; DATA_HEADER];
-    let mut w = &mut hdr[..];
-    w.put_u8(MAGIC_DATA);
-    w.put_u64_le(seq);
-    w.put_u64_le(sent_at.as_micros());
-    Bytes::copy_from_slice(&hdr)
+    wire::encode(MAGIC_DATA, [seq, sent_at.as_micros()])
 }
 
 fn encode_ack(cum_ack: u64, echo_sent_at: Timestamp, recv_at: Timestamp) -> Bytes {
-    let mut ack = [0u8; ACK_LEN];
-    let mut w = &mut ack[..];
-    w.put_u8(MAGIC_ACK);
-    w.put_u64_le(cum_ack);
-    w.put_u64_le(echo_sent_at.as_micros());
-    w.put_u64_le(recv_at.as_micros());
-    Bytes::copy_from_slice(&ack)
-}
-
-enum Decoded {
-    Data {
-        seq: u64,
-        sent_at: Timestamp,
-    },
-    Ack {
-        cum_ack: u64,
-        echo_sent_at: Timestamp,
-        recv_at: Timestamp,
-    },
-    Junk,
-}
-
-fn decode(payload: &[u8]) -> Decoded {
-    let mut buf = payload;
-    if buf.is_empty() {
-        return Decoded::Junk;
-    }
-    match buf.get_u8() {
-        MAGIC_DATA if buf.len() >= DATA_HEADER - 1 => Decoded::Data {
-            seq: buf.get_u64_le(),
-            sent_at: Timestamp::from_micros(buf.get_u64_le()),
-        },
-        MAGIC_ACK if buf.len() >= ACK_LEN - 1 => Decoded::Ack {
-            cum_ack: buf.get_u64_le(),
-            echo_sent_at: Timestamp::from_micros(buf.get_u64_le()),
-            recv_at: Timestamp::from_micros(buf.get_u64_le()),
-        },
-        _ => Decoded::Junk,
-    }
+    wire::encode(
+        MAGIC_ACK,
+        [cum_ack, echo_sent_at.as_micros(), recv_at.as_micros()],
+    )
 }
 
 /// Bulk-transfer TCP-model sender. Always has data (the §5.1 saturating
@@ -285,14 +247,14 @@ impl TcpSender {
 
 impl Endpoint for TcpSender {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        let Decoded::Ack {
-            cum_ack,
-            echo_sent_at,
-            recv_at,
-        } = decode(&packet.payload)
+        let Some([cum_ack, echo_sent_at, recv_at]) = wire::decode(&packet.payload, MAGIC_ACK)
         else {
             return;
         };
+        let (echo_sent_at, recv_at) = (
+            Timestamp::from_micros(echo_sent_at),
+            Timestamp::from_micros(recv_at),
+        );
         if cum_ack > self.next_seq {
             return; // acknowledges data never sent (RFC 793: ignore)
         }
@@ -445,9 +407,10 @@ impl Default for TcpReceiver {
 
 impl Endpoint for TcpReceiver {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-        let Decoded::Data { seq, sent_at } = decode(&packet.payload) else {
+        let Some([seq, sent_at]) = wire::decode(&packet.payload, MAGIC_DATA) else {
             return;
         };
+        let sent_at = Timestamp::from_micros(sent_at);
         self.segments_received += 1;
         if seq == self.expected {
             self.expected += 1;
@@ -626,10 +589,7 @@ mod tests {
         assert_eq!(acks.len(), 3);
         let cums: Vec<u64> = acks
             .iter()
-            .map(|a| match decode(&a.payload) {
-                Decoded::Ack { cum_ack, .. } => cum_ack,
-                _ => panic!("not an ack"),
-            })
+            .map(|a| wire::decode::<3>(&a.payload, MAGIC_ACK).expect("an ack")[0])
             .collect();
         assert_eq!(cums, vec![1, 1, 3]);
         assert_eq!(r.segments_received(), 3);
@@ -650,6 +610,7 @@ mod tests {
     /// segments whose filler is 1483 real zero bytes.
     mod reference {
         use super::super::*;
+        use bytes::BufMut;
         use std::collections::BTreeMap;
 
         /// What the old `encode_data` built: header, then real zeros up to
@@ -724,14 +685,15 @@ mod tests {
 
         impl Endpoint for BTreeSender {
             fn on_packet(&mut self, packet: Packet, now: Timestamp) {
-                let Decoded::Ack {
-                    cum_ack,
-                    echo_sent_at,
-                    recv_at,
-                } = decode(&packet.payload)
+                let Some([cum_ack, echo_sent_at, recv_at]) =
+                    wire::decode(&packet.payload, MAGIC_ACK)
                 else {
                     return;
                 };
+                let (echo_sent_at, recv_at) = (
+                    Timestamp::from_micros(echo_sent_at),
+                    Timestamp::from_micros(recv_at),
+                );
                 let one_way = recv_at.saturating_since(echo_sent_at);
                 if one_way > Duration::ZERO {
                     self.cc.on_one_way_delay(one_way);

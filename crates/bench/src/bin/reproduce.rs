@@ -15,7 +15,8 @@ use std::time::Instant;
 
 use sprout_bench::cli;
 use sprout_bench::figures::{Experiment, ExperimentConfig, ALL};
-use sprout_bench::{CellCachePolicy, ScenarioMatrix, ShardSpec};
+use sprout_bench::{CellCachePolicy, CellFailure, ScenarioMatrix, ShardSpec, SweepError};
+use sprout_cache::CacheCounters;
 
 struct Options {
     cmd: String,
@@ -154,14 +155,13 @@ fn start_heartbeat() {
 /// `--shard I/N`: execute this process's slice of each matrix the
 /// experiment declares, depositing finished cells in the shared cell
 /// cache. Renders no figures and writes no sweep artifacts — a later
-/// `--merge` (or `--resume`) run assembles those from the cache.
-fn run_shard(cfg: &ExperimentConfig, matrices: &[ScenarioMatrix]) -> std::io::Result<()> {
+/// `--merge` (or `--resume`) run assembles those from the cache. Stops
+/// at the first matrix whose sweep fails and returns that sweep's error.
+fn run_shard(cfg: &ExperimentConfig, matrices: &[ScenarioMatrix]) -> Result<(), SweepError> {
     let engine = cfg.engine();
     for matrix in matrices {
         let t0 = Instant::now();
-        let results = engine
-            .try_run(matrix)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let results = engine.try_run(matrix)?;
         println!(
             "{}: shard {}/{} finished {} of {} cells in {:.0?}",
             matrix.name(),
@@ -175,41 +175,33 @@ fn run_shard(cfg: &ExperimentConfig, matrices: &[ScenarioMatrix]) -> std::io::Re
     Ok(())
 }
 
-/// A snapshot of the process-global cell-cache and cell-failure
-/// counters, taken together so `all` can attribute per-experiment deltas
-/// of both.
-type TrafficMark = (
-    sprout_cache::CacheCounters,
-    sprout_bench::CellFailureCounters,
-);
-
-fn traffic_now() -> TrafficMark {
-    (
-        sprout_bench::cell_cache_counters(),
-        sprout_bench::cell_failure_counters(),
-    )
-}
-
 /// The stable cell-cache summary line (CI greps it to assert a resumed
 /// run executed nothing). Names the experiment; single-experiment runs
 /// print it once with the process totals, and `all` prints one line per
 /// experiment (the delta since `mark`) so the traffic of each sweep is
-/// attributable, plus a final `[all]` total.
-fn print_cell_cache_line(experiment: &str) {
-    print_cell_cache_delta(experiment, TrafficMark::default());
+/// attributable, plus a final `[all]` total. `F failed, T timed out`
+/// count the failures of the sweep that ended the run — nonzero only on
+/// a `--shard` run, since a failed full run returns before its line.
+fn print_cell_cache_line(experiment: &str, failures: &[CellFailure]) {
+    print_cell_cache_delta(experiment, CacheCounters::default(), failures);
 }
 
-/// Print the cell-cache traffic and cell failures since `mark` under
+/// Print the cell-cache traffic since `mark` and `failures` under
 /// `experiment`'s name and return the current counters (the next
 /// experiment's `mark`).
-fn print_cell_cache_delta(experiment: &str, mark: TrafficMark) -> TrafficMark {
-    let now = traffic_now();
-    let c = now.0.since(mark.0);
-    let f = now.1.since(mark.1);
+fn print_cell_cache_delta(
+    experiment: &str,
+    mark: CacheCounters,
+    failures: &[CellFailure],
+) -> CacheCounters {
+    let now = sprout_bench::cell_cache_counters();
+    let c = now.since(mark);
+    let timed_out = failures.iter().filter(|f| f.timed_out).count();
+    let failed = failures.len() - timed_out;
     let (workers, batches) = sprout_bench::last_batch_layout();
     println!(
-        "cell cache [{experiment}]: {} hits, {} misses, {} stores, {} quarantined | cells: {} failed, {} timed out | layout: {} workers, {} batches",
-        c.hits, c.misses, c.stores, c.quarantined, f.failed, f.timed_out, workers, batches
+        "cell cache [{experiment}]: {} hits, {} misses, {} stores, {} quarantined | cells: {failed} failed, {timed_out} timed out | layout: {} workers, {} batches",
+        c.hits, c.misses, c.stores, c.quarantined, workers, batches
     );
     now
 }
@@ -238,8 +230,12 @@ fn run() -> std::io::Result<()> {
     let matrices: Vec<ScenarioMatrix> = rows.iter().map(|row| (row.matrix)(&cfg)).collect();
     if !cfg.shard.is_full() {
         let r = run_shard(&cfg, &matrices);
-        print_cell_cache_line(&cmd);
-        return r;
+        let failures = match &r {
+            Err(SweepError::CellsPanicked { failures, .. }) => &failures[..],
+            _ => &[],
+        };
+        print_cell_cache_line(&cmd, failures);
+        return r.map_err(|e| std::io::Error::other(e.to_string()));
     }
     println!(
         "reproduce: {cmd} (runs {}s, warmup {}s, seed {}, threads {}, out {:?})",
@@ -259,18 +255,18 @@ fn run() -> std::io::Result<()> {
     // find row -> run matrix -> report; `all` is the same loop over its
     // members, each followed by the cache traffic of its sweep.
     let t0 = Instant::now();
-    let mut mark = traffic_now();
+    let mut mark = sprout_bench::cell_cache_counters();
     for (row, matrix) in rows.iter().zip(&matrices) {
         // Not a held lock: the heartbeat thread writes between lines.
         row.run(&cfg, matrix, &mut std::io::stdout())?;
         if cmd == ALL {
-            mark = print_cell_cache_delta(matrix.name(), mark);
+            mark = print_cell_cache_delta(matrix.name(), mark, &[]);
         }
     }
     if cmd == ALL {
         println!("\nall experiments done in {:.0?}", t0.elapsed());
     }
-    print_cell_cache_line(&cmd);
+    print_cell_cache_line(&cmd, &[]);
     if json {
         for matrix in &matrices {
             let path = cfg.sweep_json_path(matrix.name());

@@ -38,9 +38,8 @@ pub use schemes::{
 };
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
-    abandoned_cell_threads, cell_failure_counters, execute_with_memo, last_batch_layout,
-    sweep_to_json, trace_memory_counters, CellCachePolicy, CellFailure, CellFailureCounters,
-    CellScratch, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary, LinkInputs, Measured,
-    SeriesRow, ServeStats, ShardSpec, SweepEngine, SweepError, SweepResult, TraceMemo,
-    DEFAULT_CELL_TIMEOUT,
+    abandoned_cell_threads, execute_with_memo, last_batch_layout, sweep_to_json,
+    trace_memory_counters, CellCachePolicy, CellFailure, CellScratch, CellSeries, CellSeriesBin,
+    FlowSummary, InterarrivalSummary, LinkInputs, Measured, SeriesRow, ServeStats, ShardSpec,
+    SweepEngine, SweepError, SweepResult, TraceMemo, DEFAULT_CELL_TIMEOUT,
 };

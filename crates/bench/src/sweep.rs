@@ -65,41 +65,9 @@ pub use crate::record::{
 
 static LAST_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static LAST_BATCHES: AtomicUsize = AtomicUsize::new(0);
-static CELLS_PANICKED: AtomicU64 = AtomicU64::new(0);
-static CELLS_TIMED_OUT: AtomicU64 = AtomicU64::new(0);
 /// Gauge (not a counter): cell threads the watchdog has abandoned that
 /// have not yet honored their cancellation and exited.
 static ABANDONED_LIVE: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative process-wide counts of cells that did not finish: `failed`
-/// counts panics, `timed_out` counts watchdog kills. Like the cache
-/// counters these only ever grow; attribute them to one sweep by taking
-/// deltas with [`CellFailureCounters::since`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellFailureCounters {
-    /// Cells whose execution panicked.
-    pub failed: u64,
-    /// Cells killed by the per-cell watchdog ([`SweepEngine::cell_timeout`]).
-    pub timed_out: u64,
-}
-
-impl CellFailureCounters {
-    /// The delta accumulated since an `earlier` snapshot.
-    pub fn since(self, earlier: Self) -> Self {
-        CellFailureCounters {
-            failed: self.failed - earlier.failed,
-            timed_out: self.timed_out - earlier.timed_out,
-        }
-    }
-}
-
-/// Process-wide cell-failure counters (cumulative).
-pub fn cell_failure_counters() -> CellFailureCounters {
-    CellFailureCounters {
-        failed: CELLS_PANICKED.load(Ordering::Relaxed),
-        timed_out: CELLS_TIMED_OUT.load(Ordering::Relaxed),
-    }
-}
 
 /// Live abandoned cell threads: cells the watchdog timed out whose
 /// threads have not yet honored the cooperative cancellation and exited.
@@ -518,14 +486,6 @@ impl SweepEngine {
 
         if !failures.is_empty() {
             failures.sort_by_key(|f| f.scenario_id);
-            for f in &failures {
-                let counter = if f.timed_out {
-                    &CELLS_TIMED_OUT
-                } else {
-                    &CELLS_PANICKED
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
             return Err(SweepError::CellsPanicked {
                 matrix: matrix.name().to_string(),
                 failures,

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use sprout_bench::{
-    cell_cache_counters, cell_failure_counters, sweep_to_json, CellCachePolicy, ScenarioMatrix,
-    Scheme, ShardSpec, SweepEngine, SweepError, SweepResult, VideoApp, Workload,
+    cell_cache_counters, sweep_to_json, CellCachePolicy, ScenarioMatrix, Scheme, ShardSpec,
+    SweepEngine, SweepError, SweepResult, VideoApp, Workload,
 };
 use sprout_trace::{Duration, Impairment, NetProfile, OutageSpec};
 
@@ -155,7 +155,6 @@ fn watchdog_times_out_wedged_cells_and_resume_reexecutes_them() {
     let m = slow_matrix();
     sprout_cache::set_dir(temp_cache_dir("watchdog"));
 
-    let failures_before = cell_failure_counters();
     let traffic_before = cell_cache_counters();
     let err = SweepEngine::new(17)
         .with_threads(1)
@@ -178,12 +177,6 @@ fn watchdog_times_out_wedged_cells_and_resume_reexecutes_them() {
         }
         other => panic!("expected CellsPanicked, got {other:?}"),
     }
-    let failures = cell_failure_counters().since(failures_before);
-    assert_eq!(
-        (failures.timed_out, failures.failed),
-        (1, 0),
-        "a timeout counts as timed_out, never as failed"
-    );
     assert_eq!(
         cell_cache_counters().since(traffic_before).stores,
         0,
@@ -199,8 +192,6 @@ fn watchdog_times_out_wedged_cells_and_resume_reexecutes_them() {
     let traffic = cell_cache_counters().since(traffic_before);
     assert_eq!(resumed.len(), 1);
     assert_eq!((traffic.misses, traffic.stores), (1, 1));
-    let failures = cell_failure_counters().since(failures_before);
-    assert_eq!((failures.timed_out, failures.failed), (1, 0));
 
     sprout_cache::reset_override();
 }

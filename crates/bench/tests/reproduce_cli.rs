@@ -1,6 +1,7 @@
 //! Argument validation of the `reproduce` binary: every rejected
 //! combination must exit 2 via the usage path before any simulation
-//! starts, so these tests are instant.
+//! starts, so these tests are instant. The one test that runs cells,
+//! a failed shard's summary line, takes about two seconds.
 
 use std::process::Command;
 
@@ -307,4 +308,38 @@ fn the_banner_prints_the_warmup_the_matrix_uses() {
     assert!(fig9.contains("(runs 300s, warmup 60s,"), "{fig9}");
     let fig9 = banner("fig9-set", &["fig9", "--secs", "50", "--warmup", "7"]);
     assert!(fig9.contains("(runs 50s, warmup 7s,"), "{fig9}");
+}
+
+#[test]
+fn a_failed_shard_counts_its_failures_on_the_summary_line() {
+    // Shard 0/2 owns three of fig9's five cells; a 1 s watchdog kills
+    // each of them long before 100000 virtual seconds are simulated. The
+    // summary line still prints, with the failures of the sweep that
+    // ended the run, and the process exits non-zero.
+    let tmp = std::env::temp_dir().join(format!("reproduce-shard-fail-{}", std::process::id()));
+    let out = reproduce(&[
+        "fig9",
+        "--shard",
+        "0/2",
+        "--secs",
+        "100000",
+        "--warmup",
+        "0",
+        "--cell-timeout",
+        "1",
+        "--out",
+        &tmp.join("out").to_string_lossy(),
+        "--cache-dir",
+        &tmp.join("cache").to_string_lossy(),
+    ]);
+    let _ = std::fs::remove_dir_all(&tmp);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stdout.contains("cell cache [fig9]: ")
+            && stdout.contains(" | cells: 0 failed, 3 timed out | "),
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("3 cell(s) of \"fig9\" failed"), "{stderr}");
 }

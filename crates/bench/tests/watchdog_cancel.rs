@@ -15,8 +15,8 @@ use std::sync::Mutex;
 use std::time::{Duration as WallDuration, Instant};
 
 use sprout_bench::{
-    abandoned_cell_threads, cell_cache_counters, cell_failure_counters, CellCachePolicy,
-    ScenarioMatrix, Scheme, SweepEngine, SweepError,
+    abandoned_cell_threads, cell_cache_counters, CellCachePolicy, ScenarioMatrix, Scheme,
+    SweepEngine, SweepError,
 };
 use sprout_trace::{Duration, NetProfile};
 
@@ -54,7 +54,6 @@ fn timed_out_cell_threads_cancel_instead_of_leaking() {
     let _g = lock();
     sprout_cache::set_dir(temp_cache_dir("cancel"));
 
-    let failures_before = cell_failure_counters();
     let err = SweepEngine::new(19)
         .with_threads(1)
         .with_cell_timeout(WallDuration::from_millis(50))
@@ -67,9 +66,6 @@ fn timed_out_cell_threads_cancel_instead_of_leaking() {
         }
         other => panic!("expected CellsPanicked, got {other:?}"),
     }
-    let failures = cell_failure_counters().since(failures_before);
-    assert_eq!((failures.timed_out, failures.failed), (1, 0));
-
     // The abandoned thread must exit at its next cancellation checkpoint.
     // Give it generous wall time for slow CI — still two orders of
     // magnitude less than simulating the cell's remaining virtual hour.
@@ -124,7 +120,7 @@ fn a_timeout_costs_the_worker_its_cell_thread_and_nothing_else() {
         .with_threads(1)
         .with_cell_timeout(WallDuration::from_millis(50));
 
-    let (failures0, cache0) = (cell_failure_counters(), cell_cache_counters());
+    let cache0 = cell_cache_counters();
     let err = engine
         .try_run(&m)
         .expect_err("the hour-long cell times out");
@@ -143,8 +139,6 @@ fn a_timeout_costs_the_worker_its_cell_thread_and_nothing_else() {
         }
         other => panic!("expected CellsPanicked, got {other:?}"),
     }
-    let failures = cell_failure_counters().since(failures0);
-    assert_eq!((failures.timed_out, failures.failed), (1, 0));
     assert_eq!(
         cell_cache_counters().since(cache0).stores,
         1,

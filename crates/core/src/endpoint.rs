@@ -2,6 +2,8 @@
 //! assembled behind the sans-IO [`sprout_sim::Endpoint`] trait, which
 //! the virtual-time emulator drives.
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 
 use crate::config::SproutConfig;
@@ -12,35 +14,19 @@ use crate::wire::{SproutHeader, WireForecast, FULL_HEADER_LEN};
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp};
 
-/// Application traffic source feeding the sender.
+/// What this endpoint's application gives the sender: it either
+/// saturates (the paper's evaluation, §5.1) or hands over tunnel
+/// datagrams (§4.3). An endpoint starts with an empty datagram queue,
+/// which is an endpoint with nothing to send.
 #[derive(Clone, Debug)]
 enum AppSource {
-    /// Always has data (bulk/saturating workloads; the paper's main
-    /// evaluation saturates the protocol, §5.1).
+    /// Always has data: every packet the window admits carries a full
+    /// `max_payload` of filler.
     Saturating,
-    /// A byte bucket filled by `push_app_bytes` (videoconference-style
-    /// frame sources).
-    Buffered(u64),
     /// A queue of opaque datagrams with preserved boundaries (the
-    /// SproutTunnel encapsulation mode, §4.3). Each datagram rides in its
-    /// own Sprout packet.
-    Datagrams(std::collections::VecDeque<Bytes>),
-}
-
-impl AppSource {
-    fn available(&self) -> u64 {
-        match self {
-            AppSource::Saturating => u64::MAX,
-            AppSource::Buffered(n) => *n,
-            AppSource::Datagrams(q) => q.iter().map(|d| d.len() as u64).sum(),
-        }
-    }
-
-    fn consume(&mut self, n: u64) {
-        if let AppSource::Buffered(b) = self {
-            *b = b.saturating_sub(n);
-        }
-    }
+    /// SproutTunnel encapsulation mode). Each datagram rides in its own
+    /// Sprout packet.
+    Datagrams(VecDeque<Bytes>),
 }
 
 /// What goes after the header of an outgoing packet.
@@ -69,7 +55,10 @@ pub struct EndpointStats {
 }
 
 /// A Sprout endpoint. Construct one per side of a session; wire them with
-/// the emulator ([`sprout_sim::Simulation`]).
+/// the emulator ([`sprout_sim::Simulation`]). A new endpoint has an empty
+/// datagram queue: it sends only feedback and heartbeats until
+/// [`set_saturating`](Self::set_saturating) or
+/// [`push_app_datagram`](Self::push_app_datagram) gives it data.
 pub struct SproutEndpoint {
     cfg: SproutConfig,
     sender: SproutSender,
@@ -109,7 +98,7 @@ impl SproutEndpoint {
             sender: SproutSender::new(cfg.clone()),
             receiver,
             cfg,
-            app: AppSource::Buffered(0),
+            app: AppSource::Datagrams(VecDeque::new()),
             need_feedback: false,
             flow: FlowId::PRIMARY,
             stats: EndpointStats::default(),
@@ -124,27 +113,17 @@ impl SproutEndpoint {
         self.app = AppSource::Saturating;
     }
 
-    /// Add application bytes to the send buffer (no effect if saturating).
-    pub fn push_app_bytes(&mut self, bytes: u64) {
-        if let AppSource::Buffered(b) = &mut self.app {
-            *b += bytes;
-        }
-    }
-
-    /// Switch to datagram mode (tunnel encapsulation) and enqueue one
-    /// datagram. Boundaries are preserved end to end; each datagram
-    /// travels in its own Sprout packet (the wire packet may slightly
-    /// exceed the MTU for full-size client packets — the emulator's
-    /// per-byte accounting handles that, and a real deployment would rely
-    /// on IP fragmentation exactly as tunnels over UDP do).
+    /// Enqueue one datagram (tunnel encapsulation); a saturating
+    /// endpoint switches to datagram mode. Boundaries are preserved
+    /// end to end; each datagram travels in its own Sprout packet (the
+    /// wire packet may slightly exceed the MTU for full-size client
+    /// packets — the emulator's per-byte accounting handles that, and a
+    /// real deployment would rely on IP fragmentation exactly as tunnels
+    /// over UDP do).
     pub fn push_app_datagram(&mut self, datagram: Bytes) {
         match &mut self.app {
             AppSource::Datagrams(q) => q.push_back(datagram),
-            _ => {
-                let mut q = std::collections::VecDeque::new();
-                q.push_back(datagram);
-                self.app = AppSource::Datagrams(q);
-            }
+            AppSource::Saturating => self.app = AppSource::Datagrams(VecDeque::from([datagram])),
         }
     }
 
@@ -160,12 +139,6 @@ impl SproutEndpoint {
     pub fn forecast_life_bytes(&mut self, now: Timestamp) -> u64 {
         self.sender.advance(now);
         self.sender.forecast_remaining_bytes(now)
-    }
-
-    /// Bytes waiting in the application send buffer (`u64::MAX` when
-    /// saturating).
-    pub fn app_backlog(&self) -> u64 {
-        self.app.available()
     }
 
     /// Set the flow id stamped on outgoing packets (tunnel use).
@@ -318,19 +291,14 @@ impl Endpoint for SproutEndpoint {
                     self.stats.app_bytes_sent += d.len() as u64;
                     PacketBody::Datagram(d)
                 }
-                _ => {
-                    if self.app.available() == 0 {
-                        break;
-                    }
-                    let payload = self.app.available().min(max_payload);
-                    let wire = payload + FULL_HEADER_LEN as u64;
+                AppSource::Saturating => {
+                    let wire = max_payload + FULL_HEADER_LEN as u64;
                     if window < wire {
                         break;
                     }
                     window -= wire;
-                    self.app.consume(payload);
-                    self.stats.app_bytes_sent += payload;
-                    PacketBody::Padding(payload as u16)
+                    self.stats.app_bytes_sent += max_payload;
+                    PacketBody::Padding(max_payload as u16)
                 }
             };
             self.stats.data_packets_sent += 1;
@@ -515,38 +483,6 @@ mod tests {
         let h = SproutHeader::decode(&pkts[0].payload).unwrap();
         assert!(h.heartbeat);
         assert!(h.time_to_next > Duration::ZERO);
-    }
-
-    #[test]
-    fn app_limited_sends_only_backlog() {
-        let mut e = endpoint();
-        e.push_app_bytes(2_000);
-        // Give it a forecast so the window is not the bottleneck.
-        let fb = WireForecast {
-            recv_or_lost_bytes: 0,
-            tick: 1,
-            cumulative_units: [40, 80, 120, 160, 200, 240, 280, 320],
-        };
-        let payload = SproutHeader {
-            seq: 0,
-            throwaway: 0,
-            time_to_next: Duration::ZERO,
-            sent_at: t(0),
-            heartbeat: false,
-            datagram: false,
-            forecast: Some(fb),
-            payload_len: 0,
-        }
-        .encode_with_padding();
-        e.on_packet(Packet::from_payload(FlowId::PRIMARY, 0, payload), t(5));
-        let pkts = polled(&mut e, t(5));
-        let sent: u64 = pkts
-            .iter()
-            .map(|p| SproutHeader::decode(&p.payload).unwrap().payload_len as u64)
-            .sum();
-        assert_eq!(sent, 2_000);
-        assert_eq!(e.app_backlog(), 0);
-        assert_eq!(e.stats().app_bytes_sent, 2_000);
     }
 
     #[test]
