@@ -709,12 +709,6 @@ impl MatrixBuilder {
         self
     }
 
-    /// Force a queue discipline for every cell (default: per-scheme Auto).
-    pub fn queue(mut self, queue: QueueSpec) -> Self {
-        self.queues = vec![queue];
-        self
-    }
-
     /// Set the queue-discipline axis (replaces the default `[Auto]`):
     /// deep-vs-shallow bufferbloat comparisons cross `Auto`,
     /// `DropTailBytes(..)` caps, and `CoDel` here.

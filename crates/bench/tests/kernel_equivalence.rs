@@ -20,9 +20,9 @@ use sprout_core::{
     likelihood_memo_occupancy, ForecastScratch, ForecastTables, RateModel, SproutConfig,
     TransitionKernel, LIKELIHOOD_MEMO_MAX_BYTES,
 };
+use sprout_trace::TICK;
 
-/// A validated config with the given geometry; `lookahead_ticks` is
-/// pinned to 1 so any `horizon_ticks >= 1` is admissible.
+/// A config with the given geometry.
 fn cfg_with(
     num_bins: usize,
     sigma: f64,
@@ -35,7 +35,6 @@ fn cfg_with(
         sigma,
         max_rate_pps,
         horizon_ticks,
-        lookahead_ticks: 1,
         count_max,
         ..SproutConfig::default()
     }
@@ -326,7 +325,7 @@ proptest! {
         observations in collection::vec((0u32..40, 0usize..4), 20..60),
     ) {
         let cfg = cfg_with(num_bins, 200.0, max_rate_pps, 8, 256);
-        let tick = cfg.tick_secs();
+        let tick = TICK.as_secs_f64();
         let mut memoised = RateModel::new(cfg.clone());
         let mut uncached = RateModel::new(cfg);
         // Quarter-packet observations from silence to well past the
@@ -388,7 +387,7 @@ fn evolve_tracks_reference_over_a_long_session() {
     // posterior through both searches on the paper table, at the
     // protocol's percentile and at the median, one scratch pair each.
     let cfg = SproutConfig::paper();
-    let tick = cfg.tick_secs();
+    let tick = TICK.as_secs_f64();
     let kernel = TransitionKernel::new(&cfg);
     let tables = ForecastTables::get(&cfg);
     let mut scratches: Vec<_> = [cfg.forecast_percentile, 50.0]
@@ -455,7 +454,7 @@ fn a_model_tick_is_the_reference_evolve_then_the_reference_observe() {
         },
     ];
     for cfg in geometries {
-        let tick = cfg.tick_secs();
+        let tick = TICK.as_secs_f64();
         let n = cfg.num_bins;
         let mut model = RateModel::new(cfg.clone());
         // Kept bitwise equal to `model` before every tick, so its
@@ -537,7 +536,7 @@ fn likelihood_memo_shares_hits_memoises_skips_and_evicts_at_the_cap() {
     // The memo is per thread: a thread of this test's own starts empty.
     std::thread::spawn(|| {
         let cfg = SproutConfig::test_small();
-        let tick = cfg.tick_secs();
+        let tick = TICK.as_secs_f64();
         let mut a = RateModel::new(cfg.clone());
         let mut b = RateModel::new(cfg.clone());
         let mut uncached = RateModel::new(cfg);

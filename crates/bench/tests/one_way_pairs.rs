@@ -50,7 +50,7 @@ fn matrices(measured: LinkSpec) -> Vec<ScenarioMatrix> {
             .impairments([Impairment::preset("storm").expect("built-in preset")])
             .build(),
         sprout("one-way-loss").loss_rates([0.05]).build(),
-        sprout("one-way-codel").queue(QueueSpec::CoDel).build(),
+        sprout("one-way-codel").queues([QueueSpec::CoDel]).build(),
         ScenarioMatrix::builder("one-way-contention")
             .contention([vec![
                 FlowSpec::Scheme(Scheme::Sprout),

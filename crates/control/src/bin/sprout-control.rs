@@ -25,6 +25,9 @@
 //! workers sharing one cache dir, heartbeat supervision with bounded
 //! retry-with-backoff, and a final `--merge` whose artifacts are
 //! byte-identical to a single-process run of the same flags.
+//!
+//! `--hb-timeout` and `--timeout-secs` take 1 to 2 592 000 seconds (30
+//! days); anything else is a usage error (exit 2).
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -36,7 +39,23 @@ const USAGE: &str = "usage: sprout-control <serve|submit|status|sweeps|cells|can
   submit <experiment> [--workers N] [--state-dir DIR | --endpoint ADDR] [-- <worker flags...>]
   status|sweeps|shutdown [--state-dir DIR | --endpoint ADDR]
   cells|cancel <id> [--state-dir DIR | --endpoint ADDR]
-  wait <id> [--timeout-secs N] [--state-dir DIR | --endpoint ADDR]";
+  wait <id> [--timeout-secs N] [--state-dir DIR | --endpoint ADDR]
+  --hb-timeout SECS and --timeout-secs N: 1..=2592000 seconds (30 days)";
+
+/// The longest `--hb-timeout` or `--timeout-secs` (30 days): a deadline
+/// this far out still fits the clock, where `u64::MAX` seconds overflow
+/// it.
+const MAX_TIMEOUT_SECS: u64 = 30 * 24 * 60 * 60;
+
+/// The seconds of `flag`'s value, or a usage error naming the range.
+fn timeout_secs(flag: &str, value: Option<&String>) -> Duration {
+    match value.map(|v| v.parse::<u64>()) {
+        Some(Ok(secs)) if (1..=MAX_TIMEOUT_SECS).contains(&secs) => Duration::from_secs(secs),
+        _ => usage_error(&format!(
+            "{flag} expects a number of seconds in 1..={MAX_TIMEOUT_SECS} (30 days)"
+        )),
+    }
+}
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("sprout-control: {msg}");
@@ -138,10 +157,7 @@ fn serve(rest: &[String]) {
             "--cache-dir" => cfg.cache_dir = value("--cache-dir").into(),
             "--out" => cfg.out_dir = value("--out").into(),
             "--reproduce-bin" => cfg.reproduce_bin = value("--reproduce-bin").into(),
-            "--hb-timeout" => match value("--hb-timeout").parse::<u64>() {
-                Ok(secs) if secs >= 1 => cfg.hb_timeout = Duration::from_secs(secs),
-                _ => usage_error("--hb-timeout expects a positive number of seconds"),
-            },
+            "--hb-timeout" => cfg.hb_timeout = timeout_secs("--hb-timeout", iter.next()),
             "--max-retries" => match value("--max-retries").parse() {
                 Ok(n) => cfg.max_retries = n,
                 Err(_) => usage_error("--max-retries expects a number"),
@@ -233,10 +249,7 @@ fn wait(rest: &[String]) {
     let mut iter = remaining.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--timeout-secs" => match iter.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(secs)) if secs >= 1 => timeout = Duration::from_secs(secs),
-                _ => usage_error("--timeout-secs expects a positive number of seconds"),
-            },
+            "--timeout-secs" => timeout = timeout_secs("--timeout-secs", iter.next()),
             other if !other.starts_with('-') && id.is_none() => id = Some(other.to_string()),
             other => usage_error(&format!("unexpected wait argument {other:?}")),
         }

@@ -1,11 +1,12 @@
 //! `sprout-control wait` against a scripted status API: the first poll
 //! is made at once, and the polls that follow start 10 ms apart and
 //! double to the 200 ms cap — so a sweep that is already done, or done
-//! within a few polls, is not reported a flat 200 ms late.
+//! within a few polls, is not reported a flat 200 ms late. And the two
+//! timeout flags refuse a number of seconds the clock cannot hold.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Answer `GET /sweeps` with each of `states` in turn (one connection
@@ -73,4 +74,62 @@ fn polls_start_short_and_double() {
         took < Duration::from_secs(1),
         "{took:?} for five pauses: no shorter than a flat 200 ms each"
     );
+}
+
+/// More seconds than an `Instant` can be moved by.
+const TOO_MANY_SECS: &str = "18446744073709551615";
+
+#[test]
+fn wait_refuses_a_timeout_past_the_clock() {
+    // Nothing is ever accepted: a `wait` that got past its flags would
+    // time out on its first request instead of exiting 2.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let endpoint = listener.local_addr().expect("local addr").to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_sprout-control"))
+        .args(["wait", "--timeout-secs", TOO_MANY_SECS, "1"])
+        .args(["--endpoint", &endpoint])
+        .output()
+        .expect("sprout-control runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--timeout-secs expects"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn serve_refuses_a_heartbeat_timeout_past_the_clock() {
+    let state = std::env::temp_dir().join(format!("sprout-control-hb-{}", std::process::id()));
+    let bin = env!("CARGO_BIN_EXE_sprout-control");
+    let mut child = Command::new(bin)
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--hb-timeout",
+            TOO_MANY_SECS,
+        ])
+        .arg("--state-dir")
+        .arg(&state)
+        // Any file passes the binary check; the daemon must not start.
+        .args(["--reproduce-bin", bin])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("sprout-control runs");
+    let t0 = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break Some(status);
+        }
+        if t0.elapsed() > Duration::from_secs(5) {
+            child.kill().expect("kill");
+            child.wait().expect("reap");
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let _ = std::fs::remove_dir_all(&state);
+    let status = status.expect("serve still running after 5 s: the flag was accepted");
+    assert_eq!(status.code(), Some(2), "{status:?}");
 }

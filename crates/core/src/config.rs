@@ -1,32 +1,53 @@
-//! Sprout tuning parameters.
+//! Sprout's parameters.
 //!
-//! The paper freezes its parameters before collecting traces (§3.1, §5):
-//! σ = 200 MTU/s/√s, λz = 1/s, 256 rate bins over 0..1000 MTU/s, 20 ms
-//! ticks, an 8-tick forecast, a 100 ms (5-tick) sender window lookahead,
-//! and a 95%-confidence (5th-percentile) forecast. Those are the defaults
-//! here; Figure 9 sweeps the confidence parameter.
+//! The paper freezes its parameters before collecting traces (§3.1, §5).
+//! The numbers no experiment varies are constants: 20 ms ticks
+//! ([`TICK`]), a 1500-byte MTU ([`MTU_BYTES`]), λz = 1/s
+//! ([`OUTAGE_ESCAPE_RATE`]), a 100 ms (5-tick) sender window lookahead
+//! ([`LOOKAHEAD_TICKS`]), a 10 ms reorder window ([`REORDER_WINDOW`]) and
+//! one heartbeat per idle tick ([`HEARTBEAT_INTERVAL`]). [`SproutConfig`]
+//! holds the rest: the rate grid (256 bins over 0..1000 MTU/s), the table
+//! geometry (σ = 200 MTU/s/√s, an 8-tick forecast, the count axis), the
+//! likelihood floor and the forecast confidence (95%, i.e. the 5th
+//! percentile). Those are the defaults here; the table and kernel suites
+//! vary the geometry, and Figure 9 sweeps the confidence.
 
-use crate::wire::FULL_HEADER_LEN;
+use crate::wire::{FULL_HEADER_LEN, WIRE_HORIZON};
 use sprout_trace::{Duration, MTU_BYTES, TICK};
 
-/// All tunables of a Sprout session. The model/forecast fields feed the
-/// precomputed tables; the protocol fields govern the sender and wire.
+/// Outage escape rate λz, 1/s (§3.1).
+pub const OUTAGE_ESCAPE_RATE: f64 = 1.0;
+
+/// Sender window lookahead in ticks (§3.5: 100 ms).
+pub const LOOKAHEAD_TICKS: usize = 5;
+
+/// Reorder tolerance for the throwaway number (§3.4: packets sent more
+/// than 10 ms apart are assumed not to reorder).
+pub const REORDER_WINDOW: Duration = Duration::from_millis(10);
+
+/// Idle-sender heartbeat interval (§3.2; one per tick).
+pub const HEARTBEAT_INTERVAL: Duration = TICK;
+
+// The lookahead fits inside the forecast a packet carries.
+const _: () = assert!(LOOKAHEAD_TICKS >= 1 && LOOKAHEAD_TICKS <= WIRE_HORIZON);
+// A data packet is a full header plus a `u16` payload length.
+const _: () = assert!(
+    FULL_HEADER_LEN < MTU_BYTES as usize
+        && MTU_BYTES as usize <= FULL_HEADER_LEN + u16::MAX as usize
+);
+
+/// The inference layer's parameters: the rate grid and table geometry
+/// feed the precomputed tables; the confidence picks the forecast.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SproutConfig {
-    /// Inference tick length (paper: 20 ms).
-    pub tick: Duration,
     /// Number of discretized rate values (paper: 256).
     pub num_bins: usize,
     /// Largest modeled rate, MTU-sized packets per second (paper: 1000).
     pub max_rate_pps: f64,
     /// Brownian noise power σ, packets/s/√s (paper: 200).
     pub sigma: f64,
-    /// Outage escape rate λz, 1/s (paper: 1).
-    pub outage_escape_rate: f64,
     /// Forecast horizon in ticks (paper: 8 → 160 ms).
     pub horizon_ticks: usize,
-    /// Sender window lookahead in ticks (paper: 5 → 100 ms).
-    pub lookahead_ticks: usize,
     /// Forecast percentile: the forecast is a count the link will deliver
     /// with probability `100 − forecast_percentile` (paper default 5.0,
     /// i.e. 95% confidence; Figure 9 sweeps this).
@@ -38,31 +59,18 @@ pub struct SproutConfig {
     /// Relative likelihood floor guarding against posterior collapse on
     /// surprising observations.
     pub likelihood_floor: f64,
-    /// MTU in bytes; the unit of the rate grid and forecasts.
-    pub mtu_bytes: u32,
-    /// Reorder tolerance for the throwaway number (§3.4: packets sent
-    /// more than 10 ms apart are assumed not to reorder).
-    pub reorder_window: Duration,
-    /// Idle-sender heartbeat interval (§3.2; one per tick).
-    pub heartbeat_interval: Duration,
 }
 
 impl Default for SproutConfig {
     fn default() -> Self {
         SproutConfig {
-            tick: TICK,
             num_bins: 256,
             max_rate_pps: 1000.0,
             sigma: 200.0,
-            outage_escape_rate: 1.0,
             horizon_ticks: 8,
-            lookahead_ticks: 5,
             forecast_percentile: 5.0,
             count_max: 768,
             likelihood_floor: 1e-12,
-            mtu_bytes: MTU_BYTES,
-            reorder_window: Duration::from_millis(10),
-            heartbeat_interval: TICK,
         }
     }
 }
@@ -105,32 +113,14 @@ impl SproutConfig {
         i as f64 * self.bin_width_pps()
     }
 
-    /// Tick length in seconds.
-    pub fn tick_secs(&self) -> f64 {
-        self.tick.as_secs_f64()
-    }
-
     /// Validate invariants; called by the model constructors.
     pub fn validate(&self) {
         assert!(self.num_bins >= 2, "need at least 2 rate bins");
         assert!(self.max_rate_pps > 0.0);
         assert!(self.sigma > 0.0);
-        assert!(self.outage_escape_rate >= 0.0);
         assert!(self.horizon_ticks >= 1);
-        assert!(
-            self.lookahead_ticks >= 1 && self.lookahead_ticks <= self.horizon_ticks,
-            "lookahead must fit inside the forecast horizon"
-        );
         assert!(self.forecast_percentile > 0.0 && self.forecast_percentile < 100.0);
         assert!(self.count_max >= 8);
-        assert!(self.tick > Duration::ZERO);
-        // A data packet is a full header plus a `u16` payload length.
-        let mtu = self.mtu_bytes as usize;
-        assert!(
-            FULL_HEADER_LEN < mtu && mtu <= FULL_HEADER_LEN + u16::MAX as usize,
-            "mtu_bytes {mtu} must fit a {FULL_HEADER_LEN}-byte header and a payload of 1..={}",
-            u16::MAX
-        );
     }
 
     /// Key identifying the precomputed-table inputs (used for caching).
@@ -141,8 +131,6 @@ impl SproutConfig {
             count_max: self.count_max,
             max_rate_bits: self.max_rate_pps.to_bits(),
             sigma_bits: self.sigma.to_bits(),
-            escape_bits: self.outage_escape_rate.to_bits(),
-            tick_us: self.tick.as_micros(),
         }
     }
 }
@@ -155,8 +143,6 @@ pub(crate) struct TableKey {
     count_max: usize,
     max_rate_bits: u64,
     sigma_bits: u64,
-    escape_bits: u64,
-    tick_us: u64,
 }
 
 #[cfg(test)]
@@ -165,14 +151,17 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_section_3() {
+        assert_eq!(TICK.as_millis(), 20);
+        assert_eq!(MTU_BYTES, 1500);
+        assert_eq!(OUTAGE_ESCAPE_RATE, 1.0);
+        assert_eq!(LOOKAHEAD_TICKS, 5);
+        assert_eq!(REORDER_WINDOW.as_millis(), 10);
+        assert_eq!(HEARTBEAT_INTERVAL, TICK);
         let c = SproutConfig::paper();
-        assert_eq!(c.tick.as_millis(), 20);
         assert_eq!(c.num_bins, 256);
         assert_eq!(c.max_rate_pps, 1000.0);
         assert_eq!(c.sigma, 200.0);
-        assert_eq!(c.outage_escape_rate, 1.0);
         assert_eq!(c.horizon_ticks, 8);
-        assert_eq!(c.lookahead_ticks, 5);
         assert_eq!(c.forecast_percentile, 5.0);
         c.validate();
     }
@@ -215,42 +204,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn lookahead_beyond_horizon_is_rejected() {
-        SproutConfig {
-            lookahead_ticks: 9,
-            ..SproutConfig::paper()
-        }
-        .validate();
-    }
-
-    #[test]
     fn test_small_is_valid() {
         SproutConfig::test_small().validate();
-    }
-
-    fn with_mtu(mtu_bytes: u32) -> SproutConfig {
-        SproutConfig {
-            mtu_bytes,
-            ..SproutConfig::paper()
-        }
-    }
-
-    #[test]
-    fn mtu_bounds_are_a_one_byte_and_a_u16_payload() {
-        with_mtu(61).validate();
-        with_mtu(65_595).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "mtu_bytes 60 must fit a 60-byte header")]
-    fn mtu_of_a_bare_full_header_is_rejected() {
-        with_mtu(60).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "mtu_bytes 65596 must fit a 60-byte header")]
-    fn mtu_past_a_u16_payload_is_rejected() {
-        with_mtu(65_596).validate();
     }
 }

@@ -12,7 +12,7 @@ use crate::receiver::SproutReceiver;
 use crate::sender::SproutSender;
 use crate::wire::{SproutHeader, WireForecast, FULL_HEADER_LEN};
 use sprout_sim::{Endpoint, FlowId, Packet};
-use sprout_trace::{Duration, Timestamp};
+use sprout_trace::{Duration, Timestamp, MTU_BYTES};
 
 /// What this endpoint's application gives the sender: it either
 /// saturates (the paper's evaluation, §5.1) or hands over tunnel
@@ -60,7 +60,6 @@ pub struct EndpointStats {
 /// [`set_saturating`](Self::set_saturating) or
 /// [`push_app_datagram`](Self::push_app_datagram) gives it data.
 pub struct SproutEndpoint {
-    cfg: SproutConfig,
     sender: SproutSender,
     receiver: SproutReceiver,
     app: AppSource,
@@ -80,24 +79,21 @@ pub struct SproutEndpoint {
 impl SproutEndpoint {
     /// Standard Sprout endpoint (Bayesian forecaster, paper config).
     pub fn new(cfg: SproutConfig) -> Self {
-        let f = Box::new(BayesianForecaster::new(cfg.clone()));
-        Self::with_forecaster(cfg, f)
+        Self::with_forecaster(Box::new(BayesianForecaster::new(cfg)))
     }
 
     /// Sprout-EWMA endpoint (§5.3 ablation).
     pub fn new_ewma(cfg: SproutConfig) -> Self {
-        let f = Box::new(EwmaForecaster::new(cfg.clone()));
-        Self::with_forecaster(cfg, f)
+        Self::with_forecaster(Box::new(EwmaForecaster::new(cfg)))
     }
 
-    /// Endpoint with a custom forecaster.
-    pub fn with_forecaster(cfg: SproutConfig, forecaster: Box<dyn Forecaster>) -> Self {
-        cfg.validate();
-        let receiver = SproutReceiver::new(cfg.clone(), forecaster, Timestamp::ZERO);
+    /// Endpoint with a custom forecaster. The sender and receiver read
+    /// §3's constants; the forecaster holds the model configuration (its
+    /// constructor validated it).
+    pub fn with_forecaster(forecaster: Box<dyn Forecaster>) -> Self {
         SproutEndpoint {
-            sender: SproutSender::new(cfg.clone()),
-            receiver,
-            cfg,
+            sender: SproutSender::new(),
+            receiver: SproutReceiver::new(forecaster, Timestamp::ZERO),
             app: AppSource::Datagrams(VecDeque::new()),
             need_feedback: false,
             flow: FlowId::PRIMARY,
@@ -275,7 +271,7 @@ impl Endpoint for SproutEndpoint {
 
         // --- data packets, governed by the window (§3.5) ---
         let mut window = self.sender.window_bytes(now);
-        let max_payload = (self.cfg.mtu_bytes as usize - FULL_HEADER_LEN) as u64;
+        let max_payload = (MTU_BYTES as usize - FULL_HEADER_LEN) as u64;
         loop {
             let body = match &mut self.app {
                 AppSource::Datagrams(q) => {
@@ -399,32 +395,14 @@ mod tests {
         let mut e = endpoint();
         e.set_saturating();
         let pkts = polled(&mut e, t(0));
-        // Startup window is one MTU: at most one data packet (plus no
-        // separate control packet since data carries the feedback).
-        let data: Vec<_> = pkts
-            .iter()
-            .filter(|p| SproutHeader::decode(&p.payload).unwrap().payload_len > 0)
-            .collect();
-        assert_eq!(data.len(), 1);
-    }
-
-    #[test]
-    fn the_mtu_bounds_build_whole_packets() {
-        // The startup window is one MTU: one packet of a full header and
-        // the largest payload, its length carried untruncated.
-        for mtu_bytes in [61, 65_595] {
-            let mut e = SproutEndpoint::new_ewma(SproutConfig {
-                mtu_bytes,
-                ..SproutConfig::test_small()
-            });
-            e.set_saturating();
-            let pkts = polled(&mut e, t(0));
-            assert_eq!(pkts.len(), 1, "mtu {mtu_bytes}");
-            let h = SproutHeader::decode(&pkts[0].payload).unwrap();
-            assert_eq!(pkts[0].size, mtu_bytes);
-            assert_eq!(h.payload_len as usize, mtu_bytes as usize - FULL_HEADER_LEN);
-            assert_eq!(e.stats().app_bytes_sent, u64::from(h.payload_len));
-        }
+        // Startup window is one MTU: one whole packet of a full header
+        // and the largest payload, and no separate control packet since
+        // data carries the feedback.
+        assert_eq!(pkts.len(), 1);
+        let h = SproutHeader::decode(&pkts[0].payload).unwrap();
+        assert_eq!(pkts[0].size, MTU_BYTES);
+        assert_eq!(h.payload_len as usize, MTU_BYTES as usize - FULL_HEADER_LEN);
+        assert_eq!(e.stats().app_bytes_sent, u64::from(h.payload_len));
     }
 
     #[test]

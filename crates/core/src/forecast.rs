@@ -77,6 +77,7 @@ use crate::memo::{Memo, MemoCounters};
 use crate::model::ScatterMatrix;
 use crate::model::TransitionKernel;
 use crate::simd::{mixture_lanes, strip_sum_into, CDF_LANES, STRIP_LANES};
+use sprout_trace::TICK;
 
 /// Built / reused counts of [`TABLE_MEMO`].
 static TABLE_COUNTERS: MemoCounters = MemoCounters::zeroed();
@@ -830,7 +831,7 @@ pub struct ForecastScratch {
 /// exact. (The percentile covers rate-path uncertainty, not Poisson
 /// sampling noise — see the module docs.)
 fn unit_shifts(cfg: &SproutConfig) -> Vec<(usize, f64)> {
-    let tau = cfg.tick_secs();
+    let tau = TICK.as_secs_f64();
     (0..cfg.num_bins)
         .map(|i| {
             let units = cfg.bin_rate_pps(i) * tau * UNITS_PER_MTU as f64;
@@ -845,7 +846,7 @@ fn unit_shifts(cfg: &SproutConfig) -> Vec<(usize, f64)> {
 /// rounded up for the fractional two-point split. Rates are monotone in
 /// the bin index, so this equals `max(unit_shifts[j].0 + 1)`.
 fn max_unit_step(cfg: &SproutConfig) -> usize {
-    let units = cfg.bin_rate_pps(cfg.num_bins - 1) * cfg.tick_secs() * UNITS_PER_MTU as f64;
+    let units = cfg.bin_rate_pps(cfg.num_bins - 1) * TICK.as_secs_f64() * UNITS_PER_MTU as f64;
     units.floor() as usize + 1
 }
 
@@ -1171,7 +1172,7 @@ mod tests {
         let mut pm = vec![0.0; cfg.num_bins];
         pm[bin] = 1.0;
         kernel.evolve_into(&pm, &mut evolved);
-        let tau = cfg.tick_secs();
+        let tau = TICK.as_secs_f64();
         for c in [0usize, 2, 4, 8, 16] {
             let direct: f64 = evolved
                 .iter()
@@ -1243,7 +1244,6 @@ mod tests {
             sigma,
             max_rate_pps,
             horizon_ticks,
-            lookahead_ticks: 1,
             count_max,
             ..SproutConfig::default()
         };

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use crate::config::SproutConfig;
 use crate::forecast::{ForecastScratch, ForecastTables};
 use crate::model::RateModel;
+use sprout_trace::{MTU_BYTES, TICK};
 
 /// What the receiver saw during one tick: `bytes` of data arrived while
 /// the sender's queue was (believed) non-empty for `exposure_secs` of the
@@ -48,7 +49,7 @@ pub trait Forecaster: Send {
 /// The paper's forecaster: Bayesian inference on the doubly-stochastic
 /// link model, forecasting at a cautious percentile (§3.1–3.3).
 pub struct BayesianForecaster {
-    cfg: SproutConfig,
+    /// The posterior; it holds the configuration.
     model: RateModel,
     tables: Arc<ForecastTables>,
     scratch: ForecastScratch,
@@ -62,10 +63,8 @@ impl BayesianForecaster {
     pub fn new(cfg: SproutConfig) -> Self {
         cfg.validate();
         let (tables, kernel) = ForecastTables::get_with_kernel(&cfg);
-        let model = RateModel::with_kernel(cfg.clone(), kernel);
         BayesianForecaster {
-            cfg,
-            model,
+            model: RateModel::with_kernel(cfg, kernel),
             tables,
             scratch: ForecastScratch::default(),
         }
@@ -88,7 +87,7 @@ impl Forecaster for BayesianForecaster {
     fn tick(&mut self, observation: Option<TickObservation>) {
         self.model.evolve();
         if let Some(obs) = observation {
-            let packets = obs.bytes as f64 / self.cfg.mtu_bytes as f64;
+            let packets = obs.bytes as f64 / MTU_BYTES as f64;
             self.model.observe_exposed(packets, obs.exposure_secs);
         }
     }
@@ -96,19 +95,19 @@ impl Forecaster for BayesianForecaster {
     fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>) {
         let f = self.tables.forecast_into(
             self.model.distribution(),
-            self.cfg.forecast_percentile,
+            self.model.config().forecast_percentile,
             &mut self.scratch,
         );
         out.clear();
-        out.extend((0..f.horizon()).map(|t| f.cumulative_bytes(t, self.cfg.mtu_bytes)));
+        out.extend((0..f.horizon()).map(|t| f.cumulative_bytes(t, MTU_BYTES)));
     }
 
     fn horizon(&self) -> usize {
-        self.cfg.horizon_ticks
+        self.model.config().horizon_ticks
     }
 
     fn rate_estimate_bps(&self) -> f64 {
-        self.model.mean_rate_pps() * self.cfg.mtu_bytes as f64 * 8.0
+        self.model.mean_rate_pps() * MTU_BYTES as f64 * 8.0
     }
 }
 
@@ -117,24 +116,21 @@ impl Forecaster for BayesianForecaster {
 /// no caution, no model.
 pub struct EwmaForecaster {
     cfg: SproutConfig,
-    /// Smoothing gain for samples above the estimate.
-    alpha: f64,
-    /// Smoothing gain for samples below the estimate (smaller: §5.3
-    /// describes the EWMA as "a low-pass filter, which does not
-    /// immediately respond to sudden rate reductions or outages" — that
-    /// sluggishness is what costs Sprout-EWMA its delay).
-    alpha_down: f64,
     /// Smoothed estimate of bytes delivered per tick.
     bytes_per_tick: f64,
 }
 
 impl EwmaForecaster {
-    /// Default upward smoothing gain. The paper does not publish
-    /// Sprout-EWMA's gain.
-    pub const DEFAULT_ALPHA: f64 = 0.25;
+    /// Smoothing gain for samples above the estimate. The paper does not
+    /// publish Sprout-EWMA's gain.
+    pub const ALPHA_UP: f64 = 0.25;
 
-    /// Default downward gain (≈ halving in 9 ticks / 180 ms).
-    pub const DEFAULT_ALPHA_DOWN: f64 = 0.08;
+    /// Smoothing gain for samples below the estimate (≈ halving in 9
+    /// ticks / 180 ms). Smaller: §5.3 describes the EWMA as "a low-pass
+    /// filter, which does not immediately respond to sudden rate
+    /// reductions or outages" — that sluggishness is what costs
+    /// Sprout-EWMA its delay.
+    pub const ALPHA_DOWN: f64 = 0.08;
 
     /// Multiplicative estimate growth per *gated* tick. Gated ticks mean
     /// the sender underflowed the link, which is exactly when the
@@ -145,25 +141,14 @@ impl EwmaForecaster {
     /// Brownian diffusion during unobserved ticks.
     pub const GATED_GROWTH: f64 = 1.03;
 
-    /// New EWMA forecaster with the default gain.
+    /// New EWMA forecaster.
     pub fn new(cfg: SproutConfig) -> Self {
-        Self::with_alpha(cfg, Self::DEFAULT_ALPHA)
-    }
-
-    /// New EWMA forecaster with an explicit upward gain in (0, 1]; the
-    /// downward gain scales proportionally.
-    pub fn with_alpha(cfg: SproutConfig, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
         cfg.validate();
-        // Start at one MTU per tick: lets the sender ramp from idle
-        // without an initial forecast of zero.
-        let initial = cfg.mtu_bytes as f64;
-        let alpha_down = alpha * Self::DEFAULT_ALPHA_DOWN / Self::DEFAULT_ALPHA;
         EwmaForecaster {
             cfg,
-            alpha,
-            alpha_down,
-            bytes_per_tick: initial,
+            // Start at one MTU per tick: lets the sender ramp from idle
+            // without an initial forecast of zero.
+            bytes_per_tick: MTU_BYTES as f64,
         }
     }
 
@@ -175,8 +160,8 @@ impl EwmaForecaster {
 
 impl Forecaster for EwmaForecaster {
     fn tick(&mut self, observation: Option<TickObservation>) {
-        let tau = self.cfg.tick_secs();
-        let ceiling = self.cfg.max_rate_pps * tau * self.cfg.mtu_bytes as f64;
+        let tau = TICK.as_secs_f64();
+        let ceiling = self.cfg.max_rate_pps * tau * MTU_BYTES as f64;
         match observation {
             Some(obs) => {
                 // Normalize to a full-tick rate through the exposure,
@@ -184,9 +169,9 @@ impl Forecaster for EwmaForecaster {
                 // tiny exposure cannot inject an absurd sample.
                 let sample = (obs.bytes as f64 * tau / obs.exposure_secs).min(ceiling);
                 let gain = if sample >= self.bytes_per_tick {
-                    self.alpha
+                    Self::ALPHA_UP
                 } else {
-                    self.alpha_down
+                    Self::ALPHA_DOWN
                 };
                 self.bytes_per_tick = (1.0 - gain) * self.bytes_per_tick + gain * sample;
             }
@@ -194,7 +179,7 @@ impl Forecaster for EwmaForecaster {
                 // Underflow (gated): probe upward slowly; see GATED_GROWTH.
                 // The floor keeps multiplicative growth alive after an
                 // outage decays the estimate to ~0 (0 × 1.03 = 0 forever).
-                let floor = self.cfg.mtu_bytes as f64 / 8.0;
+                let floor = MTU_BYTES as f64 / 8.0;
                 self.bytes_per_tick = (self.bytes_per_tick * Self::GATED_GROWTH)
                     .max(floor)
                     .min(ceiling);
@@ -212,7 +197,7 @@ impl Forecaster for EwmaForecaster {
     }
 
     fn rate_estimate_bps(&self) -> f64 {
-        self.bytes_per_tick * 8.0 / self.cfg.tick_secs()
+        self.bytes_per_tick * 8.0 / TICK.as_secs_f64()
     }
 }
 
@@ -322,7 +307,7 @@ mod tests {
     #[test]
     fn ewma_gated_ticks_probe_upward_to_ceiling() {
         let cfg = SproutConfig::test_small();
-        let ceiling = cfg.max_rate_pps * cfg.tick_secs() * cfg.mtu_bytes as f64;
+        let ceiling = cfg.max_rate_pps * TICK.as_secs_f64() * MTU_BYTES as f64;
         let mut f = EwmaForecaster::new(cfg);
         for _ in 0..20 {
             f.tick(obs(4_500));

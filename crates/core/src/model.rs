@@ -14,9 +14,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::config::SproutConfig;
+use crate::config::{SproutConfig, OUTAGE_ESCAPE_RATE};
 use crate::simd::{evolve_block_into, BlockTerms, EVOLVE_BLOCK};
 use crate::stats::{ln_gamma, normal_mass, poisson_ln_pmf_with_ln_gamma};
+use sprout_trace::TICK;
 
 /// The per-tick transition matrix in CSR (compressed sparse row) form:
 /// one flat `(destination, weight)` stream with per-row extents, so the
@@ -278,7 +279,7 @@ impl TransitionKernel {
         cfg.validate();
         let step = cfg.bin_width_pps();
         // Per-tick Brownian standard deviation: σ·√τ (§3.1).
-        let sigma_tick = cfg.sigma * cfg.tick_secs().sqrt();
+        let sigma_tick = cfg.sigma * TICK.as_secs_f64().sqrt();
         let half_width = ((4.0 * sigma_tick / step).ceil() as usize).clamp(1, cfg.num_bins - 1);
         let mut weights = Vec::with_capacity(2 * half_width + 1);
         for d in -(half_width as i64)..=(half_width as i64) {
@@ -301,7 +302,7 @@ impl TransitionKernel {
             // Degenerate kernel (huge bins): escape to the first bin.
             escape_row = vec![1.0];
         }
-        let escape_prob = 1.0 - (-cfg.outage_escape_rate * cfg.tick_secs()).exp();
+        let escape_prob = 1.0 - (-OUTAGE_ESCAPE_RATE * TICK.as_secs_f64()).exp();
         let n = cfg.num_bins;
         let scatter = ScatterMatrix::from_rows(
             n,
@@ -589,7 +590,7 @@ impl RateModel {
     /// having observed `packets` packet-equivalents over one full tick,
     /// then renormalize.
     pub fn observe(&mut self, packets: f64) {
-        let tau = self.cfg.tick_secs();
+        let tau = TICK.as_secs_f64();
         self.observe_exposed(packets, tau);
     }
 
@@ -1058,10 +1059,10 @@ mod tests {
         // Mix of full-tick and censored exposures, repeats (cache hits)
         // and switches (cache refreshes), zero and surprise observations.
         let obs = [
-            (2.0, cfg.tick_secs()),
-            (0.0, cfg.tick_secs()),
+            (2.0, TICK.as_secs_f64()),
+            (0.0, TICK.as_secs_f64()),
             (3.5, 0.013),
-            (8.0, cfg.tick_secs()),
+            (8.0, TICK.as_secs_f64()),
             (0.04, 0.020_3),
         ];
         for &(packets, exposure) in obs.iter().cycle().take(40) {

@@ -1,10 +1,9 @@
 //! The Sprout receiver half (§3.2–3.4): per-tick inference, time-to-next
 //! gating, received-or-lost accounting, and forecast feedback assembly.
 
-use crate::config::SproutConfig;
 use crate::forecaster::{Forecaster, TickObservation};
 use crate::wire::{SproutHeader, WireForecast, WIRE_HORIZON};
-use sprout_trace::{Duration, Timestamp};
+use sprout_trace::{Duration, Timestamp, MTU_BYTES, TICK};
 
 /// A set of disjoint half-open byte ranges `[start, end)`; used to total
 /// the bytes received above the written-off horizon. A sorted run list:
@@ -74,7 +73,6 @@ impl IntervalSet {
 
 /// Receiver-half state.
 pub struct SproutReceiver {
-    cfg: SproutConfig,
     forecaster: Box<dyn Forecaster>,
     /// End of the tick currently being accumulated.
     tick_end: Timestamp,
@@ -124,12 +122,10 @@ impl SproutReceiver {
     const CANCEL_QUEUEING_DELAY: Duration = Duration::from_millis(10);
 
     /// New receiver whose first tick ends one tick after `start`.
-    pub fn new(cfg: SproutConfig, forecaster: Box<dyn Forecaster>, start: Timestamp) -> Self {
-        let tick_end = start + cfg.tick;
+    pub fn new(forecaster: Box<dyn Forecaster>, start: Timestamp) -> Self {
         SproutReceiver {
-            cfg,
             forecaster,
-            tick_end,
+            tick_end: start + TICK,
             tick_counter: 0,
             bytes_this_tick: 0,
             heartbeat_bytes_this_tick: 0,
@@ -236,14 +232,14 @@ impl SproutReceiver {
         let mut processed = 0;
         while self.tick_end <= now {
             let tick_end = self.tick_end;
-            let tick_start = tick_end - self.cfg.tick;
+            let tick_start = tick_end - TICK;
             // §3.2: the time-to-next markings tell the receiver how much
             // of the tick the sender's queue was empty. That idle time is
             // excluded from the Poisson exposure; a tick with (almost) no
             // exposed time is skipped outright ("skips the observation
             // process until this timer expires").
             let idle = self.idle_time_in_tick(tick_start, tick_end);
-            let exposure = self.cfg.tick - idle;
+            let exposure = TICK - idle;
             let exposure_secs = exposure.as_secs_f64();
             // "Even one tiny packet does much to dispel this ambiguity"
             // (§3.2): a tick whose only arrivals were heartbeats proves
@@ -266,7 +262,7 @@ impl SproutReceiver {
             self.bytes_this_tick = 0;
             self.heartbeat_bytes_this_tick = 0;
             self.tick_counter += 1;
-            self.tick_end += self.cfg.tick;
+            self.tick_end += TICK;
             processed += 1;
         }
         if processed > 0 {
@@ -303,7 +299,7 @@ impl SproutReceiver {
                 self.forecaster
                     .forecast_cumulative_bytes_into(&mut self.fc_scratch);
                 let fc = &self.fc_scratch;
-                let unit = self.cfg.mtu_bytes as u64 / crate::forecast::UNITS_PER_MTU;
+                let unit = MTU_BYTES as u64 / crate::forecast::UNITS_PER_MTU;
                 let mut units = [0u16; WIRE_HORIZON];
                 // Clamp into the wire's fixed 8-tick format: shorter
                 // horizons extend flat (an empty one as all zeros), longer
@@ -343,6 +339,7 @@ impl SproutReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SproutConfig;
     use crate::forecaster::EwmaForecaster;
     use proptest::prelude::*;
     use sprout_trace::Duration;
@@ -372,9 +369,8 @@ mod tests {
     }
 
     fn receiver() -> SproutReceiver {
-        let cfg = SproutConfig::test_small();
-        let f = Box::new(EwmaForecaster::new(cfg.clone()));
-        SproutReceiver::new(cfg, f, Timestamp::ZERO)
+        let f = Box::new(EwmaForecaster::new(SproutConfig::test_small()));
+        SproutReceiver::new(f, Timestamp::ZERO)
     }
 
     // ---- IntervalSet ----
@@ -684,8 +680,7 @@ mod tests {
                 0.0
             }
         }
-        let cfg = SproutConfig::test_small();
-        let mut r = SproutReceiver::new(cfg, Box::new(Silent), Timestamp::ZERO);
+        let mut r = SproutReceiver::new(Box::new(Silent), Timestamp::ZERO);
         r.process_ticks(t(20));
         assert_eq!(r.make_feedback().cumulative_units, [0; WIRE_HORIZON]);
     }

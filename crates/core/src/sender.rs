@@ -4,9 +4,9 @@
 
 use std::collections::VecDeque;
 
-use crate::config::SproutConfig;
+use crate::config::{HEARTBEAT_INTERVAL, LOOKAHEAD_TICKS, REORDER_WINDOW};
 use crate::wire::{WireForecast, WIRE_HORIZON};
-use sprout_trace::Timestamp;
+use sprout_trace::{Timestamp, MTU_BYTES, TICK};
 
 /// The forecast currently steering the sender, rebased to sender time.
 #[derive(Clone, Debug)]
@@ -34,8 +34,8 @@ impl ActiveForecast {
 }
 
 /// Sender-half state.
+#[derive(Default)]
 pub struct SproutSender {
-    cfg: SproutConfig,
     /// Total wire bytes handed to the network on this direction.
     bytes_sent: u64,
     /// Estimated bytes still inside the network (queue + wire).
@@ -45,7 +45,7 @@ pub struct SproutSender {
     /// throwaway numbers (§3.4).
     recent_sends: VecDeque<(Timestamp, u64)>,
     /// Throwaway candidate: seq of the most recent packet sent more than
-    /// `reorder_window` ago.
+    /// [`REORDER_WINDOW`] ago.
     throwaway: u64,
     /// Time of the last transmission (for heartbeat scheduling).
     last_send: Option<Timestamp>,
@@ -53,16 +53,8 @@ pub struct SproutSender {
 
 impl SproutSender {
     /// New sender at the start of a connection.
-    pub fn new(cfg: SproutConfig) -> Self {
-        SproutSender {
-            cfg,
-            bytes_sent: 0,
-            queue_estimate: 0,
-            forecast: None,
-            recent_sends: VecDeque::new(),
-            throwaway: 0,
-            last_send: None,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Ingest a feedback block. Stale forecasts (older receiver tick than
@@ -74,7 +66,7 @@ impl SproutSender {
                 return;
             }
         }
-        let unit = self.cfg.mtu_bytes as u64 / crate::forecast::UNITS_PER_MTU;
+        let unit = MTU_BYTES as u64 / crate::forecast::UNITS_PER_MTU;
         // A receiver's cumulative forecast never decreases; a foreign
         // block's might, and every use below takes differences. Hold the
         // running maximum (the identity on a well-formed block).
@@ -100,7 +92,7 @@ impl SproutSender {
         let Some(f) = &mut self.forecast else {
             return;
         };
-        let elapsed = now.saturating_since(f.received_at).as_micros() / self.cfg.tick.as_micros();
+        let elapsed = now.saturating_since(f.received_at).as_micros() / TICK.as_micros();
         let elapsed = (elapsed as usize).min(f.cumulative_bytes.len());
         while f.drained_ticks < elapsed {
             let k = f.drained_ticks + 1;
@@ -119,13 +111,12 @@ impl SproutSender {
                 // Startup: no forecast yet (the first one arrives within
                 // ~1 RTT). Allow a single MTU so the receiver has
                 // something to observe.
-                self.cfg.mtu_bytes as u64
+                MTU_BYTES as u64
             }
             Some(f) => {
-                let elapsed =
-                    now.saturating_since(f.received_at).as_micros() / self.cfg.tick.as_micros();
+                let elapsed = now.saturating_since(f.received_at).as_micros() / TICK.as_micros();
                 let e = (elapsed as usize).min(f.cumulative_bytes.len());
-                let look = (e + self.cfg.lookahead_ticks).min(f.cumulative_bytes.len());
+                let look = (e + LOOKAHEAD_TICKS).min(f.cumulative_bytes.len());
                 let deliverable = f.cumulative(look) - f.cumulative(e);
                 deliverable.saturating_sub(self.queue_estimate)
             }
@@ -140,8 +131,7 @@ impl SproutSender {
         match &self.forecast {
             None => 0,
             Some(f) => {
-                let elapsed =
-                    now.saturating_since(f.received_at).as_micros() / self.cfg.tick.as_micros();
+                let elapsed = now.saturating_since(f.received_at).as_micros() / TICK.as_micros();
                 let e = (elapsed as usize).min(f.cumulative_bytes.len());
                 f.cumulative(f.cumulative_bytes.len()) - f.cumulative(e)
             }
@@ -161,7 +151,7 @@ impl SproutSender {
     }
 
     /// Current throwaway number (§3.4): the sequence number of the most
-    /// recent packet sent more than `reorder_window` before `now`.
+    /// recent packet sent more than [`REORDER_WINDOW`] before `now`.
     pub fn throwaway(&mut self, now: Timestamp) -> u64 {
         self.refresh_throwaway(now);
         self.throwaway
@@ -169,7 +159,7 @@ impl SproutSender {
 
     fn refresh_throwaway(&mut self, now: Timestamp) {
         while let Some(&(t, seq)) = self.recent_sends.front() {
-            if now.saturating_since(t) > self.cfg.reorder_window {
+            if now.saturating_since(t) > REORDER_WINDOW {
                 self.throwaway = self.throwaway.max(seq);
                 self.recent_sends.pop_front();
             } else {
@@ -183,7 +173,7 @@ impl SproutSender {
     pub fn heartbeat_due(&self, now: Timestamp) -> bool {
         match self.last_send {
             None => true,
-            Some(t) => now.saturating_since(t) >= self.cfg.heartbeat_interval,
+            Some(t) => now.saturating_since(t) >= HEARTBEAT_INTERVAL,
         }
     }
 
@@ -207,10 +197,6 @@ mod tests {
         Timestamp::from_millis(ms)
     }
 
-    fn cfg() -> SproutConfig {
-        SproutConfig::paper()
-    }
-
     /// Feedback forecasting `per_tick` packets each tick (wire units are
     /// quarter-MTU, hence the ×4).
     fn fb(recv_or_lost: u64, tick: u32, per_tick: u16) -> WireForecast {
@@ -227,13 +213,13 @@ mod tests {
 
     #[test]
     fn startup_window_is_one_mtu() {
-        let s = SproutSender::new(cfg());
+        let s = SproutSender::new();
         assert_eq!(s.window_bytes(t(0)), 1_500);
     }
 
     #[test]
     fn window_is_lookahead_minus_queue() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         // Send 10 MTU first so there's something in the network.
         for _ in 0..10 {
             s.on_send(1_500, t(0));
@@ -248,7 +234,7 @@ mod tests {
 
     #[test]
     fn queue_drains_as_forecast_ticks_pass() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         for _ in 0..10 {
             s.on_send(1_500, t(0));
         }
@@ -264,7 +250,7 @@ mod tests {
 
     #[test]
     fn lookahead_clamps_at_forecast_end() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         s.on_feedback(&fb(0, 1, 2), t(0));
         // 7 ticks in: only 1 tick of forecast remains (8−7).
         s.advance(t(141));
@@ -277,7 +263,7 @@ mod tests {
 
     #[test]
     fn stale_feedback_is_ignored() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         s.on_feedback(&fb(0, 10, 2), t(0));
         for _ in 0..4 {
             s.on_send(1_500, t(1));
@@ -292,7 +278,7 @@ mod tests {
 
     #[test]
     fn window_never_goes_negative() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         s.on_feedback(&fb(0, 1, 1), t(0));
         for _ in 0..100 {
             s.on_send(1_500, t(1));
@@ -302,7 +288,7 @@ mod tests {
 
     #[test]
     fn throwaway_trails_by_reorder_window() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         let s0 = s.on_send(1_500, t(0));
         let s1 = s.on_send(1_500, t(5));
         let _s2 = s.on_send(1_500, t(12));
@@ -320,7 +306,7 @@ mod tests {
 
     #[test]
     fn heartbeat_after_idle_interval() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         assert!(s.heartbeat_due(t(0))); // never sent anything
         s.on_send(100, t(0));
         assert!(!s.heartbeat_due(t(10)));
@@ -329,7 +315,7 @@ mod tests {
 
     #[test]
     fn feedback_after_sends_accounts_in_flight() {
-        let mut s = SproutSender::new(cfg());
+        let mut s = SproutSender::new();
         for _ in 0..4 {
             s.on_send(1_500, t(0));
         }

@@ -102,7 +102,7 @@ impl SessionPool {
                 );
             }
         }
-        let mut endpoint = SproutEndpoint::with_forecaster(self.cfg.clone(), Box::new(forecaster));
+        let mut endpoint = SproutEndpoint::with_forecaster(Box::new(forecaster));
         endpoint.set_flow(FlowId(session_id));
         self.endpoints.push(endpoint);
         idx

@@ -4,7 +4,7 @@
 //! * a **sequence number** counting the wire bytes sent so far on this
 //!   direction (so the receiver can total "received or lost" bytes);
 //! * a **throwaway number**: the sequence number of the most recent packet
-//!   sent more than `reorder_window` (10 ms) earlier — once any later
+//!   sent more than `REORDER_WINDOW` (10 ms) earlier — once any later
 //!   packet arrives, everything below it is either received or lost,
 //!   never merely reordered;
 //! * a **time-to-next** marking (§3.2) announcing when the sender expects
