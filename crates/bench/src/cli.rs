@@ -14,10 +14,10 @@ use std::fmt::Write as _;
 
 use crate::figures::{select, Experiment, ExperimentConfig, ALL, EXPERIMENTS};
 use crate::scenario::{
-    FlowSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
+    FlowSpec, LinkSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
 };
 use crate::schemes::Scheme;
-use sprout_trace::{Impairment, NetProfile};
+use sprout_trace::{Duration, Impairment, NetProfile};
 
 /// One command-line flag.
 pub struct Flag {
@@ -426,6 +426,25 @@ pub fn apply_worker_args(
             ));
         }
     }
+    // A replay past the end of its capture would simulate a dead link and
+    // report the silence as a result: the shortest capture must cover the
+    // run.
+    for row in rows.iter().filter(|row| row.flags.contains(&"--trace")) {
+        let secs = row.secs(cfg);
+        let ends = cfg.replay.traces.iter();
+        let ends = ends.filter_map(|&fp| Some((sprout_trace::lookup_trace(fp)?.duration(), fp)));
+        if let Some((end, fingerprint)) = ends.min() {
+            if Duration::from_secs(secs) > end {
+                return Err(format!(
+                    "{} runs {secs}s, but capture {} ends at {:.3}s: a replay cannot run \
+                     past its capture's last delivery opportunity",
+                    row.name,
+                    LinkSpec::Measured { fingerprint }.id(),
+                    end.as_secs_f64()
+                ));
+            }
+        }
+    }
     Ok(rows)
 }
 
@@ -442,6 +461,21 @@ mod tests {
     /// The run length `experiment`'s one row uses under `cfg`.
     fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
         select(experiment).expect("a table row")[0].secs(cfg)
+    }
+
+    #[test]
+    fn a_replay_never_runs_past_its_shortest_capture() {
+        // The default corpus ends at 39.975 s (downlink) and 39.8 s
+        // (uplink): past that, a cell would replay a dead link.
+        for args in [&["--secs", "41"][..], &["--secs", "40"], &["--quick"]] {
+            let err = apply("replay", args).expect_err("past the uplink excerpt");
+            assert!(err.contains("ends at 39.800s"), "{args:?}: {err}");
+            assert!(err.contains(" m"), "names the capture's id: {err}");
+        }
+        for args in [&["--secs", "39"][..], &[]] {
+            let cfg = apply("replay", args).expect("inside every capture");
+            assert!(effective_secs(&cfg, "replay") <= 39, "{args:?}");
+        }
     }
 
     #[test]
@@ -662,9 +696,9 @@ mod tests {
         // warmup is derived, so a paper-default 60 s warmup with the
         // short 30 s replay default is fine).
         assert_eq!(apply("replay", &[]).unwrap().warmup_secs, 60);
-        let cfg = apply("replay", &["--secs", "40", "--warmup", "8"]).unwrap();
+        let cfg = apply("replay", &["--secs", "35", "--warmup", "8"]).unwrap();
         assert_eq!(cfg.replay.secs, None);
-        assert_eq!(effective_secs(&cfg, "replay"), 40);
+        assert_eq!(effective_secs(&cfg, "replay"), 35);
         assert_eq!(effective_secs(&apply("replay", &[]).unwrap(), "replay"), 30);
     }
 }

@@ -6,9 +6,8 @@
 //! synthesis, one trace allocation and one floor per measurement window —
 //! derives its seeds, builds the workload's endpoints and paths, runs the
 //! simulation, and reduces the measured direction's delivery log into the
-//! record's [`Measured`] part. [`run_cell`] is the same path for callers
-//! that bring their own [`RunConfig`]. Nothing here knows about threads,
-//! shards, or the result cache — that is `crate::sweep`.
+//! record's [`Measured`] part. Nothing here knows about threads, shards,
+//! or the result cache — that is `crate::sweep`.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -211,7 +210,7 @@ pub fn execute_with_memo(
             scenario.series_bin,
             scenario.cell_series_bin,
             scratch,
-            &|from, to| data.floor(rc.prop_delay, from, to),
+            &data,
         )
     };
     result.wall_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -489,11 +488,6 @@ fn tunnel_pair(
     (host(a), host(b))
 }
 
-/// The data direction's omniscient floor over `[from, to)`, from wherever
-/// the caller keeps it: the link's memo slot in a sweep, a direct
-/// computation for a one-off cell.
-type Floor<'a> = &'a dyn Fn(Timestamp, Timestamp) -> Option<Duration>;
-
 /// The spine every two-endpoint workload shares: build the simulation
 /// from the arena's recycled buffers, run it to `end`, take the data
 /// direction's standard metrics against the link's `floor`, let `reduce`
@@ -505,12 +499,12 @@ fn run_pair<A: Endpoint, B: Endpoint>(
     (ab, ba): (PathConfig, PathConfig),
     scratch: &mut CellScratch,
     (from, end): (Timestamp, Timestamp),
-    floor: Floor,
+    floor: impl FnOnce() -> Option<Duration>,
     reduce: impl FnOnce(&Simulation<A, B>, &mut Measured),
 ) -> Measured {
     let mut sim = Simulation::with_scratch(a, b, ab, ba, std::mem::take(scratch));
     sim.run_until(end);
-    let stats = direction_stats_with_floor(sim.ab_path(), from, end, floor(from, end));
+    let stats = direction_stats_with_floor(sim.ab_path(), from, end, floor());
     let mut measured = Measured {
         metrics: Some(SchemeResult::from_stats(&stats)),
         ..Measured::default()
@@ -520,29 +514,10 @@ fn run_pair<A: Endpoint, B: Endpoint>(
     measured
 }
 
-/// Run one workload over prepared traces. This is the single execution
-/// path shared by the sweep engine and `run_scheme`.
-pub fn run_cell(
-    workload: &Workload,
-    rc: &RunConfig,
-    queue: ResolvedQueue,
-    series_bin: Option<Duration>,
-    cell_series_bin: Option<Duration>,
-) -> Measured {
-    run_cell_scratch(
-        workload,
-        rc,
-        queue,
-        series_bin,
-        cell_series_bin,
-        &mut CellScratch::default(),
-        &|from, to| omniscient_p95_delay(&rc.data_trace, rc.prop_delay, from, to),
-    )
-}
-
-/// [`run_cell`] with a caller-provided scratch arena: the simulation's
-/// recycled buffers are taken from (and returned to) `scratch`, so cells
-/// run back-to-back reuse one set of allocations.
+/// Run one workload over prepared traces, the simulation's recycled
+/// buffers taken from (and returned to) `scratch`, so cells run
+/// back-to-back reuse one set of allocations. `data` is the data
+/// direction's link, which keeps its omniscient floors.
 fn run_cell_scratch(
     workload: &Workload,
     rc: &RunConfig,
@@ -550,11 +525,12 @@ fn run_cell_scratch(
     series_bin: Option<Duration>,
     cell_series_bin: Option<Duration>,
     scratch: &mut CellScratch,
-    floor: Floor,
+    data: &LinkInputs,
 ) -> Measured {
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
     let paths = path_configs(rc, queue);
+    let floor = || data.floor(rc.prop_delay, from, end);
 
     match workload {
         Workload::InterarrivalProbe => {

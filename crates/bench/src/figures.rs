@@ -139,7 +139,8 @@ impl Default for ServeAxes {
 /// The default run length of a `replay` cell, virtual seconds. The
 /// committed corpus excerpts are ~40 s of capture; 30 s keeps every
 /// measured cell inside the shortest excerpt so no scheme ever runs past
-/// the last recorded delivery opportunity.
+/// the last recorded delivery opportunity. A `--secs` or `--quick` that
+/// would is refused ([`crate::cli::apply_worker_args`]).
 pub const REPLAY_SECS: u64 = 30;
 
 /// The bin width of the per-cell time-series artifacts (`--timeseries`):

@@ -33,9 +33,7 @@ pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,
     Workload, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
 };
-pub use schemes::{
-    build_endpoints, run_scheme, sprout_data_sender, RunConfig, Scheme, SchemeResult,
-};
+pub use schemes::{build_endpoints, sprout_data_sender, RunConfig, Scheme, SchemeResult};
 pub use sprout_baselines::VideoApp;
 pub use sweep::{
     abandoned_cell_threads, execute_with_memo, last_batch_layout, sweep_to_json,

@@ -289,38 +289,32 @@ pub fn build_endpoints(scheme: Scheme, cfg: &RunConfig) -> (Box<dyn Endpoint>, B
     }
 }
 
-/// Run one scheme over one link and collect the standard metrics.
-///
-/// This is a thin wrapper over the sweep engine's single-cell executor
-/// ([`crate::sweep::run_cell`]); full matrices should go through
-/// [`crate::sweep::SweepEngine`] instead.
-pub fn run_scheme(scheme: Scheme, cfg: &RunConfig) -> SchemeResult {
-    let workload = crate::scenario::Workload::Scheme(scheme);
-    let queue = crate::scenario::QueueSpec::Auto.resolve(&workload);
-    crate::sweep::run_cell(&workload, cfg, queue, None, None)
-        .metrics
-        .expect("scheme cells always produce direction metrics")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sprout_trace::NetProfile;
 
-    fn quick_cfg() -> RunConfig {
-        let down = NetProfile::TmobileUmtsDown.generate(Duration::from_secs(60), 5);
-        let up = NetProfile::TmobileUmtsUp.generate(Duration::from_secs(60), 6);
-        RunConfig {
-            duration: Duration::from_secs(60),
-            warmup: Duration::from_secs(10),
-            ..RunConfig::new(down, up)
-        }
+    /// Each scheme's metrics on a 60 s T-Mobile UMTS cell, through the
+    /// engine's one execution path.
+    fn run_schemes(schemes: impl IntoIterator<Item = Scheme>) -> Vec<(Scheme, SchemeResult)> {
+        let m = crate::scenario::ScenarioMatrix::builder("schemes")
+            .schemes(schemes)
+            .links([NetProfile::TmobileUmtsDown])
+            .timing(Duration::from_secs(60), Duration::from_secs(10))
+            .build();
+        m.cells()
+            .iter()
+            .map(|cell| {
+                let r = crate::sweep::execute_scenario(m.name(), cell, 5);
+                let metrics = r.metrics.expect("scheme cells produce metrics");
+                (cell.workload.scheme().unwrap(), metrics)
+            })
+            .collect()
     }
 
     #[test]
     fn every_scheme_runs_and_produces_sane_metrics() {
-        let cfg = quick_cfg();
-        for scheme in [
+        for (scheme, r) in run_schemes([
             Scheme::SproutEwma,
             Scheme::Cubic,
             Scheme::CubicCodel,
@@ -332,8 +326,7 @@ mod tests {
             Scheme::Facetime,
             Scheme::Hangout,
             Scheme::Omniscient,
-        ] {
-            let r = run_scheme(scheme, &cfg);
+        ]) {
             assert!(r.throughput_kbps > 0.0, "{}: no throughput", scheme.name());
             assert!(
                 r.p95_delay_ms.is_finite() && r.p95_delay_ms >= 20.0,
@@ -366,7 +359,7 @@ mod tests {
 
     #[test]
     fn omniscient_has_zero_self_inflicted_delay() {
-        let r = run_scheme(Scheme::Omniscient, &quick_cfg());
+        let (_, r) = run_schemes([Scheme::Omniscient]).remove(0);
         assert!(r.self_inflicted_ms.abs() < 1e-6);
         assert!(r.utilization > 0.999);
     }

@@ -55,8 +55,8 @@ use crate::scenario::{LinkSpec, Scenario, ScenarioMatrix};
 // `benchmark/` and the integration tests name the record and the executor
 // under `sweep::`.
 pub use crate::executor::{
-    execute_scenario, execute_with_memo, run_cell, trace_memory_counters, CellScratch, LinkInputs,
-    TraceMemo, BULK_FLOW, INTERACTIVE_FLOW,
+    execute_scenario, execute_with_memo, trace_memory_counters, CellScratch, LinkInputs, TraceMemo,
+    BULK_FLOW, INTERACTIVE_FLOW,
 };
 pub use crate::record::{
     result_to_json, sweep_to_json, CellSeries, CellSeriesBin, FlowSummary, InterarrivalSummary,

@@ -24,9 +24,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use sprout_bench::scenario::paired;
 use sprout_bench::{
-    execute_with_memo, run_scheme, sprout_data_sender, CellScratch, RunConfig, ScenarioMatrix,
-    Scheme, TraceMemo,
+    execute_with_memo, sprout_data_sender, CellScratch, ScenarioMatrix, Scheme, TraceMemo,
 };
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{PathConfig, Simulation};
@@ -68,31 +68,33 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations and delivered data packets of one `secs`-long cell.
-fn run(scheme: Scheme, secs: u64, base: &RunConfig) -> (u64, f64) {
-    let cfg = RunConfig {
-        duration: Duration::from_secs(secs),
-        warmup: Duration::ZERO,
-        ..base.clone()
-    };
+/// Allocations and delivered data packets of one `secs`-long cell, run
+/// the way a sweep worker runs it. The link's traces are resolved before
+/// the count starts, so only the cell itself is counted.
+fn run(scheme: Scheme, secs: u64) -> (u64, f64) {
+    let matrix = ScenarioMatrix::builder("alloc-budget")
+        .schemes([scheme])
+        .links([NetProfile::VerizonLteDown])
+        .timing(Duration::from_secs(secs), Duration::ZERO)
+        .build();
+    let cell = &matrix.cells()[0];
+    let memo = TraceMemo::new(11);
+    memo.link(cell.link, cell.duration);
+    memo.link(paired(cell.link), cell.duration);
     let before = allocs();
-    let result = run_scheme(scheme, &cfg);
+    let result = execute_with_memo(matrix.name(), cell, 11, &memo, &mut CellScratch::default());
     let allocs = allocs() - before;
-    let packets = result.throughput_kbps * 1e3 / 8.0 * secs as f64 / MTU_BYTES as f64;
+    let kbps = result.metrics.expect("scheme cell").throughput_kbps;
+    let packets = kbps * 1e3 / 8.0 * secs as f64 / MTU_BYTES as f64;
     (allocs, packets)
 }
 
 #[test]
 fn steady_state_tcp_packet_path_allocates_nothing_per_packet() {
     sprout_cache::disable();
-    let span = Duration::from_secs(40);
-    let base = RunConfig::new(
-        NetProfile::VerizonLteDown.generate(span, 11),
-        NetProfile::VerizonLteUp.generate(span, 12),
-    );
     for scheme in [Scheme::Cubic, Scheme::Vegas] {
-        let (allocs_20, packets_20) = run(scheme, 20, &base);
-        let (allocs_40, packets_40) = run(scheme, 40, &base);
+        let (allocs_20, packets_20) = run(scheme, 20);
+        let (allocs_40, packets_40) = run(scheme, 40);
         let extra_packets = packets_40 - packets_20;
         assert!(
             extra_packets > 2_000.0,

@@ -1,100 +1,94 @@
-//! The new scenario axes, end to end: the deep default queue must be
-//! behaviorally identical to the unbounded queue it replaced, shallow
-//! byte caps must actually bind (and be accounted), the propagation
-//! delay must shift the omniscient floor exactly and floor measured
-//! RTTs, and app-over-transport cells must run over Sprout and over a
-//! baseline scheme.
+//! The new scenario axes, end to end: hand-built standard paths must run
+//! the engine's deep default queue, shallow byte caps must actually bind
+//! (and be accounted), the propagation delay must shift the omniscient
+//! floor exactly and floor measured RTTs, and app-over-transport cells
+//! must run over Sprout and over a baseline scheme.
 
 use sprout_baselines::{Cubic, TcpReceiver, TcpSender};
-use sprout_bench::sweep::{run_cell, BULK_FLOW, INTERACTIVE_FLOW};
+use sprout_bench::scenario::paired;
+use sprout_bench::sweep::{execute_scenario, BULK_FLOW, INTERACTIVE_FLOW};
 use sprout_bench::{
-    build_endpoints, ResolvedQueue, RunConfig, ScenarioMatrix, Scheme, SchemeResult, SweepEngine,
-    VideoApp, Workload,
+    build_endpoints, QueueSpec, RunConfig, ScenarioMatrix, Scheme, SchemeResult, SweepEngine,
+    TraceMemo, VideoApp,
 };
 use sprout_sim::{direction_stats, PathConfig, QueueConfig, Simulation};
 use sprout_trace::{Duration, NetProfile, Timestamp};
 
-fn quick_rc(link: NetProfile, secs: u64) -> RunConfig {
-    let data = link.generate(Duration::from_secs(secs), 7);
-    let feedback =
-        sprout_bench::figures::paired_profile(link).generate(Duration::from_secs(secs), 7);
+const SEED: u64 = 7;
+
+/// Each cell's metrics, executed one by one on the engine's path.
+fn metrics_of(m: &ScenarioMatrix) -> Vec<SchemeResult> {
+    m.cells()
+        .iter()
+        .map(|cell| {
+            execute_scenario(m.name(), cell, SEED)
+                .metrics
+                .expect("scheme cells produce metrics")
+        })
+        .collect()
+}
+
+/// Cubic, the sweep's worst queue-builder, for 60 s on the paper's
+/// headline link, behind `queues`.
+fn cubic_fig7(queues: impl IntoIterator<Item = QueueSpec>) -> ScenarioMatrix {
+    ScenarioMatrix::builder("fig7")
+        .schemes([Scheme::Cubic])
+        .links([NetProfile::VerizonLteDown])
+        .queues(queues)
+        .timing(Duration::from_secs(60), Duration::from_secs(10))
+        .build()
+}
+
+/// A cell's run config over the traces the engine resolves for it (the
+/// pre-axes execution shape, for tests that build paths by hand).
+fn hand_rc(m: &ScenarioMatrix) -> RunConfig {
+    let cell = &m.cells()[0];
+    let memo = TraceMemo::new(SEED);
+    let data = memo.link(cell.link, cell.duration).trace().clone();
+    let feedback = memo.link(paired(cell.link), cell.duration).trace().clone();
     RunConfig {
-        duration: Duration::from_secs(secs),
-        warmup: Duration::from_secs(secs / 6),
+        duration: cell.duration,
+        warmup: cell.warmup,
         ..RunConfig::new(data, feedback)
     }
 }
 
-/// Run one scheme over paths configured by hand (the pre-axes execution
-/// shape), so tests can pin the engine's resolved queues against
-/// explicit queue configs.
-fn run_with_queues(scheme: Scheme, rc: &RunConfig, queue: &QueueConfig) -> SchemeResult {
-    let (a, b) = build_endpoints(scheme, rc);
-    let mut data = PathConfig::standard(rc.data_trace.clone()).with_prop_delay(rc.prop_delay);
-    let mut feedback =
-        PathConfig::standard(rc.feedback_trace.clone()).with_prop_delay(rc.prop_delay);
-    data.link.queue = queue.clone();
-    feedback.link.queue = queue.clone();
+/// The engine's default DropTail and `PathConfig::standard` are one
+/// queue: a Cubic cell on hand-built standard paths (which built the
+/// unbounded queue the deep default replaced), queue untouched, equals
+/// the engine's `ResolvedQueue::DropTail` cell bit for bit.
+#[test]
+fn deep_default_queue_matches_old_unbounded_fig7_behavior() {
+    let m = cubic_fig7([QueueSpec::DropTail]);
+    let engine = metrics_of(&m).remove(0);
+    let rc = hand_rc(&m);
+    let (a, b) = build_endpoints(Scheme::Cubic, &rc);
+    let data = PathConfig::standard(rc.data_trace.clone());
+    let feedback = PathConfig::standard(rc.feedback_trace.clone());
     let mut sim = Simulation::new(a, b, data, feedback);
     let end = Timestamp::ZERO + rc.duration;
     sim.run_until(end);
-    SchemeResult::from_stats(&direction_stats(
+    let standard = SchemeResult::from_stats(&direction_stats(
         sim.ab_path(),
         Timestamp::ZERO + rc.warmup,
         end,
-    ))
-}
-
-/// Regression for the `QueueSpec` unification: the deep default
-/// capacity that `Auto`/`DropTail` now resolve to must reproduce the
-/// old unbounded-queue behavior exactly on a Figure-7 cell — Cubic, the
-/// sweep's worst queue-builder, on the paper's headline link.
-#[test]
-fn deep_default_queue_matches_old_unbounded_fig7_behavior() {
-    let rc = quick_rc(NetProfile::VerizonLteDown, 60);
-    let old = run_with_queues(Scheme::Cubic, &rc, &QueueConfig::DropTailUnbounded);
-    let new = run_cell(
-        &Workload::Scheme(Scheme::Cubic),
-        &rc,
-        ResolvedQueue::DropTail,
-        None,
-        None,
-    )
-    .metrics
-    .expect("scheme cells produce metrics");
+    ));
     // Compare the Debug renderings: unimpaired cells carry NaN
     // degradation sentinels, and NaN != NaN under derived PartialEq.
     assert_eq!(
-        format!("{old:?}"),
-        format!("{new:?}"),
-        "the explicit deep default capacity must be indistinguishable from unbounded"
+        format!("{standard:?}"),
+        format!("{engine:?}"),
+        "a standard path must run the engine's deep default queue"
     );
-    assert!(new.p95_delay_ms > 100.0, "cubic must still bufferbloat");
+    assert!(engine.p95_delay_ms > 100.0, "cubic must still bufferbloat");
 }
 
 /// The shallow end of the queue-depth axis must actually bind: a small
 /// byte cap changes Cubic's results and registers drops at the link.
 #[test]
 fn shallow_byte_cap_binds_and_is_accounted() {
-    let rc = quick_rc(NetProfile::VerizonLteDown, 60);
-    let deep = run_cell(
-        &Workload::Scheme(Scheme::Cubic),
-        &rc,
-        ResolvedQueue::DropTail,
-        None,
-        None,
-    )
-    .metrics
-    .unwrap();
-    let shallow = run_cell(
-        &Workload::Scheme(Scheme::Cubic),
-        &rc,
-        ResolvedQueue::DropTailBytes(30_000),
-        None,
-        None,
-    )
-    .metrics
-    .unwrap();
+    let m = cubic_fig7([QueueSpec::DropTail, QueueSpec::DropTailBytes(30_000)]);
+    let [deep, shallow] = <[SchemeResult; 2]>::try_from(metrics_of(&m)).unwrap();
     assert!(
         shallow.p95_delay_ms < deep.p95_delay_ms,
         "a 20-MTU buffer must curb Cubic's standing-queue delay ({} vs {})",
@@ -103,6 +97,7 @@ fn shallow_byte_cap_binds_and_is_accounted() {
     );
 
     // Same condition at the sim layer: the cap's drops are counted.
+    let rc = hand_rc(&m);
     let (a, b) = build_endpoints(Scheme::Cubic, &rc);
     let mut data = PathConfig::standard(rc.data_trace.clone());
     data.link.queue = QueueConfig::DropTailBytes(30_000);
@@ -118,23 +113,13 @@ fn shallow_byte_cap_binds_and_is_accounted() {
 /// configured difference and floors every measured delay.
 #[test]
 fn prop_delay_shifts_floor_exactly_and_floors_p95() {
-    let base = quick_rc(NetProfile::TmobileUmtsDown, 40);
-    let run = |d_ms: u64| {
-        let rc = RunConfig {
-            prop_delay: Duration::from_millis(d_ms),
-            ..base.clone()
-        };
-        run_cell(
-            &Workload::Scheme(Scheme::SproutEwma),
-            &rc,
-            ResolvedQueue::DropTail,
-            None,
-            None,
-        )
-        .metrics
-        .unwrap()
-    };
-    let (near, far) = (run(20), run(100));
+    let m = ScenarioMatrix::builder("prop-delay")
+        .schemes([Scheme::SproutEwma])
+        .links([NetProfile::TmobileUmtsDown])
+        .prop_delays_ms([20, 100])
+        .timing(Duration::from_secs(40), Duration::from_secs(6))
+        .build();
+    let [near, far] = <[SchemeResult; 2]>::try_from(metrics_of(&m)).unwrap();
     assert!(
         (far.omniscient_ms - near.omniscient_ms - 80.0).abs() < 1e-9,
         "omniscient floor must shift by exactly 80 ms ({} -> {})",

@@ -82,6 +82,17 @@ fn quick_does_not_clobber_explicit_timing() {
 }
 
 #[test]
+fn a_replay_longer_than_its_capture_is_rejected() {
+    // The committed excerpts are under 40 s long; `--quick` runs 90 s.
+    for args in [&["replay", "--quick"][..], &["replay", "--secs", "100"]] {
+        let out = reproduce(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("ends at 39.800s"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn shard_specs_are_validated() {
     for bad in ["2/2", "0/0", "x/2", "2", "1/2/3", ""] {
         assert_eq!(exit_code(&["fig9", "--shard", bad]), 2, "--shard {bad:?}");

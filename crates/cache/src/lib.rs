@@ -175,19 +175,6 @@ pub fn reset_override() {
     *override_slot() = None;
 }
 
-/// Poison the override mutex on purpose: lock it, then panic while the
-/// guard is held. Only exists so tests (here and downstream) can prove
-/// resolution survives poisoning.
-#[doc(hidden)]
-pub fn poison_override_lock_for_tests() {
-    let _ = std::panic::catch_unwind(|| {
-        let _guard = OVERRIDE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        panic!("poisoning the override lock on purpose");
-    });
-}
-
 /// The directory artifacts are stored in, or `None` when the cache is
 /// disabled. Resolved fresh on every call so overrides apply immediately.
 pub fn resolved_dir() -> Option<PathBuf> {
@@ -938,11 +925,22 @@ mod tests {
         assert_eq!(fingerprint64(b""), FNV_OFFSET);
     }
 
+    /// Poison the override mutex on purpose: lock it, then panic while
+    /// the guard is held.
+    fn poison_override_lock() {
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = OVERRIDE
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            panic!("poisoning the override lock on purpose");
+        });
+    }
+
     #[test]
     fn poisoned_override_still_resolves() {
         let _g = LOCK.lock().unwrap();
         set_dir("/tmp/before-poison");
-        poison_override_lock_for_tests();
+        poison_override_lock();
         // A long-running daemon keeps resolving and re-pointing the cache
         // after one worker thread panicked mid-configuration.
         assert_eq!(resolved_dir(), Some(PathBuf::from("/tmp/before-poison")));

@@ -280,9 +280,14 @@ fn replay_submissions_are_validated_at_submit_time() {
     let (status, resp) = post("replay", "--schemes\nbogus");
     assert_eq!(status, 400, "{resp}");
 
-    // A well-formed replay sweep (embedded default corpus, trimmed
-    // roster) passes the same screen; cancel it rather than run it.
+    // A replay longer than the embedded corpus's captures is refused.
     let (status, resp) = post("replay", "--schemes\nsprout\n--quick");
+    assert_eq!(status, 400, "{resp}");
+
+    // A well-formed replay sweep (embedded default corpus, trimmed
+    // roster, inside the captures) passes the same screen; cancel it
+    // rather than run it.
+    let (status, resp) = post("replay", "--schemes\nsprout\n--secs\n20");
     assert_eq!(status, 200, "{resp}");
     let id: u64 = resp
         .split("\"id\":")

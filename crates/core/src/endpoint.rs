@@ -14,6 +14,10 @@ use crate::wire::{SproutHeader, WireForecast, FULL_HEADER_LEN};
 use sprout_sim::{Endpoint, FlowId, Packet};
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
 
+/// Slack added to a flight's announced time-to-next, so in-order queue
+/// drain does not spuriously expire the promise at the receiver.
+const TTN_MARGIN: Duration = Duration::from_millis(2);
+
 /// What this endpoint's application gives the sender: it either
 /// saturates (the paper's evaluation, §5.1) or hands over tunnel
 /// datagrams (§4.3). An endpoint starts with an empty datagram queue,
@@ -69,9 +73,6 @@ pub struct SproutEndpoint {
     stats: EndpointStats,
     /// Emulator-level packet counter (diagnostic sequence).
     packet_counter: u64,
-    /// Slack added to announced time-to-next so in-order queue drain does
-    /// not spuriously expire the promise at the receiver.
-    ttn_margin: Duration,
     /// Datagrams decapsulated from received tunnel-mode packets.
     delivered_datagrams: Vec<Bytes>,
 }
@@ -99,7 +100,6 @@ impl SproutEndpoint {
             flow: FlowId::PRIMARY,
             stats: EndpointStats::default(),
             packet_counter: 0,
-            ttn_margin: Duration::from_millis(2),
             delivered_datagrams: Vec::new(),
         }
     }
@@ -191,7 +191,6 @@ impl SproutEndpoint {
         body: PacketBody,
         heartbeat: bool,
         forecast: Option<WireForecast>,
-        ttn: Duration,
         now: Timestamp,
     ) -> Packet {
         let header_len = if forecast.is_some() {
@@ -208,7 +207,8 @@ impl SproutEndpoint {
         let header = SproutHeader {
             seq,
             throwaway: self.sender.throwaway(now),
-            time_to_next: ttn,
+            // Patched on a flight's last packet (`poll_into`).
+            time_to_next: Duration::ZERO,
             sent_at: now,
             heartbeat,
             datagram,
@@ -298,7 +298,7 @@ impl Endpoint for SproutEndpoint {
                 }
             };
             self.stats.data_packets_sent += 1;
-            let pkt = self.build_packet(body, false, Some(feedback.clone()), Duration::ZERO, now);
+            let pkt = self.build_packet(body, false, Some(feedback.clone()), now);
             out.push(pkt);
         }
 
@@ -308,13 +308,7 @@ impl Endpoint for SproutEndpoint {
         // count against the sequence space and queue estimate.
         if out.len() == start && (self.need_feedback || self.sender.heartbeat_due(now)) {
             let heartbeat = self.sender.heartbeat_due(now);
-            let pkt = self.build_packet(
-                PacketBody::Padding(0),
-                heartbeat,
-                Some(feedback),
-                Duration::ZERO,
-                now,
-            );
+            let pkt = self.build_packet(PacketBody::Padding(0), heartbeat, Some(feedback), now);
             self.stats.control_packets_sent += 1;
             out.push(pkt);
         }
@@ -325,7 +319,7 @@ impl Endpoint for SproutEndpoint {
             // time-to-next will be zero for all but the last packet").
             // The receiver cancels the promise if it turns out the queue
             // was backlogged (the next arrival shows queueing delay).
-            let ttn = self.next_wakeup_at().saturating_since(now) + self.ttn_margin;
+            let ttn = self.next_wakeup_at().saturating_since(now) + TTN_MARGIN;
             if let Some(last) = out.last_mut() {
                 patch_time_to_next(last, ttn);
             }

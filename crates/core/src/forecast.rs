@@ -175,9 +175,10 @@ impl Forecast {
 /// Stored banded (module docs): per `(tick, window)` one `Span` of the
 /// bins whose values there are not all exactly 1.0 or all exactly 0.0,
 /// and the stored bins' windows in one f32 buffer — ≈ 1.5 MB at paper
-/// scale where the dense table took 6 MiB. Every table a DP or a test
-/// makes — [`Self::build`], `Self::build_reference`, [`Self::from_rows`]
-/// — goes through one encoder (`push_tick`).
+/// scale where the dense table took 6 MiB. Every table — [`Self::build`]
+/// and the test-only constructors (`build_reference`, `from_rows`, which
+/// only `cfg(test)` or the `testing` feature compiles) — goes through one
+/// encoder (`push_tick`). One search reads it, [`Self::forecast_into`].
 pub struct ForecastTables {
     num_bins: usize,
     horizon: usize,
@@ -186,9 +187,9 @@ pub struct ForecastTables {
     /// no rate bin delivers more than this many quarter-MTU units in one
     /// tick, so the percentile index grows by at most `max_step` per tick.
     /// Bounds the warm-started search in [`Self::forecast_into`]. Derived
-    /// from the configuration; tables made through [`Self::from_rows`]
-    /// fall back to the unbounded `count_max` (identical results, more
-    /// probes per search).
+    /// from the configuration; test tables made from explicit rows
+    /// (`from_rows`) fall back to the unbounded `count_max` (identical
+    /// results, more probes per search).
     max_step: usize,
     /// One per `(tick, window)`, tick-major; window `k` is the counts
     /// `k·CDF_LANES..(k + 1)·CDF_LANES`, and counts past `count_max` hold
@@ -322,6 +323,7 @@ impl ForecastTables {
 
     /// A table from dense CDF rows, `rows[(tick · num_bins + bin) ·
     /// count_max + count]`, through the encoder.
+    #[cfg(any(test, feature = "testing"))]
     fn from_dense(
         num_bins: usize,
         horizon: usize,
@@ -344,7 +346,9 @@ impl ForecastTables {
     /// A table from explicit CDF rows, `rows[(tick · num_bins + bin) ·
     /// count_max + count] = P(C_{tick+1} ≤ count | λ₀ = bin)` — for tests
     /// that need tables no DP produces. The search bound is unbounded
-    /// (`count_max`).
+    /// (`count_max`). Only test builds compile it (`cfg(test)` or the
+    /// `testing` feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn from_rows(num_bins: usize, horizon: usize, count_max: usize, rows: &[f32]) -> Self {
         ForecastTables::from_dense(num_bins, horizon, count_max, count_max, rows)
     }
@@ -493,17 +497,10 @@ impl ForecastTables {
             .sum()
     }
 
-    /// Compute the cautious forecast for `posterior` at `percentile`
-    /// (e.g. 5.0 for the paper's 95%-confidence forecast). Allocating
-    /// convenience wrapper over [`ForecastTables::forecast_into`].
-    pub fn forecast(&self, posterior: &[f64], percentile: f64) -> Forecast {
-        let mut scratch = ForecastScratch::default();
-        self.forecast_into(posterior, percentile, &mut scratch)
-            .clone()
-    }
-
-    /// The allocation-free forecast hot path: every per-tick working set
-    /// lives in `scratch`, which the caller keeps between ticks.
+    /// The cautious forecast for `posterior` at `percentile` (e.g. 5.0
+    /// for the paper's 95%-confidence forecast). Allocation-free: every
+    /// per-tick working set lives in `scratch`, which the caller keeps
+    /// between ticks.
     ///
     /// Four structural properties make this fast:
     ///
@@ -1043,6 +1040,12 @@ mod tests {
         ForecastTables::get(cfg)
     }
 
+    /// The cautious forecast at `percentile`, on a fresh scratch.
+    fn forecast(t: &ForecastTables, posterior: &[f64], percentile: f64) -> Forecast {
+        t.forecast_into(posterior, percentile, &mut ForecastScratch::default())
+            .clone()
+    }
+
     fn uniform(n: usize) -> Vec<f64> {
         vec![1.0 / n as f64; n]
     }
@@ -1083,7 +1086,7 @@ mod tests {
         // be 0 for every tick in the horizon (escape is unlikely and slow).
         let cfg = small_cfg();
         let t = tables(&cfg);
-        let f = t.forecast(&point_mass(cfg.num_bins, 0), 5.0);
+        let f = forecast(&t, &point_mass(cfg.num_bins, 0), 5.0);
         assert!(f.cumulative_units.iter().all(|&c| c == 0), "{f:?}");
     }
 
@@ -1096,14 +1099,14 @@ mod tests {
         let cfg = small_cfg();
         let t = tables(&cfg);
         let top = point_mass(cfg.num_bins, cfg.num_bins - 1);
-        let median = t.forecast(&top, 50.0);
+        let median = forecast(&t, &top, 50.0);
         let last = *median.cumulative_units.last().unwrap() as f64;
         let expect = 250.0 * 0.02 * cfg.horizon_ticks as f64 * UNITS_PER_MTU as f64;
         assert!(
             (last - expect).abs() < expect * 0.35,
             "median cumulative {last} units, expect ≈{expect}"
         );
-        let cautious = t.forecast(&top, 5.0);
+        let cautious = forecast(&t, &top, 5.0);
         for (c, m) in cautious
             .cumulative_units
             .iter()
@@ -1122,7 +1125,7 @@ mod tests {
             point_mass(cfg.num_bins, cfg.num_bins / 2),
         ] {
             for pct in [5.0, 50.0, 95.0] {
-                let f = t.forecast(&posterior, pct);
+                let f = forecast(&t, &posterior, pct);
                 for w in f.cumulative_units.windows(2) {
                     assert!(w[0] <= w[1], "{f:?}");
                 }
@@ -1135,9 +1138,9 @@ mod tests {
         let cfg = small_cfg();
         let t = tables(&cfg);
         let posterior = point_mass(cfg.num_bins, cfg.num_bins / 2);
-        let f5 = t.forecast(&posterior, 5.0);
-        let f50 = t.forecast(&posterior, 50.0);
-        let f95 = t.forecast(&posterior, 95.0);
+        let f5 = forecast(&t, &posterior, 5.0);
+        let f50 = forecast(&t, &posterior, 50.0);
+        let f95 = forecast(&t, &posterior, 95.0);
         for i in 0..f5.horizon() {
             assert!(f5.cumulative_units[i] <= f50.cumulative_units[i]);
             assert!(f50.cumulative_units[i] <= f95.cumulative_units[i]);
@@ -1294,8 +1297,8 @@ mod tests {
         ] {
             for pct in [5.0, 25.0, 50.0, 75.0, 95.0] {
                 assert_eq!(
-                    bounded.forecast(&posterior, pct),
-                    unbounded.forecast(&posterior, pct)
+                    forecast(&bounded, &posterior, pct),
+                    forecast(&unbounded, &posterior, pct)
                 );
             }
         }

@@ -39,9 +39,6 @@ pub trait Forecaster: Send {
     /// the receiver's per-poll hot path.
     fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>);
 
-    /// Number of ticks covered by the forecast.
-    fn horizon(&self) -> usize;
-
     /// Current central rate estimate in bits per second (diagnostics).
     fn rate_estimate_bps(&self) -> f64;
 }
@@ -100,10 +97,6 @@ impl Forecaster for BayesianForecaster {
         );
         out.clear();
         out.extend((0..f.horizon()).map(|t| f.cumulative_bytes(t, MTU_BYTES)));
-    }
-
-    fn horizon(&self) -> usize {
-        self.model.config().horizon_ticks
     }
 
     fn rate_estimate_bps(&self) -> f64 {
@@ -190,10 +183,6 @@ impl Forecaster for EwmaForecaster {
     fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>) {
         out.clear();
         out.extend((1..=self.cfg.horizon_ticks).map(|k| (self.bytes_per_tick * k as f64) as u64));
-    }
-
-    fn horizon(&self) -> usize {
-        self.cfg.horizon_ticks
     }
 
     fn rate_estimate_bps(&self) -> f64 {

@@ -57,10 +57,9 @@ pub use endpoint::{EndpointStats, SproutEndpoint};
 pub use forecast::{table_memory_counters, Forecast, ForecastScratch, ForecastTables, MemCounters};
 pub use forecaster::{BayesianForecaster, EwmaForecaster, Forecaster};
 pub use memo::{Memo, MemoCounters};
-pub use model::{
-    likelihood_memo_occupancy, RateModel, ScatterMatrix, TransitionKernel,
-    LIKELIHOOD_MEMO_MAX_BYTES,
-};
+#[cfg(feature = "testing")]
+pub use model::likelihood_memo_occupancy;
+pub use model::{RateModel, ScatterMatrix, TransitionKernel, LIKELIHOOD_MEMO_MAX_BYTES};
 pub use receiver::SproutReceiver;
 pub use sender::SproutSender;
 pub use session::SessionPool;

@@ -516,7 +516,9 @@ thread_local! {
 
 /// Occupancy of the calling thread's likelihood memo: `(entries,
 /// accounted_bytes)`. `accounted_bytes` never exceeds
-/// [`LIKELIHOOD_MEMO_MAX_BYTES`].
+/// [`LIKELIHOOD_MEMO_MAX_BYTES`]. Only test builds compile it
+/// (`cfg(test)` or the `testing` feature).
+#[cfg(any(test, feature = "testing"))]
 pub fn likelihood_memo_occupancy() -> (usize, usize) {
     LIKELIHOOD_MEMO.with(|memo| {
         let memo = memo.borrow();

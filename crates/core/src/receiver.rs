@@ -91,9 +91,6 @@ pub struct SproutReceiver {
     /// clock; any fixed clock offset cancels because only differences
     /// against this minimum are used).
     min_one_way_delay: Option<Duration>,
-    /// Highest sequence number of the most recently received packet
-    /// (detects reordering for diagnostics).
-    highest_seq_end: u64,
     /// Written-off horizon: everything below is received or lost (§3.4).
     horizon: u64,
     /// Received ranges above the horizon.
@@ -132,7 +129,6 @@ impl SproutReceiver {
             exclusions: Vec::new(),
             open_exclusion: None,
             min_one_way_delay: None,
-            highest_seq_end: 0,
             horizon: 0,
             received: IntervalSet::default(),
             gated_ticks: 0,
@@ -188,7 +184,6 @@ impl SproutReceiver {
         // Saturating: a foreign header may claim any sequence number.
         let end = header.seq.saturating_add(wire_size as u64);
         self.received.insert(start, end);
-        self.highest_seq_end = self.highest_seq_end.max(end);
         if header.throwaway > self.horizon {
             self.horizon = header.throwaway;
             self.received.discard_below(self.horizon);
@@ -672,9 +667,6 @@ mod tests {
             fn tick(&mut self, _: Option<TickObservation>) {}
             fn forecast_cumulative_bytes_into(&mut self, out: &mut Vec<u64>) {
                 out.clear();
-            }
-            fn horizon(&self) -> usize {
-                0
             }
             fn rate_estimate_bps(&self) -> f64 {
                 0.0

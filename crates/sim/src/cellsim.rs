@@ -21,8 +21,9 @@ pub struct PathConfig {
 }
 
 impl PathConfig {
-    /// The paper's standard condition: 20 ms propagation, unbounded
-    /// DropTail, no random loss.
+    /// The paper's standard condition: 20 ms propagation, the deep
+    /// DropTail ([`crate::DEEP_QUEUE_BYTES`]) every sweep cell runs, no
+    /// random loss.
     pub fn standard(trace: Trace) -> Self {
         PathConfig {
             link: LinkConfig::standard(trace),

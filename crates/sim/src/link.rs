@@ -30,19 +30,17 @@ use rand::{Rng, SeedableRng};
 
 use crate::codel::{CoDelConfig, CoDelQueue};
 use crate::packet::Packet;
-use crate::queue::{Bottleneck, DropTail};
+use crate::queue::{Bottleneck, DropTail, DEEP_QUEUE_BYTES};
 use sprout_trace::{
     derive_seed, DeliveryPerturber, Duration, GilbertElliott, GilbertElliottProcess, Impairment,
     JitterSpec, OutageSchedule, ReorderSpec, Timestamp, Trace, TraceCursor, MTU_BYTES,
 };
 
 /// Queue policy selection for a link.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub enum QueueConfig {
-    /// Unbounded DropTail (the paper's default carrier model).
-    #[default]
-    DropTailUnbounded,
-    /// DropTail bounded to a byte capacity.
+    /// DropTail bounded to a byte capacity ([`DEEP_QUEUE_BYTES`] is the
+    /// paper's deeply buffered carrier, §2.1).
     DropTailBytes(u64),
     /// CoDel AQM (§5.4).
     CoDel(CoDelConfig),
@@ -51,7 +49,6 @@ pub enum QueueConfig {
 impl QueueConfig {
     fn build(&self) -> Bottleneck {
         match self {
-            QueueConfig::DropTailUnbounded => Bottleneck::DropTail(DropTail::unbounded()),
             QueueConfig::DropTailBytes(cap) => {
                 Bottleneck::DropTail(DropTail::with_capacity_bytes(*cap))
             }
@@ -124,12 +121,13 @@ pub struct LinkConfig {
 }
 
 impl LinkConfig {
-    /// A loss-free, unbounded-DropTail link over `trace` with the
-    /// paper's 20 ms propagation — the standard experimental condition.
+    /// A loss-free link over `trace` behind the deep DropTail
+    /// ([`DEEP_QUEUE_BYTES`]) every sweep cell runs, with the paper's
+    /// 20 ms propagation — the standard experimental condition.
     pub fn standard(trace: Trace) -> Self {
         LinkConfig {
             trace,
-            queue: QueueConfig::DropTailUnbounded,
+            queue: QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
             loss_rate: 0.0,
             loss_seed: 0,
             prop_delay: Duration::from_millis(20),

@@ -83,36 +83,25 @@ impl Bottleneck {
 pub const DEEP_QUEUE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// First-in-first-out queue that drops arriving packets once `capacity`
-/// bytes are queued. `capacity = None` gives the unbounded queue of a
-/// deeply buffered cellular carrier (the paper's default: its measured
-/// networks "employ a non-trivial amount of packet buffering", §2.1).
+/// bytes are queued. Always bounded: a deeply buffered carrier (the
+/// paper's measured networks "employ a non-trivial amount of packet
+/// buffering", §2.1) is [`DEEP_QUEUE_BYTES`], a shallow one a small cap.
 #[derive(Debug)]
 pub struct DropTail {
     queue: VecDeque<Packet>,
     bytes: u64,
-    capacity: Option<u64>,
+    capacity: u64,
     drops: u64,
     drop_bytes: u64,
 }
 
 impl DropTail {
-    /// Unbounded FIFO.
-    pub fn unbounded() -> Self {
-        DropTail {
-            queue: VecDeque::new(),
-            bytes: 0,
-            capacity: None,
-            drops: 0,
-            drop_bytes: 0,
-        }
-    }
-
     /// FIFO bounded at `capacity_bytes`.
     pub fn with_capacity_bytes(capacity_bytes: u64) -> Self {
         DropTail {
             queue: VecDeque::new(),
             bytes: 0,
-            capacity: Some(capacity_bytes),
+            capacity: capacity_bytes,
             drops: 0,
             drop_bytes: 0,
         }
@@ -121,12 +110,10 @@ impl DropTail {
     /// Offer a packet; it is dropped if it would overflow the capacity.
     #[inline]
     pub fn enqueue(&mut self, packet: Packet, _now: Timestamp) {
-        if let Some(cap) = self.capacity {
-            if self.bytes + packet.size as u64 > cap {
-                self.drops += 1;
-                self.drop_bytes += packet.size as u64;
-                return;
-            }
+        if self.bytes + packet.size as u64 > self.capacity {
+            self.drops += 1;
+            self.drop_bytes += packet.size as u64;
+            return;
         }
         self.bytes += packet.size as u64;
         self.queue.push_back(packet);
@@ -172,7 +159,7 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
-        let mut q = Bottleneck::DropTail(DropTail::unbounded());
+        let mut q = Bottleneck::DropTail(DropTail::with_capacity_bytes(DEEP_QUEUE_BYTES));
         q.enqueue(pkt(1, 100), Timestamp::ZERO);
         q.enqueue(pkt(2, 100), Timestamp::ZERO);
         assert_eq!(q.packets(), 2);
