@@ -157,7 +157,10 @@ fn start_heartbeat() {
 /// cache. Renders no figures and writes no sweep artifacts — a later
 /// `--merge` (or `--resume`) run assembles those from the cache. Stops
 /// at the first matrix whose sweep fails and returns that sweep's error.
-fn run_shard(cfg: &ExperimentConfig, matrices: &[ScenarioMatrix]) -> Result<(), SweepError> {
+fn run_shard<'a>(
+    cfg: &ExperimentConfig,
+    matrices: impl IntoIterator<Item = &'a ScenarioMatrix>,
+) -> Result<(), SweepError> {
     let engine = cfg.engine();
     for matrix in matrices {
         let t0 = Instant::now();
@@ -227,9 +230,9 @@ fn run() -> std::io::Result<()> {
     if controlled {
         start_heartbeat();
     }
-    let matrices: Vec<ScenarioMatrix> = rows.iter().map(|row| (row.matrix)(&cfg)).collect();
+    let declared: Vec<Vec<ScenarioMatrix>> = rows.iter().map(|row| row.declare(&cfg)).collect();
     if !cfg.shard.is_full() {
-        let r = run_shard(&cfg, &matrices);
+        let r = run_shard(&cfg, declared.iter().flatten());
         let failures = match &r {
             Err(SweepError::CellsPanicked { failures, .. }) => &failures[..],
             _ => &[],
@@ -256,11 +259,12 @@ fn run() -> std::io::Result<()> {
     // members, each followed by the cache traffic of its sweep.
     let t0 = Instant::now();
     let mut mark = sprout_bench::cell_cache_counters();
-    for (row, matrix) in rows.iter().zip(&matrices) {
+    for (row, matrices) in rows.iter().zip(&declared) {
         // Not a held lock: the heartbeat thread writes between lines.
-        row.run(&cfg, matrix, &mut std::io::stdout())?;
+        row.run(&cfg, matrices, &mut std::io::stdout())?;
         if cmd == ALL {
-            mark = print_cell_cache_delta(matrix.name(), mark, &[]);
+            let names: Vec<&str> = matrices.iter().map(|m| m.name()).collect();
+            mark = print_cell_cache_delta(&names.join("+"), mark, &[]);
         }
     }
     if cmd == ALL {
@@ -268,7 +272,7 @@ fn run() -> std::io::Result<()> {
     }
     print_cell_cache_line(&cmd, &[]);
     if json {
-        for matrix in &matrices {
+        for matrix in declared.iter().flatten() {
             let path = cfg.sweep_json_path(matrix.name());
             print!("{}", std::fs::read_to_string(path)?);
         }

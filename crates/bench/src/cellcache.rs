@@ -172,7 +172,7 @@ pub fn store_cell(matrix_fingerprint: u64, master_seed: u64, result: &SweepResul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::record::tests::scenario;
     use crate::record::{
@@ -183,7 +183,7 @@ mod tests {
 
     /// Serializes the tests that mutate the process-global cache-dir
     /// override (and read the process-global traffic counters).
-    static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(crate) static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Point the cache at a fresh directory for one test.
     fn fresh_cache(tag: &str) -> std::path::PathBuf {

@@ -531,14 +531,15 @@ mod tests {
         let all = select(ALL).unwrap();
         let sweeps: Vec<String> = all
             .iter()
-            .map(|e| (e.matrix)(&cfg).name().to_string())
+            .flat_map(|e| e.declare(&cfg))
+            .map(|m| m.name().to_string())
             .collect();
         assert_eq!(sweeps, ["fig1", "fig2", "fig7", "fig9", "loss", "tunnel"]);
         assert!(all
             .iter()
             .all(|e| e.flags.is_empty() && e.own_secs.is_none()));
         // fig8 is a second report over the fig7 sweep, not a second sweep.
-        let sweep_of = |name: &str| (select(name).unwrap()[0].matrix)(&cfg).fingerprint();
+        let sweep_of = |name: &str| select(name).unwrap()[0].declare(&cfg)[0].fingerprint();
         assert_eq!(sweep_of("fig7"), sweep_of("fig8"));
         assert!(select("fig99").is_none() && select("").is_none());
     }
@@ -614,7 +615,7 @@ mod tests {
         // At the bound, the longest duration any matrix derives (Figure
         // 2's tenfold probe) is exact.
         let probe = &select("fig2").unwrap()[0];
-        let longest = (probe.matrix)(&cfg).cells()[0].duration;
+        let longest = probe.declare(&cfg)[0].cells()[0].duration;
         assert_eq!(longest.as_micros(), MAX_RUN_SECS * 10 * 1_000_000);
         for flag in ["--secs", "--warmup"] {
             for bad in [past.as_str(), wrapping, huge.as_str()] {

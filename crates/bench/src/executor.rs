@@ -477,15 +477,18 @@ fn mux_pair(flows: Vec<Flow>) -> (MuxEndpoint, MuxEndpoint) {
 
 /// Wrap each end in one side of a SproutTunnel session (§4.3) carried by
 /// `over`: the path between the hosts carries Sprout wire packets, the
-/// far host decapsulates the clients' flows.
+/// far host decapsulates the clients' flows and logs them (the near
+/// host's deliveries, the reverse direction's, are never read).
 fn tunnel_pair(
     (a, b): (MuxEndpoint, MuxEndpoint),
     over: Scheme,
     rc: &RunConfig,
 ) -> (TunnelHost, TunnelHost) {
-    let host =
-        |clients| TunnelHost::with_clients(TunnelEndpoint::new(sprout_endpoint(over, rc)), clients);
-    (host(a), host(b))
+    let tunnel = || TunnelEndpoint::new(sprout_endpoint(over, rc));
+    (
+        TunnelHost::unlogged(tunnel(), a),
+        TunnelHost::with_clients(tunnel(), b),
+    )
 }
 
 /// The spine every two-endpoint workload shares: build the simulation

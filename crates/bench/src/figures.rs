@@ -18,8 +18,10 @@ use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 
 use sprout_baselines::VideoApp;
+use sprout_sim::FlowId;
 use sprout_trace::{Duration, Impairment, NetProfile, IMPAIRMENT_PRESETS};
 
+use crate::claims;
 use crate::scenario::{FlowSpec, LinkSpec, QueueSpec, ScenarioMatrix, Workload};
 use crate::schemes::{Scheme, SchemeResult};
 use crate::sweep::{
@@ -372,7 +374,8 @@ pub struct Sweep<'a> {
     /// The configuration the matrix was declared under; TSVs go to its
     /// `out_dir`.
     pub cfg: &'a ExperimentConfig,
-    /// One result per cell, in matrix order.
+    /// One result per cell, in matrix order (the row's matrices one
+    /// after another).
     pub results: &'a [SweepResult],
     /// Wall time the engine spent on the matrix.
     pub elapsed: std::time::Duration,
@@ -392,9 +395,10 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for `reproduce --help`.
     pub help: &'static str,
-    /// The matrix it sweeps. Rows may share one: `fig8` is a second
-    /// report over the `fig7` sweep.
-    pub matrix: fn(&ExperimentConfig) -> ScenarioMatrix,
+    /// The matrices it sweeps, each run under its own name, so rows may
+    /// share one: `fig8` is a second report over the `fig7` sweep, and
+    /// `scorecard`'s cells are the fig2, fig7, loss and tunnel cells.
+    pub matrices: &'static [fn(&ExperimentConfig) -> ScenarioMatrix],
     /// The axis flags ([`crate::cli::AXIS_FLAGS`]) it accepts; any other
     /// axis flag is a usage error naming the rows that do accept it.
     pub flags: &'static [&'static str],
@@ -414,11 +418,11 @@ pub struct Experiment {
 }
 
 /// Every experiment, in help-text order.
-pub static EXPERIMENTS: [Experiment; 12] = [
+pub static EXPERIMENTS: [Experiment; 13] = [
     Experiment {
         name: "fig1",
         help: "Skype vs Sprout time series (Verizon LTE downlink)",
-        matrix: fig1_matrix,
+        matrices: &[fig1_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -428,7 +432,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig2",
         help: "saturated-link interarrival distribution",
-        matrix: fig2_matrix,
+        matrices: &[fig2_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -438,7 +442,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig7",
         help: "comparative sweep (10 schemes x 8 links) + intro tables 1 and 2",
-        matrix: fig7_matrix,
+        matrices: &[fig7_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -448,7 +452,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig8",
         help: "fig7, then average utilization vs delay over the same sweep",
-        matrix: fig7_matrix,
+        matrices: &[fig7_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -458,7 +462,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig9",
         help: "forecast-confidence sweep (T-Mobile 3G uplink)",
-        matrix: fig9_matrix,
+        matrices: &[fig9_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -468,7 +472,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "loss",
         help: "s5.6 loss-resilience table",
-        matrix: loss_matrix,
+        matrices: &[loss_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -478,7 +482,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "tunnel",
         help: "s5.7 SproutTunnel isolation table",
-        matrix: tunnel_matrix,
+        matrices: &[tunnel_matrix],
         flags: &[],
         own_secs: None,
         own_warmup: false,
@@ -488,7 +492,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "contention",
         help: "N flows sharing one bottleneck queue: per-flow shares + Jain fairness",
-        matrix: contention_matrix,
+        matrices: &[contention_matrix],
         flags: &["--links", "--flows", "--contend"],
         own_secs: None,
         own_warmup: false,
@@ -498,7 +502,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "soak",
         help: "schemes + apps x links x queues x delays at paper length; run it sharded",
-        matrix: soak_matrix,
+        matrices: &[soak_matrix],
         flags: &["--links", "--prop-delays", "--queues", "--timeseries"],
         own_secs: Some(|cfg| cfg.soak.secs),
         own_warmup: false,
@@ -508,7 +512,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "impair",
         help: "schemes x fault-injection presets, with graceful-degradation metrics",
-        matrix: impair_matrix,
+        matrices: &[impair_matrix],
         flags: &["--links", "--impairments", "--timeseries"],
         own_secs: None,
         own_warmup: false,
@@ -518,7 +522,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "serve",
         help: "one SproutServer driving N sessions: delivered bytes + fairness per N",
-        matrix: serve_matrix,
+        matrices: &[serve_matrix],
         flags: &["--links", "--sessions"],
         own_secs: Some(|cfg| cfg.serve.secs),
         own_warmup: true,
@@ -528,12 +532,22 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "replay",
         help: "the scheme roster over measured Saturator captures replayed as the link",
-        matrix: replay_matrix,
+        matrices: &[replay_matrix],
         flags: &["--trace", "--schemes", "--timeseries"],
         own_secs: Some(|cfg| cfg.replay.secs),
         own_warmup: true,
         in_all: false,
         report: replay_report,
+    },
+    Experiment {
+        name: "scorecard",
+        help: "the paper's numbers against ours, read off the fig2/fig7/loss/tunnel sweeps",
+        matrices: &[fig2_matrix, fig7_matrix, loss_matrix, tunnel_matrix],
+        flags: &[],
+        own_secs: None,
+        own_warmup: false,
+        in_all: false,
+        report: crate::claims::scorecard_report,
     },
 ];
 
@@ -587,26 +601,34 @@ impl Experiment {
         }
     }
 
-    /// Run `matrix` — this row's, as declared under `cfg` — on the
-    /// shared engine, record its `<matrix>_sweep.json`, and report.
+    /// This row's matrices, as declared under `cfg`.
+    pub fn declare(&self, cfg: &ExperimentConfig) -> Vec<ScenarioMatrix> {
+        self.matrices.iter().map(|matrix| matrix(cfg)).collect()
+    }
+
+    /// Run `matrices` — this row's, as declared under `cfg` — on the
+    /// shared engine, record each `<matrix>_sweep.json`, and report.
     pub fn run(
         &self,
         cfg: &ExperimentConfig,
-        matrix: &ScenarioMatrix,
+        matrices: &[ScenarioMatrix],
         out: &mut dyn Write,
     ) -> io::Result<()> {
-        run_and_report(cfg, matrix, self.report, out)
+        run_and_report(cfg, matrices, self.report, out)
     }
 }
 
 fn run_and_report(
     cfg: &ExperimentConfig,
-    matrix: &ScenarioMatrix,
+    matrices: &[ScenarioMatrix],
     report: Report,
     out: &mut dyn Write,
 ) -> io::Result<()> {
     let t0 = std::time::Instant::now();
-    let results = cfg.run_matrix(matrix)?;
+    let mut results = Vec::new();
+    for matrix in matrices {
+        results.extend(cfg.run_matrix(matrix)?);
+    }
     let sweep = Sweep {
         cfg,
         results: &results,
@@ -620,7 +642,7 @@ fn run_and_report(
 /// One column of a TSV table: its header and how a row renders in it. A
 /// table is written from one list of these, so header and rows cannot
 /// drift apart.
-struct Col<'a, R>(&'static str, Box<dyn Fn(&R) -> String + 'a>);
+pub(crate) struct Col<'a, R>(pub &'static str, pub Box<dyn Fn(&R) -> String + 'a>);
 
 /// A column over sweep cells, the rows of most tables.
 fn col<'a>(name: &'static str, cell: impl Fn(&SweepResult) -> String + 'a) -> Col<'a, SweepResult> {
@@ -659,7 +681,7 @@ fn scheme_col<'a>() -> Col<'a, SweepResult> {
     col("scheme", |r| scheme(r).name().to_string())
 }
 
-fn metrics(r: &SweepResult) -> SchemeResult {
+pub(crate) fn metrics(r: &SweepResult) -> SchemeResult {
     r.metrics.expect("the cell produces direction metrics")
 }
 
@@ -669,7 +691,7 @@ fn scheme(r: &SweepResult) -> Scheme {
 
 impl ExperimentConfig {
     /// Write `<out_dir>/<file>`: the column names, then one line per row.
-    fn write_table<R>(&self, file: &str, rows: &[R], cols: &[Col<'_, R>]) -> io::Result<()> {
+    pub(crate) fn write_table<R>(&self, file: &str, rows: &[R], cols: &[Col<R>]) -> io::Result<()> {
         let mut f = self.tsv(file)?;
         let header: Vec<&str> = cols.iter().map(|c| c.0).collect();
         writeln!(f, "{}", header.join("\t"))?;
@@ -772,9 +794,10 @@ fn fig2_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         writeln!(f, "{lo:.3}\t{hi:.3}\t{pct:.6}")?;
     }
     f.flush()?;
+    let [within, slope] = claims::fig2_quotes();
     writeln!(
         out,
-        "fig2: {} interarrivals; {:.3}% within 20 ms [paper: 99.99%]; tail slope {:?} [paper: -3.27]",
+        "fig2: {} interarrivals; {:.3}% within 20 ms {within}; tail slope {:?} {slope}",
         ia.samples,
         ia.fraction_within_20ms * 100.0,
         ia.tail_slope
@@ -817,19 +840,34 @@ fn mean_over_links(results: &[SweepResult], of: Scheme, metric: fn(&SchemeResult
     vals.iter().sum::<f64>() / vals.len().max(1) as f64
 }
 
-/// One intro comparison table (§1): each of `schemes` against
-/// `reference` over the Figure 7 sweep, written as `<file>`. Returns,
-/// per scheme: the mean over links of (reference throughput / scheme
-/// throughput), (scheme mean self-inflicted delay) / (reference mean
-/// delay), and the scheme's mean self-inflicted delay in seconds.
+/// One row of an intro comparison table (§1): `of` against `reference`
+/// over the Figure 7 sweep `results`. Returns the mean over links of
+/// (reference throughput / scheme throughput), (scheme mean
+/// self-inflicted delay) / (reference mean delay), and the scheme's mean
+/// self-inflicted delay in seconds.
+pub(crate) fn intro_row(results: &[SweepResult], reference: Scheme, of: Scheme) -> [f64; 3] {
+    let mean_delay_s = |of| mean_over_links(results, of, |r| r.self_inflicted_ms) / 1e3;
+    // Mean of per-link speedups (ratio of throughputs per link).
+    let ratios: Vec<f64> = NetProfile::all()
+        .into_iter()
+        .filter_map(|link| Some((cell(results, link, reference)?, cell(results, link, of)?)))
+        .filter(|(_, theirs)| theirs.throughput_kbps > 0.0)
+        .map(|(ours, theirs)| ours.throughput_kbps / theirs.throughput_kbps)
+        .collect();
+    let speedup = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+    let delay_s = mean_delay_s(of);
+    let delay_ratio = delay_s / mean_delay_s(reference).max(1e-9);
+    [speedup, delay_ratio, delay_s]
+}
+
+/// One intro comparison table: [`intro_row`] for each of `schemes`,
+/// written as `<file>` and returned.
 fn intro_table(
     s: &Sweep<'_>,
     file: &str,
     reference: Scheme,
     schemes: &[Scheme],
 ) -> io::Result<Vec<(Scheme, f64, f64, f64)>> {
-    let mean_delay_s = |of| mean_over_links(s.results, of, |r| r.self_inflicted_ms) / 1e3;
-    let reference_delay_s = mean_delay_s(reference);
     let mut f = s.cfg.tsv(file)?;
     writeln!(
         f,
@@ -837,21 +875,7 @@ fn intro_table(
     )?;
     let mut rows = Vec::with_capacity(schemes.len());
     for &of in schemes {
-        // Mean of per-link speedups (ratio of throughputs per link).
-        let ratios: Vec<f64> = NetProfile::all()
-            .into_iter()
-            .filter_map(|link| {
-                Some((
-                    cell(s.results, link, reference)?,
-                    cell(s.results, link, of)?,
-                ))
-            })
-            .filter(|(_, theirs)| theirs.throughput_kbps > 0.0)
-            .map(|(ours, theirs)| ours.throughput_kbps / theirs.throughput_kbps)
-            .collect();
-        let speedup = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-        let delay_s = mean_delay_s(of);
-        let delay_ratio = delay_s / reference_delay_s.max(1e-9);
+        let [speedup, delay_ratio, delay_s] = intro_row(s.results, reference, of);
         writeln!(
             f,
             "{}\t{speedup:.2}\t{delay_ratio:.2}\t{delay_s:.2}",
@@ -862,19 +886,6 @@ fn intro_table(
     f.flush()?;
     Ok(rows)
 }
-
-/// Intro table 1's rows with the paper's own values: speedup, and delay
-/// reduction (average delay).
-const TABLE1_PAPER: [(Scheme, &str, &str); 8] = [
-    (Scheme::Skype, "2.2x", "7.9x (2.52s)"),
-    (Scheme::Hangout, "4.4x", "7.2x (2.28s)"),
-    (Scheme::Facetime, "1.9x", "8.7x (2.75s)"),
-    (Scheme::Compound, "1.3x", "4.8x (1.53s)"),
-    (Scheme::Vegas, "1.1x", "2.1x (0.67s)"),
-    (Scheme::Ledbat, "1.0x", "2.8x (0.89s)"),
-    (Scheme::Cubic, "0.91x", "79x (25s)"),
-    (Scheme::CubicCodel, "0.70x", "1.6x (0.50s)"),
-];
 
 /// Figure 7 (every scheme on every link direction) and the two intro
 /// tables derived from it: table 1 against Sprout, table 2 against
@@ -907,18 +918,16 @@ fn fig7_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         }
     }
 
-    let schemes = TABLE1_PAPER.map(|row| row.0);
-    let table1 = intro_table(s, "table1_summary.tsv", Scheme::Sprout, &schemes)?;
+    let table1 = intro_table(s, "table1_summary.tsv", Scheme::Sprout, &claims::TABLE1)?;
     writeln!(
         out,
         "\n== Intro table 1 (reference: Sprout; paper values in brackets) =="
     )?;
-    for ((of, speedup, delay_ratio, delay_s), (_, paper_speedup, paper_delay)) in
-        table1.into_iter().zip(TABLE1_PAPER)
-    {
+    for (of, speedup, delay_ratio, delay_s) in table1 {
+        let [speedup_quote, delay_quote] = claims::table1_quotes(of);
         writeln!(
             out,
-            "  {:16} speedup {speedup:>5.2}x [paper {paper_speedup:>5}]   delay {delay_ratio:>6.1}x ({delay_s:.2}s) [paper {paper_delay}]",
+            "  {:16} speedup {speedup:>5.2}x {speedup_quote}   delay {delay_ratio:>6.1}x ({delay_s:.2}s) {delay_quote}",
             of.name(),
         )?;
     }
@@ -1030,14 +1039,7 @@ fn loss_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         ],
     )?;
     writeln!(out, "\n== s5.6 loss resilience (Sprout) ==")?;
-    writeln!(
-        out,
-        "  paper (downlink): 0% 4741kbps/73ms, 5% 3971/60, 10% 2768/58"
-    )?;
-    writeln!(
-        out,
-        "  paper (uplink):   0% 3703kbps/332ms, 5% 2598/378, 10% 1163/314"
-    )?;
+    writeln!(out, "{}", claims::loss_quote())?;
     for r in s.results {
         let m = metrics(r);
         writeln!(
@@ -1062,6 +1064,12 @@ fn tunnel_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
         .build()
 }
 
+/// One metric of one flow of a mux cell.
+pub(crate) fn flow_metric(r: &SweepResult, flow: FlowId, metric: fn(&FlowSummary) -> f64) -> f64 {
+    let flow = r.flows.iter().find(|f| f.flow == flow.0);
+    metric(flow.expect("mux cells report both flows"))
+}
+
 /// §5.7: Cubic bulk + Skype on the Verizon LTE downlink, direct vs
 /// through SproutTunnel.
 fn tunnel_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
@@ -1071,21 +1079,17 @@ fn tunnel_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\n== s5.7 SproutTunnel isolation (Verizon LTE downlink) =="
     )?;
-    writeln!(out, "  paper: cubic 8336->3776 kbps (-55%), skype 78->490 kbps (+528%), skype delay 6.0->0.17 s (-97%)")?;
+    writeln!(out, "{}", claims::tunnel_quote())?;
     // One metric of one flow, in the direct cell and in the tunneled one.
-    let mut row =
-        |key, label, unit, digits, flow: sprout_sim::FlowId, metric: fn(&FlowSummary) -> f64| {
-            let [direct, via] = [&s.results[0], &s.results[1]].map(|r| {
-                let flow = r.flows.iter().find(|f| f.flow == flow.0);
-                metric(flow.expect("mux cells report both flows"))
-            });
-            writeln!(f, "{key}\t{direct:.digits$}\t{via:.digits$}")?;
-            writeln!(
-                out,
-                "  {label} {direct:>7.digits$} -> {via:>7.digits$} {unit} ({:+.0}%)",
-                100.0 * (via / direct - 1.0)
-            )
-        };
+    let mut row = |key, label, unit, digits, flow: FlowId, metric: fn(&FlowSummary) -> f64| {
+        let [direct, via] = [&s.results[0], &s.results[1]].map(|r| flow_metric(r, flow, metric));
+        writeln!(f, "{key}\t{direct:.digits$}\t{via:.digits$}")?;
+        writeln!(
+            out,
+            "  {label} {direct:>7.digits$} -> {via:>7.digits$} {unit} ({:+.0}%)",
+            100.0 * (via / direct - 1.0)
+        )
+    };
     let (bulk, interactive) = (sweep::BULK_FLOW, sweep::INTERACTIVE_FLOW);
     row(
         "cubic_throughput_kbps",
@@ -1265,7 +1269,7 @@ pub fn soak_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
 /// Run the soak matrix and render its artifacts, discarding the console
 /// summary (the entry point `benchmark/` times).
 pub fn soak(cfg: &ExperimentConfig) -> io::Result<()> {
-    run_and_report(cfg, &soak_matrix(cfg), soak_report, &mut io::sink())
+    run_and_report(cfg, &[soak_matrix(cfg)], soak_report, &mut io::sink())
 }
 
 /// `soak_matrix.tsv` (one row per cell, every axis spelled out), the

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod cellcache;
+pub mod claims;
 pub mod cli;
 pub mod executor;
 pub mod figures;

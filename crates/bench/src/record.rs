@@ -134,9 +134,11 @@ pub struct ServeStats {
 /// Interarrival statistics of a saturated link (Figure 2).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct InterarrivalSummary {
-    /// Fraction of interarrivals within 20 ms (paper: 99.99%).
+    /// Fraction of interarrivals within 20 ms (the paper's: claim
+    /// `fig2.within_20ms_pct`).
     pub fraction_within_20ms: f64,
-    /// Power-law slope of the 20 ms–5 s tail (paper: −3.27).
+    /// Power-law slope of the 20 ms–5 s tail (the paper's: claim
+    /// `fig2.tail_slope`).
     pub tail_slope: Option<f64>,
     /// Total interarrivals measured.
     pub samples: u64,

@@ -59,11 +59,13 @@ fn snapshot() -> String {
         "# experiment\tcells\tmatrix_fp\tcell0_fp\tcell0_canonical_bytes_hex\n\
          # Regenerate deliberately with: UPDATE_GOLDEN=1 cargo test -p sprout-bench --test fingerprints\n",
     );
-    // One line per row of the experiment table (fig8 shares fig7's sweep
-    // and is listed to document that identity): a row added to the table
-    // fails here until its line is committed.
-    for row in &EXPERIMENTS {
-        let matrix = (row.matrix)(&cfg);
+    // One line per row of the experiment table that declares one matrix
+    // (fig8 shares fig7's sweep and is listed to document that identity;
+    // a row of several matrices runs other rows' sweeps, see
+    // `a_row_of_several_matrices_runs_its_members_sweeps`): a row added
+    // to the table fails here until its line is committed.
+    for row in EXPERIMENTS.iter().filter(|row| row.matrices.len() == 1) {
+        let matrix = row.declare(&cfg).remove(0);
         let cell0 = &matrix.cells()[0];
         let mut w = sprout_cache::ByteWriter::with_capacity(128);
         cell0.canonical_bytes(&mut w);
@@ -266,9 +268,28 @@ fn snapshot_rules_demand_a_version_bump_for_changed_rows_or_schema() {
 }
 
 #[test]
+fn a_row_of_several_matrices_runs_its_members_sweeps() {
+    // `scorecard` runs the fig2, fig7, loss and tunnel matrices under
+    // their own names: its cells are those rows' cells, so after `all`
+    // it executes nothing.
+    let cfg = ExperimentConfig::default();
+    let rows = EXPERIMENTS.iter().filter(|row| row.matrices.len() > 1);
+    assert_eq!(rows.clone().count(), 1, "scorecard is the one such row");
+    for matrix in rows.flat_map(|row| row.declare(&cfg)) {
+        let member = select(matrix.name()).expect("a row named like the matrix");
+        let own = member[0].declare(&cfg).remove(0);
+        assert_eq!(matrix.fingerprint(), own.fingerprint(), "{}", matrix.name());
+    }
+}
+
+#[test]
 fn fig8_shares_fig7s_matrix_identity() {
     let cfg = ExperimentConfig::default();
-    let sweep_of = |name: &str| (select(name).expect("a table row")[0].matrix)(&cfg);
+    let sweep_of = |name: &str| {
+        select(name).expect("a table row")[0]
+            .declare(&cfg)
+            .remove(0)
+    };
     assert_eq!(
         sweep_of("fig7").fingerprint(),
         sweep_of("fig8").fingerprint(),

@@ -57,7 +57,7 @@ fn snapshot() -> String {
         };
         apply_worker_args(&mut cfg, row.name, &scale(row.name)).expect("the test's flags parse");
         let mut console = Vec::new();
-        row.run(&cfg, &(row.matrix)(&cfg), &mut console)
+        row.run(&cfg, &row.declare(&cfg), &mut console)
             .expect("the row runs and reports");
         assert!(!console.is_empty(), "{}: no console summary", row.name);
 

@@ -740,8 +740,7 @@ fn cells(shared: &Arc<Shared>, id: u64) -> Response {
     };
     let mut rows = Vec::new();
     let mut cached_count = 0usize;
-    for experiment in experiments {
-        let matrix = (experiment.matrix)(&cfg);
+    for matrix in experiments.iter().flat_map(|e| e.declare(&cfg)) {
         let fingerprint = matrix.fingerprint();
         for cell in matrix.cells() {
             let cached = cellcache::load_cell(matrix.name(), fingerprint, cell, cfg.seed).is_some();

@@ -66,8 +66,8 @@ impl InterarrivalHistogram {
     }
 
     /// Fraction of interarrivals that arrive within `within_ms` of the
-    /// previous packet (the paper reports 99.99% within 20 ms on Verizon
-    /// LTE).
+    /// previous packet (the paper's share within 20 ms on Verizon LTE is
+    /// sprout-bench's claim `fig2.within_20ms_pct`).
     pub fn fraction_within_ms(&self, within_ms: f64) -> f64 {
         let total = self.total.max(1) as f64;
         let mut acc = 0u64;
@@ -86,7 +86,8 @@ impl InterarrivalHistogram {
 
     /// Least-squares fit of the tail as a power law `percent ∝ t^slope`
     /// over bins whose start lies in `[lo_ms, hi_ms]` with nonzero counts.
-    /// Figure 2 reports slope ≈ −3.27 for the Verizon LTE downlink. Returns
+    /// Figure 2's slope for the Verizon LTE downlink is sprout-bench's
+    /// claim `fig2.tail_slope`. Returns
     /// `None` when fewer than 3 tail bins are populated.
     pub fn tail_power_law_slope(&self, lo_ms: f64, hi_ms: f64) -> Option<f64> {
         let total = self.total.max(1) as f64;

@@ -255,8 +255,9 @@ pub struct TunnelHost {
     tunnel: TunnelEndpoint,
     clients: MuxEndpoint,
     /// End-to-end delivery log of decapsulated client packets (client
-    /// `sent_at` → local delivery time), for per-flow §5.7 metrics.
-    deliveries: sprout_sim::MetricsCollector,
+    /// `sent_at` → local delivery time), for per-flow §5.7 metrics;
+    /// `None` on a host nothing reads ([`TunnelHost::unlogged`]).
+    deliveries: Option<sprout_sim::MetricsCollector>,
     /// Recycled buffer for client polls (client packets are re-stamped
     /// and injected locally, so they cannot share the wire buffer).
     client_scratch: Vec<Packet>,
@@ -270,21 +271,33 @@ impl TunnelHost {
         Self::with_clients(tunnel, MuxEndpoint::new())
     }
 
-    /// Compose a tunnel with an already-built client set.
+    /// Compose a tunnel with an already-built client set, logging every
+    /// decapsulated delivery.
     pub fn with_clients(tunnel: TunnelEndpoint, clients: MuxEndpoint) -> Self {
+        TunnelHost {
+            deliveries: Some(sprout_sim::MetricsCollector::new()),
+            ..Self::unlogged(tunnel, clients)
+        }
+    }
+
+    /// [`TunnelHost::with_clients`] keeping no delivery log: for the end
+    /// whose deliveries nothing reads, so [`TunnelHost::deliveries`] is
+    /// empty.
+    pub fn unlogged(tunnel: TunnelEndpoint, clients: MuxEndpoint) -> Self {
         TunnelHost {
             tunnel,
             clients,
-            deliveries: sprout_sim::MetricsCollector::new(),
+            deliveries: None,
             client_scratch: Vec::new(),
             deliver_scratch: Vec::new(),
         }
     }
 
     /// End-to-end client-packet delivery log (per-flow throughput and
-    /// delay for the §5.7 experiment).
+    /// delay for the §5.7 experiment); empty on an unlogged host.
     pub fn deliveries(&self) -> &sprout_sim::MetricsCollector {
-        &self.deliveries
+        static UNLOGGED: sprout_sim::MetricsCollector = sprout_sim::MetricsCollector::new();
+        self.deliveries.as_ref().unwrap_or(&UNLOGGED)
     }
 
     /// Attach a client endpoint under `flow`.
@@ -308,12 +321,14 @@ impl Endpoint for TunnelHost {
         self.tunnel
             .on_wire_packet_into(packet, now, &mut self.deliver_scratch);
         for client_packet in self.deliver_scratch.drain(..) {
-            self.deliveries.record(sprout_sim::DeliveryRecord {
-                sent_at: client_packet.sent_at,
-                delivered_at: now,
-                size: client_packet.size,
-                flow: client_packet.flow,
-            });
+            if let Some(log) = &mut self.deliveries {
+                log.record(sprout_sim::DeliveryRecord {
+                    sent_at: client_packet.sent_at,
+                    delivered_at: now,
+                    size: client_packet.size,
+                    flow: client_packet.flow,
+                });
+            }
             self.clients.on_packet(client_packet, now);
         }
     }
@@ -512,7 +527,8 @@ mod tests {
 
     #[test]
     fn tunnel_carries_packets_end_to_end() {
-        // Tunnel A (with a pulsing client) ↔ steady link ↔ tunnel B.
+        // Tunnel A (with a pulsing client) ↔ steady link ↔ tunnel B; only
+        // B's deliveries are read, so A keeps no log.
         let cfg = SproutConfig::test_small();
         struct Pulser {
             next: Timestamp,
@@ -531,8 +547,8 @@ mod tests {
                 Some(self.next)
             }
         }
-        let mut host_a =
-            TunnelHost::new(TunnelEndpoint::new(SproutEndpoint::new_ewma(cfg.clone())));
+        let tunnel_a = TunnelEndpoint::new(SproutEndpoint::new_ewma(cfg.clone()));
+        let mut host_a = TunnelHost::unlogged(tunnel_a, MuxEndpoint::new());
         host_a.add_client(
             FlowId(3),
             Box::new(Pulser {
@@ -555,6 +571,10 @@ mod tests {
             "client packets must traverse the tunnel: {delivered}"
         );
         assert_eq!(sim.b.stats().dropped, 0, "uncongested: no drops");
+        let logged = sim.b.deliveries().records();
+        assert_eq!(logged.len() as u64, delivered, "B logs every delivery");
+        assert!(logged.iter().all(|d| d.flow == FlowId(3)));
+        assert!(sim.a.deliveries().records().is_empty(), "A keeps no log");
     }
 
     #[test]

@@ -44,12 +44,15 @@ fn main() {
 
     println!("\n== interarrival distribution (Figure 2) ==");
     let hist = InterarrivalHistogram::from_trace(&trace, 10, 10_000.0);
+    let paper = |id| sprout_bench::claims::claim(id).paper_text();
     println!(
-        "{:.3}% of interarrivals within 20 ms (paper: 99.99%)",
-        hist.fraction_within_ms(20.0) * 100.0
+        "{:.3}% of interarrivals within 20 ms (paper: {}%)",
+        hist.fraction_within_ms(20.0) * 100.0,
+        paper("fig2.within_20ms_pct")
     );
     if let Some(slope) = hist.tail_power_law_slope(20.0, 5_000.0) {
-        println!("tail power-law slope t^{slope:.2} (paper: t^-3.27)");
+        let paper_slope = paper("fig2.tail_slope");
+        println!("tail power-law slope t^{slope:.2} (paper: t^{paper_slope})");
     }
     println!("log-spaced histogram (non-empty bins):");
     for (lo, hi, pct) in hist.rows().filter(|r| r.2 > 0.0).take(18) {

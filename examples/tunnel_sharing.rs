@@ -76,19 +76,29 @@ fn main() {
         d.map(|d| format!("{:.2}s", d.as_secs_f64()))
             .unwrap_or_else(|| "-".into())
     };
+    // The paper's two numbers of one §5.7 metric, direct → tunnelled.
+    let paper = |metric: &str, unit: &str| {
+        let at = |at| sprout_bench::claims::claim(&format!("tunnel.{at}.{metric}")).paper_text();
+        format!("({}{unit} → {}{unit})", at("direct"), at("via"))
+    };
     println!("\n                      direct      via SproutTunnel   (paper §5.7)");
     println!(
-        "  Cubic throughput  {:>8.0} kbps {:>8.0} kbps        (8336 → 3776)",
-        direct.0, tunneled.0
+        "  Cubic throughput  {:>8.0} kbps {:>8.0} kbps        {}",
+        direct.0,
+        tunneled.0,
+        paper("cubic_kbps", "")
     );
     println!(
-        "  Skype throughput  {:>8.0} kbps {:>8.0} kbps        (78 → 490)",
-        direct.1, tunneled.1
+        "  Skype throughput  {:>8.0} kbps {:>8.0} kbps        {}",
+        direct.1,
+        tunneled.1,
+        paper("skype_kbps", "")
     );
     println!(
-        "  Skype 95% delay   {:>13} {:>13}        (6.0 s → 0.17 s)",
+        "  Skype 95% delay   {:>13} {:>13}        {}",
         fmt_delay(direct.2),
-        fmt_delay(tunneled.2)
+        fmt_delay(tunneled.2),
+        paper("skype_delay_s", " s")
     );
     println!("\nInside the tunnel each flow has its own queue and the total");
     println!("backlog is capped by the forecast, so the bulk download can no");
