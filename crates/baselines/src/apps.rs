@@ -1,18 +1,15 @@
 //! Models of the closed-source interactive applications the paper
 //! measures: Skype, FaceTime, and Google Hangout (§5.2).
 //!
-//! The paper attributes their poor behaviour over cellular paths to one
-//! mechanism (§5.2): "they do not react to rate increases and decreases
-//! quickly enough … By continuing to send when the network has
-//! dramatically slowed, these programs induce high delays that destroy
-//! interactivity." The model is therefore an **open-loop, rate-based
-//! sender** (no ACK clock): it transmits video frames at its current
-//! encoding rate, ramps the rate up slowly while the receiver reports
-//! low delay, and only after congestion has persisted for several
-//! seconds does it cut the rate multiplicatively. Per-application
-//! parameters (rate caps, ramp and reaction speeds) are calibrated to
-//! the qualitative placements in Figure 7. This is a deliberate,
-//! documented substitution for the unavailable closed-source binaries.
+//! Each is an **open-loop, rate-based sender** (no ACK clock), after
+//! §5.2's account of their slow reaction to rate changes: it transmits
+//! video frames at its current encoding rate, ramps the rate up slowly
+//! while the receiver reports low delay, and only after congestion has
+//! persisted for several seconds does it cut the rate multiplicatively.
+//! Per-application parameters (rate caps, ramp and reaction speeds) are
+//! calibrated to the qualitative placements in Figure 7: a documented
+//! substitution for the closed-source binaries, `app-models` in
+//! sprout-bench's `claims::INTERPRETATIONS`.
 
 use bytes::Bytes;
 

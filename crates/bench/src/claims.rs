@@ -9,6 +9,10 @@
 //! [`crate::figures::EXPERIMENTS`] judges every claim into
 //! `scorecard.tsv`. Only numbers the repo printed before the list
 //! existed are here; none is added from memory.
+//!
+//! [`INTERPRETATIONS`] holds every place the code reads the paper its
+//! own way; the code that does it and each red claim's [`Gap`] cite the
+//! row by id.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -44,41 +48,55 @@ const ABSOLUTE: f64 = 1.25;
 const PRINTED: f64 = 1.000_05;
 
 /// Sprout's throughput: finding 3's shortfall.
-const THROUGHPUT_GAP: Option<&str> = Some(
-    "Sprout leaves throughput and delay budget unspent, and the loss grows with the RTT \
-     (ROADMAP finding 3; item 3 attributes and fixes it)",
-);
+const THROUGHPUT_GAP: Option<Gap> = Some(Gap {
+    text: "Sprout leaves throughput and delay budget unspent, and the loss grows with the RTT \
+           (ROADMAP finding 3; item 3 attributes and fixes it)",
+    readings: &["sender-clock"],
+});
 
 /// Sprout's delay: neither its sender nor its forecast is the paper's.
-const DELAY_GAP: Option<&str> = Some(
-    "Sprout's delay comes from a sender that leaves its 100 ms budget unspent (ROADMAP \
-     finding 3) and a forecast whose 95 % covers 78-93 % (finding 4)",
-);
+const DELAY_GAP: Option<Gap> = Some(Gap {
+    text: "Sprout's delay comes from a sender that leaves its 100 ms budget unspent (ROADMAP \
+           finding 3) and a forecast whose 95 % covers 78-93 % (finding 4)",
+    readings: &["sender-clock", "rate-path-percentile"],
+});
 
 /// Sprout at 10 % loss keeps more than the paper's.
-const LOSS_GAP: Option<&str> = Some(
-    "Sprout runs at about half the paper's rate before any loss (ROADMAP finding 3), so \
-     10 % loss takes less off it than off the paper's; that reading is untested",
-);
+const LOSS_GAP: Option<Gap> = Some(Gap {
+    text: "Sprout runs at about half the paper's rate before any loss (ROADMAP finding 3), so \
+           10 % loss takes less off it than off the paper's; that reading is untested",
+    readings: &["sender-clock"],
+});
 
 /// The links are calibrated, not fitted.
-const LINK_GAP: Option<&str> = Some(
-    "the synthetic links are calibrated to Figure 7's axes, not fitted to the captures \
-     (ROADMAP item 6), so a loss-based flow's rate and standing queue on them are the \
-     model's, and Sprout's delay the ratio divides by is not the paper's (finding 3)",
-);
+const LINK_GAP: Option<Gap> = Some(Gap {
+    text: "the synthetic links are calibrated to Figure 7's axes, not fitted to the captures \
+           (ROADMAP item 6), so a loss-based flow's rate and standing queue on them are the \
+           model's, and Sprout's delay the ratio divides by is not the paper's (finding 3)",
+    readings: &["link-calibration", "sender-clock"],
+});
 
 /// The Fig. 2 row is a claim about the links themselves.
-const TAIL_GAP: Option<&str> = Some(
-    "the synthetic links' interarrival tail is far heavier than the capture's, and the \
-     slope estimator has never been checked on a tail of known slope (ROADMAP item 6)",
-);
+const TAIL_GAP: Option<Gap> = Some(Gap {
+    text: "the synthetic links' interarrival tail is far heavier than the capture's, and the \
+           slope estimator has never been checked on a tail of known slope (ROADMAP item 6)",
+    readings: &["link-reversion-outages", "link-calibration"],
+});
 
 /// The video apps are models of closed binaries.
-const APP_GAP: Option<&str> = Some(
-    "the video apps are models of closed binaries (ROADMAP item 14): ours send and queue \
-     several times what the paper measured",
-);
+const APP_GAP: Option<Gap> = Some(Gap {
+    text: "the video apps are models of closed binaries (ROADMAP item 14): ours send and queue \
+           several times what the paper measured",
+    readings: &["app-models"],
+});
+
+/// Why a claim reads red.
+pub struct Gap {
+    /// The sentence `scorecard.tsv` prints on a red row, citing ROADMAP.
+    pub text: &'static str,
+    /// The ids of the [`INTERPRETATIONS`] rows the miss stems from.
+    pub readings: &'static [&'static str],
+}
 
 /// One number of the paper, and how ours compares.
 pub struct Claim {
@@ -98,8 +116,8 @@ pub struct Claim {
     /// How far ours may sit from `paper`: the largest factor between
     /// them (one of the three tolerances above).
     pub tolerance: f64,
-    /// Why ours misses, citing ROADMAP, printed on a red row.
-    pub known_gap: Option<&'static str>,
+    /// Why ours misses, printed on a red row.
+    pub known_gap: Option<Gap>,
 }
 
 impl fmt::Display for Claim {
@@ -676,6 +694,146 @@ pub static CLAIMS: [Claim; 44] = [
     },
 ];
 
+// ------------------------------ where the repo reads the paper its own way
+
+/// One place where the code departs from the paper, or reads text the
+/// paper leaves open: declared here once, and cited by its `id` from
+/// the code that does it and from every [`Gap`] it explains.
+pub struct Interpretation {
+    /// Stable kebab-case id: what code, gaps and ablations cite.
+    pub id: &'static str,
+    /// What the paper says: only text the tree already quotes, or a
+    /// paraphrase marked as one (PAPER.md holds only the title).
+    pub paper: &'static str,
+    /// What the code does instead, and the reason it gives.
+    pub ours: &'static str,
+    /// `file: item` where the code does it; the file names the id.
+    pub site: &'static str,
+    /// Where its effect was measured, if anywhere.
+    pub evidence: Option<&'static str>,
+}
+
+/// Every reading of the paper the code makes, cited by id.
+pub static INTERPRETATIONS: [Interpretation; 8] = [
+    Interpretation {
+        id: "rate-path-percentile",
+        paper: "§3.3, paraphrase: Sprout forecasts, at a cautious percentile, the cumulative \
+                number of packets the link will deliver; the text suggests the percentile of \
+                the full count distribution",
+        ours: "the forecast table takes the percentile over the rate path only (the model's \
+               uncertainty about λ and outages) and advances the count axis by the expected \
+               λτ, so the Poisson noise of the counts is not in it. The reason given: at 3G \
+               rates (~1 packet per tick) the 5th percentile of a Poisson count is zero, which \
+               would cap Sprout at ~150 kbps on links where the paper measures ~400 kbps at 90 % \
+               utilisation, so the published numbers are only consistent with rate-uncertainty \
+               caution",
+        site: "crates/core/src/forecast.rs: the module doc",
+        evidence: Some(
+            "crates/core/tests/forecast_vs_model.rs pins the share of model paths under the \
+             table's 5th percentile at 0.07-0.32, not 0.05 (ROADMAP finding 4); finding 3 \
+             finds the throughput the reason defends lost in the sender instead",
+        ),
+    },
+    Interpretation {
+        id: "link-reversion-outages",
+        paper: "§3.1, Figure 3, paraphrase: delivery opportunities are a Poisson process whose \
+                rate λ performs Brownian motion with noise power σ, with a sticky outage state \
+                at λ = 0 escaped at exponential rate λz",
+        ours: "the trace generator adds a mean-reversion pull toward a per-network typical rate \
+               (`mean_reversion = 0` recovers the pure model) and a spontaneous outage-entry \
+               rate, and an escaping link resumes at 0.25 × its mean. The reason given: the \
+               drive traces are not available offline, the pull keeps a synthetic link near \
+               its measured one instead of wandering, and pure reflected Brownian motion \
+               reaches λ = 0 too rarely at LTE rates to reproduce the traces' multi-second \
+               outages",
+        site: "crates/trace/src/synth.rs: the module doc",
+        evidence: None,
+    },
+    Interpretation {
+        id: "link-calibration",
+        paper: "paraphrase: every scheme runs over traces captured on eight links (Verizon \
+                LTE and 3G, AT&T LTE, T-Mobile 3G, each direction) while driving; §2.2, \
+                quoted: the measured links \"vary by two orders of magnitude within seconds\"",
+        ours: "each link is the trace generator under parameters calibrated to the capacity \
+               scale of its Figure 7 axes (mean rate = kbps / 12 packets/s): LTE links keep \
+               σ = 200, 3G links get proportionally smaller noise, reversion is weak and \
+               outage rates are mild. The reason given: the captures are not available \
+               offline, and heavy forced outages compound into dead zones far harsher than \
+               the measured links",
+        site: "crates/trace/src/synth.rs: `NetProfile::params`",
+        evidence: None,
+    },
+    Interpretation {
+        id: "app-models",
+        paper: "§5.2, quoted: \"they do not react to rate increases and decreases quickly \
+                enough … By continuing to send when the network has dramatically slowed, these \
+                programs induce high delays that destroy interactivity.\"",
+        ours: "Skype, FaceTime and Hangout are open-loop, rate-based senders: video frames at an \
+               encoding rate that ramps up slowly while the receiver reports low delay and is \
+               cut multiplicatively only after congestion has persisted for seconds, with \
+               per-app caps and speeds calibrated to the qualitative placements in Figure 7. \
+               The reason given: the closed-source binaries are unavailable",
+        site: "crates/baselines/src/apps.rs: the module doc",
+        evidence: None,
+    },
+    Interpretation {
+        id: "ewma-gains",
+        paper: "§5.3, quoted: Sprout-EWMA is \"a low-pass filter, which does not immediately \
+                respond to sudden rate reductions or outages\"; the tree quotes no gain",
+        ours: "Sprout-EWMA smooths samples above its estimate with `ALPHA_UP` = 0.25 and samples \
+               below it with `ALPHA_DOWN` = 0.08 (halving in ≈ 9 ticks), and multiplies the \
+               estimate by `GATED_GROWTH` = 1.03 on each tick the sender underflowed the link. \
+               The reasons given: the paper publishes no gain; the slower fall is the \
+               sluggishness §5.3 describes; without the growth a one-packet flight chain can \
+               freeze the estimate forever",
+        site: "crates/core/src/forecaster.rs: `EwmaForecaster`'s constants",
+        evidence: None,
+    },
+    Interpretation {
+        id: "replay-feedback",
+        paper: "paraphrase: a cell's feedback crosses the reverse direction of the network its \
+                data crosses",
+        ours: "a cell over a measured capture replays the same capture on its feedback path, \
+               since a capture has no recorded reverse direction. The reason given: feedback \
+               traffic is tiny, so what matters is that the path is deterministic and \
+               cellular-shaped, not its exact direction",
+        site: "crates/bench/src/scenario.rs: `paired`",
+        evidence: None,
+    },
+    Interpretation {
+        id: "sender-clock",
+        paper: "§3.5, quoted: \"every time it advances into a new tick of the 8-tick forecast, \
+                it decrements the estimate by the amount of the forecast\"; paraphrase: the \
+                window is what clears the queue within the 100 ms lookahead",
+        ours: "the sender starts a forecast's tick 0 at the feedback's arrival (`received_at`), \
+               not when the receiver made it, and charges every byte sent and not yet received \
+               or lost, the bytes still on the forward path included, as queue the forecast \
+               must drain. No reason is given; in the emulator both ends read one clock",
+        site: "crates/core/src/sender.rs: `SproutSender::on_feedback`",
+        evidence: Some(
+            "ROADMAP finding 3: anchoring the forecast at the feedback's send time, or looking \
+             ahead by the forward delay, adds 4-15 utilisation points at 20 ms one way; C2TCP \
+             (PAPERS.md) is the RTT-aware contrast",
+        ),
+    },
+    Interpretation {
+        id: "startup-window",
+        paper: "paraphrase: §3.5 computes the window from a forecast; the tree quotes nothing \
+                on the window before the first forecast arrives",
+        ours: "with no forecast yet the sender's window is one MTU per poll, so the receiver \
+               has something to observe; the first forecast arrives within about one RTT",
+        site: "crates/core/src/sender.rs: `SproutSender::window_bytes`",
+        evidence: None,
+    },
+];
+
+/// The reading `id`. Panics on an id the list does not hold, as
+/// [`claim`] does.
+pub fn interpretation(id: &str) -> &'static Interpretation {
+    let found = INTERPRETATIONS.iter().find(|r| r.id == id);
+    found.unwrap_or_else(|| panic!("no reading {id:?} in INTERPRETATIONS"))
+}
+
 // ------------------------------------------ how the reports quote them
 
 /// The paper's text of claim `id`.
@@ -792,15 +950,18 @@ fn verdict(v: &Verdict) -> &'static str {
 /// A red row's explanation; a red row without one is a regression to
 /// look at.
 fn gap(v: &Verdict) -> &'static str {
-    match (v.green, v.claim.known_gap) {
+    match (v.green, &v.claim.known_gap) {
         (true, _) => "",
-        (false, Some(gap)) => gap,
+        (false, Some(gap)) => gap.text,
         (false, None) => "unexplained",
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::fs;
+    use std::path::{Path, PathBuf};
+
     use super::*;
     use crate::cli::apply_worker_args;
     use crate::figures::{select, ExperimentConfig};
@@ -812,13 +973,19 @@ mod tests {
             assert!(CLAIMS[..i].iter().all(|d| d.id != c.id), "{c}: id twice");
             assert!(c.paper.is_finite(), "{c}: paper value");
             assert!(c.tolerance >= 1.0, "{c}: tolerance");
-            if let Some(gap) = c.known_gap {
+            if let Some(gap) = &c.known_gap {
                 let cites = |what: &str| {
-                    gap.split(what)
+                    gap.text
+                        .split(what)
                         .skip(1)
                         .any(|rest| rest.starts_with(|ch: char| ch.is_ascii_digit()))
                 };
-                assert!(cites("finding ") || cites("item "), "{c}: {gap}");
+                assert!(cites("finding ") || cites("item "), "{c}: {}", gap.text);
+                // A gap stems from at least one reading, and each exists.
+                assert!(!gap.readings.is_empty(), "{c}: its gap names no reading");
+                for id in gap.readings {
+                    interpretation(id);
+                }
             }
         }
         // The reports' quotes find every id they build.
@@ -826,6 +993,91 @@ mod tests {
             table1_quotes(of);
         }
         let _ = (fig2_quotes(), loss_quote(), tunnel_quote());
+    }
+
+    /// Every `.rs` file under `dir`, recursively.
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in fs::read_dir(dir).expect("a readable directory") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    #[test]
+    fn every_reading_of_the_paper_is_declared_and_cited() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let names = |text: &str, id: &str| text.contains(&format!("`{id}`"));
+        // Each row is whole, and the file it names as its site cites it.
+        for (i, r) in INTERPRETATIONS.iter().enumerate() {
+            let id = r.id;
+            assert!(
+                INTERPRETATIONS[..i].iter().all(|q| q.id != id),
+                "{id}: id twice"
+            );
+            let word = |w: &str| !w.is_empty() && w.bytes().all(|b| b.is_ascii_lowercase());
+            assert!(id.split('-').all(word), "{id}: not kebab-case");
+            let marked = ["quoted", "paraphrase"].iter().any(|m| r.paper.contains(m));
+            assert!(
+                marked,
+                "{id}: the paper's side is neither quoted nor a paraphrase"
+            );
+            assert!(
+                !r.ours.is_empty() && r.evidence != Some(""),
+                "{id}: an empty field"
+            );
+            let (file, item) = r.site.split_once(": ").expect("a site is `file: item`");
+            assert!(!item.is_empty(), "{id}: its site names no item");
+            let text = fs::read_to_string(root.join(file));
+            let text = text.unwrap_or_else(|e| panic!("{id}: its site {file}: {e}"));
+            assert!(names(&text, id), "{id}: its site {file} does not name it");
+        }
+        // Each comment block under crates/ that marks a reading of the
+        // paper names a row.
+        const MARKS: [&str; 4] = [
+            "documented deviation",
+            "documented interpretation",
+            "documented substitut",
+            "the paper does not",
+        ];
+        let mut files = Vec::new();
+        for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+            let krate = krate.expect("a directory entry").path();
+            for dir in ["src", "tests"].map(|sub| krate.join(sub)) {
+                if dir.is_dir() {
+                    rust_files(&dir, &mut files);
+                }
+            }
+        }
+        let mut uncited = Vec::new();
+        for file in &files {
+            let text = fs::read_to_string(file).expect("a readable source file");
+            let (mut block, mut first) = (Vec::new(), 0);
+            for (n, line) in text.lines().chain([""]).enumerate() {
+                if let Some(comment) = line.trim_start().strip_prefix("//") {
+                    if block.is_empty() {
+                        first = n + 1;
+                    }
+                    block.push(comment.trim_start_matches(['/', '!']).trim());
+                    continue;
+                }
+                let joined = block.join(" ").to_lowercase();
+                let joined = joined.split_whitespace().collect::<Vec<_>>().join(" ");
+                let marks = MARKS.iter().any(|m| joined.contains(m));
+                if marks && !INTERPRETATIONS.iter().any(|r| names(&joined, r.id)) {
+                    let file = file.strip_prefix(&root).unwrap_or(file);
+                    uncited.push(format!("{}:{first}", file.display()));
+                }
+                block.clear();
+            }
+        }
+        assert!(
+            uncited.is_empty(),
+            "comments that read the paper but cite no `INTERPRETATIONS` id: {uncited:?}"
+        );
     }
 
     #[test]

@@ -22,9 +22,8 @@ use crate::schemes::Scheme;
 /// The opposite direction of the same network: the feedback path of every
 /// cell is the link's paired reverse direction. A measured capture has no
 /// recorded reverse direction, so a measured cell replays the *same*
-/// capture on the feedback path — a deliberate, documented substitute
-/// (feedback traffic is tiny, so what matters is that the path is
-/// deterministic and cellular-shaped, not its exact direction).
+/// capture on the feedback path: a documented substitute, `replay-feedback`
+/// in [`crate::claims::INTERPRETATIONS`] (feedback traffic is tiny).
 pub fn paired(link: LinkSpec) -> LinkSpec {
     match link {
         LinkSpec::Profile(profile) => LinkSpec::Profile(paired_profile(profile)),

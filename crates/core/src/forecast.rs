@@ -55,15 +55,11 @@
 //!   non-negative sum changes no bit, so the trailing run is skipped;
 //! * every live bin of the span is loaded from the stored slice.
 //!
-//! **Implementation note (documented deviation).** The percentile is
-//! taken over the *rate path* (the model's uncertainty about λ and
-//! outages), not over the additional Poisson sampling noise of the
-//! counts. §3.3's text suggests the full count distribution, but at 3G
-//! rates (~1 packet per tick) the 5th percentile of a Poisson count is
-//! zero, which would cap Sprout at ~150 kbps on links where the paper
-//! measures ~400 kbps at 90% utilization — the published numbers are
-//! only consistent with rate-uncertainty caution — a deliberate,
-//! documented interpretation of the paper's text.
+//! **The percentile covers the rate path only** (the model's uncertainty
+//! about λ and outages): the count axis advances by the expected λτ, so
+//! the Poisson noise of the counts is not in the table. A documented
+//! interpretation of §3.3, `rate-path-percentile` in sprout-bench's
+//! `claims::INTERPRETATIONS`, with its reason and what measured it.
 
 use std::sync::{Arc, LazyLock};
 
@@ -96,46 +92,6 @@ static TABLE_MEMO: LazyLock<Memo<TableKey, SharedModel>> =
 /// counts calls served by the live in-memory cache.
 pub fn table_memory_counters() -> MemCounters {
     TABLE_COUNTERS.memory()
-}
-
-/// Unit tests of this crate run as threads of one process and share the
-/// table cache and the counters above. Every [`ForecastTables::get`]
-/// holds this gate shared, so a test that asserts exact counter deltas
-/// holds it exclusively and sees its own fetches only.
-#[cfg(test)]
-pub(crate) mod fetch_gate {
-    use std::cell::Cell;
-    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    static GATE: RwLock<()> = RwLock::new(());
-
-    thread_local! {
-        /// Whether this thread holds the gate exclusively (its own fetches
-        /// must then not queue behind itself).
-        static EXCLUSIVE: Cell<bool> = const { Cell::new(false) };
-    }
-
-    pub(crate) struct Exclusive(#[allow(dead_code)] RwLockWriteGuard<'static, ()>);
-
-    impl Drop for Exclusive {
-        fn drop(&mut self) {
-            EXCLUSIVE.set(false);
-        }
-    }
-
-    /// Wait out every fetch in flight and hold all later ones of other
-    /// threads back until the guard drops.
-    pub(crate) fn exclusive() -> Exclusive {
-        let guard = GATE.write().unwrap_or_else(PoisonError::into_inner);
-        EXCLUSIVE.set(true);
-        Exclusive(guard)
-    }
-
-    /// Held across one fetch; `None` on the thread holding the gate
-    /// exclusively.
-    pub(crate) fn shared() -> Option<RwLockReadGuard<'static, ()>> {
-        (!EXCLUSIVE.get()).then(|| GATE.read().unwrap_or_else(PoisonError::into_inner))
-    }
 }
 
 /// Resolution of the cumulative-volume axis: quarter-MTU units. Finer
@@ -232,8 +188,6 @@ impl ForecastTables {
     /// geometry, so every model on that geometry evolves through a single
     /// shared allocation instead of a private copy.
     pub(crate) fn get_with_kernel(cfg: &SproutConfig) -> SharedModel {
-        #[cfg(test)]
-        let _gate = fetch_gate::shared();
         // One build per geometry (tens of milliseconds and ≈ 1.5 MB at
         // paper scale), shared by every concurrent sweep worker that asks
         // for it.

@@ -115,23 +115,19 @@ pub struct EwmaForecaster {
 
 impl EwmaForecaster {
     /// Smoothing gain for samples above the estimate. The paper does not
-    /// publish Sprout-EWMA's gain.
+    /// publish Sprout-EWMA's gains: all three constants are `ewma-gains`
+    /// in sprout-bench's `claims::INTERPRETATIONS`.
     pub const ALPHA_UP: f64 = 0.25;
 
     /// Smoothing gain for samples below the estimate (≈ halving in 9
-    /// ticks / 180 ms). Smaller: §5.3 describes the EWMA as "a low-pass
-    /// filter, which does not immediately respond to sudden rate
-    /// reductions or outages" — that sluggishness is what costs
-    /// Sprout-EWMA its delay.
+    /// ticks / 180 ms): slower, the low-pass sluggishness of §5.3.
     pub const ALPHA_DOWN: f64 = 0.08;
 
-    /// Multiplicative estimate growth per *gated* tick. Gated ticks mean
-    /// the sender underflowed the link, which is exactly when the
-    /// estimate may be stale-low; without some upward drift a 1-packet
-    /// flight chain can freeze the estimate forever (the flight both
-    /// closes the previous idle span and opens the next, leaving zero
-    /// exposure). This is the EWMA analogue of the Bayesian model's
-    /// Brownian diffusion during unobserved ticks.
+    /// Multiplicative estimate growth per *gated* tick (the sender
+    /// underflowed the link): the EWMA analogue of the Bayesian model's
+    /// diffusion during unobserved ticks. Without it a 1-packet flight
+    /// chain, which closes one idle span as it opens the next, leaves
+    /// zero exposure and freezes a stale-low estimate forever.
     pub const GATED_GROWTH: f64 = 1.03;
 
     /// New EWMA forecaster.

@@ -11,7 +11,8 @@ use sprout_trace::{Timestamp, MTU_BYTES, TICK};
 /// The forecast currently steering the sender, rebased to sender time.
 #[derive(Clone, Debug)]
 struct ActiveForecast {
-    /// When the forecast arrived at the sender (its tick 0 reference).
+    /// When the forecast arrived at the sender (its tick 0 reference;
+    /// `sender-clock` in sprout-bench's `claims::INTERPRETATIONS`).
     received_at: Timestamp,
     /// Cumulative deliverable bytes per tick; index k = within k+1 ticks.
     cumulative_bytes: [u64; WIRE_HORIZON],
@@ -38,7 +39,8 @@ impl ActiveForecast {
 pub struct SproutSender {
     /// Total wire bytes handed to the network on this direction.
     bytes_sent: u64,
-    /// Estimated bytes still inside the network (queue + wire).
+    /// Estimated bytes still inside the network, on the wire as well as
+    /// queued: all of it is queue the forecast must drain (`sender-clock`).
     queue_estimate: u64,
     forecast: Option<ActiveForecast>,
     /// Recent transmissions (send time, sequence number) for computing
@@ -110,7 +112,7 @@ impl SproutSender {
             None => {
                 // Startup: no forecast yet (the first one arrives within
                 // ~1 RTT). Allow a single MTU so the receiver has
-                // something to observe.
+                // something to observe (`startup-window`).
                 MTU_BYTES as u64
             }
             Some(f) => {

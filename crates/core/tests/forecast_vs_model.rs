@@ -4,10 +4,10 @@
 //! `LinkSimulator` steps it in 1 ms with Poisson deliveries, and
 //! sprout-core's `ForecastTables` discretises it into rate bins and
 //! 20 ms ticks, advancing the count axis by the *expected* delivery λτ
-//! (`forecast.rs`, "Implementation note (documented deviation)"). This
-//! runs `N` simulator paths for eight ticks from a point mass at a bin's
-//! rate and compares their cumulative deliveries, in quarter-MTU units,
-//! with the table's conditional CDF from that bin.
+//! (`rate-path-percentile` in sprout-bench's `claims::INTERPRETATIONS`).
+//! This runs `N` simulator paths for eight ticks from a point mass at a
+//! bin's rate and compares their cumulative deliveries, in quarter-MTU
+//! units, with the table's conditional CDF from that bin.
 //!
 //! `N` = 10 000 paths per start bin (≈ 2 s unoptimised): the
 //! Monte-Carlo error of a share `p` is `sqrt(p (1 − p) / N)`, ≈ 0.3
@@ -101,8 +101,8 @@ fn the_table_matches_its_model_at_the_median_and_not_at_the_fifth_percentile() {
             assert!(
                 (below - pinned).abs() <= mc_band(pinned),
                 "bin {bin}, tick {tick}: {below:.4} of paths deliver less than the table's 5th \
-                 percentile {p5}, pinned at {pinned} ± {:.4}. The gap is forecast.rs's \
-                 documented deviation (the percentile covers the rate path only, not the \
+                 percentile {p5}, pinned at {pinned} ± {:.4}. The gap is the reading \
+                 `rate-path-percentile` (the percentile covers the rate path only, not the \
                  Poisson noise of the counts); a moved share means the table or the model \
                  changed — re-measure and re-pin on purpose",
                 mc_band(pinned)

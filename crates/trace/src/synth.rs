@@ -4,18 +4,12 @@
 //! (§3.1, Figure 3): packet delivery opportunities form a Poisson process
 //! whose underlying rate λ performs Brownian motion with noise power σ
 //! (packets per second per √second), with a *sticky* outage state at λ = 0
-//! escaped at exponential rate λz. Two extensions make the synthetic links
-//! track the paper's eight measured links rather than wander arbitrarily:
-//!
-//! * a configurable mean-reversion pull toward a per-network typical rate
-//!   (set `mean_reversion = 0` to recover the paper's pure Brownian model);
-//! * a configurable spontaneous outage-entry rate, standing in for the
-//!   coverage holes a drive around Boston encounters (the paper's traces
-//!   contain multi-second outages; pure reflected Brownian motion reaches
-//!   λ=0 too rarely at LTE rates to reproduce them).
-//!
-//! Both extensions are deliberate, documented substitutions for the
-//! paper's measured drive traces, which are not available offline.
+//! escaped at exponential rate λz. It adds a mean-reversion pull toward a
+//! per-network typical rate (`mean_reversion = 0` recovers the pure
+//! model) and a spontaneous outage-entry rate, so the synthetic links
+//! track the paper's eight measured links: a documented substitution for
+//! its drive traces, `link-reversion-outages` in sprout-bench's
+//! `claims::INTERPRETATIONS`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,21 +179,14 @@ impl NetProfile {
     }
 
     /// Model parameters calibrated so each synthetic link lands on the
-    /// capacity scale visible on the corresponding Figure 7 axes. LTE links
-    /// keep the paper's σ = 200; slower 3G links get proportionally smaller
-    /// noise (rate swings in the measured 3G traces are smaller in absolute
-    /// terms). Outage parameters give occasional one-to-several-second
-    /// stalls, heaviest on the EV-DO link as in the paper's description.
+    /// capacity scale visible on the corresponding Figure 7 axes
+    /// (`link-calibration` in sprout-bench's `claims::INTERPRETATIONS`).
+    /// 3G links get a smaller σ than LTE's 200: their rate swings are
+    /// smaller in absolute terms.
     pub fn params(self) -> LinkModelParams {
-        // Mean rates chosen from Fig. 7 axis scales (kbps / 12 = packets/s).
-        // Outage entry/escape rates are kept mild: the OU rate process
-        // already stalls naturally when it wanders to zero, and at low
-        // means an escape that resumes near zero re-enters immediately
-        // (flapping), so heavy forced outages compound into dead zones
-        // far harsher than the measured links.
-        // Weak mean reversion: the measured links "vary by two orders of
-        // magnitude within seconds" (§2.2) — the rate must be allowed to
-        // dive deep and climb high, not hug the mean.
+        // Mean rates from Fig. 7 axis scales (kbps / 12 = packets/s).
+        // Outage rates are mild: the rate process already stalls at zero.
+        // Reversion is weak: the rate must dive deep and climb high.
         let (mean_pps, max_pps, sigma, theta, outage_in, outage_out) = match self {
             NetProfile::VerizonLteDown => (420.0, 1000.0, 200.0, 0.50, 0.012, 1.2),
             NetProfile::VerizonLteUp => (230.0, 800.0, 140.0, 0.50, 0.012, 1.2),
