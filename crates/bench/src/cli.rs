@@ -410,9 +410,7 @@ pub fn apply_worker_args(
     // axes struct (so the library builds the identical matrix); an
     // explicit --secs or --quick hands timing back to the global knobs.
     if explicit_secs || quick {
-        cfg.soak.secs = None;
-        cfg.serve.secs = None;
-        cfg.replay.secs = None;
+        cfg.use_global_run_length();
     }
     // Validate against the run length each row will actually use. A row
     // that derives its warmup from the run length can never have an
@@ -601,6 +599,22 @@ mod tests {
         assert_eq!(worker_flag_arity("--bench"), None);
         let err = apply("soak", &["--bench"]).unwrap_err();
         assert!(err.contains("unknown worker flag"), "{err}");
+    }
+
+    #[test]
+    fn secs_and_quick_leave_no_row_its_own_run_length() {
+        // A row with its own default run length that the clearing misses
+        // would keep it under --secs / --quick, silently.
+        assert!(EXPERIMENTS.iter().any(|row| row
+            .own_secs
+            .is_some_and(|secs| secs(&ExperimentConfig::default()).is_some())));
+        for args in [&["--secs", "40", "--warmup", "8"][..], &["--quick"]] {
+            let cfg = apply("soak", args).unwrap();
+            for row in &EXPERIMENTS {
+                let own = row.own_secs.and_then(|secs| secs(&cfg));
+                assert_eq!(own, None, "{}: {args:?}", row.name);
+            }
+        }
     }
 
     #[test]

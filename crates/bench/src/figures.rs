@@ -315,6 +315,16 @@ impl ExperimentConfig {
             .with_cell_timeout(std::time::Duration::from_secs(self.cell_timeout_secs))
     }
 
+    /// Hand every experiment that has its own default run length
+    /// ([`Experiment::own_secs`]) back to the global [`Self::run_secs`],
+    /// as an explicit `--secs` or `--quick` does: clears the `secs` of
+    /// every axes struct that has one.
+    pub fn use_global_run_length(&mut self) {
+        self.soak.secs = None;
+        self.serve.secs = None;
+        self.replay.secs = None;
+    }
+
     /// Start declaring a matrix with this config's timing.
     pub fn matrix(&self, name: &str) -> crate::scenario::MatrixBuilder {
         ScenarioMatrix::builder(name).timing(self.duration(), self.warmup())

@@ -41,7 +41,10 @@
 //! constant number of scoped *store lanes* that persist finished cells
 //! behind a bounded queue while the next ones compute — `2 W + lanes`
 //! threads, of which `W` burn CPU. The lanes are joined before
-//! [`SweepEngine::try_run`] returns.
+//! [`SweepEngine::try_run`] returns. Before any of them, a `Resume` or
+//! `Merge` serves cached cells on the calling thread and scoped helpers
+//! (as many threads in all as the engine has), which claim cells from a
+//! shared counter the same way and are joined first.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -352,29 +355,52 @@ impl SweepEngine {
             .filter(|c| self.shard.owns(c.id))
             .collect();
 
-        // Phase 1: serve what the cache already holds (policy permitting),
-        // each worker filling its own contiguous slice of `results`.
+        // Phase 1: serve what the cache already holds (policy permitting).
+        // Like Phase 2's workers, each thread — the calling one and
+        // `threads - 1` helpers — claims the next owned cell from one
+        // shared counter and keeps the cells it served; they are placed
+        // in matrix order as the threads finish. Cell costs are skewed (a
+        // scheme-major matrix puts the long per-delivery series in one
+        // half), so fixed halves left one thread idle; and the calling
+        // thread claiming too, rather than waiting on `threads` helpers,
+        // measured ≈ 4 % more cells per second on `resume-warm` at two
+        // threads on a 2-core host.
         let mut results: Vec<Option<SweepResult>> = vec![None; owned.len()];
         if self.policy != CellCachePolicy::Execute {
-            let load = |cells: &[&Scenario], slots: &mut [Option<SweepResult>]| {
-                for (cell, slot) in cells.iter().zip(slots) {
-                    *slot = crate::cellcache::load_cell(
-                        matrix.name(),
-                        matrix_fp,
-                        cell,
-                        self.master_seed,
-                    );
-                }
+            let load = |cell: &Scenario| {
+                crate::cellcache::load_cell(matrix.name(), matrix_fp, cell, self.master_seed)
             };
             let threads = self.effective_threads(owned.len());
             if threads == 1 {
-                load(&owned, &mut results);
+                for (cell, slot) in owned.iter().zip(&mut results) {
+                    *slot = load(cell);
+                }
             } else {
-                let (load, per_worker) = (&load, owned.len().div_ceil(threads));
+                let next = AtomicUsize::new(0);
+                let claim = || {
+                    let mut served = Vec::new();
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cell) = owned.get(k) else {
+                            break served;
+                        };
+                        if let Some(result) = load(cell) {
+                            served.push((k, result));
+                        }
+                    }
+                };
                 std::thread::scope(|scope| {
-                    let slices = owned.chunks(per_worker).zip(results.chunks_mut(per_worker));
-                    for (cells, slots) in slices {
-                        scope.spawn(move || load(cells, slots));
+                    let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+                    let own = claim();
+                    let joined = helpers.into_iter().map(|helper| {
+                        helper
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    });
+                    for served in std::iter::once(own).chain(joined) {
+                        for (k, result) in served {
+                            results[k] = Some(result);
+                        }
                     }
                 });
             }

@@ -40,6 +40,27 @@ fn tiny_matrix() -> ScenarioMatrix {
         .build()
 }
 
+/// The sorted names of the files in `dir` that start with `prefix`.
+fn names(dir: &PathBuf, prefix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A copy of cache directory `from` (its files, flat) in a fresh one.
+fn copy_cache(from: &PathBuf, tag: &str) -> PathBuf {
+    let dir = temp_cache_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in names(from, "") {
+        std::fs::copy(from.join(&name), dir.join(&name)).unwrap();
+    }
+    dir
+}
+
 /// Cell-cache traffic since `before`.
 fn cell_traffic_since(before: CacheCounters) -> CacheCounters {
     cell_cache_counters().since(before)
@@ -220,7 +241,7 @@ fn measured(results: &[sprout_bench::SweepResult]) -> String {
 fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
     // Nine series-requesting cells, cached in full; then, at 1, 2 and 4
     // threads, a copy of that cache with every third cell file deleted.
-    // Phase 1 fills disjoint slices of the result vector from as many
+    // Phase 1's threads claim cells from one shared counter, as many
     // threads as the engine has: the results, which cells execute and the
     // cache traffic must not depend on how many.
     let _g = LOCK.lock().unwrap();
@@ -234,15 +255,6 @@ fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
     let full = temp_cache_dir("par-resume-full");
     sprout_cache::set_dir(&full);
     let want = SweepEngine::new(17).with_threads(2).run(&m);
-    let names = |dir: &PathBuf, prefix: &str| -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.starts_with(prefix))
-            .collect();
-        names.sort();
-        names
-    };
     let cell_files = names(&full, "cell-");
     assert_eq!(
         cell_files.len(),
@@ -253,11 +265,7 @@ fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
 
     let mut outcomes = Vec::new();
     for threads in [1, 2, 4] {
-        let dir = temp_cache_dir(&format!("par-resume-{threads}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        for name in names(&full, "") {
-            std::fs::copy(full.join(&name), dir.join(&name)).unwrap();
-        }
+        let dir = copy_cache(&full, &format!("par-resume-{threads}"));
         for name in cell_files.iter().step_by(3) {
             std::fs::remove_file(dir.join(name)).unwrap();
         }
@@ -301,6 +309,173 @@ fn resume_loads_on_every_worker_and_agrees_at_any_thread_count() {
         assert!(
             got == &measured(&want),
             "threads {threads}: resumed results (series included) differ from the executing run"
+        );
+    }
+
+    sprout_cache::reset_override();
+}
+
+/// A `--timeseries` matrix whose cell files differ widely in size. It is
+/// scheme-major, and each scheme's cells start on the fast link, whose
+/// many deliveries make a long per-delivery delay series.
+fn skewed_series_matrix() -> ScenarioMatrix {
+    ScenarioMatrix::builder("skewed-series")
+        .schemes([Scheme::Cubic, Scheme::Vegas])
+        .links([NetProfile::VerizonLteDown, NetProfile::TmobileUmtsUp])
+        .loss_rates([0.0, 0.01, 0.02])
+        .timing(Duration::from_secs(4), Duration::from_secs(1))
+        .cell_series(Duration::from_millis(500))
+        .build()
+}
+
+#[test]
+fn skewed_cells_resume_and_merge_in_matrix_order_at_any_thread_count() {
+    // Phase 1's threads claim cells one at a time, so which thread loads
+    // which cell depends on the thread count and on how long each load
+    // takes. Neither may show in the results, their order or the traffic.
+    let _g = LOCK.lock().unwrap();
+    let m = skewed_series_matrix();
+    let dir = temp_cache_dir("skewed");
+    sprout_cache::set_dir(&dir);
+    let executed = SweepEngine::new(31).with_threads(2).run(&m);
+    let sizes: Vec<u64> = names(&dir, "cell-")
+        .iter()
+        .map(|n| std::fs::metadata(dir.join(n)).unwrap().len())
+        .collect();
+    let (smallest, largest) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    assert!(
+        *largest >= 4 * smallest,
+        "the premise: cell files of skewed sizes ({sizes:?})"
+    );
+
+    let matrix_order: Vec<u64> = m.cells().iter().map(|c| c.id).collect();
+    let mut one_thread = None;
+    for policy in [CellCachePolicy::Resume, CellCachePolicy::Merge] {
+        for threads in [1, 2, 3, 4] {
+            let before = cell_cache_counters();
+            let served = SweepEngine::new(31)
+                .with_threads(threads)
+                .with_policy(policy)
+                .try_run(&m)
+                .unwrap_or_else(|e| panic!("{policy:?} at {threads} threads: {e}"));
+            let traffic = cell_traffic_since(before);
+            let order: Vec<u64> = served.iter().map(|r| r.scenario.id).collect();
+            assert_eq!(order, matrix_order, "{policy:?} at {threads} threads");
+            assert_eq!(
+                (traffic.hits, traffic.misses, traffic.stores),
+                (m.len() as u64, 0, 0),
+                "{policy:?} at {threads} threads"
+            );
+            assert_eq!(last_batch_layout(), (0, 0), "nothing executed");
+            let json = sweep_to_json(m.name(), 31, &served);
+            let want = one_thread.get_or_insert_with(|| {
+                assert!(
+                    measured(&served) == measured(&executed),
+                    "the served cells (series included) are the executed ones"
+                );
+                json.clone()
+            });
+            assert!(
+                json == *want,
+                "{policy:?} at {threads} threads: bytes differ from the 1-thread resume"
+            );
+        }
+    }
+
+    sprout_cache::reset_override();
+}
+
+/// Damage the cache file at `path` where its checksum catches it.
+fn flip_a_payload_byte(path: &PathBuf) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x5a;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Replace the payload of the cache file at `path` with bytes that pass
+/// the checksum but do not decode. The header is magic (8), version (4),
+/// key length (4), payload length (8) and checksum (8), the key follows
+/// it, and the file is named `<kind>-v<version>-<hash>.bin`.
+fn rewrite_with_an_undecodable_payload(path: &PathBuf) {
+    let bytes = std::fs::read(path).unwrap();
+    let key_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let key = &bytes[32..32 + key_len];
+    let name = path.file_name().unwrap().to_str().unwrap();
+    let (kind, rest) = name.rsplit_once("-v").unwrap();
+    let version: u32 = rest.split_once('-').unwrap().0.parse().unwrap();
+    let kind = sprout_cache::ArtifactKind::new(Box::leak(kind.into()), version);
+    assert!(kind.store(key, b"not a cell payload"));
+    assert_ne!(
+        std::fs::read(path).unwrap(),
+        bytes,
+        "the store replaced the victim"
+    );
+}
+
+#[test]
+fn a_damaged_cell_among_many_is_quarantined_once_and_re_executed() {
+    // One cell file of 24 is damaged, two ways: a flipped payload byte
+    // (the checksum catches it) and a checksum-valid payload that does not
+    // decode (a load hit demoted to a miss). A 3-thread resume loads every
+    // cell once, so the damaged file is quarantined exactly once, the cell
+    // executes and is stored again, and the sweep's bytes are the clean
+    // run's.
+    let _g = LOCK.lock().unwrap();
+    let m = many_tiny_cells("damaged", 24);
+    let clean = temp_cache_dir("damaged-clean");
+    sprout_cache::set_dir(&clean);
+    let want = sweep_to_json(m.name(), 37, &SweepEngine::new(37).with_threads(1).run(&m));
+    let cell_files = names(&clean, "cell-");
+    assert_eq!(cell_files.len(), m.len());
+    let victim = &cell_files[cell_files.len() / 2];
+
+    let damages = [
+        (
+            "a flipped payload byte",
+            flip_a_payload_byte as fn(&PathBuf),
+        ),
+        (
+            "an undecodable payload",
+            rewrite_with_an_undecodable_payload,
+        ),
+    ];
+    for (what, damage) in damages {
+        let dir = copy_cache(&clean, "damaged");
+        sprout_cache::set_dir(&dir);
+        damage(&dir.join(victim));
+        let before = cell_cache_counters();
+        let resumed = SweepEngine::new(37)
+            .with_threads(3)
+            .with_policy(CellCachePolicy::Resume)
+            .try_run(&m)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let traffic = cell_traffic_since(before);
+        assert_eq!(
+            (
+                traffic.hits,
+                traffic.misses,
+                traffic.stores,
+                traffic.quarantined
+            ),
+            (m.len() as u64 - 1, 1, 1, 1),
+            "{what}"
+        );
+        let executed = resumed.iter().filter(|r| r.wall_ms > 0.0).count();
+        assert_eq!(executed, 1, "{what}: only the damaged cell executes");
+        let corrupt: Vec<String> = names(&dir, "cell-")
+            .into_iter()
+            .filter(|n| n.ends_with(".corrupt"))
+            .collect();
+        assert_eq!(corrupt, [format!("{victim}.corrupt")], "{what}");
+        let stored: Vec<String> = names(&dir, "cell-")
+            .into_iter()
+            .filter(|n| !n.ends_with(".corrupt"))
+            .collect();
+        assert_eq!(stored, cell_files, "{what}: the victim is stored again");
+        assert!(
+            sweep_to_json(m.name(), 37, &resumed) == want,
+            "{what}: bytes differ from the clean run"
         );
     }
 
