@@ -20,6 +20,10 @@ use crate::wire;
 
 /// Congestion-control algorithm interface. Window units are MTU segments
 /// (fractional, as most algorithms accumulate sub-segment credit).
+///
+/// [`TcpSender`] is generic over its controller, so a sender built on a
+/// concrete one (every scheme cell's is) calls it without a `dyn`; a
+/// `Box<dyn CongestionControl>` is a controller too.
 pub trait CongestionControl: Send {
     /// A new cumulative ACK advanced the window by `newly_acked` segments.
     fn on_ack(&mut self, newly_acked: u64, rtt: Duration, now: Timestamp);
@@ -35,6 +39,27 @@ pub trait CongestionControl: Send {
     fn window(&self) -> f64;
     /// Algorithm name for reports.
     fn name(&self) -> &'static str;
+}
+
+impl<C: CongestionControl + ?Sized> CongestionControl for Box<C> {
+    fn on_ack(&mut self, newly_acked: u64, rtt: Duration, now: Timestamp) {
+        (**self).on_ack(newly_acked, rtt, now)
+    }
+    fn on_one_way_delay(&mut self, delay: Duration) {
+        (**self).on_one_way_delay(delay)
+    }
+    fn on_loss(&mut self, now: Timestamp) {
+        (**self).on_loss(now)
+    }
+    fn on_timeout(&mut self, now: Timestamp) {
+        (**self).on_timeout(now)
+    }
+    fn window(&self) -> f64 {
+        (**self).window()
+    }
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
 }
 
 /// RFC 6298 retransmission-timeout estimator.
@@ -136,8 +161,8 @@ fn encode_ack(cum_ack: u64, echo_sent_at: Timestamp, recv_at: Timestamp) -> Byte
 /// Bulk-transfer TCP-model sender. Always has data (the §5.1 saturating
 /// workload); sends MTU segments under `cc`'s window with fast retransmit
 /// and RTO recovery.
-pub struct TcpSender {
-    cc: Box<dyn CongestionControl>,
+pub struct TcpSender<C: CongestionControl> {
+    cc: C,
     rtt: RttEstimator,
     flow: FlowId,
     /// Next new sequence number to send.
@@ -169,9 +194,9 @@ pub struct TcpSender {
 /// than one receive window of a single flow's data.
 const MAX_WINDOW_SEGMENTS: usize = 4_096;
 
-impl TcpSender {
+impl<C: CongestionControl> TcpSender<C> {
     /// New saturating sender driven by `cc`.
-    pub fn new(cc: Box<dyn CongestionControl>) -> Self {
+    pub fn new(cc: C) -> Self {
         TcpSender {
             cc,
             rtt: RttEstimator::default(),
@@ -192,11 +217,6 @@ impl TcpSender {
     /// Tag outgoing packets with a flow id (for shared-queue experiments).
     pub fn set_flow(&mut self, flow: FlowId) {
         self.flow = flow;
-    }
-
-    /// The congestion controller (diagnostics).
-    pub fn cc(&self) -> &dyn CongestionControl {
-        &*self.cc
     }
 
     /// The RTT estimator (diagnostics).
@@ -245,7 +265,7 @@ impl TcpSender {
     }
 }
 
-impl Endpoint for TcpSender {
+impl<C: CongestionControl> Endpoint for TcpSender<C> {
     fn on_packet(&mut self, packet: Packet, now: Timestamp) {
         let Some([cum_ack, echo_sent_at, recv_at]) = wire::decode(&packet.payload, MAGIC_ACK)
         else {
@@ -271,7 +291,9 @@ impl Endpoint for TcpSender {
             self.outstanding.drain(..newly as usize);
             self.cum_ack = cum_ack;
             self.dup_acks = 0;
-            self.lost = self.lost.split_off(&cum_ack);
+            if !self.lost.is_empty() {
+                self.lost = self.lost.split_off(&cum_ack);
+            }
             // Karn's rule: only time un-retransmitted segments. We use
             // the echoed transmit timestamp, which already excludes
             // ambiguity for retransmissions of the *echoed* segment.
@@ -301,7 +323,7 @@ impl Endpoint for TcpSender {
             // same stale front is seen again on every ACK: insert only
             // when some of it is not yet marked lost.
             let front = cum_ack..cum_ack + stale as u64;
-            if self.lost.range(front.clone()).count() < stale {
+            if stale > 0 && self.lost.range(front.clone()).count() < stale {
                 self.lost.extend(front);
             }
             self.rto_deadline = if self.outstanding.is_empty() {

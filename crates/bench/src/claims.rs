@@ -79,7 +79,8 @@ const LINK_GAP: Option<Gap> = Some(Gap {
 /// The Fig. 2 row is a claim about the links themselves.
 const TAIL_GAP: Option<Gap> = Some(Gap {
     text: "the synthetic links' interarrival tail is far heavier than the capture's, and the \
-           slope estimator has never been checked on a tail of known slope (ROADMAP item 6)",
+           slope estimator fits per-bin shares, not the density: a tail of known density slope \
+           -3.27 reads -2.23 (ROADMAP item 6)",
     readings: &["link-reversion-outages", "link-calibration"],
 });
 

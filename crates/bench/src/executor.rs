@@ -30,7 +30,8 @@ use crate::record::{
 };
 use crate::scenario::{paired, FlowSpec, LinkSpec, ResolvedQueue, Scenario, Workload};
 use crate::schemes::{
-    app_endpoints, build_endpoints, sprout_data_sender, sprout_endpoint, RunConfig, Scheme,
+    app_endpoints, build_endpoints, sprout_data_sender, sprout_endpoint, with_endpoints,
+    PairVisitor, RunConfig, Scheme,
 };
 
 /// Built / reused counts of every sweep's [`TraceMemo`].
@@ -417,7 +418,8 @@ fn flows_of(workload: &Workload, rc: &RunConfig) -> (Vec<Flow>, Option<Scheme>) 
     };
     let call = |app: VideoApp| {
         let (sender, receiver) = app_endpoints(app);
-        (INTERACTIVE_FLOW, sender, receiver)
+        let flow: Flow = (INTERACTIVE_FLOW, Box::new(sender), Box::new(receiver));
+        flow
     };
     match workload {
         Workload::App { app, over } => {
@@ -517,6 +519,38 @@ fn run_pair<A: Endpoint, B: Endpoint>(
     measured
 }
 
+/// [`run_pair`] over a scheme's pair as its concrete types, the data
+/// direction's log handed to `reduce`: one `run_pair` per shape of pair,
+/// and no `dyn` per packet.
+struct RunPair<'a, F, R> {
+    paths: (PathConfig, PathConfig),
+    scratch: &'a mut CellScratch,
+    window: (Timestamp, Timestamp),
+    floor: F,
+    reduce: R,
+}
+
+impl<F, R> PairVisitor for RunPair<'_, F, R>
+where
+    F: FnOnce() -> Option<Duration>,
+    R: FnOnce(&MetricsCollector, &mut Measured),
+{
+    type Output = Measured;
+
+    fn visit<A: Endpoint + 'static, B: Endpoint + 'static>(self, a: A, b: B) -> Measured {
+        let RunPair {
+            paths,
+            scratch,
+            window,
+            floor,
+            reduce,
+        } = self;
+        run_pair(a, b, paths, scratch, window, floor, |sim, out| {
+            reduce(sim.ab_metrics(), out)
+        })
+    }
+}
+
 /// Run one workload over prepared traces, the simulation's recycled
 /// buffers taken from (and returned to) `scratch`, so cells run
 /// back-to-back reuse one set of allocations. `data` is the data
@@ -540,15 +574,21 @@ fn run_cell_scratch(
             unreachable!("probe cells are handled by execute_scenario")
         }
         Workload::Scheme(scheme) => {
-            let (a, b) = build_endpoints(*scheme, rc);
-            run_pair(a, b, paths, scratch, (from, end), floor, |sim, out| {
-                let m = sim.ab_metrics();
+            let reduce = |m: &MetricsCollector, out: &mut Measured| {
                 if let Some(bin) = series_bin {
                     out.series = collect_series(m, &rc.data_trace, bin, from, end);
                 }
                 out.cell_series = cell_series_bin
                     .map(|bin| collect_cell_series(m, &rc.data_trace, bin, from, end));
-            })
+            };
+            let run = RunPair {
+                paths,
+                scratch,
+                window: (from, end),
+                floor,
+                reduce,
+            };
+            with_endpoints(*scheme, rc, run)
         }
         Workload::App { .. }
         | Workload::Contention { .. }

@@ -131,36 +131,6 @@ impl Scheme {
     pub fn tunnels_apps(self) -> bool {
         matches!(self, Scheme::Sprout | Scheme::SproutEwma)
     }
-
-    /// Which of the four endpoint pairs the scheme is, and what tells it
-    /// from the others of its kind.
-    fn pair(self) -> Pair {
-        match self {
-            Scheme::Sprout | Scheme::SproutEwma => Pair::Sprout,
-            Scheme::Cubic | Scheme::CubicCodel => Pair::Tcp(Box::new(Cubic::new())),
-            Scheme::Reno => Pair::Tcp(Box::new(Reno::new())),
-            Scheme::Vegas => Pair::Tcp(Box::new(Vegas::new())),
-            Scheme::Compound => Pair::Tcp(Box::new(Compound::new())),
-            Scheme::Ledbat => Pair::Tcp(Box::new(Ledbat::new())),
-            Scheme::Skype => Pair::App(VideoApp::Skype),
-            Scheme::Facetime => Pair::App(VideoApp::Facetime),
-            Scheme::Hangout => Pair::App(VideoApp::Hangout),
-            Scheme::Omniscient => Pair::Omniscient,
-        }
-    }
-}
-
-/// The shapes of endpoint pair [`build_endpoints`] knows.
-enum Pair {
-    /// A [`sprout_data_sender`] and a receiver whose forecaster is per
-    /// [`sprout_endpoint`].
-    Sprout,
-    /// A TCP sender around this congestion controller, and a receiver.
-    Tcp(Box<dyn CongestionControl>),
-    /// A videoconference call of this application.
-    App(VideoApp),
-    /// The omniscient sender and a sink.
-    Omniscient,
 }
 
 /// One experiment cell: a scheme over one link direction.
@@ -266,27 +236,69 @@ pub fn sprout_data_sender(cfg: &SproutConfig) -> SproutEndpoint {
 }
 
 /// The (sender, receiver) pair of one modeled videoconference call.
-pub(crate) fn app_endpoints(app: VideoApp) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-    (
-        Box::new(VideoAppSender::new(app.profile())),
-        Box::new(VideoAppReceiver::new()),
-    )
+pub(crate) fn app_endpoints(app: VideoApp) -> (VideoAppSender, VideoAppReceiver) {
+    (VideoAppSender::new(app.profile()), VideoAppReceiver::new())
 }
 
-/// Construct the (sender, receiver) endpoint pair for a scheme.
-pub fn build_endpoints(scheme: Scheme, cfg: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
-    match scheme.pair() {
-        Pair::Sprout => (
-            Box::new(sprout_data_sender(&cfg.sprout)),
-            Box::new(sprout_endpoint(scheme, cfg)),
+/// What to do with a scheme's (sender, receiver) pair, whatever its
+/// concrete types. [`with_endpoints`] builds the pair and hands it to
+/// [`PairVisitor::visit`], which is monomorphised per pair: an event loop
+/// run inside it calls both endpoints, and a TCP sender its controller,
+/// without a `dyn`.
+pub(crate) trait PairVisitor {
+    /// What the visit returns.
+    type Output;
+
+    /// Use the pair.
+    fn visit<A: Endpoint + 'static, B: Endpoint + 'static>(self, a: A, b: B) -> Self::Output;
+}
+
+/// Construct the (sender, receiver) pair for a scheme, as its concrete
+/// types, and hand it to `visitor`: the one constructor of every scheme
+/// pair.
+pub(crate) fn with_endpoints<V: PairVisitor>(
+    scheme: Scheme,
+    cfg: &RunConfig,
+    visitor: V,
+) -> V::Output {
+    fn tcp<V: PairVisitor>(visitor: V, cc: impl CongestionControl + 'static) -> V::Output {
+        visitor.visit(TcpSender::new(cc), TcpReceiver::new())
+    }
+    let app = |visitor: V, app| {
+        let (a, b) = app_endpoints(app);
+        visitor.visit(a, b)
+    };
+    match scheme {
+        Scheme::Sprout | Scheme::SproutEwma => visitor.visit(
+            sprout_data_sender(&cfg.sprout),
+            sprout_endpoint(scheme, cfg),
         ),
-        Pair::Tcp(cc) => (Box::new(TcpSender::new(cc)), Box::new(TcpReceiver::new())),
-        Pair::App(app) => app_endpoints(app),
-        Pair::Omniscient => (
-            Box::new(OmniscientSender::new(&cfg.data_trace, cfg.prop_delay)),
-            Box::new(SinkEndpoint::new()),
+        Scheme::Cubic | Scheme::CubicCodel => tcp(visitor, Cubic::new()),
+        Scheme::Reno => tcp(visitor, Reno::new()),
+        Scheme::Vegas => tcp(visitor, Vegas::new()),
+        Scheme::Compound => tcp(visitor, Compound::new()),
+        Scheme::Ledbat => tcp(visitor, Ledbat::new()),
+        Scheme::Skype => app(visitor, VideoApp::Skype),
+        Scheme::Facetime => app(visitor, VideoApp::Facetime),
+        Scheme::Hangout => app(visitor, VideoApp::Hangout),
+        Scheme::Omniscient => visitor.visit(
+            OmniscientSender::new(&cfg.data_trace, cfg.prop_delay),
+            SinkEndpoint::new(),
         ),
     }
+}
+
+/// Construct the (sender, receiver) endpoint pair for a scheme, boxed:
+/// the form a mux child or a caller outside the crate takes.
+pub fn build_endpoints(scheme: Scheme, cfg: &RunConfig) -> (Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    struct Boxed;
+    impl PairVisitor for Boxed {
+        type Output = (Box<dyn Endpoint>, Box<dyn Endpoint>);
+        fn visit<A: Endpoint + 'static, B: Endpoint + 'static>(self, a: A, b: B) -> Self::Output {
+            (Box::new(a), Box::new(b))
+        }
+    }
+    with_endpoints(scheme, cfg, Boxed)
 }
 
 #[cfg(test)]

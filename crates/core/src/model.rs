@@ -464,9 +464,10 @@ fn reflect_positive(j: i64, n: i64) -> usize {
 
 /// Byte budget of the per-thread likelihood memo behind
 /// [`RateModel::observe_exposed`] (vectors plus an allowance for the map's
-/// own slots). At paper scale that is ~480 `(packets, exposure)` pairs — a
-/// 60 s cell observes a few hundred distinct ones, a 96-session serve cell
-/// under a hundred.
+/// own slots). At paper scale that is ~480 `(packets, exposure)` pairs,
+/// about what one cell uses: a 60 s `vz-lte-down` Sprout cell observes
+/// 497 distinct ones, a 96-session serve cell under a hundred. An
+/// overflow evicts only a quarter of the memo.
 pub const LIKELIHOOD_MEMO_MAX_BYTES: usize = 1 << 20;
 
 /// Everything a likelihood vector depends on: the observation and the
@@ -481,32 +482,74 @@ struct LikelihoodKey {
 }
 
 /// Finished likelihood vectors by observation (`None` = the impossible
-/// observation whose update is skipped). When an insert would exceed the
-/// budget the memo starts over: the handful of hot pairs refill within a
-/// few ticks, and no recency bookkeeping rides on the hit path.
+/// observation whose update is skipped), each marked when it is hit.
+///
+/// One cell's working set is about the budget, so starting over on an
+/// overflow would throw the whole hot set away each time. An overflow
+/// keeps three quarters of the budget instead: entries hit since the last
+/// overflow first, then others, and every mark is cleared. The hit path
+/// pays one store for the mark. Which entries survive never changes a
+/// result: a hit applies the very `f64`s a miss computes.
 #[derive(Default)]
 struct LikelihoodMemo {
-    map: HashMap<LikelihoodKey, Option<Box<[f64]>>>,
+    map: HashMap<LikelihoodKey, MemoEntry>,
     bytes: usize,
 }
 
-impl LikelihoodMemo {
-    /// Accounted cost of one entry beyond its vector: the map slot (key,
+struct MemoEntry {
+    like: Option<Box<[f64]>>,
+    /// Hit since the last overflow.
+    hit: bool,
+}
+
+impl MemoEntry {
+    /// Accounted cost of one entry: its vector, plus the map slot (key,
     /// value, control byte, at the table's worst load factor) and the
     /// allocator's header.
-    const ENTRY_OVERHEAD: usize = 128;
+    fn cost(like: &Option<Box<[f64]>>) -> usize {
+        const ENTRY_OVERHEAD: usize = 128;
+        ENTRY_OVERHEAD + like.as_deref().map_or(0, std::mem::size_of_val)
+    }
+}
 
+impl LikelihoodMemo {
     fn insert(&mut self, key: LikelihoodKey, like: Option<Box<[f64]>>) {
-        let cost = Self::ENTRY_OVERHEAD + like.as_deref().map_or(0, std::mem::size_of_val);
+        let cost = MemoEntry::cost(&like);
         if cost > LIKELIHOOD_MEMO_MAX_BYTES {
             return; // a grid too wide to memoise at all
         }
         if self.bytes + cost > LIKELIHOOD_MEMO_MAX_BYTES {
-            self.map.clear();
-            self.bytes = 0;
+            self.evict_quarter();
         }
         self.bytes += cost;
-        self.map.insert(key, like);
+        self.map.insert(key, MemoEntry { like, hit: false });
+    }
+
+    /// Keep at most three quarters of the budget: entries hit since the
+    /// last overflow first, then unmarked ones, in the map's order within
+    /// each class.
+    fn evict_quarter(&mut self) {
+        let target = LIKELIHOOD_MEMO_MAX_BYTES / 4 * 3;
+        let hot: usize = self
+            .map
+            .values()
+            .filter(|e| e.hit)
+            .map(|e| MemoEntry::cost(&e.like))
+            .sum();
+        let (mut hot_room, mut cold_room) = (target, target.saturating_sub(hot));
+        let mut kept = 0;
+        self.map.retain(|_, e| {
+            let cost = MemoEntry::cost(&e.like);
+            let room = if e.hit { &mut hot_room } else { &mut cold_room };
+            e.hit = false;
+            let keep = cost <= *room;
+            if keep {
+                *room -= cost;
+                kept += cost;
+            }
+            keep
+        });
+        self.bytes = kept;
     }
 }
 
@@ -624,8 +667,9 @@ impl RateModel {
         };
         LIKELIHOOD_MEMO.with(|memo| {
             let mut memo = memo.borrow_mut();
-            if let Some(like) = memo.map.get(&key) {
-                self.apply_likelihood(like.as_deref());
+            if let Some(entry) = memo.map.get_mut(&key) {
+                entry.hit = true;
+                self.apply_likelihood(entry.like.as_deref());
             } else {
                 let like = self.likelihood(packets, exposure_secs);
                 self.apply_likelihood(like.as_deref());

@@ -4,8 +4,16 @@
 //! paper measures ~20 ms each way, §4.2) followed by the bottleneck queue
 //! and the trace-driven [`TraceLink`]. The two directions are independent
 //! — cellular up- and downlinks have separate, asymmetric schedules.
-
-use std::collections::VecDeque;
+//!
+//! A direction keeps its packets in one ring of `(arrival, Packet)`, owned
+//! by its link, from [`DirectedPath::send`] until delivery: the wire is the
+//! ring's back, the bottleneck queue its front. A packet reaching the
+//! queue is admitted (or dropped in place) by moving an index, in arrival
+//! order, with the random draws the loss processes always made; the link
+//! serves the head where it lies and hands it to the receiving endpoint
+//! by value. The event loop around two directions is generic over both
+//! endpoints, so a pair built concretely (every scheme cell's is) crosses
+//! no `dyn` per packet.
 
 use crate::link::{LinkConfig, TraceLink};
 use crate::metrics::{DeliveryRecord, MetricsCollector};
@@ -38,6 +46,7 @@ impl PathConfig {
 }
 
 /// One direction of the path: wire delay, then the cellular bottleneck.
+/// The packets on the wire sit in the link's ring behind its queue.
 ///
 /// Every direction counts the packets and bytes it delivers. Only a
 /// direction built with a log ([`DirectedPath::new`],
@@ -46,8 +55,6 @@ impl PathConfig {
 /// [`DirectedPath::unlogged`].
 pub struct DirectedPath {
     prop_delay: Duration,
-    /// Packets on the wire, with the time they reach the bottleneck queue.
-    in_flight: VecDeque<(Timestamp, Packet)>,
     link: TraceLink,
     /// The delivery log, on a logged direction.
     log: Option<MetricsCollector>,
@@ -79,7 +86,6 @@ impl DirectedPath {
     pub fn unlogged(cfg: PathConfig) -> Self {
         DirectedPath {
             prop_delay: cfg.link.prop_delay,
-            in_flight: VecDeque::new(),
             link: TraceLink::new(cfg.link),
             log: None,
             delivered_packets: 0,
@@ -104,7 +110,7 @@ impl DirectedPath {
             packet.size
         );
         packet.sent_at = now;
-        self.in_flight.push_back((now + self.prop_delay, packet));
+        self.link.push_wire(packet, now + self.prop_delay);
     }
 
     /// The next time something happens inside this direction: a wire
@@ -112,7 +118,7 @@ impl DirectedPath {
     /// jittered/held delivery coming due in the link's release buffer.
     #[inline]
     pub fn next_event(&self) -> Option<Timestamp> {
-        let arrival = self.in_flight.front().map(|(t, _)| *t);
+        let arrival = self.link.next_arrival();
         let link_event = self.link.next_link_event();
         match (arrival, link_event) {
             (Some(a), Some(o)) => Some(a.min(o)),
@@ -127,7 +133,7 @@ impl DirectedPath {
     /// delivery order.
     pub fn advance_with(&mut self, now: Timestamp, mut sink: impl FnMut(Packet)) {
         loop {
-            let next_arrival = self.in_flight.front().map(|(t, _)| *t);
+            let next_arrival = self.link.next_arrival();
             // Link events cover delivery opportunities and due releases
             // from the jitter/reorder buffer; `service` handles both.
             let next_op = self.link.next_link_event();
@@ -136,7 +142,7 @@ impl DirectedPath {
             let op_due = next_op.map(|t| t <= now).unwrap_or(false);
             match (arrival_due, op_due) {
                 (false, false) => break,
-                (true, false) => self.ingress_one(),
+                (true, false) => self.link.admit_next(),
                 (false, true) => self.service_due(next_op.unwrap(), &mut sink),
                 (true, true) => {
                     // Arrivals strictly before the opportunity must be
@@ -144,18 +150,12 @@ impl DirectedPath {
                     // can use this very opportunity (it reached the queue
                     // by then).
                     if next_arrival.unwrap() <= next_op.unwrap() {
-                        self.ingress_one();
+                        self.link.admit_next();
                     } else {
                         self.service_due(next_op.unwrap(), &mut sink);
                     }
                 }
             }
-        }
-    }
-
-    fn ingress_one(&mut self) {
-        if let Some((arrive_at, packet)) = self.in_flight.pop_front() {
-            self.link.ingress(packet, arrive_at);
         }
     }
 
@@ -212,12 +212,12 @@ impl DirectedPath {
 
     /// Bytes currently in flight on the wire (not yet at the queue).
     pub fn wire_bytes(&self) -> u64 {
-        self.in_flight.iter().map(|(_, p)| p.size as u64).sum()
+        self.link.wire_bytes()
     }
 
     /// Packets currently in flight on the wire (not yet at the queue).
     pub fn wire_packets(&self) -> usize {
-        self.in_flight.len()
+        self.link.wire_packets()
     }
 }
 

@@ -8,9 +8,7 @@
 //! dropping state and drops packets at increasing frequency
 //! (`interval / √count`) until sojourn falls below target.
 
-use std::collections::VecDeque;
-
-use crate::packet::Packet;
+use crate::queue::Fifo;
 use sprout_trace::{Duration, Timestamp, MTU_BYTES};
 
 /// CoDel parameters. Defaults are the reference values used by the paper's
@@ -32,11 +30,12 @@ impl Default for CoDelConfig {
     }
 }
 
-/// CoDel-managed FIFO queue.
+/// The CoDel policy over a FIFO. It stores no packet: the link's ring
+/// holds them, each with its arrival time, and CoDel judges the head's
+/// sojourn from that stamp.
 #[derive(Debug)]
 pub struct CoDelQueue {
     cfg: CoDelConfig,
-    queue: VecDeque<(Packet, Timestamp)>,
     bytes: u64,
     drops: u64,
     drop_bytes: u64,
@@ -51,17 +50,11 @@ pub struct CoDelQueue {
     count: u32,
 }
 
-struct DodequeResult {
-    packet: Option<Packet>,
-    ok_to_drop: bool,
-}
-
 impl CoDelQueue {
     /// A CoDel queue with the given parameters.
     pub fn new(cfg: CoDelConfig) -> Self {
         CoDelQueue {
             cfg,
-            queue: VecDeque::new(),
             bytes: 0,
             drops: 0,
             drop_bytes: 0,
@@ -82,73 +75,68 @@ impl CoDelQueue {
         t + Duration::from_micros(step as u64)
     }
 
-    /// The reference `dodeque`: pop one packet and judge its sojourn time.
-    fn dodeque(&mut self, now: Timestamp) -> DodequeResult {
-        match self.queue.pop_front() {
-            None => {
-                self.first_above_time = None;
-                DodequeResult {
-                    packet: None,
-                    ok_to_drop: false,
+    /// The reference `dodeque`: take the head out of the backlog and
+    /// judge its sojourn time. `None` when the queue is empty; otherwise
+    /// whether the head may be dropped.
+    fn dodeque(&mut self, fifo: &Fifo, now: Timestamp) -> Option<bool> {
+        let Some((enqueued, size)) = fifo.head() else {
+            self.first_above_time = None;
+            return None;
+        };
+        self.bytes -= u64::from(size);
+        let sojourn = now.saturating_since(enqueued);
+        let mut ok_to_drop = false;
+        if sojourn < self.cfg.target || self.bytes <= MTU_BYTES as u64 {
+            self.first_above_time = None;
+        } else {
+            match self.first_above_time {
+                None => {
+                    self.first_above_time = Some(now + self.cfg.interval);
                 }
-            }
-            Some((p, enqueued)) => {
-                self.bytes -= p.size as u64;
-                let sojourn = now.saturating_since(enqueued);
-                let mut ok_to_drop = false;
-                if sojourn < self.cfg.target || self.bytes <= MTU_BYTES as u64 {
-                    self.first_above_time = None;
-                } else {
-                    match self.first_above_time {
-                        None => {
-                            self.first_above_time = Some(now + self.cfg.interval);
-                        }
-                        Some(fat) => {
-                            if now >= fat {
-                                ok_to_drop = true;
-                            }
-                        }
+                Some(fat) => {
+                    if now >= fat {
+                        ok_to_drop = true;
                     }
-                }
-                DodequeResult {
-                    packet: Some(p),
-                    ok_to_drop,
                 }
             }
         }
+        Some(ok_to_drop)
     }
 
-    /// Offer a packet, stamping its arrival time; CoDel never drops at
-    /// the tail.
-    pub fn enqueue(&mut self, packet: Packet, now: Timestamp) {
-        self.bytes += packet.size as u64;
-        self.queue.push_back((packet, now));
+    /// Admit an arriving packet of `size` bytes; CoDel never drops at the
+    /// tail.
+    #[inline]
+    pub(crate) fn admit(&mut self, size: u32) -> bool {
+        self.bytes += u64::from(size);
+        true
     }
 
-    /// Remove the next packet to serve at `now`, dropping packets per the
-    /// control law while sojourn time stays above target.
-    pub fn dequeue(&mut self, now: Timestamp) -> Option<Packet> {
-        let mut r = self.dodeque(now);
+    /// Pick the next packet to serve at `now`, dropping heads per the
+    /// control law while sojourn time stays above target. `true` when a
+    /// head is left to serve; it is out of the backlog from here on.
+    pub(crate) fn dequeue(&mut self, fifo: &mut Fifo, now: Timestamp) -> bool {
+        let mut r = self.dodeque(fifo, now);
+        let ok_to_drop = |r: Option<bool>| r == Some(true);
         if self.dropping {
-            if !r.ok_to_drop {
+            if !ok_to_drop(r) {
                 self.dropping = false;
             } else {
                 while self.dropping && now >= self.drop_next {
-                    // Drop r.packet and fetch the next one.
-                    self.count_drop(&r.packet);
+                    // Drop the judged head and judge the next one.
+                    self.count_drop(fifo);
                     self.count += 1;
-                    r = self.dodeque(now);
-                    if !r.ok_to_drop {
+                    r = self.dodeque(fifo, now);
+                    if !ok_to_drop(r) {
                         self.dropping = false;
                     } else {
                         self.drop_next = self.control_law(self.drop_next);
                     }
                 }
             }
-        } else if r.ok_to_drop {
+        } else if ok_to_drop(r) {
             // Enter the dropping state: drop this packet, deliver the next.
-            self.count_drop(&r.packet);
-            r = self.dodeque(now);
+            self.count_drop(fifo);
+            r = self.dodeque(fifo, now);
             self.dropping = true;
             // Reuse drop frequency from a recent dropping state (the
             // "count decay" refinement from the reference pseudocode).
@@ -160,22 +148,19 @@ impl CoDelQueue {
             };
             self.drop_next = self.control_law(now);
         }
-        r.packet
+        r.is_some()
     }
 
-    fn count_drop(&mut self, dropped: &Option<Packet>) {
+    /// Drop the head `dodeque` judged droppable.
+    fn count_drop(&mut self, fifo: &mut Fifo) {
+        let dropped = fifo.pop_head();
         self.drops += 1;
-        self.drop_bytes += dropped.as_ref().map_or(0, |p| u64::from(p.size));
+        self.drop_bytes += u64::from(dropped.size);
     }
 
     /// Bytes currently queued.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Packets currently queued.
-    pub fn packets(&self) -> usize {
-        self.queue.len()
     }
 
     /// Cumulative count of packets CoDel dropped.
@@ -193,12 +178,13 @@ impl CoDelQueue {
 mod tests {
     use super::*;
     use crate::packet::FlowId;
-    use crate::queue::Bottleneck;
+    use crate::packet::Packet;
+    use crate::queue::{Bottleneck, Policy};
 
     /// A default-parameter CoDel queue, driven the way the link drives
-    /// it: through the bottleneck enum.
+    /// it: through the bottleneck's ring.
     fn codel() -> Bottleneck {
-        Bottleneck::CoDel(CoDelQueue::new(CoDelConfig::default()))
+        Bottleneck::new(Policy::CoDel(CoDelQueue::new(CoDelConfig::default())))
     }
 
     fn pkt(seq: u64) -> Packet {
@@ -232,7 +218,7 @@ mod tests {
         }
         let mut delivered = 0;
         let mut now_ms = 200; // everything already has 200 ms sojourn
-        while q.packets() > 0 {
+        while q.queued_packets() > 0 {
             if q.dequeue(t(now_ms)).is_some() {
                 delivered += 1;
             }
@@ -259,7 +245,7 @@ mod tests {
                 last_drops = q.drops();
                 drop_times.push(now);
             }
-            if q.packets() == 0 {
+            if q.queued_packets() == 0 {
                 break;
             }
         }
@@ -281,7 +267,7 @@ mod tests {
             q.enqueue(pkt(i), t(0));
         }
         let mut now_ms = 300;
-        while q.packets() > 3 {
+        while q.queued_packets() > 3 {
             let _ = q.dequeue(t(now_ms));
             now_ms += 20;
         }
@@ -293,7 +279,7 @@ mod tests {
             let got = q.dequeue(now + Duration::from_millis(1));
             assert!(got.is_some());
         }
-        let Bottleneck::CoDel(inner) = &q else {
+        let Policy::CoDel(inner) = q.policy() else {
             unreachable!("built as CoDel")
         };
         assert!(!inner.in_dropping_state());

@@ -30,10 +30,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::codel::{CoDelConfig, CoDelQueue};
 use crate::packet::Packet;
-use crate::queue::{Bottleneck, DropTail, DEEP_QUEUE_BYTES};
+use crate::queue::{Bottleneck, DropTail, Policy, DEEP_QUEUE_BYTES};
 use sprout_trace::{
     derive_seed, DeliveryPerturber, Duration, GilbertElliott, GilbertElliottProcess, Impairment,
-    JitterSpec, OutageSchedule, ReorderSpec, Timestamp, Trace, TraceCursor, MTU_BYTES,
+    JitterSpec, OutageCursor, OutageSchedule, ReorderSpec, Timestamp, Trace, TraceCursor,
+    MTU_BYTES,
 };
 
 /// Queue policy selection for a link.
@@ -48,12 +49,12 @@ pub enum QueueConfig {
 
 impl QueueConfig {
     fn build(&self) -> Bottleneck {
-        match self {
+        Bottleneck::new(match self {
             QueueConfig::DropTailBytes(cap) => {
-                Bottleneck::DropTail(DropTail::with_capacity_bytes(*cap))
+                Policy::DropTail(DropTail::with_capacity_bytes(*cap))
             }
-            QueueConfig::CoDel(cfg) => Bottleneck::CoDel(CoDelQueue::new(*cfg)),
-        }
+            QueueConfig::CoDel(cfg) => Policy::CoDel(CoDelQueue::new(*cfg)),
+        })
     }
 }
 
@@ -173,18 +174,23 @@ impl Ord for PendingDelivery {
 }
 
 /// One direction of the cellular bottleneck.
+///
+/// The link holds its direction's packets in one ring (`Bottleneck`):
+/// a [`crate::DirectedPath`] puts them on the wire at its back, they are
+/// admitted to the queue (or dropped) in arrival order, and the queue's
+/// head is served in place until its last byte crosses.
 pub struct TraceLink {
     queue: Bottleneck,
     cursor: TraceCursor,
-    /// The packet currently being served and how many of its bytes have
-    /// already crossed.
-    in_service: Option<(Packet, u32)>,
+    /// Bytes of the queue's head that have already crossed; non-zero
+    /// exactly while a packet is partly served.
+    head_served: u32,
     loss_rate: f64,
     rng: StdRng,
     /// Gilbert-Elliott burst-loss chain (fault injection).
     burst: Option<GilbertElliottProcess>,
     /// Outage windows during which opportunities are suppressed.
-    outages: OutageSchedule,
+    outages: OutageCursor,
     /// Jitter/reorder perturber; `None` keeps the zero-cost direct path.
     perturb: Option<DeliveryPerturber>,
     /// Perturbed deliveries waiting for their release time (min-heap).
@@ -211,13 +217,13 @@ impl TraceLink {
         TraceLink {
             queue: cfg.queue.build(),
             cursor: TraceCursor::new(cfg.trace),
-            in_service: None,
+            head_served: 0,
             loss_rate: cfg.loss_rate,
             rng: StdRng::seed_from_u64(cfg.loss_seed),
             burst: imp
                 .burst_loss
                 .map(|ge| GilbertElliottProcess::new(ge, derive_seed(imp.seed, 0))),
-            outages: imp.outages,
+            outages: OutageCursor::new(imp.outages),
             perturb: DeliveryPerturber::new(imp.jitter, imp.reorder, derive_seed(imp.seed, 1)),
             pending: BinaryHeap::new(),
             release_seq: 0,
@@ -231,21 +237,58 @@ impl TraceLink {
         }
     }
 
-    /// A packet reaches the bottleneck queue (after propagation).
+    /// A packet reaches the bottleneck queue at `now`. A link driven by
+    /// a [`crate::DirectedPath`] has its packets arrive off the wire
+    /// instead; nothing may be on the wire when this is called.
     pub fn ingress(&mut self, packet: Packet, now: Timestamp) {
+        debug_assert_eq!(self.queue.wire_packets(), 0, "ingress behind the wire");
+        self.queue.push_wire(packet, now);
+        self.admit_next();
+    }
+
+    /// Put `packet` on the wire ahead of this link; it reaches the queue
+    /// at `arrive_at`, no earlier than the packets already on the wire.
+    #[inline]
+    pub(crate) fn push_wire(&mut self, packet: Packet, arrive_at: Timestamp) {
+        self.queue.push_wire(packet, arrive_at);
+    }
+
+    /// When the first packet on the wire reaches the queue.
+    #[inline]
+    pub(crate) fn next_arrival(&self) -> Option<Timestamp> {
+        self.queue.next_arrival()
+    }
+
+    /// The first packet on the wire reaches the queue: the random- and
+    /// burst-loss processes draw for it, then the queue policy admits or
+    /// drops it.
+    #[inline]
+    pub(crate) fn admit_next(&mut self) {
         if self.loss_rate > 0.0 && self.rng.gen::<f64>() < self.loss_rate {
             self.random_drops += 1;
-            self.loss_bytes += packet.size as u64;
+            self.loss_bytes += u64::from(self.queue.next_arrival_size());
+            self.queue.remove_next();
             return;
         }
         if let Some(burst) = &mut self.burst {
             if burst.should_drop() {
                 self.burst_drops += 1;
-                self.loss_bytes += packet.size as u64;
+                self.loss_bytes += u64::from(self.queue.next_arrival_size());
+                self.queue.remove_next();
                 return;
             }
         }
-        self.queue.enqueue(packet, now);
+        self.queue.admit_next();
+    }
+
+    /// Packets on the wire ahead of this link.
+    pub(crate) fn wire_packets(&self) -> usize {
+        self.queue.wire_packets()
+    }
+
+    /// Bytes on the wire ahead of this link.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        self.queue.wire_bytes()
     }
 
     /// Time of the next delivery opportunity, if the trace has any left.
@@ -295,20 +338,24 @@ impl TraceLink {
             let mut budget = MTU_BYTES;
             let mut used = false;
             while budget > 0 {
-                let (packet, served) = match self.in_service.take() {
-                    Some(s) => s,
-                    None => match self.queue.dequeue(op_time) {
-                        Some(p) => (p, 0),
+                // A head not yet in service must first leave the policy's
+                // backlog (CoDel may drop heads instead).
+                let size = match self.head_served {
+                    0 => match self.queue.start_service(op_time) {
+                        Some(size) => size,
                         None => break,
                     },
+                    _ => self.queue.head_size(),
                 };
                 used = true;
-                let need = packet.size - served;
+                let need = size - self.head_served;
                 if need <= budget {
                     budget -= need;
+                    self.head_served = 0;
+                    let packet = self.queue.pop_head();
                     self.emit(packet, op_time, &mut sink);
                 } else {
-                    self.in_service = Some((packet, served + budget));
+                    self.head_served += budget;
                     budget = 0;
                 }
             }
@@ -366,17 +413,16 @@ impl TraceLink {
     /// Bytes waiting at the bottleneck (including the partially-served
     /// packet's unsent remainder).
     pub fn queued_bytes(&self) -> u64 {
-        let partial = self
-            .in_service
-            .as_ref()
-            .map(|(p, served)| (p.size - served) as u64)
-            .unwrap_or(0);
+        let partial = match self.head_served {
+            0 => 0,
+            served => u64::from(self.queue.head_size() - served),
+        };
         self.queue.bytes() + partial
     }
 
     /// Packets waiting (including one partially served).
     pub fn queued_packets(&self) -> usize {
-        self.queue.packets() + usize::from(self.in_service.is_some())
+        self.queue.queued_packets()
     }
 
     /// Packets dropped by the random-loss process.
@@ -405,9 +451,7 @@ impl TraceLink {
     /// until then it is one of [`TraceLink::queued_packets`], and these
     /// bytes are the part of it [`TraceLink::queued_bytes`] leaves out.
     pub fn served_in_progress_bytes(&self) -> u64 {
-        self.in_service
-            .as_ref()
-            .map_or(0, |&(_, served)| u64::from(served))
+        u64::from(self.head_served)
     }
 
     /// Delivery opportunities lost to link outages.
@@ -436,7 +480,7 @@ impl TraceLink {
 
     /// The outage windows injected at this link (empty when unimpaired).
     pub fn outage_windows(&self) -> &[(Timestamp, Timestamp)] {
-        self.outages.windows()
+        self.outages.schedule().windows()
     }
 
     /// Opportunities that found an empty queue (wasted capacity).

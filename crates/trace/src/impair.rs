@@ -338,6 +338,40 @@ impl OutageSchedule {
     }
 }
 
+/// An [`OutageSchedule`] read at non-decreasing instants: a link asks
+/// once per delivery opportunity, in time order, so a cursor past the
+/// windows already over answers in amortized O(1) what
+/// [`OutageSchedule::is_out`] answers by binary search.
+#[derive(Clone, Debug, Default)]
+pub struct OutageCursor {
+    schedule: OutageSchedule,
+    /// The first window not over by the last instant asked.
+    next: usize,
+}
+
+impl OutageCursor {
+    /// Start reading `schedule` from its beginning.
+    pub fn new(schedule: OutageSchedule) -> Self {
+        OutageCursor { schedule, next: 0 }
+    }
+
+    /// Whether the link is dark at `t`, which must not precede the
+    /// previous instant asked.
+    #[inline]
+    pub fn is_out(&mut self, t: Timestamp) -> bool {
+        let windows = &self.schedule.windows;
+        while windows.get(self.next).is_some_and(|&(_, end)| end <= t) {
+            self.next += 1;
+        }
+        windows.get(self.next).is_some_and(|&(start, _)| start <= t)
+    }
+
+    /// The schedule being read.
+    pub fn schedule(&self) -> &OutageSchedule {
+        &self.schedule
+    }
+}
+
 /// Seeded per-delivery perturbation: jitter plus probabilistic holding
 /// (reordering). One instance serves one link direction.
 #[derive(Clone, Debug)]
@@ -507,6 +541,35 @@ mod tests {
         let s = OutageSchedule::empty();
         assert!(s.is_empty());
         assert!(!s.is_out(Timestamp::from_secs(5)));
+    }
+
+    #[test]
+    fn the_cursor_reads_what_the_binary_search_reads() {
+        let spec = OutageSpec {
+            duration: Duration::from_millis(700),
+            spacing: Duration::from_millis(2_000),
+        };
+        for seed in 0..8 {
+            let s = OutageSchedule::generate(&spec, seed, Duration::from_secs(30));
+            let mut cursor = OutageCursor::new(s.clone());
+            // Every 50 ms, with repeats, and every window edge and its
+            // neighbours, in non-decreasing order.
+            let mut instants: Vec<u64> = (0..32_000)
+                .step_by(50)
+                .chain((0..32_000).step_by(50))
+                .collect();
+            for &(start, end) in s.windows() {
+                for t in [start, end] {
+                    let us = t.as_micros();
+                    instants.extend([us - 1, us, us + 1]);
+                }
+            }
+            instants.sort_unstable();
+            for us in instants {
+                let t = Timestamp::from_micros(us);
+                assert_eq!(cursor.is_out(t), s.is_out(t), "seed {seed} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use cancel::{CancelGuard, CancelToken, Cancelled};
 pub use fit::{fit_link_model, FitConfig, FittedModel};
 pub use format::{load_trace, read_trace, save_trace, write_trace, TraceFileError, MAX_TRACE_MS};
 pub use impair::{
-    DeliveryPerturber, GilbertElliott, GilbertElliottProcess, Impairment, JitterSpec,
+    DeliveryPerturber, GilbertElliott, GilbertElliottProcess, Impairment, JitterSpec, OutageCursor,
     OutageSchedule, OutageSpec, ReorderSpec, IMPAIRMENT_PRESETS,
 };
 pub use registry::{lookup_trace, register_trace_bytes, register_trace_file};

@@ -5,8 +5,7 @@ use proptest::prelude::*;
 
 use sprout_core::{RateModel, SproutConfig, SproutHeader, WireForecast};
 use sprout_sim::{
-    CoDelConfig, CoDelQueue, DirectedPath, DropTail, FlowId, LinkConfig, Packet, PathConfig,
-    QueueConfig, TraceLink,
+    CoDelConfig, DirectedPath, FlowId, LinkConfig, Packet, PathConfig, QueueConfig, TraceLink,
 };
 use sprout_trace::{Duration, Timestamp, Trace, MTU_BYTES};
 
@@ -83,17 +82,20 @@ proptest! {
         sizes in proptest::collection::vec(1u32..2_000, 1..200),
         cap in 1_000u64..20_000,
     ) {
-        let mut q = DropTail::with_capacity_bytes(cap);
+        // Everything is offered before the first opportunity, and the
+        // trace has enough of them to drain whatever was admitted.
         let offered = sizes.len();
+        let mut link = TraceLink::new(LinkConfig {
+            queue: QueueConfig::DropTailBytes(cap),
+            ..LinkConfig::standard(Trace::from_millis(1..=2 * offered as u64 + 2))
+        });
         for (i, size) in sizes.into_iter().enumerate() {
-            q.enqueue(Packet::opaque(FlowId::PRIMARY, i as u64, size), Timestamp::ZERO);
-            prop_assert!(q.bytes() <= cap);
+            link.ingress(Packet::opaque(FlowId::PRIMARY, i as u64, size), Timestamp::ZERO);
+            prop_assert!(link.queued_bytes() <= cap);
         }
-        let mut delivered = 0;
-        while q.dequeue(Timestamp::ZERO).is_some() {
-            delivered += 1;
-        }
-        prop_assert_eq!(delivered + q.drops() as usize, offered);
+        let delivered = link.service(Timestamp::FAR_FUTURE).len();
+        prop_assert_eq!(delivered + link.queue_drops() as usize, offered);
+        prop_assert_eq!(link.queued_packets(), 0);
     }
 
     /// CoDel conserves packets too: everything offered is either
@@ -102,25 +104,36 @@ proptest! {
     fn codel_conserves_packets(
         gaps_ms in proptest::collection::vec(0u64..50, 1..200),
     ) {
-        let mut q = CoDelQueue::new(CoDelConfig::default());
+        // One MTU packet offered per gap, one MTU opportunity after every
+        // second one (a standing queue when gaps are small), then one
+        // opportunity per packet 1 ms after the last offer to drain.
+        let offered = gaps_ms.len();
+        let mut serves = Vec::new();
         let mut now = Timestamp::ZERO;
-        let mut offered = 0;
         for (i, gap) in gaps_ms.iter().enumerate() {
-            q.enqueue(Packet::opaque(FlowId::PRIMARY, i as u64, 1_500), now);
-            offered += 1;
             now += Duration::from_millis(*gap);
-            // Drain slowly: one dequeue per enqueue keeps a standing queue
-            // when gaps are small.
             if i % 2 == 0 {
-                let _ = q.dequeue(now);
+                serves.push(now);
             }
         }
-        let mut delivered = offered - q.packets() - q.drops() as usize;
-        while q.dequeue(now).is_some() {
-            delivered += 1;
+        let drain = now + Duration::from_millis(1);
+        serves.extend(std::iter::repeat_n(drain, offered));
+        let mut link = TraceLink::new(LinkConfig {
+            queue: QueueConfig::CoDel(CoDelConfig::default()),
+            ..LinkConfig::standard(Trace::new(serves))
+        });
+        let mut delivered = 0;
+        let mut now = Timestamp::ZERO;
+        for (i, gap) in gaps_ms.iter().enumerate() {
+            link.ingress(Packet::opaque(FlowId::PRIMARY, i as u64, 1_500), now);
+            now += Duration::from_millis(*gap);
+            if i % 2 == 0 {
+                delivered += link.service(now).len();
+            }
         }
-        let _ = delivered;
-        prop_assert_eq!(q.packets(), 0);
+        delivered += link.service(drain).len();
+        prop_assert_eq!(link.queued_packets(), 0);
+        prop_assert_eq!(delivered + link.queue_drops() as usize, offered);
     }
 
     /// The self-inflicted-delay metric is never negative and respects the
