@@ -15,7 +15,8 @@
 //!
 //! The same counter pins what a sweep shares instead of copying: cloning
 //! a [`Trace`] allocates nothing, and a worker's second cell records into
-//! the delivery log its first cell grew.
+//! the delivery log its first cell grew. And it pins the read path of a
+//! warm resume: a cached cell is one buffer per entry, decoded in place.
 //!
 //! Own test binary, and the counter is per thread: every cell here runs
 //! on the thread of the test that counts it, so neither the other tests
@@ -23,10 +24,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use sprout_bench::scenario::paired;
 use sprout_bench::{
-    execute_with_memo, sprout_data_sender, CellScratch, ScenarioMatrix, Scheme, TraceMemo,
+    cellcache, execute_with_memo, sprout_data_sender, CellScratch, ScenarioMatrix, Scheme,
+    TraceMemo,
 };
 use sprout_core::{SproutConfig, SproutEndpoint};
 use sprout_sim::{PathConfig, Simulation};
@@ -68,6 +71,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The cache setting is process-wide: tests that run with it off share
+/// this lock, and the one test that points it at a directory holds it
+/// alone.
+static CACHE_SETTING: RwLock<()> = RwLock::new(());
+
+/// Turn the cache off for as long as the guard lives.
+fn cache_off() -> RwLockReadGuard<'static, ()> {
+    let guard = CACHE_SETTING.read().unwrap_or_else(PoisonError::into_inner);
+    sprout_cache::disable();
+    guard
+}
+
 /// Allocations and delivered data packets of one `secs`-long cell, run
 /// the way a sweep worker runs it. The link's traces are resolved before
 /// the count starts, so only the cell itself is counted.
@@ -91,7 +106,7 @@ fn run(scheme: Scheme, secs: u64) -> (u64, f64) {
 
 #[test]
 fn steady_state_tcp_packet_path_allocates_nothing_per_packet() {
-    sprout_cache::disable();
+    let _cache = cache_off();
     for scheme in [Scheme::Cubic, Scheme::Vegas] {
         let (allocs_20, packets_20) = run(scheme, 20);
         let (allocs_40, packets_40) = run(scheme, 40);
@@ -135,7 +150,7 @@ fn run_sprout(secs: u64, up: &Trace, down: &Trace) -> (u64, u64) {
 
 #[test]
 fn steady_state_sprout_packet_path_allocates_only_its_headers() {
-    sprout_cache::disable();
+    let _cache = cache_off();
     let span = Duration::from_secs(40);
     let down = NetProfile::VerizonLteDown.generate(span, 11);
     let up = NetProfile::VerizonLteUp.generate(span, 12);
@@ -177,7 +192,7 @@ fn cloning_a_trace_allocates_nothing() {
 
 #[test]
 fn a_second_cell_on_a_warm_scratch_does_not_regrow_its_delivery_logs() {
-    sprout_cache::disable();
+    let _cache = cache_off();
     let matrix = ScenarioMatrix::builder("alloc-budget")
         .schemes([Scheme::Cubic])
         .links([NetProfile::VerizonLteDown])
@@ -219,4 +234,67 @@ fn a_second_cell_on_a_warm_scratch_does_not_regrow_its_delivery_logs() {
         warm, warm_again,
         "on a warm scratch the allocation count is steady"
     );
+}
+
+#[test]
+fn a_warm_cell_load_is_one_buffer_and_the_records_own_fields() {
+    let matrix = ScenarioMatrix::builder("alloc-budget")
+        .schemes([Scheme::Cubic])
+        .links([NetProfile::VerizonLteDown])
+        .timing(Duration::from_secs(4), Duration::from_secs(1))
+        .cell_series(Duration::from_millis(500))
+        .build();
+    let cell = &matrix.cells()[0];
+    let (name, fingerprint) = (matrix.name(), matrix.fingerprint());
+    let result = {
+        let _cache = cache_off();
+        execute_with_memo(
+            name,
+            cell,
+            11,
+            &TraceMemo::new(11),
+            &mut CellScratch::default(),
+        )
+    };
+    let series = result
+        .cell_series
+        .as_ref()
+        .expect("the cell asked for a series");
+    let (delays, bins) = (series.delays.len(), series.bins.len());
+    assert!(
+        delays > 100 && bins == 6,
+        "{delays} delay samples, {bins} bins"
+    );
+
+    let _cache = CACHE_SETTING
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("sprout-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    sprout_cache::set_dir(&dir);
+    assert!(cellcache::store_cell(fingerprint, 11, &result));
+    let load = || {
+        let before = allocs();
+        let loaded = cellcache::load_cell(name, fingerprint, cell, 11).expect("a hit");
+        (allocs() - before, loaded)
+    };
+    let (first, loaded) = load();
+    let (again, _) = load();
+    sprout_cache::disable();
+    let _ = std::fs::remove_dir_all(&dir);
+    // Debug text, not `==`: a cell's metrics may hold NaN.
+    assert_eq!(
+        format!("{:?}", loaded.measured),
+        format!("{:?}", result.measured)
+    );
+    assert_eq!(first, again, "a hit allocates the same every time");
+    // The key: its buffer and the one growth past its first 128 bytes,
+    // and the workload detail, link id and queue id strings
+    // `Scenario::canonical_bytes` renders into it (5). The cache
+    // directory, the file name and the path (3). The one buffer the whole
+    // entry is read into, which the payload is decoded from in place (1).
+    // The record's owned fields: its scenario and matrix name, and the
+    // series' delay samples and bins (4). A second buffer per entry, or
+    // an allocation per decoded field, breaks the count.
+    assert_eq!(first, 13, "allocations of one warm `load_cell` hit");
 }
