@@ -24,7 +24,7 @@
 use sprout_cache::{ArtifactKind, ByteWriter, CacheCounters};
 
 use crate::record::{self, Part, SweepResult};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, KEY_CAPACITY};
 
 /// On-disk persistence of sweep cells: one file per cell. The version
 /// covers the payload encoding only; simulation-semantics changes are
@@ -101,33 +101,17 @@ pub fn cell_cache_counters() -> CacheCounters {
 
 /// The full content address of one cell's result. The cache layer stores
 /// these bytes verbatim and compares them on load, so two cells collide
-/// only if every component below is identical.
+/// only if every component below is identical. Callers pass
+/// [`ENGINE_VERSION`]; tests pass older versions to prove cells stored by
+/// an older engine are *missed* (re-executed), never wrongly served.
 fn cell_key(
-    matrix_name: &str,
-    matrix_fingerprint: u64,
-    scenario: &Scenario,
-    master_seed: u64,
-) -> Vec<u8> {
-    cell_key_versioned(
-        ENGINE_VERSION,
-        matrix_name,
-        matrix_fingerprint,
-        scenario,
-        master_seed,
-    )
-}
-
-/// [`cell_key`] under an explicit engine version, so tests can prove
-/// cells stored by an older engine are *missed* (re-executed), never
-/// wrongly served.
-fn cell_key_versioned(
     engine_version: u32,
     matrix_name: &str,
     matrix_fingerprint: u64,
     scenario: &Scenario,
     master_seed: u64,
 ) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(128);
+    let mut w = ByteWriter::with_capacity(KEY_CAPACITY);
     w.u32(engine_version);
     w.str(matrix_name);
     w.u64(matrix_fingerprint);
@@ -148,7 +132,13 @@ pub fn load_cell(
     scenario: &Scenario,
     master_seed: u64,
 ) -> Option<SweepResult> {
-    let key = cell_key(matrix_name, matrix_fingerprint, scenario, master_seed);
+    let key = cell_key(
+        ENGINE_VERSION,
+        matrix_name,
+        matrix_fingerprint,
+        scenario,
+        master_seed,
+    );
     let payload = CELL_ARTIFACT.load(&key)?;
     let mut result = SweepResult::unmeasured(matrix_name, scenario, master_seed);
     if record::decode(&mut result, payload_parts(scenario), &payload).is_none() {
@@ -162,6 +152,7 @@ pub fn load_cell(
 /// Persist one executed cell (best-effort; a disabled cache is a no-op).
 pub fn store_cell(matrix_fingerprint: u64, master_seed: u64, result: &SweepResult) -> bool {
     let key = cell_key(
+        ENGINE_VERSION,
         &result.matrix,
         matrix_fingerprint,
         &result.scenario,
@@ -302,7 +293,7 @@ pub(crate) mod tests {
         let r = sample_result();
         let fp = 0xfeed;
         for old_version in [0, ENGINE_VERSION - 1] {
-            let old_key = cell_key_versioned(old_version, "t", fp, &r.scenario, SEED);
+            let old_key = cell_key(old_version, "t", fp, &r.scenario, SEED);
             assert!(
                 CELL_ARTIFACT.store(&old_key, &record::encode(&r, payload_parts(&r.scenario))),
                 "storing under engine version {old_version}"
@@ -333,7 +324,7 @@ pub(crate) mod tests {
 
         let r = with_series(sample_result());
         let fp = 0x0001;
-        let key = cell_key("t", fp, &r.scenario, SEED);
+        let key = cell_key(ENGINE_VERSION, "t", fp, &r.scenario, SEED);
         let canonical = record::encode(&r, &[Part::Canonical]);
         let series = &record::encode(&r, payload_parts(&r.scenario))[canonical.len()..];
         let mut old = vec![
@@ -370,7 +361,7 @@ pub(crate) mod tests {
 
         let r = sample_result();
         let fp = 0xabad;
-        let key = cell_key("t", fp, &r.scenario, SEED);
+        let key = cell_key(ENGINE_VERSION, "t", fp, &r.scenario, SEED);
         assert!(
             CELL_ARTIFACT.store(&key, b"not a cell payload"),
             "a checksum-valid file with a garbage payload"
@@ -398,7 +389,7 @@ pub(crate) mod tests {
     /// Store `payload` under `r`'s key as a checksum-valid file and
     /// assert the load quarantines it and reports one miss.
     fn assert_quarantined_miss(fp: u64, r: &SweepResult, payload: &[u8], what: &str) {
-        let key = cell_key("t", fp, &r.scenario, SEED);
+        let key = cell_key(ENGINE_VERSION, "t", fp, &r.scenario, SEED);
         assert!(CELL_ARTIFACT.store(&key, payload), "{what}");
         let before = cell_cache_counters();
         assert!(load_cell("t", fp, &r.scenario, SEED).is_none(), "{what}");
@@ -492,15 +483,130 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn keys_are_pinned_byte_for_byte() {
+        // Every byte of a key, as the commit before `cell_key` took the
+        // engine version wrote it: the prefix (engine version, matrix
+        // name, matrix fingerprint, seed) and the canonical bytes, for the
+        // borrowed ids and for each id that is formatted or joined.
+        use crate::scenario::{FlowSpec, LinkSpec, QueueSpec, Workload};
+        use crate::schemes::Scheme;
+        use sprout_baselines::VideoApp;
+        // Engine version, matrix name, matrix fingerprint, seed, cell id,
+        // label; then the workload id and detail, link id and queue id,
+        // which the cases vary; then every numeric field.
+        const HEAD: &str = "06000000010000007401000000000000000700000000000000030000000000000014000000742f767a2d6c74652d646f776e2f7370726f7574";
+        const LINK: &str = "0b000000767a2d6c74652d646f776e";
+        const QUEUE: &str = "040000006175746f";
+        const TAIL: &str = "204e0000000000009a9999999999a93f010000000000c0524080c3c90100000000404b4c000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000";
+        let scheme = "06000000736368656d65060000005370726f7574";
+        let s = scenario();
+        let cases = [
+            (s.clone(), [HEAD, scheme, LINK, QUEUE, TAIL].concat()),
+            (
+                Scenario {
+                    link: LinkSpec::Measured {
+                        fingerprint: 0x0123_4567_89ab_cdef,
+                    },
+                    ..s.clone()
+                },
+                [HEAD, scheme, "110000006d30313233343536373839616263646566", QUEUE, TAIL].concat(),
+            ),
+            (
+                Scenario {
+                    queue: QueueSpec::DropTailBytes(75_000),
+                    ..s.clone()
+                },
+                [HEAD, scheme, LINK, "0f00000064726f707461696c2d373530303062", TAIL].concat(),
+            ),
+            (
+                Scenario {
+                    workload: Workload::App {
+                        app: VideoApp::Skype,
+                        over: Scheme::Cubic,
+                    },
+                    ..s.clone()
+                },
+                [HEAD, "030000006170700b000000736b7970652b4375626963", LINK, QUEUE, TAIL].concat(),
+            ),
+            (
+                Scenario {
+                    workload: Workload::Contention {
+                        flows: vec![
+                            FlowSpec::App {
+                                app: VideoApp::Skype,
+                                over: Scheme::SproutEwma,
+                            },
+                            FlowSpec::Scheme(Scheme::CubicCodel),
+                        ],
+                    },
+                    ..s.clone()
+                },
+                [
+                    HEAD,
+                    "0a000000636f6e74656e74696f6e22000000736b7970652d6f7665722d7370726f75742d65776d612b63756269632d636f64656c",
+                    LINK,
+                    QUEUE,
+                    TAIL,
+                ]
+                .concat(),
+            ),
+            (
+                Scenario {
+                    workload: Workload::Serve { sessions: 16 },
+                    ..s.clone()
+                },
+                [HEAD, "050000007365727665030000006e3136", LINK, QUEUE, TAIL].concat(),
+            ),
+        ];
+        for (scenario, pinned) in cases {
+            let key = cell_key(ENGINE_VERSION, "t", 1, &scenario, 7);
+            let hex: String = key.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{:?}", scenario.workload);
+        }
+    }
+
+    #[test]
+    fn keys_fit_their_first_capacity() {
+        // With and without the series request, every cell of every
+        // default experiment matrix keys into one allocation; its
+        // canonical bytes, a key's tail, then fit too, so neither a cell's
+        // nor a matrix's fingerprint regrows its buffer.
+        use crate::figures::{ExperimentConfig, EXPERIMENTS};
+        let mut longest = 0;
+        for timeseries in [false, true] {
+            let cfg = ExperimentConfig {
+                timeseries,
+                ..ExperimentConfig::default()
+            };
+            for matrix in EXPERIMENTS.iter().flat_map(|row| row.declare(&cfg)) {
+                for cell in matrix.cells() {
+                    let key = cell_key(ENGINE_VERSION, matrix.name(), 1, cell, cfg.seed);
+                    assert!(
+                        key.len() <= KEY_CAPACITY,
+                        "{}: {} bytes",
+                        cell.label,
+                        key.len()
+                    );
+                    longest = longest.max(key.len());
+                }
+            }
+        }
+        assert!(
+            longest > KEY_CAPACITY / 2,
+            "{longest} bytes: the capacity is oversized"
+        );
+    }
+
+    #[test]
     fn keys_separate_matrices_seeds_and_cells() {
         let s = scenario();
-        let base = cell_key("t", 1, &s, 7);
-        assert_eq!(base, cell_key("t", 1, &s, 7));
-        assert_ne!(base, cell_key("u", 1, &s, 7));
-        assert_ne!(base, cell_key("t", 2, &s, 7));
-        assert_ne!(base, cell_key("t", 1, &s, 8));
+        let base = cell_key(ENGINE_VERSION, "t", 1, &s, 7);
+        assert_eq!(base, cell_key(ENGINE_VERSION, "t", 1, &s, 7));
+        assert_ne!(base, cell_key(ENGINE_VERSION, "u", 1, &s, 7));
+        assert_ne!(base, cell_key(ENGINE_VERSION, "t", 2, &s, 7));
+        assert_ne!(base, cell_key(ENGINE_VERSION, "t", 1, &s, 8));
         let mut other = s.clone();
         other.loss_rate = 0.10;
-        assert_ne!(base, cell_key("t", 1, &other, 7));
+        assert_ne!(base, cell_key(ENGINE_VERSION, "t", 1, &other, 7));
     }
 }

@@ -996,13 +996,16 @@ mod tests {
         let _ = (fig2_quotes(), loss_quote(), tunnel_quote());
     }
 
-    /// Every `.rs` file under `dir`, recursively.
-    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    /// Every file under `dir` with one of `extensions`, recursively.
+    fn files_with(dir: &Path, extensions: &[&str], out: &mut Vec<PathBuf>) {
         for entry in fs::read_dir(dir).expect("a readable directory") {
             let path = entry.expect("a directory entry").path();
             if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
+                files_with(&path, extensions, out);
+            } else if path
+                .extension()
+                .is_some_and(|e| extensions.iter().any(|x| e == *x))
+            {
                 out.push(path);
             }
         }
@@ -1049,7 +1052,7 @@ mod tests {
             let krate = krate.expect("a directory entry").path();
             for dir in ["src", "tests"].map(|sub| krate.join(sub)) {
                 if dir.is_dir() {
-                    rust_files(&dir, &mut files);
+                    files_with(&dir, &["rs"], &mut files);
                 }
             }
         }
@@ -1078,6 +1081,81 @@ mod tests {
         assert!(
             uncited.is_empty(),
             "comments that read the paper but cite no `INTERPRETATIONS` id: {uncited:?}"
+        );
+    }
+
+    #[test]
+    fn every_pointer_into_the_roadmap_names_a_heading() {
+        // "ROADMAP item N" and "finding N" in the sources, the golden
+        // files and the two top-level documents each name a `### N.` or
+        // `### Finding N:` heading of ROADMAP.md. Comment markers, line
+        // breaks, punctuation and a possessive around the words do not
+        // hide a pointer ("ROADMAP's item 4", "ROADMAP, item 4."), and
+        // "ROADMAP items 3, 4 and 17" / "findings 3 and 4" check every
+        // number. Not checked: a number before its noun ("the third
+        // finding"), and a range past its first number ("items 3–5").
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let number = |w: &str| -> String { w.chars().take_while(char::is_ascii_digit).collect() };
+        let roadmap = fs::read_to_string(root.join("ROADMAP.md")).expect("ROADMAP.md");
+        let headings: Vec<String> = roadmap
+            .lines()
+            .filter_map(|l| l.strip_prefix("### "))
+            .map(|h| match h.strip_prefix("Finding ") {
+                Some(rest) => format!("finding {}", number(rest)),
+                None => format!("item {}", number(h)),
+            })
+            .collect();
+        assert!(headings.contains(&"item 1".into()) && headings.contains(&"finding 3".into()));
+        let mut files = vec![root.join("ARCHITECTURE.md"), root.join("README.md")];
+        files_with(
+            &root.join("crates"),
+            &["rs", "md", "tsv", "toml"],
+            &mut files,
+        );
+        let bare = |w: &str| -> String {
+            let w = w.trim_matches(|c: char| !c.is_alphanumeric());
+            let w = w.strip_suffix("'s").or(w.strip_suffix("’s")).unwrap_or(w);
+            w.to_lowercase()
+        };
+        let mut dangling = Vec::new();
+        for file in &files {
+            let text = fs::read_to_string(file).expect("a readable text file");
+            let words: Vec<String> = text
+                .split_whitespace()
+                .map(bare)
+                .filter(|w| !w.is_empty())
+                .collect();
+            for (i, word) in words.iter().enumerate() {
+                let next = words.get(i + 1).map(String::as_str);
+                let (kind, noun, first) = match (word.as_str(), next) {
+                    ("finding" | "findings", _) => ("finding", word.as_str(), i + 1),
+                    ("roadmap", Some(noun @ ("item" | "items"))) => ("item", noun, i + 2),
+                    _ => continue,
+                };
+                let mut numbers = Vec::new();
+                for w in &words[first.min(words.len())..] {
+                    let n = number(w);
+                    if !n.is_empty() {
+                        numbers.push(n);
+                        if !noun.ends_with('s') {
+                            break;
+                        }
+                    } else if numbers.is_empty() || !matches!(w.as_str(), "and" | "or") {
+                        break;
+                    }
+                }
+                for n in numbers {
+                    let target = format!("{kind} {n}");
+                    if !headings.contains(&target) {
+                        let file = file.strip_prefix(&root).unwrap_or(file);
+                        dangling.push(format!("{}: {target}", file.display()));
+                    }
+                }
+            }
+        }
+        assert!(
+            dangling.is_empty(),
+            "pointers to no ROADMAP heading: {dangling:?}"
         );
     }
 

@@ -684,7 +684,7 @@ fn label_col<'a>() -> Col<'a, SweepResult> {
 }
 
 fn link_col<'a>(name: &'static str) -> Col<'a, SweepResult> {
-    col(name, |r| r.scenario.link.id())
+    col(name, |r| r.scenario.link.id().into_owned())
 }
 
 fn scheme_col<'a>() -> Col<'a, SweepResult> {
@@ -1201,10 +1201,10 @@ fn contention_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         &rows,
         &[
             col("label", |r| r.0.scenario.label.clone()),
-            col("link", |r| r.0.scenario.link.id()),
-            col("queue", |r| r.0.queue.id()),
+            col("link", |r| r.0.scenario.link.id().into_owned()),
+            col("queue", |r| r.0.queue.id().into_owned()),
             col("flow", |r| r.2.flow.to_string()),
-            col("spec", |r| r.1.tag()),
+            col("spec", |r| r.1.tag().into_owned()),
             col("throughput_kbps", |r| format!("{:.1}", r.2.throughput_kbps)),
             col("p95_delay_ms", |r| format!("{:.1}", r.2.p95_delay_ms)),
             col("jain_fairness", |r| format!("{:.4}", fairness(r.0))),
@@ -1292,9 +1292,11 @@ fn soak_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
     };
     let cols: Vec<Col<'_, SweepResult>> = [
         label_col(),
-        col("workload", |r| r.scenario.workload.canonical_detail()),
+        col("workload", |r| {
+            r.scenario.workload.canonical_detail().into_owned()
+        }),
         link_col("link"),
-        col("queue", |r| r.queue.id()),
+        col("queue", |r| r.queue.id().into_owned()),
         col("prop_delay_ms", |r| {
             (r.scenario.prop_delay.as_micros() / 1_000).to_string()
         }),
@@ -1322,7 +1324,7 @@ fn soak_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
         s.elapsed
     )?;
     // Aggregate per workload, in matrix declaration order.
-    let mut workloads: Vec<(String, Vec<SchemeResult>)> = Vec::new();
+    let mut workloads: Vec<(_, Vec<SchemeResult>)> = Vec::new();
     for r in s.results {
         let tag = r.scenario.workload.canonical_detail();
         match workloads.iter_mut().find(|w| w.0 == tag) {

@@ -14,6 +14,8 @@
 //! `(master_seed, id)` via [`sprout_trace::derive_seed`], so a matrix
 //! replays bit-identically regardless of thread count or execution order.
 
+use std::borrow::Cow;
+
 use sprout_baselines::VideoApp;
 use sprout_trace::{Duration, Impairment, NetProfile};
 
@@ -73,10 +75,10 @@ impl LinkSpec {
     /// fingerprint>` — derived from content, never from a path, so two
     /// copies of one capture produce identical labels and identical cell
     /// identities.
-    pub fn id(&self) -> String {
+    pub fn id(&self) -> Cow<'static, str> {
         match self {
-            LinkSpec::Profile(p) => p.id().to_string(),
-            LinkSpec::Measured { fingerprint } => format!("m{fingerprint:016x}"),
+            LinkSpec::Profile(p) => Cow::Borrowed(p.id()),
+            LinkSpec::Measured { fingerprint } => Cow::Owned(format!("m{fingerprint:016x}")),
         }
     }
 
@@ -124,6 +126,13 @@ pub const MAX_CONTENTION_FLOWS: usize = 16;
 /// the cell's p95 delay whatever the forecaster).
 pub const PROP_DELAY_MS: std::ops::RangeInclusive<u64> = 1..=10_000;
 
+/// First capacity of a buffer that holds one cell's key (its canonical
+/// bytes behind the engine version, matrix name, matrix fingerprint and
+/// seed), and so of one that holds its canonical bytes alone: no cell of
+/// any default experiment matrix outgrows it
+/// (`cellcache::tests::keys_fit_their_first_capacity`).
+pub(crate) const KEY_CAPACITY: usize = 384;
+
 /// One contending flow of a [`Workload::Contention`] cell.
 ///
 /// A flow is either a whole scheme — a bulk transport saturating its
@@ -153,10 +162,10 @@ pub enum FlowSpec {
 impl FlowSpec {
     /// The lowercase, hyphenated tag used in labels and canonical
     /// encodings, e.g. `cubic` or `skype-over-sprout`.
-    pub fn tag(&self) -> String {
+    pub fn tag(&self) -> Cow<'static, str> {
         match self {
-            FlowSpec::Scheme(s) => s.tag(),
-            FlowSpec::App { app, over } => format!("{}-over-{}", app.id(), over.tag()),
+            FlowSpec::Scheme(s) => Cow::Borrowed(s.tag()),
+            FlowSpec::App { app, over } => Cow::Owned(format!("{}-over-{}", app.id(), over.tag())),
         }
     }
 
@@ -301,17 +310,16 @@ impl Workload {
     /// The workload's contribution to a cell's canonical identity beyond
     /// the variant tag: the scheme name, `app+carrier` for app cells, or
     /// the `+`-joined flow tags (in flow order) for contention cells.
-    pub fn canonical_detail(&self) -> String {
+    pub fn canonical_detail(&self) -> Cow<'static, str> {
         match self {
-            Workload::Scheme(s) => s.name().to_string(),
-            Workload::App { app, over } => format!("{}+{}", app.id(), over.name()),
-            Workload::Contention { flows } => flows
-                .iter()
-                .map(FlowSpec::tag)
-                .collect::<Vec<_>>()
-                .join("+"),
-            Workload::Serve { sessions } => format!("n{sessions}"),
-            _ => String::new(),
+            Workload::Scheme(s) => Cow::Borrowed(s.name()),
+            Workload::App { app, over } => Cow::Owned(format!("{}+{}", app.id(), over.name())),
+            Workload::Contention { flows } => {
+                let tags: Vec<_> = flows.iter().map(FlowSpec::tag).collect();
+                Cow::Owned(tags.join("+"))
+            }
+            Workload::Serve { sessions } => Cow::Owned(format!("n{sessions}")),
+            _ => Cow::Borrowed(""),
         }
     }
 }
@@ -338,12 +346,12 @@ pub enum QueueSpec {
 
 impl QueueSpec {
     /// Machine-friendly identifier (labels, canonical encodings).
-    pub fn id(self) -> String {
+    pub fn id(self) -> Cow<'static, str> {
         match self {
-            QueueSpec::Auto => "auto".to_string(),
-            QueueSpec::DropTail => "droptail".to_string(),
-            QueueSpec::DropTailBytes(cap) => format!("droptail-{cap}b"),
-            QueueSpec::CoDel => "codel".to_string(),
+            QueueSpec::Auto => Cow::Borrowed("auto"),
+            QueueSpec::DropTail => Cow::Borrowed("droptail"),
+            QueueSpec::DropTailBytes(cap) => Cow::Owned(format!("droptail-{cap}b")),
+            QueueSpec::CoDel => Cow::Borrowed("codel"),
         }
     }
 
@@ -378,13 +386,15 @@ pub enum ResolvedQueue {
 }
 
 impl ResolvedQueue {
-    /// Machine-friendly identifier.
-    pub fn id(self) -> String {
+    /// Machine-friendly identifier: the id of the [`QueueSpec`] that
+    /// forces this discipline.
+    pub fn id(self) -> Cow<'static, str> {
         match self {
-            ResolvedQueue::DropTail => "droptail".to_string(),
-            ResolvedQueue::DropTailBytes(cap) => format!("droptail-{cap}b"),
-            ResolvedQueue::CoDel => "codel".to_string(),
+            ResolvedQueue::DropTail => QueueSpec::DropTail,
+            ResolvedQueue::DropTailBytes(cap) => QueueSpec::DropTailBytes(cap),
+            ResolvedQueue::CoDel => QueueSpec::CoDel,
         }
+        .id()
     }
 }
 
@@ -482,7 +492,7 @@ impl Scenario {
 
     /// Stable 64-bit fingerprint of [`Self::canonical_bytes`].
     pub fn fingerprint(&self) -> u64 {
-        let mut w = sprout_cache::ByteWriter::with_capacity(96);
+        let mut w = sprout_cache::ByteWriter::with_capacity(KEY_CAPACITY);
         self.canonical_bytes(&mut w);
         sprout_cache::fingerprint64(&w.finish())
     }
@@ -526,7 +536,7 @@ impl ScenarioMatrix {
     /// cell's canonical encoding. Two matrices share a fingerprint only
     /// if they would run exactly the same sweep.
     pub fn fingerprint(&self) -> u64 {
-        let mut w = sprout_cache::ByteWriter::with_capacity(64 + 96 * self.cells.len());
+        let mut w = sprout_cache::ByteWriter::with_capacity(64 + KEY_CAPACITY * self.cells.len());
         w.str(&self.name);
         w.u64(self.cells.len() as u64);
         for cell in &self.cells {
@@ -841,13 +851,15 @@ impl MatrixBuilder {
     }
 }
 
-fn workload_tag(workload: &Workload) -> String {
-    match workload {
-        Workload::Scheme(s) => s.tag(),
-        Workload::App { app, over } => format!("{}-over-{}", app.id(), over.tag()),
+/// A workload's part of a cell label: a scheme's or a flow's tag, the
+/// flow list of a contention cell, `serve-n<N>`, or the variant id.
+fn workload_tag(workload: &Workload) -> Cow<'static, str> {
+    match *workload {
+        Workload::Scheme(s) => Cow::Borrowed(s.tag()),
+        Workload::App { app, over } => FlowSpec::App { app, over }.tag(),
         Workload::Contention { .. } => workload.canonical_detail(),
-        Workload::Serve { sessions } => format!("serve-n{sessions}"),
-        other => other.id().to_string(),
+        Workload::Serve { sessions } => Cow::Owned(format!("serve-n{sessions}")),
+        ref other => Cow::Borrowed(other.id()),
     }
 }
 

@@ -40,6 +40,24 @@ pub enum Scheme {
     Omniscient,
 }
 
+/// Every scheme with its display name and its tag, in declaration order:
+/// the one place either is spelled. Row `i` is the scheme whose
+/// discriminant is `i` ([`Scheme::row`] indexes by it).
+const SCHEMES: [(Scheme, &str, &str); 12] = [
+    (Scheme::Sprout, "Sprout", "sprout"),
+    (Scheme::SproutEwma, "Sprout-EWMA", "sprout-ewma"),
+    (Scheme::Cubic, "Cubic", "cubic"),
+    (Scheme::CubicCodel, "Cubic-CoDel", "cubic-codel"),
+    (Scheme::Reno, "Reno", "reno"),
+    (Scheme::Vegas, "Vegas", "vegas"),
+    (Scheme::Compound, "Compound TCP", "compound"),
+    (Scheme::Ledbat, "LEDBAT", "ledbat"),
+    (Scheme::Skype, "Skype", "skype"),
+    (Scheme::Facetime, "Facetime", "facetime"),
+    (Scheme::Hangout, "Google Hangout", "google-hangout"),
+    (Scheme::Omniscient, "Omniscient", "omniscient"),
+];
+
 impl Scheme {
     /// The nine schemes of Figure 7, in the paper's legend order.
     pub fn fig7() -> [Scheme; 9] {
@@ -58,55 +76,29 @@ impl Scheme {
 
     /// Every scheme, in declaration order (CLI parsing and docs).
     pub fn all() -> [Scheme; 12] {
-        [
-            Scheme::Sprout,
-            Scheme::SproutEwma,
-            Scheme::Cubic,
-            Scheme::CubicCodel,
-            Scheme::Reno,
-            Scheme::Vegas,
-            Scheme::Compound,
-            Scheme::Ledbat,
-            Scheme::Skype,
-            Scheme::Facetime,
-            Scheme::Hangout,
-            Scheme::Omniscient,
-        ]
+        SCHEMES.map(|(scheme, _, _)| scheme)
+    }
+
+    /// This scheme's row of [`SCHEMES`].
+    fn row(self) -> &'static (Scheme, &'static str, &'static str) {
+        &SCHEMES[self as usize]
     }
 
     /// The lowercase, hyphenated tag used in cell labels and on the CLI
     /// (`sprout`, `sprout-ewma`, `cubic-codel`, `compound`, …).
-    pub fn tag(self) -> String {
-        self.name()
-            .to_ascii_lowercase()
-            .replace(' ', "-")
-            .replace("tcp", "")
-            .trim_matches('-')
-            .to_string()
+    pub fn tag(self) -> &'static str {
+        self.row().2
     }
 
     /// Parse a [`Scheme::tag`] back to its scheme (`None` for unknown
     /// tags).
     pub fn from_tag(tag: &str) -> Option<Scheme> {
-        Scheme::all().into_iter().find(|s| s.tag() == tag)
+        SCHEMES.iter().find(|row| row.2 == tag).map(|row| row.0)
     }
 
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Sprout => "Sprout",
-            Scheme::SproutEwma => "Sprout-EWMA",
-            Scheme::Cubic => "Cubic",
-            Scheme::CubicCodel => "Cubic-CoDel",
-            Scheme::Reno => "Reno",
-            Scheme::Vegas => "Vegas",
-            Scheme::Compound => "Compound TCP",
-            Scheme::Ledbat => "LEDBAT",
-            Scheme::Skype => "Skype",
-            Scheme::Facetime => "Facetime",
-            Scheme::Hangout => "Google Hangout",
-            Scheme::Omniscient => "Omniscient",
-        }
+        self.row().1
     }
 
     /// Whether the scheme requires CoDel at the bottleneck.
@@ -352,10 +344,42 @@ mod tests {
 
     #[test]
     fn scheme_tags_round_trip_and_are_unique() {
-        let mut tags: Vec<String> = Scheme::all().iter().map(|s| s.tag()).collect();
+        // The tags were once derived from the display names at run time;
+        // that derivation is the oracle every row of the table must match,
+        // and the names are the ones labels, JSON and reports have printed.
+        let derived = |name: &str| {
+            name.to_ascii_lowercase()
+                .replace(' ', "-")
+                .replace("tcp", "")
+                .trim_matches('-')
+                .to_string()
+        };
+        let names = [
+            "Sprout",
+            "Sprout-EWMA",
+            "Cubic",
+            "Cubic-CoDel",
+            "Reno",
+            "Vegas",
+            "Compound TCP",
+            "LEDBAT",
+            "Skype",
+            "Facetime",
+            "Google Hangout",
+            "Omniscient",
+        ];
+        for (i, (scheme, name)) in Scheme::all().into_iter().zip(names).enumerate() {
+            assert_eq!(
+                scheme as usize, i,
+                "{name}: the table is in declaration order"
+            );
+            assert_eq!(scheme.name(), name);
+            assert_eq!(scheme.tag(), derived(name), "{name}");
+        }
+        let mut tags: Vec<&str> = Scheme::all().iter().map(|s| s.tag()).collect();
         for scheme in Scheme::all() {
             assert_eq!(
-                Scheme::from_tag(&scheme.tag()),
+                Scheme::from_tag(scheme.tag()),
                 Some(scheme),
                 "{} tag must parse back",
                 scheme.name()

@@ -288,13 +288,13 @@ fn a_warm_cell_load_is_one_buffer_and_the_records_own_fields() {
         format!("{:?}", result.measured)
     );
     assert_eq!(first, again, "a hit allocates the same every time");
-    // The key: its buffer and the one growth past its first 128 bytes,
-    // and the workload detail, link id and queue id strings
-    // `Scenario::canonical_bytes` renders into it (5). The cache
-    // directory, the file name and the path (3). The one buffer the whole
-    // entry is read into, which the payload is decoded from in place (1).
-    // The record's owned fields: its scenario and matrix name, and the
-    // series' delay samples and bins (4). A second buffer per entry, or
-    // an allocation per decoded field, breaks the count.
-    assert_eq!(first, 13, "allocations of one warm `load_cell` hit");
+    // The key: one buffer, which it never outgrows, and into which
+    // `Scenario::canonical_bytes` writes the workload detail, link id and
+    // queue id without a `String` of their own (1). The cache directory,
+    // the file name and the path (3). The one buffer the whole entry is
+    // read into, which the payload is decoded from in place (1). The
+    // record's owned fields: its scenario and matrix name, and the
+    // series' delay samples and bins (4). A second buffer per entry, a
+    // rendered id, or an allocation per decoded field, breaks the count.
+    assert_eq!(first, 9, "allocations of one warm `load_cell` hit");
 }

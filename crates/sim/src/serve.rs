@@ -27,9 +27,9 @@
 //! loops it is the link's opportunity schedule that paces how often
 //! Sprout gets to send within a tick. Skipping the polls that follow no
 //! delivery leaves the TCP baselines' results unchanged and moves every
-//! Sprout, app, mux, tunnel and serve cell (ROADMAP item 2: *Sprout's send
-//! cadence is set by trace density*), so the cadence is part of what
-//! `ENGINE_VERSION` pins; see [`Endpoint::poll_into`].
+//! Sprout, app, mux, tunnel and serve cell (ROADMAP item 4: *give Sprout
+//! a clock*), so the cadence is part of what `ENGINE_VERSION` pins; see
+//! [`Endpoint::poll_into`].
 
 use std::collections::HashMap;
 
