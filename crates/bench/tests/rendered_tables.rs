@@ -23,6 +23,8 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_tab
 /// The worker flags a row renders under: 12 virtual seconds, and for
 /// the rows with axes a trim to a handful of cells that still has every
 /// column filled (an app workload, an impaired cell, a shallow queue).
+/// `replay` also writes the per-cell `--timeseries` TSVs, so their
+/// delay and series formats are pinned too.
 fn scale(experiment: &str) -> Vec<String> {
     let axes: &[&str] = match experiment {
         "contention" => &["--flows", "2", "--links", "tmo-3g-up"],
@@ -36,7 +38,7 @@ fn scale(experiment: &str) -> Vec<String> {
         ],
         "impair" => &["--links", "tmo-3g-up", "--impairments", "none,storm"],
         "serve" => &["--sessions", "1,4"],
-        "replay" => &["--schemes", "sprout,cubic"],
+        "replay" => &["--schemes", "sprout,cubic", "--timeseries"],
         _ => &[],
     };
     let timing = ["--secs", "12", "--warmup", "2"];
