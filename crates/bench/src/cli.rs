@@ -42,13 +42,20 @@ const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Fl
 /// also has to finish.
 pub const MAX_RUN_SECS: u64 = 100_000;
 
+/// The most sweep worker threads `--threads` accepts. The engine clamps
+/// the count only to the cells it runs, and each worker thread runs its
+/// cells on a cell thread of its own with its own arena, so one daemon
+/// submission could otherwise start thousands of threads per worker.
+/// The bound is far past any useful core count.
+pub const MAX_THREADS: u64 = 256;
+
 /// The worker-safe flags every experiment takes.
 #[rustfmt::skip]
 pub const GLOBAL_FLAGS: &[Flag] = &[
     flag("--secs", "N", "virtual seconds per run, 1..=100000 (default 300)"),
     flag("--warmup", "N", "warm-up seconds skipped before measurement, 0..=100000 (default 60)"),
     flag("--seed", "N", "master seed of all randomness (default 20130401)"),
-    flag("--threads", "N", "sweep worker threads (default: one per core)"),
+    flag("--threads", "N", "sweep worker threads, 0..=256 (default 0: one per core)"),
     flag("--quick", "", "--secs 90 --warmup 20, where those are not given"),
     flag("--cell-timeout", "SECS", "per-cell watchdog, wall seconds (default 600)"),
 ];
@@ -294,11 +301,11 @@ pub fn apply_worker_args(
             .parse()
             .map_err(|_| format!("{name} expects a number"))
     }
-    /// A run length in `min..=`[`MAX_RUN_SECS`].
-    fn run_secs(iter: &mut Args<'_>, name: &str, min: u64) -> Result<u64, String> {
+    /// A number in `min..=max`, which the error names.
+    fn bounded(iter: &mut Args<'_>, name: &str, min: u64, max: u64) -> Result<u64, String> {
         match numeric(iter, name)? {
-            secs if (min..=MAX_RUN_SECS).contains(&secs) => Ok(secs),
-            _ => Err(format!("{name} expects a number in {min}..={MAX_RUN_SECS}")),
+            n if (min..=max).contains(&n) => Ok(n),
+            _ => Err(format!("{name} expects a number in {min}..={max}")),
         }
     }
     /// The parsed value of an axis flag; its help line is the error.
@@ -363,15 +370,15 @@ pub fn apply_worker_args(
         }
         match name {
             "--secs" => {
-                cfg.run_secs = run_secs(&mut iter, name, 1)?;
+                cfg.run_secs = bounded(&mut iter, name, 1, MAX_RUN_SECS)?;
                 explicit_secs = true;
             }
             "--warmup" => {
-                cfg.warmup_secs = run_secs(&mut iter, name, 0)?;
+                cfg.warmup_secs = bounded(&mut iter, name, 0, MAX_RUN_SECS)?;
                 explicit_warmup = true;
             }
             "--seed" => cfg.seed = numeric(&mut iter, name)?,
-            "--threads" => cfg.threads = numeric(&mut iter, name)? as usize,
+            "--threads" => cfg.threads = bounded(&mut iter, name, 0, MAX_THREADS)? as usize,
             "--quick" => quick = true,
             "--cell-timeout" => {
                 cfg.cell_timeout_secs = numeric(&mut iter, name)?;
@@ -644,6 +651,7 @@ mod tests {
         for (name, range) in [
             ("--secs", format!("1..={max}")),
             ("--warmup", format!("0..={max}")),
+            ("--threads", format!("0..={MAX_THREADS}")),
         ] {
             let f = GLOBAL_FLAGS.iter().find(|f| f.name == name).unwrap();
             assert!(f.help.contains(&range), "{name}: {}", f.help);

@@ -4,7 +4,8 @@
 //! sweep's [`TraceMemo`] — a link's slot holds its trace and the
 //! omniscient floors computed from it, so every cell of a link shares one
 //! synthesis, one trace allocation and one floor per measurement window —
-//! derives its seeds, builds the workload's endpoints and paths, runs the
+//! derives its run config and paths ([`RunConfig::for_cell`],
+//! [`RunConfig::paths`]), builds the workload's endpoints, runs the
 //! simulation, and reduces the measured direction's delivery log into the
 //! record's [`Measured`] part. Nothing here knows about threads, shards,
 //! or the result cache — that is `crate::sweep`.
@@ -12,15 +13,12 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use sprout_baselines::VideoApp;
-use sprout_core::SproutConfig;
 use sprout_sim::{
-    direction_stats_with_floor, jain_fairness_index, omniscient_p95_delay, CoDelConfig, Endpoint,
-    FlowId, LinkImpairment, MetricsCollector, MuxEndpoint, PathConfig, QueueConfig, ServeSim,
-    Simulation, DEEP_QUEUE_BYTES,
+    direction_stats_with_floor, jain_fairness_index, omniscient_p95_delay, Endpoint, FlowId,
+    MetricsCollector, MuxEndpoint, PathConfig, ServeSim, Simulation,
 };
 use sprout_trace::{
-    derive_labeled_seed, session_seed, Duration, InterarrivalHistogram, OutageSchedule, Timestamp,
-    Trace,
+    derive_labeled_seed, session_seed, Duration, InterarrivalHistogram, Timestamp, Trace,
 };
 use sprout_tunnel::{SproutServer, TunnelEndpoint, TunnelHost};
 
@@ -125,48 +123,24 @@ impl TraceMemo {
         }
     }
 
-    /// The shared inputs of `(link, duration)`, resolving the trace on
-    /// first use: synthetic links generate, measured links come from the
-    /// registry truncated to the cell duration.
+    /// The shared inputs of `(link, duration)`, resolving the trace
+    /// ([`LinkSpec::trace`] at the master seed) on first use.
     pub fn link(&self, link: LinkSpec, duration: Duration) -> Arc<LinkInputs> {
         self.slots.get_or_build(&(link, duration), || {
-            let trace = match link {
-                LinkSpec::Profile(profile) => profile.generate(duration, self.master_seed),
-                LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, duration),
-            };
             Arc::new(LinkInputs {
-                trace,
+                trace: link.trace(duration, self.master_seed),
                 floors: Mutex::default(),
             })
         })
     }
 }
 
-/// Resolve a measured link for one cell: the capture must already be
-/// registered in this process (`--trace FILE` re-registers it in every
-/// shard worker), and the replay is truncated to the cell's duration so
-/// the trace key stays `(link, duration)`.
-fn measured_trace(fingerprint: u64, duration: Duration) -> Trace {
-    let full = sprout_trace::lookup_trace(fingerprint).unwrap_or_else(|| {
-        panic!(
-            "measured trace m{fingerprint:016x} is not registered in this \
-             process — pass its capture file via --trace FILE"
-        )
-    });
-    full.truncated(Timestamp::ZERO + duration)
-}
-
 /// Execute one cell. Public so single-cell callers (`benchmark/`)
 /// share the exact code path of full sweeps.
 pub fn execute_scenario(matrix: &str, scenario: &Scenario, master_seed: u64) -> SweepResult {
     let memo = TraceMemo::new(master_seed);
-    execute_with_memo(
-        matrix,
-        scenario,
-        master_seed,
-        &memo,
-        &mut CellScratch::default(),
-    )
+    let mut scratch = CellScratch::default();
+    execute_with_memo(matrix, scenario, master_seed, &memo, &mut scratch)
 }
 
 /// [`execute_scenario`] against a caller-held memo and scratch arena:
@@ -189,30 +163,13 @@ pub fn execute_with_memo(
         // process-global registry.
         let data = memo.link(scenario.link, scenario.duration);
         let feedback = memo.link(paired(scenario.link), scenario.duration);
-        let cell_seed = result.cell_seed;
-        let rc = RunConfig {
-            duration: scenario.duration,
-            warmup: scenario.warmup,
-            prop_delay: scenario.prop_delay,
-            loss_rate: scenario.loss_rate,
-            sprout: match scenario.confidence_pct {
-                Some(pct) => SproutConfig::with_confidence_percent(pct),
-                None => SproutConfig::paper(),
-            },
-            impairment: scenario.impairment,
-            serve_seed: cell_seed,
-            ..RunConfig::new(data.trace().clone(), feedback.trace().clone())
-        }
-        .seeded(cell_seed);
-        run_cell_scratch(
-            &scenario.workload,
-            &rc,
-            result.queue,
-            scenario.series_bin,
-            scenario.cell_series_bin,
-            scratch,
-            &data,
-        )
+        let rc = RunConfig::for_cell(
+            scenario,
+            result.cell_seed,
+            data.trace().clone(),
+            feedback.trace().clone(),
+        );
+        run_cell_scratch(scenario, &rc, result.queue, scratch, &data)
     };
     result.wall_ms = started.elapsed().as_secs_f64() * 1e3;
     result
@@ -221,13 +178,8 @@ pub fn execute_with_memo(
 /// The probe workload has no endpoints: it analyses the saturated
 /// link's own delivery process.
 fn interarrival_probe(scenario: &Scenario, master_seed: u64) -> Measured {
-    let trace = match scenario.link {
-        LinkSpec::Profile(profile) => {
-            let trace_seed = derive_labeled_seed(master_seed, "interarrival-probe", 0);
-            profile.generate(scenario.duration, trace_seed)
-        }
-        LinkSpec::Measured { fingerprint } => measured_trace(fingerprint, scenario.duration),
-    };
+    let trace_seed = derive_labeled_seed(master_seed, "interarrival-probe", 0);
+    let trace = scenario.link.trace(scenario.duration, trace_seed);
     let hist = InterarrivalHistogram::from_trace(&trace, 10, 10_000.0);
     Measured {
         interarrival: Some(InterarrivalSummary {
@@ -238,43 +190,6 @@ fn interarrival_probe(scenario: &Scenario, master_seed: u64) -> Measured {
         }),
         ..Measured::default()
     }
-}
-
-fn path_configs(rc: &RunConfig, queue: ResolvedQueue) -> (PathConfig, PathConfig) {
-    let mut data = PathConfig::standard(rc.data_trace.clone()).with_prop_delay(rc.prop_delay);
-    let mut feedback =
-        PathConfig::standard(rc.feedback_trace.clone()).with_prop_delay(rc.prop_delay);
-    // Both directions run the resolved discipline: the paper's carriers
-    // keep one (deep) per-user queue in each direction, and the queue
-    // axis models that per-user buffer depth symmetrically.
-    let queue_config = || match queue {
-        ResolvedQueue::DropTail => QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
-        ResolvedQueue::DropTailBytes(cap) => QueueConfig::DropTailBytes(cap),
-        ResolvedQueue::CoDel => QueueConfig::CoDel(CoDelConfig::default()),
-    };
-    data.link.queue = queue_config();
-    feedback.link.queue = queue_config();
-    if rc.loss_rate > 0.0 {
-        data.link.loss_rate = rc.loss_rate;
-        data.link.loss_seed = rc.loss_seed_data;
-        feedback.link.loss_rate = rc.loss_rate;
-        feedback.link.loss_seed = rc.loss_seed_feedback;
-    }
-    if !rc.impairment.is_none() {
-        // One outage schedule per cell, shared by both directions: the
-        // radio link goes dark as one. Burst loss, jitter and reordering
-        // are per-direction processes with their own seeds.
-        let outages = rc
-            .impairment
-            .outage
-            .map(|spec| OutageSchedule::generate(&spec, rc.outage_seed, rc.duration))
-            .unwrap_or_default();
-        data.link.impair =
-            LinkImpairment::from_spec(&rc.impairment, rc.impair_seed_data, outages.clone());
-        feedback.link.impair =
-            LinkImpairment::from_spec(&rc.impairment, rc.impair_seed_feedback, outages);
-    }
-    (data, feedback)
 }
 
 fn flow_summaries(
@@ -297,20 +212,22 @@ fn flow_summaries(
         .collect()
 }
 
-fn collect_series(
+/// The columns both time series share, one `(t_s, capacity_kbps,
+/// throughput_kbps)` per bin of the measurement window `[from, to)`.
+/// The throughput series covers every bin of the window; the capacity
+/// series ends at the window's last delivery opportunity and so can fall
+/// short. It is reconciled to the full window — trailing
+/// opportunity-free bins carry zero capacity — so no bin (and no sample
+/// landing in one) is silently dropped.
+fn window_bins(
     m: &MetricsCollector,
     trace: &Trace,
     bin: Duration,
     from: Timestamp,
     to: Timestamp,
-) -> Vec<SeriesRow> {
+) -> Vec<(f64, f64, f64)> {
     let tput = m.throughput_series_kbps(bin, from, to);
     let mut capacity = trace.window(from, to).capacity_series_kbps(bin);
-    // The throughput series covers every bin of [from, to); the capacity
-    // series ends at the window's last delivery opportunity and so can
-    // fall short. Reconcile to the full measurement window — trailing
-    // opportunity-free bins carry zero capacity — so no bin (and no
-    // worst-delay sample landing in one) is silently dropped.
     let n = tput.len();
     debug_assert!(
         capacity.len() <= n,
@@ -318,10 +235,24 @@ fn collect_series(
         capacity.len(),
         n
     );
-    capacity.truncate(n);
     capacity.resize(n, 0.0);
-    // Worst per-arrival delay per bin.
-    let mut worst: Vec<f64> = vec![0.0; n];
+    let bin_s = bin.as_secs_f64();
+    (0..n)
+        .map(|i| (i as f64 * bin_s, capacity[i], tput[i].1))
+        .collect()
+}
+
+/// Fig. 1's rows: the shared window bins plus each bin's worst
+/// per-arrival delay.
+fn collect_series(
+    m: &MetricsCollector,
+    trace: &Trace,
+    bin: Duration,
+    from: Timestamp,
+    to: Timestamp,
+) -> Vec<SeriesRow> {
+    let bins = window_bins(m, trace, bin, from, to);
+    let mut worst: Vec<f64> = vec![0.0; bins.len()];
     for (at, d) in m.delay_series() {
         if at < from || at >= to {
             continue;
@@ -331,21 +262,22 @@ fn collect_series(
             worst[key] = worst[key].max(d.as_micros() as f64 / 1e3);
         }
     }
-    let bin_s = bin.as_secs_f64();
-    (0..n)
-        .map(|i| SeriesRow {
-            t_s: i as f64 * bin_s,
-            capacity_kbps: capacity[i],
-            throughput_kbps: tput[i].1,
-            worst_delay_ms: worst[i],
-        })
-        .collect()
+    let rows = bins.into_iter().zip(worst);
+    rows.map(
+        |((t_s, capacity_kbps, throughput_kbps), worst_delay_ms)| SeriesRow {
+            t_s,
+            capacity_kbps,
+            throughput_kbps,
+            worst_delay_ms,
+        },
+    )
+    .collect()
 }
 
 /// Collect the per-cell time series: every per-arrival delay sample in
-/// the measurement window plus per-bin capacity/throughput/queue-depth
-/// rows. Queue depth is reconstructed from the delivery log alone —
-/// each delivered packet was in flight from `delivered_at − delay` to
+/// the measurement window plus the shared window bins, each with its
+/// queue depth. Queue depth is reconstructed from the delivery log alone
+/// — each delivered packet was in flight from `delivered_at − delay` to
 /// `delivered_at` — so cache hits can replay the artifact without the
 /// trace or the simulation.
 fn collect_cell_series(
@@ -355,12 +287,6 @@ fn collect_cell_series(
     from: Timestamp,
     to: Timestamp,
 ) -> CellSeries {
-    let tput = m.throughput_series_kbps(bin, from, to);
-    let n = tput.len();
-    let mut capacity = trace.window(from, to).capacity_series_kbps(bin);
-    capacity.truncate(n);
-    capacity.resize(n, 0.0);
-
     let mut delays: Vec<(f64, f64)> = Vec::new();
     // Flight events in absolute microseconds: +1 when a packet enters
     // the link, −1 when it is delivered.
@@ -376,11 +302,12 @@ fn collect_cell_series(
     }
     events.sort_unstable();
 
-    let bin_s = bin.as_secs_f64();
     let mut depth: i64 = 0;
     let mut next_event = 0;
-    let bins = (0..n)
-        .map(|i| {
+    let bins = window_bins(m, trace, bin, from, to)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (t_s, capacity_kbps, throughput_kbps))| {
             // Sample in-flight depth at the bin start: a packet counts
             // while `sent <= t < delivered`.
             let t = from.as_micros() + i as u64 * bin.as_micros();
@@ -389,9 +316,9 @@ fn collect_cell_series(
                 next_event += 1;
             }
             CellSeriesBin {
-                t_s: i as f64 * bin_s,
-                capacity_kbps: capacity[i],
-                throughput_kbps: tput[i].1,
+                t_s,
+                capacity_kbps,
+                throughput_kbps,
                 queue_depth: depth.max(0) as u64,
             }
         })
@@ -551,34 +478,33 @@ where
     }
 }
 
-/// Run one workload over prepared traces, the simulation's recycled
+/// Run one cell's workload under `rc`, the simulation's recycled
 /// buffers taken from (and returned to) `scratch`, so cells run
 /// back-to-back reuse one set of allocations. `data` is the data
 /// direction's link, which keeps its omniscient floors.
 fn run_cell_scratch(
-    workload: &Workload,
+    cell: &Scenario,
     rc: &RunConfig,
     queue: ResolvedQueue,
-    series_bin: Option<Duration>,
-    cell_series_bin: Option<Duration>,
     scratch: &mut CellScratch,
     data: &LinkInputs,
 ) -> Measured {
     let from = Timestamp::ZERO + rc.warmup;
     let end = Timestamp::ZERO + rc.duration;
-    let paths = path_configs(rc, queue);
+    let paths = rc.paths(queue);
     let floor = || data.floor(rc.prop_delay, from, end);
 
-    match workload {
+    match &cell.workload {
         Workload::InterarrivalProbe => {
             unreachable!("probe cells are handled by execute_scenario")
         }
         Workload::Scheme(scheme) => {
             let reduce = |m: &MetricsCollector, out: &mut Measured| {
-                if let Some(bin) = series_bin {
+                if let Some(bin) = cell.series_bin {
                     out.series = collect_series(m, &rc.data_trace, bin, from, end);
                 }
-                out.cell_series = cell_series_bin
+                out.cell_series = cell
+                    .cell_series_bin
                     .map(|bin| collect_cell_series(m, &rc.data_trace, bin, from, end));
             };
             let run = RunPair {
@@ -599,9 +525,9 @@ fn run_cell_scratch(
             // the shared path's own, or — when the path carries the
             // tunnel's wire packets instead — the far host's
             // post-decapsulation one.
-            let (flows, tunnel) = flows_of(workload, rc);
+            let (flows, tunnel) = flows_of(&cell.workload, rc);
             let ids: Vec<FlowId> = flows.iter().map(|(flow, ..)| *flow).collect();
-            let contended = matches!(workload, Workload::Contention { .. });
+            let contended = matches!(cell.workload, Workload::Contention { .. });
             let reduce = |log: &MetricsCollector, out: &mut Measured| {
                 out.flows = flow_summaries(&ids, log, from, end);
                 if contended {
@@ -634,14 +560,13 @@ fn run_cell_scratch(
             // session_seed(cell_seed, i + 1).
             let n = *sessions;
             let mut server = SproutServer::new(rc.sprout.clone(), rc.serve_seed);
-            for i in 0..n {
-                server.add_session(i + 1);
+            for sid in 1..=n {
+                server.add_session(sid);
             }
             let mut sim = ServeSim::with_scratch(server, std::mem::take(scratch));
-            for i in 0..n {
-                let sid = i + 1;
+            for sid in 1..=n {
                 let src = rc.clone().seeded(session_seed(rc.serve_seed, sid));
-                let (up, down) = path_configs(&src, queue);
+                let (up, down) = src.paths(queue);
                 let mut client = sprout_data_sender(&rc.sprout);
                 client.set_flow(FlowId(sid));
                 sim.add_session(FlowId(sid), client, up, down);

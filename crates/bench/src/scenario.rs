@@ -17,7 +17,8 @@
 use std::borrow::Cow;
 
 use sprout_baselines::VideoApp;
-use sprout_trace::{Duration, Impairment, NetProfile};
+use sprout_sim::{CoDelConfig, QueueConfig, DEEP_QUEUE_BYTES};
+use sprout_trace::{Duration, Impairment, NetProfile, Timestamp, Trace};
 
 use crate::schemes::Scheme;
 
@@ -95,6 +96,25 @@ impl LinkSpec {
         match self {
             LinkSpec::Profile(_) => None,
             LinkSpec::Measured { fingerprint } => Some(*fingerprint),
+        }
+    }
+
+    /// The delivery schedule this link replays for `duration`: a profile
+    /// synthesizes from `seed`; a capture must already be registered in
+    /// this process (`--trace FILE` re-registers it in every shard
+    /// worker), and replays truncated to `duration`, so a trace depends
+    /// on `(link, duration, seed)` alone.
+    pub fn trace(self, duration: Duration, seed: u64) -> Trace {
+        match self {
+            LinkSpec::Profile(profile) => profile.generate(duration, seed),
+            LinkSpec::Measured { fingerprint } => sprout_trace::lookup_trace(fingerprint)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "measured trace m{fingerprint:016x} is not registered in this \
+                         process — pass its capture file via --trace FILE"
+                    )
+                })
+                .truncated(Timestamp::ZERO + duration),
         }
     }
 }
@@ -395,6 +415,16 @@ impl ResolvedQueue {
             ResolvedQueue::CoDel => QueueSpec::CoDel,
         }
         .id()
+    }
+
+    /// The queue this discipline runs as, in each direction of a cell's
+    /// path.
+    pub fn queue_config(self) -> QueueConfig {
+        match self {
+            ResolvedQueue::DropTail => QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
+            ResolvedQueue::DropTailBytes(cap) => QueueConfig::DropTailBytes(cap),
+            ResolvedQueue::CoDel => QueueConfig::CoDel(CoDelConfig::default()),
+        }
     }
 }
 

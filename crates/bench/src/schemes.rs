@@ -6,10 +6,11 @@ use sprout_baselines::{
     Vegas, VideoApp, VideoAppReceiver, VideoAppSender,
 };
 use sprout_core::{SproutConfig, SproutEndpoint};
-use sprout_sim::{Endpoint, SinkEndpoint};
-use sprout_trace::{derive_labeled_seed, Duration, Impairment, Trace};
+use sprout_sim::{Endpoint, LinkImpairment, PathConfig, SinkEndpoint};
+use sprout_trace::{derive_labeled_seed, Duration, Impairment, OutageSchedule, Trace};
 
 pub use crate::record::SchemeResult;
+use crate::scenario::{ResolvedQueue, Scenario};
 
 /// Every transport/application evaluated in the paper, plus Reno.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -196,6 +197,57 @@ impl RunConfig {
         self.impair_seed_feedback = stream("impair-feedback");
         self.outage_seed = stream("impair-outage");
         self
+    }
+
+    /// The conditions the engine runs `cell` under, over its `data` and
+    /// `feedback` traces: the cell's timing, delay, loss, impairment and
+    /// confidence, and every random stream re-seeded from `cell_seed`.
+    pub fn for_cell(cell: &Scenario, cell_seed: u64, data: Trace, feedback: Trace) -> Self {
+        RunConfig {
+            duration: cell.duration,
+            warmup: cell.warmup,
+            prop_delay: cell.prop_delay,
+            loss_rate: cell.loss_rate,
+            sprout: match cell.confidence_pct {
+                Some(pct) => SproutConfig::with_confidence_percent(pct),
+                None => SproutConfig::paper(),
+            },
+            impairment: cell.impairment,
+            serve_seed: cell_seed,
+            ..RunConfig::new(data, feedback)
+        }
+        .seeded(cell_seed)
+    }
+
+    /// The data and feedback paths under these conditions. Both
+    /// directions run `queue`: the paper's carriers keep one (deep)
+    /// per-user queue in each direction. Loss, burst loss, jitter and
+    /// reordering are per-direction streams; the outage schedule is one,
+    /// shared by both, since the radio link goes dark as one. A zero
+    /// loss rate and an empty impairment draw nothing from their seeds.
+    pub fn paths(&self, queue: ResolvedQueue) -> (PathConfig, PathConfig) {
+        let outages = self
+            .impairment
+            .outage
+            .map(|spec| OutageSchedule::generate(&spec, self.outage_seed, self.duration))
+            .unwrap_or_default();
+        let path = |trace: &Trace, loss_seed, impair_seed| {
+            let mut cfg = PathConfig::standard(trace.clone()).with_prop_delay(self.prop_delay);
+            cfg.link.queue = queue.queue_config();
+            cfg.link.loss_rate = self.loss_rate;
+            cfg.link.loss_seed = loss_seed;
+            cfg.link.impair =
+                LinkImpairment::from_spec(&self.impairment, impair_seed, outages.clone());
+            cfg
+        };
+        (
+            path(&self.data_trace, self.loss_seed_data, self.impair_seed_data),
+            path(
+                &self.feedback_trace,
+                self.loss_seed_feedback,
+                self.impair_seed_feedback,
+            ),
+        )
     }
 }
 

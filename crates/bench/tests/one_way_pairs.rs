@@ -7,25 +7,21 @@
 //! The oracle: each cell below, executed by the engine, equals — every
 //! `SchemeResult` field and every flow row, compared by `to_bits` — the
 //! same cell driven by hand through a pair whose data sender runs the
-//! Bayesian forecaster, as every Sprout pair did before. The run config
-//! and the paths are rebuilt from public pieces. One test in its own
+//! Bayesian forecaster, as every Sprout pair did before. The traces, the
+//! run config and the paths are the engine's own (`LinkSpec::trace`,
+//! `RunConfig::for_cell`, `RunConfig::paths`). One test in its own
 //! binary: it reads the process-global table counters.
 
 use sprout_baselines::{Cubic, TcpReceiver, TcpSender};
 use sprout_bench::executor::execute_scenario;
 use sprout_bench::scenario::paired;
 use sprout_bench::{
-    FlowSpec, FlowSummary, LinkSpec, QueueSpec, ResolvedQueue, RunConfig, ScenarioMatrix, Scheme,
-    SchemeResult, SweepResult,
+    FlowSpec, FlowSummary, LinkSpec, QueueSpec, RunConfig, ScenarioMatrix, Scheme, SchemeResult,
+    SweepResult,
 };
 use sprout_core::{table_memory_counters, SproutConfig, SproutEndpoint};
-use sprout_sim::{
-    direction_stats, jain_fairness_index, CoDelConfig, Endpoint, FlowId, LinkImpairment,
-    MuxEndpoint, PathConfig, QueueConfig, Simulation, DEEP_QUEUE_BYTES,
-};
-use sprout_trace::{
-    derive_labeled_seed, Duration, Impairment, NetProfile, OutageSchedule, Timestamp, Trace,
-};
+use sprout_sim::{direction_stats, jain_fairness_index, Endpoint, FlowId, MuxEndpoint, Simulation};
+use sprout_trace::{derive_labeled_seed, Duration, Impairment, NetProfile, Timestamp};
 
 const SEED: u64 = 20_130_401;
 
@@ -60,75 +56,6 @@ fn matrices(measured: LinkSpec) -> Vec<ScenarioMatrix> {
             .timing(Duration::from_secs(6), Duration::from_secs(1))
             .build(),
     ]
-}
-
-/// The link trace a cell replays, resolved the way the engine does.
-fn trace_for(link: LinkSpec, duration: Duration) -> Trace {
-    match link {
-        LinkSpec::Profile(profile) => profile.generate(duration, SEED),
-        LinkSpec::Measured { fingerprint } => sprout_trace::lookup_trace(fingerprint)
-            .expect("registered above")
-            .truncated(Timestamp::ZERO + duration),
-    }
-}
-
-/// The engine's run config of `result`'s cell, rebuilt.
-fn run_config(result: &SweepResult) -> RunConfig {
-    let cell = &result.scenario;
-    let cell_seed = derive_labeled_seed(SEED, "cell", cell.id);
-    assert_eq!(cell_seed, result.cell_seed, "{}: cell seed", cell.label);
-    RunConfig {
-        duration: cell.duration,
-        warmup: cell.warmup,
-        prop_delay: cell.prop_delay,
-        loss_rate: cell.loss_rate,
-        sprout: match cell.confidence_pct {
-            Some(pct) => SproutConfig::with_confidence_percent(pct),
-            None => SproutConfig::paper(),
-        },
-        impairment: cell.impairment,
-        serve_seed: cell_seed,
-        ..RunConfig::new(
-            trace_for(cell.link, cell.duration),
-            trace_for(paired(cell.link), cell.duration),
-        )
-    }
-    .seeded(cell_seed)
-}
-
-/// Both directions' paths: the resolved queue on both, per-direction
-/// loss and impairment streams, one outage schedule shared by the pair.
-fn path_configs(rc: &RunConfig, queue: ResolvedQueue) -> (PathConfig, PathConfig) {
-    let outages = rc
-        .impairment
-        .outage
-        .map(|spec| OutageSchedule::generate(&spec, rc.outage_seed, rc.duration))
-        .unwrap_or_default();
-    let path = |trace: &Trace, loss_seed, impair_seed| {
-        let mut cfg = PathConfig::standard(trace.clone()).with_prop_delay(rc.prop_delay);
-        cfg.link.queue = match queue {
-            ResolvedQueue::DropTail => QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
-            ResolvedQueue::DropTailBytes(cap) => QueueConfig::DropTailBytes(cap),
-            ResolvedQueue::CoDel => QueueConfig::CoDel(CoDelConfig::default()),
-        };
-        if rc.loss_rate > 0.0 {
-            cfg.link.loss_rate = rc.loss_rate;
-            cfg.link.loss_seed = loss_seed;
-        }
-        if !rc.impairment.is_none() {
-            cfg.link.impair =
-                LinkImpairment::from_spec(&rc.impairment, impair_seed, outages.clone());
-        }
-        cfg
-    };
-    (
-        path(&rc.data_trace, rc.loss_seed_data, rc.impair_seed_data),
-        path(
-            &rc.feedback_trace,
-            rc.loss_seed_feedback,
-            rc.impair_seed_feedback,
-        ),
-    )
 }
 
 /// The data sender every Sprout pair had before: the Bayesian model.
@@ -213,9 +140,16 @@ fn reduce<A: Endpoint, B: Endpoint>(
 
 /// The cell driven by hand with a Bayesian data sender.
 fn reference(result: &SweepResult) -> Bits {
-    let rc = run_config(result);
-    let (ab, ba) = path_configs(&rc, result.queue);
-    let label = &result.scenario.label;
+    let cell = &result.scenario;
+    let trace = |link: LinkSpec| link.trace(cell.duration, SEED);
+    let rc = RunConfig::for_cell(
+        cell,
+        result.cell_seed,
+        trace(cell.link),
+        trace(paired(cell.link)),
+    );
+    let (ab, ba) = rc.paths(result.queue);
+    let label = &cell.label;
     match result.scenario.workload.contention_flows() {
         None => {
             let a = bayesian_sender(&rc.sprout);
@@ -271,6 +205,11 @@ fn a_one_way_sprout_pair_runs_one_bayesian_model_and_moves_no_bit() {
             let engine = execute_scenario(matrix.name(), cell, SEED);
             let lookups = table_memory_counters().since(before);
             let label = &cell.label;
+            assert_eq!(
+                engine.cell_seed,
+                derive_labeled_seed(SEED, "cell", cell.id),
+                "{label}: cell seed"
+            );
             assert_eq!(
                 lookups.built + lookups.reused,
                 1,

@@ -119,6 +119,16 @@ fn unknown_experiments_and_flags_are_rejected() {
     assert_eq!(exit_code(&["fig99"]), 2);
     assert_eq!(exit_code(&["fig9", "--frobnicate"]), 2);
     assert_eq!(exit_code(&["fig9", "--secs", "abc"]), 2);
+    // A thread count past the bound. The run length behind it is refused
+    // too, which keeps this a parse-only check even if the bound were lost.
+    let past = ["fig9", "--threads", "100000", "--secs", "0"];
+    let out = reproduce(&past);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--threads expects a number in 0..=256"),
+        "{stderr}"
+    );
     // The retired perf-trajectory mode is a plain unknown flag now.
     for retired in [vec!["--bench"], vec!["--bench-baseline", "x"]] {
         let out = reproduce(&retired);

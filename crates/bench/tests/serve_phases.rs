@@ -7,23 +7,20 @@
 //! (the production server and the session-by-session one) are also
 //! compared session by session, so a mix-up between sessions cannot hide
 //! in the cell's aggregates. The `storm` cells give every session its own
-//! impairment streams, so the sessions of one cell differ; the run config
-//! and the paths are rebuilt from public pieces.
+//! impairment streams, so the sessions of one cell differ. The traces,
+//! the run config and the paths are the engine's own (`LinkSpec::trace`,
+//! `RunConfig::for_cell`, `RunConfig::paths`).
 
 use sprout_bench::executor::execute_scenario;
 use sprout_bench::scenario::paired;
 use sprout_bench::{
     sprout_data_sender, LinkSpec, ResolvedQueue, RunConfig, ScenarioMatrix, SchemeResult,
-    ServeStats, SweepResult,
+    ServeStats,
 };
 use sprout_core::{SessionPool, SproutConfig};
-use sprout_sim::{
-    direction_stats, jain_fairness_index, CoDelConfig, Endpoint, FlowId, LinkImpairment,
-    PathConfig, QueueConfig, ServeSim, TimerWheel, DEEP_QUEUE_BYTES,
-};
+use sprout_sim::{direction_stats, jain_fairness_index, Endpoint, FlowId, ServeSim, TimerWheel};
 use sprout_trace::{
-    derive_labeled_seed, session_seed, Duration, Impairment, NetProfile, OutageSchedule, Timestamp,
-    Trace,
+    derive_labeled_seed, session_seed, Duration, Impairment, NetProfile, Timestamp,
 };
 use sprout_tunnel::SproutServer;
 
@@ -90,59 +87,6 @@ impl Endpoint for SessionBySession {
     }
 }
 
-/// The engine's run config of `result`'s cell, rebuilt.
-fn run_config(result: &SweepResult) -> RunConfig {
-    let cell = &result.scenario;
-    let cell_seed = derive_labeled_seed(SEED, "cell", cell.id);
-    assert_eq!(cell_seed, result.cell_seed, "{}: cell seed", cell.label);
-    let trace = |link: LinkSpec| -> Trace {
-        let LinkSpec::Profile(profile) = link else {
-            panic!("{}: a profile link", cell.label)
-        };
-        profile.generate(cell.duration, SEED)
-    };
-    RunConfig {
-        duration: cell.duration,
-        warmup: cell.warmup,
-        prop_delay: cell.prop_delay,
-        loss_rate: cell.loss_rate,
-        sprout: SproutConfig::paper(),
-        impairment: cell.impairment,
-        serve_seed: cell_seed,
-        ..RunConfig::new(trace(cell.link), trace(paired(cell.link)))
-    }
-    .seeded(cell_seed)
-}
-
-/// One session's two paths: the resolved queue on both, per-direction
-/// impairment streams from the session's seeds, one outage schedule
-/// shared by the pair.
-fn path_configs(rc: &RunConfig, queue: ResolvedQueue) -> (PathConfig, PathConfig) {
-    let outages = rc
-        .impairment
-        .outage
-        .map(|spec| OutageSchedule::generate(&spec, rc.outage_seed, rc.duration))
-        .unwrap_or_default();
-    let path = |trace: &Trace, impair_seed| {
-        let mut cfg = PathConfig::standard(trace.clone()).with_prop_delay(rc.prop_delay);
-        cfg.link.queue = match queue {
-            ResolvedQueue::DropTail => QueueConfig::DropTailBytes(DEEP_QUEUE_BYTES),
-            ResolvedQueue::DropTailBytes(cap) => QueueConfig::DropTailBytes(cap),
-            ResolvedQueue::CoDel => QueueConfig::CoDel(CoDelConfig::default()),
-        };
-        assert_eq!(rc.loss_rate, 0.0, "no loss axis in these cells");
-        if !rc.impairment.is_none() {
-            cfg.link.impair =
-                LinkImpairment::from_spec(&rc.impairment, impair_seed, outages.clone());
-        }
-        cfg
-    };
-    (
-        path(&rc.data_trace, rc.impair_seed_data),
-        path(&rc.feedback_trace, rc.impair_seed_feedback),
-    )
-}
-
 /// What the comparison sees of one serve run: the cell's serve column
 /// and fairness as the engine reduces them, and every session's uplink
 /// metrics.
@@ -191,7 +135,7 @@ fn drive<S: Endpoint>(server: S, rc: &RunConfig, queue: ResolvedQueue, n: u32) -
     let mut sim = ServeSim::new(server);
     for sid in 1..=n {
         let src = rc.clone().seeded(session_seed(rc.serve_seed, sid));
-        let (up, down) = path_configs(&src, queue);
+        let (up, down) = src.paths(queue);
         let mut client = sprout_data_sender(&rc.sprout);
         client.set_flow(FlowId(sid));
         sim.add_session(FlowId(sid), client, up, down);
@@ -235,7 +179,19 @@ fn a_server_that_ticks_its_due_sessions_in_phases_moves_no_bit() {
         let label = &cell.label;
         let engine = execute_scenario(matrix.name(), cell, SEED);
         let n = cell.workload.serve_sessions().expect("a serve cell");
-        let rc = run_config(&engine);
+        assert_eq!(
+            engine.cell_seed,
+            derive_labeled_seed(SEED, "cell", cell.id),
+            "{label}: cell seed"
+        );
+        assert_eq!(cell.loss_rate, 0.0, "{label}: no loss axis in these cells");
+        let trace = |link: LinkSpec| link.trace(cell.duration, SEED);
+        let rc = RunConfig::for_cell(
+            cell,
+            engine.cell_seed,
+            trace(cell.link),
+            trace(paired(cell.link)),
+        );
         let mut server = SproutServer::new(rc.sprout.clone(), rc.serve_seed);
         for sid in 1..=n {
             server.add_session(sid);

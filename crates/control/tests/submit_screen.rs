@@ -2,7 +2,8 @@
 //! run length the CLI refuses is refused here too — with a 400, before
 //! anything is queued. (A `--secs` whose microsecond count wraps a `u64`
 //! used to be accepted: a release daemon dealt the wrapped matrix, a
-//! debug one panicked rebuilding it for `/sweeps/<id>/cells`.)
+//! debug one panicked rebuilding it for `/sweeps/<id>/cells`.) So is a
+//! `--threads` past its bound, which every worker would have started.
 
 use sprout_control::{client, Daemon, DaemonConfig};
 
@@ -28,6 +29,15 @@ fn wrapping_run_lengths_are_refused_at_submit_time() {
             assert!(resp.contains(flag) && resp.contains("..=100000"), "{resp}");
         }
     }
+    // A thread count past the bound, refused by the same screen. The run
+    // length behind it is refused too, which keeps this a parse-only
+    // check even if the bound were lost.
+    let (status, resp) = submit("--threads\n100000\n--secs\n0\n");
+    assert_eq!(status, 400, "{resp}");
+    assert!(
+        resp.contains("--threads expects a number in 0..=256"),
+        "{resp}"
+    );
     let (status, sweeps) = client::request(&endpoint, "GET", "/sweeps", "").expect("GET /sweeps");
     assert_eq!((status, sweeps.as_str()), (200, "{\"sweeps\":[]}"));
 
