@@ -240,12 +240,16 @@ fn run() -> std::io::Result<()> {
         print_cell_cache_line(&cmd, failures);
         return r.map_err(|e| std::io::Error::other(e.to_string()));
     }
+    // Each distinct run length and warm-up the declared cells run at.
+    let mut timings: Vec<String> = Vec::new();
+    for cell in declared.iter().flatten().flat_map(|m| m.cells()) {
+        let [secs, warmup] = [cell.duration, cell.warmup].map(|d| d.as_micros() / 1_000_000);
+        let timing = format!("runs {secs}s, warmup {warmup}s");
+        timings.extend((!timings.contains(&timing)).then_some(timing));
+    }
     println!(
-        "reproduce: {cmd} (runs {}s, warmup {}s, seed {}, threads {}, out {:?})",
-        // Exact for `all` too: its members all run at the global length
-        // and warm-up.
-        rows[0].secs(&cfg),
-        rows[0].warmup(&cfg),
+        "reproduce: {cmd} ({}, seed {}, threads {}, out {:?})",
+        timings.join("; "),
         cfg.seed,
         if cfg.threads == 0 {
             "auto".to_string()

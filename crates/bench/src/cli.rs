@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use crate::figures::{select, Experiment, ExperimentConfig, ALL, EXPERIMENTS};
+use crate::figures::{select, Experiment, ExperimentConfig, Timing, ALL, EXPERIMENTS};
 use crate::scenario::{
     FlowSpec, LinkSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
 };
@@ -53,10 +53,10 @@ pub const MAX_THREADS: u64 = 256;
 #[rustfmt::skip]
 pub const GLOBAL_FLAGS: &[Flag] = &[
     flag("--secs", "N", "virtual seconds per run, 1..=100000 (default 300)"),
-    flag("--warmup", "N", "warm-up seconds skipped before measurement, 0..=100000 (default 60)"),
+    flag("--warmup", "N", "warm-up seconds skipped before measurement, 0..=100000 (default 60; serve, replay: a sixth of the run)"),
     flag("--seed", "N", "master seed of all randomness (default 20130401)"),
     flag("--threads", "N", "sweep worker threads, 0..=256 (default 0: one per core)"),
-    flag("--quick", "", "--secs 90 --warmup 20, where those are not given"),
+    flag("--quick", "", "--secs 90 --warmup 20, where those are not given; no experiment runs past 90 s"),
     flag("--cell-timeout", "SECS", "per-cell watchdog, wall seconds (default 600)"),
 ];
 
@@ -125,8 +125,9 @@ pub fn help() -> String {
     let mut out = format!("{}\n\nexperiments:\n", usage());
     for e in &EXPERIMENTS {
         let _ = write!(out, "  {:11} {}", e.name, e.help);
-        if e.secs(&defaults) != defaults.run_secs {
-            let _ = write!(out, " (default --secs {})", e.secs(&defaults));
+        let secs = (e.timing)(&defaults).secs;
+        if secs != defaults.run_secs {
+            let _ = write!(out, " (default --secs {secs})");
         }
         out.push('\n');
     }
@@ -268,10 +269,13 @@ pub fn parse_sessions(spec: &str) -> Option<Vec<u32>> {
 
 /// Apply the worker-safe flags in `args` to `cfg` and return the rows of
 /// the experiment table `experiment` selects. The validation is the
-/// table's: an axis flag must be one every selected row accepts,
-/// `--quick` fills only what `--secs`/`--warmup` left unset, an explicit
-/// run length hands soak/serve/replay timing back to the global knobs,
-/// and the warmup must leave each row a non-empty measurement window.
+/// table's: an axis flag must be one every selected row accepts, and
+/// `--quick` fills only what `--secs`/`--warmup` left unset. An explicit
+/// `--secs` replaces the run length soak, serve and replay keep for
+/// themselves, and `--quick` caps it at 90 s. Each row's
+/// [`Experiment::timing`] is then checked: its warm-up must leave a
+/// non-empty measurement window, an explicit `--warmup` must be the
+/// warm-up it runs, and a replay must end inside its shortest capture.
 /// Returns a one-line usage message on the first violation. `--trace`
 /// registers each capture as it parses, so a malformed file is reported
 /// to its submitter here — before any worker is spawned.
@@ -399,13 +403,11 @@ pub fn apply_worker_args(
     // --quick fills in whatever the user did not set explicitly, so
     // `--warmup 100 --quick` is the contradiction it looks like (and is
     // rejected below) rather than being silently clobbered to 20 s.
-    if quick {
-        if !explicit_secs {
-            cfg.run_secs = 90;
-        }
-        if !explicit_warmup {
-            cfg.warmup_secs = 20;
-        }
+    if quick && !explicit_secs {
+        cfg.run_secs = 90;
+    }
+    if quick && !explicit_warmup {
+        cfg.warmup_secs = 20;
     }
     if explicit_flows && cfg.contention.contenders.is_some() {
         return Err(
@@ -413,30 +415,32 @@ pub fn apply_worker_args(
                 .to_string(),
         );
     }
-    // The experiments with their own default run length keep it on their
-    // axes struct (so the library builds the identical matrix); an
-    // explicit --secs or --quick hands timing back to the global knobs.
-    if explicit_secs || quick {
-        cfg.use_global_run_length();
+    // The rows with their own run length keep it on their axes struct (so
+    // the library builds the identical matrix): an explicit --secs
+    // replaces it, and --quick caps it at the 90 s it sets.
+    let global = cfg.run_secs;
+    for secs in cfg.own_run_lengths() {
+        *secs = secs.filter(|&own| !explicit_secs && (!quick || own < global));
     }
-    // Validate against the run length each row will actually use. A row
-    // that derives its warmup from the run length can never have an
-    // empty window.
-    for row in rows.iter().filter(|row| !row.own_warmup) {
-        if cfg.warmup_secs >= row.secs(cfg) {
+    // Validate against the timing each row will actually run.
+    for row in &rows {
+        let Timing { secs, warmup } = (row.timing)(cfg);
+        if warmup >= secs {
             return Err(format!(
-                "warmup ({}s) must be shorter than the run ({}s): the measurement window would be empty",
-                cfg.warmup_secs,
-                row.secs(cfg)
+                "warmup ({warmup}s) must be shorter than the run ({secs}s): the measurement window would be empty"
             ));
         }
-    }
-    // A replay past the end of its capture would simulate a dead link and
-    // report the silence as a result: the shortest capture must cover the
-    // run.
-    for row in rows.iter().filter(|row| row.flags.contains(&"--trace")) {
-        let secs = row.secs(cfg);
-        let ends = cfg.replay.traces.iter();
+        if explicit_warmup && warmup != cfg.warmup_secs {
+            return Err(format!(
+                "{}'s warm-up is a sixth of its {secs}s run ({warmup}s): --warmup {} cannot change it",
+                row.name, cfg.warmup_secs
+            ));
+        }
+        // A replay past the end of its capture would simulate a dead link
+        // and report the silence as a result: the shortest capture of a
+        // row that replays (takes --trace) must cover the run.
+        let replays = row.flags.contains(&"--trace");
+        let ends = cfg.replay.traces.iter().filter(|_| replays);
         let ends = ends.filter_map(|&fp| Some((sprout_trace::lookup_trace(fp)?.duration(), fp)));
         if let Some((end, fingerprint)) = ends.min() {
             if Duration::from_secs(secs) > end {
@@ -463,21 +467,27 @@ mod tests {
         apply_worker_args(&mut cfg, experiment, &args).map(|_| cfg)
     }
 
+    /// The timing `experiment`'s one row runs under `cfg`.
+    fn timing(cfg: &ExperimentConfig, experiment: &str) -> Timing {
+        (select(experiment).expect("a table row")[0].timing)(cfg)
+    }
+
     /// The run length `experiment`'s one row uses under `cfg`.
     fn effective_secs(cfg: &ExperimentConfig, experiment: &str) -> u64 {
-        select(experiment).expect("a table row")[0].secs(cfg)
+        timing(cfg, experiment).secs
     }
 
     #[test]
     fn a_replay_never_runs_past_its_shortest_capture() {
         // The default corpus ends at 39.975 s (downlink) and 39.8 s
         // (uplink): past that, a cell would replay a dead link.
-        for args in [&["--secs", "41"][..], &["--secs", "40"], &["--quick"]] {
+        for args in [&["--secs", "41"][..], &["--secs", "40"]] {
             let err = apply("replay", args).expect_err("past the uplink excerpt");
             assert!(err.contains("ends at 39.800s"), "{args:?}: {err}");
             assert!(err.contains(" m"), "names the capture's id: {err}");
         }
-        for args in [&["--secs", "39"][..], &[]] {
+        // --quick caps replay's own 30 s at 90 s, so it runs 30 s.
+        for args in [&["--secs", "39"][..], &[], &["--quick"]] {
             let cfg = apply("replay", args).expect("inside every capture");
             assert!(effective_secs(&cfg, "replay") <= 39, "{args:?}");
         }
@@ -513,6 +523,15 @@ mod tests {
                 assert!(worker_flag_arity(name).is_some(), "{name}");
             }
             assert_eq!(select(row.name).unwrap().len(), 1);
+            // Its matrices run the timing it names; only fig2's probe has
+            // a rule of its own (ten times --secs, no warm-up).
+            let Timing { secs, warmup } = (row.timing)(&cfg);
+            let [secs, warmup] = [secs, warmup].map(Duration::from_secs);
+            for matrix in row.declare(&cfg).iter().filter(|m| m.name() != "fig2") {
+                let timed =
+                    |c: &crate::scenario::Scenario| (c.duration, c.warmup) == (secs, warmup);
+                assert!(matrix.cells().iter().all(timed), "{}", matrix.name());
+            }
         }
         // Every axis flag the parser knows has a row that takes it; the
         // global flags are nobody's axis.
@@ -532,7 +551,7 @@ mod tests {
         }
 
         // `all` is today's six sweeps in today's order, each executed
-        // once; its members take no axis flag and no timing of their own.
+        // once; its members take no axis flag and run the global timing.
         let all = select(ALL).unwrap();
         let sweeps: Vec<String> = all
             .iter()
@@ -542,7 +561,7 @@ mod tests {
         assert_eq!(sweeps, ["fig1", "fig2", "fig7", "fig9", "loss", "tunnel"]);
         assert!(all
             .iter()
-            .all(|e| e.flags.is_empty() && e.own_secs.is_none()));
+            .all(|e| e.flags.is_empty() && (e.timing)(&cfg) == Timing::global(&cfg)));
         // fig8 is a second report over the fig7 sweep, not a second sweep.
         let sweep_of = |name: &str| select(name).unwrap()[0].declare(&cfg)[0].fingerprint();
         assert_eq!(sweep_of("fig7"), sweep_of("fig8"));
@@ -584,6 +603,14 @@ mod tests {
         let cfg = apply("fig1", &["--quick", "--seed", "7"]).unwrap();
         assert_eq!((cfg.run_secs, cfg.warmup_secs, cfg.seed), (90, 20, 7));
 
+        // An explicit --warmup must be the warm-up the row runs: serve
+        // and replay skip a sixth of the run.
+        let err = apply("serve", &["--warmup", "5"]).unwrap_err();
+        assert!(err.contains("a sixth of its 60s run (10s)"), "{err}");
+        let cfg = apply("serve", &["--secs", "48", "--warmup", "8"]).unwrap();
+        let Timing { secs, warmup } = timing(&cfg, "serve");
+        assert_eq!((secs, warmup), (48, 8));
+
         // The validation matrix carries over from the binary.
         assert!(apply("fig1", &["--links", "vz-lte-down"]).is_err());
         assert!(apply("soak", &["--secs", "30", "--warmup", "30"]).is_err());
@@ -610,17 +637,24 @@ mod tests {
 
     #[test]
     fn secs_and_quick_leave_no_row_its_own_run_length() {
-        // A row with its own default run length that the clearing misses
-        // would keep it under --secs / --quick, silently.
-        assert!(EXPERIMENTS.iter().any(|row| row
-            .own_secs
-            .is_some_and(|secs| secs(&ExperimentConfig::default()).is_some())));
-        for args in [&["--secs", "40", "--warmup", "8"][..], &["--quick"]] {
-            let cfg = apply("soak", args).unwrap();
-            for row in &EXPERIMENTS {
-                let own = row.own_secs.and_then(|secs| secs(&cfg));
-                assert_eq!(own, None, "{}: {args:?}", row.name);
-            }
+        // A row with its own default run length that `own_run_lengths`
+        // misses would keep it under --secs / --quick, silently.
+        let dflt = ExperimentConfig::default();
+        assert!(EXPERIMENTS
+            .iter()
+            .any(|row| (row.timing)(&dflt).secs != dflt.run_secs));
+        let cfg = apply("soak", &["--secs", "40", "--warmup", "8"]).unwrap();
+        for row in &EXPERIMENTS {
+            assert_eq!((row.timing)(&cfg).secs, 40, "{}", row.name);
+        }
+        let cfg = apply("soak", &["--quick"]).unwrap();
+        for row in &EXPERIMENTS {
+            assert!((row.timing)(&cfg).secs <= 90, "{}", row.name);
+        }
+        // --quick caps the own run lengths and keeps the shorter ones.
+        for (experiment, secs, warmup) in [("serve", 60, 10), ("replay", 30, 5), ("soak", 90, 20)] {
+            let cfg = apply(experiment, &["--quick"]).unwrap();
+            assert_eq!(timing(&cfg, experiment), Timing { secs, warmup });
         }
     }
 
@@ -715,11 +749,14 @@ mod tests {
         assert!(apply("soak", &["--timeseries"]).unwrap().timeseries);
         assert!(apply("replay", &["--timeseries"]).unwrap().timeseries);
 
-        // Explicit timing hands replay back to the global knobs (and the
-        // warmup is derived, so a paper-default 60 s warmup with the
-        // short 30 s replay default is fine).
+        // Explicit --secs hands replay back to the global knob, and the
+        // warm-up is derived (so a paper-default 60 s warmup with the
+        // short 30 s replay default is fine): an explicit --warmup that
+        // is not a sixth of the run is refused, not dropped.
         assert_eq!(apply("replay", &[]).unwrap().warmup_secs, 60);
-        let cfg = apply("replay", &["--secs", "35", "--warmup", "8"]).unwrap();
+        let err = apply("replay", &["--secs", "35", "--warmup", "8"]).unwrap_err();
+        assert!(err.contains("a sixth of its 35s run (5s)"), "{err}");
+        let cfg = apply("replay", &["--secs", "35", "--warmup", "5"]).unwrap();
         assert_eq!(cfg.replay.secs, None);
         assert_eq!(effective_secs(&cfg, "replay"), 35);
         assert_eq!(effective_secs(&apply("replay", &[]).unwrap(), "replay"), 30);

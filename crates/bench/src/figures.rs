@@ -3,10 +3,9 @@
 //!
 //! An experiment is one row of [`EXPERIMENTS`]: its name, a line of
 //! help, the [`ScenarioMatrix`] it **declares**, the axis flags it
-//! accepts, its own default run length if it has one, whether `all`
-//! includes it, and the [`Report`] that **renders** the finished
-//! [`SweepResult`] rows — TSVs into the output directory, a summary to
-//! the caller's writer. Everything that needs to know what an experiment
+//! accepts, the [`Timing`] its cells run at, whether `all` includes it,
+//! and the [`Report`] that **renders** the finished [`SweepResult`] rows
+//! — TSVs into the output directory, a summary to the caller's writer. Everything that needs to know what an experiment
 //! is ([`select`], [`Experiment::run`], `crate::cli`'s validation and
 //! help, the `reproduce` binary, the control daemon) looks the row up; no
 //! experiment runs its own scheme×link loops, and all of them go through
@@ -46,11 +45,11 @@ pub struct SoakAxes {
     pub prop_delays_ms: Vec<u64>,
     /// Queue disciplines.
     pub queues: Vec<QueueSpec>,
-    /// Soak run length override, seconds. Defaults to the paper-length
-    /// [`SOAK_SECS`] so *every* soak entry point — CLI, library, shard
-    /// workers — declares the identical matrix
-    /// (and therefore the identical cache keys); `None` inherits the
-    /// global `ExperimentConfig` timing (`--secs`/`--quick` set this).
+    /// Soak run length, seconds ([`Timing::soak`] reads it). Defaults to
+    /// the paper-length [`SOAK_SECS`] so *every* soak entry point — CLI,
+    /// library, shard workers — declares the identical matrix (and
+    /// therefore the identical cache keys); `None` runs the global
+    /// `--secs`. An explicit `--secs` clears it, `--quick` caps it at 90.
     pub secs: Option<u64>,
 }
 
@@ -118,10 +117,10 @@ pub struct ServeAxes {
     pub sessions: Vec<u32>,
     /// Link directions under test (`--links`).
     pub links: Vec<NetProfile>,
-    /// Serve run length override, seconds. Defaults to the short
-    /// [`SERVE_SECS`] so every serve entry point declares the identical
-    /// matrix (and cache keys); `None` inherits the global
-    /// `ExperimentConfig` timing (`--secs`/`--quick` set this).
+    /// Serve run length, seconds ([`Timing::serve`] reads it). Defaults
+    /// to the short [`SERVE_SECS`] so every serve entry point declares the
+    /// identical matrix (and cache keys); `None` runs the global `--secs`.
+    /// An explicit `--secs` clears it, `--quick` caps it at 90.
     pub secs: Option<u64>,
 }
 
@@ -141,8 +140,9 @@ impl Default for ServeAxes {
 /// The default run length of a `replay` cell, virtual seconds. The
 /// committed corpus excerpts are ~40 s of capture; 30 s keeps every
 /// measured cell inside the shortest excerpt so no scheme ever runs past
-/// the last recorded delivery opportunity. A `--secs` or `--quick` that
-/// would is refused ([`crate::cli::apply_worker_args`]).
+/// the last recorded delivery opportunity, and `--quick` keeps it. An
+/// explicit `--secs` that would run past a capture is refused
+/// ([`crate::cli::apply_worker_args`]).
 pub const REPLAY_SECS: u64 = 30;
 
 /// The bin width of the per-cell time-series artifacts (`--timeseries`):
@@ -190,10 +190,10 @@ pub struct ReplayAxes {
     /// Schemes run over each capture (`--schemes sprout,cubic,...`;
     /// defaults to the nine Figure-7 schemes).
     pub schemes: Vec<Scheme>,
-    /// Replay run length override, seconds. Defaults to the short
-    /// [`REPLAY_SECS`] so every replay entry point declares the
-    /// identical matrix (and cache keys); `None` inherits the global
-    /// `ExperimentConfig` timing (`--secs`/`--quick` set this).
+    /// Replay run length, seconds ([`Timing::replay`] reads it). Defaults
+    /// to the short [`REPLAY_SECS`] so every replay entry point declares
+    /// the identical matrix (and cache keys); `None` runs the global
+    /// `--secs`. An explicit `--secs` clears it, `--quick` caps it at 90.
     pub secs: Option<u64>,
 }
 
@@ -297,15 +297,64 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// How long a row's cells run and how much of that they skip before
+/// measuring, in virtual seconds. A row names the one fn that gives it
+/// ([`Experiment::timing`]); its matrix fns build from that fn, and the
+/// CLI's checks and help read it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Timing {
+    /// Virtual seconds per run.
+    pub secs: u64,
+    /// Seconds skipped before measurement.
+    pub warmup: u64,
+}
+
+impl Timing {
+    /// The global knobs, `--secs` and `--warmup`: the timing of every
+    /// row but soak, serve and replay.
+    pub fn global(cfg: &ExperimentConfig) -> Timing {
+        Timing {
+            secs: cfg.run_secs,
+            warmup: cfg.warmup_secs,
+        }
+    }
+
+    /// Soak's own run length ([`SoakAxes::secs`]) or the global one, with
+    /// the global warm-up.
+    pub fn soak(cfg: &ExperimentConfig) -> Timing {
+        Timing {
+            secs: cfg.soak.secs.unwrap_or(cfg.run_secs),
+            warmup: cfg.warmup_secs,
+        }
+    }
+
+    /// Serve's own run length ([`ServeAxes::secs`]) or the global one; the
+    /// warm-up is a sixth of the run.
+    pub fn serve(cfg: &ExperimentConfig) -> Timing {
+        Timing::sixth(cfg.serve.secs.unwrap_or(cfg.run_secs))
+    }
+
+    /// Replay's own run length ([`ReplayAxes::secs`]) or the global one;
+    /// the warm-up is a sixth of the run.
+    pub fn replay(cfg: &ExperimentConfig) -> Timing {
+        Timing::sixth(cfg.replay.secs.unwrap_or(cfg.run_secs))
+    }
+
+    fn sixth(secs: u64) -> Timing {
+        Timing {
+            secs,
+            warmup: secs / 6,
+        }
+    }
+
+    /// Start declaring matrix `name` at this run length and warm-up.
+    pub fn matrix(self, name: &str) -> crate::scenario::MatrixBuilder {
+        let [secs, warmup] = [self.secs, self.warmup].map(Duration::from_secs);
+        ScenarioMatrix::builder(name).timing(secs, warmup)
+    }
+}
+
 impl ExperimentConfig {
-    fn duration(&self) -> Duration {
-        Duration::from_secs(self.run_secs)
-    }
-
-    fn warmup(&self) -> Duration {
-        Duration::from_secs(self.warmup_secs)
-    }
-
     /// The sweep engine configured by these knobs.
     pub fn engine(&self) -> SweepEngine {
         SweepEngine::new(self.seed)
@@ -315,19 +364,20 @@ impl ExperimentConfig {
             .with_cell_timeout(std::time::Duration::from_secs(self.cell_timeout_secs))
     }
 
-    /// Hand every experiment that has its own default run length
-    /// ([`Experiment::own_secs`]) back to the global [`Self::run_secs`],
-    /// as an explicit `--secs` or `--quick` does: clears the `secs` of
-    /// every axes struct that has one.
-    pub fn use_global_run_length(&mut self) {
-        self.soak.secs = None;
-        self.serve.secs = None;
-        self.replay.secs = None;
+    /// The run lengths rows keep for themselves, which their [`Timing`]
+    /// fns read: the `secs` of soak, serve and replay. An explicit
+    /// `--secs` clears them and `--quick` caps them.
+    pub fn own_run_lengths(&mut self) -> [&mut Option<u64>; 3] {
+        [
+            &mut self.soak.secs,
+            &mut self.serve.secs,
+            &mut self.replay.secs,
+        ]
     }
 
-    /// Start declaring a matrix with this config's timing.
+    /// Start declaring a matrix at the global timing ([`Timing::global`]).
     pub fn matrix(&self, name: &str) -> crate::scenario::MatrixBuilder {
-        ScenarioMatrix::builder(name).timing(self.duration(), self.warmup())
+        Timing::global(self).matrix(name)
     }
 
     /// Apply the `--timeseries` request to a matrix under declaration:
@@ -412,12 +462,10 @@ pub struct Experiment {
     /// The axis flags ([`crate::cli::AXIS_FLAGS`]) it accepts; any other
     /// axis flag is a usage error naming the rows that do accept it.
     pub flags: &'static [&'static str],
-    /// Its own default run length, where it has one: `Some(secs)` until
-    /// `--secs`/`--quick` hand timing back to the global knob.
-    pub own_secs: Option<fn(&ExperimentConfig) -> Option<u64>>,
-    /// Its matrix derives the warm-up from the run length (one sixth),
-    /// so `--warmup` is not checked against it.
-    pub own_warmup: bool,
+    /// The run length and warm-up its cells run at: [`Timing::global`]
+    /// but for soak, serve and replay. Its matrix fns build from it; the
+    /// CLI checks `--warmup` and the capture bound against it.
+    pub timing: fn(&ExperimentConfig) -> Timing,
     /// Whether `reproduce all` includes it. The rows left out are sized
     /// for sharded runs (`soak`), take axis flags that would silently
     /// change what `all` means, or — `fig7` — are rendered in full by a
@@ -434,8 +482,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "Skype vs Sprout time series (Verizon LTE downlink)",
         matrices: &[fig1_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: fig1_report,
     },
@@ -444,8 +491,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "saturated-link interarrival distribution",
         matrices: &[fig2_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: fig2_report,
     },
@@ -454,8 +500,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "comparative sweep (10 schemes x 8 links) + intro tables 1 and 2",
         matrices: &[fig7_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: false,
         report: fig7_report,
     },
@@ -464,8 +509,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "fig7, then average utilization vs delay over the same sweep",
         matrices: &[fig7_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: fig8_report,
     },
@@ -474,8 +518,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "forecast-confidence sweep (T-Mobile 3G uplink)",
         matrices: &[fig9_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: fig9_report,
     },
@@ -484,8 +527,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "s5.6 loss-resilience table",
         matrices: &[loss_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: loss_report,
     },
@@ -494,8 +536,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "s5.7 SproutTunnel isolation table",
         matrices: &[tunnel_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: true,
         report: tunnel_report,
     },
@@ -504,8 +545,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "N flows sharing one bottleneck queue: per-flow shares + Jain fairness",
         matrices: &[contention_matrix],
         flags: &["--links", "--flows", "--contend"],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: false,
         report: contention_report,
     },
@@ -514,8 +554,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "schemes + apps x links x queues x delays at paper length; run it sharded",
         matrices: &[soak_matrix],
         flags: &["--links", "--prop-delays", "--queues", "--timeseries"],
-        own_secs: Some(|cfg| cfg.soak.secs),
-        own_warmup: false,
+        timing: Timing::soak,
         in_all: false,
         report: soak_report,
     },
@@ -524,8 +563,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "schemes x fault-injection presets, with graceful-degradation metrics",
         matrices: &[impair_matrix],
         flags: &["--links", "--impairments", "--timeseries"],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: false,
         report: impair_report,
     },
@@ -534,8 +572,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "one SproutServer driving N sessions: delivered bytes + fairness per N",
         matrices: &[serve_matrix],
         flags: &["--links", "--sessions"],
-        own_secs: Some(|cfg| cfg.serve.secs),
-        own_warmup: true,
+        timing: Timing::serve,
         in_all: false,
         report: serve_report,
     },
@@ -544,8 +581,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "the scheme roster over measured Saturator captures replayed as the link",
         matrices: &[replay_matrix],
         flags: &["--trace", "--schemes", "--timeseries"],
-        own_secs: Some(|cfg| cfg.replay.secs),
-        own_warmup: true,
+        timing: Timing::replay,
         in_all: false,
         report: replay_report,
     },
@@ -554,8 +590,7 @@ pub static EXPERIMENTS: [Experiment; 13] = [
         help: "the paper's numbers against ours, read off the fig2/fig7/loss/tunnel sweeps",
         matrices: &[fig2_matrix, fig7_matrix, loss_matrix, tunnel_matrix],
         flags: &[],
-        own_secs: None,
-        own_warmup: false,
+        timing: Timing::global,
         in_all: false,
         report: crate::claims::scorecard_report,
     },
@@ -580,44 +615,15 @@ pub fn select(name: &str) -> Option<Vec<&'static Experiment>> {
     (!rows.is_empty()).then_some(rows)
 }
 
-/// Run length and warm-up of the row a matrix fn is declared in, as the
-/// builder's `timing` takes them — for the matrices whose row owns its
-/// timing, so the matrix is built from the numbers the banner prints.
-fn own_timing(name: &str, cfg: &ExperimentConfig) -> (Duration, Duration) {
-    let row = EXPERIMENTS.iter().find(|e| e.name == name);
-    let row = row.expect("a matrix fn names the row that declares it");
-    let (secs, warmup) = (row.secs(cfg), row.warmup(cfg));
-    (Duration::from_secs(secs), Duration::from_secs(warmup))
-}
-
 impl Experiment {
-    /// The run length this experiment uses under `cfg`: its own default
-    /// while that stands, the global knob otherwise.
-    pub fn secs(&self, cfg: &ExperimentConfig) -> u64 {
-        self.own_secs
-            .and_then(|own| own(cfg))
-            .unwrap_or(cfg.run_secs)
-    }
-
-    /// The warm-up this experiment uses under `cfg`: one sixth of its
-    /// run length where it derives it (`own_warmup`), the global knob
-    /// otherwise. The banner prints it and the deriving matrices are
-    /// built from it.
-    pub fn warmup(&self, cfg: &ExperimentConfig) -> u64 {
-        if self.own_warmup {
-            self.secs(cfg) / 6
-        } else {
-            cfg.warmup_secs
-        }
-    }
-
     /// This row's matrices, as declared under `cfg`.
     pub fn declare(&self, cfg: &ExperimentConfig) -> Vec<ScenarioMatrix> {
         self.matrices.iter().map(|matrix| matrix(cfg)).collect()
     }
 
     /// Run `matrices` — this row's, as declared under `cfg` — on the
-    /// shared engine, record each `<matrix>_sweep.json`, and report.
+    /// shared engine, record each `<matrix>_sweep.json`, write the
+    /// `--timeseries` TSVs, and report.
     pub fn run(
         &self,
         cfg: &ExperimentConfig,
@@ -639,6 +645,7 @@ fn run_and_report(
     for matrix in matrices {
         results.extend(cfg.run_matrix(matrix)?);
     }
+    write_cell_series(cfg, &results)?;
     let sweep = Sweep {
         cfg,
         results: &results,
@@ -781,13 +788,14 @@ fn fig1_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 
 /// The Figure 2 matrix: a saturated-link interarrival probe. The paper's
 /// sample is 1.2 M packets; at ~420 packets/s that is ~48 min of
-/// saturation, so the probe scales with `run_secs` but keeps ≥ 10 min.
+/// saturation, so the probe runs ten times the row's `--secs`, at least
+/// 10 min, with no warm-up.
 fn fig2_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
-    let secs = (cfg.run_secs * 10).max(600);
-    ScenarioMatrix::builder("fig2")
+    let secs = (Timing::global(cfg).secs * 10).max(600);
+    Timing { secs, warmup: 0 }
+        .matrix("fig2")
         .workloads([Workload::InterarrivalProbe])
         .links([NetProfile::VerizonLteDown])
-        .timing(Duration::from_secs(secs), Duration::ZERO)
         .build()
 }
 
@@ -1262,11 +1270,8 @@ pub const SOAK_APP_CARRIERS: [Scheme; 2] = [Scheme::Sprout, Scheme::Cubic];
 /// cache directory, then `--merge`.
 pub fn soak_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     cfg.with_timeseries(
-        ScenarioMatrix::builder("soak")
-            .timing(
-                Duration::from_secs(cfg.soak.secs.unwrap_or(cfg.run_secs)),
-                Duration::from_secs(cfg.warmup_secs),
-            )
+        Timing::soak(cfg)
+            .matrix("soak")
             .schemes(Scheme::fig7())
             .apps(VideoApp::all(), SOAK_APP_CARRIERS)
             .links(cfg.soak.links.iter().copied())
@@ -1282,10 +1287,9 @@ pub fn soak(cfg: &ExperimentConfig) -> io::Result<()> {
     run_and_report(cfg, &[soak_matrix(cfg)], soak_report, &mut io::sink())
 }
 
-/// `soak_matrix.tsv` (one row per cell, every axis spelled out), the
-/// `--timeseries` artifacts, and a per-workload aggregate on the console.
+/// `soak_matrix.tsv` (one row per cell, every axis spelled out) and a
+/// per-workload aggregate on the console.
 fn soak_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
-    write_cell_series(s.cfg, s.results)?;
     let app = |r: &SweepResult, metric: fn(&FlowSummary) -> f64| {
         let flow = r.flows.iter().find(|f| f.flow == sweep::INTERACTIVE_FLOW.0);
         format!("{:.1}", flow.map(metric).unwrap_or(f64::NAN))
@@ -1382,7 +1386,6 @@ fn impair_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
 /// fraction while degraded) alongside the standard throughput/delay
 /// columns; the same on the console.
 fn impair_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
-    write_cell_series(s.cfg, s.results)?;
     let axes = &s.cfg.impair;
     let preset_name = |r: &SweepResult| -> String {
         let id = r.scenario.impairment.id();
@@ -1440,13 +1443,12 @@ fn impair_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 // ---------------------------------------------------------------- serve
 
 /// The `serve` matrix: the multi-session server across the configured
-/// session counts and links. Timing follows its own short default
-/// ([`SERVE_SECS`], warmup = one sixth of the run) because each cell
-/// costs ~`2 N` path-simulations of work.
+/// session counts and links, at [`Timing::serve`] (its own short
+/// [`SERVE_SECS`]) because each cell costs ~`2 N` path-simulations of
+/// work.
 fn serve_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
-    let (secs, warmup) = own_timing("serve", cfg);
-    ScenarioMatrix::builder("serve")
-        .timing(secs, warmup)
+    Timing::serve(cfg)
+        .matrix("serve")
         .serve(cfg.serve.sessions.iter().copied())
         .links(cfg.serve.links.iter().copied())
         .build()
@@ -1506,25 +1508,21 @@ fn serve_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 
 /// The `replay` matrix: the configured scheme roster over each measured
 /// capture (`LinkSpec::Measured`, identified by content fingerprint).
-/// Timing follows its own short default ([`REPLAY_SECS`], warmup = one
-/// sixth of the run) because the committed corpus excerpts are only
-/// ~40 s long.
+/// It runs at [`Timing::replay`] (its own short [`REPLAY_SECS`]) because
+/// the committed corpus excerpts are only ~40 s long.
 fn replay_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
-    let (secs, warmup) = own_timing("replay", cfg);
     let captures = cfg.replay.traces.iter();
     cfg.with_timeseries(
-        ScenarioMatrix::builder("replay")
-            .timing(secs, warmup)
+        Timing::replay(cfg)
+            .matrix("replay")
             .schemes(cfg.replay.schemes.iter().copied())
             .links(captures.map(|&fingerprint| LinkSpec::Measured { fingerprint })),
     )
     .build()
 }
 
-/// `replay_comparative.tsv` (one row per cell), plus the per-cell
-/// time-series TSVs when `--timeseries` is set.
+/// `replay_comparative.tsv` (one row per cell).
 fn replay_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
-    write_cell_series(s.cfg, s.results)?;
     let cols: Vec<Col<'_, SweepResult>> = [label_col(), link_col("trace"), scheme_col()]
         .into_iter()
         .chain(metric_cols())
@@ -1554,7 +1552,9 @@ fn replay_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 /// carries one (the `--timeseries` flag): `<matrix>_<id>_delay.tsv`
 /// (per-delivery delay vs. time) and `<matrix>_<id>_series.tsv` (binned
 /// capacity/throughput/queue-depth), deterministic byte for byte, next
-/// to the matrix's sweep JSON. Returns the number of cells rendered.
+/// to the matrix's sweep JSON. Every [`Experiment::run`] calls it, so a
+/// row that takes `--timeseries` cannot leave its TSVs out. Returns the
+/// number of cells rendered.
 pub fn write_cell_series(cfg: &ExperimentConfig, results: &[SweepResult]) -> io::Result<usize> {
     let mut written = 0;
     for r in results {

@@ -27,8 +27,8 @@ pub use cellcache::{cell_cache_counters, ENGINE_VERSION};
 pub use figures::{
     default_contention_workloads, default_corpus_fingerprints, select, soak, soak_matrix,
     write_cell_series, ContentionAxes, Experiment, ExperimentConfig, ImpairAxes, ReplayAxes,
-    ServeAxes, SoakAxes, CELL_SERIES_BIN, DEFAULT_CONTENTION_FLOWS, EXPERIMENTS, REPLAY_SECS,
-    SERVE_SECS, SERVE_SESSIONS, SHALLOW_QUEUE_BYTES, SOAK_SECS,
+    ServeAxes, SoakAxes, Timing, CELL_SERIES_BIN, DEFAULT_CONTENTION_FLOWS, EXPERIMENTS,
+    REPLAY_SECS, SERVE_SECS, SERVE_SESSIONS, SHALLOW_QUEUE_BYTES, SOAK_SECS,
 };
 pub use scenario::{
     FlowSpec, LinkSpec, MatrixBuilder, QueueSpec, ResolvedQueue, Scenario, ScenarioMatrix,

@@ -83,13 +83,32 @@ fn quick_does_not_clobber_explicit_timing() {
 
 #[test]
 fn a_replay_longer_than_its_capture_is_rejected() {
-    // The committed excerpts are under 40 s long; `--quick` runs 90 s.
-    for args in [&["replay", "--quick"][..], &["replay", "--secs", "100"]] {
+    // The committed excerpts are under 40 s long.
+    for args in [
+        &["replay", "--secs", "41"][..],
+        &["replay", "--secs", "100"],
+    ] {
         let out = reproduce(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("ends at 39.800s"), "{args:?}: {stderr}");
     }
+    // `--quick` caps replay's own 30 s at 90 s, so it stays inside them.
+    // Shard 999999/1000000 owns none of its cells: it parses, runs
+    // nothing, and exits 0.
+    let tmp = std::env::temp_dir().join(format!("reproduce-replay-quick-{}", std::process::id()));
+    let out = reproduce(&[
+        "replay",
+        "--quick",
+        "--shard",
+        "999999/1000000",
+        "--out",
+        &tmp.join("out").to_string_lossy(),
+        "--cache-dir",
+        &tmp.join("cache").to_string_lossy(),
+    ]);
+    let _ = std::fs::remove_dir_all(&tmp);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 #[test]
@@ -329,6 +348,16 @@ fn the_banner_prints_the_warmup_the_matrix_uses() {
     assert!(fig9.contains("(runs 300s, warmup 60s,"), "{fig9}");
     let fig9 = banner("fig9-set", &["fig9", "--secs", "50", "--warmup", "7"]);
     assert!(fig9.contains("(runs 50s, warmup 7s,"), "{fig9}");
+    // fig2's probe runs ten times --secs with no warm-up; the banner
+    // reads it off the declared cells, and a row whose matrices run at
+    // more than one timing names each.
+    let fig2 = banner("fig2", &["fig2"]);
+    assert!(fig2.contains("(runs 3000s, warmup 0s,"), "{fig2}");
+    let scorecard = banner("scorecard", &["scorecard", "--quick"]);
+    assert!(
+        scorecard.contains("(runs 900s, warmup 0s; runs 90s, warmup 20s,"),
+        "{scorecard}"
+    );
 }
 
 #[test]

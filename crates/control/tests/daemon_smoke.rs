@@ -281,13 +281,13 @@ fn replay_submissions_are_validated_at_submit_time() {
     assert_eq!(status, 400, "{resp}");
 
     // A replay longer than the embedded corpus's captures is refused.
-    let (status, resp) = post("replay", "--schemes\nsprout\n--quick");
+    let (status, resp) = post("replay", "--schemes\nsprout\n--secs\n41");
     assert_eq!(status, 400, "{resp}");
 
     // A well-formed replay sweep (embedded default corpus, trimmed
-    // roster, inside the captures) passes the same screen; cancel it
-    // rather than run it.
-    let (status, resp) = post("replay", "--schemes\nsprout\n--secs\n20");
+    // roster, inside the captures: `--quick` keeps replay's own 30 s)
+    // passes the same screen; cancel it rather than run it.
+    let (status, resp) = post("replay", "--schemes\nsprout\n--quick");
     assert_eq!(status, 200, "{resp}");
     let id: u64 = resp
         .split("\"id\":")

@@ -325,9 +325,10 @@ impl OutageSchedule {
         &self.windows
     }
 
-    /// Whether the link is dark at `t`.
-    #[inline]
-    pub fn is_out(&self, t: Timestamp) -> bool {
+    /// Whether the link is dark at `t`, by binary search: the oracle the
+    /// [`OutageCursor`] is tested against.
+    #[cfg(test)]
+    fn is_out(&self, t: Timestamp) -> bool {
         let idx = self.windows.partition_point(|&(start, _)| start <= t);
         idx > 0 && t < self.windows[idx - 1].1
     }
@@ -340,8 +341,8 @@ impl OutageSchedule {
 
 /// An [`OutageSchedule`] read at non-decreasing instants: a link asks
 /// once per delivery opportunity, in time order, so a cursor past the
-/// windows already over answers in amortized O(1) what
-/// [`OutageSchedule::is_out`] answers by binary search.
+/// windows already over answers in amortized O(1) whether an instant
+/// falls in a window.
 #[derive(Clone, Debug, Default)]
 pub struct OutageCursor {
     schedule: OutageSchedule,

@@ -1,101 +1,50 @@
 //! The paper's motivating scenario (§1): a videoconference over a
-//! cellular path. Compares the Skype model with the same video source
-//! carried over Sprout, side by side on identical link conditions —
-//! Figure 1 in miniature, printed as a per-second storyboard.
+//! cellular path. Compares the Skype model with Sprout, side by side on
+//! identical link conditions — Figure 1 in miniature: two cells of one
+//! sweep, printed as a per-5 s storyboard.
 //!
 //! ```text
 //! cargo run --release --example videoconference
 //! ```
 
-use sprout_baselines::{AppProfile, VideoAppReceiver, VideoAppSender};
-use sprout_core::{SproutConfig, SproutEndpoint};
-use sprout_sim::{direction_stats, Endpoint, PathConfig, Simulation};
-use sprout_trace::{Duration, NetProfile, Timestamp, Trace};
-
-fn run_one(
-    label: &str,
-    a: Box<dyn Endpoint>,
-    b: Box<dyn Endpoint>,
-    down: Trace,
-    up: Trace,
-    secs: u64,
-) {
-    let mut sim = Simulation::new(a, b, PathConfig::standard(down), PathConfig::standard(up));
-    sim.run_until(Timestamp::from_secs(secs));
-    println!("\n{label}: per-5s throughput (kbps) and worst arrival delay (ms)");
-    let m = sim.ab_metrics();
-    let bin = Duration::from_secs(5);
-    let series = m.throughput_series_kbps(bin, Timestamp::from_secs(5), Timestamp::from_secs(secs));
-    // Worst delay per bin.
-    let mut worst = vec![0u64; series.len()];
-    for (at, d) in m.delay_series() {
-        if at < Timestamp::from_secs(5) {
-            continue;
-        }
-        let idx = ((at.as_micros() - 5_000_000) / bin.as_micros()) as usize;
-        if idx < worst.len() {
-            worst[idx] = worst[idx].max(d.as_millis());
-        }
-    }
-    print!("  tput: ");
-    for (_, kbps) in &series {
-        print!("{:>6.0}", kbps);
-    }
-    print!("\n  delay:");
-    for w in &worst {
-        print!("{:>6}", w);
-    }
-    println!();
-    let stats = direction_stats(
-        sim.ab_path(),
-        Timestamp::from_secs(5),
-        Timestamp::from_secs(secs),
-    );
-    println!(
-        "  => {:.0} kbps, 95% end-to-end delay {}, self-inflicted {}",
-        stats.throughput_kbps,
-        stats.p95_delay.map(|d| d.to_string()).unwrap_or_default(),
-        stats
-            .self_inflicted
-            .map(|d| d.to_string())
-            .unwrap_or_default(),
-    );
-}
+use sprout_bench::{ScenarioMatrix, Scheme, SweepEngine};
+use sprout_trace::{Duration, NetProfile};
 
 fn main() {
-    let secs = 60;
-    let down = NetProfile::VerizonLteDown.generate(Duration::from_secs(secs), 7);
-    let up = NetProfile::VerizonLteUp.generate(Duration::from_secs(secs), 8);
-    println!(
-        "Verizon LTE downlink, {:.0} kbps mean capacity",
-        down.average_rate_kbps()
-    );
+    // Both cells replay the identical Verizon LTE downlink trace. The
+    // Skype model is open-loop rate control with a slow reaction
+    // (§5.2); Sprout's sender saturates, so its series shows the
+    // transport's envelope.
+    let matrix = ScenarioMatrix::builder("videoconference")
+        .schemes([Scheme::Skype, Scheme::Sprout])
+        .links([NetProfile::VerizonLteDown])
+        .series_bin(Duration::from_secs(5))
+        .timing(Duration::from_secs(60), Duration::from_secs(5))
+        .build();
+    let results = SweepEngine::new(7).run(&matrix);
 
-    // A Skype-like app: open-loop rate control, slow reaction (§5.2).
-    run_one(
-        "Skype model",
-        Box::new(VideoAppSender::new(AppProfile::skype())),
-        Box::new(VideoAppReceiver::new()),
-        down.clone(),
-        up.clone(),
-        secs,
-    );
-
-    // The same conference over Sprout: the video source fills whatever
-    // window the forecast allows (the paper couples the encoder to the
-    // transport; a saturating source shows the transport's envelope).
-    println!("\nbuilding Sprout forecast tables...");
-    let cfg = SproutConfig::paper();
-    let mut sprout_sender = SproutEndpoint::new(cfg.clone());
-    sprout_sender.set_saturating();
-    run_one(
-        "Sprout",
-        Box::new(sprout_sender),
-        Box::new(SproutEndpoint::new(cfg)),
-        down,
-        up,
-        secs,
-    );
+    let capacity = &results[0].series;
+    let mean = capacity.iter().map(|b| b.capacity_kbps).sum::<f64>() / capacity.len() as f64;
+    println!("Verizon LTE downlink, {mean:.0} kbps mean capacity");
+    for r in &results {
+        println!(
+            "\n{}: per-5s throughput (kbps) and worst arrival delay (ms)",
+            r.scenario.label
+        );
+        print!("  tput: ");
+        for bin in &r.series {
+            print!("{:>6.0}", bin.throughput_kbps);
+        }
+        print!("\n  delay:");
+        for bin in &r.series {
+            print!("{:>6.0}", bin.worst_delay_ms);
+        }
+        let m = r.metrics.expect("scheme cells have metrics");
+        println!(
+            "\n  => {:.0} kbps, 95% end-to-end delay {:.0} ms, self-inflicted {:.0} ms",
+            m.throughput_kbps, m.p95_delay_ms, m.self_inflicted_ms
+        );
+    }
 
     println!("\nThe Skype model overshoots rate drops and builds multi-second");
     println!("queues; Sprout keeps the worst-case delay near its 100 ms target");
