@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use crate::figures::{select, Experiment, ExperimentConfig, Timing, ALL, EXPERIMENTS};
+use crate::figures::{select, Experiment, ExperimentConfig, Timing, ALL, EXPERIMENTS, FIG2_TIMING};
 use crate::scenario::{
     FlowSpec, LinkSpec, QueueSpec, MAX_CONTENTION_FLOWS, MAX_SERVE_SESSIONS, PROP_DELAY_MS,
 };
@@ -276,6 +276,8 @@ pub fn parse_sessions(spec: &str) -> Option<Vec<u32>> {
 /// [`Experiment::timing`] is then checked: its warm-up must leave a
 /// non-empty measurement window, an explicit `--warmup` must be the
 /// warm-up it runs, and a replay must end inside its shortest capture.
+/// An explicit `--warmup` must also be the warm-up of some declared cell
+/// (fig2's probe runs none, whatever its row's timing says).
 /// Returns a one-line usage message on the first violation. `--trace`
 /// registers each capture as it parses, so a malformed file is reported
 /// to its submitter here — before any worker is spawned.
@@ -454,6 +456,19 @@ pub fn apply_worker_args(
             }
         }
     }
+    // A matrix may keep a timing of its own inside a row of the global
+    // timing (fig2's probe, in `fig2` and `scorecard`): a --warmup that no
+    // cell of the selection runs at would change nothing.
+    if explicit_warmup {
+        let warmup = Duration::from_secs(cfg.warmup_secs);
+        let mut matrices = rows.iter().flat_map(|row| row.declare(cfg));
+        if !matrices.any(|m| m.cells().iter().any(|cell| cell.warmup == warmup)) {
+            return Err(format!(
+                "{FIG2_TIMING}: --warmup {} cannot change it",
+                cfg.warmup_secs
+            ));
+        }
+    }
     Ok(rows)
 }
 
@@ -607,6 +622,20 @@ mod tests {
         // and replay skip a sixth of the run.
         let err = apply("serve", &["--warmup", "5"]).unwrap_err();
         assert!(err.contains("a sixth of its 60s run (10s)"), "{err}");
+        // fig2's probe runs no warm-up; the rows whose other matrices
+        // honour --warmup take it.
+        for args in [&["--warmup", "5"][..], &["--warmup", "5", "--quick"]] {
+            let err = apply("fig2", args).unwrap_err();
+            assert!(
+                err.contains("ten times --secs, at least 600s, with no warm-up"),
+                "{err}"
+            );
+        }
+        assert!(apply("fig2", &["--warmup", "0"]).is_ok());
+        for experiment in ["scorecard", ALL] {
+            let cfg = apply(experiment, &["--warmup", "5"]).unwrap();
+            assert_eq!(cfg.warmup_secs, 5, "{experiment}");
+        }
         let cfg = apply("serve", &["--secs", "48", "--warmup", "8"]).unwrap();
         let Timing { secs, warmup } = timing(&cfg, "serve");
         assert_eq!((secs, warmup), (48, 8));

@@ -786,10 +786,15 @@ fn fig1_report(s: &Sweep<'_>, out: &mut dyn Write) -> io::Result<()> {
 
 // ---------------------------------------------------------------- fig 2
 
+/// How the Figure 2 probe is timed, whatever `--warmup` says: the
+/// `reproduce` error that refuses a `--warmup` nothing else honours
+/// states it.
+pub const FIG2_TIMING: &str = "fig2's probe runs ten times --secs, at least 600s, with no warm-up";
+
 /// The Figure 2 matrix: a saturated-link interarrival probe. The paper's
 /// sample is 1.2 M packets; at ~420 packets/s that is ~48 min of
 /// saturation, so the probe runs ten times the row's `--secs`, at least
-/// 10 min, with no warm-up.
+/// 10 min, with no warm-up ([`FIG2_TIMING`]).
 fn fig2_matrix(cfg: &ExperimentConfig) -> ScenarioMatrix {
     let secs = (Timing::global(cfg).secs * 10).max(600);
     Timing { secs, warmup: 0 }

@@ -20,9 +20,10 @@ use sprout_bench::figures::{ExperimentConfig, EXPERIMENTS};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_tables.tsv");
 
-/// The worker flags a row renders under: 12 virtual seconds, and for
-/// the rows with axes a trim to a handful of cells that still has every
-/// column filled (an app workload, an impaired cell, a shallow queue).
+/// The worker flags a row renders under: 12 virtual seconds with a 2 s
+/// warm-up (none for fig2's probe), and for the rows with axes a trim to
+/// a handful of cells that still has every column filled (an app
+/// workload, an impaired cell, a shallow queue).
 /// `replay` also writes the per-cell `--timeseries` TSVs, so their
 /// delay and series formats are pinned too.
 fn scale(experiment: &str) -> Vec<String> {
@@ -41,7 +42,9 @@ fn scale(experiment: &str) -> Vec<String> {
         "replay" => &["--schemes", "sprout,cubic", "--timeseries"],
         _ => &[],
     };
-    let timing = ["--secs", "12", "--warmup", "2"];
+    // fig2's probe runs with no warm-up and refuses any other.
+    let warmup = if experiment == "fig2" { "0" } else { "2" };
+    let timing = ["--secs", "12", "--warmup", warmup];
     timing.iter().chain(axes).map(|s| s.to_string()).collect()
 }
 

@@ -358,6 +358,27 @@ fn the_banner_prints_the_warmup_the_matrix_uses() {
         scorecard.contains("(runs 900s, warmup 0s; runs 90s, warmup 20s,"),
         "{scorecard}"
     );
+    // A --warmup the probe cannot run is refused where nothing else
+    // takes it, and runs where other matrices do.
+    let out = reproduce(&["fig2", "--warmup", "5", "--quick"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("ten times --secs, at least 600s, with no warm-up: --warmup 5"),
+        "{stderr}"
+    );
+    let fig2 = banner("fig2-w0", &["fig2", "--warmup", "0"]);
+    assert!(fig2.contains("(runs 3000s, warmup 0s,"), "{fig2}");
+    let scorecard = banner("scorecard-w5", &["scorecard", "--quick", "--warmup", "5"]);
+    assert!(
+        scorecard.contains("(runs 900s, warmup 0s; runs 90s, warmup 5s,"),
+        "{scorecard}"
+    );
+    let all = banner("all-w5", &["all", "--quick", "--warmup", "5"]);
+    assert!(
+        all.contains("(runs 90s, warmup 5s; runs 900s, warmup 0s,"),
+        "{all}"
+    );
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! anything is queued. (A `--secs` whose microsecond count wraps a `u64`
 //! used to be accepted: a release daemon dealt the wrapped matrix, a
 //! debug one panicked rebuilding it for `/sweeps/<id>/cells`.) So is a
-//! `--threads` past its bound, which every worker would have started.
+//! `--threads` past its bound, which every worker would have started,
+//! and a `--warmup` that fig2's probe, which runs no warm-up, would drop.
 
 use sprout_control::{client, Daemon, DaemonConfig};
 
@@ -38,6 +39,16 @@ fn wrapping_run_lengths_are_refused_at_submit_time() {
         resp.contains("--threads expects a number in 0..=256"),
         "{resp}"
     );
+    // A --warmup fig2's probe cannot run, refused by the same screen.
+    let (status, resp) = client::request(
+        &endpoint,
+        "POST",
+        "/sweeps?experiment=fig2&workers=1",
+        "--warmup\n5\n",
+    )
+    .expect("submit");
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("with no warm-up: --warmup 5"), "{resp}");
     let (status, sweeps) = client::request(&endpoint, "GET", "/sweeps", "").expect("GET /sweeps");
     assert_eq!((status, sweeps.as_str()), (200, "{\"sweeps\":[]}"));
 

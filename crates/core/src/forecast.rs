@@ -72,7 +72,9 @@ use crate::memo::{Memo, MemoCounters};
 #[cfg(any(test, feature = "testing"))]
 use crate::model::ScatterMatrix;
 use crate::model::TransitionKernel;
-use crate::simd::{mixture_lanes, strip_sum_into, CDF_LANES, STRIP_LANES};
+use crate::simd::{
+    blend_into, mixture_lanes, prefix_sums, strip_sum_into, StripRow, CDF_LANES, STRIP_LANES,
+};
 use sprout_trace::TICK;
 
 /// Built / reused counts of [`TABLE_MEMO`].
@@ -336,26 +338,35 @@ impl ForecastTables {
     /// Build the tables by the backward recursion of the module docs: every
     /// start bin at once, one volume step per bin and one gather through
     /// the kernel's CSR rows per horizon tick — ≈ 93 M multiply-adds at
-    /// paper scale, ≈ 11 ms on Sapphire Rapids (the row-major gather at
-    /// SSE2 width this replaced took ≈ 26 ms).
+    /// paper scale. On Sapphire Rapids, best of 15 builds: ≈ 6.7 ms
+    /// (volume step ≈ 1.0, gather ≈ 4.4, encoder ≈ 1.2); ≈ 10.7 ms (1.2 /
+    /// 7.1 / 1.6) with the strip rows off their cache lines, no fold and a
+    /// scalar volume step; the row-major gather at SSE2 width took
+    /// ≈ 26 ms.
     ///
     /// Each tick is walked strip-major, 64 counts at a time
     /// (`STRIP_LANES`) from the top of the count axis down: the volume
-    /// step writes one strip of `M` for every bin, then each start bin's
-    /// output strip accumulates over its CSR row in registers at the CPU's
-    /// widest vector width (`simd::strip_sum_into`). `G` is updated in
-    /// place — strip `c0` of `M` reads `G_t` below count `c0 + 64` only,
-    /// and every strip above it already holds `G_{t+1}` — so the DP holds
-    /// `G` and one strip of `M`, ≈ 1.6 MiB at paper scale.
+    /// step writes one strip of `M` for every bin (`simd::blend_into`),
+    /// each row on whole cache lines (`simd::StripRow`), then each start
+    /// bin's output strip accumulates over its CSR row in registers at the
+    /// CPU's widest vector width (`simd::strip_sum_into`). `G` is updated
+    /// in place — strip `c0` of `M` reads `G_t` below count `c0 + 64`
+    /// only, and every strip above it already holds `G_{t+1}` — so the DP
+    /// holds `G` and one strip of `M`, ≈ 1.6 MiB at paper scale.
     ///
     /// Every count still adds `K(i→j)·M[j][c]` in ascending `j` from
     /// +0.0, one IEEE multiply and one IEEE add per term: the operand
     /// sequence of the row-major `out[c] += w·m[j][c]` walk, so the table
-    /// is bit-identical to that walk's. A source whose strip of `M` is all
-    /// +0.0 — its first count that is not +0.0 lies at or past the strip's
-    /// end, which assumes no monotonicity — is skipped: each of its terms
-    /// is a non-negative weight times +0.0, and adding +0.0 to an
-    /// accumulator that started at +0.0 changes no bit.
+    /// is bit-identical to that walk's. Two kinds of source are not
+    /// walked. One whose strip of `M` is all +0.0 — its first count that
+    /// is not +0.0 lies at or past the strip's end, which assumes no
+    /// monotonicity — is skipped: each of its terms is a non-negative
+    /// weight times +0.0, and adding +0.0 to an accumulator that started
+    /// at +0.0 changes no bit. And a start bin's leading run of sources
+    /// whose strip is exactly 1.0 at every count is folded: `K(i→j)·1.0 =
+    /// K(i→j)`, so the walk over them adds the row's weights themselves,
+    /// and every count starts at their serial prefix sum from +0.0,
+    /// computed once per build (12.5 % of the terms the walk would run).
     ///
     /// Single-threaded on purpose: a second worker could save a few
     /// milliseconds once per geometry per process, less than the
@@ -808,28 +819,35 @@ fn backward_recursion(cfg: &SproutConfig, kernel: &TransitionKernel, mut tick: i
     let cm = cfg.count_max;
     let shifts = unit_shifts(cfg);
     let scatter = kernel.scatter();
+    // Per CSR row, the prefix sums its leading run of certain sources
+    // folds to.
+    let sums: Vec<Vec<f64>> = (0..n).map(|i| prefix_sums(scatter.row(i).1)).collect();
     // `g[j·cm + c] = G_t[j][c]`, starting at `G₀ ≡ 1`, updated in place.
     let mut g = vec![1.0f64; n * cm];
     // One strip of `M`, `m[j][l] = M[j][c0 + l]` for the strip's `len`
-    // lanes, and `lead[j]`: row `j`'s first lane that is not +0.0 (`len`
-    // if none).
-    let mut m = vec![[0.0f64; STRIP_LANES]; n];
+    // lanes, each row on whole cache lines; `lead[j]`: row `j`'s first
+    // lane that is not +0.0 (`len` if none); `ones[j]`: row `j` is exactly
+    // 1.0 at every lane.
+    let mut m = StripRow::buffer(n);
     let mut lead = vec![0usize; n];
+    let mut ones = vec![false; n];
     for _ in 0..cfg.horizon_ticks {
         // Strips in descending count order: strip `c0` of `M` reads `G_t`
         // at counts below `c0 + STRIP_LANES` only, and every strip above
         // it already holds `G_{t+1}`.
         for c0 in (0..cm).step_by(STRIP_LANES).rev() {
             let len = STRIP_LANES.min(cm - c0);
-            let rows = g.chunks_exact(cm).zip(m.iter_mut().zip(&mut lead));
-            for ((g_row, (m_row, lead)), &shift) in rows.zip(&shifts) {
-                *lead = shift_strip(&mut m_row[..len], g_row, c0, shift);
+            let shape = lead.iter_mut().zip(&mut ones);
+            let rows = g.chunks_exact(cm).zip(m.iter_mut().zip(shape));
+            for ((g_row, (m_row, (lead, ones))), &shift) in rows.zip(&shifts) {
+                (*lead, *ones) = shift_strip(&mut m_row.0[..len], g_row, c0, shift);
             }
             // Evolve the bin axis: start bin `i` reaches bin `j` with
             // `K(i→j)`, summed in ascending `j` in registers.
-            for (i, out) in g.chunks_exact_mut(cm).enumerate() {
+            for ((i, out), sums) in g.chunks_exact_mut(cm).enumerate().zip(&sums) {
                 let (dests, weights) = scatter.row(i);
-                strip_sum_into(&mut out[c0..c0 + len], &m, &lead, dests, weights);
+                let out = &mut out[c0..c0 + len];
+                strip_sum_into(out, &m, &lead, &ones, dests, weights, sums);
             }
         }
         tick(&g);
@@ -839,9 +857,15 @@ fn backward_recursion(cfg: &SproutConfig, kernel: &TransitionKernel, mut tick: i
 /// Strip `c0..c0 + m_row.len()` of one bin's volume advance, `M[j][c] =
 /// G[j][c − lo]·(1 − frac) + G[j][c − lo − 1]·frac`, from `g_row = G[j]`
 /// into `m_row`; returns its first lane that is not +0.0 (`m_row.len()`
-/// if none). Counts below `lo` are unreachable and `lo` itself only by the
-/// low half from count 0; the outage bin (no advance) copies `G` through.
-fn shift_strip(m_row: &mut [f64], g_row: &[f64], c0: usize, (lo, frac): (usize, f64)) -> usize {
+/// if none) and whether it is exactly 1.0 at every lane. Counts below
+/// `lo` are unreachable and `lo` itself only by the low half from count
+/// 0; the outage bin (no advance) copies `G` through.
+fn shift_strip(
+    m_row: &mut [f64],
+    g_row: &[f64],
+    c0: usize,
+    (lo, frac): (usize, f64),
+) -> (usize, bool) {
     let len = m_row.len();
     let below = if lo == 0 && frac == 0.0 {
         m_row.copy_from_slice(&g_row[c0..c0 + len]);
@@ -863,16 +887,16 @@ fn shift_strip(m_row: &mut [f64], g_row: &[f64], c0: usize, (lo, frac): (usize, 
             // Its counts now all lie above `lo`, from `max(c, lo + 1)` on,
             // and count `c′` reads `G[c′ − lo − 1..=c′ − lo]`.
             let from = c.max(lo + 1) - lo - 1;
-            for (slot, pair) in reachable.iter_mut().zip(g_row[from..].windows(2)) {
-                *slot = pair[1] * keep + pair[0] * frac;
-            }
+            blend_into(reachable, &g_row[from..], keep, frac);
         }
         below.len()
     };
-    m_row[below..]
+    let lead = m_row[below..]
         .iter()
         .position(|v| v.to_bits() != 0)
-        .map_or(len, |l| below + l)
+        .map_or(len, |l| below + l);
+    let ones = lead == 0 && m_row.iter().all(|v| v.to_bits() == 1.0f64.to_bits());
+    (lead, ones)
 }
 
 /// The scalar forward DP for a single starting bin: returns the

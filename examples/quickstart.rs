@@ -10,6 +10,9 @@ use sprout_sim::{direction_stats, PathConfig, Simulation};
 use sprout_trace::{Duration, NetProfile, Timestamp};
 
 fn main() {
+    // As `--no-cache` does: an example leaves no artifact in the checkout.
+    sprout_cache::disable();
+
     // 1. A cellular link. Synthetic here (the paper's doubly-stochastic
     //    model, §3.1); `sprout_trace::load_trace` reads real Saturator
     //    captures in the same format.

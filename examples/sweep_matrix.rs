@@ -10,6 +10,9 @@ use sprout_bench::{ScenarioMatrix, Scheme, SweepEngine};
 use sprout_trace::{Duration, NetProfile};
 
 fn main() {
+    // As `--no-cache` does: an example leaves no artifact in the checkout.
+    sprout_cache::disable();
+
     // Declare: 3 schemes × 2 links × 2 loss rates = 12 cells.
     let matrix = ScenarioMatrix::builder("demo")
         .schemes([Scheme::SproutEwma, Scheme::Cubic, Scheme::Skype])

@@ -15,6 +15,9 @@ use sprout_trace::{
 };
 
 fn main() {
+    // As `--no-cache` does: an example leaves no artifact in the checkout.
+    sprout_cache::disable();
+
     // Load a real capture if given; otherwise synthesize a Verizon LTE
     // downlink from the paper's stochastic model.
     let trace: Trace = match std::env::args().nth(1) {

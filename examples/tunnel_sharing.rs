@@ -12,6 +12,9 @@ use sprout_bench::{FlowSummary, ScenarioMatrix, SweepEngine, Workload};
 use sprout_trace::{Duration, NetProfile};
 
 fn main() {
+    // As `--no-cache` does: an example leaves no artifact in the checkout.
+    sprout_cache::disable();
+
     let matrix = ScenarioMatrix::builder("tunnel-sharing")
         .workloads([Workload::MuxDirect, Workload::MuxTunneled])
         .links([NetProfile::VerizonLteDown])

@@ -11,6 +11,9 @@ use sprout_bench::{ScenarioMatrix, Scheme, SweepEngine};
 use sprout_trace::{Duration, NetProfile};
 
 fn main() {
+    // As `--no-cache` does: an example leaves no artifact in the checkout.
+    sprout_cache::disable();
+
     // Both cells replay the identical Verizon LTE downlink trace. The
     // Skype model is open-loop rate control with a slow reaction
     // (§5.2); Sprout's sender saturates, so its series shows the
