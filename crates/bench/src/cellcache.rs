@@ -177,7 +177,7 @@ pub(crate) mod tests {
     pub(crate) static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Point the cache at a fresh directory for one test.
-    fn fresh_cache(tag: &str) -> std::path::PathBuf {
+    pub(crate) fn fresh_cache(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("sprout-{tag}-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         sprout_cache::set_dir(&dir);

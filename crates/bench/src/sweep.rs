@@ -718,10 +718,25 @@ mod tests {
             .build()
     }
 
+    /// Run `sweep` with the cache in a fresh temporary directory: the
+    /// engine stores every cell it executes, and these cells belong in
+    /// neither the checkout nor another test's cache.
+    fn in_scratch_cache<T>(tag: &str, sweep: impl FnOnce() -> T) -> T {
+        use crate::cellcache::tests::{fresh_cache, CACHE_LOCK};
+        let _g = CACHE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = fresh_cache(tag);
+        let out = sweep();
+        sprout_cache::reset_override();
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
     #[test]
     fn results_are_in_matrix_order() {
         let m = tiny_matrix();
-        let results = SweepEngine::new(7).with_threads(2).run(&m);
+        let results = in_scratch_cache("order", || SweepEngine::new(7).with_threads(2).run(&m));
         assert_eq!(results.len(), m.len());
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.scenario.id, i as u64);
@@ -732,8 +747,12 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let m = tiny_matrix();
-        let one = SweepEngine::new(11).with_threads(1).run(&m);
-        let four = SweepEngine::new(11).with_threads(4).run(&m);
+        let (one, four) = in_scratch_cache("threads", || {
+            (
+                SweepEngine::new(11).with_threads(1).run(&m),
+                SweepEngine::new(11).with_threads(4).run(&m),
+            )
+        });
         assert_eq!(
             sweep_to_json(m.name(), 11, &one),
             sweep_to_json(m.name(), 11, &four)
@@ -751,7 +770,7 @@ mod tests {
             .timing(Duration::from_secs(21), Duration::from_secs(5))
             .series_bin(Duration::from_millis(500))
             .build();
-        let results = SweepEngine::new(13).run(&m);
+        let results = in_scratch_cache("series", || SweepEngine::new(13).run(&m));
         assert_eq!(results[0].series.len(), 32);
         for (i, row) in results[0].series.iter().enumerate() {
             assert_eq!(row.t_s, i as f64 * 0.5);

@@ -14,6 +14,8 @@ use sprout_bench::{
 use sprout_sim::{direction_stats, PathConfig, QueueConfig, Simulation};
 use sprout_trace::{Duration, NetProfile, Timestamp};
 
+mod support;
+
 const SEED: u64 = 7;
 
 /// Each cell's metrics, executed one by one on the engine's path.
@@ -155,6 +157,7 @@ fn measured_rtt_never_beats_twice_the_one_way_delay() {
 /// queue with a bulk flow), on the engine's normal execution path.
 #[test]
 fn app_workloads_run_over_sprout_and_over_cubic() {
+    support::cache_outside_the_checkout();
     let m = ScenarioMatrix::builder("apps")
         .apps([VideoApp::Skype], [Scheme::Sprout, Scheme::Cubic])
         .links([NetProfile::VerizonLteDown])

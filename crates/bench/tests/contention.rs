@@ -13,7 +13,11 @@ use sprout_bench::{
 };
 use sprout_trace::{Duration, NetProfile};
 
-/// Serializes the tests that mutate the process-global cache override.
+mod support;
+
+/// Serializes the tests: each points the process-global cache override
+/// somewhere, and the shard test's merge must read the directory its
+/// shards stored into.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
@@ -55,6 +59,8 @@ fn tiny_matrix() -> ScenarioMatrix {
 /// reports fairness.
 #[test]
 fn three_declarations_of_the_direct_pair_are_one_simulation() {
+    let _g = CACHE_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let m = ScenarioMatrix::builder("onetopology")
         .workloads([Workload::MuxDirect])
         .apps([VideoApp::Skype], [Scheme::Cubic])
@@ -106,6 +112,8 @@ fn three_declarations_of_the_direct_pair_are_one_simulation() {
 
 #[test]
 fn contention_cells_report_per_flow_metrics_and_fairness() {
+    let _g = CACHE_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let m = tiny_matrix();
     let results = SweepEngine::new(17).with_threads(1).run(&m);
     assert_eq!(results.len(), m.len());
@@ -190,6 +198,8 @@ fn contention_cells_report_per_flow_metrics_and_fairness() {
 
 #[test]
 fn contention_sweeps_are_thread_count_invariant() {
+    let _g = CACHE_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let m = tiny_matrix();
     let one = SweepEngine::new(23).with_threads(1).run(&m);
     let four = SweepEngine::new(23).with_threads(4).run(&m);

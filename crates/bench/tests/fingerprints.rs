@@ -41,6 +41,8 @@ use sprout_bench::{
 };
 use sprout_trace::{Impairment, NetProfile};
 
+mod support;
+
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_fingerprints.tsv");
 const GOLDEN_RESULTS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_results.tsv");
 
@@ -202,6 +204,7 @@ fn pinned_matrices() -> Vec<ScenarioMatrix> {
 }
 
 fn results_snapshot() -> String {
+    support::cache_outside_the_checkout();
     let engine = SweepEngine::new(ExperimentConfig::default().seed);
     let mut out = recorded_header();
     out.push_str(

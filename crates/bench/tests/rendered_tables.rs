@@ -18,6 +18,8 @@ use std::fmt::Write as _;
 use sprout_bench::cli::apply_worker_args;
 use sprout_bench::figures::{ExperimentConfig, EXPERIMENTS};
 
+mod support;
+
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_tables.tsv");
 
 /// The worker flags a row renders under: 12 virtual seconds with a 2 s
@@ -49,6 +51,7 @@ fn scale(experiment: &str) -> Vec<String> {
 }
 
 fn snapshot() -> String {
+    support::cache_outside_the_checkout();
     let root = std::env::temp_dir().join(format!("sprout-rendered-tables-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut out = String::from(

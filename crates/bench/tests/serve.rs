@@ -10,6 +10,8 @@ use sprout_bench::{sweep_to_json, ScenarioMatrix, SweepEngine};
 use sprout_core::table_memory_counters;
 use sprout_trace::{Duration, NetProfile};
 
+mod support;
+
 /// Serializes the tests: the table amortization counters are
 /// process-global, so concurrent serve sweeps would interleave deltas.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
@@ -26,6 +28,7 @@ fn tiny_matrix() -> ScenarioMatrix {
 #[test]
 fn serve_sweeps_are_thread_and_batch_invariant() {
     let _g = COUNTER_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let m = tiny_matrix();
     let one = SweepEngine::new(41).with_threads(1).run(&m);
     let four = SweepEngine::new(41).with_threads(4).run(&m);
@@ -44,6 +47,7 @@ fn serve_sweeps_are_thread_and_batch_invariant() {
 #[test]
 fn serve_pool_amortizes_the_forecast_table() {
     let _g = COUNTER_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let n = 16u32;
     let m = ScenarioMatrix::builder("serveamort")
         .serve([n])
@@ -75,6 +79,7 @@ fn serve_pool_amortizes_the_forecast_table() {
 #[test]
 fn serve_cells_conserve_bytes_and_report_fairness() {
     let _g = COUNTER_LOCK.lock().unwrap();
+    support::cache_outside_the_checkout();
     let m = tiny_matrix();
     // run_cell's serve arm asserts the exact conservation equality (sum
     // of per-session full-run path deliveries == the server's wire

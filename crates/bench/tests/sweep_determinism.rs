@@ -7,12 +7,16 @@ use sprout_bench::{
 };
 use sprout_trace::{Duration, NetProfile};
 
+mod support;
+
 /// A small but representative matrix: two schemes (one needing CoDel),
 /// two loss rates, two queue depths, a mux cell, and an
 /// app-over-transport cell — every axis the engine seeds. (The
 /// prop-delay axis carries no randomness of its own; `axes.rs` pins its
-/// exact-shift semantics.)
+/// exact-shift semantics.) Every sweep here runs it, so it also moves
+/// the cache the sweeps store into out of the checkout.
 fn mixed_matrix() -> ScenarioMatrix {
+    support::cache_outside_the_checkout();
     ScenarioMatrix::builder("determinism")
         .schemes([Scheme::SproutEwma, Scheme::CubicCodel])
         .workloads([Workload::MuxDirect])

@@ -62,12 +62,6 @@ pub fn poisson_ln_pmf_with_ln_gamma(k: f64, mean: f64, lgk1: f64) -> f64 {
     k * mean.ln() - mean - lgk1
 }
 
-/// Poisson pmf for integer `k` (used to build forecast convolution
-/// kernels).
-pub fn poisson_pmf(k: u32, mean: f64) -> f64 {
-    poisson_ln_pmf(k as f64, mean).exp()
-}
-
 /// Standard normal CDF via the complementary error function.
 pub fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn poisson_pmf_sums_to_one() {
         for mean in [0.1, 1.0, 5.0, 20.0] {
-            let total: f64 = (0..200).map(|k| poisson_pmf(k, mean)).sum();
+            let total: f64 = (0..200).map(|k| poisson_ln_pmf(k as f64, mean).exp()).sum();
             assert!((total - 1.0).abs() < 1e-9, "mean {mean}: sum {total}");
         }
     }
@@ -147,10 +141,10 @@ mod tests {
     #[test]
     fn poisson_pmf_known_values() {
         // P(K=0 | mean 2) = e^-2.
-        assert!((poisson_pmf(0, 2.0) - (-2.0f64).exp()).abs() < 1e-12);
+        assert!((poisson_ln_pmf(0.0, 2.0).exp() - (-2.0f64).exp()).abs() < 1e-12);
         // P(K=3 | mean 3) = 27 e^-3 / 6.
         let want = 27.0 * (-3.0f64).exp() / 6.0;
-        assert!((poisson_pmf(3, 3.0) - want).abs() < 1e-12);
+        assert!((poisson_ln_pmf(3.0, 3.0).exp() - want).abs() < 1e-12);
     }
 
     #[test]

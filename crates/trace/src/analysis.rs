@@ -1,7 +1,7 @@
 //! Trace analysis: interarrival statistics (Figure 2), outage statistics,
 //! and capacity summaries.
 
-use crate::time::{Duration, Timestamp};
+use crate::time::Duration;
 use crate::trace::Trace;
 
 /// Histogram of interarrival times between delivery opportunities, with
@@ -174,30 +174,11 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
     }
 }
 
-/// Instantaneous rate estimate over sliding windows — used by Figure 1's
-/// capacity staircase and by tests that compare protocols against capacity.
-pub fn windowed_rate_kbps(
-    trace: &Trace,
-    window: Duration,
-    step: Duration,
-) -> Vec<(Timestamp, f64)> {
-    assert!(window > Duration::ZERO && step > Duration::ZERO);
-    let mut out = Vec::new();
-    let end = trace.duration();
-    let mut start = Timestamp::ZERO;
-    while start + window <= Timestamp::ZERO + end {
-        let n = trace.opportunities_between(start, start + window);
-        let kbps = n as f64 * crate::time::MTU_BYTES as f64 * 8.0 / window.as_secs_f64() / 1e3;
-        out.push((start, kbps));
-        start += step;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::NetProfile;
+    use crate::time::Timestamp;
 
     #[test]
     fn histogram_counts_every_gap() {
@@ -304,16 +285,6 @@ mod tests {
         assert_eq!(s.opportunities, tr.len());
         assert!(s.peak_1s_kbps >= s.mean_kbps * 0.5);
         assert!(s.min_1s_kbps <= s.mean_kbps * 1.5);
-    }
-
-    #[test]
-    fn windowed_rate_covers_trace() {
-        let tr = Trace::from_millis((0..1000).map(|i| i * 10)); // 100 pps steady
-        let rates = windowed_rate_kbps(&tr, Duration::from_secs(1), Duration::from_millis(500));
-        assert!(!rates.is_empty());
-        for (_, kbps) in &rates {
-            assert!((kbps - 1200.0).abs() < 120.0, "rate {kbps}");
-        }
     }
 
     #[test]

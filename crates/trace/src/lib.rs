@@ -17,7 +17,6 @@
 
 pub mod analysis;
 pub mod cancel;
-pub mod fit;
 pub mod format;
 pub mod impair;
 pub mod registry;
@@ -29,7 +28,6 @@ mod trace;
 
 pub use analysis::{outage_stats, summarize, InterarrivalHistogram, OutageStats, TraceSummary};
 pub use cancel::{CancelGuard, CancelToken, Cancelled};
-pub use fit::{fit_link_model, FitConfig, FittedModel};
 pub use format::{load_trace, read_trace, save_trace, write_trace, TraceFileError, MAX_TRACE_MS};
 pub use impair::{
     DeliveryPerturber, GilbertElliott, GilbertElliottProcess, Impairment, JitterSpec, OutageCursor,

@@ -122,11 +122,6 @@ impl Timestamp {
     pub fn saturating_since(self, earlier: Timestamp) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: Timestamp) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -285,8 +280,6 @@ mod tests {
         assert_eq!((t + d) - t, d);
         assert_eq!(t.saturating_since(t + d), Duration::ZERO);
         assert_eq!((t + d).saturating_since(t), d);
-        assert_eq!(t.checked_since(t + d), None);
-        assert_eq!((t + d).checked_since(t), Some(d));
     }
 
     #[test]

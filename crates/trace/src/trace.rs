@@ -165,11 +165,6 @@ impl TraceCursor {
         }
     }
 
-    /// Whether the trace is exhausted.
-    pub fn is_exhausted(&self) -> bool {
-        self.next >= self.trace.len()
-    }
-
     /// The underlying trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -255,9 +250,8 @@ mod tests {
         assert_eq!(c.pop_due(t(20)), Some(t(20)));
         assert_eq!(c.pop_due(t(20)), None);
         assert_eq!(c.peek(), Some(t(30)));
-        assert!(!c.is_exhausted());
         assert_eq!(c.pop_due(t(1000)), Some(t(30)));
-        assert!(c.is_exhausted());
+        assert_eq!(c.peek(), None);
     }
 
     #[test]

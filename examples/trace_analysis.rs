@@ -62,33 +62,6 @@ fn main() {
         println!("  [{lo:>7.1} ms, {hi:>7.1} ms)  {pct:>8.4}%");
     }
 
-    // §7 future work: fit the paper's stochastic model to this trace.
-    println!("\n== fitted link model (§7: models trained on empirical variations) ==");
-    match sprout_trace::fit_link_model(&trace, &sprout_trace::FitConfig::default()) {
-        Some(fit) => {
-            println!(
-                "mean rate:     {:.0} pps ({:.0} kbps)",
-                fit.params.mean_rate_pps,
-                fit.params.mean_rate_pps * 12.0
-            );
-            println!(
-                "sigma:         {:.0} pps/sqrt(s) (paper freezes 200)",
-                fit.params.sigma
-            );
-            println!(
-                "outage escape: {:.2} /s (paper freezes 1.0)",
-                fit.params.outage_escape_rate
-            );
-            println!(
-                "outage entry:  {:.3} /s over {} outages ({:.1}% of the trace)",
-                fit.params.outage_entry_rate,
-                fit.outages,
-                fit.outage_fraction * 100.0
-            );
-        }
-        None => println!("trace too short to fit"),
-    }
-
     // Round-trip through the Saturator (§4.1): saturate an emulated link
     // that replays this trace and re-capture its delivery schedule.
     println!("\n== Saturator round-trip (§4.1) ==");
